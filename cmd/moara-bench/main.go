@@ -1,35 +1,28 @@
 // Command moara-bench regenerates every table and figure of the paper's
-// evaluation (§7), plus the repo's own scaling studies. Each subcommand
-// runs one experiment at paper-scale parameters (or a faster scaled
-// profile) and prints the series the figure plots; -tsv additionally
-// writes machine-readable per-figure tables and -json writes a
-// BENCH_<profile>.json with wall-clock/allocation measurements suitable
-// for regression gating (see -compare).
+// evaluation (§7), plus the repo's own extension studies. Each
+// subcommand runs one experiment at paper-scale parameters (or a faster
+// scaled profile) and prints the series the figure plots; -tsv
+// additionally writes machine-readable per-figure tables. Performance
+// measurement and regression gating live in bench/ (see BENCHMARK.json).
 //
 // Usage:
 //
-//	moara-bench [-profile paper|quick|scale] [-tsv DIR] [-json] \
-//	            [-compare BASELINE.json] [-regress 0.20] \
+//	moara-bench [-profile paper|quick] [-tsv DIR] \
 //	            [-cpuprofile FILE] [-memprofile FILE] [-trace FILE] \
 //	            fig9 fig10 ... | all
 //
 // Profiles: "paper" reproduces the paper's parameters, "quick" keeps
-// each figure under ~1s for CI smoke, "scale" runs the big-N scaling
-// sweep (N up to 10000) — the headline capability this perf work
-// unlocked.
+// each figure under ~1s for CI smoke.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"strings"
 	"time"
 
 	"github.com/moara/moara/internal/experiments"
@@ -172,125 +165,20 @@ var figures = []struct {
 		}
 		return experiments.RunAblationCoverSelection(o)
 	}},
-	{"scale", "hot-path scaling sweep: the standard workload at N up to 10000", func(p string) *experiments.Table {
-		o := experiments.ScaleOptions{}
-		switch p {
-		case "quick":
-			// The CI scale-smoke contract: N=5000 completes under a
-			// wall-clock timeout.
-			o.Sizes = []int{1000, 5000}
-		case "scale":
-			o.Sizes = []int{300, 2000, 5000, 10000}
-		default: // paper
-			o.Sizes = []int{300, 1000, 2000, 5000}
-		}
-		return experiments.RunScale(o)
-	}},
 	{"sketches", "approximate aggregates: bounded sketch state vs exact enum", func(p string) *experiments.Table {
 		o := experiments.SketchesOptions{}
-		switch p {
-		case "quick":
+		if p == "quick" {
 			// CI smoke: the bounded-state contract end to end, under a
 			// second of cluster time.
 			o = experiments.SketchesOptions{N: 2000, Cardinalities: []int{100, 1000, 10000}, Epochs: 6}
-		case "scale":
-			// The headline: bounded per-node state at N=10000.
-			o = experiments.SketchesOptions{N: 10000, Epochs: 8}
-		default: // paper-profile defaults
 		}
 		return experiments.RunSketches(o)
 	}},
-	{"wire", "wire codec: gob vs framed columnar + real-TCP standing harness", func(p string) *experiments.Table {
-		o := experiments.WireOptions{}
-		switch p {
-		case "quick":
-			// The acceptance contract: columnar >=5x faster than gob on
-			// the 16-group epoch report, strictly fewer bytes, plus the
-			// real-socket harness at N=256.
-			o = experiments.WireOptions{TCPNodes: 256, Epochs: 5}
-		case "scale":
-			// Real TCP at N in the thousands: the honest-socket run the
-			// codec work unlocks.
-			o = experiments.WireOptions{TCPNodes: 1000, Epochs: 6, Period: 500 * time.Millisecond}
-		default: // paper-profile defaults
-		}
-		return experiments.RunWire(o)
-	}},
-	{"scaleshards", "sharded-scheduler sweep: shard counts at N=10k + the N=100k row", func(p string) *experiments.Table {
-		o := experiments.ScaleShardsOptions{}
-		switch p {
-		case "quick":
-			// CI smoke: the sharded engine end to end, seconds not
-			// minutes.
-			o = experiments.ScaleShardsOptions{
-				N: 2000, Shards: []int{1, 4}, BigN: 5000, BigShards: 4, Epochs: 3,
-			}
-		case "scale":
-			// Defaults: shard sweep at N=10000 plus the N=100000 row.
-		default: // paper
-			o = experiments.ScaleShardsOptions{
-				N: 5000, Shards: []int{1, 2, 4}, BigN: 20000, BigShards: 4,
-			}
-		}
-		if *shardsFlag > 0 {
-			o = o.Defaults()
-			o.Shards = []int{1, *shardsFlag}
-			o.BigShards = *shardsFlag
-		}
-		return experiments.RunScaleShards(o)
-	}},
-}
-
-// shardsFlag overrides the shard counts the scaleshards sweep compares
-// (the sweep becomes {1, K} and the headline row runs at K).
-var shardsFlag = flag.Int("shards", 0, "override the scaleshards shard count (sweep {1,K}, headline row at K)")
-
-// benchResult is one experiment's machine-readable record.
-type benchResult struct {
-	Name    string     `json:"name"`
-	WallMs  float64    `json:"wall_ms"`
-	Allocs  uint64     `json:"allocs"`
-	AllocMB float64    `json:"alloc_mb"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Note    string     `json:"note"`
-}
-
-// benchFile is the BENCH_<profile>.json schema. SchemaVersion 2 added
-// the run-environment stamp (GOMAXPROCS, shard override, git commit):
-// a baseline measured at one core or one shard count is not comparable
-// to a run at another, and the file now says which it was. Version-1
-// files (no schema_version field) still load for -compare.
-type benchFile struct {
-	SchemaVersion int           `json:"schema_version"`
-	Profile       string        `json:"profile"`
-	GoVersion     string        `json:"go_version"`
-	GOOS          string        `json:"goos"`
-	GOARCH        string        `json:"goarch"`
-	GOMAXPROCS    int           `json:"gomaxprocs"`
-	Shards        int           `json:"shards,omitempty"`
-	GitCommit     string        `json:"git_commit,omitempty"`
-	Experiments   []benchResult `json:"experiments"`
-}
-
-// gitCommit best-effort resolves the working tree's HEAD for the
-// metadata stamp; bench runs outside a checkout just omit it.
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func main() {
-	profile := flag.String("profile", "paper", "parameter profile: paper, quick, or scale")
+	profile := flag.String("profile", "paper", "parameter profile: paper or quick")
 	tsvDir := flag.String("tsv", "", "directory to write per-figure TSV files")
-	jsonOut := flag.Bool("json", false, "write BENCH_<profile>.json with wall-clock/alloc measurements")
-	jsonPath := flag.String("json-out", "", "override the -json output path")
-	compare := flag.String("compare", "", "baseline BENCH_*.json; exit non-zero on wall-clock regression")
-	regress := flag.Float64("regress", 0.20, "relative wall-clock regression tolerance for -compare")
-	regressAllocs := flag.Float64("regress-allocs", 0, "relative allocation-count regression tolerance for -compare (0 disables the gate)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile after the run")
 	traceFile := flag.String("trace", "", "write a runtime execution trace of the run")
@@ -303,9 +191,10 @@ func main() {
 		os.Exit(2)
 	}
 	switch *profile {
-	case "paper", "quick", "scale":
+	case "paper", "quick":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
+		usage()
 		os.Exit(2)
 	}
 
@@ -359,36 +248,14 @@ func main() {
 		defer trace.Stop()
 	}
 
-	out := benchFile{
-		SchemaVersion: 2,
-		Profile:       *profile,
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Shards:        *shardsFlag,
-		GitCommit:     gitCommit(),
-	}
 	for _, f := range figures {
 		if !selected[f.name] {
 			continue
 		}
-		// The scale profile only re-parameterizes the scaling sweeps
-		// (and the wire figure's big-N TCP harness); any other figure
-		// runs (and is labeled) at quick parameters rather than
-		// stamping quick-grade data with a distinct profile name.
-		effective := *profile
-		if *profile == "scale" && f.name != "scale" && f.name != "scaleshards" && f.name != "wire" {
-			effective = "quick"
-		}
-		var msBefore runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
 		start := time.Now()
-		tab := f.run(effective)
+		tab := f.run(*profile)
 		wall := time.Since(start)
-		var msAfter runtime.MemStats
-		runtime.ReadMemStats(&msAfter)
-		tab.Note += fmt.Sprintf(" [profile=%s, wall=%s]", effective, wall.Round(time.Millisecond))
+		tab.Note += fmt.Sprintf(" [profile=%s, wall=%s]", *profile, wall.Round(time.Millisecond))
 		tab.Fprint(os.Stdout)
 		if *tsvDir != "" {
 			if err := writeTSV(*tsvDir, f.name, tab); err != nil {
@@ -396,15 +263,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		out.Experiments = append(out.Experiments, benchResult{
-			Name:    f.name,
-			WallMs:  float64(wall.Microseconds()) / 1000,
-			Allocs:  msAfter.Mallocs - msBefore.Mallocs,
-			AllocMB: float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / (1 << 20),
-			Columns: tab.Columns,
-			Rows:    tab.Rows,
-			Note:    tab.Note,
-		})
 	}
 
 	if *memprofile != "" {
@@ -419,81 +277,6 @@ func main() {
 		}
 		f.Close()
 	}
-
-	if *jsonOut || *jsonPath != "" {
-		path := *jsonPath
-		if path == "" {
-			path = fmt.Sprintf("BENCH_%s.json", *profile)
-		}
-		raw, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
-	if *compare != "" {
-		if failed := compareBaseline(*compare, out, *regress, *regressAllocs); failed {
-			os.Exit(1)
-		}
-	}
-}
-
-// compareBaseline gates wall-clock against a committed baseline: any
-// experiment present in both runs that got more than the tolerance
-// slower fails the run. Allocation counts are near-deterministic, so
-// they carry their own (much tighter) opt-in tolerance: pass
-// -regress-allocs to gate on them too; at 0 they are reported only,
-// since cross-environment runs (different GOMAXPROCS or shard counts,
-// see the schema stamp) legitimately allocate differently.
-func compareBaseline(path string, current benchFile, tolerance, allocTolerance float64) (failed bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "compare: %v\n", err)
-		return true
-	}
-	var base benchFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "compare: %v\n", err)
-		return true
-	}
-	baseline := make(map[string]benchResult, len(base.Experiments))
-	for _, e := range base.Experiments {
-		baseline[e.Name] = e
-	}
-	seen := make(map[string]bool, len(current.Experiments))
-	for _, e := range current.Experiments {
-		seen[e.Name] = true
-		b, ok := baseline[e.Name]
-		if !ok || b.WallMs <= 0 {
-			fmt.Fprintf(os.Stderr, "compare %-12s NO BASELINE — not gated (refresh %s)\n", e.Name, path)
-			continue
-		}
-		ratio := e.WallMs / b.WallMs
-		status := "ok"
-		if ratio > 1+tolerance {
-			status = "REGRESSION"
-			failed = true
-		}
-		if allocTolerance > 0 && b.Allocs > 0 &&
-			float64(e.Allocs) > float64(b.Allocs)*(1+allocTolerance) {
-			status = "ALLOC REGRESSION"
-			failed = true
-		}
-		fmt.Fprintf(os.Stderr, "compare %-12s wall %8.1fms -> %8.1fms (%.2fx)  allocs %d -> %d  [%s]\n",
-			e.Name, b.WallMs, e.WallMs, ratio, b.Allocs, e.Allocs, status)
-	}
-	for _, e := range base.Experiments {
-		if !seen[e.Name] {
-			fmt.Fprintf(os.Stderr, "compare %-12s IN BASELINE ONLY — not run this time\n", e.Name)
-		}
-	}
-	return failed
 }
 
 func writeTSV(dir, name string, tab *experiments.Table) error {
@@ -512,17 +295,11 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage: moara-bench [flags] <figure>...|all
 
 flags:
-  -profile paper|quick|scale   parameter profile (scale = big-N sweep to 10000)
-  -tsv DIR                     write per-figure TSV files
-  -json                        write BENCH_<profile>.json (wall/allocs/tables)
-  -json-out PATH               override the -json path
-  -compare BASELINE.json       fail on >-regress wall-clock regression
-  -regress FRAC                regression tolerance for -compare (default 0.20)
-  -regress-allocs FRAC         also gate allocation counts at FRAC (0 = report only)
-  -shards K                    scaleshards only: sweep {1,K}, headline row at K
-  -cpuprofile FILE             write pprof CPU profile (feed to go tool pprof)
-  -memprofile FILE             write pprof allocation profile
-  -trace FILE                  write runtime execution trace
+  -profile paper|quick   parameter profile (default paper)
+  -tsv DIR               write per-figure TSV files
+  -cpuprofile FILE       write pprof CPU profile (feed to go tool pprof)
+  -memprofile FILE       write pprof allocation profile
+  -trace FILE            write runtime execution trace
 
 figures:
 `)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"github.com/moara/moara/internal/cluster"
@@ -71,8 +72,15 @@ func RunGroupBy(opt GroupByOptions) *Table {
 	if err != nil {
 		panic(err)
 	}
-	naive := make([]core.Request, 0, len(distinct))
+	// Sorted: map order would make the naive plan, and so its row,
+	// differ from run to run under one seed.
+	names := make([]string, 0, len(distinct))
 	for s := range distinct {
+		names = append(names, s)
+	}
+	sort.Strings(names)
+	naive := make([]core.Request, 0, len(names))
+	for _, s := range names {
 		req, err := core.ParseRequest(fmt.Sprintf("avg(mem_util) where slice = %s", s))
 		if err != nil {
 			panic(err)

@@ -1,9 +1,9 @@
 // Package experiments contains one driver per table/figure of the
 // paper's evaluation (§7). Each driver builds the workload at paper (or
 // caller-scaled) parameters on the simulated network, runs it, and
-// returns a Table whose rows mirror the figure's series. The drivers are
-// shared by cmd/moara-bench (full-scale runs) and bench_test.go
-// (scaled-down benchmark entries).
+// returns a Table whose rows mirror the figure's series; every cell is
+// virtual time or a count (wall-clock measurement belongs to bench/).
+// cmd/moara-bench runs the drivers at paper or quick parameters.
 package experiments
 
 import (
