@@ -12,9 +12,10 @@ import (
 // Client is the unified query API every Moara deployment form
 // implements: a per-node view of a simulated cluster
 // (SimCluster.Client), a TCP agent (*Agent), and the query-service
-// front-end (*Service) are interchangeable behind it. Shells, Monitor,
-// and the examples are written against Client, so code moves between
-// the simulator, a real deployment, and the service tier unchanged.
+// front-end (*Service) are interchangeable behind it. Shells,
+// MonitorClient, and the examples are written against Client, so code
+// moves between the simulator, a real deployment, and the service tier
+// unchanged.
 type Client interface {
 	// Query parses and runs a one-shot query, blocking until the answer
 	// arrives (simulated deployments drive virtual time internally).
@@ -62,7 +63,16 @@ var (
 )
 
 // Client returns node i's view of the simulated cluster as a Client.
-// Queries originate at node i; Attrs is node i's store. The context
+// Queries originate at node i and drive the simulation until the answer
+// arrives (latency is reported in virtual time via Result.Stats); Attrs
+// is node i's store. A standing query is disseminated once down the
+// chosen cover's trees; thereafter every reached node re-aggregates
+// in-tree each epoch and the callback receives one Sample per epoch — as
+// virtual time is pumped with RunFor (or MonitorClient) — until the Sub
+// is unsubscribed, which tears the subscription state down across the
+// cluster (propagated down-tree, with an idle-timeout backstop for
+// unreachable branches). Early samples are marked ColdStart while the
+// contribution pipeline fills. The context
 // passed to its methods is observed at call boundaries only — the
 // simulation runs in virtual time, so a wall-clock deadline cannot
 // interrupt a pump in progress.
@@ -128,10 +138,10 @@ func (sc *simClient) Now() time.Duration { return sc.c.c.Net.Now() }
 type simSub struct {
 	c    *SimCluster
 	node int
-	id   SubID
+	id   core.QueryID
 }
 
-func (ss *simSub) ID() SubID          { return ss.id }
+func (ss *simSub) ID() core.QueryID   { return ss.id }
 func (ss *simSub) Unsubscribe() error { return ss.c.c.Unsubscribe(ss.node, ss.id) }
 
 // Service is the query-service front-end (see internal/service): it

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"github.com/moara/moara"
-	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/transport"
 	"github.com/moara/moara/internal/value"
 )
@@ -41,25 +40,14 @@ func main() {
 	samples := flag.Int("samples", 5, "epochs to stream per standing query in shell mode")
 	coalesce := flag.Duration("coalesce", 0,
 		"wire coalescing window (0 = one handler turn, -1ns = off)")
-	codecName := flag.String("codec", "columnar",
-		"outgoing wire codec: columnar or gob (inbound is sniffed, so either peer kind is accepted)")
 	flag.Parse()
 
 	roster, err := loadRoster(*peers, *peersFile)
 	if err != nil {
 		fatal(err)
 	}
-	codec, err := transport.ParseCodec(*codecName)
-	if err != nil {
-		fatal(err)
-	}
 	var opts transport.Options
-	opts.Codec = codec
-	if *coalesce < 0 {
-		opts.Node.CoalesceWindow = core.CoalesceOff
-	} else {
-		opts.Node.CoalesceWindow = *coalesce
-	}
+	opts.Node.CoalesceWindow = *coalesce
 	node, err := transport.Listen(*listen, roster, opts)
 	if err != nil {
 		fatal(err)
@@ -134,34 +122,34 @@ func main() {
 }
 
 // runStanding streams a standing query's samples to the shell (on the
-// real clock) until the requested number of epochs has been printed,
-// riding MonitorAgent's subscription plumbing.
+// real clock) until the requested number of epochs has been printed.
 func runStanding(node *transport.Node, query string, period time.Duration, samples int) {
-	stop := make(chan struct{})
-	stopOnce := func() {
+	// The callback runs on the agent's core goroutine and must not block:
+	// it hands samples over a channel sized for the epochs wanted and
+	// drops any that arrive while the shell is behind.
+	ch := make(chan moara.Sample, max(samples, 1))
+	sub, err := node.Subscribe(context.Background(), query, func(s moara.Sample) {
 		select {
-		case <-stop:
+		case ch <- s:
 		default:
-			close(stop)
-		}
-	}
-	deadline := time.AfterFunc(time.Duration(4*(samples+8))*period, stopOnce)
-	defer deadline.Stop()
-	got := 0
-	err := moara.MonitorAgent(node, query, period, stop, func(s moara.Sample) {
-		for _, line := range moara.FormatSample(s) {
-			fmt.Printf("  %s\n", line)
-		}
-		got++
-		if got >= samples {
-			stopOnce()
 		}
 	})
 	if err != nil {
 		fmt.Printf("  error: %v\n", err)
+		return
 	}
-	if got < samples {
-		fmt.Println("  timed out waiting for samples")
+	defer sub.Unsubscribe()
+	deadline := time.After(time.Duration(4*(samples+8)) * period)
+	for got := 0; got < samples; got++ {
+		select {
+		case s := <-ch:
+			for _, line := range moara.FormatSample(s) {
+				fmt.Printf("  %s\n", line)
+			}
+		case <-deadline:
+			fmt.Println("  timed out waiting for samples")
+			return
+		}
 	}
 }
 

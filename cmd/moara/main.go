@@ -44,9 +44,7 @@ func main() {
 	flag.Parse()
 
 	opts := []moara.Option{moara.WithSeed(*seed)}
-	if *coalesce < 0 {
-		opts = append(opts, moara.WithCoalesceWindow(moara.CoalesceOff))
-	} else if *coalesce > 0 {
+	if *coalesce != 0 {
 		opts = append(opts, moara.WithCoalesceWindow(*coalesce))
 	}
 	switch {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"github.com/moara/moara/internal/core"
 )
 
 // TestTypedSentinels proves every branchable failure at the public
@@ -24,7 +26,7 @@ func TestTypedSentinels(t *testing.T) {
 			return err
 		}, ErrParse},
 		{"parse failure via wrapper", func() error {
-			_, err := c.Query(0, "also bogus")
+			_, err := MonitorClient(ctx, c.Client(0), "also bogus", time.Second, 1, c.RunFor)
 			return err
 		}, ErrParse},
 		{"standing query via Query", func() error {
@@ -36,11 +38,16 @@ func TestTypedSentinels(t *testing.T) {
 			return err
 		}, ErrNotStanding},
 		{"one-shot via Subscribe wrapper", func() error {
-			_, err := c.Subscribe(0, "avg(cpu)", func(Sample) {})
+			_, err := MonitorClient(ctx, c.Client(0), "avg(cpu)", 0, 1, c.RunFor)
 			return err
 		}, ErrNotStanding},
 		{"unknown unsubscribe", func() error {
-			return c.Unsubscribe(0, SubID{})
+			a, err := ListenAgent("127.0.0.1:0", nil, AgentOptions{})
+			if err != nil {
+				return err
+			}
+			defer a.Close()
+			return a.Unsubscribe(core.QueryID{})
 		}, ErrUnknownSub},
 		{"double unsubscribe", func() error {
 			sub, err := c.Client(0).Subscribe(ctx, "count(*) every 1s", func(Sample) {})
@@ -91,43 +98,5 @@ func TestErrOverloadFromService(t *testing.T) {
 	}
 	if !IsOverload(err) {
 		t.Fatal("IsOverload(err) = false")
-	}
-}
-
-// TestDeprecatedWrappers pins the legacy SimCluster entry points to the
-// Client path: same answers, same stream.
-func TestDeprecatedWrappers(t *testing.T) {
-	c := NewSimCluster(12, WithSeed(7))
-	for i := 0; i < c.Size(); i++ {
-		c.SetAttr(i, "load", Int(int64(i)))
-	}
-	old, err := c.Query(0, "sum(load)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaClient, err := c.Client(0).Query(context.Background(), "sum(load)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Agg.Value.String() != viaClient.Agg.Value.String() ||
-		old.Contributors != viaClient.Contributors {
-		t.Fatalf("wrapper answer %v/%d, client answer %v/%d",
-			old.Agg.Value, old.Contributors, viaClient.Agg.Value, viaClient.Contributors)
-	}
-
-	got := 0
-	id, err := c.Subscribe(0, "sum(load) every 1s", func(Sample) { got++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(3 * time.Second)
-	if got == 0 {
-		t.Fatal("wrapper subscription delivered no samples")
-	}
-	if err := c.Unsubscribe(0, id); err != nil {
-		t.Fatalf("unsubscribe: %v", err)
-	}
-	if err := c.Unsubscribe(0, id); !errors.Is(err, ErrUnknownSub) {
-		t.Fatalf("double wrapper unsubscribe: %v, want ErrUnknownSub", err)
 	}
 }

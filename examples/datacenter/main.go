@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -53,8 +54,9 @@ func main() {
 		{"Patch management", "count(*) where cluster = C2 and service_x = true and app_x_version = 2"},
 	}
 	fmt.Printf("Fig. 1 management queries on a %d-VM simulated datacenter (LAN model):\n\n", n)
+	cl, ctx := c.Client(0), context.Background()
 	for _, item := range queries {
-		res, err := c.Query(0, item.q)
+		res, err := cl.Query(ctx, item.q)
 		if err != nil {
 			log.Fatalf("%s: %v", item.q, err)
 		}

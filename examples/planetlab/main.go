@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -40,8 +41,9 @@ func main() {
 		c.SetAttr(i, "org", moara.Str([]string{"uiuc", "hp", "mit", "epfl"}[rng.Intn(4)]))
 	}
 
+	cl, ctx := c.Client(0), context.Background()
 	run := func(q string) {
-		res, err := c.Query(0, q)
+		res, err := cl.Query(ctx, q)
 		if err != nil {
 			log.Fatalf("%s: %v", q, err)
 		}

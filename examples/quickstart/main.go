@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,8 +38,11 @@ func main() {
 		// Top-k over a group.
 		"top3(cpu_util) where apache = true",
 	}
+	// Node 0's view of the cluster: the same Client interface a TCP
+	// agent and the query service implement.
+	cl, ctx := c.Client(0), context.Background()
 	for _, q := range queries {
-		res, err := c.Query(0, q)
+		res, err := cl.Query(ctx, q)
 		if err != nil {
 			log.Fatalf("%s: %v", q, err)
 		}
@@ -52,12 +56,12 @@ func main() {
 	// Repeat a group query: the tree has pruned, so the message cost
 	// drops far below a broadcast.
 	c.ResetMessageCounter()
-	if _, err := c.Query(0, "count(*) where service_x = true"); err != nil {
+	if _, err := cl.Query(ctx, "count(*) where service_x = true"); err != nil {
 		log.Fatal(err)
 	}
 	first := c.Messages()
 	c.ResetMessageCounter()
-	if _, err := c.Query(0, "count(*) where service_x = true"); err != nil {
+	if _, err := cl.Query(ctx, "count(*) where service_x = true"); err != nil {
 		log.Fatal(err)
 	}
 	second := c.Messages()

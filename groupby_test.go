@@ -1,6 +1,7 @@
 package moara
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -48,7 +49,7 @@ func TestGroupedQueryMatchesCentralizedRecompute(t *testing.T) {
 		contributors++
 	}
 
-	res, err := c.Query(0, "avg(mem_util) group by slice where apache = true")
+	res, err := c.Client(0).Query(context.Background(), "avg(mem_util) group by slice where apache = true")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestGroupedQueryMatchesCentralizedRecompute(t *testing.T) {
 	}
 
 	// The grand total equals the ungrouped answer over the same set.
-	scalar, err := c.Query(0, "avg(mem_util) where apache = true")
+	scalar, err := c.Client(0).Query(context.Background(), "avg(mem_util) where apache = true")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,20 +98,20 @@ func TestGroupedQueryIsOneDissemination(t *testing.T) {
 
 	// Warm so both measurements see the same settled tree.
 	for r := 0; r < 3; r++ {
-		if _, err := c.Query(0, "avg(mem_util) where apache = true"); err != nil {
+		if _, err := c.Client(0).Query(context.Background(), "avg(mem_util) where apache = true"); err != nil {
 			t.Fatal(err)
 		}
 		c.RunFor(2 * time.Second)
 	}
 
 	c.ResetMessageCounter()
-	if _, err := c.Query(0, "avg(mem_util) where apache = true"); err != nil {
+	if _, err := c.Client(0).Query(context.Background(), "avg(mem_util) where apache = true"); err != nil {
 		t.Fatal(err)
 	}
 	scalarMsgs := c.Messages()
 
 	c.ResetMessageCounter()
-	res, err := c.Query(0, "avg(mem_util) group by slice where apache = true")
+	res, err := c.Client(0).Query(context.Background(), "avg(mem_util) group by slice where apache = true")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestGroupedQueryCapSpill(t *testing.T) {
 		c.SetAttr(i, "host", Str(fmt.Sprintf("h%03d", i)))
 		c.SetAttr(i, "v", Int(1))
 	}
-	res, err := c.Query(0, "sum(v) group by host")
+	res, err := c.Client(0).Query(context.Background(), "sum(v) group by host")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestGroupedQueryCapSpill(t *testing.T) {
 func TestGroupedMonitorSeries(t *testing.T) {
 	c := NewSimCluster(32, WithSeed(29))
 	seedSliceCluster(c, 4)
-	samples, err := c.Monitor(0, "count(*) group by slice", time.Second, 8)
+	samples, err := MonitorClient(context.Background(), c.Client(0), "count(*) group by slice", time.Second, 8, c.RunFor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestFormatGroups(t *testing.T) {
 		c.SetAttr(i, "dc", Str([]string{"east", "west"}[i%2]))
 		c.SetAttr(i, "v", Int(1))
 	}
-	res, err := c.Query(0, "count(*) group by dc")
+	res, err := c.Client(0).Query(context.Background(), "count(*) group by dc")
 	if err != nil {
 		t.Fatal(err)
 	}

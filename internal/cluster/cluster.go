@@ -188,9 +188,6 @@ func (c *Cluster) AddNode() int {
 	return i
 }
 
-// Grow is AddNode under its original name (kept for older callers).
-func (c *Cluster) Grow() int { return c.AddNode() }
-
 // liveBootstrap picks a live member (other than node i) for a join or
 // rejoin, preferring the lowest index for determinism.
 func (c *Cluster) liveBootstrap(i int) ids.ID {

@@ -28,7 +28,7 @@ var (
 	// period: standing queries run via Subscribe, not Execute.
 	ErrStandingOnly = errors.New("moara: standing query must run via Subscribe")
 
-	// ErrUnknownSub marks an Unsubscribe (or renewal) naming a SubID
+	// ErrUnknownSub marks an Unsubscribe (or renewal) naming a subscription
 	// this front-end does not hold — already torn down, or never
 	// installed here.
 	ErrUnknownSub = errors.New("moara: unknown subscription")

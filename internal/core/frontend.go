@@ -117,20 +117,33 @@ func (r Result) Completeness() float64 {
 // frontend drives composite-query planning, size probes, sub-queries,
 // and result merging for queries originating at this node (§6).
 type frontend struct {
-	n          *Node
+	n *Node
+	// pending holds every unfinished one-shot query, from Execute to its
+	// callback; probes indexes the in-flight size-probe rounds of
+	// one-shot queries and standing-query (re-)installs alike by probe
+	// query ID.
 	pending    map[QueryID]*feQuery
-	probeIndex map[QueryID]*feQuery
+	probes     map[QueryID]*probeRound
 	probeCache map[string]probeEntry
 
-	// subs holds the standing-query registry (see standing.go);
-	// subProbes indexes in-flight cover re-probes by probe query ID.
-	subs      map[QueryID]*feSub
-	subProbes map[QueryID]*feSub
+	// subs holds the standing-query registry (see standing.go).
+	subs map[QueryID]*feSub
 }
 
 type probeEntry struct {
 	cost float64
 	at   time.Duration
+}
+
+// probeRound is one §6.3 size-probe round: the probes still unanswered
+// (probe query ID → group canon), the owner's cost table they fill, the
+// timeout, and what the owner does once every probe has answered or the
+// timeout has passed.
+type probeRound struct {
+	pending map[QueryID]string
+	costs   map[string]float64
+	cancel  func()
+	done    func()
 }
 
 type feQuery struct {
@@ -139,9 +152,8 @@ type feQuery struct {
 	cb   func(Result, error)
 	plan queryPlan
 
-	probeQIDs   map[QueryID]string
-	costs       map[string]float64
-	probeCancel func()
+	costs  map[string]float64
+	probes *probeRound
 
 	groupsPending map[string]bool
 	agg           *aggregate.GroupedState
@@ -158,10 +170,9 @@ type feQuery struct {
 func (fe *frontend) init(n *Node) {
 	fe.n = n
 	fe.pending = make(map[QueryID]*feQuery)
-	fe.probeIndex = make(map[QueryID]*feQuery)
+	fe.probes = make(map[QueryID]*probeRound)
 	fe.probeCache = make(map[string]probeEntry)
 	fe.subs = make(map[QueryID]*feSub)
-	fe.subProbes = make(map[QueryID]*feSub)
 }
 
 // recover re-arms the front-end's periodic loops after a crash-recovery
@@ -172,29 +183,20 @@ func (fe *frontend) init(n *Node) {
 // abandoned mid-flight fall back to conservative costs at the next
 // renewal.
 func (fe *frontend) recover() {
-	seen := make(map[QueryID]*feQuery)
+	// Snapshot first: a callback may issue a fresh query.
+	inflight := make([]*feQuery, 0, len(fe.pending))
 	for _, fq := range fe.pending {
-		seen[fq.qid] = fq
+		inflight = append(inflight, fq)
 	}
-	for _, fq := range fe.probeIndex {
-		seen[fq.qid] = fq
-	}
-	for _, fq := range seen {
+	for _, fq := range inflight {
 		fq.finish(fe.n, nil)
 	}
 	for _, fs := range fe.subs {
-		for pqid := range fs.probeQIDs {
-			delete(fe.subProbes, pqid)
-		}
-		fs.probeQIDs = nil
-		if fs.probeCancel != nil {
-			// A probe timeout armed before the crash can still be
-			// pending (timers are only dropped if they fire during the
-			// outage); left armed, it would abort the next renewal's
-			// probe round with stale state.
-			fs.probeCancel()
-			fs.probeCancel = nil
-		}
+		// A probe timeout armed before the crash can still be pending
+		// (timers are only dropped if they fire during the outage); left
+		// armed, it would abort the next renewal's probe round with stale
+		// state.
+		fe.endProbes(fs.probes)
 		if fs.plan.empty {
 			if fs.emptyCancel != nil {
 				fs.emptyCancel()
@@ -221,22 +223,33 @@ func (n *Node) Execute(req Request, cb func(Result, error)) {
 	n.fe.execute(req, cb)
 }
 
+// planRequest validates a request for the entry point it arrived at
+// (Execute takes one-shot requests, Subscribe standing ones) and builds
+// its query plan.
+func (fe *frontend) planRequest(req Request, standing bool) (queryPlan, error) {
+	if err := req.Spec.Validate(); err != nil {
+		return queryPlan{}, fmt.Errorf("core: invalid aggregation spec: %w", err)
+	}
+	switch {
+	case req.Attr == "":
+		return queryPlan{}, fmt.Errorf("core: empty query attribute")
+	case standing && req.Period <= 0:
+		return queryPlan{}, fmt.Errorf("%w: standing query needs a period (every clause)", ErrNotStanding)
+	case !standing && req.Period > 0:
+		return queryPlan{}, fmt.Errorf("%w (every %v)", ErrStandingOnly, req.Period)
+	}
+	plan := buildPlan(req.Attr, req.Pred, fe.n.cfg.MaxCNFClauses)
+	plan.groupBy = req.GroupBy
+	return plan, nil
+}
+
 func (fe *frontend) execute(req Request, cb func(Result, error)) {
 	n := fe.n
-	if err := req.Spec.Validate(); err != nil {
-		cb(Result{}, fmt.Errorf("core: invalid aggregation spec: %w", err))
+	plan, err := fe.planRequest(req, false)
+	if err != nil {
+		cb(Result{}, err)
 		return
 	}
-	if req.Attr == "" {
-		cb(Result{}, fmt.Errorf("core: empty query attribute"))
-		return
-	}
-	if req.Period > 0 {
-		cb(Result{}, fmt.Errorf("%w (every %v)", ErrStandingOnly, req.Period))
-		return
-	}
-	plan := buildPlan(req.Attr, req.Pred, n.cfg.MaxCNFClauses)
-	plan.groupBy = req.GroupBy
 	fq := &feQuery{
 		qid:     n.nextQID(),
 		req:     req,
@@ -256,31 +269,37 @@ func (fe *frontend) execute(req Request, cb func(Result, error)) {
 		fq.finish(n, nil)
 		return
 	}
+	fe.pending[fq.qid] = fq
 	if plan.singleTrivialCover() {
 		fe.startSubQueries(fq)
 		return
 	}
-	fe.startProbes(fq)
+	fq.probes = fe.startProbes(plan, fq.costs, func() { fe.startSubQueries(fq) })
+	fq.stats.Probed = len(fq.probes.pending)
+	fe.awaitProbes(fq.probes)
 }
 
-// startProbes issues size probes for every non-global group in any
-// cover (§6.3). Cached costs within ProbeCacheTTL are reused.
-func (fe *frontend) startProbes(fq *feQuery) {
+// startProbes opens a probe round: it fills costs for every group in
+// any cover of plan (§6.3) — the global group from the system-size
+// estimate, costs cached within ProbeCacheTTL from the cache — and
+// routes a size probe for each of the rest. The caller hands the round
+// to awaitProbes.
+func (fe *frontend) startProbes(plan queryPlan, costs map[string]float64, done func()) *probeRound {
 	n := fe.n
-	fq.probeQIDs = make(map[QueryID]string)
+	pr := &probeRound{pending: make(map[QueryID]string), costs: costs, done: done}
 	now := n.env.Now()
-	for _, g := range fq.plan.distinctGroupsOfPlan() {
+	for _, g := range plan.distinctGroupsOfPlan() {
 		if g.expr == nil {
-			fq.costs[g.canon] = 2 * n.overlay.EstimateSize()
+			costs[g.canon] = 2 * n.overlay.EstimateSize()
 			continue
 		}
 		if ce, ok := fe.probeCache[g.canon]; ok && n.cfg.ProbeCacheTTL > 0 && now-ce.at <= n.cfg.ProbeCacheTTL {
-			fq.costs[g.canon] = ce.cost
+			costs[g.canon] = ce.cost
 			continue
 		}
 		pqid := n.nextQID()
-		fq.probeQIDs[pqid] = g.canon
-		fe.probeIndex[pqid] = fq
+		pr.pending[pqid] = g.canon
+		fe.probes[pqid] = pr
 		n.overlay.Route(g.treeKey(), ProbeMsg{
 			QID:     pqid,
 			Group:   g.canon,
@@ -288,38 +307,53 @@ func (fe *frontend) startProbes(fq *feQuery) {
 			ReplyTo: n.self,
 		})
 	}
-	fq.stats.Probed = len(fq.probeQIDs)
-	if len(fq.probeQIDs) == 0 {
-		fe.startSubQueries(fq)
+	return pr
+}
+
+// awaitProbes completes the round at once when nothing needed probing,
+// and otherwise bounds the wait: probes still missing at ProbeTimeout
+// fall back to the conservative system-size cost and planning proceeds.
+func (fe *frontend) awaitProbes(pr *probeRound) {
+	if len(pr.pending) == 0 {
+		pr.done()
 		return
 	}
-	fq.probeCancel = n.env.After(n.cfg.ProbeTimeout, func() {
-		// Missing probes fall back to the conservative system-size
-		// cost; planning proceeds.
-		for pqid := range fq.probeQIDs {
-			delete(fe.probeIndex, pqid)
-		}
-		fq.probeQIDs = nil
-		fe.startSubQueries(fq)
+	pr.cancel = fe.n.env.After(fe.n.cfg.ProbeTimeout, func() {
+		pr.cancel = nil
+		fe.endProbes(pr)
+		pr.done()
 	})
 }
 
-func (fe *frontend) handleProbeResp(pr ProbeRespMsg) {
-	fq, ok := fe.probeIndex[pr.QID]
-	if !ok {
-		fe.handleSubProbeResp(pr)
+// endProbes closes a round, complete or not: answers still in flight
+// will be ignored and the timeout is disarmed. A nil or already closed
+// round is a no-op.
+func (fe *frontend) endProbes(pr *probeRound) {
+	if pr == nil {
 		return
 	}
-	delete(fe.probeIndex, pr.QID)
-	delete(fq.probeQIDs, pr.QID)
-	fq.costs[pr.Group] = pr.Cost
-	fe.probeCache[pr.Group] = probeEntry{cost: pr.Cost, at: fe.n.env.Now()}
-	if len(fq.probeQIDs) == 0 && !fq.done {
-		if fq.probeCancel != nil {
-			fq.probeCancel()
-			fq.probeCancel = nil
-		}
-		fe.startSubQueries(fq)
+	for pqid := range pr.pending {
+		delete(fe.probes, pqid)
+	}
+	pr.pending = nil
+	if pr.cancel != nil {
+		pr.cancel()
+		pr.cancel = nil
+	}
+}
+
+func (fe *frontend) handleProbeResp(m ProbeRespMsg) {
+	pr, ok := fe.probes[m.QID]
+	if !ok {
+		return
+	}
+	delete(fe.probes, m.QID)
+	delete(pr.pending, m.QID)
+	pr.costs[m.Group] = m.Cost
+	fe.probeCache[m.Group] = probeEntry{cost: m.Cost, at: fe.n.env.Now()}
+	if len(pr.pending) == 0 {
+		fe.endProbes(pr)
+		pr.done()
 	}
 }
 
@@ -373,7 +407,6 @@ func (fe *frontend) startSubQueries(fq *feQuery) {
 	fq.queryStartAt = n.env.Now()
 	fq.stats.ProbeTime = fq.queryStartAt - fq.startAt
 	fq.groupsPending = make(map[string]bool, len(cover))
-	fe.pending[fq.qid] = fq
 	for _, g := range cover {
 		eval := fq.plan.evalCanon
 		if eval == g.canon {
@@ -428,13 +461,8 @@ func (fq *feQuery) finish(n *Node, err error) {
 	if fq.queryCancel != nil {
 		fq.queryCancel()
 	}
-	if fq.probeCancel != nil {
-		fq.probeCancel()
-	}
+	n.fe.endProbes(fq.probes)
 	delete(n.fe.pending, fq.qid)
-	for pqid := range fq.probeQIDs {
-		delete(n.fe.probeIndex, pqid)
-	}
 	now := n.env.Now()
 	fq.stats.TotalTime = now - fq.startAt
 	if fq.queryStartAt > 0 || !fq.stats.ShortCircuit {

@@ -100,9 +100,9 @@ func (n *Node) Subs() []SubInfo {
 		}
 		var contrib int64
 		reporters := make([]string, 0, len(sub.reports))
-		for id, rep := range sub.reports {
+		for _, rep := range sub.reports {
 			contrib += rep.contrib
-			reporters = append(reporters, id.Short())
+			reporters = append(reporters, rep.from.Short())
 		}
 		sort.Strings(reporters)
 		if n.subEval(sub) {

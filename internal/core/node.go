@@ -169,7 +169,7 @@ func (n *Node) onPeerRemoved(dead ids.ID) {
 		}
 	}
 	for _, sub := range n.subs {
-		delete(sub.reports, dead)
+		sub.dropReport(dead)
 		delete(sub.targets, dead)
 		if !sub.root && sub.parent == dead {
 			sub.orphaned = true
@@ -224,9 +224,7 @@ func (n *Node) Close() {
 		if fs.renewCancel != nil {
 			fs.renewCancel()
 		}
-		if fs.probeCancel != nil {
-			fs.probeCancel()
-		}
+		n.fe.endProbes(fs.probes)
 		if fs.emptyCancel != nil {
 			fs.emptyCancel()
 		}

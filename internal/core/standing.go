@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/moara/moara/internal/aggregate"
@@ -85,6 +87,7 @@ type subKey struct {
 // replace (never merge with) their predecessor, so a child skewing
 // across its parent's epoch boundary is counted exactly once.
 type childReport struct {
+	from    ids.ID
 	state   aggregate.State
 	contrib int64
 	epoch   uint64
@@ -108,8 +111,12 @@ type subState struct {
 	parent  ids.ID
 	replyTo ids.ID
 
-	epoch   uint64
-	reports map[ids.ID]*childReport
+	epoch uint64
+	// reports holds each child's newest report in ascending child-id
+	// order: the per-epoch merge (float sums, sketch compaction) is
+	// order-sensitive, so it must run in an order that is a function of
+	// the seed, not of map layout. fileReport and dropReport keep it.
+	reports []childReport
 	// targets are the children this node currently has installed;
 	// kept in sync with the group tree's query target set.
 	targets map[ids.ID]bool
@@ -166,7 +173,6 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 		sub = &subState{
 			sid:     sm.SID,
 			group:   g,
-			reports: make(map[ids.ID]*childReport),
 			targets: make(map[ids.ID]bool),
 		}
 		n.subs[key] = sub
@@ -182,7 +188,7 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 		// which is now us. Drop the buffered self-copy, or the root
 		// sample would carry this subtree twice (fresh child reports
 		// plus the pulled snapshot) until it staled out.
-		delete(sub.reports, n.self)
+		sub.dropReport(n.self)
 		sub.pulled = false
 	}
 	sub.root = true
@@ -261,7 +267,6 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 		sub = &subState{
 			sid:     im.SID,
 			group:   g,
-			reports: make(map[ids.ID]*childReport),
 			targets: make(map[ids.ID]bool),
 		}
 		n.subs[key] = sub
@@ -397,7 +402,7 @@ func (n *Node) pushInstalls(sub *subState, ps *predState, refresh bool) {
 		if refresh {
 			n.send(id, CancelMsg{SID: sub.sid, Group: sub.group.canon})
 		}
-		delete(sub.reports, id)
+		sub.dropReport(id)
 	}
 	sub.targets = next
 }
@@ -496,14 +501,16 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 	// off — must stop being counted promptly, or its copy double-counts
 	// against the subtree's new path.
 	stale := 2 * sub.period
-	for id, rep := range sub.reports {
+	for i := 0; i < len(sub.reports); {
+		rep := sub.reports[i]
 		if now-rep.at > stale {
-			delete(sub.reports, id)
+			sub.dropReport(rep.from)
 			aggregate.Recycle(rep.state)
 			continue
 		}
 		_ = state.Merge(rep.state)
 		contrib += rep.contrib
+		i++
 	}
 	sub.lastKeys = state.KeyCount()
 	if sub.root {
@@ -613,6 +620,36 @@ func (n *Node) claimStanding(sub *subState) bool {
 	return true
 }
 
+// reportIndex finds child id's slot in the id-ordered report buffer.
+func (sub *subState) reportIndex(id ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(sub.reports, id, func(r childReport, id ids.ID) int {
+		return ids.Cmp(r.from, id)
+	})
+}
+
+// fileReport stores a child's newest report. Replace-not-merge in
+// place: the steady-state epoch stream overwrites the same slot instead
+// of allocating one per report, and the displaced state — fully merged
+// into past reports, referenced by nothing — feeds the allocation pool.
+func (sub *subState) fileReport(rep childReport) {
+	i, ok := sub.reportIndex(rep.from)
+	if !ok {
+		sub.reports = slices.Insert(sub.reports, i, rep)
+		return
+	}
+	if old := sub.reports[i].state; old != rep.state {
+		aggregate.Recycle(old)
+	}
+	sub.reports[i] = rep
+}
+
+// dropReport forgets child id's buffered report, if any.
+func (sub *subState) dropReport(id ids.ID) {
+	if i, ok := sub.reportIndex(id); ok {
+		sub.reports = slices.Delete(sub.reports, i, i+1)
+	}
+}
+
 // handleEpochReport files a child's per-epoch batch; reports for
 // subscriptions this node does not hold are answered with CancelMsg so
 // orphans tear down without waiting out the TTL. Routed reports (the
@@ -636,18 +673,7 @@ func (n *Node) handleEpochReport(from ids.ID, em EpochReportMsg, routed bool) {
 		n.send(from, CancelMsg{SID: em.SID, Group: em.Group})
 		return
 	}
-	if rep := sub.reports[from]; rep != nil {
-		// Replace-not-merge in place: the steady-state epoch stream
-		// overwrites the same record instead of allocating one per
-		// report, and the displaced state — fully merged into past
-		// reports, referenced by nothing — feeds the allocation pool.
-		if rep.state != em.State {
-			aggregate.Recycle(rep.state)
-		}
-		*rep = childReport{state: em.State, contrib: em.Contributors, epoch: em.Epoch, at: n.env.Now()}
-	} else {
-		sub.reports[from] = &childReport{state: em.State, contrib: em.Contributors, epoch: em.Epoch, at: n.env.Now()}
-	}
+	sub.fileReport(childReport{from: from, state: em.State, contrib: em.Contributors, epoch: em.Epoch, at: n.env.Now()})
 	// Refresh the child's lazily maintained subtree cost, mirroring
 	// handleResponse's piggyback path.
 	if !routed && n.cfg.Mode != ModeGlobal {
@@ -711,9 +737,9 @@ func (n *Node) dropSub(sub *subState, cascade bool) {
 	for id := range sub.targets {
 		n.send(id, cm)
 	}
-	for id := range sub.reports {
-		if !sub.targets[id] {
-			n.send(id, cm)
+	for _, rep := range sub.reports {
+		if !sub.targets[rep.from] {
+			n.send(rep.from, cm)
 		}
 	}
 }
@@ -728,11 +754,13 @@ type feSub struct {
 	cb   func(Sample)
 	plan queryPlan
 
-	// groups is the currently installed cover; latest/fresh hold each
-	// tree's newest SampleMsg and whether it arrived since the last
-	// emitted sample; rootOf tracks which node each tree's samples come
-	// from, so a root handover re-raises the warm-up marking.
-	groups map[string]groupSpec
+	// groups is the currently installed cover, sorted by canon so that
+	// cancels and the per-sample merge run in an order the seed fixes;
+	// latest/fresh hold each tree's newest SampleMsg and whether it
+	// arrived since the last emitted sample; rootOf tracks which node
+	// each tree's samples come from, so a root handover re-raises the
+	// warm-up marking.
+	groups []groupSpec
 	latest map[string]SampleMsg
 	fresh  map[string]bool
 	rootOf map[string]ids.ID
@@ -744,9 +772,8 @@ type feSub struct {
 	// InstallMsg so stale chains lose their children after a repair.
 	gen uint64
 
-	probeQIDs   map[QueryID]string
 	costs       map[string]float64
-	probeCancel func()
+	probes      *probeRound
 	renewCancel func()
 	emptyCancel func()
 }
@@ -769,24 +796,15 @@ func (n *Node) Unsubscribe(sid QueryID) error {
 }
 
 func (fe *frontend) subscribe(req Request, cb func(Sample)) (QueryID, error) {
-	n := fe.n
-	if err := req.Spec.Validate(); err != nil {
-		return QueryID{}, fmt.Errorf("core: invalid aggregation spec: %w", err)
+	plan, err := fe.planRequest(req, true)
+	if err != nil {
+		return QueryID{}, err
 	}
-	if req.Attr == "" {
-		return QueryID{}, fmt.Errorf("core: empty query attribute")
-	}
-	if req.Period <= 0 {
-		return QueryID{}, fmt.Errorf("%w: standing query needs a period (every clause)", ErrNotStanding)
-	}
-	plan := buildPlan(req.Attr, req.Pred, n.cfg.MaxCNFClauses)
-	plan.groupBy = req.GroupBy
 	fs := &feSub{
-		sid:    n.nextQID(),
+		sid:    fe.n.nextQID(),
 		req:    req,
 		cb:     cb,
 		plan:   plan,
-		groups: make(map[string]groupSpec),
 		latest: make(map[string]SampleMsg),
 		fresh:  make(map[string]bool),
 		rootOf: make(map[string]ids.ID),
@@ -813,14 +831,9 @@ func (fe *frontend) unsubscribe(sid QueryID) error {
 	if fs.renewCancel != nil {
 		fs.renewCancel()
 	}
-	if fs.probeCancel != nil {
-		fs.probeCancel()
-	}
+	fe.endProbes(fs.probes)
 	if fs.emptyCancel != nil {
 		fs.emptyCancel()
-	}
-	for pqid := range fs.probeQIDs {
-		delete(fe.subProbes, pqid)
 	}
 	for _, g := range fs.groups {
 		fe.n.overlay.Route(g.treeKey(), CancelMsg{SID: sid, Group: g.canon})
@@ -835,95 +848,42 @@ func (fe *frontend) unsubscribe(sid QueryID) error {
 // fire into the new round's state.
 func (fe *frontend) subPlanAndInstall(fs *feSub) {
 	fs.gen++
-	if fs.probeCancel != nil {
-		fs.probeCancel()
-		fs.probeCancel = nil
-	}
-	for pqid := range fs.probeQIDs {
-		delete(fe.subProbes, pqid)
-	}
+	fe.endProbes(fs.probes)
 	if fs.plan.singleTrivialCover() {
 		fe.setCover(fs, fs.plan.covers[0])
 		return
 	}
-	n := fe.n
-	fs.probeQIDs = make(map[QueryID]string)
-	now := n.env.Now()
-	for _, g := range fs.plan.distinctGroupsOfPlan() {
-		if g.expr == nil {
-			fs.costs[g.canon] = 2 * n.overlay.EstimateSize()
-			continue
-		}
-		if ce, ok := fe.probeCache[g.canon]; ok && n.cfg.ProbeCacheTTL > 0 && now-ce.at <= n.cfg.ProbeCacheTTL {
-			fs.costs[g.canon] = ce.cost
-			continue
-		}
-		pqid := n.nextQID()
-		fs.probeQIDs[pqid] = g.canon
-		fe.subProbes[pqid] = fs
-		n.overlay.Route(g.treeKey(), ProbeMsg{
-			QID:     pqid,
-			Group:   g.canon,
-			Attr:    g.attr,
-			ReplyTo: n.self,
-		})
-	}
-	if len(fs.probeQIDs) == 0 {
-		fe.setCover(fs, fe.chooseCoverFrom(fs.plan, fs.costs))
-		return
-	}
-	fs.probeCancel = n.env.After(n.cfg.ProbeTimeout, func() {
-		for pqid := range fs.probeQIDs {
-			delete(fe.subProbes, pqid)
-		}
-		fs.probeQIDs = nil
-		fs.probeCancel = nil
+	fs.probes = fe.startProbes(fs.plan, fs.costs, func() {
 		fe.setCover(fs, fe.chooseCoverFrom(fs.plan, fs.costs))
 	})
-}
-
-func (fe *frontend) handleSubProbeResp(pr ProbeRespMsg) {
-	fs, ok := fe.subProbes[pr.QID]
-	if !ok {
-		return
-	}
-	delete(fe.subProbes, pr.QID)
-	delete(fs.probeQIDs, pr.QID)
-	fs.costs[pr.Group] = pr.Cost
-	fe.probeCache[pr.Group] = probeEntry{cost: pr.Cost, at: fe.n.env.Now()}
-	if len(fs.probeQIDs) == 0 {
-		if fs.probeCancel != nil {
-			fs.probeCancel()
-			fs.probeCancel = nil
-		}
-		fe.setCover(fs, fe.chooseCoverFrom(fs.plan, fs.costs))
-	}
+	fe.awaitProbes(fs.probes)
 }
 
 // setCover reconciles the installed cover with the chosen one: dropped
-// groups are cancelled, every current group is (re-)subscribed, and a
+// groups are cancelled (in canon order), every current group is
+// (re-)subscribed (in cover order, like a one-shot's sub-queries), and a
 // cover flip restarts the warm-up marking.
 func (fe *frontend) setCover(fs *feSub, cover []groupSpec) {
 	n := fe.n
-	next := make(map[string]groupSpec, len(cover))
+	next := slices.Clone(cover)
+	slices.SortFunc(next, func(a, b groupSpec) int { return strings.Compare(a.canon, b.canon) })
 	changed := false
-	for _, g := range cover {
-		next[g.canon] = g
-		if _, ok := fs.groups[g.canon]; !ok {
+	for _, g := range next {
+		if !hasGroup(fs.groups, g.canon) {
 			changed = true
 		}
 	}
-	for canon, g := range fs.groups {
-		if _, ok := next[canon]; !ok {
+	for _, g := range fs.groups {
+		if !hasGroup(next, g.canon) {
 			changed = true
-			n.overlay.Route(g.treeKey(), CancelMsg{SID: fs.sid, Group: canon})
-			delete(fs.latest, canon)
-			delete(fs.fresh, canon)
-			delete(fs.rootOf, canon)
+			n.overlay.Route(g.treeKey(), CancelMsg{SID: fs.sid, Group: g.canon})
+			delete(fs.latest, g.canon)
+			delete(fs.fresh, g.canon)
+			delete(fs.rootOf, g.canon)
 		}
 	}
 	fs.groups = next
-	for _, g := range next {
+	for _, g := range cover {
 		eval := fs.plan.evalCanon
 		if eval == g.canon {
 			eval = ""
@@ -944,6 +904,15 @@ func (fe *frontend) setCover(fs *feSub, cover []groupSpec) {
 	if changed {
 		fs.warmAfter = fs.epoch + fe.warmupEpochs()
 	}
+}
+
+func hasGroup(groups []groupSpec, canon string) bool {
+	for _, g := range groups {
+		if g.canon == canon {
+			return true
+		}
+	}
+	return false
 }
 
 // warmupEpochs estimates how many epochs the contribution pipeline
@@ -999,7 +968,7 @@ func (fe *frontend) handleSample(from ids.ID, sm SampleMsg) {
 		n.send(from, CancelMsg{SID: sm.SID, Group: sm.Group})
 		return
 	}
-	if _, ok := fs.groups[sm.Group]; !ok {
+	if !hasGroup(fs.groups, sm.Group) {
 		// A tree from a flipped-away cover is still streaming.
 		n.send(from, CancelMsg{SID: sm.SID, Group: sm.Group})
 		return
@@ -1037,8 +1006,8 @@ func (fe *frontend) handleSample(from ids.ID, sm SampleMsg) {
 	var rootEpoch uint64
 	var contrib int64
 	var expected float64
-	for canon := range fs.groups {
-		s, ok := fs.latest[canon]
+	for _, g := range fs.groups {
+		s, ok := fs.latest[g.canon]
 		if !ok || s.State == nil {
 			continue
 		}

@@ -87,8 +87,5 @@ func pad(s string, w int) string {
 // f1 formats a float with one decimal.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 
-// f2 formats a float with two decimals.
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-
 // itoa formats an int.
 func itoa(v int) string { return fmt.Sprintf("%d", v) }

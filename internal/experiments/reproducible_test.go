@@ -9,10 +9,8 @@ import (
 // requires byte-identical rendered tables: every cell is virtual time
 // or a message count, so nothing but the seed may move it. fig10,
 // fig11b, fig13a and fig14 have no shape test; this is their executor.
-//
-// sketches is left out: its `standing p99(load)` cell reads 0.1% or
-// 0.4% under one seed because core's sendReport merges child reports in
-// Go map order and the quantile-sketch merge is order-sensitive.
+// sketches is the order-sensitive one: its `standing p99(load)` cell
+// holds still only while core merges child reports in child-id order.
 func TestFigureTablesReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep")
@@ -43,6 +41,9 @@ func TestFigureTablesReproducible(t *testing.T) {
 		}},
 		{"standing", func() *Table {
 			return RunStanding(StandingOptions{N: 300, Slices: 16, Epochs: 20})
+		}},
+		{"sketches", func() *Table {
+			return RunSketches(SketchesOptions{N: 300, Cardinalities: []int{100, 1000}, Epochs: 6})
 		}},
 	}
 	for _, f := range figures {

@@ -55,8 +55,8 @@ func (o SketchesOptions) Defaults() SketchesOptions {
 	return o
 }
 
-// gobSize measures a partial state the way the wire bills it: its gob
-// encoding, the same codec transport uses for epoch reports.
+// gobSize measures a partial state by its gob encoding, this table's
+// yardstick (the transport's columnar layouts are smaller still).
 func gobSize(st aggregate.State) int {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {

@@ -177,18 +177,13 @@ func ringDistU(ua, ub u128) u128 {
 	return d
 }
 
-// GapCW returns the clockwise distance from a to b on the 2^128 ring:
-// (b - a) mod 2^128.
-func GapCW(a, b ID) ID {
-	return toU128(b).sub(toU128(a)).id()
-}
-
 // Gap is a ring distance kept in native-integer form for
 // comparison-heavy data structures (leaf-set ordering): comparing two
 // Gaps is two word compares, with no byte marshalling.
 type Gap struct{ Hi, Lo uint64 }
 
-// GapCWNative is GapCW without materializing an ID.
+// GapCWNative is the clockwise distance from a to b on the 2^128 ring,
+// (b - a) mod 2^128, without materializing an ID.
 func GapCWNative(a, b ID) Gap {
 	d := toU128(b).sub(toU128(a))
 	return Gap{d.hi, d.lo}

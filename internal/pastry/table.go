@@ -47,13 +47,6 @@ func (t *RoutingTable) Set(row, col int, id ids.ID) {
 	t.version++
 }
 
-// Clear empties the slot at (row, col).
-func (t *RoutingTable) Clear(row, col int) {
-	t.rows[row][col] = ids.Zero
-	t.entriesOK = false
-	t.version++
-}
-
 // Row returns a copy of one table row.
 func (t *RoutingTable) Row(row int) [ids.Radix]ids.ID { return t.rows[row] }
 

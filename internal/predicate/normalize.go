@@ -1,10 +1,6 @@
 package predicate
 
-import (
-	"sort"
-
-	"github.com/moara/moara/internal/value"
-)
+import "github.com/moara/moara/internal/value"
 
 // Normalize rewrites e into a canonical structural form so that
 // syntactically different but equivalent predicates compare equal by
@@ -186,13 +182,4 @@ func CanonOf(e Expr) string {
 		return ""
 	}
 	return Normalize(e).Canon()
-}
-
-// SortedAttrs is Attrs of the normalized form (identical set — kept as
-// a convenience for cache-key builders that want stable attribute
-// lists without normalizing twice).
-func SortedAttrs(e Expr) []string {
-	out := Attrs(e)
-	sort.Strings(out)
-	return out
 }

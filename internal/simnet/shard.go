@@ -257,20 +257,18 @@ func (sh *shard) send(e *nodeEnv, to ids.ID, m any) {
 		items = b.Unpack()
 		logical = int64(len(items))
 	}
-	if !n.quiet {
-		sh.counter.Wire++
-		sh.counter.cell(KindOf(m)).wire++
-		if items != nil {
-			for _, it := range items {
-				sh.counter.Total++
-				sh.counter.cell(KindOf(it)).logical++
-			}
-		} else {
+	sh.counter.Wire++
+	sh.counter.cell(KindOf(m)).wire++
+	if items != nil {
+		for _, it := range items {
 			sh.counter.Total++
-			sh.counter.cell(KindOf(m)).logical++
+			sh.counter.cell(KindOf(it)).logical++
 		}
-		sh.counter.addSent(e.idx, logical)
+	} else {
+		sh.counter.Total++
+		sh.counter.cell(KindOf(m)).logical++
 	}
+	sh.counter.addSent(e.idx, logical)
 	if n.opts.Drop != nil && n.opts.Drop(e.id, to, m) {
 		return
 	}
@@ -341,9 +339,7 @@ func (sh *shard) runWindow(end time.Duration) {
 				// foreign-shard state on this worker. Drop it.
 				continue
 			}
-			if !n.quiet {
-				sh.counter.addRecv(envTo.idx, logical)
-			}
+			sh.counter.addRecv(envTo.idx, logical)
 			envTo.handler.Handle(from, m)
 			continue
 		}
@@ -616,19 +612,6 @@ func (n *Network) Shards() int {
 		return 1
 	}
 	return len(n.sharded.shards)
-}
-
-// ShardOf reports which shard owns a node (always 0 on the classic
-// scheduler; -1 for unknown nodes).
-func (n *Network) ShardOf(id ids.ID) int {
-	env, ok := n.nodes[id]
-	if !ok {
-		return -1
-	}
-	if n.sharded == nil {
-		return 0
-	}
-	return env.shard.idx
 }
 
 // Lookahead reports the conservative window size (0 on the classic

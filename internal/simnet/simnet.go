@@ -314,9 +314,6 @@ type Network struct {
 	// reused record.
 	freeEvents []*event
 	counter    *Counter
-	// Quiet suppresses accounting when true (used to exclude warm-up
-	// traffic from experiment measurements).
-	quiet bool
 	// sharded is non-nil when Options.Shards >= 2 selected the
 	// conservative-lookahead parallel scheduler; the Run/Schedule/
 	// Counter entry points dispatch to it.
@@ -382,12 +379,6 @@ func (n *Network) SetDown(id ids.ID, down bool) {
 	}
 }
 
-// IsDown reports whether the node is currently marked down.
-func (n *Network) IsDown(id ids.ID) bool {
-	env, ok := n.nodes[id]
-	return ok && env.down
-}
-
 // Counter returns the message counter. On the classic scheduler it is
 // the live ledger; on the sharded scheduler it is a merged snapshot of
 // the per-shard ledgers (a reporting-path cost — don't call it per
@@ -407,20 +398,8 @@ func (n *Network) ResetCounter() {
 	}
 }
 
-// SetQuiet enables or disables message accounting.
-func (n *Network) SetQuiet(q bool) { n.quiet = q }
-
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return n.now }
-
-// NodeIDs returns the identifiers of all registered nodes.
-func (n *Network) NodeIDs() []ids.ID {
-	out := make([]ids.ID, 0, len(n.nodes))
-	for id := range n.nodes {
-		out = append(out, id)
-	}
-	return out
-}
 
 // Rand returns the network-level random source (for workload drivers).
 func (n *Network) Rand() *rand.Rand { return n.rng }
@@ -597,20 +576,18 @@ func (n *Network) send(from *nodeEnv, to ids.ID, m any) {
 		items = b.Unpack()
 		logical = int64(len(items))
 	}
-	if !n.quiet {
-		n.counter.Wire++
-		n.counter.cell(KindOf(m)).wire++
-		if items != nil {
-			for _, it := range items {
-				n.counter.Total++
-				n.counter.cell(KindOf(it)).logical++
-			}
-		} else {
+	n.counter.Wire++
+	n.counter.cell(KindOf(m)).wire++
+	if items != nil {
+		for _, it := range items {
 			n.counter.Total++
-			n.counter.cell(KindOf(m)).logical++
+			n.counter.cell(KindOf(it)).logical++
 		}
-		n.counter.addSent(from.idx, logical)
+	} else {
+		n.counter.Total++
+		n.counter.cell(KindOf(m)).logical++
 	}
+	n.counter.addSent(from.idx, logical)
 	if n.opts.Drop != nil && n.opts.Drop(from.id, to, m) {
 		return
 	}
@@ -698,9 +675,7 @@ func (n *Network) deliver(from, to ids.ID, m any, logical int64, dst *nodeEnv) {
 	if dst == nil || dst.removed || dst.down || dst.handler == nil {
 		return
 	}
-	if !n.quiet {
-		n.counter.addRecv(dst.idx, logical)
-	}
+	n.counter.addRecv(dst.idx, logical)
 	dst.handler.Handle(from, m)
 }
 

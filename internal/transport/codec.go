@@ -1,25 +1,20 @@
-// Wire framing and codec negotiation for the TCP transport.
+// Wire framing for the TCP transport.
 //
-// A columnar connection opens with a 4-byte header — magic 0xEF 'M' 'W'
-// plus a codec version byte — followed by the sender's length-prefixed
-// listen address (sent once per connection; the gob envelope repeats it
-// per message). After the header the stream is a sequence of frames:
+// Every connection opens with a 4-byte header — magic 0xEF 'M' 'W' plus
+// a codec version byte — followed by the sender's length-prefixed listen
+// address (sent once per connection). After the header the stream is a
+// sequence of frames:
 //
 //	uvarint payload length | payload (message tag byte + body)
 //
-// Negotiation is by sniffing: a gob stream's first byte is always in
-// [0x00,0x7F] or [0xF8,0xFF] (gob's unsigned-int encoding), so 0xEF can
-// never begin a gob stream. The acceptor peeks one byte and picks the
-// decoder — old gob agents and new columnar agents interoperate in both
-// directions with no handshake round-trip.
+// A connection that opens with anything else is counted as one decode
+// error and dropped.
 //
 // Compatibility rule: within a codec version, message tags and body
 // layouts are append-only (new tags may be added; existing ones are
 // frozen). An incompatible layout change bumps the version byte, and a
-// reader drops connections bearing versions it does not know — the
-// sender's messages then ride its gob fallback path only if the
-// operator pins `-codec gob`, so mixed fleets should upgrade readers
-// first.
+// reader drops connections bearing versions it does not know, so mixed
+// fleets should upgrade readers first.
 package transport
 
 import (
@@ -34,44 +29,13 @@ import (
 	"github.com/moara/moara/internal/wirefmt"
 )
 
-// Codec selects the wire encoding for a node's outgoing connections.
-// (Inbound connections are sniffed, so a node always reads both.)
-type Codec int
-
 const (
-	// CodecColumnar is the framed hand-rolled binary codec (default).
-	CodecColumnar Codec = iota
-	// CodecGob is the legacy stream of gob-encoded envelopes, for
-	// interoperating with pre-codec agents.
-	CodecGob
-)
-
-// String names the codec for flags and stats output.
-func (c Codec) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "columnar"
-}
-
-// ParseCodec resolves a codec flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "columnar":
-		return CodecColumnar, nil
-	case "gob":
-		return CodecGob, nil
-	}
-	return 0, fmt.Errorf("transport: unknown codec %q (want columnar or gob)", s)
-}
-
-const (
-	// wireMagic opens a columnar connection. It sits in gob's dead zone
-	// [0x80,0xF7] — no gob stream can start with it — which is what
-	// makes one-byte sniffing sound.
+	// wireMagic opens every connection. No gob stream can start with it
+	// (gob's unsigned-int encoding never emits [0x80,0xF7] first), so a
+	// pre-framing agent is rejected at its first byte.
 	wireMagic = 0xEF
-	// wireVersion is the current columnar codec version. Readers drop
-	// connections bearing versions they do not know.
+	// wireVersion is the current codec version. Readers drop connections
+	// bearing versions they do not know.
 	wireVersion = 1
 	// maxFrame bounds one frame's payload (and therefore the decoder's
 	// allocation) — far above any real message, far below harm.
@@ -85,7 +49,7 @@ var (
 	errBadVersion  = errors.New("transport: unknown codec version")
 )
 
-// writeConnHeader emits the once-per-connection columnar preamble.
+// writeConnHeader emits the once-per-connection preamble.
 func writeConnHeader(w *bufio.Writer, fromAddr string) error {
 	if _, err := w.Write([]byte{wireMagic, 'M', 'W', wireVersion}); err != nil {
 		return err
@@ -99,8 +63,7 @@ func writeConnHeader(w *bufio.Writer, fromAddr string) error {
 	return err
 }
 
-// readConnHeader consumes the columnar preamble (the caller has already
-// sniffed the magic byte).
+// readConnHeader consumes and checks the connection preamble.
 func readConnHeader(br *bufio.Reader) (fromAddr string, err error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -204,8 +167,9 @@ type Stats struct {
 	MsgsIn, MsgsOut uint64
 	// BytesIn / BytesOut count raw TCP payload bytes.
 	BytesIn, BytesOut uint64
-	// DecodeErrors counts inbound frames or streams that failed to
-	// decode (corrupt frame, unknown tag, gob error, bad version).
+	// DecodeErrors counts inbound frames or connections that failed to
+	// decode (corrupt frame, unknown tag, gob-body error, bad magic or
+	// version).
 	DecodeErrors uint64
 	// Dials / DialErrors count outbound connection attempts and
 	// failures; DialsSuppressed counts sends skipped by the negative

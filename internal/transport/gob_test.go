@@ -181,8 +181,18 @@ func assertWireTypesCovered(t *testing.T, covered map[reflect.Type]bool) {
 	}
 }
 
+// envelope is the reference encoding the wire codec is checked against:
+// one message behind an interface field, registered types and all, the
+// way tag 0 of core.AppendMessage carries message bodies that have no
+// columnar layout.
+type envelope struct {
+	FromAddr string
+	Payload  any
+}
+
 // TestGobRoundTripAllWireTypes round-trips every wire sample through a
-// gob encoder/decoder pair, as the legacy TCP codec does.
+// gob encoder/decoder pair: every type in wireTypes must be registered
+// and survive, or the tag-0 fallback loses it.
 func TestGobRoundTripAllWireTypes(t *testing.T) {
 	RegisterGob()
 	covered := make(map[reflect.Type]bool)

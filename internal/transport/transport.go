@@ -32,7 +32,7 @@ import (
 )
 
 // wireTypes lists one sample of every type crossing the TCP transport
-// inside an envelope (or nested in a BatchMsg / aggregate State). The
+// as a frame's message (or nested in a BatchMsg / aggregate State). The
 // gob round-trip sweep in gob_test.go iterates this same list to prove
 // every registered type survives encode/decode — add new wire types
 // HERE so they cannot skip either registration or the sweep.
@@ -75,9 +75,10 @@ var wireTypes = []any{
 	value.Value{},
 }
 
-// RegisterGob registers every wire type crossing the TCP transport.
-// Call once per process before creating nodes; it is idempotent via
-// sync.Once.
+// RegisterGob registers every wire type crossing the TCP transport with
+// gob, which still encodes the bodies of messages that have no columnar
+// layout (tag 0, see core.AppendMessage). Call once per process before
+// creating nodes; it is idempotent via sync.Once.
 func RegisterGob() {
 	gobOnce.Do(func() {
 		for _, t := range wireTypes {
@@ -87,12 +88,6 @@ func RegisterGob() {
 }
 
 var gobOnce sync.Once
-
-// envelope frames one message on the wire.
-type envelope struct {
-	FromAddr string
-	Payload  any
-}
 
 // IDOf derives a node's overlay identifier from its listen address.
 func IDOf(addr string) ids.ID { return ids.FromKey(addr) }
@@ -111,9 +106,6 @@ type Options struct {
 	// synchronously under DialTimeout — an epoch burst toward a dead
 	// peer stacked up dial attempts instead of failing fast.
 	RedialBackoff time.Duration
-	// Codec selects the outgoing wire encoding (default CodecColumnar).
-	// Inbound connections are sniffed, so either setting reads both.
-	Codec Codec
 }
 
 // Node is one Moara agent listening on a TCP address.
@@ -145,13 +137,11 @@ type Node struct {
 	wg      sync.WaitGroup
 }
 
-// outConn is one cached outgoing connection. Exactly one of enc (gob
-// codec) or bw (columnar codec) is set.
+// outConn is one cached outgoing connection.
 type outConn struct {
 	mu  sync.Mutex
-	enc *gob.Encoder
 	bw  *bufio.Writer
-	buf []byte // columnar frame scratch, reused under mu
+	buf []byte // frame scratch, reused under mu
 	c   net.Conn
 }
 
@@ -198,10 +188,6 @@ func (n *Node) Addr() string { return n.addr }
 
 // ID returns the node's overlay identifier.
 func (n *Node) ID() ids.ID { return n.id }
-
-// Core exposes the underlying Moara node. Callers must use Do to
-// access it safely.
-func (n *Node) Core() *core.Node { return n.core }
 
 // Do runs fn with exclusive access to the core node — the only safe
 // way to touch the attribute store or issue queries.
@@ -288,25 +274,6 @@ func (n *Node) Execute(ctx context.Context, req core.Request) (core.Result, erro
 	case <-n.closed:
 		return core.Result{}, errors.New("transport: node closed")
 	}
-}
-
-// QueryWait runs a query with a wall-clock timeout.
-//
-// Deprecated: use Query with a context deadline; this wrapper remains
-// for timeout-style callers.
-func (n *Node) QueryWait(text string, timeout time.Duration) (core.Result, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return n.Query(ctx, text)
-}
-
-// ExecuteWait runs a parsed request with a wall-clock timeout.
-//
-// Deprecated: use Execute with a context deadline.
-func (n *Node) ExecuteWait(req core.Request, timeout time.Duration) (core.Result, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return n.Execute(ctx, req)
 }
 
 // Subscribe installs a standing query (the text needs an `every`
@@ -414,24 +381,10 @@ func (n *Node) readLoop(conn net.Conn) {
 		n.connMu.Unlock()
 	}()
 	br := bufio.NewReaderSize(countingConn{Conn: conn, in: &n.bytesIn, out: &n.bytesOut}, 32<<10)
-	// Codec negotiation: a columnar connection opens with wireMagic,
-	// which no gob stream can start with (see codec.go).
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == wireMagic {
-		n.readColumnar(br)
-	} else {
-		n.readGob(br)
-	}
-}
-
-// readColumnar drains one framed columnar connection. Frames are
-// self-delimiting, so a payload that fails to decode is counted and
-// skipped without killing the connection; framing-level corruption
-// (oversized or truncated frames) still tears it down, counted.
-func (n *Node) readColumnar(br *bufio.Reader) {
+	// Frames are self-delimiting, so a payload that fails to decode is
+	// counted and skipped without killing the connection; a bad
+	// connection header or framing-level corruption (oversized or
+	// truncated frames) tears it down, counted.
 	fromAddr, err := readConnHeader(br)
 	if err != nil {
 		n.countDecodeErr(err)
@@ -454,24 +407,6 @@ func (n *Node) readColumnar(br *bufio.Reader) {
 			continue
 		}
 		if !n.dispatch(from, fromAddr, m) {
-			return
-		}
-	}
-}
-
-// readGob drains one legacy gob-envelope connection.
-func (n *Node) readGob(br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			// A gob decoder's stream state is unrecoverable after an
-			// error, so unlike a columnar frame this ends the
-			// connection — but now counted, not silent.
-			n.countDecodeErr(err)
-			return
-		}
-		if !n.dispatch(IDOf(env.FromAddr), env.FromAddr, env.Payload) {
 			return
 		}
 	}
@@ -523,7 +458,7 @@ func (n *Node) send(toAddr string, m any) {
 		return
 	}
 	oc.mu.Lock()
-	err = oc.write(n.addr, m)
+	err = oc.write(m)
 	oc.mu.Unlock()
 	if err != nil {
 		oc.c.Close()
@@ -537,17 +472,14 @@ func (n *Node) send(toAddr string, m any) {
 	n.msgsOut.Add(1)
 }
 
-// write encodes and sends one message on the connection's codec. The
-// caller holds oc.mu.
-func (oc *outConn) write(fromAddr string, m any) error {
-	if oc.enc != nil {
-		return oc.enc.Encode(envelope{FromAddr: fromAddr, Payload: m})
-	}
+// write encodes and sends one message as one frame. The caller holds
+// oc.mu.
+func (oc *outConn) write(m any) error {
 	payload, err := core.AppendMessage(oc.buf[:0], m)
 	if err != nil {
 		// Encoding failed before any byte hit the wire; the connection
 		// is still clean, so report success-shaped loss (the message is
-		// unencodable on every codec — gob fallback included).
+		// unencodable, gob fallback included).
 		return nil
 	}
 	oc.buf = payload[:0]
@@ -613,13 +545,10 @@ func (n *Node) conn(addr string) (*outConn, error) {
 	return oc, nil
 }
 
-// newOutConn wraps a freshly dialed connection in the node's configured
-// codec, emitting the columnar connection header when applicable.
+// newOutConn wraps a freshly dialed connection and emits the connection
+// header.
 func (n *Node) newOutConn(c net.Conn) (*outConn, error) {
 	cc := countingConn{Conn: c, in: &n.bytesIn, out: &n.bytesOut}
-	if n.opts.Codec == CodecGob {
-		return &outConn{enc: gob.NewEncoder(cc), c: c}, nil
-	}
 	bw := bufio.NewWriterSize(cc, 32<<10)
 	if err := writeConnHeader(bw, n.addr); err != nil {
 		return nil, err

@@ -37,6 +37,13 @@ func startCluster(t *testing.T, n int, cfg core.Config) []*Node {
 	return nodes
 }
 
+// query runs one one-shot query under a wall-clock deadline.
+func query(nd *Node, text string, timeout time.Duration) (core.Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return nd.Query(ctx, text)
+}
+
 func TestTCPClusterGlobalSum(t *testing.T) {
 	nodes := startCluster(t, 8, core.Config{})
 	want := int64(0)
@@ -44,7 +51,7 @@ func TestTCPClusterGlobalSum(t *testing.T) {
 		nd.SetAttr("load", value.Int(int64(i+1)))
 		want += int64(i + 1)
 	}
-	res, err := nodes[0].QueryWait("sum(load)", 10*time.Second)
+	res, err := query(nodes[0], "sum(load)", 10*time.Second)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -64,14 +71,14 @@ func TestTCPClusterGroupQueries(t *testing.T) {
 		nd.SetAttr("dc", value.Str(fmt.Sprintf("dc%d", i%3)))
 		nd.SetAttr("cpu", value.Float(float64(10*i)))
 	}
-	res, err := nodes[1].QueryWait("count(*) where svc = true", 10*time.Second)
+	res, err := query(nodes[1], "count(*) where svc = true", 10*time.Second)
 	if err != nil {
 		t.Fatalf("count: %v", err)
 	}
 	if got, _ := res.Agg.Value.AsInt(); got != 5 {
 		t.Fatalf("count = %d, want 5", got)
 	}
-	res, err = nodes[3].QueryWait("count(*) group by dc", 10*time.Second)
+	res, err = query(nodes[3], "count(*) group by dc", 10*time.Second)
 	if err != nil {
 		t.Fatalf("grouped: %v", err)
 	}
@@ -89,7 +96,7 @@ func TestTCPClusterGroupQueries(t *testing.T) {
 		t.Fatalf("grouped total = %d, want 10", got)
 	}
 
-	res, err = nodes[2].QueryWait("max(cpu) where svc = true and dc = dc0", 10*time.Second)
+	res, err = query(nodes[2], "max(cpu) where svc = true and dc = dc0", 10*time.Second)
 	if err != nil {
 		t.Fatalf("composite: %v", err)
 	}
@@ -106,7 +113,7 @@ func TestTCPRepeatedQueriesPrune(t *testing.T) {
 		nd.SetAttr("g", value.Bool(i == 0))
 	}
 	for round := 0; round < 5; round++ {
-		res, err := nodes[3].QueryWait("count(*) where g = true", 10*time.Second)
+		res, err := query(nodes[3], "count(*) where g = true", 10*time.Second)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -118,7 +125,7 @@ func TestTCPRepeatedQueriesPrune(t *testing.T) {
 
 func TestTCPQueryTimeoutOnBadRequest(t *testing.T) {
 	nodes := startCluster(t, 3, core.Config{})
-	if _, err := nodes[0].QueryWait("bogus query text", time.Second); err == nil {
+	if _, err := query(nodes[0], "bogus query text", time.Second); err == nil {
 		t.Fatal("expected parse error")
 	}
 }

@@ -17,7 +17,8 @@ import (
 // codec: every wire sample — including the sketch states riding inside
 // keyed GroupedStates inside BatchMsg — must round-trip through the
 // columnar codec to a DeepEqual of the original, bare and nested in a
-// BatchMsg, and must decode to the same result the gob codec produces.
+// BatchMsg, and must decode to the same result the reference gob
+// encoding (envelope, gob_test.go) produces.
 func TestCrossCodecEquivalence(t *testing.T) {
 	RegisterGob()
 	covered := make(map[reflect.Type]bool)
@@ -115,48 +116,6 @@ func TestColumnarFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMixedCodecClusterInterop runs a real query across a cluster where
-// half the agents send legacy gob and half send columnar: negotiation
-// is per inbound connection (sniffed), so every pairing must work.
-func TestMixedCodecClusterInterop(t *testing.T) {
-	var nodes []*Node
-	for i := 0; i < 6; i++ {
-		codec := CodecColumnar
-		if i%2 == 1 {
-			codec = CodecGob
-		}
-		nd, err := Listen("127.0.0.1:0", nil, Options{Codec: codec})
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		nodes = append(nodes, nd)
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	})
-	roster := make([]string, 0, len(nodes))
-	for _, nd := range nodes {
-		roster = append(roster, nd.Addr())
-	}
-	want := int64(0)
-	for i, nd := range nodes {
-		nd.ApplyRoster(roster)
-		nd.SetAttr("load", value.Int(int64(i+1)))
-		want += int64(i + 1)
-	}
-	for _, origin := range []int{0, 1} { // one columnar, one gob origin
-		res, err := nodes[origin].QueryWait("sum(load)", 10*time.Second)
-		if err != nil {
-			t.Fatalf("origin %d: %v", origin, err)
-		}
-		if got, _ := res.Agg.Value.AsInt(); got != want {
-			t.Fatalf("origin %d: sum = %d, want %d", origin, got, want)
-		}
-	}
-}
-
 // TestDialBackoffSuppressesRedials is the dial-storm regression test:
 // a burst of sends toward a dead address must cost one dial attempt,
 // with the rest suppressed by the negative cache until backoff expires.
@@ -249,8 +208,8 @@ func TestCloseRaceUnderTraffic(t *testing.T) {
 	<-done
 }
 
-// TestDecodeErrorsCountedAndSurvived feeds a columnar connection one
-// malformed frame between two valid ones: the bad frame must be counted
+// TestDecodeErrorsCountedAndSurvived feeds a connection one malformed
+// frame between two valid ones: the bad frame must be counted
 // (the silent-teardown fix) and must NOT kill the connection — the
 // frames around it still dispatch.
 func TestDecodeErrorsCountedAndSurvived(t *testing.T) {
@@ -297,34 +256,55 @@ func TestDecodeErrorsCountedAndSurvived(t *testing.T) {
 	}
 }
 
-// TestBadVersionDropsConnection: a columnar header bearing an unknown
-// codec version must drop the connection (compatibility rule) and count
-// as a decode error.
+// TestBadVersionDropsConnection: a connection that opens with anything
+// but the magic and a known codec version — an unknown version
+// (compatibility rule), or the gob envelope stream pre-framing agents
+// spoke — must be dropped and counted as one decode error, and the node
+// must go on answering queries.
 func TestBadVersionDropsConnection(t *testing.T) {
-	nd := startCluster(t, 1, core.Config{})[0]
-	c, err := net.Dial("tcp", nd.Addr())
-	if err != nil {
+	RegisterGob()
+	var gobStream bytes.Buffer
+	if err := gob.NewEncoder(&gobStream).Encode(&envelope{FromAddr: "203.0.113.9:1", Payload: core.CancelMsg{Group: "g"}}); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.Write([]byte{wireMagic, 'M', 'W', 99, 1, 'x'}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for nd.Stats().DecodeErrors == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("bad version never counted")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	// The agent must have hung up on us.
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(make([]byte, 1)); err == nil {
-		t.Fatal("connection survived an unknown codec version")
-	}
-	if got := nd.Stats().MsgsIn; got != 0 {
-		t.Fatalf("msgsIn = %d, want 0", got)
+	for _, tc := range []struct {
+		name     string
+		preamble []byte
+	}{
+		{"unknown version", []byte{wireMagic, 'M', 'W', 99, 1, 'x'}},
+		{"gob stream", gobStream.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nd := startCluster(t, 1, core.Config{})[0]
+			c, err := net.Dial("tcp", nd.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Write(tc.preamble); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.After(5 * time.Second)
+			for nd.Stats().DecodeErrors == 0 {
+				select {
+				case <-deadline:
+					t.Fatal("bad preamble never counted")
+				case <-time.After(5 * time.Millisecond):
+				}
+			}
+			// The agent must have hung up on us.
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := c.Read(make([]byte, 1)); err == nil {
+				t.Fatal("connection survived a bad preamble")
+			}
+			if st := nd.Stats(); st.DecodeErrors != 1 || st.MsgsIn != 0 {
+				t.Fatalf("decodeErrors = %d, msgsIn = %d, want 1 and 0", st.DecodeErrors, st.MsgsIn)
+			}
+			res, err := query(nd, "count(*)", 10*time.Second)
+			if err != nil || res.Contributors != 1 {
+				t.Fatalf("query after the dropped connection: %+v, %v", res.Agg, err)
+			}
+		})
 	}
 }
 
@@ -361,11 +341,8 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("decoded message failed to re-encode: %v", err)
 			}
 		}
-		// Stream layer: header + frames, as readColumnar consumes them.
+		// Stream layer: header + frames, as readLoop consumes them.
 		br := bufio.NewReader(bytes.NewReader(data))
-		if first, err := br.Peek(1); err != nil || first[0] != wireMagic {
-			return
-		}
 		if _, err := readConnHeader(br); err != nil {
 			return
 		}

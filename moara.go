@@ -39,17 +39,21 @@
 // every epoch — each subscribed node pushes one report per epoch to its
 // tree parent, and the root streams one Sample per epoch back — so
 // steady monitoring costs about half of re-running the one-shot query
-// each round, with no per-round dissemination at all. Monitor and
-// MonitorAgent are built on it.
+// each round, with no per-round dissemination at all. MonitorClient is
+// built on it.
 //
-// Two deployment forms are provided:
+// Every deployment form is queried through one interface, Client
+// (Query, Execute, Subscribe, Attrs). Two deployment forms are provided:
 //
 //   - SimCluster: an in-process simulated deployment on a virtual
 //     clock — instant to boot, deterministic, scales to tens of
-//     thousands of nodes. This is what the examples and the paper's
-//     experiment harness (cmd/moara-bench) use.
+//     thousands of nodes; SimCluster.Client(i) is node i's Client.
+//     This is what the examples and the paper's experiment harness
+//     (cmd/moara-bench) use.
 //   - Agent: a real TCP daemon (one per host) forming a Moara overlay
-//     from a static roster; see cmd/moara-agent.
+//     from a static roster, itself a Client; see cmd/moara-agent.
+//
+// NewService fronts either with the query-service tier, again a Client.
 package moara
 
 import (
@@ -130,14 +134,10 @@ func WithNodeConfig(cfg core.Config) Option {
 // one wire-level batch. The default (0) flushes every event-loop tick,
 // coalescing concurrent queries' traffic with no added latency; a
 // positive window also merges across bursts at up to that much extra
-// latency per hop; CoalesceOff disables batching entirely.
+// latency per hop; a negative window disables batching entirely.
 func WithCoalesceWindow(d time.Duration) Option {
 	return func(o *options) { o.nodeCfg.CoalesceWindow = d }
 }
-
-// CoalesceOff disables wire coalescing when passed to
-// WithCoalesceWindow (or set as Config.CoalesceWindow).
-const CoalesceOff = core.CoalesceOff
 
 // WithLANModel simulates a datacenter LAN with per-message processing
 // cost and shared CPUs, like the paper's Emulab testbed.
@@ -232,56 +232,6 @@ func (s *SimCluster) SetAttr(i int, name string, v Value) {
 // Attr reads node i's attribute.
 func (s *SimCluster) Attr(i int, name string) Value {
 	return s.c.Nodes[i].Store().Get(name)
-}
-
-// Query parses and runs a query from node i, driving the simulation
-// until the answer arrives. Latency is reported in virtual time via
-// Result.Stats.
-//
-// Deprecated-style convenience: new code should use the unified client
-// API, s.Client(i).Query(ctx, text), which the shells and Monitor are
-// written against. This wrapper remains supported.
-func (s *SimCluster) Query(i int, text string) (Result, error) {
-	return s.c.ExecuteText(i, text)
-}
-
-// Execute runs a parsed request from node i.
-//
-// Deprecated-style convenience: prefer s.Client(i).Execute(ctx, req).
-func (s *SimCluster) Execute(i int, req Request) (Result, error) {
-	return s.c.Execute(i, req)
-}
-
-// SubID identifies a standing query installed with Subscribe.
-type SubID = core.QueryID
-
-// Subscribe installs a standing query (an `every <duration>` query)
-// from node i. The query is disseminated once down the chosen cover's
-// trees; thereafter every reached node re-aggregates in-tree each
-// epoch and fn receives one Sample per epoch — as virtual time is
-// pumped with RunFor (or Monitor) — until Unsubscribe. Early samples
-// are marked ColdStart while the contribution pipeline fills.
-//
-// fn runs on the event-loop goroutine (see Client for the full
-// contract): it must not block or call back into the cluster.
-// Queries without an `every` clause fail with ErrNotStanding.
-//
-// Deprecated-style convenience: prefer s.Client(node).Subscribe, which
-// returns a Sub handle instead of a bare SubID.
-func (s *SimCluster) Subscribe(node int, query string, fn func(Sample)) (SubID, error) {
-	req, err := ParseRequest(query)
-	if err != nil {
-		return SubID{}, err
-	}
-	return s.c.Subscribe(node, req, fn)
-}
-
-// Unsubscribe cancels a standing query, tearing down its subscription
-// state across the cluster (propagated down-tree, with an idle-timeout
-// backstop for unreachable branches). Unknown (or already-cancelled)
-// subscription IDs report ErrUnknownSub instead of silently no-oping.
-func (s *SimCluster) Unsubscribe(node int, id SubID) error {
-	return s.c.Unsubscribe(node, id)
 }
 
 // RunFor advances virtual time (status propagation, tree adaptation).

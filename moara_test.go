@@ -1,6 +1,7 @@
 package moara
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -16,14 +17,14 @@ func TestSimClusterQuickstart(t *testing.T) {
 		c.SetAttr(i, "cpu", Float(float64(i)))
 		c.SetAttr(i, "apache", Bool(i%2 == 0))
 	}
-	res, err := c.Query(0, "count(*) where apache = true")
+	res, err := c.Client(0).Query(context.Background(), "count(*) where apache = true")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := res.Agg.Value.AsInt(); v != 32 {
 		t.Fatalf("count = %d", v)
 	}
-	res, err = c.Query(0, "max(cpu) where apache = true")
+	res, err = c.Client(0).Query(context.Background(), "max(cpu) where apache = true")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestSimClusterOptions(t *testing.T) {
 	for i := 0; i < c.Size(); i++ {
 		c.SetAttr(i, "g", Bool(i < 4))
 	}
-	res, err := c.Query(1, "sum(*) where g = true")
+	res, err := c.Client(1).Query(context.Background(), "sum(*) where g = true")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestSimClusterWANModel(t *testing.T) {
 	for i := 0; i < c.Size(); i++ {
 		c.SetAttr(i, "v", Int(1))
 	}
-	res, err := c.Query(0, "sum(v)")
+	res, err := c.Client(0).Query(context.Background(), "sum(v)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestProtocolBootstrapOption(t *testing.T) {
 	for i := 0; i < c.Size(); i++ {
 		c.SetAttr(i, "x", Int(2))
 	}
-	res, err := c.Query(2, "sum(x)")
+	res, err := c.Client(2).Query(context.Background(), "sum(x)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestFormatEntries(t *testing.T) {
 	for i := 0; i < c.Size(); i++ {
 		c.SetAttr(i, "v", Int(int64(i)))
 	}
-	res, err := c.Query(0, "top3(v)")
+	res, err := c.Client(0).Query(context.Background(), "top3(v)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestMessageAccounting(t *testing.T) {
 		c.SetAttr(i, "a", Int(1))
 	}
 	c.ResetMessageCounter()
-	if _, err := c.Query(0, "sum(a)"); err != nil {
+	if _, err := c.Client(0).Query(context.Background(), "sum(a)"); err != nil {
 		t.Fatal(err)
 	}
 	if c.Messages() == 0 {
@@ -139,7 +140,7 @@ func TestTreesIntrospection(t *testing.T) {
 	for i := 0; i < c.Size(); i++ {
 		c.SetAttr(i, "g", Bool(i%3 == 0))
 	}
-	if _, err := c.Query(0, "count(*) where g = true"); err != nil {
+	if _, err := c.Client(0).Query(context.Background(), "count(*) where g = true"); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -175,7 +176,7 @@ func TestChurnPublicAPI(t *testing.T) {
 	}
 	var latest Sample
 	warm := false
-	id, err := c.Subscribe(0, "count(*) every 200ms", func(s Sample) {
+	sub, err := c.Client(0).Subscribe(context.Background(), "count(*) every 200ms", func(s Sample) {
 		if !s.ColdStart {
 			warm = true
 		}
@@ -184,7 +185,7 @@ func TestChurnPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Unsubscribe(0, id)
+	defer sub.Unsubscribe()
 	for i := 0; !warm && i < 64; i++ {
 		c.RunFor(200 * time.Millisecond)
 	}

@@ -3,6 +3,7 @@ package moara
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/moara/moara/internal/core"
@@ -22,28 +23,20 @@ import (
 //   - Err is non-nil when the round failed.
 type Sample = core.Sample
 
-// Monitor implements the paper's continuous-monitoring pattern (§1) on
-// the standing-query subsystem: instead of re-executing a one-shot
-// query per round (a full dissemination per sample), the query is
-// installed once down the group trees and every round is an in-tree
+// MonitorClient implements the paper's continuous-monitoring pattern
+// (§1) on the standing-query subsystem: instead of re-executing a
+// one-shot query per round (a full dissemination per sample), the query
+// is installed once down the group trees and every round is an in-tree
 // epoch re-aggregation — one push message per tree edge. Grouped
 // queries ("avg(cpu) group by slice") monitor every key in one stream;
 // pivot the samples with GroupSeries.
 //
-// Monitor drives the simulated cluster's clock; it returns the rounds
-// samples collected over the monitoring window, the earliest of which
-// are marked ColdStart while the contribution pipeline fills. It is
-// MonitorClient over s.Client(node) with the cluster's virtual-time
-// pump.
-func (s *SimCluster) Monitor(node int, query string, every time.Duration, rounds int) ([]Sample, error) {
-	return MonitorClient(context.Background(), s.Client(node), query, every, rounds, s.RunFor)
-}
-
-// MonitorClient collects rounds standing-query samples from any Client.
-// The query's own `every` clause takes precedence over the every
-// parameter. pump advances time between deliveries: a simulated
-// deployment passes its RunFor; a real deployment passes nil (or
-// time.Sleep) to wait on the wall clock.
+// It collects rounds standing-query samples from any Client, the
+// earliest of which are marked ColdStart while the contribution
+// pipeline fills. The query's own `every` clause takes precedence over
+// the every parameter. pump advances time between deliveries: a
+// simulated deployment passes its RunFor; a real deployment passes nil
+// (or time.Sleep) to wait on the wall clock.
 func MonitorClient(ctx context.Context, cl Client, query string, every time.Duration, rounds int, pump func(time.Duration)) ([]Sample, error) {
 	query, every, err := monitorQuery(query, every)
 	if err != nil {
@@ -55,8 +48,18 @@ func MonitorClient(ctx context.Context, cl Client, query string, every time.Dura
 	if pump == nil {
 		pump = time.Sleep
 	}
+	// On a real deployment the callback runs on the agent's goroutine,
+	// not the caller's.
+	var mu sync.Mutex
 	out := make([]Sample, 0, rounds)
+	collected := func() []Sample {
+		mu.Lock()
+		defer mu.Unlock()
+		return out
+	}
 	sub, err := cl.Subscribe(ctx, query, func(s Sample) {
+		mu.Lock()
+		defer mu.Unlock()
 		if len(out) < rounds {
 			out = append(out, s)
 		}
@@ -67,16 +70,17 @@ func MonitorClient(ctx context.Context, cl Client, query string, every time.Dura
 	defer sub.Unsubscribe()
 	// One sample arrives per period; the generous cap keeps a stalled
 	// subscription from hanging the caller.
-	for i := 0; len(out) < rounds && i < 4*rounds+64; i++ {
+	for i := 0; len(collected()) < rounds && i < 4*rounds+64; i++ {
 		if err := ctx.Err(); err != nil {
-			return out, err
+			return collected(), err
 		}
 		pump(every)
 	}
-	if len(out) < rounds {
-		return out, fmt.Errorf("moara: monitor collected %d/%d samples", len(out), rounds)
+	got := collected()
+	if len(got) < rounds {
+		return got, fmt.Errorf("moara: monitor collected %d/%d samples", len(got), rounds)
 	}
-	return out, nil
+	return got, nil
 }
 
 // monitorQuery validates the query text and folds the every parameter
@@ -114,35 +118,4 @@ func GroupSeries(samples []Sample) map[string][]Value {
 		}
 	}
 	return series
-}
-
-// MonitorAgent runs the same standing-query pattern against any
-// real-clock Client (typically a TCP *Agent), invoking fn after every
-// epoch until stop is closed. The query's own `every` clause takes
-// precedence over the every parameter. Samples that arrive while fn is
-// running are dropped rather than buffered without bound.
-func MonitorAgent(a Client, query string, every time.Duration, stop <-chan struct{}, fn func(Sample)) error {
-	query, _, err := monitorQuery(query, every)
-	if err != nil {
-		return err
-	}
-	ch := make(chan Sample, 16)
-	sub, err := a.Subscribe(context.Background(), query, func(s Sample) {
-		select {
-		case ch <- s:
-		default:
-		}
-	})
-	if err != nil {
-		return err
-	}
-	defer sub.Unsubscribe()
-	for {
-		select {
-		case <-stop:
-			return nil
-		case s := <-ch:
-			fn(s)
-		}
-	}
 }

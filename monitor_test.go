@@ -1,6 +1,7 @@
 package moara
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -10,7 +11,7 @@ func TestMonitorPeriodicQueries(t *testing.T) {
 	for i := 0; i < c.Size(); i++ {
 		c.SetAttr(i, "g", Bool(i < 12))
 	}
-	samples, err := c.Monitor(0, "count(*) where g = true", time.Second, 8)
+	samples, err := MonitorClient(context.Background(), c.Client(0), "count(*) where g = true", time.Second, 8, c.RunFor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestMonitorPeriodicQueries(t *testing.T) {
 	// Steady monitoring is cheap: epoch re-aggregation must cost far
 	// less than re-broadcasting a one-shot query per round.
 	c.ResetMessageCounter()
-	if _, err := c.Monitor(0, "count(*) where g = true", time.Second, 4); err != nil {
+	if _, err := MonitorClient(context.Background(), c.Client(0), "count(*) where g = true", time.Second, 4, c.RunFor); err != nil {
 		t.Fatal(err)
 	}
 	perRound := float64(c.Messages()) / 4
@@ -58,18 +59,21 @@ func TestMonitorPeriodicQueries(t *testing.T) {
 
 func TestMonitorValidation(t *testing.T) {
 	c := NewSimCluster(8)
-	if _, err := c.Monitor(0, "nonsense", time.Second, 1); err == nil {
+	if _, err := MonitorClient(context.Background(), c.Client(0), "nonsense", time.Second, 1, c.RunFor); err == nil {
 		t.Fatal("bad query should fail")
 	}
-	if _, err := c.Monitor(0, "count(*)", 0, 1); err == nil {
+	if _, err := MonitorClient(context.Background(), c.Client(0), "count(*)", 0, 1, c.RunFor); err == nil {
 		t.Fatal("zero interval should fail")
 	}
-	if _, err := c.Monitor(0, "count(*)", time.Second, 0); err == nil {
+	if _, err := MonitorClient(context.Background(), c.Client(0), "count(*)", time.Second, 0, c.RunFor); err == nil {
 		t.Fatal("zero rounds should fail")
 	}
 }
 
-func TestMonitorAgentTCP(t *testing.T) {
+// TestMonitorClientOverAgent uses MonitorClient the documented way on a
+// real deployment (pump=nil: wait on the wall clock), where the sample
+// callback runs on the agent's goroutine rather than the caller's.
+func TestMonitorClientOverAgent(t *testing.T) {
 	a, err := ListenAgent("127.0.0.1:0", nil, AgentOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -86,43 +90,25 @@ func TestMonitorAgentTCP(t *testing.T) {
 	a.SetAttr("v", Int(3))
 	b.SetAttr("v", Int(4))
 
-	stop := make(chan struct{})
-	warm := 0
-	rounds := 0
-	err = MonitorAgent(a, "sum(v)", 50*time.Millisecond, stop, func(s Sample) {
-		if s.Err != nil {
-			t.Errorf("sample error: %v", s.Err)
-		}
-		rounds++
-		if rounds > 100 {
-			// Defensive: never spin forever if warm samples stay wrong.
-			select {
-			case <-stop:
-			default:
-				close(stop)
-			}
-			return
-		}
-		// Cold epochs may be partial while the pipeline fills.
-		if s.ColdStart {
-			return
-		}
-		if v, _ := s.Result.Agg.Value.AsInt(); v != 7 {
-			t.Errorf("sum = %d", v)
-		}
-		warm++
-		if warm >= 3 {
-			select {
-			case <-stop:
-			default:
-				close(stop)
-			}
-		}
-	})
+	samples, err := MonitorClient(context.Background(), a, "sum(v)", 20*time.Millisecond, 12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	warm := 0
+	for _, s := range samples {
+		if s.Err != nil {
+			t.Fatalf("epoch %d: %v", s.Epoch, s.Err)
+		}
+		// Cold epochs may be partial while the pipeline fills.
+		if s.ColdStart {
+			continue
+		}
+		warm++
+		if v, _ := s.Result.Agg.Value.AsInt(); v != 7 {
+			t.Errorf("epoch %d: sum = %d, want 7", s.Epoch, v)
+		}
+	}
 	if warm < 3 {
-		t.Fatalf("warm rounds = %d (of %d)", warm, rounds)
+		t.Fatalf("warm samples = %d of %d, want >= 3", warm, len(samples))
 	}
 }
