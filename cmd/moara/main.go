@@ -93,8 +93,8 @@ func main() {
 				fmt.Println("  (no subscriptions)")
 			}
 			for _, si := range infos {
-				fmt.Printf("  %-12s %-40s root=%-5v every=%-8s epoch=%-4d children=%d targets=%d\n",
-					si.SID, si.Group, si.Root, si.Period, si.Epoch, si.Children, si.Targets)
+				fmt.Printf("  %-12s %-40s root=%-5v every=%-8s epoch=%-4d children=%d targets=%d contributors=%d rebuilds=%d reuses=%d\n",
+					si.SID, si.Group, si.Root, si.Period, si.Epoch, si.Children, si.Targets, si.Contributors, si.Rebuilds, si.Reuses)
 			}
 		case strings.HasPrefix(line, "trees"):
 			parts := strings.Fields(line)

@@ -355,18 +355,36 @@ func poolGet(s Spec) State {
 	return st
 }
 
-// Recycle returns a state tree to the allocation pools. Callers must
-// guarantee that nothing references the state, its sub-states, or
-// their entry slices anymore — the canonical safe point is right after
-// Merge folded a received partial into an accumulator (every Merge
-// implementation copies values; none retains references into its
-// argument). Recycling anything else is a correctness bug, not a
+// Recycle gives up the caller's reference to a state tree and, when it
+// was the last one, returns the tree to the allocation pools.
+//
+// A state nobody retained (a one-shot ResponseMsg partial, anything
+// decoded from a socket) has a single owner, and the call recycles it at
+// once. Callers must guarantee that nothing references the state, its
+// sub-states, or their entry slices anymore — the canonical safe point
+// is right after Merge folded a received partial into an accumulator
+// (every Merge implementation copies values; none retains references
+// into its argument).
+//
+// A GroupedState that was retained (GroupedState.Retain) counts its
+// holders: each Recycle hands one hold back and only the last recycles,
+// so every holder calls Recycle exactly once per hold and never touches
+// the state afterwards. A hold that is never handed back (a message that
+// was dropped, rejected or never delivered) leaves the state to the
+// garbage collector, which is the safe direction. Because its holders
+// read a retained state concurrently, it is immutable after its first
+// hand-off: build a new state instead of adding to a sent one.
+//
+// Recycling anything still referenced is a correctness bug, not a
 // performance tweak.
 func Recycle(st State) {
 	switch s := st.(type) {
 	case nil:
 		return
 	case *GroupedState:
+		if s.holders.Add(-1) > 0 {
+			return
+		}
 		for k, sub := range s.Groups {
 			Recycle(sub)
 			delete(s.Groups, k)

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/moara/moara/internal/ids"
@@ -71,6 +72,44 @@ func TestRecycleReuse(t *testing.T) {
 	// steady state must stay near zero.
 	if avg > 1 {
 		t.Errorf("recycled construction allocates %.1f objects/op, want <= 1", avg)
+	}
+}
+
+// TestRecycleCountsHolders locks the hand-off rule: a retained state
+// survives every Recycle but the last, concurrent holders included, and
+// a state nobody retained is recycled by the first.
+func TestRecycleCountsHolders(t *testing.T) {
+	spec := Spec{Kind: KindSum}
+	g := NewGrouped(spec, 0)
+	g.AddKeyed(ids.FromUint64(1), "a", value.Int(7))
+	const holders = 8
+	for i := 0; i < holders; i++ {
+		g.Retain()
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < holders-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v, _ := g.Result().Value.AsInt(); v != 7 {
+				t.Errorf("a held state reads %d, want 7", v)
+			}
+			Recycle(g)
+		}()
+	}
+	wg.Wait()
+	if v, _ := g.Result().Value.AsInt(); v != 7 || g.KeyCount() != 1 {
+		t.Fatalf("state with one hold left was recycled: sum %d, %d keys", v, g.KeyCount())
+	}
+	Recycle(g)
+	if g.KeyCount() != 0 {
+		t.Fatal("the last hold did not recycle the state")
+	}
+	h := &GroupedState{Spec: spec, Groups: map[string]State{}}
+	h.AddKeyed(ids.FromUint64(1), "a", value.Int(7))
+	Recycle(h)
+	if h.KeyCount() != 0 {
+		t.Fatal("a state nobody retained must be recycled by its single owner")
 	}
 }
 

@@ -3,6 +3,7 @@ package aggregate
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/value"
@@ -50,6 +51,10 @@ type GroupedState struct {
 	// straight-to-Other spill path is O(1); empty means "recompute"
 	// (also the state after gob decoding, which skips this field).
 	maxKey string
+
+	// holders counts the references taken with Retain; zero means the
+	// classic single-owner state (see Retain and Recycle).
+	holders atomic.Int32
 }
 
 // NewGrouped creates an empty keyed accumulator for spec with the given
@@ -75,6 +80,14 @@ func NewGroupedSized(spec Spec, cap, hint int) *GroupedState {
 	}
 	return &GroupedState{Spec: spec, Cap: cap, Groups: make(map[string]State, hint)}
 }
+
+// Retain registers one more holder of g: a builder that keeps g after
+// handing it to someone else takes one hold for itself and one per
+// hand-off, every holder hands its hold back with Recycle, and the last
+// one to do so returns g to the pool. A retained state is shared — also
+// across simulator shards — so it must not be written to after its
+// first hand-off. A state nobody retained has exactly one owner.
+func (g *GroupedState) Retain() { g.holders.Add(1) }
 
 // AddKeyed folds one node's value into the sub-aggregate for key.
 // Invalid values are dropped up front (no State records them), so a

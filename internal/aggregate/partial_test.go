@@ -391,3 +391,113 @@ func TestRecyclePoolRoundTripAllKinds(t *testing.T) {
 		})
 	}
 }
+
+// TestMergeIsPureAllRegisteredKinds is the law the standing-query epoch
+// loop leans on when it re-sends last epoch's subtree state instead of
+// rebuilding it: folding the same local value and the same child states,
+// in the same order, into a fresh accumulator gives a deeply equal state
+// every time. Merge is a pure function of its inputs — no clock, no
+// hidden random source in the quantile compactor, nothing carried over
+// from a pooled shell — and leaves its argument untouched (the children
+// here are merged twice). TestMergeLawAllRegisteredKinds above says the
+// rebuilt state is the right one; this says the rebuild may be skipped.
+func TestMergeIsPureAllRegisteredKinds(t *testing.T) {
+	for _, kind := range Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			for seed := int64(0); seed < 10; seed++ {
+				rng := rand.New(rand.NewSource(seed*977 + int64(kind)))
+				spec := specFor(kind)
+				// Enough values per child that the quantile sketch
+				// compacts inside the child and again in the merge.
+				children := make([]*GroupedState, 2+rng.Intn(5))
+				for c := range children {
+					children[c] = NewGrouped(spec, 6)
+					for i, n := 0, 100+rng.Intn(500); i < n; i++ {
+						node := ids.FromKey(fmt.Sprintf("pure-%d-%d-%d", seed, c, i))
+						key := fmt.Sprintf("k%d", rng.Intn(9))
+						children[c].AddKeyed(node, key, value.Float(float64(rng.Intn(4000))/8))
+					}
+				}
+				self := ids.FromKey(fmt.Sprintf("pure-%d-self", seed))
+				build := func() *GroupedState {
+					g := NewGrouped(spec, 6)
+					g.AddKeyed(self, "k3", value.Float(12.5))
+					for _, child := range children {
+						if err := g.Merge(child); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return g
+				}
+				first := build()
+				// Dirty the pools in between: the second build draws
+				// recycled shells and sub-states.
+				Recycle(build())
+				second := build()
+				if !sameState(reflect.ValueOf(first), reflect.ValueOf(second)) || !reflect.DeepEqual(first.Results(), second.Results()) {
+					t.Fatalf("seed %d: two merges of the same children differ:\n got %#v\nwant %#v", seed, second.Results(), first.Results())
+				}
+			}
+		})
+	}
+}
+
+// sameState is reflect.DeepEqual minus what a recycled shell keeps for
+// its next user and no reader can see: an empty slice or map equals a
+// nil one, and empty elements at the end of a slice (the quantile
+// sketch's drained upper levels) equal no elements.
+func sameState(a, b reflect.Value) bool {
+	if a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Interface, reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameState(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameState(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for it := a.MapRange(); it.Next(); {
+			bv := b.MapIndex(it.Key())
+			if !bv.IsValid() || !sameState(it.Value(), bv) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() > b.Len() {
+			a, b = b, a
+		}
+		for i := 0; i < b.Len(); i++ {
+			if i < a.Len() {
+				if !sameState(a.Index(i), b.Index(i)) {
+					return false
+				}
+			} else if e := b.Index(i); e.Kind() != reflect.Slice || e.Len() != 0 {
+				return false
+			}
+		}
+		return true
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return a.Uint() == b.Uint()
+	case reflect.Float32, reflect.Float64:
+		return a.Float() == b.Float()
+	case reflect.String:
+		return a.String() == b.String()
+	}
+	return false
+}

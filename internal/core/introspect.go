@@ -81,9 +81,14 @@ type SubInfo struct {
 	Orphaned bool
 	// Gen is the newest renewal round seen.
 	Gen uint64
-	// Contributors is the member count of the node's latest report
-	// (local contribution plus buffered child reports).
+	// Contributors is the member count of the node's latest report: the
+	// local contribution that report carried (none when another tree of
+	// a composite cover claims this node) plus buffered child reports.
 	Contributors int64
+	// Rebuilds counts the reports whose subtree state was built anew
+	// because an input moved, Reuses those that re-sent the retained
+	// state; Reuses/(Rebuilds+Reuses) is the entry's merge-skip rate.
+	Rebuilds, Reuses uint64
 	// Reporters lists the short IDs of children with a buffered report
 	// (sorted; debugging and shell introspection).
 	Reporters []string
@@ -98,16 +103,13 @@ func (n *Node) Subs() []SubInfo {
 		if !sub.root {
 			parent = sub.parent.Short()
 		}
-		var contrib int64
+		contrib := sub.builtSelf
 		reporters := make([]string, 0, len(sub.reports))
 		for _, rep := range sub.reports {
 			contrib += rep.contrib
 			reporters = append(reporters, rep.from.Short())
 		}
 		sort.Strings(reporters)
-		if n.subEval(sub) {
-			contrib++
-		}
 		out = append(out, SubInfo{
 			SID:          sub.sid,
 			Group:        sub.group.canon,
@@ -120,6 +122,8 @@ func (n *Node) Subs() []SubInfo {
 			Orphaned:     sub.orphaned,
 			Gen:          sub.gen,
 			Contributors: contrib,
+			Rebuilds:     sub.rebuilds,
+			Reuses:       sub.reuses,
 			Reporters:    reporters,
 		})
 	}

@@ -33,7 +33,12 @@ type Node struct {
 	answered map[QueryID]time.Duration
 
 	// subs is the standing-query subscription table (standing.go).
-	subs map[subKey]*subState
+	// tableGen counts its insertions and deletions and attrGen the
+	// attribute changes: a subscription entry rebuilds its subtree state
+	// only when one of them, or one of its child slots, moved.
+	subs     map[subKey]*subState
+	tableGen uint64
+	attrGen  uint64
 
 	fe frontend
 
@@ -535,6 +540,7 @@ func (n *Node) recomputeState(ps *predState) bool {
 // onAttrChange re-evaluates local satisfiability for every group that
 // references the changed attribute (the Moara agent hook of §3.1).
 func (n *Node) onAttrChange(name string, _, _ value.Value) {
+	n.attrGen++
 	canons := n.byAttr[name]
 	for _, canon := range canons {
 		ps, ok := n.preds[canon]

@@ -28,6 +28,24 @@ import (
 // subscription state. Reports arriving for an unknown subscription are
 // answered with CancelMsg, so orphaned children tear down ahead of the
 // TTL.
+//
+// An unchanged subtree costs a pointer, not a merge. Each entry retains
+// the subtree state it last built and re-sends it, under the new epoch
+// number and with fresh Contributors/Np/Unknown, until an input moves:
+// a child slot files a different state or is dropped (the two-period
+// stale sweep included, which still runs every tick), an attribute of
+// this node changes (Node.attrGen), the node's subscription table gains
+// or loses an entry (Node.tableGen — the composite-cover claim depends
+// on it), or an install or subscribe touches the entry. A parent
+// recognises a re-sent state by pointer identity and only refreshes the
+// slot; over sockets every decode is a new object, so there leaf agents
+// skip their rebuild and interior agents rebuild as before. The retained
+// state is shared by its builder, the reports in flight and the parent's
+// slot, so it is never written after its first send and goes back to the
+// pool through the holder count of aggregate.Recycle. None of this is
+// configurable: the skip is exact (Merge is a pure function of its
+// inputs), so there is no setting under which rebuilding is the better
+// answer.
 
 // Sample is one epoch of a standing query delivered to the subscriber.
 type Sample struct {
@@ -137,9 +155,27 @@ type subState struct {
 	// sends one final empty report — clearing the parent's buffered
 	// copy under replace-not-merge — before the relay goes silent.
 	lastNonEmpty bool
-	// lastKeys is the previous epoch's report key count, used to size
-	// the next epoch's accumulator map up front.
-	lastKeys int
+	// built is the subtree state of the last rebuild, retained across
+	// epochs and re-sent as long as no input moved (see sendReport);
+	// builtSelf is the local contribution (0 or 1) folded into it and
+	// builtEmpty whether it carries nothing at all. The node's attrGen
+	// and tableGen at that rebuild are kept beside it.
+	built      *aggregate.GroupedState
+	builtSelf  int64
+	builtEmpty bool
+	attrGen    uint64
+	tableGen   uint64
+	// changed marks an input of built that moved since the rebuild: a
+	// child slot filed a different state or was dropped, or an install
+	// or subscribe touched the entry.
+	changed bool
+	// claim caches claimStanding's answer for tableGen.
+	claim bool
+	// dead is set by dropSub; a tick that fires afterwards is a no-op.
+	dead bool
+	// rebuilds and reuses count the reports built and the reports that
+	// re-sent the retained state (see SubInfo).
+	rebuilds, reuses uint64
 	// gen is the newest renewal round seen (see InstallMsg.Gen);
 	// installs from older rounds are ignored.
 	gen uint64
@@ -176,7 +212,9 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 			targets: make(map[ids.ID]bool),
 		}
 		n.subs[key] = sub
+		n.tableGen++
 	}
+	sub.changed = true
 	if ok && !sub.root && !sub.orphaned {
 		// Promoted to root (the tree key moved onto us): retract our
 		// contribution from the old parent's path so the root sample
@@ -270,7 +308,9 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 			targets: make(map[ids.ID]bool),
 		}
 		n.subs[key] = sub
+		n.tableGen++
 	}
+	sub.changed = true
 	// A repaired adoption — the first install after this node's parent
 	// was purged as dead, or a round-advancing re-parenting (the tree
 	// was rebuilt around us after a root or interior death) — warrants
@@ -438,15 +478,12 @@ func (n *Node) armEpoch(sub *subState) {
 	n.armFn(d, sub.tickFn, &sub.tick)
 }
 
-// epochTick is one epoch at one node: enforce the lease, recompute the
-// local contribution, merge the children's latest reports, and push the
-// batch one hop up-tree (or to the front-end at the root).
+// epochTick is one epoch at one node: enforce the lease, bring the
+// subtree state up to date (local contribution plus the children's
+// latest reports) if an input moved, and push it one hop up-tree (or to
+// the front-end at the root).
 func (n *Node) epochTick(sub *subState) {
-	if n.closed {
-		return
-	}
-	key := subKey{sub.sid, sub.group.canon}
-	if n.subs[key] != sub {
+	if n.closed || sub.dead {
 		return
 	}
 	now := n.env.Now()
@@ -481,26 +518,22 @@ func (n *Node) epochTick(sub *subState) {
 	}
 }
 
-// sendReport assembles the subscription's current subtree batch — the
-// local contribution (if claimed) plus every fresh child report — and
-// pushes it one hop up-tree, or streams the root sample. epochTick
+// sendReport pushes the subscription's current subtree batch — the
+// local contribution (if claimed) plus every fresh child report, rebuilt
+// only if one of them moved since the retained state was built — one
+// hop up-tree, or streams the root sample. epochTick
 // calls it once per epoch; handleInstall also calls it eagerly when a
 // node is adopted by a new parent, so a subtree repaired after a crash
 // re-enters the stream without waiting out a full epoch of pipeline
 // refill (its buffered child reports survive the re-parenting).
 func (n *Node) sendReport(sub *subState, now time.Duration) {
-	state := aggregate.NewGroupedSized(sub.spec, n.cfg.MaxGroupKeys, sub.lastKeys)
-	var contrib int64
-	if n.subEval(sub) && n.claimStanding(sub) {
-		contrib++
-		state.AddKeyed(n.self, n.groupKey(sub.groupBy), n.localValue(sub.attrKey))
-	}
 	// A child's buffered report expires after two silent epochs: one
 	// missed delivery is tolerated (jitter, a lost message), but a
 	// child that went quiet — crashed, re-parented elsewhere, or handed
 	// off — must stop being counted promptly, or its copy double-counts
 	// against the subtree's new path.
 	stale := 2 * sub.period
+	var contrib int64
 	for i := 0; i < len(sub.reports); {
 		rep := sub.reports[i]
 		if now-rep.at > stale {
@@ -508,16 +541,22 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 			aggregate.Recycle(rep.state)
 			continue
 		}
-		_ = state.Merge(rep.state)
 		contrib += rep.contrib
 		i++
 	}
-	sub.lastKeys = state.KeyCount()
+	if sub.changed || sub.attrGen != n.attrGen || sub.tableGen != n.tableGen {
+		n.rebuild(sub)
+	} else {
+		sub.reuses++
+	}
+	state := sub.built
+	contrib += sub.builtSelf
 	if sub.root {
 		expected := 0.0
 		if ps, ok := n.predLookup(sub.group.canon); ok {
 			expected = float64(ps.np) + ps.unknown
 		}
+		state.Retain()
 		n.send(sub.replyTo, SampleMsg{
 			SID:          sub.sid,
 			Group:        sub.group.canon,
@@ -529,16 +568,14 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		})
 		return
 	}
-	empty := state.Nodes() == 0 && !state.Truncated() && contrib == 0
+	empty := sub.builtEmpty && contrib == 0
 	if empty && !sub.lastNonEmpty {
 		// Interior hops skip empty batches: a pure relay with nothing
 		// to add costs nothing. But a batch that HAD content last time
 		// must announce the transition — silently going quiet would
 		// leave the parent replaying the stale copy (a subtree whose
 		// members re-parented elsewhere would be double-counted for a
-		// stale window per tree level). The unsent state goes back to
-		// the pool — this skip runs every epoch at sparse relays.
-		aggregate.Recycle(state)
+		// stale window per tree level).
 		return
 	}
 	sub.lastNonEmpty = !empty
@@ -555,6 +592,7 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		Np:           np,
 		Unknown:      unknown,
 	}
+	state.Retain()
 	if sub.orphaned {
 		// The uptree chain is severed (parent purged as dead): pull
 		// directly to the tree root through the overlay so the subtree
@@ -564,6 +602,37 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		return
 	}
 	n.send(sub.parent, em)
+}
+
+// rebuild folds the local contribution (if claimed) and every buffered
+// child report, in child-id order, into a new subtree state and makes it
+// the retained one. The node holds it once for the cache; sendReport
+// adds one hold per hand-off (see aggregate.Recycle).
+func (n *Node) rebuild(sub *subState) {
+	hint := 0
+	if old := sub.built; old != nil {
+		// Only the cache's hold goes back: reports in flight and the
+		// parent's slot keep the old state alive until they let go.
+		hint = old.KeyCount()
+		aggregate.Recycle(old)
+	}
+	state := aggregate.NewGroupedSized(sub.spec, n.cfg.MaxGroupKeys, hint)
+	state.Retain()
+	if sub.tableGen != n.tableGen {
+		sub.claim, sub.tableGen = n.claimStanding(sub), n.tableGen
+	}
+	sub.builtSelf = 0
+	if sub.claim && n.subEval(sub) {
+		sub.builtSelf = 1
+		state.AddKeyed(n.self, n.groupKey(sub.groupBy), n.localValue(sub.attrKey))
+	}
+	for _, rep := range sub.reports {
+		_ = state.Merge(rep.state)
+	}
+	sub.built = state
+	sub.builtEmpty = state.Nodes() == 0 && !state.Truncated()
+	sub.attrGen, sub.changed = n.attrGen, false
+	sub.rebuilds++
 }
 
 // retract clears this node's contribution at a previous carrier: an
@@ -610,7 +679,9 @@ func (n *Node) subEval(sub *subState) bool {
 // claimStanding reserves this node's per-epoch contribution for exactly
 // one tree of a composite cover: the lexicographically smallest group
 // among the node's live subscriptions for the SID (the standing analog
-// of §6.2's answered-once cache, but stateless and epoch-free).
+// of §6.2's answered-once cache, but stateless and epoch-free). The
+// answer depends only on the subscription table, so rebuild asks once
+// per table generation, not once per entry per epoch.
 func (n *Node) claimStanding(sub *subState) bool {
 	for k := range n.subs {
 		if k.sid == sub.sid && k.group < sub.group.canon {
@@ -629,16 +700,20 @@ func (sub *subState) reportIndex(id ids.ID) (int, bool) {
 
 // fileReport stores a child's newest report. Replace-not-merge in
 // place: the steady-state epoch stream overwrites the same slot instead
-// of allocating one per report, and the displaced state — fully merged
-// into past reports, referenced by nothing — feeds the allocation pool.
+// of allocating one per report. The slot takes over the hold the message
+// carried and hands back the one on the state it displaces; a child
+// re-sending the state the slot already holds changes nothing here but
+// the slot's freshness, and the message's hold goes back.
 func (sub *subState) fileReport(rep childReport) {
 	i, ok := sub.reportIndex(rep.from)
 	if !ok {
 		sub.reports = slices.Insert(sub.reports, i, rep)
+		sub.changed = true
 		return
 	}
-	if old := sub.reports[i].state; old != rep.state {
-		aggregate.Recycle(old)
+	aggregate.Recycle(sub.reports[i].state)
+	if sub.reports[i].state != rep.state {
+		sub.changed = true
 	}
 	sub.reports[i] = rep
 }
@@ -647,6 +722,7 @@ func (sub *subState) fileReport(rep childReport) {
 func (sub *subState) dropReport(id ids.ID) {
 	if i, ok := sub.reportIndex(id); ok {
 		sub.reports = slices.Delete(sub.reports, i, i+1)
+		sub.changed = true
 	}
 }
 
@@ -724,11 +800,12 @@ func (n *Node) handleCancel(from ids.ID, cm CancelMsg, routed bool) {
 // dropSub removes one subscription entry; cascade forwards the cancel
 // to the node's children.
 func (n *Node) dropSub(sub *subState, cascade bool) {
-	key := subKey{sub.sid, sub.group.canon}
-	if n.subs[key] != sub {
+	if sub.dead {
 		return
 	}
-	delete(n.subs, key)
+	sub.dead = true
+	delete(n.subs, subKey{sub.sid, sub.group.canon})
+	n.tableGen++
 	sub.tick.Stop()
 	if !cascade {
 		return
@@ -993,6 +1070,9 @@ func (fe *frontend) handleSample(from ids.ID, sm SampleMsg) {
 		fs.warmAfter = fs.epoch + fe.warmupEpochs()
 	}
 	fs.rootOf[sm.Group] = from
+	// The displaced sample's state is folded into nothing that outlives
+	// this call (every emitted Sample merges into a fresh accumulator).
+	aggregate.Recycle(prevSm.State)
 	fs.latest[sm.Group] = sm
 	fs.fresh[sm.Group] = true
 	if len(fs.fresh) < len(fs.groups) {

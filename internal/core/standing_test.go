@@ -379,3 +379,96 @@ func TestStandingTTLGCCoalesced(t *testing.T) {
 		t.Fatalf("leaked %d subscription entries after front-end death under coalescing", n)
 	}
 }
+
+// TestStandingClaimFollowsSubscriptionTable covers the composite-cover
+// claim: a node reached through several trees of one subscription
+// contributes on exactly one of them — the smallest group it holds an
+// entry for — and Subs() reports it once, not once per tree. When the
+// claiming entry goes away (its parent cancels the edge while the
+// stream lives), the claim moves to the next tree at the node's next
+// tick, and the stream never counts more members than exist.
+func TestStandingClaimFollowsSubscriptionTable(t *testing.T) {
+	const period = time.Second
+	net, nodes := miniCluster(t, 48, Config{SubTTL: 10 * time.Minute, SubRenewInterval: 5 * time.Minute})
+	members := int64(0)
+	for i, n := range nodes {
+		a, b, d := i%2 == 0, i%3 == 0, i%5 == 0
+		n.Store().Set("a", value.Bool(a))
+		n.Store().Set("b", value.Bool(b))
+		n.Store().Set("d", value.Bool(d))
+		if a || b || d {
+			members++
+		}
+	}
+	var samples []Sample
+	sid := mustSubscribe(t, nodes[0], "count(*) where a = true or b = true or d = true every 1s",
+		func(s Sample) { samples = append(samples, s) })
+	net.RunFor(12 * period)
+	groups := []string{"a = true", "b = true", "d = true"}
+	// claims lists, per group in order, the local contribution of the
+	// node's entry (-1 where it holds none).
+	claims := func(n *Node) (out [3]int64) {
+		for g, group := range groups {
+			out[g] = -1
+			if sub, ok := n.subs[subKey{sid, group}]; ok {
+				out[g] = sub.builtSelf
+			}
+		}
+		return out
+	}
+	// A member of all three groups that is a leaf of all three trees.
+	var x *Node
+	for i := len(nodes) - 1; i > 0 && x == nil; i-- {
+		infos := nodes[i].Subs()
+		leaf := len(infos) == len(groups)
+		for _, si := range infos {
+			leaf = leaf && !si.Root && si.Targets == 0 && si.Children == 0
+		}
+		if i%30 == 0 && leaf {
+			x = nodes[i]
+		}
+	}
+	if x == nil {
+		t.Fatal("no member of all three groups is a leaf of all three trees")
+	}
+	if got := claims(x); got != [3]int64{1, 0, 0} {
+		t.Fatalf("claims on (a, b, d) = %v, want the smallest group only", got)
+	}
+	var shown int64
+	for _, si := range x.Subs() {
+		shown += si.Contributors
+	}
+	if shown != 1 {
+		t.Fatalf("Subs() shows %d contributions of a node on three trees, want 1", shown)
+	}
+
+	// The parent on the smallest tree cancels the edge.
+	sub := x.subs[subKey{sid, groups[0]}]
+	var parent *Node
+	for _, n := range nodes {
+		if n.self == sub.parent {
+			parent = n
+		}
+	}
+	psub := parent.subs[subKey{sid, groups[0]}]
+	psub.dropReport(x.self)
+	delete(psub.targets, x.self)
+	x.Handle(parent.self, CancelMsg{SID: sid, Group: groups[0]})
+	if got := claims(x); got[0] != -1 {
+		t.Fatalf("entry on %q survived its parent's cancel: %v", groups[0], got)
+	}
+	net.RunFor(period)
+	if got := claims(x); got != [3]int64{-1, 1, 0} {
+		t.Fatalf("one epoch after the drop, claims on (a, b, d) = %v, want the next tree", got)
+	}
+	net.RunFor(8 * period)
+	for _, s := range samples {
+		if s.Contributors > members {
+			t.Errorf("epoch %d: %d contributors of %d members", s.Epoch, s.Contributors, members)
+		}
+	}
+	last := samples[len(samples)-1]
+	if v, _ := last.Result.Agg.Value.AsInt(); v != members || last.Contributors != members {
+		t.Fatalf("after the claim moved: count %d, contributors %d, want %d", v, last.Contributors, members)
+	}
+}
