@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/moara/moara"
+	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/transport"
 	"github.com/moara/moara/internal/value"
 )
@@ -81,6 +82,9 @@ func main() {
 				s.MsgsIn, s.MsgsOut, s.BytesIn, s.BytesOut)
 			fmt.Printf("  decode errors: %d  dials: %d (errors %d, suppressed %d)\n",
 				s.DecodeErrors, s.Dials, s.DialErrors, s.DialsSuppressed)
+			var remembered int
+			node.Do(func(c *core.Node) { remembered = c.Remembered() })
+			fmt.Printf("  query IDs remembered (answer-once window): %d\n", remembered)
 		case strings.HasPrefix(line, "set "):
 			parts := strings.Fields(line)
 			if len(parts) != 3 {

@@ -80,6 +80,11 @@ func main() {
 				fmt.Printf(" (coalescing saved %.0f%%)", 100*float64(logical-wire)/float64(logical))
 			}
 			fmt.Println()
+			remembered := 0
+			for i := 0; i < c.Size(); i++ {
+				remembered += c.Remembered(i)
+			}
+			fmt.Printf("  query IDs remembered (answer-once window): %d across %d nodes\n", remembered, c.Size())
 		case line == "subs" || strings.HasPrefix(line, "subs "):
 			parts := strings.Fields(line)
 			node := 0

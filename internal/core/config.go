@@ -73,8 +73,14 @@ type Config struct {
 	// ProbeTimeout bounds how long the front-end waits for size
 	// probes before falling back to conservative cost estimates.
 	ProbeTimeout time.Duration
-	// SeenTTL is how long answered query IDs are remembered for
-	// duplicate elimination (paper: 5 minutes).
+	// SeenTTL is how long query IDs are remembered for duplicate
+	// elimination and answer-once accounting (§6.2; paper: 5 minutes).
+	// The memory expires by generation, swapped by the GC timer, so an
+	// ID is kept at least SeenTTL and at most 2·SeenTTL plus one GC
+	// period (SeenTTL/2, or StateTTL/2 when smaller; two periods when
+	// that does not divide SeenTTL). There is no separate knob for the
+	// upper bound: it follows from the lower one and the GC period,
+	// and only the lower bound is a correctness promise.
 	SeenTTL time.Duration
 	// StateTTL garbage-collects predicate state idle for this long
 	// while in NO-UPDATE (0 disables GC).

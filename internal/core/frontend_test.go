@@ -223,8 +223,8 @@ func TestSeenCacheExpiry(t *testing.T) {
 	}
 	net.RunFor(30 * time.Second)
 	for i, n := range nodes {
-		if len(n.seen) != 0 || len(n.answered) != 0 {
-			t.Fatalf("node %d: seen=%d answered=%d after TTL", i, len(n.seen), len(n.answered))
+		if r := n.Remembered(); r != 0 {
+			t.Fatalf("node %d: %d query IDs remembered after TTL", i, r)
 		}
 	}
 }

@@ -56,6 +56,11 @@ func (n *Node) Trees() []TreeInfo {
 	return out
 }
 
+// Remembered reports how many query IDs the node's answer-once memory
+// (§6.2) holds: the seen-window size. An ID is kept at least SeenTTL
+// and at most about twice that (see Config.SeenTTL).
+func (n *Node) Remembered() int { return n.ledger.size() }
+
 // SubInfo is a read-only snapshot of one standing-query subscription
 // entry at a node (shell introspection and lifecycle tests).
 type SubInfo struct {

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"maps"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/moara/moara/internal/aggregate"
@@ -28,9 +32,8 @@ type Node struct {
 	preds  map[string]*predState
 	byAttr map[string][]string
 
-	execs    map[seenKey]*exec
-	seen     map[seenKey]time.Duration
-	answered map[QueryID]time.Duration
+	execs  map[execKey]*exec
+	ledger ledger
 
 	// subs is the standing-query subscription table (standing.go).
 	// tableGen counts its insertions and deletions and attrGen the
@@ -43,7 +46,7 @@ type Node struct {
 	fe frontend
 
 	parseCache map[string]predicate.Expr
-	groupCache map[string]groupSpec
+	groupCache map[string]*groupEntry
 
 	targetsGen   int
 	targetsCache map[int][]pastry.BroadcastTarget
@@ -107,12 +110,11 @@ func NewNode(env simnet.Env, cfg Config, overlayCfg pastry.Config) *Node {
 		self:         env.Self(),
 		preds:        make(map[string]*predState),
 		byAttr:       make(map[string][]string),
-		execs:        make(map[seenKey]*exec),
-		seen:         make(map[seenKey]time.Duration),
-		answered:     make(map[QueryID]time.Duration),
+		execs:        make(map[execKey]*exec),
+		ledger:       newLedger(),
 		subs:         make(map[subKey]*subState),
 		parseCache:   make(map[string]predicate.Expr),
-		groupCache:   make(map[string]groupSpec),
+		groupCache:   make(map[string]*groupEntry),
 		targetsCache: make(map[int][]pastry.BroadcastTarget),
 		targetsGen:   -1,
 		subsGen:      -1,
@@ -134,6 +136,12 @@ func NewNode(env simnet.Env, cfg Config, overlayCfg pastry.Config) *Node {
 			t.SetFallback(env.After(d, fn))
 		}
 	}
+	if inc, ok := env.(interface{ Incarnation() uint64 }); ok {
+		// A node restarted under its old ID must not reuse the query
+		// numbers of its previous life: peers still remember those for
+		// SeenTTL and would answer them as replays.
+		n.qidCounter = inc.Incarnation()
+	}
 	n.overlay = pastry.New(env, overlayCfg)
 	n.overlay.Deliver = n.handleRouted
 	n.overlay.OnNodeRemoved = n.onPeerRemoved
@@ -154,7 +162,11 @@ func (n *Node) onPeerRemoved(dead ids.ID) {
 	if n.closed {
 		return
 	}
-	for _, ps := range n.preds {
+	// Both loops below send (status, install and response messages), and
+	// on the simulator every send draws from a shared latency stream: walk
+	// the maps in a fixed order so one seed gives one run.
+	for _, canon := range slices.Sorted(maps.Keys(n.preds)) {
+		ps := n.preds[canon]
 		changed := false
 		if _, ok := ps.children[dead]; ok {
 			delete(ps.children, dead)
@@ -189,6 +201,12 @@ func (n *Node) onPeerRemoved(dead ids.ID) {
 			}
 		}
 	}
+	slices.SortFunc(finished, func(a, b *exec) int {
+		return cmp.Or(
+			ids.Cmp(a.qid.Origin, b.qid.Origin),
+			cmp.Compare(a.qid.Num, b.qid.Num),
+			strings.Compare(a.group, b.group))
+	})
 	for _, ex := range finished {
 		ex.timer.Stop()
 		n.finishExec(ex)
@@ -423,25 +441,45 @@ func (n *Node) handleRouted(key ids.ID, payload any, origin ids.ID) {
 // ---------------------------------------------------------------------
 // Predicate state bookkeeping
 
-func (n *Node) groupSpecOf(canon string) (groupSpec, error) {
-	if g, ok := n.groupCache[canon]; ok {
-		return g, nil
+// groupEntry is a group interned at this node: its parsed spec, the
+// dense id the ledger records it by, and its predicate state (nil until
+// getPred creates it; dropPred clears it).
+type groupEntry struct {
+	spec groupSpec
+	id   uint32
+	ps   *predState
+}
+
+// groupOf resolves a group's wire form to its interned entry, parsing
+// it at first sight; a non-canonical spelling shares the entry of its
+// canonical form. Entries are never evicted, so ids are never reused.
+func (n *Node) groupOf(canon string) (*groupEntry, error) {
+	if ge, ok := n.groupCache[canon]; ok {
+		return ge, nil
 	}
 	g, err := parseGroupSpec(canon)
 	if err != nil {
-		return groupSpec{}, err
+		return nil, err
 	}
-	n.groupCache[canon] = g
-	return g, nil
+	ge, ok := n.groupCache[g.canon]
+	if !ok {
+		ge = &groupEntry{spec: g, id: uint32(len(n.groupCache))}
+		n.groupCache[g.canon] = ge
+	}
+	n.groupCache[canon] = ge
+	return ge, nil
 }
 
-func (n *Node) getPred(g groupSpec) *predState {
-	if ps, ok := n.predLookup(g.canon); ok {
+func (n *Node) getPred(ge *groupEntry) *predState {
+	if ps := ge.ps; ps != nil {
+		n.predMemoCanon, n.predMemoVal = ge.spec.canon, ps
 		return ps
 	}
+	g := ge.spec
 	ps := newPredState(g)
 	ps.evalLocal(n.store)
 	n.preds[g.canon] = ps
+	ge.ps = ps
 	n.predMemoCanon, n.predMemoVal = g.canon, ps
 	if g.expr != nil {
 		for _, a := range predicate.Attrs(g.expr) {
@@ -471,6 +509,7 @@ func (n *Node) dropPred(canon string) {
 		return
 	}
 	delete(n.preds, canon)
+	n.groupCache[canon].ps = nil
 	if n.predMemoVal == ps {
 		n.predMemoCanon, n.predMemoVal = "", nil
 	}
@@ -610,11 +649,11 @@ func (n *Node) maybeSendStatus(ps *predState) {
 // handleStatus merges a child's PRUNE/NO-PRUNE + updateSet report (§4,
 // §5) and reacts to any resulting observable change.
 func (n *Node) handleStatus(from ids.ID, sm StatusMsg) {
-	g, err := n.groupSpecOf(sm.Group)
+	ge, err := n.groupOf(sm.Group)
 	if err != nil {
 		return
 	}
-	ps := n.getPred(g)
+	ps := n.getPred(ge)
 	ps.children[from] = &childState{
 		Prune:     sm.Prune,
 		UpdateSet: append([]SetEntry(nil), sm.UpdateSet...),
@@ -649,22 +688,17 @@ type exec struct {
 	timer   simnet.Timer
 	// timeoutFn is the timeout closure, built once per pooled record.
 	timeoutFn func()
-	key       seenKey
+	key       execKey
 }
 
 // handleSubQuery starts dissemination at the tree root.
 func (n *Node) handleSubQuery(sq SubQueryMsg) {
-	if _, dup := n.seen[seenKey{sq.QID, sq.Group}]; dup {
+	ge, err := n.groupOf(sq.Group)
+	if err != nil || n.markSeen(sq.QID, ge.id) {
 		n.send(sq.ReplyTo, ResponseMsg{QID: sq.QID, Group: sq.Group, Dup: true})
 		return
 	}
-	n.markSeen(sq.QID, sq.Group)
-	g, err := n.groupSpecOf(sq.Group)
-	if err != nil {
-		n.send(sq.ReplyTo, ResponseMsg{QID: sq.QID, Group: sq.Group, Dup: true})
-		return
-	}
-	ps := n.getPred(g)
+	ps := n.getPred(ge)
 	ps.setLevel(0)
 	ps.hasParent = false
 	qm := QueryMsg{
@@ -690,13 +724,8 @@ func (n *Node) handleSubQuery(sq SubQueryMsg) {
 // handleQuery processes a query received from a tree parent or via an
 // SQP jump.
 func (n *Node) handleQuery(_ ids.ID, qm QueryMsg) {
-	if _, dup := n.seen[seenKey{qm.QID, qm.Group}]; dup {
-		n.send(qm.ReplyTo, ResponseMsg{QID: qm.QID, Group: qm.Group, Dup: true})
-		return
-	}
-	n.markSeen(qm.QID, qm.Group)
-	g, err := n.groupSpecOf(qm.Group)
-	if err != nil {
+	ge, err := n.groupOf(qm.Group)
+	if err != nil || n.markSeen(qm.QID, ge.id) {
 		n.send(qm.ReplyTo, ResponseMsg{QID: qm.QID, Group: qm.Group, Dup: true})
 		return
 	}
@@ -704,7 +733,7 @@ func (n *Node) handleQuery(_ ids.ID, qm QueryMsg) {
 		n.disseminateGlobal(qm)
 		return
 	}
-	ps := n.getPred(g)
+	ps := n.getPred(ge)
 	ps.touch(n.env.Now())
 	if ps.level < 0 || qm.Level < ps.level {
 		ps.setLevel(qm.Level)
@@ -766,7 +795,7 @@ func (n *Node) disseminate(ps *predState, qm QueryMsg, replyTo ids.ID) {
 	if ex.pending == nil {
 		ex.pending = make(map[ids.ID]bool, len(targets))
 	}
-	n.execs[seenKey{qm.QID, qm.Group}] = ex
+	n.execs[execKey{qm.QID, qm.Group}] = ex
 	fwd := qm
 	fwd.ReplyTo = n.self
 	for _, t := range targets {
@@ -781,7 +810,7 @@ func (n *Node) disseminate(ps *predState, qm QueryMsg, replyTo ids.ID) {
 // armExecTimeout starts the child-timeout clock for an in-flight
 // aggregation, reusing the pooled record's closure and timer slot.
 func (n *Node) armExecTimeout(ex *exec, qm QueryMsg) {
-	ex.key = seenKey{qm.QID, qm.Group}
+	ex.key = execKey{qm.QID, qm.Group}
 	if ex.timeoutFn == nil {
 		ex.timeoutFn = func() { n.execTimeout(ex.key) }
 	}
@@ -811,7 +840,7 @@ func (n *Node) disseminateGlobal(qm QueryMsg) {
 	if ex.pending == nil {
 		ex.pending = make(map[ids.ID]bool, len(targets))
 	}
-	n.execs[seenKey{qm.QID, qm.Group}] = ex
+	n.execs[execKey{qm.QID, qm.Group}] = ex
 	fwd := qm
 	fwd.ReplyTo = n.self
 	for _, t := range targets {
@@ -903,7 +932,7 @@ func (n *Node) groupKey(groupBy string) string {
 
 // handleResponse merges a child's partial aggregate.
 func (n *Node) handleResponse(from ids.ID, rm ResponseMsg) {
-	ex, ok := n.execs[seenKey{rm.QID, rm.Group}]
+	ex, ok := n.execs[execKey{rm.QID, rm.Group}]
 	if !ok || !ex.pending[from] {
 		n.fe.handleQueryResp(from, rm)
 		return
@@ -944,7 +973,7 @@ func (n *Node) handleResponse(from ids.ID, rm ResponseMsg) {
 
 // execTimeout finalizes an aggregation that is still missing children
 // (§7: queries complete independent of failure-detection timeouts).
-func (n *Node) execTimeout(key seenKey) {
+func (n *Node) execTimeout(key execKey) {
 	ex, ok := n.execs[key]
 	if !ok {
 		return
@@ -953,7 +982,7 @@ func (n *Node) execTimeout(key seenKey) {
 }
 
 func (n *Node) finishExec(ex *exec) {
-	delete(n.execs, seenKey{ex.qid, ex.group})
+	delete(n.execs, execKey{ex.qid, ex.group})
 	np, unknown := 0, 0.0
 	if ps, ok := n.predLookup(ex.group); ok {
 		np, unknown = ps.np, ps.unknown
@@ -995,25 +1024,25 @@ func (n *Node) handleProbe(pm ProbeMsg) {
 // ---------------------------------------------------------------------
 // Housekeeping
 
-func (n *Node) markSeen(qid QueryID, group string) {
-	n.seen[seenKey{qid, group}] = n.env.Now()
+// markSeen records that qid arrived through the tree interned as gid
+// and reports whether it already had: a replay, which the caller
+// answers Dup instead of forwarding it again.
+func (n *Node) markSeen(qid QueryID, gid uint32) bool {
+	if n.ledger.arrive(qid, gid) {
+		return true
+	}
 	n.armGC()
+	return false
 }
 
 // claimAnswer reserves the right to contribute this node's local value
 // to the query: a node present in several trees of a composite cover
 // answers exactly once (§6.2).
-func (n *Node) claimAnswer(qid QueryID) bool {
-	if _, done := n.answered[qid]; done {
-		return false
-	}
-	n.answered[qid] = n.env.Now()
-	return true
-}
+func (n *Node) claimAnswer(qid QueryID) bool { return n.ledger.claim(qid) }
 
-// armGC schedules the periodic sweep that expires answered-query IDs
-// (§6.2's 5-minute cache) and garbage-collects idle NO-UPDATE state
-// (§4 "State Maintenance").
+// armGC schedules the periodic sweep that rotates the answer-once
+// memory (§6.2's 5-minute cache) and garbage-collects idle NO-UPDATE
+// state (§4 "State Maintenance").
 func (n *Node) armGC() {
 	if n.gcArmed || n.closed {
 		return
@@ -1029,11 +1058,10 @@ func (n *Node) armGC() {
 	n.gcCancel = n.env.After(period, func() {
 		n.gcArmed = false
 		n.sweep()
-		// Re-arm only while something remains collectible: seen/answered
-		// entries always expire; predicate state only when StateTTL is
+		// Re-arm only while something remains collectible: remembered
+		// query IDs always expire; predicate state only when StateTTL is
 		// set (otherwise an idle node would tick forever).
-		if len(n.seen) > 0 || len(n.answered) > 0 ||
-			(n.cfg.StateTTL > 0 && len(n.preds) > 0) {
+		if !n.ledger.empty() || (n.cfg.StateTTL > 0 && len(n.preds) > 0) {
 			n.armGC()
 		}
 	})
@@ -1041,16 +1069,7 @@ func (n *Node) armGC() {
 
 func (n *Node) sweep() {
 	now := n.env.Now()
-	for k, at := range n.seen {
-		if now-at > n.cfg.SeenTTL {
-			delete(n.seen, k)
-		}
-	}
-	for qid, at := range n.answered {
-		if now-at > n.cfg.SeenTTL {
-			delete(n.answered, qid)
-		}
-	}
+	n.ledger.rotate(now, n.cfg.SeenTTL)
 	if n.cfg.StateTTL <= 0 {
 		return
 	}

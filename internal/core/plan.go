@@ -6,10 +6,10 @@ import (
 	"github.com/moara/moara/internal/predicate"
 )
 
-// seenKey deduplicates query dissemination per (query, tree): a node in
-// several trees of one cover forwards the query in each tree but
-// contributes its local value only once (tracked separately).
-type seenKey struct {
+// execKey names one in-flight aggregation: a node in several trees of
+// one cover runs one per tree (the ledger records which trees a query
+// arrived through, and that the node contributed only once).
+type execKey struct {
 	qid   QueryID
 	group string
 }

@@ -193,7 +193,7 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 	if sm.Period <= 0 {
 		return
 	}
-	g, err := n.groupSpecOf(sm.Group)
+	ge, err := n.groupOf(sm.Group)
 	if err != nil {
 		return
 	}
@@ -202,13 +202,13 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 	if ok && sm.Gen < sub.gen {
 		return
 	}
-	ps := n.getPred(g)
+	ps := n.getPred(ge)
 	ps.setLevel(0)
 	ps.hasParent = false
 	if !ok {
 		sub = &subState{
 			sid:     sm.SID,
-			group:   g,
+			group:   ge.spec,
 			targets: make(map[ids.ID]bool),
 		}
 		n.subs[key] = sub
@@ -268,7 +268,7 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 	if im.Period <= 0 {
 		return
 	}
-	g, err := n.groupSpecOf(im.Group)
+	ge, err := n.groupOf(im.Group)
 	if err != nil {
 		return
 	}
@@ -281,7 +281,7 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 		// the rebuilt tree, nor keep stale leases alive.
 		return
 	}
-	ps := n.getPred(g)
+	ps := n.getPred(ge)
 	ps.touch(n.env.Now())
 	if ok && im.Gen > sub.gen {
 		// A new renewal round re-assigns tree positions: after a root
@@ -304,7 +304,7 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 	if !ok {
 		sub = &subState{
 			sid:     im.SID,
-			group:   g,
+			group:   ge.spec,
 			targets: make(map[ids.ID]bool),
 		}
 		n.subs[key] = sub

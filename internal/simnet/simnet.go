@@ -267,6 +267,8 @@ type Options struct {
 	// CPUOf, when non-nil with SerializeProc, maps nodes to shared
 	// CPUs: the paper's Emulab testbed ran 10 Moara instances per
 	// physical machine, so co-located instances contend for one CPU.
+	// It must be a pure function of the ID: a registered node's CPU is
+	// evaluated once, at AddNode.
 	CPUOf func(id ids.ID) int
 	// Shards >= 2 selects the sharded conservative-lookahead scheduler
 	// (see shard.go): nodes are partitioned round-robin across Shards
@@ -347,7 +349,11 @@ func (n *Network) AddNode(id ids.ID) *nodeEnv {
 		net: n,
 		id:  id,
 		idx: len(n.envs),
+		cpu: len(n.envs),
 		rng: rand.New(rand.NewSource(n.opts.Seed ^ int64(idSeed(id)))),
+	}
+	if n.opts.CPUOf != nil {
+		env.cpu = n.opts.CPUOf(id)
 	}
 	if n.sharded != nil {
 		env.shard = n.sharded.shards[env.idx%len(n.sharded.shards)]
@@ -599,12 +605,13 @@ func (n *Network) send(from *nodeEnv, to ids.ID, m any) {
 	if n.opts.ProcJitter > 0 {
 		proc += time.Duration(n.rng.Int63n(int64(n.opts.ProcJitter)))
 	}
+	dst := n.nodes[to]
 	deliverAt := n.now + lat + proc
 	if n.opts.SerializeProc && proc > 0 {
 		// The message waits for the receiver's CPU to finish earlier
 		// work, then occupies it for proc. CPUs may be shared between
 		// co-located instances (Emulab: 10 per machine).
-		deliverAt = n.serializeOn(to, n.now+lat, proc)
+		deliverAt = n.serializeOn(dst, to, n.now+lat, proc)
 	}
 	ev := n.newEvent()
 	ev.at = deliverAt
@@ -612,7 +619,7 @@ func (n *Network) send(from *nodeEnv, to ids.ID, m any) {
 	ev.delivery = true
 	ev.from = from.id
 	ev.to = to
-	ev.envTo = n.nodes[to]
+	ev.envTo = dst
 	ev.m = m
 	ev.logical = logical
 	n.seq++
@@ -623,19 +630,22 @@ func (n *Network) send(from *nodeEnv, to ids.ID, m any) {
 // and returns the completion time. The CPU is the destination's own
 // dense index by default, or the configured CPU number under
 // co-location; out-of-range CPU numbers (e.g. a CPUOf returning -1 for
-// unknown nodes) and unregistered destinations fall back to a map.
-func (n *Network) serializeOn(to ids.ID, arrival, proc time.Duration) time.Duration {
-	if n.opts.CPUOf != nil {
-		cpu := n.opts.CPUOf(to)
-		if cpu >= 0 && cpu < 1<<20 {
-			return n.busyDense(cpu, arrival, proc)
-		}
-		return n.busyMap(int64(cpu), arrival, proc)
+// unknown nodes) and unregistered destinations (dst nil) fall back to
+// a map.
+func (n *Network) serializeOn(dst *nodeEnv, to ids.ID, arrival, proc time.Duration) time.Duration {
+	var cpu int
+	switch {
+	case dst != nil:
+		cpu = dst.cpu
+	case n.opts.CPUOf != nil:
+		cpu = n.opts.CPUOf(to)
+	default:
+		return n.busyMap(int64(idSeed(to)), arrival, proc)
 	}
-	if dst, ok := n.nodes[to]; ok {
-		return n.busyDense(dst.idx, arrival, proc)
+	if cpu >= 0 && cpu < 1<<20 {
+		return n.busyDense(cpu, arrival, proc)
 	}
-	return n.busyMap(int64(idSeed(to)), arrival, proc)
+	return n.busyMap(int64(cpu), arrival, proc)
 }
 
 func (n *Network) busyDense(cpu int, arrival, proc time.Duration) time.Duration {
@@ -681,9 +691,12 @@ func (n *Network) deliver(from, to ids.ID, m any, logical int64, dst *nodeEnv) {
 
 // nodeEnv implements Env for one simulated node.
 type nodeEnv struct {
-	net     *Network
-	id      ids.ID
-	idx     int
+	net *Network
+	id  ids.ID
+	idx int
+	// cpu is the SerializeProc CPU the node runs on: CPUOf(id), or idx
+	// without co-location.
+	cpu     int
 	down    bool
 	removed bool
 	rng     *rand.Rand

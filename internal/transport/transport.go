@@ -612,3 +612,9 @@ func (e nodeEnv) Now() time.Duration { return time.Since(e.n.start) }
 
 // Rand returns the node's random source.
 func (e nodeEnv) Rand() *rand.Rand { return e.n.rng }
+
+// Incarnation is the wall-clock nanosecond stamp taken at Listen. The
+// core numbers its queries from it, so an agent restarted on the same
+// address — and so under the same ID — never reissues a query ID its
+// peers still remember from the previous run.
+func (e nodeEnv) Incarnation() uint64 { return uint64(e.n.start.UnixNano()) }

@@ -123,6 +123,38 @@ func TestTCPRepeatedQueriesPrune(t *testing.T) {
 	}
 }
 
+// TestRestartIncarnationIncreases: an agent listening again on its old
+// address keeps its ID, so its queries must be numbered past the last
+// life's — from an incarnation stamp that grows across Listens.
+func TestRestartIncarnationIncreases(t *testing.T) {
+	first, err := Listen("127.0.0.1:0", nil, Options{})
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	addr, stamp := first.Addr(), nodeEnv{first}.Incarnation()
+	first.Close()
+	second, err := Listen(addr, nil, Options{})
+	if err != nil {
+		t.Fatalf("listen again on %s: %v", addr, err)
+	}
+	defer second.Close()
+	if second.ID() != first.ID() {
+		t.Fatal("restart on the same address changed the ID")
+	}
+	next := nodeEnv{second}.Incarnation()
+	if next <= stamp {
+		t.Fatalf("incarnation %d after %d: not increasing", next, stamp)
+	}
+	sub, err := second.Subscribe(context.Background(), "sum(a) every 1s", func(core.Sample) {})
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	defer sub.Unsubscribe()
+	if sub.ID().Num <= next {
+		t.Fatalf("first query ID %v not numbered past incarnation %d", sub.ID(), next)
+	}
+}
+
 func TestTCPQueryTimeoutOnBadRequest(t *testing.T) {
 	nodes := startCluster(t, 3, core.Config{})
 	if _, err := query(nodes[0], "bogus query text", time.Second); err == nil {

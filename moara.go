@@ -294,6 +294,10 @@ func (s *SimCluster) Trees(i int) []core.TreeInfo { return s.c.Nodes[i].Trees() 
 // Subs snapshots node i's standing-subscription table for inspection.
 func (s *SimCluster) Subs(i int) []core.SubInfo { return s.c.Nodes[i].Subs() }
 
+// Remembered reports how many query IDs node i's answer-once memory
+// (§6.2) holds.
+func (s *SimCluster) Remembered(i int) int { return s.c.Nodes[i].Remembered() }
+
 // IndexOfShort resolves an 8-hex-digit short node ID (as printed in
 // enum/top-k results) back to a node index, or -1.
 func (s *SimCluster) IndexOfShort(short string) int {
