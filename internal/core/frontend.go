@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/moara/moara/internal/aggregate"
@@ -155,11 +158,11 @@ type feQuery struct {
 	costs  map[string]float64
 	probes *probeRound
 
-	groupsPending map[string]bool
-	agg           *aggregate.GroupedState
-	contrib       int64
-	expected      float64
-	queryCancel   func()
+	// answers holds each cover tree's root answer, sorted by group canon
+	// (QID stays zero until the root answers); finish merges them in
+	// that order, whatever order the roots answered in.
+	answers     []ResponseMsg
+	queryCancel func()
 
 	stats        ExecStats
 	startAt      time.Duration
@@ -183,15 +186,19 @@ func (fe *frontend) init(n *Node) {
 // abandoned mid-flight fall back to conservative costs at the next
 // renewal.
 func (fe *frontend) recover() {
-	// Snapshot first: a callback may issue a fresh query.
-	inflight := make([]*feQuery, 0, len(fe.pending))
-	for _, fq := range fe.pending {
-		inflight = append(inflight, fq)
-	}
+	// Snapshot first (a callback may issue a fresh query), and walk both
+	// tables in id order: the callbacks and timers below must not run in
+	// map order.
+	inflight := slices.SortedFunc(maps.Values(fe.pending), func(a, b *feQuery) int {
+		return compareQID(a.qid, b.qid)
+	})
 	for _, fq := range inflight {
 		fq.finish(fe.n, nil)
 	}
-	for _, fs := range fe.subs {
+	subs := slices.SortedFunc(maps.Values(fe.subs), func(a, b *feSub) int {
+		return compareQID(a.sid, b.sid)
+	})
+	for _, fs := range subs {
 		// A probe timeout armed before the crash can still be pending
 		// (timers are only dropped if they fire during the outage); left
 		// armed, it would abort the next renewal's probe round with stale
@@ -256,7 +263,6 @@ func (fe *frontend) execute(req Request, cb func(Result, error)) {
 		cb:      cb,
 		plan:    plan,
 		costs:   make(map[string]float64),
-		agg:     aggregate.NewGrouped(req.Spec, n.cfg.MaxGroupKeys),
 		startAt: n.env.Now(),
 	}
 	fq.stats.FellBack = plan.fellBack
@@ -357,17 +363,12 @@ func (fe *frontend) handleProbeResp(m ProbeRespMsg) {
 	}
 }
 
-// chooseCover picks a cover per the configured policy: cheapest by
-// probed cost (Moara, breaking ties toward fewer groups and then
-// lexicographic order), every group (CoverAll ablation), or the most
-// expensive (CoverDearest ablation).
-func (fe *frontend) chooseCover(fq *feQuery) []groupSpec {
-	return fe.chooseCoverFrom(fq.plan, fq.costs)
-}
-
-// chooseCoverFrom is the policy core shared by one-shot queries and
-// standing-query (re-)installs.
-func (fe *frontend) chooseCoverFrom(plan queryPlan, costs map[string]float64) []groupSpec {
+// chooseCover picks a cover per the configured policy, for one-shot
+// queries and standing-query (re-)installs alike: cheapest by probed
+// cost (Moara, breaking ties toward fewer groups and then lexicographic
+// order), every group (CoverAll ablation), or the most expensive
+// (CoverDearest ablation).
+func (fe *frontend) chooseCover(plan queryPlan, costs map[string]float64) []groupSpec {
 	n := fe.n
 	if n.cfg.Covers == CoverAll {
 		return plan.distinctGroupsOfPlan()
@@ -401,18 +402,18 @@ func (fe *frontend) chooseCoverFrom(plan queryPlan, costs map[string]float64) []
 
 func (fe *frontend) startSubQueries(fq *feQuery) {
 	n := fe.n
-	cover := fe.chooseCover(fq)
+	cover := fe.chooseCover(fq.plan, fq.costs)
 	fq.stats.Chosen = coverCanons(cover)
 	fq.stats.Costs = fq.costs
 	fq.queryStartAt = n.env.Now()
 	fq.stats.ProbeTime = fq.queryStartAt - fq.startAt
-	fq.groupsPending = make(map[string]bool, len(cover))
+	fq.answers = make([]ResponseMsg, 0, len(cover))
 	for _, g := range cover {
 		eval := fq.plan.evalCanon
 		if eval == g.canon {
 			eval = ""
 		}
-		fq.groupsPending[g.canon] = true
+		fq.answers = append(fq.answers, ResponseMsg{Group: g.canon})
 		n.overlay.Route(g.treeKey(), SubQueryMsg{
 			QID:     fq.qid,
 			Group:   g.canon,
@@ -423,6 +424,7 @@ func (fe *frontend) startSubQueries(fq *feQuery) {
 			ReplyTo: n.self,
 		})
 	}
+	slices.SortFunc(fq.answers, func(a, b ResponseMsg) int { return strings.Compare(a.Group, b.Group) })
 	fq.queryCancel = n.env.After(n.cfg.QueryTimeout, func() {
 		if !fq.done {
 			fq.finish(n, nil)
@@ -430,25 +432,21 @@ func (fe *frontend) startSubQueries(fq *feQuery) {
 	})
 }
 
-// handleQueryResp consumes a tree root's aggregated answer.
+// handleQueryResp files a tree root's aggregated answer in its cover
+// slot; finish merges the slots.
 func (fe *frontend) handleQueryResp(_ ids.ID, rm ResponseMsg) {
 	fq, ok := fe.pending[rm.QID]
-	if !ok || !fq.groupsPending[rm.Group] {
+	if !ok {
 		return
 	}
-	delete(fq.groupsPending, rm.Group)
-	if !rm.Dup && rm.State != nil {
-		_ = fq.agg.Merge(rm.State)
-		aggregate.Recycle(rm.State)
+	i, ok := slices.BinarySearchFunc(fq.answers, rm.Group, func(a ResponseMsg, canon string) int {
+		return strings.Compare(a.Group, canon)
+	})
+	if !ok || fq.answers[i].QID == rm.QID {
+		return
 	}
-	if !rm.Dup {
-		// Each tree root's response carries the subtree members that
-		// answered plus the root's population estimate (np piggyback),
-		// which at the root spans the whole tree.
-		fq.contrib += rm.Contributors
-		fq.expected += float64(rm.Np) + rm.Unknown
-	}
-	if len(fq.groupsPending) == 0 {
+	fq.answers[i] = rm
+	if !slices.ContainsFunc(fq.answers, func(a ResponseMsg) bool { return a.QID != rm.QID }) {
 		fq.finish(fe.n, nil)
 	}
 }
@@ -471,15 +469,26 @@ func (fq *feQuery) finish(n *Node, err error) {
 			fq.stats.QueryTime = 0
 		}
 	}
-	res := Result{
-		Agg:          fq.agg.Result(),
-		Contributors: fq.contrib,
-		Expected:     fq.expected,
+	agg := aggregate.NewGrouped(fq.req.Spec, n.cfg.MaxGroupKeys)
+	var res Result
+	for _, a := range fq.answers {
+		if a.Dup {
+			continue
+		}
+		if a.State != nil {
+			_ = agg.Merge(a.State)
+			aggregate.Recycle(a.State)
+		}
+		// Each root's answer carries the members that answered and its
+		// population estimate (np piggyback), which spans the whole tree.
+		res.Contributors += a.Contributors
+		res.Expected += float64(a.Np) + a.Unknown
 	}
+	res.Agg = agg.Result()
 	if fq.req.GroupBy != "" {
-		res.Groups = fq.agg.Results()
-		res.Truncated = fq.agg.Truncated()
-		fq.stats.GroupKeys = fq.agg.KeyCount()
+		res.Groups = agg.Results()
+		res.Truncated = agg.Truncated()
+		fq.stats.GroupKeys = agg.KeyCount()
 	}
 	res.Stats = fq.stats
 	fq.cb(res, err)

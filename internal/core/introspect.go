@@ -109,10 +109,16 @@ func (n *Node) Subs() []SubInfo {
 			parent = sub.parent.Short()
 		}
 		contrib := sub.builtSelf
-		reporters := make([]string, 0, len(sub.reports))
-		for _, rep := range sub.reports {
-			contrib += rep.contrib
-			reporters = append(reporters, rep.from.Short())
+		targets := 0
+		reporters := make([]string, 0, len(sub.kids))
+		for _, s := range sub.kids {
+			if s.expected {
+				targets++
+			}
+			if s.has {
+				contrib += s.contrib
+				reporters = append(reporters, s.id.Short())
+			}
 		}
 		sort.Strings(reporters)
 		out = append(out, SubInfo{
@@ -121,8 +127,8 @@ func (n *Node) Subs() []SubInfo {
 			Root:         sub.root,
 			Period:       sub.period,
 			Epoch:        sub.epoch,
-			Children:     len(sub.reports),
-			Targets:      len(sub.targets),
+			Children:     len(reporters),
+			Targets:      targets,
 			Parent:       parent,
 			Orphaned:     sub.orphaned,
 			Gen:          sub.gen,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -18,6 +19,11 @@ type QueryID struct {
 
 // String renders the query ID.
 func (q QueryID) String() string { return fmt.Sprintf("%s#%d", q.Origin.Short(), q.Num) }
+
+// compareQID orders query IDs by origin, then number.
+func compareQID(a, b QueryID) int {
+	return cmp.Or(ids.Cmp(a.Origin, b.Origin), cmp.Compare(a.Num, b.Num))
+}
 
 // SetEntry is one member of an updateSet or qSet: a node plus the
 // broadcast level it operates at (so SQP jumps carry enough context for

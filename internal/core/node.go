@@ -82,10 +82,11 @@ type Node struct {
 	predMemoCanon string
 	predMemoVal   *predState
 
-	// targetScratch is reused by disseminate to build the per-query
-	// forward list (consumed synchronously before the call returns).
+	// targetScratch backs queryTargets' list and subScratch subsOf's;
+	// each is consumed before the next call.
 	targetScratch []SetEntry
-	// freeExecs recycles finished exec records and their pending maps.
+	subScratch    []*subState
+	// freeExecs recycles finished exec records and their child tables.
 	freeExecs []*exec
 
 	qidCounter uint64
@@ -185,27 +186,25 @@ func (n *Node) onPeerRemoved(dead ids.ID) {
 			n.onStateChange(ps)
 		}
 	}
+	// A standing entry forgets the dead child; a one-shot keeps what it
+	// already answered.
 	for _, sub := range n.subs {
-		sub.dropReport(dead)
-		delete(sub.targets, dead)
+		sub.changed = sub.kids.remove(dead) || sub.changed
 		if !sub.root && sub.parent == dead {
 			sub.orphaned = true
 		}
 	}
 	var finished []*exec
 	for _, ex := range n.execs {
-		if ex.pending[dead] {
-			delete(ex.pending, dead)
-			if len(ex.pending) == 0 {
+		if i, ok := ex.kids.find(dead); ok && ex.kids[i].expected {
+			ex.kids[i].expected = false
+			if !ex.kids.waiting() {
 				finished = append(finished, ex)
 			}
 		}
 	}
 	slices.SortFunc(finished, func(a, b *exec) int {
-		return cmp.Or(
-			ids.Cmp(a.qid.Origin, b.qid.Origin),
-			cmp.Compare(a.qid.Num, b.qid.Num),
-			strings.Compare(a.group, b.group))
+		return cmp.Or(compareQID(a.qid, b.qid), strings.Compare(a.group, b.group))
 	})
 	for _, ex := range finished {
 		ex.timer.Stop()
@@ -276,7 +275,8 @@ func (n *Node) Recover(bootstrap ids.ID) {
 	}
 	n.gcArmed = false
 	n.armGC()
-	for _, sub := range n.subs {
+	// Timers armed for the same grid instant fire in arm order.
+	for _, sub := range n.subsOf("") {
 		sub.tick.Stop()
 		n.armEpoch(sub)
 	}
@@ -407,7 +407,7 @@ func (n *Node) maybeResyncSubs() {
 		return
 	}
 	n.subsGen = g
-	for _, sub := range n.subs {
+	for _, sub := range n.subsOf("") {
 		ps := n.preds[sub.group.canon]
 		if ps == nil && n.cfg.Mode != ModeGlobal {
 			continue
@@ -672,7 +672,10 @@ func (n *Node) handleStatus(from ids.ID, sm StatusMsg) {
 
 // exec tracks one in-flight query aggregation at this node. Every query
 // — scalar or grouped — accumulates through the keyed engine; a scalar
-// query is the single-key (ScalarKey) special case.
+// query is the single-key (ScalarKey) special case. Its children sit in
+// the id-ordered childTable a standing entry keeps: responses are filed,
+// and finishExec folds them once, after the local contribution, in
+// child-id order, so the answer does not depend on arrival order.
 type exec struct {
 	qid     QueryID
 	group   string
@@ -684,7 +687,7 @@ type exec struct {
 	// contrib counts members that answered in this subtree (completeness
 	// accounting; a member without the query attribute still counts).
 	contrib int64
-	pending map[ids.ID]bool
+	kids    childTable
 	timer   simnet.Timer
 	// timeoutFn is the timeout closure, built once per pooled record.
 	timeoutFn func()
@@ -730,7 +733,8 @@ func (n *Node) handleQuery(_ ids.ID, qm QueryMsg) {
 		return
 	}
 	if n.cfg.Mode == ModeGlobal {
-		n.disseminateGlobal(qm)
+		// The stateless Global baseline: no group state anywhere.
+		n.disseminate(nil, qm, qm.ReplyTo)
 		return
 	}
 	ps := n.getPred(ge)
@@ -759,13 +763,45 @@ func (n *Node) handleQuery(_ ids.ID, qm QueryMsg) {
 }
 
 // disseminate forwards the query to this node's current query targets
-// and aggregates their responses plus the local contribution. The
-// target list is consumed before the call returns, so it lives in a
-// per-node scratch buffer; exec records are pooled.
+// and aggregates their responses plus the local contribution; exec
+// records are pooled. ps is nil for the stateless Global baseline.
 func (n *Node) disseminate(ps *predState, qm QueryMsg, replyTo ids.ID) {
+	ex := n.newExec()
+	ex.qid = qm.QID
+	ex.group = qm.Group
+	ex.attrKey = qm.Attr
+	ex.spec = qm.Spec
+	ex.groupBy = qm.GroupBy
+	ex.replyTo = replyTo
+	ex.state = aggregate.NewGrouped(qm.Spec, n.cfg.MaxGroupKeys)
+	if n.evalLocal(ps, qm.Eval, qm.Group) && n.claimAnswer(qm.QID) {
+		ex.contrib++
+		ex.state.AddKeyed(n.self, n.groupKey(qm.GroupBy), n.localValue(qm.Attr))
+	}
+	targets := n.queryTargets(ps, qm.Level)
+	if len(targets) == 0 {
+		n.finishExec(ex)
+		return
+	}
+	n.execs[execKey{qm.QID, qm.Group}] = ex
+	fwd := qm
+	fwd.ReplyTo = n.self
+	for _, t := range targets {
+		ex.kids.expect(t.ID)
+		fwd.Level = t.Level
+		fwd.Jump = t.Jump
+		n.send(t.ID, fwd)
+	}
+	n.armExecTimeout(ex, qm)
+}
+
+// queryTargets lists the children a query or subscription goes to: the
+// group tree's query target set, or under ModeGlobal the broadcast tree
+// below level. It lives in a scratch buffer valid until the next call.
+func (n *Node) queryTargets(ps *predState, level int) []SetEntry {
 	targets := n.targetScratch[:0]
 	if n.cfg.Mode == ModeGlobal {
-		for _, bt := range n.structural(qm.Level) {
+		for _, bt := range n.structural(level) {
 			targets = append(targets, SetEntry{ID: bt.ID, Level: bt.Level})
 		}
 	} else {
@@ -776,82 +812,26 @@ func (n *Node) disseminate(ps *predState, qm QueryMsg, replyTo ids.ID) {
 		}
 	}
 	n.targetScratch = targets
-	ex := n.newExec()
-	ex.qid = qm.QID
-	ex.group = qm.Group
-	ex.attrKey = qm.Attr
-	ex.spec = qm.Spec
-	ex.groupBy = qm.GroupBy
-	ex.replyTo = replyTo
-	ex.state = aggregate.NewGrouped(qm.Spec, n.cfg.MaxGroupKeys)
-	if n.evalQuery(ps, qm) && n.claimAnswer(qm.QID) {
-		ex.contrib++
-		ex.state.AddKeyed(n.self, n.groupKey(qm.GroupBy), n.localValue(qm.Attr))
-	}
-	if len(targets) == 0 {
-		n.finishExec(ex)
-		return
-	}
-	if ex.pending == nil {
-		ex.pending = make(map[ids.ID]bool, len(targets))
-	}
-	n.execs[execKey{qm.QID, qm.Group}] = ex
-	fwd := qm
-	fwd.ReplyTo = n.self
-	for _, t := range targets {
-		ex.pending[t.ID] = true
-		fwd.Level = t.Level
-		fwd.Jump = t.Jump
-		n.send(t.ID, fwd)
-	}
-	n.armExecTimeout(ex, qm)
+	return targets
 }
 
 // armExecTimeout starts the child-timeout clock for an in-flight
-// aggregation, reusing the pooled record's closure and timer slot.
+// aggregation, reusing the pooled record's closure and timer slot. At
+// the timeout the aggregation finishes with the children it has (§7:
+// queries complete independent of failure-detection timeouts).
 func (n *Node) armExecTimeout(ex *exec, qm QueryMsg) {
 	ex.key = execKey{qm.QID, qm.Group}
 	if ex.timeoutFn == nil {
-		ex.timeoutFn = func() { n.execTimeout(ex.key) }
+		ex.timeoutFn = func() {
+			if n.execs[ex.key] == ex {
+				n.finishExec(ex)
+			}
+		}
 	}
 	n.armFn(n.cfg.ChildTimeout, ex.timeoutFn, &ex.timer)
 }
 
-// disseminateGlobal is the stateless Global baseline: forward down the
-// full broadcast tree, no group state anywhere.
-func (n *Node) disseminateGlobal(qm QueryMsg) {
-	ex := n.newExec()
-	ex.qid = qm.QID
-	ex.group = qm.Group
-	ex.attrKey = qm.Attr
-	ex.spec = qm.Spec
-	ex.groupBy = qm.GroupBy
-	ex.replyTo = qm.ReplyTo
-	ex.state = aggregate.NewGrouped(qm.Spec, n.cfg.MaxGroupKeys)
-	if n.evalGlobal(qm) && n.claimAnswer(qm.QID) {
-		ex.contrib++
-		ex.state.AddKeyed(n.self, n.groupKey(qm.GroupBy), n.localValue(qm.Attr))
-	}
-	targets := n.structural(qm.Level)
-	if len(targets) == 0 {
-		n.finishExec(ex)
-		return
-	}
-	if ex.pending == nil {
-		ex.pending = make(map[ids.ID]bool, len(targets))
-	}
-	n.execs[execKey{qm.QID, qm.Group}] = ex
-	fwd := qm
-	fwd.ReplyTo = n.self
-	for _, t := range targets {
-		ex.pending[t.ID] = true
-		fwd.Level = t.Level
-		n.send(t.ID, fwd)
-	}
-	n.armExecTimeout(ex, qm)
-}
-
-// newExec takes an exec record from the pool; its pending map (if any)
+// newExec takes an exec record from the pool; its child table (if any)
 // arrives empty.
 func (n *Node) newExec() *exec {
 	if k := len(n.freeExecs); k > 0 {
@@ -862,25 +842,18 @@ func (n *Node) newExec() *exec {
 	return &exec{}
 }
 
-// evalQuery evaluates the query's full predicate locally.
-func (n *Node) evalQuery(ps *predState, qm QueryMsg) bool {
-	if qm.Eval == "" {
-		return ps.satLocal
-	}
-	e, err := n.parseCached(qm.Eval)
-	if err != nil {
-		return false
-	}
-	return e.Eval(n.store)
-}
-
-func (n *Node) evalGlobal(qm QueryMsg) bool {
-	eval := qm.Eval
+// evalLocal evaluates a query's full predicate at this node: eval, or
+// when it is empty the group predicate, read off the group state ps
+// when there is one (the stateless Global baseline keeps none).
+func (n *Node) evalLocal(ps *predState, eval, group string) bool {
 	if eval == "" {
-		eval = qm.Group
-	}
-	if eval == "" || eval[0] == '*' {
-		return true
+		if ps != nil {
+			return ps.satLocal
+		}
+		if group == "" || group[0] == '*' {
+			return true
+		}
+		eval = group
 	}
 	e, err := n.parseCached(eval)
 	if err != nil {
@@ -930,59 +903,38 @@ func (n *Node) groupKey(groupBy string) string {
 	return key
 }
 
-// handleResponse merges a child's partial aggregate.
+// handleResponse files a child's partial aggregate in its slot; the
+// merge waits for finishExec.
 func (n *Node) handleResponse(from ids.ID, rm ResponseMsg) {
 	ex, ok := n.execs[execKey{rm.QID, rm.Group}]
-	if !ok || !ex.pending[from] {
+	i := 0
+	if ok {
+		i, ok = ex.kids.find(from)
+	}
+	if !ok || !ex.kids[i].expected {
 		n.fe.handleQueryResp(from, rm)
 		return
 	}
-	delete(ex.pending, from)
-	if !rm.Dup && rm.State != nil {
-		_ = ex.state.Merge(rm.State)
-		// The child's partial is fully folded in (merges copy values,
-		// never alias); recycle it for this node's next send.
-		aggregate.Recycle(rm.State)
-	}
+	c := childSlot{id: from}
 	if !rm.Dup {
+		c.state, c.contrib = rm.State, rm.Contributors
 		ex.contrib += rm.Contributors
+		n.noteChildCost(ex.group, from, rm.Np, rm.Unknown)
 	}
-	// Refresh the child's lazily maintained subtree cost (§6.3): np
-	// piggybacks on every query response, reaching ancestors even from
-	// children that never send status updates (NO-UPDATE).
-	if !rm.Dup {
-		if ps, psOK := n.predLookup(ex.group); psOK {
-			switch cs := ps.children[from]; {
-			case cs == nil:
-				ps.children[from] = &childState{NpOnly: true, Np: rm.Np, Unknown: rm.Unknown}
-				ps.dirty = true
-			case cs.NpOnly || !cs.Prune:
-				if cs.Np != rm.Np || cs.Unknown != rm.Unknown {
-					cs.Np, cs.Unknown = rm.Np, rm.Unknown
-					ps.dirty = true
-				}
-			}
-			n.recomputeState(ps)
-		}
-	}
-	if len(ex.pending) == 0 {
+	ex.kids.file(i, true, c)
+	if !ex.kids.waiting() {
 		ex.timer.Stop()
 		n.finishExec(ex)
 	}
 }
 
-// execTimeout finalizes an aggregation that is still missing children
-// (§7: queries complete independent of failure-detection timeouts).
-func (n *Node) execTimeout(key execKey) {
-	ex, ok := n.execs[key]
-	if !ok {
-		return
-	}
-	n.finishExec(ex)
-}
-
+// finishExec folds the filed partials into the local contribution, in
+// child-id order (childTable.fold, the fold a standing rebuild uses),
+// and answers the parent.
 func (n *Node) finishExec(ex *exec) {
 	delete(n.execs, execKey{ex.qid, ex.group})
+	ex.kids.fold(ex.state)
+	ex.kids.reset()
 	np, unknown := 0, 0.0
 	if ps, ok := n.predLookup(ex.group); ok {
 		np, unknown = ps.np, ps.unknown
@@ -999,10 +951,7 @@ func (n *Node) finishExec(ex *exec) {
 	// from here on, everything else resets. The timeout closure is kept
 	// — it reads ex.key at fire time, so it re-binds with the record.
 	if len(n.freeExecs) < 32 {
-		if ex.pending != nil {
-			clear(ex.pending)
-		}
-		*ex = exec{pending: ex.pending, timeoutFn: ex.timeoutFn}
+		*ex = exec{kids: ex.kids, timeoutFn: ex.timeoutFn}
 		n.freeExecs = append(n.freeExecs, ex)
 	}
 }

@@ -254,7 +254,7 @@ func (ps *predState) recompute(structural []pastry.BroadcastTarget, threshold in
 	ps.updateSet = newSet
 	// Self receives queries when it is advertised (or when the policy
 	// keeps it in NO-UPDATE, handled by wireView).
-	if containsSelf(ps.updateSet, self) || !ps.update {
+	if containsID(ps.updateSet, self) || !ps.update {
 		np++
 	}
 	ps.np = np
@@ -288,7 +288,7 @@ func (ps *predState) recordEvent(k eventKind) {
 // the advertised updateSet contains this node (§5's generalization of
 // SAT/NO-SAT).
 func (ps *predState) recordQueryEvent(self ids.ID) {
-	if containsSelf(ps.updateSet, self) {
+	if containsID(ps.updateSet, self) {
 		ps.recordEvent(evQueryIn)
 	} else {
 		ps.recordEvent(evQueryOut)
@@ -401,9 +401,9 @@ func (ps *predState) setLevel(level int) {
 // touch refreshes the GC clock.
 func (ps *predState) touch(now time.Duration) { ps.lastActive = now }
 
-func containsSelf(set []SetEntry, self ids.ID) bool {
+func containsID(set []SetEntry, id ids.ID) bool {
 	for _, e := range set {
-		if e.ID == self {
+		if e.ID == id {
 			return true
 		}
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"time"
 
@@ -28,6 +30,10 @@ import (
 // subscription state. Reports arriving for an unknown subscription are
 // answered with CancelMsg, so orphaned children tear down ahead of the
 // TTL.
+//
+// An entry keeps its children in the childTable a one-shot keeps: one
+// slot per installed or reporting child, in id order, which is the order
+// a rebuild folds the reports in, as finishExec folds responses.
 //
 // An unchanged subtree costs a pointer, not a merge. Each entry retains
 // the subtree state it last built and re-sends it, under the new epoch
@@ -101,17 +107,6 @@ type subKey struct {
 	group string
 }
 
-// childReport is the most recent epoch report from one child; reports
-// replace (never merge with) their predecessor, so a child skewing
-// across its parent's epoch boundary is counted exactly once.
-type childReport struct {
-	from    ids.ID
-	state   aggregate.State
-	contrib int64
-	epoch   uint64
-	at      time.Duration
-}
-
 // subState is one standing query's per-(node, group) state.
 type subState struct {
 	sid     QueryID
@@ -130,14 +125,9 @@ type subState struct {
 	replyTo ids.ID
 
 	epoch uint64
-	// reports holds each child's newest report in ascending child-id
-	// order: the per-epoch merge (float sums, sketch compaction) is
-	// order-sensitive, so it must run in an order that is a function of
-	// the seed, not of map layout. fileReport and dropReport keep it.
-	reports []childReport
-	// targets are the children this node currently has installed;
-	// kept in sync with the group tree's query target set.
-	targets map[ids.ID]bool
+	// kids holds the installed children (expected, kept in sync with the
+	// query target set by pushInstalls) and each child's newest report.
+	kids childTable
 
 	// orphaned marks a subscription whose parent was purged as dead.
 	// While orphaned, reports are routed through the overlay to the
@@ -206,11 +196,7 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 	ps.setLevel(0)
 	ps.hasParent = false
 	if !ok {
-		sub = &subState{
-			sid:     sm.SID,
-			group:   ge.spec,
-			targets: make(map[ids.ID]bool),
-		}
+		sub = &subState{sid: sm.SID, group: ge.spec}
 		n.subs[key] = sub
 		n.tableGen++
 	}
@@ -226,7 +212,7 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 		// which is now us. Drop the buffered self-copy, or the root
 		// sample would carry this subtree twice (fresh child reports
 		// plus the pulled snapshot) until it staled out.
-		sub.dropReport(n.self)
+		sub.kids.remove(n.self)
 		sub.pulled = false
 	}
 	sub.root = true
@@ -302,11 +288,7 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 		ps.lastSentValid = false
 	}
 	if !ok {
-		sub = &subState{
-			sid:     im.SID,
-			group:   ge.spec,
-			targets: make(map[ids.ID]bool),
-		}
+		sub = &subState{sid: im.SID, group: ge.spec}
 		n.subs[key] = sub
 		n.tableGen++
 	}
@@ -379,25 +361,6 @@ func (n *Node) refreshDue(sub *subState, isNew bool) bool {
 	return false
 }
 
-// subTargets computes the children a subscription should currently be
-// installed at — the same set a one-shot query would be forwarded to.
-func (n *Node) subTargets(ps *predState, level int) []SetEntry {
-	if n.cfg.Mode == ModeGlobal {
-		var targets []SetEntry
-		for _, bt := range n.structural(level) {
-			targets = append(targets, SetEntry{ID: bt.ID, Level: bt.Level})
-		}
-		return targets
-	}
-	var targets []SetEntry
-	for _, e := range ps.qSet {
-		if e.ID != n.self {
-			targets = append(targets, e)
-		}
-	}
-	return targets
-}
-
 // pushInstalls reconciles a subscription's installed children with the
 // current query target set: newcomers are installed immediately and —
 // when refresh is set (a renewal-cadence lease refresh) — every current
@@ -414,7 +377,7 @@ func (n *Node) subTargets(ps *predState, level int) []SetEntry {
 // — and if the departed child reports again, handleEpochReport rejects
 // it with a single cancel, pacing teardown at epoch cadence.
 func (n *Node) pushInstalls(sub *subState, ps *predState, refresh bool) {
-	targets := n.subTargets(ps, sub.level)
+	targets := n.queryTargets(ps, sub.level)
 	im := InstallMsg{
 		SID:     sub.sid,
 		Group:   sub.group.canon,
@@ -426,25 +389,24 @@ func (n *Node) pushInstalls(sub *subState, ps *predState, refresh bool) {
 		Gen:     sub.gen,
 		ReplyTo: n.self,
 	}
-	next := make(map[ids.ID]bool, len(targets))
 	for _, t := range targets {
-		next[t.ID] = true
-		if refresh || !sub.targets[t.ID] {
+		if sub.kids.expect(t.ID) || refresh {
 			im.Level = t.Level
 			im.Jump = t.Jump
 			n.send(t.ID, im)
 		}
 	}
-	for id := range sub.targets {
-		if next[id] {
+	for i := 0; i < len(sub.kids); {
+		id := sub.kids[i].id
+		if !sub.kids[i].expected || containsID(targets, id) {
+			i++
 			continue
 		}
 		if refresh {
 			n.send(id, CancelMsg{SID: sub.sid, Group: sub.group.canon})
 		}
-		sub.dropReport(id)
+		sub.changed = sub.kids.remove(id) || sub.changed
 	}
-	sub.targets = next
 }
 
 // syncSubs re-reconciles every subscription of a group after its tree
@@ -455,11 +417,26 @@ func (n *Node) syncSubs(ps *predState) {
 	if len(n.subs) == 0 {
 		return
 	}
+	for _, sub := range n.subsOf(ps.group.canon) {
+		n.pushInstalls(sub, ps, false)
+	}
+}
+
+// subsOf lists the entries on group canon ("" for all) in (sid, group)
+// order, in a scratch slice valid until the next call: a loop that sends
+// walks this, never n.subs, so one seed gives one run.
+func (n *Node) subsOf(canon string) []*subState {
+	out := n.subScratch[:0]
 	for _, sub := range n.subs {
-		if sub.group.canon == ps.group.canon {
-			n.pushInstalls(sub, ps, false)
+		if canon == "" || sub.group.canon == canon {
+			out = append(out, sub)
 		}
 	}
+	slices.SortFunc(out, func(a, b *subState) int {
+		return cmp.Or(compareQID(a.sid, b.sid), strings.Compare(a.group.canon, b.group.canon))
+	})
+	n.subScratch = out
+	return out
 }
 
 // armEpoch schedules the subscription's next epoch tick, aligned to
@@ -534,14 +511,18 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 	// against the subtree's new path.
 	stale := 2 * sub.period
 	var contrib int64
-	for i := 0; i < len(sub.reports); {
-		rep := sub.reports[i]
-		if now-rep.at > stale {
-			sub.dropReport(rep.from)
-			aggregate.Recycle(rep.state)
-			continue
+	for i := 0; i < len(sub.kids); {
+		s := &sub.kids[i]
+		if s.has && now-s.at > stale {
+			aggregate.Recycle(s.state)
+			sub.changed = true
+			if !s.expected {
+				sub.kids = slices.Delete(sub.kids, i, i+1)
+				continue
+			}
+			*s = childSlot{id: s.id, expected: true}
 		}
-		contrib += rep.contrib
+		contrib += s.contrib
 		i++
 	}
 	if sub.changed || sub.attrGen != n.attrGen || sub.tableGen != n.tableGen {
@@ -622,13 +603,12 @@ func (n *Node) rebuild(sub *subState) {
 		sub.claim, sub.tableGen = n.claimStanding(sub), n.tableGen
 	}
 	sub.builtSelf = 0
-	if sub.claim && n.subEval(sub) {
+	ps, _ := n.predLookup(sub.group.canon)
+	if sub.claim && n.evalLocal(ps, sub.eval, sub.group.canon) {
 		sub.builtSelf = 1
 		state.AddKeyed(n.self, n.groupKey(sub.groupBy), n.localValue(sub.attrKey))
 	}
-	for _, rep := range sub.reports {
-		_ = state.Merge(rep.state)
-	}
+	sub.kids.fold(state)
 	sub.built = state
 	sub.builtEmpty = state.Nodes() == 0 && !state.Truncated()
 	sub.attrGen, sub.changed = n.attrGen, false
@@ -657,25 +637,6 @@ func (n *Node) emptyReport(sub *subState) EpochReportMsg {
 	}
 }
 
-// subEval evaluates the subscription's full predicate locally.
-func (n *Node) subEval(sub *subState) bool {
-	eval := sub.eval
-	if eval == "" {
-		if sub.group.expr == nil {
-			return true
-		}
-		if ps, ok := n.predLookup(sub.group.canon); ok {
-			return ps.satLocal
-		}
-		return sub.group.expr.Eval(n.store)
-	}
-	e, err := n.parseCached(eval)
-	if err != nil {
-		return false
-	}
-	return e.Eval(n.store)
-}
-
 // claimStanding reserves this node's per-epoch contribution for exactly
 // one tree of a composite cover: the lexicographically smallest group
 // among the node's live subscriptions for the SID (the standing analog
@@ -691,41 +652,6 @@ func (n *Node) claimStanding(sub *subState) bool {
 	return true
 }
 
-// reportIndex finds child id's slot in the id-ordered report buffer.
-func (sub *subState) reportIndex(id ids.ID) (int, bool) {
-	return slices.BinarySearchFunc(sub.reports, id, func(r childReport, id ids.ID) int {
-		return ids.Cmp(r.from, id)
-	})
-}
-
-// fileReport stores a child's newest report. Replace-not-merge in
-// place: the steady-state epoch stream overwrites the same slot instead
-// of allocating one per report. The slot takes over the hold the message
-// carried and hands back the one on the state it displaces; a child
-// re-sending the state the slot already holds changes nothing here but
-// the slot's freshness, and the message's hold goes back.
-func (sub *subState) fileReport(rep childReport) {
-	i, ok := sub.reportIndex(rep.from)
-	if !ok {
-		sub.reports = slices.Insert(sub.reports, i, rep)
-		sub.changed = true
-		return
-	}
-	aggregate.Recycle(sub.reports[i].state)
-	if sub.reports[i].state != rep.state {
-		sub.changed = true
-	}
-	sub.reports[i] = rep
-}
-
-// dropReport forgets child id's buffered report, if any.
-func (sub *subState) dropReport(id ids.ID) {
-	if i, ok := sub.reportIndex(id); ok {
-		sub.reports = slices.Delete(sub.reports, i, i+1)
-		sub.changed = true
-	}
-}
-
 // handleEpochReport files a child's per-epoch batch; reports for
 // subscriptions this node does not hold are answered with CancelMsg so
 // orphans tear down without waiting out the TTL. Routed reports (the
@@ -738,7 +664,9 @@ func (n *Node) handleEpochReport(from ids.ID, em EpochReportMsg, routed bool) {
 		n.send(from, CancelMsg{SID: em.SID, Group: em.Group})
 		return
 	}
-	if !routed && !sub.root && !sub.targets[from] {
+	i, found := sub.kids.find(from)
+	expected := found && sub.kids[i].expected
+	if !routed && !sub.root && !expected {
 		// A report from a child this node no longer installs: the edge
 		// was dropped by a reconcile (tree adaptation or churn repair),
 		// and filing the report would double-count a subtree that now
@@ -749,23 +677,12 @@ func (n *Node) handleEpochReport(from ids.ID, em EpochReportMsg, routed bool) {
 		n.send(from, CancelMsg{SID: em.SID, Group: em.Group})
 		return
 	}
-	sub.fileReport(childReport{from: from, state: em.State, contrib: em.Contributors, epoch: em.Epoch, at: n.env.Now()})
-	// Refresh the child's lazily maintained subtree cost, mirroring
-	// handleResponse's piggyback path.
+	if sub.kids.file(i, found, childSlot{id: from, expected: expected, state: em.State,
+		contrib: em.Contributors, epoch: em.Epoch, at: n.env.Now()}) {
+		sub.changed = true
+	}
 	if !routed && n.cfg.Mode != ModeGlobal {
-		if ps, psOK := n.predLookup(em.Group); psOK {
-			switch cs := ps.children[from]; {
-			case cs == nil:
-				ps.children[from] = &childState{NpOnly: true, Np: em.Np, Unknown: em.Unknown}
-				ps.dirty = true
-			case cs.NpOnly || !cs.Prune:
-				if cs.Np != em.Np || cs.Unknown != em.Unknown {
-					cs.Np, cs.Unknown = em.Np, em.Unknown
-					ps.dirty = true
-				}
-			}
-			n.recomputeState(ps)
-		}
+		n.noteChildCost(em.Group, from, em.Np, em.Unknown)
 	}
 }
 
@@ -798,7 +715,7 @@ func (n *Node) handleCancel(from ids.ID, cm CancelMsg, routed bool) {
 }
 
 // dropSub removes one subscription entry; cascade forwards the cancel
-// to the node's children.
+// to the node's children — installed or merely reporting — in id order.
 func (n *Node) dropSub(sub *subState, cascade bool) {
 	if sub.dead {
 		return
@@ -811,13 +728,123 @@ func (n *Node) dropSub(sub *subState, cascade bool) {
 		return
 	}
 	cm := CancelMsg{SID: sub.sid, Group: sub.group.canon}
-	for id := range sub.targets {
-		n.send(id, cm)
+	for _, s := range sub.kids {
+		n.send(s.id, cm)
 	}
-	for _, rep := range sub.reports {
-		if !sub.targets[rep.from] {
-			n.send(rep.from, cm)
+}
+
+// ---------------------------------------------------------------------
+// The child table, shared by one-shot and standing aggregation
+
+// childSlot is one child of an aggregation. expected marks a child the
+// node waits on (an unanswered one-shot target, an installed child); has
+// marks a filed partial (a one-shot answer, or the newest epoch report,
+// which replaces its predecessor so a child skewing across epochs counts
+// once).
+type childSlot struct {
+	id       ids.ID
+	expected bool
+	has      bool
+	state    aggregate.State
+	contrib  int64
+	epoch    uint64
+	at       time.Duration
+}
+
+// childTable holds an aggregation's children in ascending id order: a
+// node has a few dozen children at most, so a sorted slice beats a hash
+// map, and the order-sensitive merge and every per-child send run in an
+// order fixed by the tree, not by map layout or arrival order.
+type childTable []childSlot
+
+// find locates child id: its slot index, or where the slot belongs.
+func (t childTable) find(id ids.ID) (int, bool) {
+	i := sort.Search(len(t), func(i int) bool { return !ids.Less(t[i].id, id) })
+	return i, i < len(t) && t[i].id == id
+}
+
+// expect marks child id expected, adding its slot if needed, and
+// reports whether it was not expected before.
+func (t *childTable) expect(id ids.ID) bool {
+	i, found := t.find(id)
+	if !found {
+		*t = slices.Insert(*t, i, childSlot{id: id})
+	}
+	was := (*t)[i].expected
+	(*t)[i].expected = true
+	return !was
+}
+
+// file stores c (expected flag included) as child c.id's partial at i,
+// where find put it. The slot takes over the message's hold and hands
+// back the one on the state it displaces. It reports whether the slot
+// moved: a partial where there was none, or a different state (a child
+// re-sending the state the slot holds only refreshes it).
+func (t *childTable) file(i int, found bool, c childSlot) bool {
+	if !found {
+		*t = slices.Insert(*t, i, childSlot{})
+	}
+	s := &(*t)[i]
+	aggregate.Recycle(s.state)
+	moved := !s.has || s.state != c.state
+	c.has = true
+	*s = c
+	return moved
+}
+
+// remove forgets child id, edge and partial, and reports whether it held
+// a partial (which is not recycled).
+func (t *childTable) remove(id ids.ID) bool {
+	i, found := t.find(id)
+	if !found {
+		return false
+	}
+	had := (*t)[i].has
+	*t = slices.Delete(*t, i, i+1)
+	return had
+}
+
+// waiting reports whether any child is still expected.
+func (t childTable) waiting() bool {
+	return slices.ContainsFunc(t, func(s childSlot) bool { return s.expected })
+}
+
+// fold merges every filed partial into acc, which holds the node's local
+// contribution, in ascending child id.
+func (t childTable) fold(acc *aggregate.GroupedState) {
+	for i := range t {
+		if t[i].has && t[i].state != nil {
+			_ = acc.Merge(t[i].state)
 		}
+	}
+}
+
+// reset hands back every partial (merges copy, never alias) and empties
+// the table, keeping its backing array.
+func (t *childTable) reset() {
+	for i := range *t {
+		aggregate.Recycle((*t)[i].state)
+	}
+	clear(*t)
+	*t = (*t)[:0]
+}
+
+// noteChildCost refreshes a child's lazily maintained subtree cost
+// (§6.3) from the np piggybacked on its response or epoch report, which
+// reaches ancestors even from NO-UPDATE children.
+func (n *Node) noteChildCost(group string, from ids.ID, np int, unknown float64) {
+	if ps, ok := n.predLookup(group); ok {
+		switch cs := ps.children[from]; {
+		case cs == nil:
+			ps.children[from] = &childState{NpOnly: true, Np: np, Unknown: unknown}
+			ps.dirty = true
+		case cs.NpOnly || !cs.Prune:
+			if cs.Np != np || cs.Unknown != unknown {
+				cs.Np, cs.Unknown = np, unknown
+				ps.dirty = true
+			}
+		}
+		n.recomputeState(ps)
 	}
 }
 
@@ -931,7 +958,7 @@ func (fe *frontend) subPlanAndInstall(fs *feSub) {
 		return
 	}
 	fs.probes = fe.startProbes(fs.plan, fs.costs, func() {
-		fe.setCover(fs, fe.chooseCoverFrom(fs.plan, fs.costs))
+		fe.setCover(fs, fe.chooseCover(fs.plan, fs.costs))
 	})
 	fe.awaitProbes(fs.probes)
 }

@@ -451,8 +451,8 @@ func TestStandingClaimFollowsSubscriptionTable(t *testing.T) {
 		}
 	}
 	psub := parent.subs[subKey{sid, groups[0]}]
-	psub.dropReport(x.self)
-	delete(psub.targets, x.self)
+	psub.kids.remove(x.self)
+	psub.changed = true
 	x.Handle(parent.self, CancelMsg{SID: sid, Group: groups[0]})
 	if got := claims(x); got[0] != -1 {
 		t.Fatalf("entry on %q survived its parent's cancel: %v", groups[0], got)
