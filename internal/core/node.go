@@ -332,8 +332,10 @@ func (n *Node) flushOutbox() {
 		items := box[to]
 		if len(items) == 1 {
 			n.env.Send(to, items[0])
-			// The slice was not shipped; recycle its backing array.
+			// The slice was not shipped; recycle its backing array,
+			// cleared so the pool does not pin the message it carried.
 			if len(n.itemPool) < 64 {
+				clear(items)
 				n.itemPool = append(n.itemPool, items[:0])
 			}
 			continue

@@ -320,12 +320,15 @@ type BroadcastTarget struct {
 func (n *Node) BroadcastTargets(level int) []BroadcastTarget {
 	var out []BroadcastTarget
 	for r := level; r < ids.Digits; r++ {
-		row := n.rt.Row(r)
-		for c := 0; c < ids.Radix; c++ {
-			if row[c].IsZero() || row[c] == n.self {
+		row := n.rt.rows[r]
+		if row == nil {
+			continue
+		}
+		for _, id := range row {
+			if id.IsZero() || id == n.self {
 				continue
 			}
-			out = append(out, BroadcastTarget{ID: row[c], Level: r + 1})
+			out = append(out, BroadcastTarget{ID: id, Level: r + 1})
 		}
 	}
 	var backstopped map[[2]int]bool

@@ -23,8 +23,12 @@ import (
 // RoutingTable is the classic Pastry prefix table: Rows[r][c] holds a
 // node sharing r leading digits with the owner and having digit c at
 // position r. The zero ID marks an empty slot.
+//
+// Rows are allocated on first write: an N-node overlay fills only about
+// log16(N) of the 32 rows (four at N=10k), so a dense table would be
+// mostly zero IDs. A nil row reads as all-empty.
 type RoutingTable struct {
-	rows [ids.Digits][ids.Radix]ids.ID
+	rows [ids.Digits]*[ids.Radix]ids.ID
 	// entries caches the non-empty slots (valid when entriesOK); the
 	// liveness path scans the table every heartbeat round, far more
 	// often than it changes. version counts mutations for downstream
@@ -38,17 +42,35 @@ type RoutingTable struct {
 func (t *RoutingTable) Version() int { return t.version }
 
 // Get returns the entry at (row, col); the zero ID if empty.
-func (t *RoutingTable) Get(row, col int) ids.ID { return t.rows[row][col] }
+func (t *RoutingTable) Get(row, col int) ids.ID {
+	if t.rows[row] == nil {
+		return ids.Zero
+	}
+	return t.rows[row][col]
+}
 
 // Set stores an entry.
 func (t *RoutingTable) Set(row, col int, id ids.ID) {
-	t.rows[row][col] = id
+	t.row(row)[col] = id
 	t.entriesOK = false
 	t.version++
 }
 
-// Row returns a copy of one table row.
-func (t *RoutingTable) Row(row int) [ids.Radix]ids.ID { return t.rows[row] }
+// row returns row r for writing, allocating it on first use.
+func (t *RoutingTable) row(r int) *[ids.Radix]ids.ID {
+	if t.rows[r] == nil {
+		t.rows[r] = new([ids.Radix]ids.ID)
+	}
+	return t.rows[r]
+}
+
+// Row returns a copy of one table row (all zero if never written).
+func (t *RoutingTable) Row(row int) [ids.Radix]ids.ID {
+	if t.rows[row] == nil {
+		return [ids.Radix]ids.ID{}
+	}
+	return *t.rows[row]
+}
 
 // Install records candidate relative to owner if it fills an empty slot.
 // It reports whether the table changed.
@@ -61,8 +83,8 @@ func (t *RoutingTable) Install(owner, candidate ids.ID) bool {
 		return false
 	}
 	c := candidate.Digit(r)
-	if t.rows[r][c].IsZero() {
-		t.rows[r][c] = candidate
+	if t.Get(r, c).IsZero() {
+		t.row(r)[c] = candidate
 		t.entriesOK = false
 		t.version++
 		return true
@@ -81,7 +103,7 @@ func (t *RoutingTable) Remove(owner, dead ids.ID) bool {
 		return false
 	}
 	c := dead.Digit(r)
-	if t.rows[r][c] == dead {
+	if t.Get(r, c) == dead {
 		t.rows[r][c] = ids.Zero
 		t.entriesOK = false
 		t.version++
@@ -100,10 +122,13 @@ func (t *RoutingTable) Entries() []ids.ID {
 		return t.entries
 	}
 	out := make([]ids.ID, 0, cap(t.entries))
-	for r := 0; r < ids.Digits; r++ {
-		for c := 0; c < ids.Radix; c++ {
-			if !t.rows[r][c].IsZero() {
-				out = append(out, t.rows[r][c])
+	for _, row := range t.rows {
+		if row == nil {
+			continue
+		}
+		for _, id := range row {
+			if !id.IsZero() {
+				out = append(out, id)
 			}
 		}
 	}

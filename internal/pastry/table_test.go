@@ -2,6 +2,7 @@ package pastry
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -42,6 +43,135 @@ func TestRoutingTableInstallRemove(t *testing.T) {
 	}
 	if got := len(rt.Entries()); got != 1 {
 		t.Fatalf("entries = %d", got)
+	}
+}
+
+// denseTable is the reference routing table, every row allocated up
+// front.
+type denseTable struct {
+	rows    [ids.Digits][ids.Radix]ids.ID
+	version int
+}
+
+func (d *denseTable) set(r, c int, id ids.ID) {
+	d.rows[r][c] = id
+	d.version++
+}
+
+func (d *denseTable) install(owner, cand ids.ID) bool {
+	if cand == owner || cand.IsZero() {
+		return false
+	}
+	r := ids.CommonPrefixLen(owner, cand)
+	if r >= ids.Digits || !d.rows[r][cand.Digit(r)].IsZero() {
+		return false
+	}
+	d.set(r, cand.Digit(r), cand)
+	return true
+}
+
+func (d *denseTable) remove(owner, dead ids.ID) bool {
+	if dead.IsZero() {
+		return false
+	}
+	r := ids.CommonPrefixLen(owner, dead)
+	if r >= ids.Digits || d.rows[r][dead.Digit(r)] != dead {
+		return false
+	}
+	d.set(r, dead.Digit(r), ids.Zero)
+	return true
+}
+
+func (d *denseTable) entries() []ids.ID {
+	var out []ids.ID
+	for r := range d.rows {
+		for _, id := range d.rows[r] {
+			if !id.IsZero() {
+				out = append(out, id)
+			}
+		}
+	}
+	return out
+}
+
+// TestRoutingTableMatchesDense runs seeded random Install/Remove/Set
+// sequences against the dense reference: lazily allocated rows must be
+// invisible to every reader — Get, Row, Entries (row-major order
+// included) and Version — and a row never written must stay
+// unallocated.
+func TestRoutingTableMatchesDense(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		owner := ids.Random(rng)
+		// candidate shares a random prefix of up to 7 digits with owner,
+		// so installs land in the first rows the way real tables fill;
+		// owner and zero turn up now and then.
+		candidate := func() ids.ID {
+			switch rng.Intn(20) {
+			case 0:
+				return owner
+			case 1:
+				return ids.Zero
+			}
+			id, shared := ids.Random(rng), rng.Intn(8)
+			for d := 0; d < shared; d++ {
+				id = id.WithDigit(d, owner.Digit(d))
+			}
+			return id
+		}
+		var (
+			rt      RoutingTable
+			ref     denseTable
+			written [ids.Digits]bool
+		)
+		for step := 0; step < 400; step++ {
+			var got, want bool
+			switch op := rng.Intn(10); {
+			case op < 6:
+				id := candidate()
+				got, want = rt.Install(owner, id), ref.install(owner, id)
+				if want {
+					written[ids.CommonPrefixLen(owner, id)] = true
+				}
+			case op < 9:
+				dead := candidate()
+				if es := ref.entries(); len(es) > 0 && rng.Intn(2) == 0 {
+					dead = es[rng.Intn(len(es))]
+				}
+				got, want = rt.Remove(owner, dead), ref.remove(owner, dead)
+			default:
+				r, c := rng.Intn(8), rng.Intn(ids.Radix)
+				id := ids.Zero
+				if rng.Intn(4) > 0 {
+					id = candidate()
+				}
+				rt.Set(r, c, id)
+				ref.set(r, c, id)
+				written[r] = true
+			}
+			if got != want {
+				t.Fatalf("seed %d step %d: changed = %v, dense reference says %v", seed, step, got, want)
+			}
+			if rt.Version() != ref.version {
+				t.Fatalf("seed %d step %d: version %d, want %d", seed, step, rt.Version(), ref.version)
+			}
+			for r := 0; r < ids.Digits; r++ {
+				if rt.Row(r) != ref.rows[r] {
+					t.Fatalf("seed %d step %d: row %d differs", seed, step, r)
+				}
+				for c := 0; c < ids.Radix; c++ {
+					if rt.Get(r, c) != ref.rows[r][c] {
+						t.Fatalf("seed %d step %d: Get(%d, %d) differs", seed, step, r, c)
+					}
+				}
+				if allocated := rt.rows[r] != nil; allocated != written[r] {
+					t.Fatalf("seed %d step %d: row %d allocated = %v, written = %v", seed, step, r, allocated, written[r])
+				}
+			}
+			if es, want := rt.Entries(), ref.entries(); !slices.Equal(es, want) {
+				t.Fatalf("seed %d step %d: entries %v, want %v", seed, step, es, want)
+			}
+		}
 	}
 }
 

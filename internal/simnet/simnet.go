@@ -51,7 +51,9 @@ type Env interface {
 	// Now returns the current (virtual or wall-clock) time expressed
 	// as an offset from the run's epoch.
 	Now() time.Duration
-	// Rand returns the node's deterministic random source.
+	// Rand returns the node's random source: deterministic per node and
+	// seed in the simulator, which builds it on the first call, so a
+	// node that never draws holds none.
 	Rand() *rand.Rand
 }
 
@@ -350,7 +352,6 @@ func (n *Network) AddNode(id ids.ID) *nodeEnv {
 		id:  id,
 		idx: len(n.envs),
 		cpu: len(n.envs),
-		rng: rand.New(rand.NewSource(n.opts.Seed ^ int64(idSeed(id)))),
 	}
 	if n.opts.CPUOf != nil {
 		env.cpu = n.opts.CPUOf(id)
@@ -358,7 +359,7 @@ func (n *Network) AddNode(id ids.ID) *nodeEnv {
 	if n.sharded != nil {
 		env.shard = n.sharded.shards[env.idx%len(n.sharded.shards)]
 		// The per-sender latency/jitter stream: a distinct salt keeps
-		// it independent of the node-logic stream above.
+		// it independent of the node-logic stream Rand builds.
 		env.latRng = rand.New(rand.NewSource(n.opts.Seed ^ int64(idSeed(id)) ^ latStreamSalt))
 	}
 	n.nodes[id] = env
@@ -699,7 +700,7 @@ type nodeEnv struct {
 	cpu     int
 	down    bool
 	removed bool
-	rng     *rand.Rand
+	rng     *rand.Rand // built by Rand on first call
 	handler Handler
 
 	// Sharded-scheduler state (nil/zero on the classic scheduler):
@@ -818,8 +819,16 @@ func (e *nodeEnv) Now() time.Duration {
 	return e.net.now
 }
 
-// Rand returns the node's deterministic random source.
-func (e *nodeEnv) Rand() *rand.Rand { return e.rng }
+// Rand returns the node's deterministic random source, seeded with
+// Seed ^ idSeed(id). It is built on the first call: a math/rand source
+// is ~4.9 KB and only overlay gossip draws from it, so nodes that never
+// draw never hold one.
+func (e *nodeEnv) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.net.opts.Seed ^ int64(idSeed(e.id))))
+	}
+	return e.rng
+}
 
 // idSeed derives a well-mixed 64-bit seed from all 16 identifier
 // bytes (FNV-1a).

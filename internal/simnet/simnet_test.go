@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -60,6 +61,44 @@ func TestDeterminism(t *testing.T) {
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("run diverged at %d: %q vs %q", i, first[i], second[i])
+		}
+	}
+}
+
+// TestNodeRandLazy: on both engines a node's random source exists only
+// once the node draws from it, and the stream it then yields is the one
+// an eagerly built source over Seed ^ idSeed(id) would have.
+func TestNodeRandLazy(t *testing.T) {
+	const seed, k = 77, 64
+	for _, shards := range []int{0, 2} {
+		net := New(Options{Seed: seed, Shards: shards, Latency: Fixed(time.Millisecond)})
+		var envs []*nodeEnv
+		for i := uint64(1); i <= 4; i++ {
+			env := net.AddNode(ids.FromUint64(i))
+			env.BindHandler(&recordingHandler{})
+			envs = append(envs, env)
+		}
+		drawer := envs[1]
+		var got []int64
+		drawer.After(time.Millisecond, func() {
+			for i := 0; i < k; i++ {
+				got = append(got, drawer.Rand().Int63())
+			}
+		})
+		net.RunFor(10 * time.Millisecond)
+		want := rand.New(rand.NewSource(seed ^ int64(idSeed(drawer.id))))
+		if len(got) != k {
+			t.Fatalf("shards=%d: %d draws, want %d", shards, len(got), k)
+		}
+		for i, v := range got {
+			if w := want.Int63(); v != w {
+				t.Fatalf("shards=%d: draw %d = %d, eager source gives %d", shards, i, v, w)
+			}
+		}
+		for i, env := range envs {
+			if drew := env == drawer; (env.rng != nil) != drew {
+				t.Fatalf("shards=%d: node %d holds a source = %v, drew = %v", shards, i, env.rng != nil, drew)
+			}
 		}
 	}
 }

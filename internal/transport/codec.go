@@ -26,6 +26,7 @@ import (
 	"net"
 	"sync/atomic"
 
+	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/wirefmt"
 )
 
@@ -49,18 +50,11 @@ var (
 	errBadVersion  = errors.New("transport: unknown codec version")
 )
 
-// writeConnHeader emits the once-per-connection preamble.
-func writeConnHeader(w *bufio.Writer, fromAddr string) error {
-	if _, err := w.Write([]byte{wireMagic, 'M', 'W', wireVersion}); err != nil {
-		return err
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(fromAddr)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.WriteString(fromAddr)
-	return err
+// appendConnHeader appends the once-per-connection preamble to dst.
+func appendConnHeader(dst []byte, fromAddr string) []byte {
+	dst = append(dst, wireMagic, 'M', 'W', wireVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(fromAddr)))
+	return append(dst, fromAddr...)
 }
 
 // readConnHeader consumes and checks the connection preamble.
@@ -89,17 +83,23 @@ func readConnHeader(br *bufio.Reader) (fromAddr string, err error) {
 	return string(raw), nil
 }
 
-// writeFrame emits one length-prefixed frame and flushes it.
-func writeFrame(w *bufio.Writer, payload []byte) error {
+// appendFrame appends m to dst as one frame: the uvarint payload length,
+// then the payload (core.AppendMessage). The payload is encoded behind a
+// length slot of maximal size that then closes up to the length's real
+// size, so a frame needs one buffer and the sender one Write. On error
+// dst is returned unchanged.
+func appendFrame(dst []byte, m any) ([]byte, error) {
+	start := len(dst)
+	body := start + binary.MaxVarintLen64
+	out, err := core.AppendMessage(append(dst, make([]byte, binary.MaxVarintLen64)...), m)
+	if err != nil {
+		return dst, err
+	}
 	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	return w.Flush()
+	n := binary.PutUvarint(hdr[:], uint64(len(out)-body))
+	copy(out[start:], hdr[:n])
+	copy(out[start+n:], out[body:])
+	return out[:len(out)-(binary.MaxVarintLen64-n)], nil
 }
 
 // frameChunk is the step readFrame grows its buffer by, so allocation

@@ -137,12 +137,15 @@ type Node struct {
 	wg      sync.WaitGroup
 }
 
-// outConn is one cached outgoing connection.
+// outConn is one cached outgoing connection. Frames go out unbuffered,
+// one Write each, so the connection holds no writer buffer beyond the
+// frame scratch.
 type outConn struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	buf []byte // frame scratch, reused under mu
-	c   net.Conn
+	mu sync.Mutex
+	// buf is the frame scratch, reused under mu. A fresh connection's
+	// buf holds its header, which rides the first frame's Write.
+	buf []byte
+	c   countingConn
 }
 
 // Listen starts an agent on addr with the given peer roster (all
@@ -380,7 +383,9 @@ func (n *Node) readLoop(conn net.Conn) {
 		delete(n.accepted, conn)
 		n.connMu.Unlock()
 	}()
-	br := bufio.NewReaderSize(countingConn{Conn: conn, in: &n.bytesIn, out: &n.bytesOut}, 32<<10)
+	// Default-size buffer: readFrame reads payloads larger than it
+	// straight into its scratch.
+	br := bufio.NewReader(countingConn{Conn: conn, in: &n.bytesIn, out: &n.bytesOut})
 	// Frames are self-delimiting, so a payload that fails to decode is
 	// counted and skipped without killing the connection; a bad
 	// connection header or framing-level corruption (oversized or
@@ -472,18 +477,19 @@ func (n *Node) send(toAddr string, m any) {
 	n.msgsOut.Add(1)
 }
 
-// write encodes and sends one message as one frame. The caller holds
-// oc.mu.
+// write encodes and sends one message as one frame, in one Write. The
+// caller holds oc.mu.
 func (oc *outConn) write(m any) error {
-	payload, err := core.AppendMessage(oc.buf[:0], m)
+	frame, err := appendFrame(oc.buf, m)
 	if err != nil {
 		// Encoding failed before any byte hit the wire; the connection
 		// is still clean, so report success-shaped loss (the message is
 		// unencodable, gob fallback included).
 		return nil
 	}
-	oc.buf = payload[:0]
-	return writeFrame(oc.bw, payload)
+	oc.buf = frame[:0]
+	_, err = oc.c.Write(frame)
+	return err
 }
 
 func (n *Node) conn(addr string) (*outConn, error) {
@@ -521,10 +527,9 @@ func (n *Node) conn(addr string) (*outConn, error) {
 		n.connMu.Unlock()
 		return nil, err
 	}
-	oc, err := n.newOutConn(c)
-	if err != nil {
-		c.Close()
-		return nil, err
+	oc := &outConn{
+		buf: appendConnHeader(nil, n.addr),
+		c:   countingConn{Conn: c, in: &n.bytesIn, out: &n.bytesOut},
 	}
 	n.connMu.Lock()
 	defer n.connMu.Unlock()
@@ -543,17 +548,6 @@ func (n *Node) conn(addr string) (*outConn, error) {
 	delete(n.dialFail, addr)
 	n.conns[addr] = oc
 	return oc, nil
-}
-
-// newOutConn wraps a freshly dialed connection and emits the connection
-// header.
-func (n *Node) newOutConn(c net.Conn) (*outConn, error) {
-	cc := countingConn{Conn: c, in: &n.bytesIn, out: &n.bytesOut}
-	bw := bufio.NewWriterSize(cc, 32<<10)
-	if err := writeConnHeader(bw, n.addr); err != nil {
-		return nil, err
-	}
-	return &outConn{bw: bw, c: c}, nil
 }
 
 // nodeEnv adapts a transport Node to the simnet.Env interface the core

@@ -4,12 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"testing"
 	"time"
 
+	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/core"
+	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/value"
 )
 
@@ -74,25 +78,18 @@ func TestCrossCodecEquivalence(t *testing.T) {
 // reader primitives.
 func TestColumnarFrameRoundTrip(t *testing.T) {
 	RegisterGob()
-	var wire bytes.Buffer
-	bw := bufio.NewWriter(&wire)
-	if err := writeConnHeader(bw, "10.0.0.1:7777"); err != nil {
-		t.Fatal(err)
-	}
+	wire := appendConnHeader(nil, "10.0.0.1:7777")
 	msgs := []any{
 		core.CancelMsg{SID: core.QueryID{Num: 1}, Group: "g"},
 		core.StatusMsg{Group: "g", Np: 3},
 	}
 	for _, m := range msgs {
-		payload, err := core.AppendMessage(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrame(bw, payload); err != nil {
+		var err error
+		if wire, err = appendFrame(wire, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	br := bufio.NewReader(&wire)
+	br := bufio.NewReader(bytes.NewReader(wire))
 	from, err := readConnHeader(br)
 	if err != nil {
 		t.Fatalf("header: %v", err)
@@ -114,6 +111,120 @@ func TestColumnarFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: got %#v, want %#v", i, got, want)
 		}
 	}
+}
+
+// loopbackTraffic is a large grouped epoch report — one frame well past
+// readFrame's 64 KB growth step and the reader's buffer — followed by a
+// burst of 1,000 small frames.
+func loopbackTraffic(t *testing.T) []any {
+	t.Helper()
+	grouped := aggregate.NewGrouped(aggregate.Spec{Kind: aggregate.KindAvg}, 0)
+	for i := 0; i < 8000; i++ {
+		grouped.AddKeyed(ids.FromKey("a"), fmt.Sprintf("key-%05d", i), value.Float(float64(i)/4))
+	}
+	big := core.EpochReportMsg{SID: core.QueryID{Num: 7}, Group: "g", Epoch: 3, State: grouped, Np: 1}
+	if payload, err := core.AppendMessage(nil, big); err != nil || len(payload) <= 64<<10 {
+		t.Fatalf("large sample payload is %d bytes (err %v), want > 64 KB", len(payload), err)
+	}
+	msgs := []any{big}
+	for i := 0; i < 1000; i++ {
+		msgs = append(msgs, core.CancelMsg{SID: core.QueryID{Num: uint64(i)}, Group: "g"})
+	}
+	return msgs
+}
+
+// TestFramesOverLoopback drives both ends of a real loopback connection.
+// The dialing side must put every frame on the wire byte for byte, with
+// Stats.BytesOut equal to what the peer received; the accepting side
+// must dispatch every frame, the large one included, without a decode
+// error.
+func TestFramesOverLoopback(t *testing.T) {
+	RegisterGob()
+	msgs := loopbackTraffic(t)
+
+	t.Run("dialing side", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		received := make(chan []byte, 1)
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				received <- nil
+				return
+			}
+			defer c.Close()
+			b, _ := io.ReadAll(c)
+			received <- b
+		}()
+		nd, err := Listen("127.0.0.1:0", nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			nd.send(ln.Addr().String(), m)
+		}
+		nd.Close() // hangs up, ending the reader's ReadAll
+		var wire []byte
+		select {
+		case wire = <-received:
+		case <-time.After(10 * time.Second):
+			t.Fatal("reader never saw the connection close")
+		}
+		st := nd.Stats()
+		if st.MsgsOut != uint64(len(msgs)) {
+			t.Fatalf("msgsOut = %d, want %d", st.MsgsOut, len(msgs))
+		}
+		if st.BytesOut != uint64(len(wire)) {
+			t.Fatalf("Stats.BytesOut = %d, reader received %d bytes", st.BytesOut, len(wire))
+		}
+		br := bufio.NewReader(bytes.NewReader(wire))
+		if from, err := readConnHeader(br); err != nil || from != nd.Addr() {
+			t.Fatalf("header: from %q, err %v", from, err)
+		}
+		var scratch []byte
+		for i, m := range msgs {
+			payload, err := readFrame(br, &scratch)
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			want, err := core.AppendMessage(nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(payload, want) {
+				t.Fatalf("frame %d: %d bytes on the wire differ from the %d-byte encoding", i, len(payload), len(want))
+			}
+		}
+		if _, err := readFrame(br, &scratch); err != io.EOF {
+			t.Fatalf("after the last frame: %v, want EOF", err)
+		}
+	})
+
+	t.Run("accepting side", func(t *testing.T) {
+		nodes := startCluster(t, 2, core.Config{})
+		a, b := nodes[0], nodes[1]
+		for _, m := range msgs {
+			a.send(b.Addr(), m)
+		}
+		deadline := time.After(10 * time.Second)
+		for {
+			st := b.Stats()
+			if st.MsgsIn >= uint64(len(msgs)) && st.BytesIn == a.Stats().BytesOut {
+				if st.MsgsIn != uint64(len(msgs)) || st.DecodeErrors != 0 {
+					t.Fatalf("msgsIn = %d, decodeErrors = %d, want %d and 0", st.MsgsIn, st.DecodeErrors, len(msgs))
+				}
+				return
+			}
+			select {
+			case <-deadline:
+				t.Fatalf("receiver stats never converged: %+v (sender bytesOut %d)", b.Stats(), a.Stats().BytesOut)
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+	})
 }
 
 // TestDialBackoffSuppressesRedials is the dial-storm regression test:
@@ -219,24 +330,15 @@ func TestDecodeErrorsCountedAndSurvived(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	bw := bufio.NewWriter(c)
-	if err := writeConnHeader(bw, "203.0.113.9:1"); err != nil {
-		t.Fatal(err)
-	}
-	valid, err := core.AppendMessage(nil, core.CancelMsg{Group: "g"})
+	valid, err := appendFrame(nil, core.CancelMsg{Group: "g"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(bw, valid); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(bw, []byte{0xC8, 0xDE, 0xAD}); err != nil { // unknown tag 200
-		t.Fatal(err)
-	}
-	if err := writeFrame(bw, valid); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	wire := appendConnHeader(nil, "203.0.113.9:1")
+	wire = append(wire, valid...)
+	wire = append(wire, 3, 0xC8, 0xDE, 0xAD) // a 3-byte frame with unknown tag 200
+	wire = append(wire, valid...)
+	if _, err := c.Write(wire); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(5 * time.Second)
@@ -324,11 +426,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Add(payload[:len(payload)/2]) // truncations
 		}
 	}
-	var hdr bytes.Buffer
-	bw := bufio.NewWriter(&hdr)
-	_ = writeConnHeader(bw, "127.0.0.1:1")
-	_ = bw.Flush()
-	f.Add(hdr.Bytes())
+	f.Add(appendConnHeader(nil, "127.0.0.1:1"))
 	f.Add([]byte{wireMagic, 'M', 'W', wireVersion})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // huge frame length
 	f.Fuzz(func(t *testing.T, data []byte) {
