@@ -55,20 +55,16 @@ type Options struct {
 	// JoinSpacing is the virtual-time gap between protocol joins
 	// (default 200ms).
 	JoinSpacing time.Duration
-	// Shards >= 2 runs the simulation on simnet's sharded
-	// conservative-lookahead scheduler: nodes are partitioned across
-	// Shards event heaps that drain lookahead windows in parallel.
-	// Deterministic for a given seed at any shard/worker count, but
-	// incompatible with SerializeProc, InstancesPerMachine > 1, and
-	// Tap (simnet rejects those at construction). 0 or 1 keeps the
-	// classic single-heap scheduler.
+	// Shards is simnet's heap count (see simnet.Options.Shards): 0 or 1
+	// runs every node on one heap, K >= 2 partitions the nodes across K
+	// heaps that drain lookahead windows in parallel. A K-heap run is
+	// deterministic for a given seed at any shard/worker count, but
+	// incompatible with SerializeProc, InstancesPerMachine > 1, and Tap
+	// (simnet rejects those at construction).
 	Shards int
 	// ShardWorkers caps OS-thread parallelism for sharded runs
 	// (0 = GOMAXPROCS, 1 = serial; results identical either way).
 	ShardWorkers int
-	// Lookahead overrides the sharded scheduler's window size (see
-	// simnet.Options.Lookahead).
-	Lookahead time.Duration
 }
 
 // Cluster is a complete simulated deployment.
@@ -114,7 +110,6 @@ func New(opts Options) *Cluster {
 		Tap:           opts.Tap,
 		Shards:        opts.Shards,
 		ShardWorkers:  opts.ShardWorkers,
-		Lookahead:     opts.Lookahead,
 	}
 	if opts.InstancesPerMachine > 1 {
 		machineOf := make(map[ids.ID]int, opts.N)

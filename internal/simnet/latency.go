@@ -249,12 +249,11 @@ func (m *WANModel) MinLatency() time.Duration {
 // pair gets a stable one-way delay of base plus a hashed offset in
 // [0, spread), at nanosecond granularity. Because it consumes no
 // randomness and depends only on the endpoints, it is the natural
-// model for byte-for-byte equivalence runs between the classic and
-// sharded schedulers: the classic engine's global draw stream and the
-// sharded engine's per-sender streams trivially agree (neither is
-// touched), and nanosecond-hashed arrival times make same-instant
-// cross-origin collisions — where the two engines' tie-breaks could
-// diverge — vanishingly unlikely.
+// model for byte-for-byte equivalence runs between one heap and K
+// shards: one heap's shared draw stream and the shards' per-sender
+// streams trivially agree (neither is touched), and nanosecond-hashed
+// arrival times make same-instant cross-origin collisions — where the
+// two tie-breaks could diverge — vanishingly unlikely.
 func Pairwise(base, spread time.Duration, seed int64) LatencyModel {
 	return &pairwiseModel{base: base, spread: spread, seed: seed}
 }

@@ -1,21 +1,45 @@
 package simnet
 
-// Sharded execution: the conservative-lookahead parallel scheduler.
+// Execution: every Network runs on shards.
 //
-// With Options.Shards >= 2 the network partitions its nodes across K
-// shards (round-robin by registration index), each with its own event
-// heap, event-record pool, and message counter. Shards advance in
-// lookahead windows: if H is a lower bound on the delivery delay of any
-// cross-shard message (minimum one-way latency plus the fixed
-// processing delay), then every event in [t, t+H) is causally
-// independent of concurrently executing events on other shards, so the
-// shards may drain their heaps through the window in parallel.
-// Cross-shard deliveries are staged in per-(source, destination) inbox
-// buffers and folded into the destination heaps at the window barrier —
-// by construction they always land at or beyond the window end.
+// A shard owns an event heap, an event-record pool, a message counter
+// and the nodes assigned to it. Options.Shards <= 1 gives one shard,
+// whose heap is the whole simulation. With Options.Shards = K >= 2 the
+// network partitions its nodes across K shards (round-robin by
+// registration index) that advance in lookahead windows: if H is a
+// lower bound on the delivery delay of any cross-shard message
+// (MinLatency() plus the fixed processing delay), then every event in
+// [t, t+H) is causally independent of concurrently executing events on
+// other shards, so the shards may drain their heaps through the window
+// in parallel. Cross-shard deliveries are staged in per-(source,
+// destination) inbox buffers and folded into the destination heaps at
+// the window barrier — by construction they always land at or beyond
+// the window end.
+//
+// Both modes share one event core: shard.newEvent/freeEvent, defer_,
+// send and exec, and Network.cancelEvent. What still differs between
+// one heap and K:
+//
+//   - Tie key (shard.key): on one heap, events at the same instant run
+//     in global creation order (sh.seq); across shards, in
+//     packKey(origin, oseq) order (see discipline 1 below).
+//   - Latency stream: on one heap every node's latRng is the network's
+//     rng, so a Rand() draw between two sends shifts the second send's
+//     latency; across shards each sender draws from its own stream.
+//   - cond (RunWhile): checked before every event on one heap, at
+//     window barriers across shards.
+//   - Schedule: an ordinary heap event on one heap; across shards a
+//     coordinator event that runs at a window edge, before any
+//     node event at the same instant.
+//   - A message to an unregistered destination: queued on one heap, and
+//     delivered if the node registers while the message is in flight;
+//     dropped at send across shards, so a message never targets a shard
+//     assignment made after the fact. Both count it as sent.
+//   - Counter(): the live ledger on one heap, a merged snapshot across
+//     shards.
 //
 // Determinism is the contract that makes the parallelism usable: a
-// sharded run's observable behavior (results, samples, virtual-time
+// K-shard run's observable behavior (results, samples, virtual-time
 // latencies, message accounting) is a function of the seed alone — the
 // shard count, the worker count, and the OS scheduler never change it.
 // Three disciplines deliver that:
@@ -25,10 +49,7 @@ package simnet
 //     and the birth sequence is that node's private creation counter.
 //     Both are defined by the node's own deterministic execution
 //     history, not by global interleaving, so ties at equal virtual
-//     times break identically however the windows were executed. (The
-//     classic engine orders by global creation sequence instead — a
-//     different, equally valid tie-break; see the equivalence tests for
-//     when the two coincide byte-for-byte.)
+//     times break identically however the windows were executed.
 //  2. Latency draws. Message latencies and processing jitter are drawn
 //     from a per-sender stream seeded by (network seed, sender id), so
 //     the draw sequence is the sender's own send sequence regardless of
@@ -39,8 +60,8 @@ package simnet
 //     coordinator at window edges, before any node event at the same
 //     instant.
 //
-// Features whose classic semantics are inherently global-send-order are
-// rejected at construction in sharded mode: SerializeProc's CPU-queue
+// Features whose semantics are inherently global-send-order need one
+// heap and panic at construction with K >= 2: SerializeProc's CPU-queue
 // accounting advances a per-CPU busy horizon in global send order, CPUOf
 // may co-locate nodes from different shards on one CPU, and Tap observes
 // sends in a global order that parallel windows do not have. Drop stays
@@ -51,7 +72,6 @@ package simnet
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/moara/moara/internal/ids"
@@ -82,16 +102,6 @@ func packKey(origin int32, oseq int64) int64 {
 	return (int64(origin)+1)<<40 | oseq
 }
 
-// MinLatencyModel is implemented by latency models that can state a
-// positive lower bound on any one-way delay they will ever return.
-// Sharded execution derives its lookahead horizon from it; models
-// without the bound require an explicit Options.Lookahead.
-type MinLatencyModel interface {
-	// MinLatency returns a lower bound on Latency for any
-	// (from, to, now) triple.
-	MinLatency() time.Duration
-}
-
 // stagedMsg is a cross-shard delivery parked in an inbox buffer until
 // the window barrier.
 type stagedMsg struct {
@@ -111,7 +121,10 @@ type shard struct {
 	idx int
 
 	events eventQueue
-	free   []*event
+	// free recycles event records; freed events bump their gen so stale
+	// cancel closures become no-ops instead of corrupting a reused
+	// record.
+	free []*event
 	// counter accumulates this shard's accounting: sends by its own
 	// nodes, deliveries to its own nodes. Network.Counter() merges the
 	// per-shard ledgers into one reporting view.
@@ -120,6 +133,8 @@ type shard struct {
 	// processed. Between barriers all shard clocks are re-aligned to
 	// the coordinator's.
 	now time.Duration
+	// seq is the one-heap tie key: the global event-creation order.
+	seq int64
 	// winEnd is the (exclusive) end of the window being executed; the
 	// cross-shard horizon guard asserts against it.
 	winEnd time.Duration
@@ -131,34 +146,17 @@ type shard struct {
 	processed int
 }
 
-// shardedNet is the coordinator state for sharded execution.
-type shardedNet struct {
-	net     *Network
-	shards  []*shard
-	horizon time.Duration
-	// workers caps window parallelism: 1 executes windows inline on
-	// the coordinator goroutine (identical results, no handoff).
-	workers int
-
-	// drv holds driver-level Schedule events; they run on the
-	// coordinator at window edges in creation order.
-	drv  eventQueue
-	dseq int64
-
-	wg sync.WaitGroup
-}
-
 // parallelThreshold is the pending-event count below which a window
 // executes inline even when workers are enabled: a handful of events is
 // cheaper to run than to hand off to goroutines.
 const parallelThreshold = 64
 
-// newShardedNet wires the sharded runtime onto a freshly constructed
-// Network and validates the option surface.
-func newShardedNet(n *Network) *shardedNet {
+// initWindows validates the option surface for K >= 2 shards and sets
+// the window coordinator up.
+func (n *Network) initWindows() {
 	o := &n.opts
 	if o.SerializeProc {
-		panic("simnet: SerializeProc is not supported with Shards >= 2 (its CPU-queue accounting is global-send-order semantics; use the classic scheduler)")
+		panic("simnet: SerializeProc is not supported with Shards >= 2 (its CPU-queue accounting is global-send-order semantics; use one heap)")
 	}
 	if o.CPUOf != nil {
 		panic("simnet: CPUOf is not supported with Shards >= 2")
@@ -166,46 +164,21 @@ func newShardedNet(n *Network) *shardedNet {
 	if o.Tap != nil {
 		panic("simnet: Tap is not supported with Shards >= 2 (sends have no global observation order across parallel windows)")
 	}
-	horizon := o.Lookahead
-	if horizon <= 0 {
-		if m, ok := o.Latency.(MinLatencyModel); ok {
-			horizon = m.MinLatency() + o.ProcDelay
-		}
+	n.horizon = o.Latency.MinLatency() + o.ProcDelay
+	if n.horizon <= 0 {
+		panic("simnet: Shards >= 2 requires a positive MinLatency() + ProcDelay")
 	}
-	if horizon <= 0 {
-		panic("simnet: Shards >= 2 requires a latency model with a positive MinLatency() or an explicit positive Options.Lookahead")
+	n.workers = o.ShardWorkers
+	if n.workers == 0 {
+		n.workers = runtime.GOMAXPROCS(0)
 	}
-	workers := o.ShardWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > o.Shards {
-		workers = o.Shards
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	s := &shardedNet{
-		net:     n,
-		shards:  make([]*shard, o.Shards),
-		horizon: horizon,
-		workers: workers,
-	}
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			net:      n,
-			idx:      i,
-			counter:  n.newCounter(),
-			stageOut: make([][]stagedMsg, o.Shards),
-		}
-	}
-	return s
+	n.workers = max(min(n.workers, o.Shards), 1)
 }
 
-// newEvent / freeEvent are the per-shard counterparts of the Network
-// pool methods. Records never migrate between pools: a staged
-// cross-shard message travels as a value struct and is materialized
-// from the receiving shard's pool at the barrier.
+// newEvent takes a record from the shard's pool (or allocates one).
+// Records never migrate between pools: a staged cross-shard message
+// travels as a value struct and is materialized from the receiving
+// shard's pool at the barrier.
 func (sh *shard) newEvent() *event {
 	if k := len(sh.free); k > 0 {
 		ev := sh.free[k-1]
@@ -215,6 +188,9 @@ func (sh *shard) newEvent() *event {
 	return &event{home: int32(sh.idx)}
 }
 
+// freeEvent returns a record to the pool. The gen bump invalidates any
+// cancel closure still holding the record; payload fields are cleared
+// so a recycled record can never replay its previous role.
 func (sh *shard) freeEvent(ev *event) {
 	ev.gen++
 	ev.fn = nil
@@ -227,70 +203,64 @@ func (sh *shard) freeEvent(ev *event) {
 	sh.free = append(sh.free, ev)
 }
 
-// defer_ schedules a node-local timer on the node's own shard. It runs
-// either on the shard's worker (node logic inside a window) or on the
-// coordinator with all shards parked (driver callbacks, harness code
-// between runs) — never concurrently with itself.
-func (sh *shard) defer_(e *nodeEnv, d time.Duration, fn func()) *event {
-	if d < 0 {
-		d = 0
+// key returns the tie key of the next event e creates (e is nil for a
+// one-heap Schedule).
+func (sh *shard) key(e *nodeEnv) int64 {
+	if len(sh.net.shards) == 1 {
+		k := sh.seq
+		sh.seq++
+		return k
 	}
-	ev := sh.newEvent()
-	ev.at = sh.now + d
-	ev.seq = packKey(int32(e.idx), e.oseq)
+	k := packKey(int32(e.idx), e.oseq)
 	e.oseq++
+	return k
+}
+
+// defer_ schedules a timer for e (nil for a one-heap Schedule) on its
+// shard. Across shards it runs either on the shard's worker (node logic
+// inside a window) or on the coordinator with all shards parked (Schedule
+// callbacks, harness code between runs) — never concurrently with
+// itself.
+func (sh *shard) defer_(e *nodeEnv, d time.Duration, fn func()) *event {
+	ev := sh.newEvent()
+	ev.at = sh.now + max(d, 0)
+	ev.seq = sh.key(e)
 	ev.fn = fn
 	ev.env = e
 	sh.events.push(ev)
 	return ev
 }
 
-// send transmits a message in sharded mode. The latency (and jitter)
-// draw comes from the sender's private stream; same-shard deliveries go
-// straight onto the local heap, cross-shard deliveries are staged for
-// the barrier fold.
+// send transmits a message from e. Deliveries to the sender's own shard
+// go straight onto its heap; cross-shard deliveries are staged for the
+// barrier fold.
 func (sh *shard) send(e *nodeEnv, to ids.ID, m any) {
 	n := sh.net
-	logical := int64(1)
-	var items []any
-	if b, ok := m.(Batch); ok {
-		items = b.Unpack()
-		logical = int64(len(items))
-	}
-	sh.counter.Wire++
-	sh.counter.cell(KindOf(m)).wire++
-	if items != nil {
-		for _, it := range items {
-			sh.counter.Total++
-			sh.counter.cell(KindOf(it)).logical++
-		}
-	} else {
-		sh.counter.Total++
-		sh.counter.cell(KindOf(m)).logical++
-	}
-	sh.counter.addSent(e.idx, logical)
+	logical := sh.counter.countSend(e.idx, m)
 	if n.opts.Drop != nil && n.opts.Drop(e.id, to, m) {
 		return
 	}
 	lat := n.opts.Latency.Latency(e.id, to, sh.now, e.latRng)
+	if n.opts.Tap != nil {
+		n.opts.Tap(e.id, to, m, lat)
+	}
 	proc := n.opts.ProcDelay
 	if n.opts.ProcJitter > 0 {
 		proc += time.Duration(e.latRng.Int63n(int64(n.opts.ProcJitter)))
 	}
 	dst := n.nodes[to]
-	if dst == nil {
-		// Unregistered destination: counted as sent, never delivered —
-		// the classic engine's outcome whenever the node stays
-		// unregistered. (The classic engine would additionally deliver
-		// if the destination registered while the message was in
-		// flight; the sharded engine drops at send so a message can
-		// never target a shard assignment made after the fact.)
-		return
+	if dst == nil && len(n.shards) > 1 {
+		return // unregistered: dropped at send across shards (see the header)
 	}
 	at := sh.now + lat + proc
-	key := packKey(int32(e.idx), e.oseq)
-	e.oseq++
-	if dst.shard == sh {
+	if n.opts.SerializeProc && proc > 0 {
+		// The message waits for the receiver's CPU to finish earlier
+		// work, then occupies it for proc. CPUs may be shared between
+		// co-located instances (Emulab: 10 per machine).
+		at = n.serializeOn(dst, to, sh.now+lat, proc)
+	}
+	key := sh.key(e)
+	if dst == nil || dst.shard == sh {
 		ev := sh.newEvent()
 		ev.at = at
 		ev.seq = key
@@ -311,57 +281,64 @@ func (sh *shard) send(e *nodeEnv, to ids.ID, m any) {
 	})
 }
 
+// exec runs one popped event — a delivery or a timer — and recycles its
+// record. The record is freed before the callback runs: the callback
+// may schedule new timers, and handing it the just-freed record is the
+// common recycle hit.
+func (sh *shard) exec(ev *event) {
+	if !ev.delivery {
+		fn, env := ev.fn, ev.env
+		sh.freeEvent(ev)
+		if env != nil && env.down {
+			// A crashed node's timers are dropped at fire time.
+			return
+		}
+		fn()
+		return
+	}
+	from, to, m, logical, dst := ev.from, ev.to, ev.m, ev.logical, ev.envTo
+	sh.freeEvent(ev)
+	if dst == nil || dst.removed {
+		// Unresolved at send time (or removed since): consult the
+		// registry, which also catches a node registered between send
+		// and delivery.
+		dst = sh.net.nodes[to]
+	}
+	if dst == nil || dst.removed || dst.down || dst.handler == nil {
+		return
+	}
+	if dst.shard != sh {
+		// The destination was removed and its identifier re-registered
+		// onto a different shard while the message was in flight;
+		// delivering here would run foreign-shard state on this worker.
+		return
+	}
+	sh.counter.addRecv(dst.idx, logical)
+	dst.handler.Handle(from, m)
+}
+
 // runWindow drains this shard's heap through [*, end), leaving events
 // at or beyond end for later windows.
 func (sh *shard) runWindow(end time.Duration) {
 	sh.winEnd = end
-	n := sh.net
-	for sh.events.Len() > 0 {
-		if sh.events.q[0].at >= end {
-			break
-		}
+	for sh.events.Len() > 0 && sh.events.q[0].at < end {
 		ev := sh.events.pop()
 		sh.now = ev.at
 		sh.processed++
-		if ev.delivery {
-			from, to, m, logical, envTo := ev.from, ev.to, ev.m, ev.logical, ev.envTo
-			sh.freeEvent(ev)
-			if envTo == nil || envTo.removed {
-				envTo = n.nodes[to]
-			}
-			if envTo == nil || envTo.removed || envTo.down || envTo.handler == nil {
-				continue
-			}
-			if envTo.shard != sh {
-				// The destination was removed and its identifier
-				// re-registered onto a different shard while the
-				// message was in flight; delivering here would run
-				// foreign-shard state on this worker. Drop it.
-				continue
-			}
-			sh.counter.addRecv(envTo.idx, logical)
-			envTo.handler.Handle(from, m)
-			continue
-		}
-		fn, env := ev.fn, ev.env
-		sh.freeEvent(ev)
-		if env != nil && env.down {
-			continue
-		}
-		fn()
+		sh.exec(ev)
 	}
 }
 
 // foldStaged moves every staged cross-shard message onto its
 // destination heap. Coordinator context only: all shard workers are
 // parked, so the buffers are stable.
-func (s *shardedNet) foldStaged() {
-	for _, src := range s.shards {
+func (n *Network) foldStaged() {
+	for _, src := range n.shards {
 		for d, buf := range src.stageOut {
 			if len(buf) == 0 {
 				continue
 			}
-			dst := s.shards[d]
+			dst := n.shards[d]
 			for i := range buf {
 				st := &buf[i]
 				ev := dst.newEvent()
@@ -384,10 +361,10 @@ func (s *shardedNet) foldStaged() {
 // nextEventAt returns the earliest pending shard-event time, or
 // ok=false when all heaps are empty. (Staged buffers are always empty
 // when this runs: the coordinator folds them first.)
-func (s *shardedNet) nextEventAt() (time.Duration, bool) {
+func (n *Network) nextEventAt() (time.Duration, bool) {
 	var best time.Duration
 	found := false
-	for _, sh := range s.shards {
+	for _, sh := range n.shards {
 		if sh.events.Len() == 0 {
 			continue
 		}
@@ -398,52 +375,16 @@ func (s *shardedNet) nextEventAt() (time.Duration, bool) {
 	return best, found
 }
 
-// pending counts queued events across shard heaps, staged inboxes, and
-// the driver queue.
-func (s *shardedNet) pending() int {
-	total := s.drv.Len()
-	for _, sh := range s.shards {
-		total += sh.events.Len()
-		for _, buf := range sh.stageOut {
-			total += len(buf)
-		}
-	}
-	return total
-}
-
-// schedule registers a driver-level callback (Network.Schedule).
-// Driver events live on the coordinator's own queue, keyed by creation
-// order, and run with every shard parked — they may touch any node.
-func (s *shardedNet) schedule(d time.Duration, fn func()) (cancel func()) {
-	if d < 0 {
-		d = 0
-	}
-	ev := &event{home: -1}
-	ev.at = s.net.now + d
-	ev.seq = s.dseq
-	s.dseq++
-	ev.fn = fn
-	s.drv.push(ev)
-	gen := ev.gen
-	return func() {
-		if ev.gen != gen || ev.idx < 0 {
-			return
-		}
-		s.drv.remove(ev.idx)
-		ev.gen++
-	}
-}
-
 // runDriverAt executes every driver event scheduled at exactly t, in
 // creation order, advancing all clocks to t first.
-func (s *shardedNet) runDriverAt(t time.Duration) int {
+func (n *Network) runDriverAt(t time.Duration) int {
 	processed := 0
-	s.net.now = t
-	for _, sh := range s.shards {
+	n.now = t
+	for _, sh := range n.shards {
 		sh.now = t
 	}
-	for s.drv.Len() > 0 && s.drv.q[0].at == t {
-		ev := s.drv.pop()
+	for n.drv.Len() > 0 && n.drv.q[0].at == t {
+		ev := n.drv.pop()
 		fn := ev.fn
 		ev.gen++
 		ev.fn = nil
@@ -453,33 +394,22 @@ func (s *shardedNet) runDriverAt(t time.Duration) int {
 	return processed
 }
 
-// runWindows is the coordinator loop behind the sharded Run variants.
-// It advances through lookahead windows until the queues drain, the
-// virtual clock would pass target (when bounded), cond turns false, or
-// maxEvents is reached, and returns the number of events processed.
-//
-//   - bounded: stop (and set the clock) at target, like RunUntil.
-//   - cond: checked at window barriers — not per event like the classic
-//     RunWhile; a window that straddles the condition flip completes.
-//   - maxEvents: 0 means unlimited; windows are atomic, so the count
-//     may overshoot within the final window.
-func (s *shardedNet) runWindows(target time.Duration, bounded bool, cond func() bool, maxEvents int) int {
-	n := s.net
+// runWindows is run across shards: it advances through lookahead
+// windows with run's stopping rules, except that cond is checked at
+// window barriers and, windows being atomic, the count may overshoot
+// maxEvents within the final window.
+func (n *Network) runWindows(target time.Duration, bounded bool, cond func() bool, maxEvents int) int {
 	processed := 0
 	finish := func() int {
 		if bounded {
 			n.now = target
 		} else {
-			for _, sh := range s.shards {
-				if sh.now > n.now {
-					n.now = sh.now
-				}
+			for _, sh := range n.shards {
+				n.now = max(n.now, sh.now)
 			}
 		}
-		for _, sh := range s.shards {
-			if sh.now < n.now {
-				sh.now = n.now
-			}
+		for _, sh := range n.shards {
+			sh.now = max(sh.now, n.now)
 		}
 		return processed
 	}
@@ -487,22 +417,22 @@ func (s *shardedNet) runWindows(target time.Duration, bounded bool, cond func() 
 		// Fold any staged cross-shard traffic (from the previous
 		// window, a driver callback, or harness sends between runs)
 		// before looking at the heaps.
-		s.foldStaged()
+		n.foldStaged()
 		if cond != nil && !cond() {
 			return finish()
 		}
 		if maxEvents > 0 && processed >= maxEvents {
 			return finish()
 		}
-		next, ok := s.nextEventAt()
-		if s.drv.Len() > 0 {
-			if dt := s.drv.q[0].at; !ok || dt <= next {
+		next, ok := n.nextEventAt()
+		if n.drv.Len() > 0 {
+			if dt := n.drv.q[0].at; !ok || dt <= next {
 				// Driver events run first at their instant, before any
 				// node event at the same time.
 				if bounded && dt > target {
 					return finish()
 				}
-				processed += s.runDriverAt(dt)
+				processed += n.runDriverAt(dt)
 				continue
 			}
 		}
@@ -512,18 +442,18 @@ func (s *shardedNet) runWindows(target time.Duration, bounded bool, cond func() 
 		if bounded && next > target {
 			return finish()
 		}
-		end := next + s.horizon
-		if s.drv.Len() > 0 && s.drv.q[0].at < end {
+		end := next + n.horizon
+		if n.drv.Len() > 0 && n.drv.q[0].at < end {
 			// Clip at the next driver event so it observes (and can
 			// mutate) a fully settled state at its instant.
-			end = s.drv.q[0].at
+			end = n.drv.q[0].at
 		}
 		if bounded && end > target+1 {
 			// Include events at exactly target, then stop.
 			end = target + 1
 		}
-		s.runOneWindow(end)
-		for _, sh := range s.shards {
+		n.runOneWindow(end)
+		for _, sh := range n.shards {
 			processed += sh.processed
 			sh.processed = 0
 		}
@@ -534,31 +464,31 @@ func (s *shardedNet) runWindows(target time.Duration, bounded bool, cond func() 
 // backlog is small or parallelism is off, on worker goroutines
 // otherwise. Both paths compute identical results; only wall-clock
 // differs.
-func (s *shardedNet) runOneWindow(end time.Duration) {
-	if s.workers > 1 && s.pending() >= parallelThreshold {
-		for _, sh := range s.shards {
+func (n *Network) runOneWindow(end time.Duration) {
+	if n.workers > 1 && n.PendingEvents() >= parallelThreshold {
+		for _, sh := range n.shards {
 			if sh.events.Len() == 0 {
 				continue
 			}
-			s.wg.Add(1)
+			n.wg.Add(1)
 			go func(sh *shard) {
-				defer s.wg.Done()
+				defer n.wg.Done()
 				sh.runWindow(end)
 			}(sh)
 		}
-		s.wg.Wait()
+		n.wg.Wait()
 		return
 	}
-	for _, sh := range s.shards {
+	for _, sh := range n.shards {
 		sh.runWindow(end)
 	}
 }
 
 // mergedCounter materializes one Counter summing the per-shard ledgers.
 // It is a snapshot: reporting-path cost, not hot-path cost.
-func (s *shardedNet) mergedCounter() *Counter {
-	out := s.net.newCounter()
-	for _, sh := range s.shards {
+func (n *Network) mergedCounter() *Counter {
+	out := n.newCounter()
+	for _, sh := range n.shards {
 		c := sh.counter
 		out.Total += c.Total
 		out.Wire += c.Wire
@@ -579,46 +509,4 @@ func (s *shardedNet) mergedCounter() *Counter {
 		}
 	}
 	return out
-}
-
-// resetCounters zeroes every shard ledger.
-func (s *shardedNet) resetCounters() {
-	for _, sh := range s.shards {
-		sh.counter = s.net.newCounter()
-	}
-}
-
-// cancelEvent removes a pending sharded event. It runs either on the
-// owning shard's worker (a node cancelling its own timer: the event
-// lives on that same shard's heap) or on the coordinator with shards
-// parked.
-func (s *shardedNet) cancelEvent(ev *event, gen uint64) {
-	if ev.gen != gen || ev.idx < 0 {
-		return
-	}
-	if ev.home < 0 {
-		s.drv.remove(ev.idx)
-		ev.gen++
-		return
-	}
-	sh := s.shards[ev.home]
-	sh.events.remove(ev.idx)
-	sh.freeEvent(ev)
-}
-
-// Shards reports the shard count (1 when the classic scheduler runs).
-func (n *Network) Shards() int {
-	if n.sharded == nil {
-		return 1
-	}
-	return len(n.sharded.shards)
-}
-
-// Lookahead reports the conservative window size (0 on the classic
-// scheduler).
-func (n *Network) Lookahead() time.Duration {
-	if n.sharded == nil {
-		return 0
-	}
-	return n.sharded.horizon
 }

@@ -218,26 +218,22 @@ func TestShardedGates(t *testing.T) {
 	expectPanic("cpuof", Options{Shards: 2, CPUOf: func(ids.ID) int { return 0 }})
 	expectPanic("tap", Options{Shards: 2, Tap: func(_, _ ids.ID, _ any, _ time.Duration) {}})
 	expectPanic("no-lookahead", Options{Shards: 2, Latency: Uniform(0, time.Millisecond)})
-	// An explicit Lookahead unlocks models without a usable bound.
-	New(Options{Shards: 2, Latency: Uniform(time.Millisecond, 2*time.Millisecond), Lookahead: time.Millisecond})
+	// ProcDelay alone is a usable bound.
+	New(Options{Shards: 2, Latency: Uniform(0, time.Millisecond), ProcDelay: time.Millisecond})
 }
 
 // TestShardedLookaheadHorizon checks horizon resolution from the model
-// bound plus ProcDelay, and the explicit override.
+// bound plus ProcDelay.
 func TestShardedLookaheadHorizon(t *testing.T) {
 	net := New(Options{Shards: 2, Latency: Fixed(3 * time.Millisecond), ProcDelay: time.Millisecond})
-	if h := net.Lookahead(); h != 4*time.Millisecond {
+	if h := net.horizon; h != 4*time.Millisecond {
 		t.Fatalf("derived horizon %v, want 4ms", h)
 	}
-	net = New(Options{Shards: 2, Latency: Fixed(3 * time.Millisecond), Lookahead: 500 * time.Microsecond})
-	if h := net.Lookahead(); h != 500*time.Microsecond {
-		t.Fatalf("explicit horizon %v, want 500µs", h)
+	if len(net.shards) != 2 {
+		t.Fatalf("%d shards, want 2", len(net.shards))
 	}
-	if net.Shards() != 2 {
-		t.Fatalf("Shards() = %d, want 2", net.Shards())
-	}
-	if New(Options{}).Lookahead() != 0 {
-		t.Fatal("classic scheduler reports a lookahead")
+	if New(Options{}).horizon != 0 {
+		t.Fatal("one heap reports a lookahead")
 	}
 }
 
@@ -254,7 +250,7 @@ func TestPairwiseModel(t *testing.T) {
 	if l1 < 2*time.Millisecond || l1 >= 3*time.Millisecond {
 		t.Fatalf("latency %v outside [base, base+spread)", l1)
 	}
-	if mm, ok := m.(MinLatencyModel); !ok || mm.MinLatency() != 2*time.Millisecond {
+	if m.MinLatency() != 2*time.Millisecond {
 		t.Fatal("pairwise MinLatency wrong")
 	}
 	rev := m.Latency(b, a, 0, nil)
@@ -267,7 +263,7 @@ func TestPairwiseModel(t *testing.T) {
 }
 
 // TestMinLatencyBounds spot-checks the published bounds against
-// sampled draws for every model that implements MinLatencyModel.
+// sampled draws for every model.
 func TestMinLatencyBounds(t *testing.T) {
 	models := []struct {
 		name string
@@ -281,12 +277,7 @@ func TestMinLatencyBounds(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range models {
-		mm, ok := tc.m.(MinLatencyModel)
-		if !ok {
-			t.Errorf("%s: no MinLatency", tc.name)
-			continue
-		}
-		bound := mm.MinLatency()
+		bound := tc.m.MinLatency()
 		if bound <= 0 {
 			t.Errorf("%s: bound %v not positive", tc.name, bound)
 		}

@@ -6,9 +6,10 @@
 // runs unchanged on simnet (for 16k-node experiments) and on the real
 // TCP transport (for multi-process deployments).
 //
-// The simulator is single-threaded: Run drains a priority queue of timed
-// events on the caller's goroutine. With a fixed seed, runs are exactly
-// reproducible.
+// Events live on shards (see shard.go). With one shard, the default, Run
+// drains a single priority queue of timed events on the caller's
+// goroutine; with Options.Shards >= 2 the shards drain lookahead windows
+// in parallel. Either way, a fixed seed makes runs exactly reproducible.
 //
 // The event core is allocation-lean by design: message deliveries are
 // encoded directly in pooled event records (no per-message closures),
@@ -64,6 +65,10 @@ type LatencyModel interface {
 	// Latency returns the one-way delay for a message from -> to sent
 	// at time now.
 	Latency(from, to ids.ID, now time.Duration, rng *rand.Rand) time.Duration
+	// MinLatency returns a lower bound on Latency for any (from, to,
+	// now) triple. Sharded execution derives its lookahead window from
+	// it.
+	MinLatency() time.Duration
 }
 
 // Counter accumulates message statistics. Logical counts (Total,
@@ -200,6 +205,30 @@ func (c *Counter) addRecv(idx int, n int64) {
 	c.recv[idx] += n
 }
 
+// countSend books one transmission by the node at idx and returns the
+// number of logical messages it carries.
+func (c *Counter) countSend(idx int, m any) int64 {
+	logical := int64(1)
+	var items []any
+	if b, ok := m.(Batch); ok {
+		items = b.Unpack()
+		logical = int64(len(items))
+	}
+	c.Wire++
+	c.cell(KindOf(m)).wire++
+	if items != nil {
+		for _, it := range items {
+			c.Total++
+			c.cell(KindOf(it)).logical++
+		}
+	} else {
+		c.Total++
+		c.cell(KindOf(m)).logical++
+	}
+	c.addSent(idx, logical)
+	return logical
+}
+
 // Batch marks a wire message that bundles several logical messages
 // (see core.BatchMsg). The simulator counts the batch once at the wire
 // level and each bundled item once at the logical level.
@@ -272,38 +301,31 @@ type Options struct {
 	// It must be a pure function of the ID: a registered node's CPU is
 	// evaluated once, at AddNode.
 	CPUOf func(id ids.ID) int
-	// Shards >= 2 selects the sharded conservative-lookahead scheduler
-	// (see shard.go): nodes are partitioned round-robin across Shards
-	// event heaps that drain lookahead windows in parallel. 0 or 1
-	// selects the classic single-heap scheduler. Sharded runs are
-	// deterministic for a given seed regardless of shard or worker
-	// count, but use a different (equally valid) same-instant
-	// tie-break than the classic scheduler, per-sender latency
-	// streams, and window-barrier RunWhile semantics. SerializeProc,
-	// CPUOf, and Tap are rejected in sharded mode.
+	// Shards is the number of event heaps (see shard.go). 0 or 1 runs
+	// every node on one heap. K >= 2 partitions nodes round-robin
+	// across K heaps that drain lookahead windows of MinLatency() +
+	// ProcDelay in parallel; that sum must be positive. A K-heap run is
+	// deterministic for a given seed whatever K and ShardWorkers are,
+	// but breaks same-instant ties, draws latencies and checks RunWhile
+	// differently from one heap, as the shard.go header lists.
+	// SerializeProc, CPUOf and Tap require one heap.
 	Shards int
 	// ShardWorkers caps how many OS threads execute a window in
 	// parallel: 0 means GOMAXPROCS, 1 forces inline (serial)
 	// execution. Results are identical either way; only wall-clock
 	// differs.
 	ShardWorkers int
-	// Lookahead overrides the conservative window size for sharded
-	// execution. 0 derives it from the latency model's MinLatency()
-	// plus ProcDelay; models without a MinLatency() bound require an
-	// explicit positive Lookahead. Smaller values are always safe
-	// (more barriers, same results); values larger than the true
-	// minimum cross-shard delivery delay panic at the first violation.
-	Lookahead time.Duration
 }
 
 // Network is a simulated network of nodes sharing one virtual clock.
 type Network struct {
-	opts   Options
-	rng    *rand.Rand
-	now    time.Duration
-	seq    int64
-	events eventQueue
-	nodes  map[ids.ID]*nodeEnv
+	opts Options
+	rng  *rand.Rand
+	// now is the coordinator's clock. On one heap it moves with every
+	// event; across shards it moves at window edges and the shard clocks
+	// run ahead of it inside a window.
+	now   time.Duration
+	nodes map[ids.ID]*nodeEnv
 	// envs/idlist are the dense registration-order views backing the
 	// index-addressed hot paths (counters, CPU busy state).
 	envs   []*nodeEnv
@@ -313,15 +335,18 @@ type Network struct {
 	// out-of-range CPU keys.
 	busyCPU   []time.Duration
 	busyOther map[int64]time.Duration
-	// freeEvents recycles event records; freed events bump their gen so
-	// stale cancel closures become no-ops instead of corrupting a
-	// reused record.
-	freeEvents []*event
-	counter    *Counter
-	// sharded is non-nil when Options.Shards >= 2 selected the
-	// conservative-lookahead parallel scheduler; the Run/Schedule/
-	// Counter entry points dispatch to it.
-	sharded *shardedNet
+
+	// shards holds one heap, or Options.Shards of them.
+	shards []*shard
+	// The window coordinator, used only across shards: the window
+	// size, the worker cap (1 executes windows inline on the
+	// coordinator goroutine), and the queue of Schedule events, which
+	// run on the coordinator at window edges in creation order.
+	horizon time.Duration
+	workers int
+	drv     eventQueue
+	dseq    int64
+	wg      sync.WaitGroup
 }
 
 // New creates an empty simulated network.
@@ -329,14 +354,23 @@ func New(opts Options) *Network {
 	if opts.Latency == nil {
 		opts.Latency = Fixed(time.Millisecond)
 	}
+	k := max(opts.Shards, 1)
 	n := &Network{
-		opts:  opts,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-		nodes: make(map[ids.ID]*nodeEnv),
+		opts:   opts,
+		rng:    rand.New(rand.NewSource(opts.Seed)),
+		nodes:  make(map[ids.ID]*nodeEnv),
+		shards: make([]*shard, k),
 	}
-	n.counter = n.newCounter()
-	if opts.Shards >= 2 {
-		n.sharded = newShardedNet(n)
+	for i := range n.shards {
+		n.shards[i] = &shard{
+			net:      n,
+			idx:      i,
+			counter:  n.newCounter(),
+			stageOut: make([][]stagedMsg, k),
+		}
+	}
+	if k > 1 {
+		n.initWindows()
 	}
 	return n
 }
@@ -356,8 +390,10 @@ func (n *Network) AddNode(id ids.ID) *nodeEnv {
 	if n.opts.CPUOf != nil {
 		env.cpu = n.opts.CPUOf(id)
 	}
-	if n.sharded != nil {
-		env.shard = n.sharded.shards[env.idx%len(n.sharded.shards)]
+	env.shard = n.shards[env.idx%len(n.shards)]
+	if len(n.shards) == 1 {
+		env.latRng = n.rng
+	} else {
 		// The per-sender latency/jitter stream: a distinct salt keeps
 		// it independent of the node-logic stream Rand builds.
 		env.latRng = rand.New(rand.NewSource(n.opts.Seed ^ int64(idSeed(id)) ^ latStreamSalt))
@@ -386,22 +422,20 @@ func (n *Network) SetDown(id ids.ID, down bool) {
 	}
 }
 
-// Counter returns the message counter. On the classic scheduler it is
-// the live ledger; on the sharded scheduler it is a merged snapshot of
-// the per-shard ledgers (a reporting-path cost — don't call it per
-// event).
+// Counter returns the message counter. On one heap it is the live
+// ledger; across shards it is a merged snapshot of the per-shard
+// ledgers (a reporting-path cost — don't call it per event).
 func (n *Network) Counter() *Counter {
-	if n.sharded != nil {
-		return n.sharded.mergedCounter()
+	if len(n.shards) == 1 {
+		return n.shards[0].counter
 	}
-	return n.counter
+	return n.mergedCounter()
 }
 
 // ResetCounter zeroes accounting, typically after cluster warm-up.
 func (n *Network) ResetCounter() {
-	n.counter = n.newCounter()
-	if n.sharded != nil {
-		n.sharded.resetCounters()
+	for _, sh := range n.shards {
+		sh.counter = n.newCounter()
 	}
 }
 
@@ -414,141 +448,66 @@ func (n *Network) Rand() *rand.Rand { return n.rng }
 // PendingEvents reports the scheduled-event backlog (deliveries plus
 // armed timers). Harnesses use it to watch for runaway amplification —
 // a protocol bug that doubles messages per hop shows up here long
-// before it exhausts memory. On the sharded scheduler it sums the
-// shard heaps, staged cross-shard inboxes, and the driver queue.
+// before it exhausts memory. It sums the shard heaps, the staged
+// cross-shard inboxes, and the coordinator's Schedule queue.
 func (n *Network) PendingEvents() int {
-	if n.sharded != nil {
-		return n.sharded.pending()
+	total := n.drv.Len()
+	for _, sh := range n.shards {
+		total += sh.events.Len()
+		for _, buf := range sh.stageOut {
+			total += len(buf)
+		}
 	}
-	return n.events.Len()
+	return total
 }
 
-// RTT estimates the round-trip time between two nodes by sampling the
-// latency model, excluding processing delay. Models with stable pairwise
-// bases (WAN) return stable values.
-func (n *Network) RTT(a, b ids.ID) time.Duration {
-	return n.opts.Latency.Latency(a, b, n.now, n.rng) + n.opts.Latency.Latency(b, a, n.now, n.rng)
-}
-
-// newEvent takes a record from the pool (or allocates one).
-func (n *Network) newEvent() *event {
-	if k := len(n.freeEvents); k > 0 {
-		ev := n.freeEvents[k-1]
-		n.freeEvents = n.freeEvents[:k-1]
-		return ev
-	}
-	return &event{}
-}
-
-// freeEvent returns a record to the pool. The gen bump invalidates any
-// cancel closure still holding the record; payload fields are cleared
-// so a recycled record can never replay its previous role.
-func (n *Network) freeEvent(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.env = nil
-	ev.envTo = nil
-	ev.m = nil
-	ev.delivery = false
-	ev.logical = 0
-	ev.idx = -1
-	n.freeEvents = append(n.freeEvents, ev)
-}
-
-// Schedule runs fn at now+d on the simulator goroutine. On the sharded
-// scheduler the callback is a driver event: it runs on the coordinator
-// at a window edge, with every shard parked, before any node event at
-// the same instant — so it may safely touch any node.
+// Schedule runs fn at now+d on the simulator goroutine. On one heap it
+// is an ordinary heap event. Across shards it is a coordinator event: it runs
+// on the coordinator at a window edge, with every shard parked, before
+// any node event at the same instant — so it may safely touch any node.
 func (n *Network) Schedule(d time.Duration, fn func()) (cancel func()) {
-	if n.sharded != nil {
-		return n.sharded.schedule(d, fn)
+	var ev *event
+	if len(n.shards) == 1 {
+		ev = n.shards[0].defer_(nil, d, fn)
+	} else {
+		ev = &event{home: -1, at: n.now + max(d, 0), seq: n.dseq, fn: fn}
+		n.dseq++
+		n.drv.push(ev)
 	}
-	if d < 0 {
-		d = 0
-	}
-	ev := n.newEvent()
-	ev.at = n.now + d
-	ev.seq = n.seq
-	ev.fn = fn
-	n.seq++
-	n.events.push(ev)
 	gen := ev.gen
 	return func() { n.cancelEvent(ev, gen) }
 }
 
-// cancelEvent removes a still-pending timer from the heap. A cancel
-// arriving after the event fired (or was recycled) is a no-op.
+// cancelEvent removes a still-pending event from its heap. A cancel
+// arriving after the event fired (or was recycled) is a no-op. It runs
+// either on the owning shard's worker (a node cancelling its own timer)
+// or on the coordinator with every shard parked.
 func (n *Network) cancelEvent(ev *event, gen uint64) {
-	if n.sharded != nil {
-		n.sharded.cancelEvent(ev, gen)
-		return
-	}
 	if ev.gen != gen || ev.idx < 0 {
 		return
 	}
-	n.events.remove(ev.idx)
-	n.freeEvent(ev)
-}
-
-// exec runs one popped event and recycles its record. The record is
-// freed before the callback runs: the callback may schedule new timers,
-// and handing it the just-freed record is the common recycle hit.
-func (n *Network) exec(ev *event) {
-	if ev.delivery {
-		from, to, m, logical, envTo := ev.from, ev.to, ev.m, ev.logical, ev.envTo
-		n.freeEvent(ev)
-		n.deliver(from, to, m, logical, envTo)
+	if ev.home < 0 {
+		n.drv.remove(ev.idx)
+		ev.gen++
 		return
 	}
-	fn, env := ev.fn, ev.env
-	n.freeEvent(ev)
-	if env != nil && env.down {
-		// A crashed node's timers are dropped at fire time, exactly as
-		// the pre-optimization per-timer wrapper closure did.
-		return
-	}
-	fn()
+	sh := n.shards[ev.home]
+	sh.events.remove(ev.idx)
+	sh.freeEvent(ev)
 }
 
 // Run processes events until the queue is empty or maxEvents events have
 // run (0 means unlimited). It returns the number of events processed.
-// On the sharded scheduler windows are atomic, so the count may
-// overshoot maxEvents within the final window.
-func (n *Network) Run(maxEvents int) int {
-	if n.sharded != nil {
-		return n.sharded.runWindows(0, false, nil, maxEvents)
-	}
-	processed := 0
-	for n.events.Len() > 0 {
-		if maxEvents > 0 && processed >= maxEvents {
-			break
-		}
-		ev := n.events.pop()
-		n.now = ev.at
-		n.exec(ev)
-		processed++
-	}
-	return processed
-}
+// Across shards windows are atomic, so the count may overshoot
+// maxEvents within the final window.
+func (n *Network) Run(maxEvents int) int { return n.run(0, false, nil, maxEvents) }
 
 // RunWhile processes events until cond returns false or the queue
-// drains. It returns the number of events processed. The classic
-// scheduler checks cond before every event; the sharded scheduler
-// checks it at window barriers, so a window that straddles the
-// condition flip completes before the run stops.
-func (n *Network) RunWhile(cond func() bool) int {
-	if n.sharded != nil {
-		return n.sharded.runWindows(0, false, cond, 0)
-	}
-	processed := 0
-	for n.events.Len() > 0 && cond() {
-		ev := n.events.pop()
-		n.now = ev.at
-		n.exec(ev)
-		processed++
-	}
-	return processed
-}
+// drains. It returns the number of events processed. One heap checks
+// cond before every event; across shards it is checked at window
+// barriers, so a window that straddles the condition flip completes
+// before the run stops.
+func (n *Network) RunWhile(cond func() bool) int { return n.run(0, false, cond, 0) }
 
 // RunFor advances virtual time by d, processing all events scheduled in
 // the window, and leaves now at the window's end.
@@ -557,74 +516,41 @@ func (n *Network) RunFor(d time.Duration) {
 }
 
 // RunUntil processes all events scheduled at or before t and sets the
-// clock to t.
-func (n *Network) RunUntil(t time.Duration) {
-	if n.sharded != nil {
-		n.sharded.runWindows(t, true, nil, 0)
-		return
+// clock to t. A t in the past is read as Now(): the clock never moves
+// backwards.
+func (n *Network) RunUntil(t time.Duration) { n.run(t, true, nil, 0) }
+
+// run is the loop behind the Run variants. It stops when the queues
+// drain, the clock would pass target (when bounded, in which case the
+// clock ends on target), cond turns false, or maxEvents events have run
+// (0 means unlimited), and returns the number of events processed.
+func (n *Network) run(target time.Duration, bounded bool, cond func() bool, maxEvents int) int {
+	target = max(target, n.now)
+	if len(n.shards) > 1 {
+		return n.runWindows(target, bounded, cond, maxEvents)
 	}
-	for n.events.Len() > 0 {
-		at := n.events.q[0].at
-		if at > t {
+	sh := n.shards[0]
+	processed := 0
+	for sh.events.Len() > 0 {
+		if maxEvents > 0 && processed >= maxEvents {
 			break
 		}
-		ev := n.events.pop()
-		n.now = at
-		n.exec(ev)
-	}
-	n.now = t
-}
-
-// send implements message transmission between nodes.
-func (n *Network) send(from *nodeEnv, to ids.ID, m any) {
-	logical := int64(1)
-	var items []any
-	if b, ok := m.(Batch); ok {
-		items = b.Unpack()
-		logical = int64(len(items))
-	}
-	n.counter.Wire++
-	n.counter.cell(KindOf(m)).wire++
-	if items != nil {
-		for _, it := range items {
-			n.counter.Total++
-			n.counter.cell(KindOf(it)).logical++
+		if cond != nil && !cond() {
+			break
 		}
-	} else {
-		n.counter.Total++
-		n.counter.cell(KindOf(m)).logical++
+		at := sh.events.q[0].at
+		if bounded && at > target {
+			break
+		}
+		ev := sh.events.pop()
+		n.now, sh.now = at, at
+		sh.exec(ev)
+		processed++
 	}
-	n.counter.addSent(from.idx, logical)
-	if n.opts.Drop != nil && n.opts.Drop(from.id, to, m) {
-		return
+	if bounded {
+		n.now, sh.now = target, target
 	}
-	lat := n.opts.Latency.Latency(from.id, to, n.now, n.rng)
-	if n.opts.Tap != nil {
-		n.opts.Tap(from.id, to, m, lat)
-	}
-	proc := n.opts.ProcDelay
-	if n.opts.ProcJitter > 0 {
-		proc += time.Duration(n.rng.Int63n(int64(n.opts.ProcJitter)))
-	}
-	dst := n.nodes[to]
-	deliverAt := n.now + lat + proc
-	if n.opts.SerializeProc && proc > 0 {
-		// The message waits for the receiver's CPU to finish earlier
-		// work, then occupies it for proc. CPUs may be shared between
-		// co-located instances (Emulab: 10 per machine).
-		deliverAt = n.serializeOn(dst, to, n.now+lat, proc)
-	}
-	ev := n.newEvent()
-	ev.at = deliverAt
-	ev.seq = n.seq
-	ev.delivery = true
-	ev.from = from.id
-	ev.to = to
-	ev.envTo = dst
-	ev.m = m
-	ev.logical = logical
-	n.seq++
-	n.events.push(ev)
+	return processed
 }
 
 // serializeOn queues one processing occupancy on the destination's CPU
@@ -675,21 +601,6 @@ func (n *Network) busyMap(key int64, arrival, proc time.Duration) time.Duration 
 	return end
 }
 
-// deliver completes one transmission (the delivery-event body).
-func (n *Network) deliver(from, to ids.ID, m any, logical int64, dst *nodeEnv) {
-	if dst == nil || dst.removed {
-		// Unresolved at send time (or removed since): consult the
-		// registry, which also catches a node registered between send
-		// and delivery.
-		dst = n.nodes[to]
-	}
-	if dst == nil || dst.removed || dst.down || dst.handler == nil {
-		return
-	}
-	n.counter.addRecv(dst.idx, logical)
-	dst.handler.Handle(from, m)
-}
-
 // nodeEnv implements Env for one simulated node.
 type nodeEnv struct {
 	net *Network
@@ -703,10 +614,11 @@ type nodeEnv struct {
 	rng     *rand.Rand // built by Rand on first call
 	handler Handler
 
-	// Sharded-scheduler state (nil/zero on the classic scheduler):
-	// the owning shard, the node's private event-creation counter
-	// (the birth-sequence half of the ordering key), and the
-	// per-sender latency/jitter stream.
+	// shard owns the node's events. oseq is the node's private
+	// event-creation counter, the birth-sequence half of the ordering
+	// key across shards (unused on one heap). latRng is the stream its
+	// sends draw latency and jitter from: the network's on one heap,
+	// the node's own across shards.
 	shard  *shard
 	oseq   int64
 	latRng *rand.Rand
@@ -725,18 +637,14 @@ func (e *nodeEnv) Send(to ids.ID, m any) {
 	if e.down {
 		return // a crashed node cannot send
 	}
-	if e.shard != nil {
-		e.shard.send(e, to, m)
-		return
-	}
-	e.net.send(e, to, m)
+	e.shard.send(e, to, m)
 }
 
 // After schedules fn on the virtual clock. The crashed-node guard
 // rides in the event record itself rather than a per-timer wrapper
 // closure.
 func (e *nodeEnv) After(d time.Duration, fn func()) (cancel func()) {
-	ev := e.defer_(d, fn)
+	ev := e.shard.defer_(e, d, fn)
 	n := e.net
 	gen := ev.gen
 	return func() { n.cancelEvent(ev, gen) }
@@ -746,7 +654,7 @@ func (e *nodeEnv) After(d time.Duration, fn func()) (cancel func()) {
 // timers (the per-burst outbox flush) skip the cancel-closure
 // allocation entirely.
 func (e *nodeEnv) Defer(d time.Duration, fn func()) {
-	e.defer_(d, fn)
+	e.shard.defer_(e, d, fn)
 }
 
 // Timer is a reusable cancellation slot for periodic re-armed timers
@@ -784,40 +692,16 @@ func (t *Timer) SetFallback(cancel func()) {
 // Arm schedules fn like After but records the cancellation in t,
 // allocation-free.
 func (e *nodeEnv) Arm(d time.Duration, fn func(), t *Timer) {
-	ev := e.defer_(d, fn)
+	ev := e.shard.defer_(e, d, fn)
 	t.net = e.net
 	t.ev = ev
 	t.gen = ev.gen
 	t.stop = nil
 }
 
-func (e *nodeEnv) defer_(d time.Duration, fn func()) *event {
-	if e.shard != nil {
-		return e.shard.defer_(e, d, fn)
-	}
-	n := e.net
-	if d < 0 {
-		d = 0
-	}
-	ev := n.newEvent()
-	ev.at = n.now + d
-	ev.seq = n.seq
-	ev.fn = fn
-	ev.env = e
-	n.seq++
-	n.events.push(ev)
-	return ev
-}
-
-// Now returns the current virtual time: the owning shard's local clock
-// under the sharded scheduler (shard clocks diverge within a lookahead
-// window), the global clock otherwise.
-func (e *nodeEnv) Now() time.Duration {
-	if e.shard != nil {
-		return e.shard.now
-	}
-	return e.net.now
-}
+// Now returns the owning shard's clock. Across shards the clocks
+// diverge within a lookahead window.
+func (e *nodeEnv) Now() time.Duration { return e.shard.now }
 
 // Rand returns the node's deterministic random source, seeded with
 // Seed ^ idSeed(id). It is built on the first call: a math/rand source
@@ -848,9 +732,8 @@ type event struct {
 	seq int64
 	idx int
 	gen uint64
-	// home routes sharded cancels to the owning heap: the shard index
-	// for shard-pool records, -1 for driver events. Unused (0) on the
-	// classic scheduler.
+	// home routes cancels to the owning heap: the shard index for
+	// shard-pool records, -1 for coordinator (Schedule) events.
 	home int32
 
 	// Timer events carry fn (plus the owning env for the crashed-node

@@ -176,15 +176,13 @@ func WithProtocolBootstrap() Option {
 	return func(o *options) { o.bootstrap = cluster.BootstrapProtocol }
 }
 
-// WithShards runs the simulation on the sharded conservative-lookahead
-// scheduler: nodes are partitioned across k event heaps that drain
-// lookahead windows in parallel, which is what lets a single SimCluster
-// reach 100k+ nodes on a multi-core machine. Runs stay deterministic
-// for a given seed at any shard or worker count. Sharded mode is
-// incompatible with WithLANModel's CPU-contention physics
-// (SerializeProc, shared machines) and with latency models that cannot
-// bound their minimum delay; it pairs naturally with WithPairwiseModel.
-// k <= 1 keeps the classic single-heap scheduler.
+// WithShards partitions the simulated nodes across k event heaps that
+// drain conservative-lookahead windows in parallel. Runs stay
+// deterministic for a given seed at any shard or worker count, but
+// break same-instant ties and draw latencies differently from one heap.
+// k >= 2 is incompatible with WithLANModel's CPU-contention physics
+// (SerializeProc, shared machines); it pairs naturally with
+// WithPairwiseModel. k <= 1 runs every node on one heap.
 func WithShards(k int) Option {
 	return func(o *options) { o.cl.Shards = k }
 }
