@@ -15,9 +15,9 @@ import (
 // and comes back while four subscriptions stream, three of them on the
 // same tree and one over a composite cover. The purge, the repair
 // reconciles and cancels, the re-installs and the recovered node's
-// re-armed epoch timers all send; on the classic engine every send draws
-// its latency from one stream, so each of those loops must run in a
-// fixed order: one seed, one run. Coalescing is off: a batch draws one
+// re-armed epoch timers all send; every send draws its latency from its
+// sender's stream, so each of those loops must run in a fixed order:
+// one seed, one run. Coalescing is off: a batch draws one
 // latency for everything bound to one neighbour, which hides most
 // differences in send order.
 func TestChurnReproducible(t *testing.T) {

@@ -57,10 +57,10 @@ type Options struct {
 	JoinSpacing time.Duration
 	// Shards is simnet's heap count (see simnet.Options.Shards): 0 or 1
 	// runs every node on one heap, K >= 2 partitions the nodes across K
-	// heaps that drain lookahead windows in parallel. A K-heap run is
-	// deterministic for a given seed at any shard/worker count, but
-	// incompatible with SerializeProc, InstancesPerMachine > 1, and Tap
-	// (simnet rejects those at construction).
+	// heaps that drain lookahead windows in parallel. It is a speed
+	// setting: a seed gives the same run at any shard/worker count.
+	// K >= 2 is incompatible with SerializeProc, InstancesPerMachine > 1,
+	// and Tap (simnet rejects those at construction).
 	Shards int
 	// ShardWorkers caps OS-thread parallelism for sharded runs
 	// (0 = GOMAXPROCS, 1 = serial; results identical either way).

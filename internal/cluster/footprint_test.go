@@ -3,6 +3,7 @@
 package cluster
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -10,27 +11,22 @@ import (
 // TestNodeFootprint bounds the live heap an idle node holds right after
 // an oracle boot: whatever a node allocates up front, every node pays
 // for at every N. Routing rows and the node-logic random source are
-// allocated on first use, so unused ones cost nothing here; the sharded
-// engine's extra is the per-sender latency stream, which every send
-// draws. Race instrumentation inflates the heap, hence the build tag.
+// allocated on first use, so unused ones cost nothing here, and the
+// per-sender latency stream every send draws is a 16-byte counter-based
+// source. The shard count does not change the budget. Race
+// instrumentation inflates the heap, hence the build tag.
 func TestNodeFootprint(t *testing.T) {
 	const n = 2000
-	for _, tc := range []struct {
-		name   string
-		shards int
-		budget float64 // bytes per node
-	}{
-		{"classic", 0, 6 << 10},
-		{"shards=2", 2, 12 << 10},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	const budget = 6 << 10 // bytes per node
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			before := liveHeap()
-			c := New(Options{N: n, Seed: 1, Shards: tc.shards})
+			c := New(Options{N: n, Seed: 1, Shards: shards})
 			perNode := float64(liveHeap()-before) / n
 			runtime.KeepAlive(c)
-			t.Logf("%s: %.1f KB live heap per idle node", tc.name, perNode/1024)
-			if perNode > tc.budget {
-				t.Errorf("%s: an idle node holds %.1f KB, budget %.1f KB", tc.name, perNode/1024, tc.budget/1024)
+			t.Logf("%.1f KB live heap per idle node", perNode/1024)
+			if perNode > budget {
+				t.Errorf("an idle node holds %.1f KB, budget %.1f KB", perNode/1024, float64(budget)/1024)
 			}
 		})
 	}

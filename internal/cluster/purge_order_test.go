@@ -15,9 +15,9 @@ import (
 
 // TestPurgeReproducible: a heartbeat purge that lands while one-shots
 // are in flight re-sends statuses and installs (one per tree the node
-// holds) and finishes the aggregations that waited on the corpse. On
-// the classic engine every send draws its latency from one stream, so
-// those sends must go out in a fixed order: one seed, one run.
+// holds) and finishes the aggregations that waited on the corpse. Every
+// send draws its latency from its sender's stream, so one node's sends
+// must go out in a fixed order: one seed, one run.
 func TestPurgeReproducible(t *testing.T) {
 	first := runPurgeWorkload(t)
 	for i := 0; i < 2; i++ {

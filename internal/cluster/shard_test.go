@@ -1,23 +1,15 @@
 package cluster
 
-// Counter-accounting properties of the sharded simnet at the cluster
-// level: the full message accounting (Total/Wire, per-kind, per-node
-// sent and received) must not depend on how nodes are partitioned
-// across shards, and the per-node ledgers must always sum to the
-// totals. Two regimes are covered:
-//
-//   - sharded-vs-sharded (TestShardCountInvariantCounters): the window
-//     schedule is derived from global event times and the horizon,
-//     never from the partition, so ANY workload — including the
-//     rng-consuming LAN latency model and cond-driven pumping via
-//     Execute/RunWhile that sit outside the classic-vs-sharded
-//     equivalence envelope — must account identically at shards=2,3,4.
-//   - classic-vs-sharded (TestShardedCounterMatchesClassic): inside
-//     the envelope (Pairwise latencies, RunFor-only pumping) the
-//     sharded ledgers must also match the classic scheduler's.
-//
-// See simnet/shard.go for the envelope; experiments/shard_equiv_test.go
-// locks full byte-equivalence of transcripts inside it.
+// Counter-accounting properties of simnet at the cluster level: the
+// full message accounting (Total/Wire, per-kind, per-node sent and
+// received) must not depend on how nodes are partitioned across shards,
+// and the per-node ledgers must always sum to the totals. The window
+// schedule is derived from global event times and the horizon, never
+// from the partition, so any workload — including the rng-consuming LAN
+// latency model and cond-driven pumping via Execute/RunWhile — must
+// account identically at shards=1,2,3,4.
+// experiments/shard_equiv_test.go locks full byte-equivalence of
+// transcripts.
 
 import (
 	"fmt"
@@ -120,65 +112,20 @@ func runShardCounterWorkload(t *testing.T, shards int) (string, *simnet.Counter)
 }
 
 // TestShardCountInvariantCounters proves the accounting is a pure
-// function of the workload, not of the partition: shards=2,3,4 agree
+// function of the workload, not of the partition: shards=1,2,3,4 agree
 // ledger-for-ledger on a workload that includes rng-drawn latencies
 // and cond-driven pumping.
 func TestShardCountInvariantCounters(t *testing.T) {
-	ref, refCtr := runShardCounterWorkload(t, 2)
-	checkLedgerSums(t, "shards=2", refCtr)
+	ref, refCtr := runShardCounterWorkload(t, 1)
+	checkLedgerSums(t, "shards=1", refCtr)
 	if refCtr.Total == 0 || refCtr.Wire == 0 {
 		t.Fatal("workload produced no traffic")
 	}
-	for _, shards := range []int{3, 4} {
+	for _, shards := range []int{2, 3, 4} {
 		got, ctr := runShardCounterWorkload(t, shards)
 		checkLedgerSums(t, fmt.Sprintf("shards=%d", shards), ctr)
 		if got != ref {
-			t.Errorf("shards=%d accounting diverged from shards=2:\n got: %s\nwant: %s",
-				shards, got, ref)
-		}
-	}
-}
-
-// shardedClassicWorkload is an envelope-respecting workload (Pairwise
-// latencies, RunFor-only pumping, queries injected directly) shared by
-// the classic and sharded runs of TestShardedCounterMatchesClassic.
-func shardedClassicWorkload(t *testing.T, shards int) (string, *simnet.Counter) {
-	t.Helper()
-	c := New(Options{
-		N:       64,
-		Seed:    41,
-		Latency: simnet.Pairwise(8*time.Millisecond, 5*time.Millisecond, 41),
-		Shards:  shards,
-		Overlay: pastry.Config{HeartbeatEvery: 150 * time.Millisecond, HeartbeatMiss: 3},
-	})
-	for i, n := range c.Nodes {
-		n.Store().SetInt("a", int64(i))
-	}
-	c.Nodes[3].Execute(sumReq(""), func(core.Result, error) {})
-	c.RunFor(1 * time.Second)
-	req := sumReq("")
-	req.Period = 130 * time.Millisecond
-	sid, err := c.Subscribe(2, req, func(core.Sample) {})
-	if err != nil {
-		t.Fatalf("shards=%d subscribe: %v", shards, err)
-	}
-	c.RunFor(750 * time.Millisecond)
-	c.Unsubscribe(2, sid)
-	c.RunFor(250 * time.Millisecond)
-	ctr := c.Net.Counter()
-	return counterDigest(ctr), ctr
-}
-
-// TestShardedCounterMatchesClassic checks the sharded accounting
-// against the classic scheduler inside the equivalence envelope.
-func TestShardedCounterMatchesClassic(t *testing.T) {
-	ref, refCtr := shardedClassicWorkload(t, 1)
-	checkLedgerSums(t, "classic", refCtr)
-	for _, shards := range []int{2, 4} {
-		got, ctr := shardedClassicWorkload(t, shards)
-		checkLedgerSums(t, fmt.Sprintf("shards=%d", shards), ctr)
-		if got != ref {
-			t.Errorf("shards=%d accounting diverged from classic:\n got: %s\nwant: %s",
+			t.Errorf("shards=%d accounting diverged from shards=1:\n got: %s\nwant: %s",
 				shards, got, ref)
 		}
 	}

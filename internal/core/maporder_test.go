@@ -69,11 +69,11 @@ func mapOrderSends(fset *token.FileSet, f *ast.File) []string {
 }
 
 // TestNoSendInMapOrder: on the simulator every send draws its latency
-// from one stream, and timers armed for one instant fire in arm order,
-// so a send or an arm issued from inside a Go map range makes one seed
-// give different runs. Core walks a sorted copy (or a sorted slice such
-// as childTable) instead; a range that provably cannot reorder anything
-// says why in an "// unordered: <reason>" comment.
+// from its sender's stream, and timers armed for one instant fire in arm
+// order, so a send or an arm issued from inside a Go map range makes one
+// seed give different runs. Core walks a sorted copy (or a sorted slice
+// such as childTable) instead; a range that provably cannot reorder
+// anything says why in an "// unordered: <reason>" comment.
 func TestNoSendInMapOrder(t *testing.T) {
 	paths, err := filepath.Glob("*.go")
 	if err != nil {

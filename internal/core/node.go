@@ -164,8 +164,8 @@ func (n *Node) onPeerRemoved(dead ids.ID) {
 		return
 	}
 	// Both loops below send (status, install and response messages), and
-	// on the simulator every send draws from a shared latency stream: walk
-	// the maps in a fixed order so one seed gives one run.
+	// on the simulator every send draws from the node's latency stream:
+	// walk the maps in a fixed order so one seed gives one run.
 	for _, canon := range slices.Sorted(maps.Keys(n.preds)) {
 		ps := n.preds[canon]
 		changed := false

@@ -664,6 +664,13 @@ func (n *Node) handleEpochReport(from ids.ID, em EpochReportMsg, routed bool) {
 		n.send(from, CancelMsg{SID: em.SID, Group: em.Group})
 		return
 	}
+	if !routed && !sub.root && from == sub.parent {
+		// Mid re-parenting, two nodes can hold each other as parent and
+		// child. The parent's report already carries this subtree, so
+		// filing it would count the subtree twice for as long as the
+		// cycle lasts.
+		return
+	}
 	i, found := sub.kids.find(from)
 	expected := found && sub.kids[i].expected
 	if !routed && !sub.root && !expected {

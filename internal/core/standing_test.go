@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/value"
 )
 
@@ -118,6 +119,33 @@ func TestStandingTracksAttributeChanges(t *testing.T) {
 	if v, _ := last.Result.Agg.Value.AsInt(); v != 100 {
 		t.Fatalf("sum after join = %d, want 100", v)
 	}
+}
+
+// TestStandingIgnoresParentReport: mid re-parenting a node can install
+// its own parent as a child. The parent's report already carries the
+// node's subtree, so it is not filed.
+func TestStandingIgnoresParentReport(t *testing.T) {
+	net, nodes := miniCluster(t, 32, standingConfig())
+	for _, n := range nodes {
+		n.Store().Set("g", value.Bool(true))
+	}
+	mustSubscribe(t, nodes[0], "count(*) where g = true every 200ms", func(Sample) {})
+	net.RunFor(2 * time.Second)
+	for _, n := range nodes {
+		for key, sub := range n.subs {
+			if sub.root {
+				continue
+			}
+			sub.kids.expect(sub.parent)
+			n.Handle(sub.parent, EpochReportMsg{SID: key.sid, Group: key.group, Epoch: sub.epoch,
+				State: aggregate.NewGrouped(sub.spec, 0), Contributors: 1000})
+			if i, ok := sub.kids.find(sub.parent); ok && sub.kids[i].has {
+				t.Fatalf("node %s filed its parent's report", n.Self().Short())
+			}
+			return
+		}
+	}
+	t.Fatal("no non-root subscription entry")
 }
 
 // TestStandingCancelMidStream unsubscribes a live stream and verifies

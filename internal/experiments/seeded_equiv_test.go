@@ -4,13 +4,13 @@ package experiments
 // aggregation engine, and the standing-query epoch path: with a fixed
 // seed, a run's observable behavior — every Result, every Sample
 // (including virtual-time latencies), and the logical/wire message
-// accounting — must be byte-identical to the pre-optimization
-// reference. The golden transcripts under testdata/seeded were
-// generated BEFORE the optimizations landed (go test -run Seeded
-// -update-seeded regenerates them; never do that to paper over a
-// diff). Any optimization that changes scheduling order, rng
-// consumption, float accumulation order, or counter semantics shows up
-// here as a transcript diff, in the spirit of TestCoalesceEquivalence.
+// accounting — must be byte-identical to the committed reference.
+// go test -run Seeded -update-seeded regenerates the golden transcripts
+// under testdata/seeded: do that only for a deliberate change of the
+// simulator's semantics, never to paper over a diff. Any optimization
+// that changes scheduling order, rng consumption, float accumulation
+// order, or counter semantics shows up here as a transcript diff, in
+// the spirit of TestCoalesceEquivalence.
 
 import (
 	"flag"
@@ -29,7 +29,7 @@ import (
 	"github.com/moara/moara/internal/value"
 )
 
-var updateSeeded = flag.Bool("update-seeded", false, "regenerate testdata/seeded transcripts (pre-optimization reference only)")
+var updateSeeded = flag.Bool("update-seeded", false, "regenerate testdata/seeded transcripts (deliberate simulator changes only)")
 
 // transcript accumulates the observable behavior of one scenario.
 type transcript struct {
@@ -249,7 +249,7 @@ func scenarioChurn(tr *transcript) {
 }
 
 // TestSeededEquivalence replays each scenario against its committed
-// pre-optimization transcript.
+// transcript.
 func TestSeededEquivalence(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -277,10 +277,10 @@ func TestSeededEquivalence(t *testing.T) {
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("missing golden transcript (generate with -update-seeded BEFORE optimizing): %v", err)
+				t.Fatalf("missing golden transcript (generate with -update-seeded): %v", err)
 			}
 			if got != string(want) {
-				t.Fatalf("seeded run diverged from pre-optimization reference %s:\n%s",
+				t.Fatalf("seeded run diverged from reference %s:\n%s",
 					path, firstDiff(string(want), got))
 			}
 		})

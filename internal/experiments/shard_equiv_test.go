@@ -1,28 +1,14 @@
 package experiments
 
-// Cross-shard equivalence lock for the sharded simnet scheduler: the
+// Cross-shard equivalence lock for simnet's sharded scheduler: the
 // same seeded full-stack scenario — standing queries, one-shot
 // queries, churn, repair — must produce byte-identical transcripts
 // (every Sample, every Result, virtual-time latencies, and the full
-// message accounting) at shards=1 (the classic scheduler) and at
-// shards=2/4, serial and parallel workers alike. This is the
-// cluster-level counterpart of simnet's TestShardedEchoEquivalence.
-//
-// The scenario is written inside the equivalence envelope the sharded
-// engine documents (see simnet/shard.go):
-//
-//   - the Pairwise latency model: draw-free, so the classic engine's
-//     global rng stream and the sharded engine's per-sender streams
-//     trivially agree, and nanosecond-hashed arrival times keep
-//     same-instant cross-origin collisions — where the two engines'
-//     tie-breaks may legally differ — out of the run;
-//   - no ProcJitter, no SerializeProc, no Tap;
-//   - time-driven pumping only (RunFor): the classic RunWhile stops
-//     mid-window where the sharded scheduler completes the window, so
-//     cond-driven runs may process different trailing event sets.
-//     One-shot queries are injected directly and harvested after a
-//     fixed virtual-time budget instead of going through
-//     Cluster.Execute.
+// message accounting) at shards=1, 2 and 4, serial and parallel workers
+// alike. This is the cluster-level counterpart of simnet's
+// TestShardedEchoEquivalence. The scenario draws a latency and a
+// processing jitter per message, and pumps one-shots through
+// Cluster.Execute, which stops at a RunWhile condition.
 
 import (
 	"testing"
@@ -42,8 +28,9 @@ func shardEquivOptions(shards, workers int) cluster.Options {
 	return cluster.Options{
 		N:            96,
 		Seed:         17,
-		Latency:      simnet.Pairwise(15*time.Millisecond, 10*time.Millisecond, 17),
+		Latency:      simnet.LAN(simnet.LANConfig{}),
 		ProcDelay:    300 * time.Microsecond,
+		ProcJitter:   200 * time.Microsecond,
 		Shards:       shards,
 		ShardWorkers: workers,
 		Node: core.Config{
@@ -59,32 +46,14 @@ func shardEquivOptions(shards, workers int) cluster.Options {
 	}
 }
 
-// runOneShot injects a one-shot query from node 0 and pumps a fixed
-// virtual-time budget for the answer (RunFor, not RunWhile — see the
-// file comment).
+// runOneShot runs a one-shot query from node 0 to completion.
 func runOneShot(tr *transcript, c *cluster.Cluster, q string) {
-	req, err := core.ParseRequest(q)
+	res, err := c.ExecuteText(0, q)
 	if err != nil {
-		tr.logf("query %q parse error: %v", q, err)
+		tr.logf("query %q error: %v", q, err)
 		return
 	}
-	var (
-		res  core.Result
-		rerr error
-		done bool
-	)
-	c.Nodes[0].Execute(req, func(r core.Result, e error) {
-		res, rerr, done = r, e, true
-	})
-	c.RunFor(2 * time.Second)
-	switch {
-	case !done:
-		tr.logf("query %q incomplete after budget", q)
-	case rerr != nil:
-		tr.logf("query %q error: %v", q, rerr)
-	default:
-		tr.logResult("query "+q, res)
-	}
+	tr.logResult("query "+q, res)
 }
 
 // scenarioSharded exercises the full stack through a fixed schedule:
@@ -135,16 +104,6 @@ func scenarioSharded(tr *transcript, shards, workers int) {
 	c.Recover(23)
 	c.RunFor(3 * period)
 
-	// Knock the rest of the schedule off the subscription timer grids:
-	// every pump above is a multiple of the 400ms SubRenewInterval (and
-	// of both sample periods), so without this nudge the final one-shot
-	// and the cancels would reach the subscription trees at the exact
-	// instants of lease renewals — same-instant cross-origin collisions
-	// where the engines' tie-breaks (and hence outbox batch packing)
-	// legally differ. 13ms shares no factor with any timer period in
-	// the scenario. See the equivalence envelope in simnet/shard.go.
-	c.RunFor(13 * time.Millisecond)
-
 	runOneShot(tr, c, "sum(mem)")
 
 	c.Unsubscribe(0, sid)
@@ -167,7 +126,9 @@ func TestCrossShardEquivalence(t *testing.T) {
 	configs := []struct {
 		shards, workers int
 	}{
+		{1, 4},
 		{2, 1},
+		{2, 4},
 		{4, 1},
 		{4, 4},
 	}

@@ -154,28 +154,18 @@ func pairKey(a, b ids.ID) uint64 {
 	if ka > kb {
 		ka, kb = kb, ka
 	}
-	// 64-bit mix (splitmix64 finalizer) over both halves.
-	x := ka ^ (kb * 0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return mix(ka, kb)
 }
 
 // StragglerDelay returns the extra RTT the node would add to paths
 // through it during a slow window (zero for healthy nodes; the peak
 // value regardless of when).
 func (m *WANModel) StragglerDelay(a ids.ID) time.Duration {
-	rng := rand.New(rand.NewSource(int64(idSeed(a)^0x5bf03635) ^ m.cfg.Seed))
-	if rng.Float64() >= m.cfg.StragglerFrac {
+	rng := splitmix{key: idSeed(a) ^ 0x5bf03635 ^ uint64(m.cfg.Seed)}
+	if rng.float() >= m.cfg.StragglerFrac {
 		return 0
 	}
-	u := rng.Float64()
-	if u < 1e-6 {
-		u = 1e-6
-	}
+	u := max(rng.float(), 1e-6)
 	mult := math.Pow(u, -1.0/m.cfg.StragglerAlpha)
 	d := time.Duration(float64(m.cfg.StragglerScale) * mult)
 	if d > m.cfg.StragglerCap {
@@ -193,7 +183,7 @@ func (m *WANModel) stragglerAt(a ids.ID, now time.Duration) time.Duration {
 		return d
 	}
 	window := uint64(now / m.cfg.StragglerWindow)
-	h := mixLat(idSeed(a)^uint64(m.cfg.Seed), window)
+	h := mix(idSeed(a)^uint64(m.cfg.Seed), window)
 	if float64(h%1000)/1000 < m.cfg.StragglerDuty {
 		return d
 	}
@@ -206,9 +196,8 @@ func (m *WANModel) BaseRTT(a, b ids.ID) time.Duration {
 	if a == b {
 		return 0
 	}
-	rng := rand.New(rand.NewSource(int64(pairKey(a, b)) ^ m.cfg.Seed))
-	z := rng.NormFloat64()
-	rtt := float64(m.cfg.MedianRTT) * math.Exp(m.cfg.Sigma*z)
+	rng := splitmix{key: pairKey(a, b) ^ uint64(m.cfg.Seed)}
+	rtt := float64(m.cfg.MedianRTT) * math.Exp(m.cfg.Sigma*rng.norm())
 	if rtt < float64(2*time.Millisecond) {
 		rtt = float64(2 * time.Millisecond)
 	}
@@ -247,13 +236,8 @@ func (m *WANModel) MinLatency() time.Duration {
 
 // Pairwise returns a draw-free deterministic model: each ordered node
 // pair gets a stable one-way delay of base plus a hashed offset in
-// [0, spread), at nanosecond granularity. Because it consumes no
-// randomness and depends only on the endpoints, it is the natural
-// model for byte-for-byte equivalence runs between one heap and K
-// shards: one heap's shared draw stream and the shards' per-sender
-// streams trivially agree (neither is touched), and nanosecond-hashed
-// arrival times make same-instant cross-origin collisions — where the
-// two tie-breaks could diverge — vanishingly unlikely.
+// [0, spread), at nanosecond granularity, so a pair's delay never
+// varies from message to message.
 func Pairwise(base, spread time.Duration, seed int64) LatencyModel {
 	return &pairwiseModel{base: base, spread: spread, seed: seed}
 }
@@ -267,17 +251,44 @@ func (m *pairwiseModel) Latency(from, to ids.ID, _ time.Duration, _ *rand.Rand) 
 	if m.spread <= 0 {
 		return m.base
 	}
-	h := mixLat(idSeed(from)^uint64(m.seed), idSeed(to))
+	h := mix(idSeed(from)^uint64(m.seed), idSeed(to))
 	return m.base + time.Duration(h%uint64(m.spread))
 }
 
 // MinLatency reports the base delay (the hashed offset only adds).
 func (m *pairwiseModel) MinLatency() time.Duration { return m.base }
 
-func mixLat(a, b uint64) uint64 {
-	x := a ^ (b+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9
+// mix is the splitmix64 finalizer over a ^ b·φ, the package's one hash:
+// WAN pair keys, pairwise delays, straggler duty cycles and every
+// splitmix stream derive from it.
+func mix(a, b uint64) uint64 {
+	x := a ^ b*0x9e3779b97f4a7c15
 	x ^= x >> 30
-	x *= 0x94d049bb133111eb
+	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
-	return x ^ (x >> 31)
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// splitmix is a 16-byte counter-based rand.Source64: draw i of the
+// stream keyed k is mix(k, i). A node's latency stream is one, in place
+// of math/rand's 4.9 KB source, and the WAN model draws its per-pair
+// and per-node values from one on the stack.
+type splitmix struct{ key, ctr uint64 }
+
+func (s *splitmix) Uint64() uint64 {
+	s.ctr++
+	return mix(s.key, s.ctr)
+}
+
+func (s *splitmix) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+func (s *splitmix) Seed(seed int64) { *s = splitmix{key: uint64(seed)} }
+
+// float returns a uniform draw from [0, 1).
+func (s *splitmix) float() float64 { return float64(s.Uint64()>>11) / (1 << 53) }
+
+// norm returns a standard normal draw (Box–Muller).
+func (s *splitmix) norm() float64 {
+	return math.Sqrt(-2*math.Log(1-s.float())) * math.Cos(2*math.Pi*s.float())
 }

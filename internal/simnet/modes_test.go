@@ -8,11 +8,10 @@ import (
 	"github.com/moara/moara/internal/ids"
 )
 
-// TestHeapModes pins each decision that still differs between one heap
-// and two shards, as listed in the shard.go header.
+// TestHeapModes pins each decision that once differed between one heap
+// and K shards, and now follows the sharded rules at every shard count.
 func TestHeapModes(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		one := shards == 1
+	for _, shards := range []int{1, 2, 4} {
 		opts := Options{Seed: 5, Shards: shards, ShardWorkers: 1, Latency: Fixed(time.Millisecond)}
 		addNodes := func(net *Network, k int) []*nodeEnv {
 			envs := make([]*nodeEnv, k)
@@ -25,8 +24,8 @@ func TestHeapModes(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			t.Run("ties", func(t *testing.T) {
 				// b (registered second) sends first, then a Schedule at
-				// the arrival instant, then a: all three land on c's
-				// heap at 1ms.
+				// the arrival instant, then a: all three land on c at
+				// 1ms. The Schedule runs first, then origin order.
 				net := New(opts)
 				envs := addNodes(net, 3)
 				a, b, c := envs[0], envs[1], envs[2]
@@ -36,10 +35,27 @@ func TestHeapModes(t *testing.T) {
 				net.Schedule(time.Millisecond, func() { order = append(order, "schedule") })
 				a.Send(c.Self(), "a")
 				net.Run(0)
-				want := "[schedule a b]" // Schedule first, then origin order
-				if one {
-					want = "[b schedule a]" // creation order
+				if got := fmt.Sprint(order); got != "[schedule a b]" {
+					t.Fatalf("order %s, want [schedule a b]", got)
 				}
+			})
+
+			t.Run("Schedule", func(t *testing.T) {
+				// A Schedule cuts the window short: it runs on the
+				// coordinator at its instant, after every earlier node
+				// event and before the node timer armed first for the
+				// same instant.
+				net := New(opts)
+				a := addNodes(net, 1)[0]
+				var order []string
+				note := func(what string) func() {
+					return func() { order = append(order, fmt.Sprintf("%s@%v/%v", what, a.Now(), net.Now())) }
+				}
+				a.Defer(200*time.Microsecond, note("early"))
+				a.Defer(500*time.Microsecond, note("timer"))
+				net.Schedule(500*time.Microsecond, note("schedule"))
+				net.Run(0)
+				want := "[early@200µs/200µs schedule@500µs/500µs timer@500µs/500µs]"
 				if got := fmt.Sprint(order); got != want {
 					t.Fatalf("order %s, want %s", got, want)
 				}
@@ -54,12 +70,8 @@ func TestHeapModes(t *testing.T) {
 				got := 0
 				net.AddNode(late).BindHandler(handlerFunc(func(ids.ID, any) { got++ }))
 				net.Run(0)
-				want := 0 // dropped at send
-				if one {
-					want = 1 // queued, delivered to the node registered in flight
-				}
-				if got != want {
-					t.Fatalf("delivered %d, want %d", got, want)
+				if got != 0 {
+					t.Fatalf("delivered %d, want the send dropped", got)
 				}
 				if c := net.Counter(); c.Total != 1 || c.ByNode()[a.Self()] != 1 {
 					t.Fatalf("counted total=%d by sender=%d, want the send counted once", c.Total, c.ByNode()[a.Self()])
@@ -68,7 +80,8 @@ func TestHeapModes(t *testing.T) {
 
 			t.Run("RunWhile", func(t *testing.T) {
 				// Ten timers 100µs apart all fall in the one 1ms window
-				// that starts at the first of them.
+				// that starts at the first of them; cond is checked at
+				// the window barrier.
 				net := New(opts)
 				a := addNodes(net, 1)[0]
 				fired := 0
@@ -76,16 +89,14 @@ func TestHeapModes(t *testing.T) {
 					a.Defer(time.Duration(i)*100*time.Microsecond, func() { fired++ })
 				}
 				net.RunWhile(func() bool { return fired < 3 })
-				want := 10 // checked at the window barrier
-				if one {
-					want = 3 // checked before every event
-				}
-				if fired != want {
-					t.Fatalf("RunWhile stopped after %d timers, want %d", fired, want)
+				if fired != 10 {
+					t.Fatalf("RunWhile stopped after %d timers, want 10", fired)
 				}
 			})
 
 			t.Run("latency stream", func(t *testing.T) {
+				// Each sender draws from its own stream, so a draw from
+				// the network's source leaves every latency alone.
 				secondArrival := func(draw bool) time.Duration {
 					o := opts
 					o.Latency = Uniform(time.Millisecond, 50*time.Millisecond)
@@ -106,10 +117,32 @@ func TestHeapModes(t *testing.T) {
 					net.Run(0)
 					return at
 				}
-				plain, drawn := secondArrival(false), secondArrival(true)
-				if shifted := plain != drawn; shifted != one {
-					t.Fatalf("second arrival %v without a Rand() draw, %v with one; shifted = %v, want %v",
-						plain, drawn, shifted, one)
+				if plain, drawn := secondArrival(false), secondArrival(true); plain != drawn {
+					t.Fatalf("second arrival %v without a Rand() draw, %v with one", plain, drawn)
+				}
+			})
+
+			t.Run("Now in a handler", func(t *testing.T) {
+				// The network clock moves at window edges: a handler
+				// reads the start of its window there, and the instant
+				// of its own event on its Env. The timer at 300µs opens
+				// the window [300µs, 1.3ms) that holds the 1ms arrival.
+				net := New(opts)
+				envs := addNodes(net, 2)
+				a, b := envs[0], envs[1]
+				var seen []string
+				b.BindHandler(handlerFunc(func(ids.ID, any) {
+					seen = append(seen, fmt.Sprintf("%v/%v", b.Now(), net.Now()))
+				}))
+				a.Send(b.Self(), "x")
+				a.Defer(300*time.Microsecond, func() { a.Send(b.Self(), "y") })
+				net.Run(0)
+				want := "[1ms/300µs 1.3ms/1.3ms]"
+				if got := fmt.Sprint(seen); got != want {
+					t.Fatalf("env/network clocks in the handler %s, want %s", got, want)
+				}
+				if net.Now() != 1300*time.Microsecond {
+					t.Fatalf("network clock %v after the run, want the last event's 1.3ms", net.Now())
 				}
 			})
 		})

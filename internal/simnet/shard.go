@@ -3,44 +3,20 @@ package simnet
 // Execution: every Network runs on shards.
 //
 // A shard owns an event heap, an event-record pool, a message counter
-// and the nodes assigned to it. Options.Shards <= 1 gives one shard,
-// whose heap is the whole simulation. With Options.Shards = K >= 2 the
-// network partitions its nodes across K shards (round-robin by
-// registration index) that advance in lookahead windows: if H is a
-// lower bound on the delivery delay of any cross-shard message
-// (MinLatency() plus the fixed processing delay), then every event in
-// [t, t+H) is causally independent of concurrently executing events on
-// other shards, so the shards may drain their heaps through the window
-// in parallel. Cross-shard deliveries are staged in per-(source,
-// destination) inbox buffers and folded into the destination heaps at
-// the window barrier — by construction they always land at or beyond
-// the window end.
+// and the nodes assigned to it. Options.Shards = K partitions the nodes
+// across max(K, 1) shards (round-robin by registration index) that
+// advance in lookahead windows: if H is a lower bound on the delivery
+// delay of any message (MinLatency() plus the fixed processing delay),
+// then every event in [t, t+H) is causally independent of concurrently
+// executing events on other shards, so the shards may drain their heaps
+// through the window in parallel. Cross-shard deliveries are staged in
+// per-(source, destination) inbox buffers and folded into the
+// destination heaps at the window barrier — by construction they always
+// land at or beyond the window end.
 //
-// Both modes share one event core: shard.newEvent/freeEvent, defer_,
-// send and exec, and Network.cancelEvent. What still differs between
-// one heap and K:
-//
-//   - Tie key (shard.key): on one heap, events at the same instant run
-//     in global creation order (sh.seq); across shards, in
-//     packKey(origin, oseq) order (see discipline 1 below).
-//   - Latency stream: on one heap every node's latRng is the network's
-//     rng, so a Rand() draw between two sends shifts the second send's
-//     latency; across shards each sender draws from its own stream.
-//   - cond (RunWhile): checked before every event on one heap, at
-//     window barriers across shards.
-//   - Schedule: an ordinary heap event on one heap; across shards a
-//     coordinator event that runs at a window edge, before any
-//     node event at the same instant.
-//   - A message to an unregistered destination: queued on one heap, and
-//     delivered if the node registers while the message is in flight;
-//     dropped at send across shards, so a message never targets a shard
-//     assignment made after the fact. Both count it as sent.
-//   - Counter(): the live ledger on one heap, a merged snapshot across
-//     shards.
-//
-// Determinism is the contract that makes the parallelism usable: a
-// K-shard run's observable behavior (results, samples, virtual-time
-// latencies, message accounting) is a function of the seed alone — the
+// One shard follows the same rules as K. A run's observable behavior
+// (results, samples, virtual-time latencies, message accounting, where
+// RunWhile stops, what Now reads) is a function of the seed alone — the
 // shard count, the worker count, and the OS scheduler never change it.
 // Three disciplines deliver that:
 //
@@ -54,14 +30,21 @@ package simnet
 //     from a per-sender stream seeded by (network seed, sender id), so
 //     the draw sequence is the sender's own send sequence regardless of
 //     how sends from different shards interleave in wall-clock time.
-//  3. Window placement. Windows start at the globally earliest pending
-//     event — a function of the event population only, not of the
-//     shard count — and driver-level Schedule callbacks run on the
-//     coordinator at window edges, before any node event at the same
-//     instant.
+//  3. Window placement. Windows are H wide and start at the globally
+//     earliest pending event — a function of the event population only,
+//     not of the shard count. RunWhile's condition and Run's event
+//     budget are checked at window barriers. Schedule callbacks run on
+//     the coordinator at window edges, before any node event at the same
+//     instant, and Network.Now is the coordinator's clock, which moves
+//     at window edges.
+//
+// A message to a node that is not registered when it is sent is dropped
+// at send, and one to a node removed while it is in flight is dropped
+// on arrival, so a message never targets a shard assignment made after
+// the fact. Both count as sent.
 //
 // Features whose semantics are inherently global-send-order need one
-// heap and panic at construction with K >= 2: SerializeProc's CPU-queue
+// shard and panic at construction with K >= 2: SerializeProc's CPU-queue
 // accounting advances a per-CPU busy horizon in global send order, CPUOf
 // may co-locate nodes from different shards on one CPU, and Tap observes
 // sends in a global order that parallel windows do not have. Drop stays
@@ -71,7 +54,6 @@ package simnet
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"github.com/moara/moara/internal/ids"
@@ -97,7 +79,7 @@ func packKey(origin int32, oseq int64) int64 {
 		panic("simnet: per-origin event sequence overflow")
 	}
 	if origin >= maxShardOrigin {
-		panic("simnet: node index exceeds the sharded engine's origin-key capacity")
+		panic("simnet: node index exceeds the origin-key capacity")
 	}
 	return (int64(origin)+1)<<40 | oseq
 }
@@ -105,13 +87,9 @@ func packKey(origin int32, oseq int64) int64 {
 // stagedMsg is a cross-shard delivery parked in an inbox buffer until
 // the window barrier.
 type stagedMsg struct {
-	at      time.Duration
-	key     int64
-	from    ids.ID
-	to      ids.ID
-	envTo   *nodeEnv
-	m       any
-	logical int64
+	at  time.Duration
+	key int64
+	msg delivery
 }
 
 // shard is one partition of the network: a private heap, pool, and
@@ -133,8 +111,6 @@ type shard struct {
 	// processed. Between barriers all shard clocks are re-aligned to
 	// the coordinator's.
 	now time.Duration
-	// seq is the one-heap tie key: the global event-creation order.
-	seq int64
 	// winEnd is the (exclusive) end of the window being executed; the
 	// cross-shard horizon guard asserts against it.
 	winEnd time.Duration
@@ -150,30 +126,6 @@ type shard struct {
 // executes inline even when workers are enabled: a handful of events is
 // cheaper to run than to hand off to goroutines.
 const parallelThreshold = 64
-
-// initWindows validates the option surface for K >= 2 shards and sets
-// the window coordinator up.
-func (n *Network) initWindows() {
-	o := &n.opts
-	if o.SerializeProc {
-		panic("simnet: SerializeProc is not supported with Shards >= 2 (its CPU-queue accounting is global-send-order semantics; use one heap)")
-	}
-	if o.CPUOf != nil {
-		panic("simnet: CPUOf is not supported with Shards >= 2")
-	}
-	if o.Tap != nil {
-		panic("simnet: Tap is not supported with Shards >= 2 (sends have no global observation order across parallel windows)")
-	}
-	n.horizon = o.Latency.MinLatency() + o.ProcDelay
-	if n.horizon <= 0 {
-		panic("simnet: Shards >= 2 requires a positive MinLatency() + ProcDelay")
-	}
-	n.workers = o.ShardWorkers
-	if n.workers == 0 {
-		n.workers = runtime.GOMAXPROCS(0)
-	}
-	n.workers = max(min(n.workers, o.Shards), 1)
-}
 
 // newEvent takes a record from the shard's pool (or allocates one).
 // Records never migrate between pools: a staged cross-shard message
@@ -195,40 +147,39 @@ func (sh *shard) freeEvent(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.env = nil
-	ev.envTo = nil
-	ev.m = nil
-	ev.delivery = false
-	ev.logical = 0
+	ev.msg = delivery{}
 	ev.idx = -1
 	sh.free = append(sh.free, ev)
 }
 
-// key returns the tie key of the next event e creates (e is nil for a
-// one-heap Schedule).
-func (sh *shard) key(e *nodeEnv) int64 {
-	if len(sh.net.shards) == 1 {
-		k := sh.seq
-		sh.seq++
-		return k
-	}
+// key returns the tie key of the next event e creates.
+func (e *nodeEnv) key() int64 {
 	k := packKey(int32(e.idx), e.oseq)
 	e.oseq++
 	return k
 }
 
-// defer_ schedules a timer for e (nil for a one-heap Schedule) on its
-// shard. Across shards it runs either on the shard's worker (node logic
-// inside a window) or on the coordinator with all shards parked (Schedule
-// callbacks, harness code between runs) — never concurrently with
-// itself.
+// defer_ schedules a timer for e on its shard. It runs either on the
+// shard's worker (node logic inside a window) or on the coordinator with
+// all shards parked (Schedule callbacks, harness code between runs) —
+// never concurrently with itself.
 func (sh *shard) defer_(e *nodeEnv, d time.Duration, fn func()) *event {
 	ev := sh.newEvent()
 	ev.at = sh.now + max(d, 0)
-	ev.seq = sh.key(e)
+	ev.seq = e.key()
 	ev.fn = fn
 	ev.env = e
 	sh.events.push(ev)
 	return ev
+}
+
+// push materializes a delivery on this shard's heap.
+func (sh *shard) push(at time.Duration, key int64, msg delivery) {
+	ev := sh.newEvent()
+	ev.at = at
+	ev.seq = key
+	ev.msg = msg
+	sh.events.push(ev)
 }
 
 // send transmits a message from e. Deliveries to the sender's own shard
@@ -240,6 +191,10 @@ func (sh *shard) send(e *nodeEnv, to ids.ID, m any) {
 	if n.opts.Drop != nil && n.opts.Drop(e.id, to, m) {
 		return
 	}
+	dst := n.nodes[to]
+	if dst == nil {
+		return // not registered: dropped at send (see the header)
+	}
 	lat := n.opts.Latency.Latency(e.id, to, sh.now, e.latRng)
 	if n.opts.Tap != nil {
 		n.opts.Tap(e.id, to, m, lat)
@@ -248,37 +203,22 @@ func (sh *shard) send(e *nodeEnv, to ids.ID, m any) {
 	if n.opts.ProcJitter > 0 {
 		proc += time.Duration(e.latRng.Int63n(int64(n.opts.ProcJitter)))
 	}
-	dst := n.nodes[to]
-	if dst == nil && len(n.shards) > 1 {
-		return // unregistered: dropped at send across shards (see the header)
-	}
 	at := sh.now + lat + proc
 	if n.opts.SerializeProc && proc > 0 {
 		// The message waits for the receiver's CPU to finish earlier
 		// work, then occupies it for proc. CPUs may be shared between
 		// co-located instances (Emulab: 10 per machine).
-		at = n.serializeOn(dst, to, sh.now+lat, proc)
+		at = n.serializeOn(dst.cpu, sh.now+lat, proc)
 	}
-	key := sh.key(e)
-	if dst == nil || dst.shard == sh {
-		ev := sh.newEvent()
-		ev.at = at
-		ev.seq = key
-		ev.delivery = true
-		ev.from = e.id
-		ev.to = to
-		ev.envTo = dst
-		ev.m = m
-		ev.logical = logical
-		sh.events.push(ev)
+	msg := delivery{from: e.id, dst: dst, m: m, logical: logical}
+	if dst.shard == sh {
+		sh.push(at, e.key(), msg)
 		return
 	}
 	if at < sh.winEnd {
 		panic(fmt.Sprintf("simnet: cross-shard delivery at %v lands inside the lookahead window ending %v — the latency model violated its MinLatency bound", at, sh.winEnd))
 	}
-	sh.stageOut[dst.shard.idx] = append(sh.stageOut[dst.shard.idx], stagedMsg{
-		at: at, key: key, from: e.id, to: to, envTo: dst, m: m, logical: logical,
-	})
+	sh.stageOut[dst.shard.idx] = append(sh.stageOut[dst.shard.idx], stagedMsg{at: at, key: e.key(), msg: msg})
 }
 
 // exec runs one popped event — a delivery or a timer — and recycles its
@@ -286,35 +226,21 @@ func (sh *shard) send(e *nodeEnv, to ids.ID, m any) {
 // may schedule new timers, and handing it the just-freed record is the
 // common recycle hit.
 func (sh *shard) exec(ev *event) {
-	if !ev.delivery {
-		fn, env := ev.fn, ev.env
-		sh.freeEvent(ev)
-		if env != nil && env.down {
-			// A crashed node's timers are dropped at fire time.
+	fn, env, msg := ev.fn, ev.env, ev.msg
+	sh.freeEvent(ev)
+	if dst := msg.dst; dst != nil {
+		if dst.removed || dst.down || dst.handler == nil {
 			return
 		}
-		fn()
+		sh.counter.addRecv(dst.idx, msg.logical)
+		dst.handler.Handle(msg.from, msg.m)
 		return
 	}
-	from, to, m, logical, dst := ev.from, ev.to, ev.m, ev.logical, ev.envTo
-	sh.freeEvent(ev)
-	if dst == nil || dst.removed {
-		// Unresolved at send time (or removed since): consult the
-		// registry, which also catches a node registered between send
-		// and delivery.
-		dst = sh.net.nodes[to]
-	}
-	if dst == nil || dst.removed || dst.down || dst.handler == nil {
+	if env.down {
+		// A crashed node's timers are dropped at fire time.
 		return
 	}
-	if dst.shard != sh {
-		// The destination was removed and its identifier re-registered
-		// onto a different shard while the message was in flight;
-		// delivering here would run foreign-shard state on this worker.
-		return
-	}
-	sh.counter.addRecv(dst.idx, logical)
-	dst.handler.Handle(from, m)
+	fn()
 }
 
 // runWindow drains this shard's heap through [*, end), leaving events
@@ -335,23 +261,9 @@ func (sh *shard) runWindow(end time.Duration) {
 func (n *Network) foldStaged() {
 	for _, src := range n.shards {
 		for d, buf := range src.stageOut {
-			if len(buf) == 0 {
-				continue
-			}
-			dst := n.shards[d]
 			for i := range buf {
-				st := &buf[i]
-				ev := dst.newEvent()
-				ev.at = st.at
-				ev.seq = st.key
-				ev.delivery = true
-				ev.from = st.from
-				ev.to = st.to
-				ev.envTo = st.envTo
-				ev.m = st.m
-				ev.logical = st.logical
-				dst.events.push(ev)
-				*st = stagedMsg{}
+				n.shards[d].push(buf[i].at, buf[i].key, buf[i].msg)
+				buf[i] = stagedMsg{}
 			}
 			src.stageOut[d] = buf[:0]
 		}
@@ -394,35 +306,23 @@ func (n *Network) runDriverAt(t time.Duration) int {
 	return processed
 }
 
-// runWindows is run across shards: it advances through lookahead
-// windows with run's stopping rules, except that cond is checked at
-// window barriers and, windows being atomic, the count may overshoot
+// run is the loop behind the Run variants. It advances through
+// lookahead windows until the queues drain, the clock would pass target
+// (when bounded, in which case the clock ends on target), cond turns
+// false, or maxEvents events have run (0 means unlimited), and returns
+// the number of events processed. cond and maxEvents are checked at
+// window barriers; windows being atomic, the count may overshoot
 // maxEvents within the final window.
-func (n *Network) runWindows(target time.Duration, bounded bool, cond func() bool, maxEvents int) int {
+func (n *Network) run(target time.Duration, bounded bool, cond func() bool, maxEvents int) int {
+	target = max(target, n.now)
 	processed := 0
-	finish := func() int {
-		if bounded {
-			n.now = target
-		} else {
-			for _, sh := range n.shards {
-				n.now = max(n.now, sh.now)
-			}
-		}
-		for _, sh := range n.shards {
-			sh.now = max(sh.now, n.now)
-		}
-		return processed
-	}
 	for {
 		// Fold any staged cross-shard traffic (from the previous
 		// window, a driver callback, or harness sends between runs)
 		// before looking at the heaps.
 		n.foldStaged()
-		if cond != nil && !cond() {
-			return finish()
-		}
-		if maxEvents > 0 && processed >= maxEvents {
-			return finish()
+		if cond != nil && !cond() || maxEvents > 0 && processed >= maxEvents {
+			break
 		}
 		next, ok := n.nextEventAt()
 		if n.drv.Len() > 0 {
@@ -430,17 +330,14 @@ func (n *Network) runWindows(target time.Duration, bounded bool, cond func() boo
 				// Driver events run first at their instant, before any
 				// node event at the same time.
 				if bounded && dt > target {
-					return finish()
+					break
 				}
 				processed += n.runDriverAt(dt)
 				continue
 			}
 		}
-		if !ok {
-			return finish()
-		}
-		if bounded && next > target {
-			return finish()
+		if !ok || bounded && next > target {
+			break
 		}
 		end := next + n.horizon
 		if n.drv.Len() > 0 && n.drv.q[0].at < end {
@@ -452,12 +349,24 @@ func (n *Network) runWindows(target time.Duration, bounded bool, cond func() boo
 			// Include events at exactly target, then stop.
 			end = target + 1
 		}
+		n.now = next
 		n.runOneWindow(end)
 		for _, sh := range n.shards {
 			processed += sh.processed
 			sh.processed = 0
 		}
 	}
+	if bounded {
+		n.now = target
+	} else {
+		for _, sh := range n.shards {
+			n.now = max(n.now, sh.now)
+		}
+	}
+	for _, sh := range n.shards {
+		sh.now = max(sh.now, n.now)
+	}
+	return processed
 }
 
 // runOneWindow executes one window across all shards — inline when the
@@ -482,31 +391,4 @@ func (n *Network) runOneWindow(end time.Duration) {
 	for _, sh := range n.shards {
 		sh.runWindow(end)
 	}
-}
-
-// mergedCounter materializes one Counter summing the per-shard ledgers.
-// It is a snapshot: reporting-path cost, not hot-path cost.
-func (n *Network) mergedCounter() *Counter {
-	out := n.newCounter()
-	for _, sh := range n.shards {
-		c := sh.counter
-		out.Total += c.Total
-		out.Wire += c.Wire
-		for i := range c.kinds {
-			cell := out.cell(c.kinds[i].kind)
-			cell.logical += c.kinds[i].logical
-			cell.wire += c.kinds[i].wire
-		}
-		for i, v := range c.sent {
-			if v != 0 {
-				out.addSent(i, v)
-			}
-		}
-		for i, v := range c.recv {
-			if v != 0 {
-				out.addRecv(i, v)
-			}
-		}
-	}
-	return out
 }

@@ -69,15 +69,17 @@ func counterSummary(c *Counter) string {
 }
 
 // TestShardedEchoEquivalence drives the same seeded workload through
-// the classic scheduler and through 2/3/4-shard configurations (both
-// serial and parallel workers) and requires identical per-node
-// delivery transcripts, virtual end times, and counters.
+// one shard and through 2/3/4-shard configurations (both serial and
+// parallel workers) and requires identical per-node delivery
+// transcripts, virtual end times, and counters. Latency and processing
+// jitter are drawn per message.
 func TestShardedEchoEquivalence(t *testing.T) {
 	const n, pings = 24, 4
 	base := Options{
-		Seed:      42,
-		Latency:   Pairwise(5*time.Millisecond, 3*time.Millisecond, 99),
-		ProcDelay: 250 * time.Microsecond,
+		Seed:       42,
+		Latency:    Uniform(5*time.Millisecond, 8*time.Millisecond),
+		ProcDelay:  250 * time.Microsecond,
+		ProcJitter: 100 * time.Microsecond,
 	}
 	ref, refNet := buildEcho(t, base, n, pings)
 	refCtr := counterSummary(refNet.Counter())
@@ -91,7 +93,7 @@ func TestShardedEchoEquivalence(t *testing.T) {
 			opts.ShardWorkers = workers
 			got, net := buildEcho(t, opts, n, pings)
 			if now := net.Now(); now != refNow {
-				t.Errorf("%s: end time %v, classic %v", name, now, refNow)
+				t.Errorf("%s: end time %v, one shard %v", name, now, refNow)
 			}
 			if ctr := counterSummary(net.Counter()); ctr != refCtr {
 				t.Errorf("%s: counters diverged:\n got %s\nwant %s", name, ctr, refCtr)
@@ -218,6 +220,7 @@ func TestShardedGates(t *testing.T) {
 	expectPanic("cpuof", Options{Shards: 2, CPUOf: func(ids.ID) int { return 0 }})
 	expectPanic("tap", Options{Shards: 2, Tap: func(_, _ ids.ID, _ any, _ time.Duration) {}})
 	expectPanic("no-lookahead", Options{Shards: 2, Latency: Uniform(0, time.Millisecond)})
+	expectPanic("no-lookahead one shard", Options{Latency: Uniform(0, time.Millisecond)})
 	// ProcDelay alone is a usable bound.
 	New(Options{Shards: 2, Latency: Uniform(0, time.Millisecond), ProcDelay: time.Millisecond})
 }
@@ -232,8 +235,8 @@ func TestShardedLookaheadHorizon(t *testing.T) {
 	if len(net.shards) != 2 {
 		t.Fatalf("%d shards, want 2", len(net.shards))
 	}
-	if New(Options{}).horizon != 0 {
-		t.Fatal("one heap reports a lookahead")
+	if h := New(Options{}).horizon; h != time.Millisecond {
+		t.Fatalf("one shard derived horizon %v from the default 1ms model, want 1ms", h)
 	}
 }
 

@@ -6,10 +6,10 @@
 // runs unchanged on simnet (for 16k-node experiments) and on the real
 // TCP transport (for multi-process deployments).
 //
-// Events live on shards (see shard.go). With one shard, the default, Run
-// drains a single priority queue of timed events on the caller's
-// goroutine; with Options.Shards >= 2 the shards drain lookahead windows
-// in parallel. Either way, a fixed seed makes runs exactly reproducible.
+// Events live on shards (see shard.go) that drain lookahead windows:
+// one shard by default, Options.Shards of them in parallel. A fixed
+// seed makes runs exactly reproducible, and the same at any shard or
+// worker count.
 //
 // The event core is allocation-lean by design: message deliveries are
 // encoded directly in pooled event records (no per-message closures),
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"time"
 
@@ -301,13 +302,11 @@ type Options struct {
 	// It must be a pure function of the ID: a registered node's CPU is
 	// evaluated once, at AddNode.
 	CPUOf func(id ids.ID) int
-	// Shards is the number of event heaps (see shard.go). 0 or 1 runs
-	// every node on one heap. K >= 2 partitions nodes round-robin
-	// across K heaps that drain lookahead windows of MinLatency() +
-	// ProcDelay in parallel; that sum must be positive. A K-heap run is
-	// deterministic for a given seed whatever K and ShardWorkers are,
-	// but breaks same-instant ties, draws latencies and checks RunWhile
-	// differently from one heap, as the shard.go header lists.
+	// Shards is the number of event heaps (see shard.go); 0 means 1.
+	// Nodes are partitioned round-robin across the heaps, which drain
+	// lookahead windows of MinLatency() + ProcDelay in parallel; that
+	// sum must be positive. Shards and ShardWorkers are speed settings
+	// only: a run is the same for a given seed whatever they are.
 	// SerializeProc, CPUOf and Tap require one heap.
 	Shards int
 	// ShardWorkers caps how many OS threads execute a window in
@@ -321,9 +320,8 @@ type Options struct {
 type Network struct {
 	opts Options
 	rng  *rand.Rand
-	// now is the coordinator's clock. On one heap it moves with every
-	// event; across shards it moves at window edges and the shard clocks
-	// run ahead of it inside a window.
+	// now is the coordinator's clock. It moves at window edges; the
+	// shard clocks run ahead of it inside a window.
 	now   time.Duration
 	nodes map[ids.ID]*nodeEnv
 	// envs/idlist are the dense registration-order views backing the
@@ -336,12 +334,11 @@ type Network struct {
 	busyCPU   []time.Duration
 	busyOther map[int64]time.Duration
 
-	// shards holds one heap, or Options.Shards of them.
 	shards []*shard
-	// The window coordinator, used only across shards: the window
-	// size, the worker cap (1 executes windows inline on the
-	// coordinator goroutine), and the queue of Schedule events, which
-	// run on the coordinator at window edges in creation order.
+	// The window coordinator: the window size, the worker cap (1
+	// executes windows inline on the coordinator goroutine), and the
+	// queue of Schedule events, which run on the coordinator at window
+	// edges in creation order.
 	horizon time.Duration
 	workers int
 	drv     eventQueue
@@ -355,12 +352,31 @@ func New(opts Options) *Network {
 		opts.Latency = Fixed(time.Millisecond)
 	}
 	k := max(opts.Shards, 1)
-	n := &Network{
-		opts:   opts,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		nodes:  make(map[ids.ID]*nodeEnv),
-		shards: make([]*shard, k),
+	if k > 1 {
+		switch {
+		case opts.SerializeProc:
+			panic("simnet: SerializeProc is not supported with Shards >= 2 (its CPU-queue accounting is global-send-order semantics; use one heap)")
+		case opts.CPUOf != nil:
+			panic("simnet: CPUOf is not supported with Shards >= 2")
+		case opts.Tap != nil:
+			panic("simnet: Tap is not supported with Shards >= 2 (sends have no global observation order across parallel windows)")
+		}
 	}
+	n := &Network{
+		opts:    opts,
+		rng:     rand.New(rand.NewSource(opts.Seed)),
+		nodes:   make(map[ids.ID]*nodeEnv),
+		shards:  make([]*shard, k),
+		horizon: opts.Latency.MinLatency() + opts.ProcDelay,
+		workers: opts.ShardWorkers,
+	}
+	if n.horizon <= 0 {
+		panic("simnet: the lookahead window MinLatency() + ProcDelay must be positive")
+	}
+	if n.workers == 0 {
+		n.workers = runtime.GOMAXPROCS(0)
+	}
+	n.workers = max(min(n.workers, k), 1)
 	for i := range n.shards {
 		n.shards[i] = &shard{
 			net:      n,
@@ -368,9 +384,6 @@ func New(opts Options) *Network {
 			counter:  n.newCounter(),
 			stageOut: make([][]stagedMsg, k),
 		}
-	}
-	if k > 1 {
-		n.initWindows()
 	}
 	return n
 }
@@ -391,13 +404,10 @@ func (n *Network) AddNode(id ids.ID) *nodeEnv {
 		env.cpu = n.opts.CPUOf(id)
 	}
 	env.shard = n.shards[env.idx%len(n.shards)]
-	if len(n.shards) == 1 {
-		env.latRng = n.rng
-	} else {
-		// The per-sender latency/jitter stream: a distinct salt keeps
-		// it independent of the node-logic stream Rand builds.
-		env.latRng = rand.New(rand.NewSource(n.opts.Seed ^ int64(idSeed(id)) ^ latStreamSalt))
-	}
+	// The per-sender latency/jitter stream: a distinct salt keeps it
+	// independent of the node-logic stream Rand builds.
+	env.latSrc = splitmix{key: uint64(n.opts.Seed) ^ idSeed(id) ^ latStreamSalt}
+	env.latRng = rand.New(&env.latSrc)
 	n.nodes[id] = env
 	n.envs = append(n.envs, env)
 	n.idlist = append(n.idlist, id)
@@ -422,14 +432,32 @@ func (n *Network) SetDown(id ids.ID, down bool) {
 	}
 }
 
-// Counter returns the message counter. On one heap it is the live
-// ledger; across shards it is a merged snapshot of the per-shard
-// ledgers (a reporting-path cost — don't call it per event).
+// Counter returns a snapshot of the message accounting, merged from the
+// per-shard ledgers: a reporting-path cost — don't call it per event.
+// Later traffic does not show in a snapshot already taken.
 func (n *Network) Counter() *Counter {
-	if len(n.shards) == 1 {
-		return n.shards[0].counter
+	out := n.newCounter()
+	for _, sh := range n.shards {
+		c := sh.counter
+		out.Total += c.Total
+		out.Wire += c.Wire
+		for i := range c.kinds {
+			cell := out.cell(c.kinds[i].kind)
+			cell.logical += c.kinds[i].logical
+			cell.wire += c.kinds[i].wire
+		}
+		for i, v := range c.sent {
+			if v != 0 {
+				out.addSent(i, v)
+			}
+		}
+		for i, v := range c.recv {
+			if v != 0 {
+				out.addRecv(i, v)
+			}
+		}
 	}
-	return n.mergedCounter()
+	return out
 }
 
 // ResetCounter zeroes accounting, typically after cluster warm-up.
@@ -439,7 +467,10 @@ func (n *Network) ResetCounter() {
 	}
 }
 
-// Now returns the current virtual time.
+// Now returns the coordinator's virtual time: the clock a run ended on
+// between runs, the instant of a Schedule callback inside one, and the
+// start of the current window inside a handler (node code reads its
+// own Env.Now).
 func (n *Network) Now() time.Duration { return n.now }
 
 // Rand returns the network-level random source (for workload drivers).
@@ -461,19 +492,13 @@ func (n *Network) PendingEvents() int {
 	return total
 }
 
-// Schedule runs fn at now+d on the simulator goroutine. On one heap it
-// is an ordinary heap event. Across shards it is a coordinator event: it runs
-// on the coordinator at a window edge, with every shard parked, before
-// any node event at the same instant — so it may safely touch any node.
+// Schedule runs fn at now+d as a coordinator event: it runs on the
+// coordinator at a window edge, with every shard parked, before any
+// node event at the same instant — so it may safely touch any node.
 func (n *Network) Schedule(d time.Duration, fn func()) (cancel func()) {
-	var ev *event
-	if len(n.shards) == 1 {
-		ev = n.shards[0].defer_(nil, d, fn)
-	} else {
-		ev = &event{home: -1, at: n.now + max(d, 0), seq: n.dseq, fn: fn}
-		n.dseq++
-		n.drv.push(ev)
-	}
+	ev := &event{home: -1, at: n.now + max(d, 0), seq: n.dseq, fn: fn}
+	n.dseq++
+	n.drv.push(ev)
 	gen := ev.gen
 	return func() { n.cancelEvent(ev, gen) }
 }
@@ -498,15 +523,14 @@ func (n *Network) cancelEvent(ev *event, gen uint64) {
 
 // Run processes events until the queue is empty or maxEvents events have
 // run (0 means unlimited). It returns the number of events processed.
-// Across shards windows are atomic, so the count may overshoot
-// maxEvents within the final window.
+// The budget is checked at window barriers and windows are atomic, so
+// the count may overshoot maxEvents within the final window.
 func (n *Network) Run(maxEvents int) int { return n.run(0, false, nil, maxEvents) }
 
 // RunWhile processes events until cond returns false or the queue
-// drains. It returns the number of events processed. One heap checks
-// cond before every event; across shards it is checked at window
-// barriers, so a window that straddles the condition flip completes
-// before the run stops.
+// drains. It returns the number of events processed. cond is checked at
+// window barriers, so a window that straddles the condition flip
+// completes before the run stops.
 func (n *Network) RunWhile(cond func() bool) int { return n.run(0, false, cond, 0) }
 
 // RunFor advances virtual time by d, processing all events scheduled in
@@ -520,55 +544,12 @@ func (n *Network) RunFor(d time.Duration) {
 // backwards.
 func (n *Network) RunUntil(t time.Duration) { n.run(t, true, nil, 0) }
 
-// run is the loop behind the Run variants. It stops when the queues
-// drain, the clock would pass target (when bounded, in which case the
-// clock ends on target), cond turns false, or maxEvents events have run
-// (0 means unlimited), and returns the number of events processed.
-func (n *Network) run(target time.Duration, bounded bool, cond func() bool, maxEvents int) int {
-	target = max(target, n.now)
-	if len(n.shards) > 1 {
-		return n.runWindows(target, bounded, cond, maxEvents)
-	}
-	sh := n.shards[0]
-	processed := 0
-	for sh.events.Len() > 0 {
-		if maxEvents > 0 && processed >= maxEvents {
-			break
-		}
-		if cond != nil && !cond() {
-			break
-		}
-		at := sh.events.q[0].at
-		if bounded && at > target {
-			break
-		}
-		ev := sh.events.pop()
-		n.now, sh.now = at, at
-		sh.exec(ev)
-		processed++
-	}
-	if bounded {
-		n.now, sh.now = target, target
-	}
-	return processed
-}
-
-// serializeOn queues one processing occupancy on the destination's CPU
-// and returns the completion time. The CPU is the destination's own
-// dense index by default, or the configured CPU number under
-// co-location; out-of-range CPU numbers (e.g. a CPUOf returning -1 for
-// unknown nodes) and unregistered destinations (dst nil) fall back to
-// a map.
-func (n *Network) serializeOn(dst *nodeEnv, to ids.ID, arrival, proc time.Duration) time.Duration {
-	var cpu int
-	switch {
-	case dst != nil:
-		cpu = dst.cpu
-	case n.opts.CPUOf != nil:
-		cpu = n.opts.CPUOf(to)
-	default:
-		return n.busyMap(int64(idSeed(to)), arrival, proc)
-	}
+// serializeOn queues one processing occupancy on a CPU and returns the
+// completion time. The CPU is the destination's own dense index by
+// default, or the configured CPU number under co-location;
+// out-of-range CPU numbers (e.g. a CPUOf returning -1 for unknown
+// nodes) fall back to a map.
+func (n *Network) serializeOn(cpu int, arrival, proc time.Duration) time.Duration {
 	if cpu >= 0 && cpu < 1<<20 {
 		return n.busyDense(cpu, arrival, proc)
 	}
@@ -616,11 +597,11 @@ type nodeEnv struct {
 
 	// shard owns the node's events. oseq is the node's private
 	// event-creation counter, the birth-sequence half of the ordering
-	// key across shards (unused on one heap). latRng is the stream its
-	// sends draw latency and jitter from: the network's on one heap,
-	// the node's own across shards.
+	// key. latRng is the stream its sends draw latency and jitter from,
+	// over the 16-byte latSrc.
 	shard  *shard
 	oseq   int64
+	latSrc splitmix
 	latRng *rand.Rand
 }
 
@@ -699,8 +680,8 @@ func (e *nodeEnv) Arm(d time.Duration, fn func(), t *Timer) {
 	t.stop = nil
 }
 
-// Now returns the owning shard's clock. Across shards the clocks
-// diverge within a lookahead window.
+// Now returns the owning shard's clock: the instant of the event being
+// run. Shard clocks diverge within a lookahead window.
 func (e *nodeEnv) Now() time.Duration { return e.shard.now }
 
 // Rand returns the node's deterministic random source, seeded with
@@ -739,16 +720,19 @@ type event struct {
 	// Timer events carry fn (plus the owning env for the crashed-node
 	// check, avoiding a wrapper closure per timer); delivery events
 	// carry the message fields directly, avoiding a closure allocation
-	// per message. envTo caches the destination environment resolved at
-	// send time; delivery falls back to the registry when it is missing
-	// or was removed meanwhile.
-	fn       func()
-	env      *nodeEnv
-	delivery bool
-	from, to ids.ID
-	envTo    *nodeEnv
-	m        any
-	logical  int64
+	// per message.
+	fn  func()
+	env *nodeEnv
+	msg delivery
+}
+
+// delivery is a message in flight. dst is the destination environment
+// resolved at send time, and is nil only on timer events.
+type delivery struct {
+	from    ids.ID
+	dst     *nodeEnv
+	m       any
+	logical int64
 }
 
 // eventQueue is a 4-ary min-heap on (at, seq), implemented concretely:

@@ -65,7 +65,7 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestNodeRandLazy: on both engines a node's random source exists only
+// TestNodeRandLazy: at one and two shards a node's random source exists only
 // once the node draws from it, and the stream it then yields is the one
 // an eagerly built source over Seed ^ idSeed(id) would have.
 func TestNodeRandLazy(t *testing.T) {
@@ -188,8 +188,8 @@ func TestSerializedProcessingQueues(t *testing.T) {
 	envA := net.AddNode(a)
 	envA.BindHandler(&recordingHandler{})
 	var arrivals []time.Duration
-	h := handlerFunc(func(ids.ID, any) { arrivals = append(arrivals, net.Now()) })
-	net.AddNode(b).BindHandler(h)
+	envB := net.AddNode(b)
+	envB.BindHandler(handlerFunc(func(ids.ID, any) { arrivals = append(arrivals, envB.Now()) }))
 
 	// Five messages sent simultaneously must be processed serially,
 	// 10ms apart.
@@ -222,8 +222,8 @@ func TestSharedCPUQueueing(t *testing.T) {
 	envA.BindHandler(&recordingHandler{})
 	var arrivals []time.Duration
 	for i := 2; i <= 4; i++ {
-		net.AddNode(ids.FromUint64(uint64(i))).BindHandler(
-			handlerFunc(func(ids.ID, any) { arrivals = append(arrivals, net.Now()) }))
+		env := net.AddNode(ids.FromUint64(uint64(i)))
+		env.BindHandler(handlerFunc(func(ids.ID, any) { arrivals = append(arrivals, env.Now()) }))
 	}
 	for i := 2; i <= 4; i++ {
 		envA.Send(ids.FromUint64(uint64(i)), "x")
@@ -264,6 +264,10 @@ func TestWANModelStability(t *testing.T) {
 	if m.BaseRTT(a, a) != 0 {
 		t.Fatal("self RTT should be zero")
 	}
+	// Per-pair and per-node draws come from a stack source.
+	if n := testing.AllocsPerRun(100, func() { m.RTTAt(a, b, time.Second) }); n != 0 {
+		t.Fatalf("a WAN RTT allocates %v times", n)
+	}
 }
 
 func TestWANStragglerStatistics(t *testing.T) {
@@ -283,16 +287,14 @@ func TestWANStragglerStatistics(t *testing.T) {
 
 func TestWANStragglerDutyCycle(t *testing.T) {
 	m := WAN(WANConfig{Seed: 3})
-	// Find a straggler.
+	// Find a straggler (the zero ID can be one).
 	var s ids.ID
-	for i := 0; i < 2000; i++ {
-		id := ids.FromUint64(uint64(i))
-		if m.StragglerDelay(id) > 0 {
-			s = id
-			break
-		}
+	found := false
+	for i := 0; i < 2000 && !found; i++ {
+		s = ids.FromUint64(uint64(i))
+		found = m.StragglerDelay(s) > 0
 	}
-	if s.IsZero() {
+	if !found {
 		t.Skip("no straggler found")
 	}
 	slow, total := 0, 200

@@ -111,6 +111,9 @@ type options struct {
 	cl        cluster.Options
 	nodeCfg   core.Config
 	bootstrap cluster.Bootstrap
+	// latency builds the model from the final seed, once every option
+	// is applied.
+	latency func(seed int64) simnet.LatencyModel
 }
 
 // WithSeed fixes the cluster's random seed (default 1).
@@ -143,7 +146,7 @@ func WithCoalesceWindow(d time.Duration) Option {
 // cost and shared CPUs, like the paper's Emulab testbed.
 func WithLANModel() Option {
 	return func(o *options) {
-		o.cl.Latency = simnet.LAN(simnet.LANConfig{})
+		o.latency = func(int64) simnet.LatencyModel { return simnet.LAN(simnet.LANConfig{}) }
 		o.cl.ProcDelay = 800 * time.Microsecond
 		o.cl.ProcJitter = 400 * time.Microsecond
 		o.cl.SerializeProc = true
@@ -157,7 +160,7 @@ func WithLANModel() Option {
 // paper runs its PlanetLab experiments without query timeouts).
 func WithWANModel() Option {
 	return func(o *options) {
-		o.cl.Latency = simnet.WAN(simnet.WANConfig{Seed: o.seed})
+		o.latency = func(seed int64) simnet.LatencyModel { return simnet.WAN(simnet.WANConfig{Seed: seed}) }
 		o.cl.ProcDelay = 500 * time.Microsecond
 		o.cl.ProcJitter = 500 * time.Microsecond
 		o.cl.SerializeProc = true
@@ -177,25 +180,21 @@ func WithProtocolBootstrap() Option {
 }
 
 // WithShards partitions the simulated nodes across k event heaps that
-// drain conservative-lookahead windows in parallel. Runs stay
-// deterministic for a given seed at any shard or worker count, but
-// break same-instant ties and draw latencies differently from one heap.
+// drain conservative-lookahead windows in parallel. It is a speed
+// setting only: a seed gives the same run at any shard or worker count.
 // k >= 2 is incompatible with WithLANModel's CPU-contention physics
-// (SerializeProc, shared machines); it pairs naturally with
-// WithPairwiseModel. k <= 1 runs every node on one heap.
+// (SerializeProc, shared machines). k <= 1 runs every node on one heap.
 func WithShards(k int) Option {
 	return func(o *options) { o.cl.Shards = k }
 }
 
 // WithPairwiseModel simulates a wide-area network with stable, hashed
 // per-pair one-way delays (no per-message jitter draws): each ordered
-// node pair gets base + hash in [0, spread). Deterministic and
-// draw-free, it is the latency model the sharded scheduler's
-// equivalence guarantees are proven under, and its positive base gives
+// node pair gets base + hash in [0, spread). Its positive base gives
 // the scheduler its lookahead horizon.
 func WithPairwiseModel(base, spread time.Duration) Option {
 	return func(o *options) {
-		o.cl.Latency = simnet.Pairwise(base, spread, o.seed)
+		o.latency = func(seed int64) simnet.LatencyModel { return simnet.Pairwise(base, spread, seed) }
 		o.cl.ProcDelay = 300 * time.Microsecond
 	}
 }
@@ -207,6 +206,12 @@ type SimCluster struct {
 
 // NewSimCluster boots n simulated nodes, ready to query.
 func NewSimCluster(n int, opts ...Option) *SimCluster {
+	return &SimCluster{c: cluster.New(clusterOptions(n, opts))}
+}
+
+// clusterOptions applies opts in order, then builds the latency model
+// from the final seed, so WithSeed may come before or after the model.
+func clusterOptions(n int, opts []Option) cluster.Options {
 	o := options{seed: 1}
 	for _, fn := range opts {
 		fn(&o)
@@ -215,7 +220,10 @@ func NewSimCluster(n int, opts ...Option) *SimCluster {
 	o.cl.Seed = o.seed
 	o.cl.Node = o.nodeCfg
 	o.cl.Bootstrap = o.bootstrap
-	return &SimCluster{c: cluster.New(o.cl)}
+	if o.latency != nil {
+		o.cl.Latency = o.latency(o.seed)
+	}
+	return o.cl
 }
 
 // Size returns the number of nodes.

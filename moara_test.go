@@ -2,10 +2,13 @@ package moara
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
+	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
+	"github.com/moara/moara/internal/simnet"
 )
 
 func TestSimClusterQuickstart(t *testing.T) {
@@ -67,6 +70,42 @@ func TestSimClusterWANModel(t *testing.T) {
 	}
 	if res.Stats.TotalTime < 10*time.Millisecond {
 		t.Fatalf("WAN latency suspiciously low: %v", res.Stats.TotalTime)
+	}
+}
+
+// TestModelSeedOptionOrder: a seeded latency model is built from the
+// final seed, so WithSeed before or after it gives the same network.
+func TestModelSeedOptionOrder(t *testing.T) {
+	for _, model := range []Option{WithWANModel(), WithPairwiseModel(5*time.Millisecond, 20*time.Millisecond)} {
+		seedFirst := clusterOptions(48, []Option{WithSeed(11), model})
+		seedLast := clusterOptions(48, []Option{model, WithSeed(11)})
+		for i := 0; i < 16; i++ {
+			a, b := cluster.NodeID(i), cluster.NodeID(i+1)
+			if wan, ok := seedFirst.Latency.(*simnet.WANModel); ok {
+				if x, y := wan.BaseRTT(a, b), seedLast.Latency.(*simnet.WANModel).BaseRTT(a, b); x != y {
+					t.Fatalf("BaseRTT(%d, %d) = %v with the seed first, %v with it last", i, i+1, x, y)
+				}
+			}
+			x := seedFirst.Latency.Latency(a, b, 0, rand.New(rand.NewSource(1)))
+			y := seedLast.Latency.Latency(a, b, 0, rand.New(rand.NewSource(1)))
+			if x != y {
+				t.Fatalf("latency %d->%d = %v with the seed first, %v with it last", i, i+1, x, y)
+			}
+		}
+		query := func(opts ...Option) Result {
+			c := NewSimCluster(48, opts...)
+			for i := 0; i < c.Size(); i++ {
+				c.SetAttr(i, "v", Int(int64(i)))
+			}
+			res, err := c.Client(0).Query(context.Background(), "sum(v)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		if x, y := query(WithSeed(11), model), query(model, WithSeed(11)); x.Agg.String() != y.Agg.String() || x.Stats.TotalTime != y.Stats.TotalTime {
+			t.Fatalf("seed first: %s in %v; seed last: %s in %v", x.Agg, x.Stats.TotalTime, y.Agg, y.Stats.TotalTime)
+		}
 	}
 }
 
