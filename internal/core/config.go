@@ -62,10 +62,11 @@ type Config struct {
 	// the benefit.
 	Threshold int
 	// KUpdate is the event-window length used while in UPDATE state
-	// (paper default 1).
+	// (paper default 1). A node keeps its newest 16 events, so a longer
+	// window acts as 16; a negative one counts no event.
 	KUpdate int
 	// KNoUpdate is the event-window length used while in NO-UPDATE
-	// state (paper default 3).
+	// state (paper default 3), capped like KUpdate to [0, 16].
 	KNoUpdate int
 	// ChildTimeout bounds how long a node waits for a child's query
 	// response before aggregating without it (§7).
@@ -116,9 +117,12 @@ type Config struct {
 	// instead of Q. Zero (the default) flushes after one event-loop
 	// tick — same virtual instant on the simulator, same serialized
 	// handler turn on the TCP agent — adding no latency while still
-	// merging everything a node sends in one burst. A positive window
-	// trades up to that much extra latency per hop for coalescing
-	// across bursts. CoalesceOff disables the outbox entirely.
+	// merging everything a node sends in one burst. A standing epoch is
+	// one such burst on both runtimes: the node's epoch clock ticks
+	// every entry due in one timer event and flushes the outbox at its
+	// end. A positive window trades up to that much extra latency per
+	// hop for coalescing across bursts. CoalesceOff disables the outbox
+	// entirely.
 	CoalesceWindow time.Duration
 }
 

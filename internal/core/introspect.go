@@ -123,7 +123,7 @@ func (n *Node) Subs() []SubInfo {
 		sort.Strings(reporters)
 		out = append(out, SubInfo{
 			SID:          sub.sid,
-			Group:        sub.group.canon,
+			Group:        sub.ge.spec.canon,
 			Root:         sub.root,
 			Period:       sub.period,
 			Epoch:        sub.epoch,

@@ -42,6 +42,14 @@ type Node struct {
 	subs     map[subKey]*subState
 	tableGen uint64
 	attrGen  uint64
+	// ticking lists the subscription entries in arm order; clock is the
+	// node's one epoch timer, armed for clockAt, the earliest due instant
+	// among them, while clockArmed (see armEpoch).
+	ticking    []*subState
+	clock      simnet.Timer
+	clockAt    time.Duration
+	clockArmed bool
+	clockFn    func()
 
 	fe frontend
 
@@ -121,6 +129,7 @@ func NewNode(env simnet.Env, cfg Config, overlayCfg pastry.Config) *Node {
 		subsGen:      -1,
 	}
 	n.flushFn = n.flushOutbox
+	n.clockFn = n.epochWalk
 	if d, ok := env.(interface {
 		Defer(time.Duration, func())
 	}); ok {
@@ -229,19 +238,17 @@ func (n *Node) Self() ids.ID { return n.self }
 // Config returns the node's configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// Close stops timers, including every subscription's epoch loop. Any
-// messages still queued in the coalescing outbox are flushed first
-// (best-effort), so e.g. a cancel cascade queued just before shutdown
-// still reaches the children instead of leaving them to the SubTTL GC.
+// Close stops timers, the epoch clock included. Any messages still
+// queued in the coalescing outbox are flushed first (best-effort), so
+// e.g. a cancel cascade queued just before shutdown still reaches the
+// children instead of leaving them to the SubTTL GC.
 func (n *Node) Close() {
 	if n.closed {
 		return
 	}
 	n.flushOutbox()
 	n.closed = true
-	for _, sub := range n.subs {
-		sub.tick.Stop()
-	}
+	n.clock.Stop()
 	for _, fs := range n.fe.subs {
 		if fs.renewCancel != nil {
 			fs.renewCancel()
@@ -275,11 +282,15 @@ func (n *Node) Recover(bootstrap ids.ID) {
 	}
 	n.gcArmed = false
 	n.armGC()
-	// Timers armed for the same grid instant fire in arm order.
-	for _, sub := range n.subsOf("") {
-		sub.tick.Stop()
-		n.armEpoch(sub)
+	// Entries due at the same instant tick in list order.
+	n.clock.Stop()
+	clear(n.ticking)
+	n.ticking = append(n.ticking[:0], n.subsOf("")...)
+	now := n.env.Now()
+	for _, sub := range n.ticking {
+		sub.due = nextDue(now, sub.period)
 	}
+	n.armClock()
 	n.fe.recover()
 }
 
@@ -410,7 +421,7 @@ func (n *Node) maybeResyncSubs() {
 	}
 	n.subsGen = g
 	for _, sub := range n.subsOf("") {
-		ps := n.preds[sub.group.canon]
+		ps := sub.ge.ps
 		if ps == nil && n.cfg.Mode != ModeGlobal {
 			continue
 		}
@@ -921,7 +932,8 @@ func (n *Node) handleResponse(from ids.ID, rm ResponseMsg) {
 	if !rm.Dup {
 		c.state, c.contrib = rm.State, rm.Contributors
 		ex.contrib += rm.Contributors
-		n.noteChildCost(ex.group, from, rm.Np, rm.Unknown)
+		ps, _ := n.predLookup(ex.group)
+		n.noteChildCost(ps, from, rm.Np, rm.Unknown)
 	}
 	ex.kids.file(i, true, c)
 	if !ex.kids.waiting() {

@@ -115,8 +115,10 @@ type predState struct {
 	lastSentPrune bool
 	lastSentSet   []SetEntry
 
-	// events is the sliding window (newest last) feeding the policy.
-	events []eventKind
+	// events[:nev] is the sliding window feeding the policy, oldest
+	// first: the newest maxWindow events, held inline.
+	events [maxWindow]eventKind
+	nev    int
 	// lastSeq is the newest query sequence number observed, directly
 	// or via child status piggybacks.
 	lastSeq uint64
@@ -276,12 +278,15 @@ func (ps *predState) wireView(self ids.ID) (prune bool, set []SetEntry) {
 	return false, ps.updateSet
 }
 
-// recordEvent appends to the sliding window.
+// recordEvent appends to the sliding window, forgetting the oldest
+// event once it holds maxWindow.
 func (ps *predState) recordEvent(k eventKind) {
-	ps.events = append(ps.events, k)
-	if len(ps.events) > maxWindow {
-		ps.events = ps.events[len(ps.events)-maxWindow:]
+	if ps.nev == maxWindow {
+		copy(ps.events[:], ps.events[1:])
+		ps.nev--
 	}
+	ps.events[ps.nev] = k
+	ps.nev++
 }
 
 // recordQueryEvent classifies a processed query as qs or qn by whether
@@ -295,17 +300,15 @@ func (ps *predState) recordQueryEvent(self ids.ID) {
 	}
 }
 
-// counters computes (qn, qs, c) over the mode-dependent recent window.
+// counters computes (qn, qs, c) over the mode-dependent recent window:
+// the newest k events, k clamped to [0, maxWindow].
 func (ps *predState) counters(kUpdate, kNoUpdate int) (qn, qs, c int) {
 	k := kNoUpdate
 	if ps.update {
 		k = kUpdate
 	}
-	start := len(ps.events) - k
-	if start < 0 {
-		start = 0
-	}
-	for _, e := range ps.events[start:] {
+	k = min(max(k, 0), ps.nev)
+	for _, e := range ps.events[ps.nev-k : ps.nev] {
 		switch e {
 		case evQueryIn:
 			qs++

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/pastry"
@@ -214,6 +215,64 @@ func TestModePins(t *testing.T) {
 	ps.runPolicy(ModeGlobal, 1, 3)
 	if ps.update {
 		t.Fatal("Global must pin NO-UPDATE")
+	}
+}
+
+// TestPolicyWindowClamp: the policy window is clamped to [0, maxWindow].
+// A window longer than the kept events reads exactly the kept events, and
+// a negative one reads none: unclamped, it sliced past the end of the
+// window and panicked on a node's first policy run.
+func TestPolicyWindowClamp(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	long := newPredState(groupSpec{canon: "a = 1", attr: "a"})
+	capped := newPredState(groupSpec{canon: "a = 1", attr: "a"})
+	for step := 0; step < 500; step++ {
+		r := rng.Intn(3)
+		for _, ps := range []*predState{long, capped} {
+			switch r {
+			case 0:
+				ps.recordEvent(evChange)
+			case 1:
+				ps.recordEvent(evQueryIn)
+			default:
+				ps.recordEvent(evQueryOut)
+			}
+		}
+		long.runPolicy(ModeAdaptive, 32, 32)
+		capped.runPolicy(ModeAdaptive, maxWindow, maxWindow)
+		if long.update != capped.update {
+			t.Fatalf("step %d: window 32 moved to update=%v, window %d to %v", step, long.update, maxWindow, capped.update)
+		}
+		qn, qs, c := long.counters(32, 32)
+		if step >= maxWindow && qn+qs+c != maxWindow {
+			t.Fatalf("step %d: window 32 counted %d events, want the %d kept", step, qn+qs+c, maxWindow)
+		}
+	}
+	if qn, qs, c := long.counters(-1, -1); qn+qs+c != 0 {
+		t.Fatalf("a negative window counted %d events", qn+qs+c)
+	}
+
+	// End to end: one-shot and standing traffic under KNoUpdate = -1.
+	net, nodes := miniCluster(t, 16, Config{KNoUpdate: -1, KUpdate: 32})
+	for i, n := range nodes {
+		n.Store().Set("g", value.Bool(i%2 == 0))
+	}
+	req, err := ParseRequest("count(*) where g = true")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runQuery(t, net, nodes[0], req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := res.Agg.Value.AsInt(); v != 8 {
+		t.Fatalf("count = %d, want 8", v)
+	}
+	var last Sample
+	mustSubscribe(t, nodes[3], "count(*) where g = true every 100ms", func(s Sample) { last = s })
+	net.RunFor(2 * time.Second)
+	if v, _ := last.Result.Agg.Value.AsInt(); v != 8 {
+		t.Fatalf("standing count = %d, want 8", v)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/ids"
-	"github.com/moara/moara/internal/simnet"
 )
 
 // This file implements standing queries: the push-based continuous
@@ -34,6 +33,14 @@ import (
 // An entry keeps its children in the childTable a one-shot keeps: one
 // slot per installed or reporting child, in id order, which is the order
 // a rebuild folds the reports in, as finishExec folds responses.
+//
+// A node ticks all its entries from one epoch clock: the entries in arm
+// order and one timer, armed for the earliest due instant. Entries tick
+// on their period's grid, so every entry with the same period is due at
+// the same instant; one timer event ticks them all and ships their
+// reports in one outbox flush. Q streams over a tree edge therefore cost
+// one wire frame per epoch, on the simulator and the TCP agent alike,
+// and the heap holds one epoch event per node, not one per entry.
 //
 // An unchanged subtree costs a pointer, not a merge. Each entry retains
 // the subtree state it last built and re-sends it, under the new epoch
@@ -109,8 +116,10 @@ type subKey struct {
 
 // subState is one standing query's per-(node, group) state.
 type subState struct {
-	sid     QueryID
-	group   groupSpec
+	sid QueryID
+	// ge is the interned group the entry was created for; ge.ps is its
+	// predicate state (nil while dropped), read without a lookup.
+	ge      *groupEntry
 	eval    string
 	attrKey string
 	spec    aggregate.Spec
@@ -161,8 +170,11 @@ type subState struct {
 	changed bool
 	// claim caches claimStanding's answer for tableGen.
 	claim bool
-	// dead is set by dropSub; a tick that fires afterwards is a no-op.
+	// dead is set by dropSub; the next epoch walk unlinks the entry from
+	// the node's clock without ticking it.
 	dead bool
+	// due is the entry's next tick instant on the node's epoch clock.
+	due time.Duration
 	// rebuilds and reuses count the reports built and the reports that
 	// re-sent the retained state (see SubInfo).
 	rebuilds, reuses uint64
@@ -172,10 +184,6 @@ type subState struct {
 
 	lastRenew time.Duration
 	lastDown  time.Duration
-	tick      simnet.Timer
-	// tickFn is the epoch-tick closure, built once per subState so the
-	// per-epoch re-arm allocates nothing but the timer record.
-	tickFn func()
 }
 
 // handleSubscribe installs or renews a subscription at the tree root.
@@ -196,7 +204,7 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 	ps.setLevel(0)
 	ps.hasParent = false
 	if !ok {
-		sub = &subState{sid: sm.SID, group: ge.spec}
+		sub = &subState{sid: sm.SID, ge: ge}
 		n.subs[key] = sub
 		n.tableGen++
 	}
@@ -288,7 +296,7 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 		ps.lastSentValid = false
 	}
 	if !ok {
-		sub = &subState{sid: im.SID, group: ge.spec}
+		sub = &subState{sid: im.SID, ge: ge}
 		n.subs[key] = sub
 		n.tableGen++
 	}
@@ -380,7 +388,7 @@ func (n *Node) pushInstalls(sub *subState, ps *predState, refresh bool) {
 	targets := n.queryTargets(ps, sub.level)
 	im := InstallMsg{
 		SID:     sub.sid,
-		Group:   sub.group.canon,
+		Group:   sub.ge.spec.canon,
 		Eval:    sub.eval,
 		Attr:    sub.attrKey,
 		Spec:    sub.spec,
@@ -403,7 +411,7 @@ func (n *Node) pushInstalls(sub *subState, ps *predState, refresh bool) {
 			continue
 		}
 		if refresh {
-			n.send(id, CancelMsg{SID: sub.sid, Group: sub.group.canon})
+			n.send(id, CancelMsg{SID: sub.sid, Group: sub.ge.spec.canon})
 		}
 		sub.changed = sub.kids.remove(id) || sub.changed
 	}
@@ -428,42 +436,106 @@ func (n *Node) syncSubs(ps *predState) {
 func (n *Node) subsOf(canon string) []*subState {
 	out := n.subScratch[:0]
 	for _, sub := range n.subs {
-		if canon == "" || sub.group.canon == canon {
+		if canon == "" || sub.ge.spec.canon == canon {
 			out = append(out, sub)
 		}
 	}
 	slices.SortFunc(out, func(a, b *subState) int {
-		return cmp.Or(compareQID(a.sid, b.sid), strings.Compare(a.group.canon, b.group.canon))
+		return cmp.Or(compareQID(a.sid, b.sid), strings.Compare(a.ge.spec.canon, b.ge.spec.canon))
 	})
 	n.subScratch = out
 	return out
 }
 
-// armEpoch schedules the subscription's next epoch tick, aligned to
-// the period grid (the next multiple of the period on the node's
-// clock). Alignment makes every subscription with the same period tick
-// in the same event-loop burst, so Q concurrent standing queries
-// sharing a tree edge coalesce their per-epoch reports into one wire
-// batch instead of Q staggered messages. It is unconditional —
-// independent of CoalesceWindow — so toggling coalescing never shifts
-// epoch timing.
+// armEpoch puts a new entry on the node's epoch clock. Its ticks fall on
+// the period grid (the multiples of the period on the node's clock), so
+// every entry with the same period is due at the same instant, and one
+// timer event ticks them all: the clock is armed for the earliest due
+// instant of the list, and epochWalk ticks everything due, in list
+// order, then ships the burst in one outbox flush. Q concurrent standing
+// queries sharing a tree edge thus cost one wire batch per epoch on
+// both runtimes — on the TCP agent too, where each timer takes the core
+// lock in its own turn. The grid is unconditional — independent of
+// CoalesceWindow — so toggling coalescing never shifts epoch timing.
 func (n *Node) armEpoch(sub *subState) {
-	if sub.tickFn == nil {
-		sub.tickFn = func() { n.epochTick(sub) }
+	sub.due = nextDue(n.env.Now(), sub.period)
+	n.ticking = append(n.ticking, sub)
+	if !n.clockArmed || sub.due < n.clockAt {
+		n.setClock(sub.due)
 	}
-	d := sub.period - n.env.Now()%sub.period
-	n.armFn(d, sub.tickFn, &sub.tick)
 }
 
-// epochTick is one epoch at one node: enforce the lease, bring the
-// subtree state up to date (local contribution plus the children's
-// latest reports) if an input moved, and push it one hop up-tree (or to
-// the front-end at the root).
-func (n *Node) epochTick(sub *subState) {
-	if n.closed || sub.dead {
+// nextDue is the first multiple of period after now.
+func nextDue(now, period time.Duration) time.Duration {
+	return now + period - now%period
+}
+
+// setClock (re-)arms the epoch clock for instant at.
+func (n *Node) setClock(at time.Duration) {
+	n.clock.Stop()
+	n.clockAt, n.clockArmed = at, true
+	n.armFn(at-n.env.Now(), n.clockFn, &n.clock)
+}
+
+// armClock arms the epoch clock for the earliest due entry, or leaves it
+// idle when no entry is left.
+func (n *Node) armClock() {
+	if len(n.ticking) == 0 {
+		n.clockArmed = false
+		return
+	}
+	at := n.ticking[0].due
+	for _, sub := range n.ticking[1:] {
+		at = min(at, sub.due)
+	}
+	n.setClock(at)
+}
+
+// epochWalk is the epoch clock firing: every live entry due by now
+// ticks once, in list order (a late timer — the agent's real clock —
+// still ticks each entry once), dropped entries leave the list, and the
+// clock re-arms for the next due instant. With a zero CoalesceWindow the
+// walk holds the outbox and flushes it itself at the end, so the epoch's
+// whole burst leaves in one flush with no extra timer event.
+func (n *Node) epochWalk() {
+	n.clockArmed = false
+	if n.closed {
 		return
 	}
 	now := n.env.Now()
+	flush := n.cfg.CoalesceWindow == 0 && !n.outboxArmed
+	if flush {
+		n.outboxArmed = true
+	}
+	for _, sub := range n.ticking {
+		if !sub.dead && sub.due <= now {
+			n.epochTick(sub, now)
+		}
+	}
+	live := n.ticking[:0]
+	for _, sub := range n.ticking {
+		if !sub.dead {
+			live = append(live, sub)
+		}
+	}
+	clear(n.ticking[len(live):])
+	n.ticking = live
+	n.armClock()
+	if flush {
+		if len(n.outboxOrder) > 0 {
+			n.flushOutbox()
+		} else {
+			n.outboxArmed = false
+		}
+	}
+}
+
+// epochTick is one epoch of one entry: enforce the lease, bring the
+// subtree state up to date (local contribution plus the children's
+// latest reports) if an input moved, and push it one hop up-tree (or to
+// the front-end at the root).
+func (n *Node) epochTick(sub *subState, now time.Duration) {
+	sub.due = nextDue(now, sub.period)
 	if now-sub.lastRenew > n.cfg.SubTTL {
 		// Lease expired: the front-end (or our parent) is gone. Drop
 		// silently; our own children expire the same way, or faster
@@ -473,7 +545,6 @@ func (n *Node) epochTick(sub *subState) {
 	}
 	sub.epoch++
 	n.sendReport(sub, now)
-	n.armEpoch(sub)
 	// Epoch traffic is query traffic for the adaptation policy: record
 	// it so trees prune (and statuses flow) under pure standing load.
 	// Repair installs are NOT re-derived here: overlay-driven repair is
@@ -483,7 +554,7 @@ func (n *Node) epochTick(sub *subState) {
 	// competing parents — each flip leaving a double-counted report
 	// behind for the stale window.
 	if n.cfg.Mode != ModeGlobal {
-		if ps, ok := n.predLookup(sub.group.canon); ok {
+		if ps := sub.ge.ps; ps != nil {
 			ps.recordQueryEvent(n.self)
 			if ps.runPolicy(n.cfg.Mode, n.cfg.KUpdate, n.cfg.KNoUpdate) {
 				n.recomputeState(ps)
@@ -534,13 +605,13 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 	contrib += sub.builtSelf
 	if sub.root {
 		expected := 0.0
-		if ps, ok := n.predLookup(sub.group.canon); ok {
+		if ps := sub.ge.ps; ps != nil {
 			expected = float64(ps.np) + ps.unknown
 		}
 		state.Retain()
 		n.send(sub.replyTo, SampleMsg{
 			SID:          sub.sid,
-			Group:        sub.group.canon,
+			Group:        sub.ge.spec.canon,
 			Epoch:        sub.epoch,
 			At:           now,
 			State:        state,
@@ -561,12 +632,12 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 	}
 	sub.lastNonEmpty = !empty
 	np, unknown := 0, 0.0
-	if ps, ok := n.predLookup(sub.group.canon); ok {
+	if ps := sub.ge.ps; ps != nil {
 		np, unknown = ps.np, ps.unknown
 	}
 	em := EpochReportMsg{
 		SID:          sub.sid,
-		Group:        sub.group.canon,
+		Group:        sub.ge.spec.canon,
 		Epoch:        sub.epoch,
 		State:        state,
 		Contributors: contrib,
@@ -579,7 +650,7 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		// directly to the tree root through the overlay so the subtree
 		// stays in the stream while the tree repairs around us.
 		sub.pulled = true
-		n.overlay.Route(sub.group.treeKey(), em)
+		n.overlay.Route(sub.ge.spec.treeKey(), em)
 		return
 	}
 	n.send(sub.parent, em)
@@ -603,8 +674,7 @@ func (n *Node) rebuild(sub *subState) {
 		sub.claim, sub.tableGen = n.claimStanding(sub), n.tableGen
 	}
 	sub.builtSelf = 0
-	ps, _ := n.predLookup(sub.group.canon)
-	if sub.claim && n.evalLocal(ps, sub.eval, sub.group.canon) {
+	if sub.claim && n.evalLocal(sub.ge.ps, sub.eval, sub.ge.spec.canon) {
 		sub.builtSelf = 1
 		state.AddKeyed(n.self, n.groupKey(sub.groupBy), n.localValue(sub.attrKey))
 	}
@@ -625,13 +695,13 @@ func (n *Node) retract(sub *subState, to ids.ID) {
 
 // retractRouted clears the direct-to-root copy left by the orphan pull.
 func (n *Node) retractRouted(sub *subState) {
-	n.overlay.Route(sub.group.treeKey(), n.emptyReport(sub))
+	n.overlay.Route(sub.ge.spec.treeKey(), n.emptyReport(sub))
 }
 
 func (n *Node) emptyReport(sub *subState) EpochReportMsg {
 	return EpochReportMsg{
 		SID:   sub.sid,
-		Group: sub.group.canon,
+		Group: sub.ge.spec.canon,
 		Epoch: sub.epoch,
 		State: aggregate.NewGrouped(sub.spec, n.cfg.MaxGroupKeys),
 	}
@@ -645,7 +715,7 @@ func (n *Node) emptyReport(sub *subState) EpochReportMsg {
 // per table generation, not once per entry per epoch.
 func (n *Node) claimStanding(sub *subState) bool {
 	for k := range n.subs {
-		if k.sid == sub.sid && k.group < sub.group.canon {
+		if k.sid == sub.sid && k.group < sub.ge.spec.canon {
 			return false
 		}
 	}
@@ -689,7 +759,7 @@ func (n *Node) handleEpochReport(from ids.ID, em EpochReportMsg, routed bool) {
 		sub.changed = true
 	}
 	if !routed && n.cfg.Mode != ModeGlobal {
-		n.noteChildCost(em.Group, from, em.Np, em.Unknown)
+		n.noteChildCost(sub.ge.ps, from, em.Np, em.Unknown)
 	}
 }
 
@@ -723,18 +793,24 @@ func (n *Node) handleCancel(from ids.ID, cm CancelMsg, routed bool) {
 
 // dropSub removes one subscription entry; cascade forwards the cancel
 // to the node's children — installed or merely reporting — in id order.
+// The entry stays on the epoch clock's list, marked dead, until the next
+// walk unlinks it; the last entry to go stops the clock.
 func (n *Node) dropSub(sub *subState, cascade bool) {
 	if sub.dead {
 		return
 	}
 	sub.dead = true
-	delete(n.subs, subKey{sub.sid, sub.group.canon})
+	delete(n.subs, subKey{sub.sid, sub.ge.spec.canon})
 	n.tableGen++
-	sub.tick.Stop()
+	if len(n.subs) == 0 {
+		n.clock.Stop()
+		n.clockArmed = false
+		n.ticking = nil
+	}
 	if !cascade {
 		return
 	}
-	cm := CancelMsg{SID: sub.sid, Group: sub.group.canon}
+	cm := CancelMsg{SID: sub.sid, Group: sub.ge.spec.canon}
 	for _, s := range sub.kids {
 		n.send(s.id, cm)
 	}
@@ -837,22 +913,24 @@ func (t *childTable) reset() {
 }
 
 // noteChildCost refreshes a child's lazily maintained subtree cost
-// (§6.3) from the np piggybacked on its response or epoch report, which
-// reaches ancestors even from NO-UPDATE children.
-func (n *Node) noteChildCost(group string, from ids.ID, np int, unknown float64) {
-	if ps, ok := n.predLookup(group); ok {
-		switch cs := ps.children[from]; {
-		case cs == nil:
-			ps.children[from] = &childState{NpOnly: true, Np: np, Unknown: unknown}
-			ps.dirty = true
-		case cs.NpOnly || !cs.Prune:
-			if cs.Np != np || cs.Unknown != unknown {
-				cs.Np, cs.Unknown = np, unknown
-				ps.dirty = true
-			}
-		}
-		n.recomputeState(ps)
+// (§6.3) in the group state ps (none: nothing to refresh) from the np
+// piggybacked on its response or epoch report, which reaches ancestors
+// even from NO-UPDATE children.
+func (n *Node) noteChildCost(ps *predState, from ids.ID, np int, unknown float64) {
+	if ps == nil {
+		return
 	}
+	switch cs := ps.children[from]; {
+	case cs == nil:
+		ps.children[from] = &childState{NpOnly: true, Np: np, Unknown: unknown}
+		ps.dirty = true
+	case cs.NpOnly || !cs.Prune:
+		if cs.Np != np || cs.Unknown != unknown {
+			cs.Np, cs.Unknown = np, unknown
+			ps.dirty = true
+		}
+	}
+	n.recomputeState(ps)
 }
 
 // ---------------------------------------------------------------------

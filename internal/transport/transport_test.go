@@ -181,6 +181,64 @@ func TestValueGobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTCPStandingOneFramePerEdge: standing queries on one tree share
+// each agent's epoch: the agent ticks every due entry in one timer turn
+// and flushes the reports in one frame per tree edge. Four streams then
+// cost about the wire frames of one; one timer turn per entry would ship
+// each report alone, at ~4×.
+func TestTCPStandingOneFramePerEdge(t *testing.T) {
+	const period = 100 * time.Millisecond
+	nodes := startCluster(t, 8, core.Config{})
+	for i, nd := range nodes {
+		nd.SetAttr("load", value.Int(int64(i+1)))
+	}
+	subscribe := func(agg string) {
+		t.Helper()
+		req, err := core.ParseRequest(fmt.Sprintf("%s(load) every %v", agg, period))
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := make(chan struct{}, 1)
+		if _, err := nodes[0].SubscribeRequest(context.Background(), req, func(s core.Sample) {
+			if !s.ColdStart && s.Contributors == int64(len(nodes)) {
+				select {
+				case warm <- struct{}{}:
+				default:
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-warm:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s(load): no warm full sample", agg)
+		}
+	}
+	framesPerEpoch := func() float64 {
+		out := func() (total uint64) {
+			for _, nd := range nodes {
+				total += nd.Stats().MsgsOut
+			}
+			return total
+		}
+		const epochs = 10
+		before := out()
+		time.Sleep(epochs * period)
+		return float64(out()-before) / epochs
+	}
+	subscribe("sum")
+	one := framesPerEpoch()
+	for _, agg := range []string{"avg", "max", "min"} {
+		subscribe(agg)
+	}
+	four := framesPerEpoch()
+	t.Logf("wire frames per epoch: %.1f with one stream, %.1f with four", one, four)
+	if four > 1.5*one {
+		t.Fatalf("four streams cost %.1f frames per epoch, one %.1f: want at most 1.5×", four, one)
+	}
+}
+
 // TestTCPConcurrentStandingCoalesced installs two concurrent standing
 // queries over real TCP with a generous coalescing window, so their
 // per-epoch EpochReportMsg traffic shares BatchMsg envelopes on the
