@@ -369,11 +369,19 @@ func poolGet(s Spec) State {
 // A GroupedState that was retained (GroupedState.Retain) counts its
 // holders: each Recycle hands one hold back and only the last recycles,
 // so every holder calls Recycle exactly once per hold and never touches
-// the state afterwards. A hold that is never handed back (a message that
-// was dropped, rejected or never delivered) leaves the state to the
-// garbage collector, which is the safe direction. Because its holders
-// read a retained state concurrently, it is immutable after its first
+// the state afterwards. A message carries one hold: the receiver that
+// files it takes the hold over, and on the TCP agent the transport
+// hands it back once the frame is written, because the peer decodes its
+// own copy. A hold that is never handed back (a message that was
+// dropped or rejected inside the core) leaves the state to the garbage
+// collector, which is the safe direction. Because its holders read a
+// retained state concurrently, it is immutable after its first
 // hand-off: build a new state instead of adding to a sent one.
+//
+// Recycling a GroupedState reslices its columns to zero length, keeping
+// their backing arrays (and the key strings in them, which the decoder
+// reuses when the next report repeats a key), and pools the shell by
+// Spec.Kind.
 //
 // Recycling anything still referenced is a correctness bug, not a
 // performance tweak.
@@ -385,16 +393,11 @@ func Recycle(st State) {
 		if s.holders.Add(-1) > 0 {
 			return
 		}
-		for k, sub := range s.Groups {
-			Recycle(sub)
-			delete(s.Groups, k)
-		}
-		if s.Other != nil {
-			Recycle(s.Other)
-		}
-		groups := s.Groups
-		*s = GroupedState{Groups: groups}
-		groupedPool.Put(s)
+		s.truncate(0)
+		Recycle(s.Other)
+		s.Cap, s.Other, s.Spilled, s.tail = 0, nil, 0, 0
+		s.holders.Store(0)
+		groupedPools[s.Spec.Kind].Put(s)
 	case *SumState:
 		*s = SumState{}
 		statePools[int(KindSum)].Put(st)
@@ -443,8 +446,6 @@ func Recycle(st State) {
 		statePools[int(KindCollect)].Put(st)
 	}
 }
-
-var groupedPool sync.Pool
 
 // ---------------------------------------------------------------------
 

@@ -105,7 +105,7 @@ func TestRecycleCountsHolders(t *testing.T) {
 	if g.KeyCount() != 0 {
 		t.Fatal("the last hold did not recycle the state")
 	}
-	h := &GroupedState{Spec: spec, Groups: map[string]State{}}
+	h := NewGrouped(spec, 0)
 	h.AddKeyed(ids.FromUint64(1), "a", value.Int(7))
 	Recycle(h)
 	if h.KeyCount() != 0 {
@@ -163,4 +163,39 @@ func TestSketchMergeAllocBudget(t *testing.T) {
 			t.Errorf("warm quantile merge allocates %.1f objects/op, want 0", avg)
 		}
 	})
+}
+
+// TestGroupedCodecWarmAllocs locks the report codec's steady state: a
+// 16-key report decodes into a warm pooled shell — its columns filled in
+// place, its key strings reused when the keys repeat — without
+// allocating, and encodes into a pre-grown buffer without allocating.
+func TestGroupedCodecWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled shells at random")
+	}
+	for _, kind := range []Kind{KindAvg, KindMax, KindStd, KindCount} {
+		g := NewGrouped(Spec{Kind: kind}, 64)
+		for i := 0; i < 16; i++ {
+			g.AddKeyed(ids.FromUint64(uint64(i+1)), fmt.Sprintf("slice-%02d", i), value.Float(float64(i)/3))
+		}
+		wire, err := AppendState(nil, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func() {
+			st, _, err := ReadState(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Recycle(st)
+		}
+		decode() // warm the pool and the shell's key column
+		if avg := testing.AllocsPerRun(100, decode); avg > 0 {
+			t.Errorf("%v: warm decode allocates %.1f objects/op, want 0", kind, avg)
+		}
+		buf := make([]byte, 0, 2*len(wire))
+		if avg := testing.AllocsPerRun(100, func() { buf, _ = AppendState(buf[:0], g) }); avg > 0 {
+			t.Errorf("%v: encode allocates %.1f objects/op, want 0", kind, avg)
+		}
+	}
 }

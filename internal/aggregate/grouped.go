@@ -2,7 +2,8 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"github.com/moara/moara/internal/ids"
@@ -20,11 +21,14 @@ const (
 	OtherKey  = "<other>"
 )
 
-// GroupedState is the keyed accumulator every query flows through: a
-// hash map from group key to a per-key sub-State of one Spec. It is
-// itself a State (partial aggregate), so it travels inside ResponseMsg
-// and merges hop-by-hop up the aggregation tree — one dissemination
-// answers a whole `group by` query.
+// GroupedState is the keyed accumulator every query flows through, held
+// the way it ships: an ascending key column with one value column beside
+// it. The fixed-width kinds (sum, count, min, max, avg, std) keep their
+// leaf structs by value in a typed column; every other kind keeps one
+// State per key. It is itself a State (partial aggregate), so it travels
+// inside ResponseMsg and merges hop-by-hop up the aggregation tree — one
+// dissemination answers a whole `group by` query. A merge is a
+// merge-join of two sorted runs.
 //
 // High-cardinality protection: Cap bounds the number of distinct keys a
 // state holds. Past the cap, contributions spill into the Other bucket
@@ -34,51 +38,131 @@ const (
 // only if no tree hop spilled them; the overall Result is always exact
 // because Other participates in the grand total.
 //
-// Fields are exported for gob; use NewGrouped and the methods.
+// Keys added out of order wait in a short sorted tail behind the run,
+// which the first ordered read (encode, Merge, Keys, Result) or Retain
+// folds in; a shared state is therefore never written by a reader.
+//
+// Use NewGrouped and the methods; gob goes through the columnar body.
 type GroupedState struct {
 	// Spec is the per-key aggregation function.
 	Spec Spec
 	// Cap bounds distinct keys (0 = unbounded).
 	Cap int
-	// Groups holds the per-key sub-aggregates.
-	Groups map[string]State
 	// Other accumulates spilled contributions (nil until first spill).
 	Other State
 	// Spilled counts key arrivals folded into Other.
 	Spilled int64
 
-	// maxKey caches the lexicographically largest held key so the
-	// straight-to-Other spill path is O(1); empty means "recompute"
-	// (also the state after gob decoding, which skips this field).
-	maxKey string
+	keys []string
+	vals column // parallel to keys; nil until the first slot
+	// tail counts the keys at the end of keys that are sorted among
+	// themselves but not yet merged into the run before them.
+	tail int
 
 	// holders counts the references taken with Retain; zero means the
 	// classic single-owner state (see Retain and Recycle).
 	holders atomic.Int32
 }
 
+// column is a GroupedState's value column: slot i holds key i's state.
+type column interface {
+	at(i int) State
+	grow(m int) // append m empty slots
+	truncate(n int)
+	swap(i, j int)
+}
+
+// leaves is the column of a fixed-width kind: leaf structs by value.
+type leaves[T any, P interface {
+	*T
+	State
+}] struct {
+	s    []T
+	zero T // an empty slot (an ExtremeState's Max flag)
+}
+
+func (c *leaves[T, P]) at(i int) State { return P(&c.s[i]) }
+func (c *leaves[T, P]) grow(m int) {
+	for c.s = slices.Grow(c.s, m); m > 0; m-- {
+		c.s = append(c.s, c.zero)
+	}
+}
+func (c *leaves[T, P]) truncate(n int) { c.s = c.s[:n] }
+func (c *leaves[T, P]) swap(i, j int)  { c.s[i], c.s[j] = c.s[j], c.s[i] }
+
+// states is the column of every other kind: one pooled State per key,
+// made on first use from the owning state's Spec.
+type states struct {
+	spec *Spec
+	s    []State
+}
+
+func (c *states) at(i int) State {
+	if c.s[i] == nil {
+		c.s[i] = c.spec.New()
+	}
+	return c.s[i]
+}
+func (c *states) grow(m int) {
+	for c.s = slices.Grow(c.s, m); m > 0; m-- {
+		c.s = append(c.s, nil)
+	}
+}
+func (c *states) truncate(n int) {
+	for _, st := range c.s[n:] {
+		Recycle(st)
+	}
+	clear(c.s[n:])
+	c.s = c.s[:n]
+}
+func (c *states) swap(i, j int) { c.s[i], c.s[j] = c.s[j], c.s[i] }
+
+// col returns g's value column, made for its Spec on first use.
+func (g *GroupedState) col() column {
+	if g.vals == nil {
+		switch g.Spec.Kind {
+		case KindSum:
+			g.vals = &leaves[SumState, *SumState]{}
+		case KindCount:
+			g.vals = &leaves[CountState, *CountState]{}
+		case KindMin, KindMax:
+			g.vals = &leaves[ExtremeState, *ExtremeState]{zero: ExtremeState{Max: g.Spec.Kind == KindMax}}
+		case KindAvg:
+			g.vals = &leaves[AvgState, *AvgState]{}
+		case KindStd:
+			g.vals = &leaves[StdState, *StdState]{}
+		default:
+			g.vals = &states{spec: &g.Spec}
+		}
+	}
+	return g.vals
+}
+
+// groupedPools recycles shells per Spec.Kind (a byte, so every kind has
+// one): a reissued shell's value column is the one its new spec uses.
+var groupedPools [256]sync.Pool
+
 // NewGrouped creates an empty keyed accumulator for spec with the given
-// key cap (0 = unbounded). Recycled shells (their cleared key maps
-// included) are reused when available.
+// key cap (0 = unbounded). Recycled shells (their columns' backing
+// arrays included) are reused when available.
 func NewGrouped(spec Spec, cap int) *GroupedState {
 	return NewGroupedSized(spec, cap, 0)
 }
 
-// NewGroupedSized is NewGrouped with a key-count hint: per-epoch report
-// paths preallocate from the previous epoch's key count so the hot loop
-// never grows the map incrementally.
+// NewGroupedSized is NewGrouped with a key-count hint for a fresh shell:
+// per-epoch report paths size it from the previous epoch's key count.
 func NewGroupedSized(spec Spec, cap, hint int) *GroupedState {
-	if g, ok := groupedPool.Get().(*GroupedState); ok && g != nil {
+	if g, ok := groupedPools[spec.Kind].Get().(*GroupedState); ok {
 		g.Spec, g.Cap = spec, cap
-		if g.Groups == nil {
-			g.Groups = make(map[string]State, max(hint, 0))
-		}
 		return g
 	}
-	if hint < 0 {
-		hint = 0
+	g := &GroupedState{Spec: spec, Cap: cap}
+	if hint > 0 {
+		g.keys = make([]string, 0, hint)
+		g.col().grow(hint)
+		g.vals.truncate(0)
 	}
-	return &GroupedState{Spec: spec, Cap: cap, Groups: make(map[string]State, hint)}
+	return g
 }
 
 // Retain registers one more holder of g: a builder that keeps g after
@@ -86,8 +170,11 @@ func NewGroupedSized(spec Spec, cap, hint int) *GroupedState {
 // hand-off, every holder hands its hold back with Recycle, and the last
 // one to do so returns g to the pool. A retained state is shared — also
 // across simulator shards — so it must not be written to after its
-// first hand-off. A state nobody retained has exactly one owner.
-func (g *GroupedState) Retain() { g.holders.Add(1) }
+// first hand-off; Retain settles the key column for its readers.
+func (g *GroupedState) Retain() {
+	g.settle()
+	g.holders.Add(1)
+}
 
 // AddKeyed folds one node's value into the sub-aggregate for key.
 // Invalid values are dropped up front (no State records them), so a
@@ -97,16 +184,34 @@ func (g *GroupedState) AddKeyed(node ids.ID, key string, v value.Value) {
 	if !v.IsValid() {
 		return
 	}
-	st, created := g.slot(key)
-	st.Add(node, v)
-	if created && st.Nodes() == 0 {
+	if i := g.find(key); i >= 0 {
+		g.vals.at(i).Add(node, v)
+		return
+	}
+	if g.Cap > 0 && len(g.keys) >= g.Cap {
+		// At the cap the largest held key is demoted into Other to admit
+		// a smaller newcomer; a key above it goes straight to Other.
+		g.settle()
+		last := len(g.keys) - 1
+		g.Spilled++
+		if key > g.keys[last] {
+			g.other().Add(node, v)
+			return
+		}
+		_ = g.other().Merge(g.vals.at(last))
+		g.truncate(last)
+	}
+	n := len(g.keys)
+	g.keys = append(g.keys, key)
+	g.col().grow(1)
+	st := g.vals.at(n)
+	if st.Add(node, v); st.Nodes() == 0 {
 		// The sub-state ignored the contribution (e.g. a string fed to
 		// SUM); don't surface an empty group.
-		delete(g.Groups, key)
-		if key == g.maxKey {
-			g.maxKey = ""
-		}
+		g.truncate(n)
+		return
 	}
+	g.place(n)
 }
 
 // Add implements State: an ungrouped contribution lands in ScalarKey.
@@ -114,52 +219,74 @@ func (g *GroupedState) Add(node ids.ID, v value.Value) {
 	g.AddKeyed(node, ScalarKey, v)
 }
 
-// heldMax returns the lexicographically largest held key, recomputing
-// the cache only when it was invalidated (eviction, deletion, decode).
-// Only called while at a non-zero cap, so Groups is non-empty and the
-// one held key of a scalar state ("") is never ambiguous with the
-// empty cache sentinel in a way that matters: a stale recompute just
-// costs one extra scan.
-func (g *GroupedState) heldMax() string {
-	if g.maxKey == "" {
-		for k := range g.Groups {
-			if k > g.maxKey {
-				g.maxKey = k
-			}
-		}
+// find returns key's slot, or -1.
+func (g *GroupedState) find(key string) int {
+	r := len(g.keys) - g.tail
+	if i, ok := slices.BinarySearch(g.keys[:r], key); ok {
+		return i
 	}
-	return g.maxKey
+	if i, ok := slices.BinarySearch(g.keys[r:], key); ok {
+		return r + i
+	}
+	return -1
 }
 
-// slot returns the accumulator for key, creating it on demand, with
-// created reporting a fresh sub-state. When the key cap is reached, the
-// lexicographically largest key is demoted into Other to admit a
-// smaller newcomer; keys at or above the current maximum go straight to
-// Other. The policy depends only on the key set, not arrival order.
-func (g *GroupedState) slot(key string) (st State, created bool) {
-	if st, ok := g.Groups[key]; ok {
-		return st, false
+// place files the slot just appended at i into the sorted tail. A tail
+// that continues the run joins it; one longer than √len is merged in, so
+// a new key costs O(√len) moves amortized, never O(len).
+func (g *GroupedState) place(i int) {
+	r := i - g.tail
+	for ; i > r && g.keys[i-1] > g.keys[i]; i-- {
+		g.swap(i-1, i)
 	}
-	if g.Cap > 0 && len(g.Groups) >= g.Cap {
-		maxKey := g.heldMax()
-		g.Spilled++
-		if key >= maxKey {
-			return g.other(), false
+	g.tail++
+	switch {
+	case r == 0 || g.keys[r-1] < g.keys[r]:
+		g.tail = 0
+	case g.tail*g.tail > len(g.keys):
+		g.settle()
+	}
+}
+
+// settle merges the tail into the run in place. Working down from the
+// tail's largest key, each step rotates that key — and the run keys
+// above it — into their final places, so every run slot moves once.
+func (g *GroupedState) settle() {
+	if g.tail == 0 {
+		return
+	}
+	r := len(g.keys) - g.tail
+	for t := g.tail; t > 0; t-- {
+		pos, _ := slices.BinarySearch(g.keys[:r], g.keys[r+t-1])
+		if pos < r {
+			g.reverse(pos, r)
+			g.reverse(r, r+t)
+			g.reverse(pos, r+t)
 		}
-		evicted := g.Groups[maxKey]
-		delete(g.Groups, maxKey)
-		g.maxKey = ""
-		_ = g.other().Merge(evicted)
+		r = pos
 	}
-	st = g.Spec.New()
-	if g.Groups == nil {
-		g.Groups = make(map[string]State)
+	g.tail = 0
+}
+
+func (g *GroupedState) reverse(i, j int) {
+	for j--; i < j; i, j = i+1, j-1 {
+		g.swap(i, j)
 	}
-	g.Groups[key] = st
-	if g.maxKey != "" && key > g.maxKey {
-		g.maxKey = key
+}
+
+func (g *GroupedState) swap(i, j int) {
+	if i != j {
+		g.keys[i], g.keys[j] = g.keys[j], g.keys[i]
+		g.vals.swap(i, j)
 	}
-	return st, true
+}
+
+// truncate drops the slots from n on; the columns keep their arrays.
+func (g *GroupedState) truncate(n int) {
+	g.keys = g.keys[:n]
+	if g.vals != nil {
+		g.vals.truncate(n)
+	}
 }
 
 func (g *GroupedState) other() State {
@@ -169,14 +296,14 @@ func (g *GroupedState) other() State {
 	return g.Other
 }
 
-// Merge implements State: fold another GroupedState of the same Spec in,
-// key by key.
-//
-// When the combined key count provably cannot reach the cap, no
-// insertion can evict or spill, every per-key merge is independent, and
-// the fold iterates the map directly. Only a merge that could actually
-// hit the cap pays for the sorted key walk that keeps the deterministic
-// smallest-keys-kept spill policy order-independent.
+// Merge implements State: fold another GroupedState of the same Spec in
+// by a merge-join of the two sorted key runs. The kept keys are the
+// smallest Cap of the union; the displaced ones fold into Other in a
+// fixed order — g's largest first, then o's smallest first — the order
+// in which one-key-at-a-time eviction would have demoted them. Keys new
+// to g grow it in place from the back; equal key sets merge element-wise.
+// Same-Spec leaf merges cannot fail (decode admits no other kind, in
+// Other included), so only the shape checks report errors.
 func (g *GroupedState) Merge(other State) error {
 	o, ok := other.(*GroupedState)
 	if !ok {
@@ -185,37 +312,66 @@ func (g *GroupedState) Merge(other State) error {
 	if o.Spec != g.Spec {
 		return fmt.Errorf("aggregate: merge GroupedState(%v) into GroupedState(%v)", o.Spec, g.Spec)
 	}
-	if g.Cap == 0 || len(g.Groups)+len(o.Groups) <= g.Cap {
-		for k, ost := range o.Groups {
-			st, _ := g.slot(k)
-			if err := st.Merge(ost); err != nil {
-				return err
-			}
+	g.settle()
+	o.settle()
+	p, q := len(g.keys), len(o.keys)
+	// Walk the union in key order up to the cap: g[:i] and o[:j] are
+	// kept, fresh of o's kept keys are new to g.
+	i, j, fresh := 0, 0, 0
+	for kept := 0; (i < p || j < q) && (g.Cap <= 0 || kept < g.Cap); kept++ {
+		switch {
+		case j == q || (i < p && g.keys[i] < o.keys[j]):
+			i++
+		case i == p || o.keys[j] < g.keys[i]:
+			j, fresh = j+1, fresh+1
+		default:
+			i, j = i+1, j+1
 		}
-	} else {
-		for _, k := range o.Keys() {
-			st, _ := g.slot(k)
-			if err := st.Merge(o.Groups[k]); err != nil {
-				return err
-			}
+	}
+	if i < p || j < q {
+		spill := g.other()
+		for k := p - 1; k >= i; k-- {
+			_ = spill.Merge(g.vals.at(k))
+		}
+		for k := j; k < q; k++ {
+			_ = spill.Merge(o.vals.at(k))
+		}
+		g.Spilled += int64(p - i + q - j)
+		g.truncate(i)
+	}
+	g.keys = slices.Grow(g.keys, fresh)[:i+fresh]
+	g.col().grow(fresh)
+	// (i, w] holds empty slots throughout; each step fills w.
+	for i, j, w := i-1, j-1, i+fresh-1; j >= 0; w-- {
+		switch {
+		case i >= 0 && g.keys[i] > o.keys[j]:
+			g.swap(i, w)
+			i--
+		case i >= 0 && g.keys[i] == o.keys[j]:
+			_ = g.vals.at(i).Merge(o.vals.at(j))
+			g.swap(i, w)
+			i, j = i-1, j-1
+		default:
+			g.keys[w] = o.keys[j]
+			_ = g.vals.at(w).Merge(o.vals.at(j))
+			j--
 		}
 	}
 	if o.Other != nil {
-		if err := g.other().Merge(o.Other); err != nil {
-			return err
-		}
+		_ = g.other().Merge(o.Other)
 	}
 	g.Spilled += o.Spilled
 	return nil
 }
 
-// Result implements State: the grand total over every key (including
-// Other), which for a scalar query is exactly the single bucket's
+// Result implements State: the grand total over every key in key order
+// (Other last), which for a scalar query is exactly the single bucket's
 // answer.
 func (g *GroupedState) Result() Result {
+	g.settle()
 	total := g.Spec.New()
-	for _, k := range g.Keys() {
-		_ = total.Merge(g.Groups[k])
+	for i := range g.keys {
+		_ = total.Merge(g.vals.at(i))
 	}
 	if g.Other != nil {
 		_ = total.Merge(g.Other)
@@ -226,8 +382,8 @@ func (g *GroupedState) Result() Result {
 // Nodes implements State: total contributions across all keys.
 func (g *GroupedState) Nodes() int64 {
 	var n int64
-	for _, st := range g.Groups {
-		n += st.Nodes()
+	for i := range g.keys {
+		n += g.vals.at(i).Nodes()
 	}
 	if g.Other != nil {
 		n += g.Other.Nodes()
@@ -235,18 +391,15 @@ func (g *GroupedState) Nodes() int64 {
 	return n
 }
 
-// Keys lists the held group keys in sorted order (Other excluded).
+// Keys lists the held group keys in ascending order (Other excluded).
+// The slice is g's own key column: read it, don't keep or modify it.
 func (g *GroupedState) Keys() []string {
-	out := make([]string, 0, len(g.Groups))
-	for k := range g.Groups {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	g.settle()
+	return slices.Clip(g.keys)
 }
 
 // KeyCount reports the number of exactly-held keys.
-func (g *GroupedState) KeyCount() int { return len(g.Groups) }
+func (g *GroupedState) KeyCount() int { return len(g.keys) }
 
 // Truncated reports whether any contribution spilled past the key cap.
 func (g *GroupedState) Truncated() bool { return g.Other != nil || g.Spilled > 0 }
@@ -254,9 +407,9 @@ func (g *GroupedState) Truncated() bool { return g.Other != nil || g.Spilled > 0
 // Results extracts the per-key answers; spilled mass appears under
 // OtherKey.
 func (g *GroupedState) Results() map[string]Result {
-	out := make(map[string]Result, len(g.Groups)+1)
-	for k, st := range g.Groups {
-		out[k] = st.Result()
+	out := make(map[string]Result, len(g.keys)+1)
+	for i, k := range g.keys {
+		out[k] = g.vals.at(i).Result()
 	}
 	if g.Other != nil {
 		out[OtherKey] = g.Other.Result()

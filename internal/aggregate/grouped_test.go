@@ -3,12 +3,17 @@ package aggregate
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/value"
+	"github.com/moara/moara/internal/wirefmt"
 )
 
 func keyOf(i int, nKeys int) string { return fmt.Sprintf("k%02d", i%nKeys) }
@@ -206,4 +211,189 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Errorf("ParseSpec(%q) = %v, should fail", in, sp)
 		}
 	}
+}
+
+// TestGroupedDecodeRejectsBadKeyColumn: a key column is a sorted set
+// bounded by the state's own cap. A repeated key would silently replace
+// its first slot's contributions, so decode rejects it as corrupt, like
+// keys out of order and more keys than the cap.
+func TestGroupedDecodeRejectsBadKeyColumn(t *testing.T) {
+	body := func(cap int, keys ...string) []byte {
+		b := AppendSpec([]byte{wireGrouped}, Spec{Kind: KindCount})
+		b = wirefmt.AppendVarint(b, int64(cap))
+		b = wirefmt.AppendVarint(b, 0)
+		b = append(b, wireNilState)
+		b = wirefmt.AppendLen(b, len(keys), false)
+		for _, k := range keys {
+			b = wirefmt.AppendString(b, k)
+		}
+		for range keys {
+			b = wirefmt.AppendVarint(b, 1)
+		}
+		return b
+	}
+	if _, _, err := ReadState(body(2, "a", "b")); err != nil {
+		t.Fatalf("a valid key column: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"duplicate":  body(0, "a", "a"),
+		"descending": body(0, "b", "a"),
+		"over cap":   body(1, "a", "b"),
+	} {
+		if st, _, err := ReadState(b); !errors.Is(err, wirefmt.ErrCorrupt) {
+			t.Errorf("%s: decoded %v, err %v; want ErrCorrupt", name, st, err)
+		}
+	}
+}
+
+// refGrouped is the map-backed keyed state the columns replaced, kept as
+// the reference their semantics are held to: a key is created on demand;
+// at the cap the largest held key is demoted into Other to admit a
+// smaller newcomer, and a key above it goes straight to Other; a merge
+// folds the other state's keys in ascending order, then its Other.
+type refGrouped struct {
+	spec    Spec
+	cap     int
+	groups  map[string]State
+	other   State
+	spilled int64
+}
+
+func newRef(spec Spec, cap int) *refGrouped {
+	return &refGrouped{spec: spec, cap: cap, groups: map[string]State{}}
+}
+
+func (r *refGrouped) otherState() State {
+	if r.other == nil {
+		r.other = registry[r.spec.Kind].newState(r.spec)
+	}
+	return r.other
+}
+
+func (r *refGrouped) slot(key string) (State, bool) {
+	if st, ok := r.groups[key]; ok {
+		return st, false
+	}
+	if r.cap > 0 && len(r.groups) >= r.cap {
+		max := slices.Max(slices.Collect(maps.Keys(r.groups)))
+		r.spilled++
+		if key >= max {
+			return r.otherState(), false
+		}
+		_ = r.otherState().Merge(r.groups[max])
+		delete(r.groups, max)
+	}
+	st := registry[r.spec.Kind].newState(r.spec)
+	r.groups[key] = st
+	return st, true
+}
+
+func (r *refGrouped) addKeyed(node ids.ID, key string, v value.Value) {
+	if !v.IsValid() {
+		return
+	}
+	st, created := r.slot(key)
+	st.Add(node, v)
+	if created && st.Nodes() == 0 {
+		delete(r.groups, key)
+	}
+}
+
+func (r *refGrouped) merge(o *refGrouped) {
+	for _, k := range slices.Sorted(maps.Keys(o.groups)) {
+		st, _ := r.slot(k)
+		_ = st.Merge(o.groups[k])
+	}
+	if o.other != nil {
+		_ = r.otherState().Merge(o.other)
+	}
+	r.spilled += o.spilled
+}
+
+// TestGroupedMatchesMapReference drives the columnar state and the map
+// reference through the same random AddKeyed/Merge/Recycle sequences,
+// for every registered kind under several caps, and requires every
+// observable — keys, per-key and total results, contributions, spill
+// count and the Other bucket — to be identical bit for bit. Float sums
+// make the order of the folds into Other visible.
+func TestGroupedMatchesMapReference(t *testing.T) {
+	keys := []string{ScalarKey, NullKey, "a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
+	for _, kind := range Kinds() {
+		spec := specFor(kind)
+		for _, cap := range []int{0, 1, 3, 6} {
+			for seed := int64(0); seed < 50; seed++ {
+				rng := rand.New(rand.NewSource(seed*131 + int64(cap)*7 + int64(kind)))
+				const n = 3
+				cols, refs := make([]*GroupedState, n), make([]*refGrouped, n)
+				for i := range cols {
+					cols[i], refs[i] = NewGrouped(spec, cap), newRef(spec, cap)
+				}
+				for step := 0; step < 40; step++ {
+					i := rng.Intn(n)
+					switch op := rng.Intn(10); {
+					case op < 6:
+						node := ids.FromUint64(uint64(rng.Intn(50) + 1))
+						key := keys[rng.Intn(len(keys))]
+						var v value.Value
+						switch rng.Intn(4) {
+						case 0:
+							v = value.Int(int64(rng.Intn(20)))
+						case 1:
+							v = value.Float(rng.Float64()*10 - 3)
+						case 2:
+							v = value.Str(keys[rng.Intn(len(keys))])
+						default:
+							v = value.Bool(rng.Intn(2) == 0)
+						}
+						cols[i].AddKeyed(node, key, v)
+						refs[i].addKeyed(node, key, v)
+					case op < 9:
+						j := (i + 1 + rng.Intn(n-1)) % n
+						if err := cols[i].Merge(cols[j]); err != nil {
+							t.Fatal(err)
+						}
+						refs[i].merge(refs[j])
+					default:
+						Recycle(cols[i])
+						cols[i], refs[i] = NewGrouped(spec, cap), newRef(spec, cap)
+					}
+					if err := sameAsRef(cols[i], refs[i]); err != nil {
+						t.Fatalf("%v cap %d seed %d step %d: %v", spec, cap, seed, step, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameAsRef(g *GroupedState, r *refGrouped) error {
+	if want := slices.Sorted(maps.Keys(r.groups)); !slices.Equal(g.Keys(), want) {
+		return fmt.Errorf("keys %q, want %q", g.Keys(), want)
+	}
+	want := make(map[string]Result, len(r.groups)+1)
+	total := registry[r.spec.Kind].newState(r.spec)
+	var nodes int64
+	for _, k := range slices.Sorted(maps.Keys(r.groups)) {
+		want[k] = r.groups[k].Result()
+		_ = total.Merge(r.groups[k])
+		nodes += r.groups[k].Nodes()
+	}
+	if r.other != nil {
+		want[OtherKey] = r.other.Result()
+		_ = total.Merge(r.other)
+		nodes += r.other.Nodes()
+	}
+	switch {
+	case !reflect.DeepEqual(g.Results(), want):
+		return fmt.Errorf("results %v, want %v", g.Results(), want)
+	case !reflect.DeepEqual(g.Result(), total.Result()):
+		return fmt.Errorf("total %v, want %v", g.Result(), total.Result())
+	case g.Nodes() != nodes:
+		return fmt.Errorf("nodes %d, want %d", g.Nodes(), nodes)
+	case g.Spilled != r.spilled || g.Truncated() != (r.other != nil || r.spilled > 0):
+		return fmt.Errorf("spilled %d (truncated %v), want %d", g.Spilled, g.Truncated(), r.spilled)
+	case (g.Other == nil) != (r.other == nil):
+		return fmt.Errorf("other bucket %v, want %v", g.Other, r.other)
+	}
+	return nil
 }

@@ -285,7 +285,7 @@ func (s *QuantileState) Add(_ ids.ID, v value.Value) {
 	}
 	s.N++
 	if len(s.Levels) == 0 {
-		s.Levels = append(s.Levels, nil)
+		s.addLevel()
 	}
 	s.Levels[0] = append(s.Levels[0], f)
 	if len(s.Levels[0]) >= quantCap {
@@ -307,7 +307,7 @@ func (s *QuantileState) Merge(other State) error {
 			continue
 		}
 		for len(s.Levels) <= i {
-			s.Levels = append(s.Levels, nil)
+			s.addLevel()
 		}
 		s.Levels[i] = append(s.Levels[i], lvl...)
 	}
@@ -326,7 +326,7 @@ func (s *QuantileState) compact() {
 		}
 		slices.Sort(lvl)
 		if len(s.Levels) == i+1 {
-			s.Levels = append(s.Levels, nil)
+			s.addLevel()
 		}
 		off := int(s.Coin & 1)
 		s.Coin = s.Coin>>1 | s.Coin<<63 // rotate: next compaction sees the next bit
@@ -382,10 +382,21 @@ func (s *QuantileState) Result() Result {
 // Nodes reports the number of contributions.
 func (s *QuantileState) Nodes() int64 { return s.N }
 
-func (s *QuantileState) reset() {
-	for i := range s.Levels {
-		s.Levels[i] = s.Levels[i][:0]
+// addLevel appends an empty level, reusing one that reset kept.
+func (s *QuantileState) addLevel() {
+	if n := len(s.Levels); n < cap(s.Levels) {
+		s.Levels = s.Levels[:n+1]
+		s.Levels[n] = s.Levels[n][:0]
+		return
 	}
+	s.Levels = append(s.Levels, nil)
+}
+
+// reset empties the state but keeps its level arrays for addLevel, so a
+// pooled state grows the same levels, and encodes the same bytes, as a
+// fresh one.
+func (s *QuantileState) reset() {
+	s.Levels = s.Levels[:0]
 	s.N = 0
 	s.Coin = 0
 }

@@ -1,17 +1,19 @@
 // Columnar wire codec for aggregate states — the hand-rolled binary
 // encoding the TCP transport ships instead of reflection-driven gob.
-// Every State kind gets a one-byte tag and a compact body; the keyed
+// Every State kind gets a one-byte tag and a compact body. The keyed
 // GroupedState — the payload of every epoch report and query response —
-// encodes its keys as one length-prefixed column and its per-key
-// sub-states as per-kind value vectors (validity bytes, varint counts,
-// fixed-width floats), so a 16-group AVG report is a few hundred bytes
-// of straight-line appends instead of a gob type-descriptor dance.
+// ships the way it is held: its ascending key column as one run of
+// length-prefixed strings, its value column as per-field vectors
+// (validity bytes, varint counts, fixed-width floats), so a 16-group AVG
+// report is a few hundred bytes of straight-line appends, and decoding
+// refills a pooled shell's columns in place.
 //
-// Decoding is the exact inverse and is shape-faithful: nil vs empty
-// slices and maps survive (wirefmt's length+1 convention), so a decoded
-// state DeepEquals the encoded one — the cross-codec equivalence sweep
-// in internal/transport holds every registered kind to that bar.
-// All readers are bounds-checked; arbitrary input errors cleanly.
+// Decoding is the exact inverse and, for the leaf kinds, shape-faithful:
+// nil vs empty slices and maps survive (wirefmt's length+1 convention),
+// so a decoded state DeepEquals the encoded one — the cross-codec
+// equivalence sweep in internal/transport holds every registered kind to
+// that bar. All readers are bounds-checked; arbitrary input errors
+// cleanly.
 package aggregate
 
 import (
@@ -29,7 +31,7 @@ import (
 const (
 	wireNilState  = 0
 	wireGrouped   = 100
-	maxStateDepth = 6 // nesting bound: Grouped→Other→... on hostile input
+	maxStateDepth = 6 // nesting bound on hostile input
 )
 
 // AppendSpec appends a Spec (kind byte, varint K, float Q). The zero
@@ -44,25 +46,17 @@ func AppendSpec(b []byte, s Spec) []byte {
 // kinds are corrupt (a decoder must never manufacture states it cannot
 // construct).
 func ReadSpec(b []byte) (Spec, []byte, error) {
-	k, b, err := wirefmt.Byte(b)
-	if err != nil {
-		return Spec{}, nil, err
+	r := &reader{b: b}
+	s := r.spec()
+	return s, r.b, r.err
+}
+
+func (r *reader) spec() Spec {
+	s := Spec{Kind: Kind(read(r, wirefmt.Byte)), K: int(read(r, wirefmt.Varint)), Q: read(r, wirefmt.Float)}
+	if _, ok := registry[s.Kind]; !ok && s.Kind != KindInvalid {
+		r.corrupt("wire spec kind %d", s.Kind)
 	}
-	kk, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return Spec{}, nil, err
-	}
-	q, b, err := wirefmt.Float(b)
-	if err != nil {
-		return Spec{}, nil, err
-	}
-	s := Spec{Kind: Kind(k), K: int(kk), Q: q}
-	if s.Kind != KindInvalid {
-		if _, ok := registry[s.Kind]; !ok {
-			return Spec{}, nil, fmt.Errorf("aggregate: wire spec kind %d: %w", k, wirefmt.ErrCorrupt)
-		}
-	}
-	return s, b, nil
+	return s
 }
 
 // AppendState appends one state (tag + body). A nil state is one byte.
@@ -136,96 +130,93 @@ func AppendState(b []byte, st State) ([]byte, error) {
 // bounds-checked against the remaining bytes before allocation, and
 // container nesting is depth-limited.
 func ReadState(b []byte) (State, []byte, error) {
-	return readState(b, 0)
+	r := &reader{b: b}
+	st := r.state(0)
+	if r.err != nil {
+		return nil, nil, r.err
+	}
+	return st, r.b, nil
 }
 
-func readState(b []byte, depth int) (State, []byte, error) {
+func (r *reader) state(depth int) State {
 	if depth > maxStateDepth {
-		return nil, nil, fmt.Errorf("aggregate: state nesting too deep: %w", wirefmt.ErrCorrupt)
+		r.corrupt("state nesting too deep")
 	}
-	tag, b, err := wirefmt.Byte(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch tag {
-	case wireNilState:
-		return nil, b, nil
+	switch tag := read(r, wirefmt.Byte); tag {
+	case wireNilState: // also what a failed read yields
 	case wireGrouped:
-		return readGroupedBody(b, depth)
+		return r.grouped(depth, nil)
 	case byte(KindSum):
 		s := &SumState{}
-		b, err := readSumBody(b, s)
-		return s, b, err
+		r.sum(s)
+		return s
 	case byte(KindCount):
-		n, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &CountState{N: n}, b, nil
+		return &CountState{N: read(r, wirefmt.Varint)}
 	case byte(KindMin), byte(KindMax):
-		return readExtremeBody(b, tag == byte(KindMax))
+		s := &ExtremeState{Max: tag == byte(KindMax)}
+		r.extreme(s)
+		return s
 	case byte(KindAvg):
 		s := &AvgState{}
-		b, err := readSumBody(b, &s.Sum)
-		return s, b, err
+		r.sum(&s.Sum)
+		return s
 	case byte(KindTopK):
-		k, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		n, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		es, b, err := readEntries(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &TopKState{K: int(k), N: n, Entries: es}, b, nil
+		return &TopKState{K: int(read(r, wirefmt.Varint)), N: read(r, wirefmt.Varint), Entries: r.entries()}
 	case byte(KindEnum):
-		es, b, err := readEntries(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &EnumState{Entries: es}, b, nil
+		return &EnumState{Entries: r.entries()}
 	case byte(KindStd):
-		n, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		sum, b, err := wirefmt.Float(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		sq, b, err := wirefmt.Float(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &StdState{N: n, Sum: sum, SumSq: sq}, b, nil
+		return &StdState{N: read(r, wirefmt.Varint), Sum: read(r, wirefmt.Float), SumSq: read(r, wirefmt.Float)}
 	case byte(KindDCount):
-		return readDCountBody(b)
+		return r.dcount()
 	case byte(KindQuantile):
-		return readQuantileBody(b)
+		return r.quantile()
 	case byte(KindTopKeys):
-		return readTopKeysBody(b)
+		return r.topKeys()
 	case byte(KindUnion):
-		return readUnionBody(b)
+		return r.union()
 	case byte(KindCollect):
-		cap_, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		n, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		es, b, err := readEntries(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &CollectState{Cap: int(cap_), N: n, Entries: es}, b, nil
+		return &CollectState{Cap: int(read(r, wirefmt.Varint)), N: read(r, wirefmt.Varint), Entries: r.entries()}
+	default:
+		r.corrupt("wire state tag %d", tag)
 	}
-	return nil, nil, fmt.Errorf("aggregate: wire state tag %d: %w", tag, wirefmt.ErrCorrupt)
+	return nil
+}
+
+// reader threads one input through a decoder: the first error sticks,
+// every later read yields a zero value and no allocation, and the
+// decoder checks err once at the end.
+type reader struct {
+	b   []byte
+	err error
+}
+
+// read applies one wirefmt-style decoding step to r.
+func read[T any](r *reader, f func([]byte) (T, []byte, error)) (v T) {
+	if r.err == nil {
+		v, r.b, r.err = f(r.b)
+	}
+	return v
+}
+
+// corrupt records a structural error unless an earlier read failed.
+func (r *reader) corrupt(format string, args ...any) {
+	if r.err == nil {
+		r.b, r.err = nil, fmt.Errorf("aggregate: "+format+": %w", append(args, wirefmt.ErrCorrupt)...)
+	}
+}
+
+// len reads a nil-preserving collection length (see wirefmt.Len); a
+// failed read reports nil.
+func (r *reader) len(minElemBytes int) (n int, isNil bool) {
+	if r.err != nil {
+		return 0, true
+	}
+	n, isNil, r.b, r.err = wirefmt.Len(r.b, minElemBytes)
+	return n, isNil || r.err != nil
+}
+
+func (r *reader) bytes(n int) []byte {
+	return read(r, func(b []byte) ([]byte, []byte, error) { return wirefmt.Bytes(b, n) })
 }
 
 // ---------------------------------------------------------------------
@@ -240,23 +231,11 @@ func appendSumBody(b []byte, s *SumState) []byte {
 	return b
 }
 
-func readSumBody(b []byte, s *SumState) ([]byte, error) {
-	valid, b, err := wirefmt.Bool(b)
-	if err != nil {
-		return nil, err
+func (r *reader) sum(s *SumState) {
+	s.Valid, s.N = read(r, wirefmt.Bool), read(r, wirefmt.Varint)
+	if s.Valid {
+		s.V = read(r, value.ReadWire)
 	}
-	n, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return nil, err
-	}
-	s.Valid, s.N = valid, n
-	if valid {
-		s.V, b, err = value.ReadWire(b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
 }
 
 func appendExtremeBody(b []byte, s *ExtremeState) []byte {
@@ -269,28 +248,12 @@ func appendExtremeBody(b []byte, s *ExtremeState) []byte {
 	return b
 }
 
-func readExtremeBody(b []byte, max bool) (State, []byte, error) {
-	valid, b, err := wirefmt.Bool(b)
-	if err != nil {
-		return nil, nil, err
+func (r *reader) extreme(s *ExtremeState) {
+	s.Valid, s.N = read(r, wirefmt.Bool), read(r, wirefmt.Varint)
+	if s.Valid {
+		copy(s.Best.Node[:], r.bytes(ids.Bytes))
+		s.Best.Value = read(r, value.ReadWire)
 	}
-	n, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := &ExtremeState{Max: max, Valid: valid, N: n}
-	if valid {
-		raw, rest, err := wirefmt.Bytes(b, ids.Bytes)
-		if err != nil {
-			return nil, nil, err
-		}
-		copy(s.Best.Node[:], raw)
-		s.Best.Value, b, err = value.ReadWire(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return s, b, nil
 }
 
 func appendDCountBody(b []byte, s *DCountState) []byte {
@@ -313,54 +276,33 @@ func appendDCountBody(b []byte, s *DCountState) []byte {
 	return append(b, s.Dense...)
 }
 
-func readDCountBody(b []byte) (State, []byte, error) {
-	n, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := &DCountState{N: n}
-	cnt, isNil, b, err := wirefmt.Len(b, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !isNil {
-		s.Sparse = make(map[uint16]uint8, cnt)
+func (r *reader) dcount() *DCountState {
+	s := &DCountState{N: read(r, wirefmt.Varint)}
+	if cnt, isNil := r.len(2); !isNil {
 		idxs := make([]uint16, cnt)
 		for i := range idxs {
-			v, rest, err := wirefmt.Uvarint(b)
-			if err != nil {
-				return nil, nil, err
+			if v := read(r, wirefmt.Uvarint); v < hllM {
+				idxs[i] = uint16(v)
+			} else {
+				r.corrupt("HLL index %d", v)
 			}
-			if v >= hllM {
-				return nil, nil, fmt.Errorf("aggregate: HLL index %d: %w", v, wirefmt.ErrCorrupt)
+		}
+		if rhos := r.bytes(cnt); r.err == nil {
+			s.Sparse = make(map[uint16]uint8, cnt)
+			for i, idx := range idxs {
+				s.Sparse[idx] = rhos[i]
 			}
-			idxs[i], b = uint16(v), rest
-		}
-		rhos, rest, err := wirefmt.Bytes(b, cnt)
-		if err != nil {
-			return nil, nil, err
-		}
-		b = rest
-		for i, idx := range idxs {
-			s.Sparse[idx] = rhos[i]
 		}
 	}
-	dn, isNil, b, err := wirefmt.Len(b, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !isNil {
+	if dn, isNil := r.len(1); !isNil {
 		if dn != hllM {
-			return nil, nil, fmt.Errorf("aggregate: dense HLL length %d: %w", dn, wirefmt.ErrCorrupt)
+			r.corrupt("dense HLL length %d", dn)
 		}
-		raw, rest, err := wirefmt.Bytes(b, dn)
-		if err != nil {
-			return nil, nil, err
+		if raw := r.bytes(dn); r.err == nil {
+			s.Dense = append([]uint8(nil), raw...)
 		}
-		s.Dense = append([]uint8(nil), raw...)
-		b = rest
 	}
-	return s, b, nil
+	return s
 }
 
 func appendQuantileBody(b []byte, s *QuantileState) []byte {
@@ -377,46 +319,20 @@ func appendQuantileBody(b []byte, s *QuantileState) []byte {
 	return b
 }
 
-func readQuantileBody(b []byte) (State, []byte, error) {
-	q, b, err := wirefmt.Float(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	coin, b, err := wirefmt.Uvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := &QuantileState{Q: q, N: n, Coin: coin}
-	nl, isNil, b, err := wirefmt.Len(b, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !isNil {
+func (r *reader) quantile() *QuantileState {
+	s := &QuantileState{Q: read(r, wirefmt.Float), N: read(r, wirefmt.Varint), Coin: read(r, wirefmt.Uvarint)}
+	if nl, isNil := r.len(1); !isNil {
 		s.Levels = make([][]float64, nl)
 		for i := range s.Levels {
-			cnt, lvlNil, rest, err := wirefmt.Len(b, 8)
-			if err != nil {
-				return nil, nil, err
-			}
-			b = rest
-			if lvlNil {
-				continue
-			}
-			lvl := make([]float64, cnt)
-			for j := range lvl {
-				lvl[j], b, err = wirefmt.Float(b)
-				if err != nil {
-					return nil, nil, err
+			if cnt, lvlNil := r.len(8); !lvlNil {
+				s.Levels[i] = make([]float64, cnt)
+				for j := range s.Levels[i] {
+					s.Levels[i][j] = read(r, wirefmt.Float)
 				}
 			}
-			s.Levels[i] = lvl
 		}
 	}
-	return s, b, nil
+	return s
 }
 
 func appendTopKeysBody(b []byte, s *TopKeysState) []byte {
@@ -439,73 +355,31 @@ func appendTopKeysBody(b []byte, s *TopKeysState) []byte {
 	return b
 }
 
-func readTopKeysBody(b []byte) (State, []byte, error) {
-	k, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := &TopKeysState{K: int(k), N: n}
-	cnt, isNil, b, err := wirefmt.Len(b, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !isNil {
-		s.Counts = make(map[string]int64, cnt)
+func (r *reader) topKeys() *TopKeysState {
+	s := &TopKeysState{K: int(read(r, wirefmt.Varint)), N: read(r, wirefmt.Varint)}
+	if cnt, isNil := r.len(2); !isNil {
 		keys := make([]string, cnt)
 		for i := range keys {
-			keys[i], b, err = wirefmt.String(b)
-			if err != nil {
-				return nil, nil, err
-			}
+			keys[i] = read(r, wirefmt.String)
 		}
-		for _, key := range keys {
-			var c int64
-			c, b, err = wirefmt.Varint(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			s.Counts[key] = c
+		s.Counts = make(map[string]int64, cnt)
+		for _, k := range keys {
+			s.Counts[k] = read(r, wirefmt.Varint)
 		}
 	}
-	return s, b, nil
+	return s
 }
 
-func readUnionBody(b []byte) (State, []byte, error) {
-	cap_, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	dropped, b, err := wirefmt.Bool(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := &UnionState{Cap: int(cap_), N: n, Dropped: dropped}
-	nk, isNil, b, err := wirefmt.Len(b, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !isNil {
+func (r *reader) union() *UnionState {
+	s := &UnionState{Cap: int(read(r, wirefmt.Varint)), N: read(r, wirefmt.Varint), Dropped: read(r, wirefmt.Bool)}
+	if nk, isNil := r.len(1); !isNil {
 		s.Keys = make([]string, nk)
 		for i := range s.Keys {
-			s.Keys[i], b, err = wirefmt.String(b)
-			if err != nil {
-				return nil, nil, err
-			}
+			s.Keys[i] = read(r, wirefmt.String)
 		}
 	}
-	s.Entries, b, err = readEntries(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, b, nil
+	s.Entries = r.entries()
+	return s
 }
 
 // ---------------------------------------------------------------------
@@ -522,40 +396,33 @@ func appendEntries(b []byte, es []Entry) []byte {
 	return b
 }
 
-func readEntries(b []byte) ([]Entry, []byte, error) {
-	n, isNil, b, err := wirefmt.Len(b, ids.Bytes+1)
-	if err != nil {
-		return nil, nil, err
-	}
+func (r *reader) entries() []Entry {
+	n, isNil := r.len(ids.Bytes + 1)
 	if isNil {
-		return nil, b, nil
+		return nil
 	}
 	es := make([]Entry, n)
 	for i := range es {
-		raw, rest, err := wirefmt.Bytes(b, ids.Bytes)
-		if err != nil {
-			return nil, nil, err
-		}
-		copy(es[i].Node[:], raw)
-		b = rest
+		copy(es[i].Node[:], r.bytes(ids.Bytes))
 	}
 	for i := range es {
-		es[i].Value, b, err = value.ReadWire(b)
-		if err != nil {
-			return nil, nil, err
-		}
+		es[i].Value = read(r, value.ReadWire)
 	}
-	return es, b, nil
+	return es
 }
 
 // ---------------------------------------------------------------------
-// GroupedState: the hot container. Keys ship as one sorted column;
-// sub-states ship as per-kind value vectors for the fixed-width numeric
-// kinds (SUM/COUNT/MIN/MAX/AVG/STD — the overwhelming majority of epoch
-// report traffic), and as self-delimiting tagged states for the
-// list/sketch kinds.
+// GroupedState: the hot container, shipped the way it is held. The key
+// column goes out as one run of length-prefixed strings in ascending
+// order; the value column goes out as per-field vectors for the
+// fixed-width kinds (SUM/COUNT/MIN/MAX/AVG/STD — the overwhelming
+// majority of epoch report traffic) and as self-delimiting tagged states
+// for the list/sketch kinds. Decode fills a pooled shell's columns in
+// place and rejects a key column that is not strictly ascending or is
+// longer than the state's own cap.
 
 func appendGroupedBody(b []byte, g *GroupedState) ([]byte, error) {
+	g.settle()
 	b = AppendSpec(b, g.Spec)
 	b = wirefmt.AppendVarint(b, int64(g.Cap))
 	b = wirefmt.AppendVarint(b, g.Spilled)
@@ -563,90 +430,58 @@ func appendGroupedBody(b []byte, g *GroupedState) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b = wirefmt.AppendLen(b, len(g.Groups), g.Groups == nil)
-	if len(g.Groups) == 0 {
-		return b, nil
-	}
-	keys := g.Keys()
-	for _, k := range keys {
+	n := len(g.keys)
+	b = wirefmt.AppendLen(b, n, false)
+	for _, k := range g.keys {
 		b = wirefmt.AppendString(b, k)
 	}
 	switch g.Spec.Kind {
 	case KindSum, KindAvg:
-		sums := make([]*SumState, len(keys))
-		for i, k := range keys {
-			s, err := sumOf(g.Groups[k], g.Spec.Kind)
-			if err != nil {
-				return nil, err
-			}
-			sums[i] = s
+		for i := range n {
+			b = wirefmt.AppendBool(b, sumOf(g.vals.at(i)).Valid)
 		}
-		for _, s := range sums {
-			b = wirefmt.AppendBool(b, s.Valid)
+		for i := range n {
+			b = wirefmt.AppendVarint(b, sumOf(g.vals.at(i)).N)
 		}
-		for _, s := range sums {
-			b = wirefmt.AppendVarint(b, s.N)
-		}
-		for _, s := range sums {
-			if s.Valid {
+		for i := range n {
+			if s := sumOf(g.vals.at(i)); s.Valid {
 				b = s.V.AppendWire(b)
 			}
 		}
 	case KindCount:
-		for _, k := range keys {
-			s, ok := g.Groups[k].(*CountState)
-			if !ok {
-				return nil, fmt.Errorf("aggregate: grouped count holds %T", g.Groups[k])
-			}
-			b = wirefmt.AppendVarint(b, s.N)
+		for i := range n {
+			b = wirefmt.AppendVarint(b, g.vals.at(i).(*CountState).N)
 		}
 	case KindMin, KindMax:
-		exts := make([]*ExtremeState, len(keys))
-		for i, k := range keys {
-			s, ok := g.Groups[k].(*ExtremeState)
-			if !ok {
-				return nil, fmt.Errorf("aggregate: grouped extreme holds %T", g.Groups[k])
-			}
-			exts[i] = s
+		for i := range n {
+			b = wirefmt.AppendBool(b, g.vals.at(i).(*ExtremeState).Valid)
 		}
-		for _, s := range exts {
-			b = wirefmt.AppendBool(b, s.Valid)
+		for i := range n {
+			b = wirefmt.AppendVarint(b, g.vals.at(i).(*ExtremeState).N)
 		}
-		for _, s := range exts {
-			b = wirefmt.AppendVarint(b, s.N)
-		}
-		for _, s := range exts {
-			if s.Valid {
+		for i := range n {
+			if s := g.vals.at(i).(*ExtremeState); s.Valid {
 				b = append(b, s.Best.Node[:]...)
 			}
 		}
-		for _, s := range exts {
-			if s.Valid {
+		for i := range n {
+			if s := g.vals.at(i).(*ExtremeState); s.Valid {
 				b = s.Best.Value.AppendWire(b)
 			}
 		}
 	case KindStd:
-		stds := make([]*StdState, len(keys))
-		for i, k := range keys {
-			s, ok := g.Groups[k].(*StdState)
-			if !ok {
-				return nil, fmt.Errorf("aggregate: grouped std holds %T", g.Groups[k])
-			}
-			stds[i] = s
+		for i := range n {
+			b = wirefmt.AppendVarint(b, g.vals.at(i).(*StdState).N)
 		}
-		for _, s := range stds {
-			b = wirefmt.AppendVarint(b, s.N)
+		for i := range n {
+			b = wirefmt.AppendFloat(b, g.vals.at(i).(*StdState).Sum)
 		}
-		for _, s := range stds {
-			b = wirefmt.AppendFloat(b, s.Sum)
-		}
-		for _, s := range stds {
-			b = wirefmt.AppendFloat(b, s.SumSq)
+		for i := range n {
+			b = wirefmt.AppendFloat(b, g.vals.at(i).(*StdState).SumSq)
 		}
 	default:
-		for _, k := range keys {
-			b, err = AppendState(b, g.Groups[k])
-			if err != nil {
+		for i := range n {
+			if b, err = AppendState(b, g.vals.at(i)); err != nil {
 				return nil, err
 			}
 		}
@@ -654,172 +489,122 @@ func appendGroupedBody(b []byte, g *GroupedState) ([]byte, error) {
 	return b, nil
 }
 
-// sumOf extracts the SumState behind a grouped SUM or AVG slot.
-func sumOf(st State, kind Kind) (*SumState, error) {
-	if kind == KindAvg {
-		a, ok := st.(*AvgState)
-		if !ok {
-			return nil, fmt.Errorf("aggregate: grouped avg holds %T", st)
-		}
-		return &a.Sum, nil
+// sumOf returns the SumState behind a SUM or AVG slot.
+func sumOf(st State) *SumState {
+	if a, ok := st.(*AvgState); ok {
+		return &a.Sum
 	}
-	s, ok := st.(*SumState)
-	if !ok {
-		return nil, fmt.Errorf("aggregate: grouped sum holds %T", st)
-	}
-	return s, nil
+	return st.(*SumState)
 }
 
-func readGroupedBody(b []byte, depth int) (State, []byte, error) {
-	spec, b, err := ReadSpec(b)
-	if err != nil {
-		return nil, nil, err
+// grouped decodes a grouped body into g, or into a shell from the pool
+// when g is nil.
+func (r *reader) grouped(depth int, g *GroupedState) *GroupedState {
+	spec := r.spec()
+	cap_ := read(r, wirefmt.Varint)
+	spilled := read(r, wirefmt.Varint)
+	if r.err == nil && len(r.b) > 0 && r.b[0] != wireNilState && r.b[0] != byte(spec.Kind) {
+		r.corrupt("grouped %v spill bucket tagged %d", spec.Kind, r.b[0])
 	}
-	cap_, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return nil, nil, err
+	other := r.state(depth + 1)
+	n, _ := r.len(1)
+	switch {
+	case spec.Kind == KindInvalid && n > 0:
+		r.corrupt("grouped keys without a spec")
+	case cap_ > 0 && int64(n) > cap_:
+		r.corrupt("%d grouped keys over cap %d", n, cap_)
 	}
-	spilled, b, err := wirefmt.Varint(b)
-	if err != nil {
-		return nil, nil, err
+	if r.err != nil {
+		return nil
 	}
-	other, b, err := readState(b, depth+1)
-	if err != nil {
-		return nil, nil, err
+	if g == nil {
+		g = NewGroupedSized(spec, int(cap_), n)
 	}
-	n, isNil, b, err := wirefmt.Len(b, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if isNil {
-		return &GroupedState{Spec: spec, Cap: int(cap_), Spilled: spilled, Other: other}, b, nil
-	}
-	if spec.Kind == KindInvalid && n > 0 {
-		return nil, nil, fmt.Errorf("aggregate: grouped keys without a spec: %w", wirefmt.ErrCorrupt)
-	}
-	// The grouped shell (and its cleared key map) comes from the decode
-	// pool; sub-states are built fresh from the columns below.
-	g := NewGroupedSized(spec, int(cap_), n)
-	g.Spilled, g.Other = spilled, other
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i], b, err = wirefmt.String(b)
-		if err != nil {
-			return nil, nil, err
+	g.Spec, g.Cap, g.Spilled, g.Other = spec, int(cap_), spilled, other
+	// A pooled shell's key column still holds the strings of its last
+	// use; a report that repeats a key reuses the string.
+	stale := g.keys[:cap(g.keys)]
+	g.keys = g.keys[:0]
+	for i := range n {
+		k := ""
+		if i < len(stale) {
+			k = stale[i]
 		}
+		k = read(r, func(b []byte) (string, []byte, error) { return wirefmt.ReuseString(b, k) })
+		if i > 0 && k <= g.keys[i-1] {
+			r.corrupt("grouped key %q after %q", k, g.keys[i-1])
+		}
+		g.keys = append(g.keys, k)
 	}
+	g.col().grow(n)
+	vals := g.vals
 	switch spec.Kind {
 	case KindSum, KindAvg:
-		valid := make([]bool, n)
-		for i := range valid {
-			valid[i], b, err = wirefmt.Bool(b)
-			if err != nil {
-				return nil, nil, err
-			}
+		for i := range n {
+			sumOf(vals.at(i)).Valid = read(r, wirefmt.Bool)
 		}
-		ns := make([]int64, n)
-		for i := range ns {
-			ns[i], b, err = wirefmt.Varint(b)
-			if err != nil {
-				return nil, nil, err
-			}
+		for i := range n {
+			sumOf(vals.at(i)).N = read(r, wirefmt.Varint)
 		}
-		for i, k := range keys {
-			sum := SumState{Valid: valid[i], N: ns[i]}
-			if valid[i] {
-				sum.V, b, err = value.ReadWire(b)
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-			if spec.Kind == KindAvg {
-				g.Groups[k] = &AvgState{Sum: sum}
-			} else {
-				s := sum
-				g.Groups[k] = &s
+		for i := range n {
+			if s := sumOf(vals.at(i)); s.Valid {
+				s.V = read(r, value.ReadWire)
 			}
 		}
 	case KindCount:
-		for _, k := range keys {
-			var cn int64
-			cn, b, err = wirefmt.Varint(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			g.Groups[k] = &CountState{N: cn}
+		for i := range n {
+			vals.at(i).(*CountState).N = read(r, wirefmt.Varint)
 		}
 	case KindMin, KindMax:
-		exts := make([]*ExtremeState, n)
-		for i := range exts {
-			exts[i] = &ExtremeState{Max: spec.Kind == KindMax}
-			exts[i].Valid, b, err = wirefmt.Bool(b)
-			if err != nil {
-				return nil, nil, err
+		for i := range n {
+			vals.at(i).(*ExtremeState).Valid = read(r, wirefmt.Bool)
+		}
+		for i := range n {
+			vals.at(i).(*ExtremeState).N = read(r, wirefmt.Varint)
+		}
+		for i := range n {
+			if s := vals.at(i).(*ExtremeState); s.Valid {
+				copy(s.Best.Node[:], r.bytes(ids.Bytes))
 			}
 		}
-		for _, s := range exts {
-			s.N, b, err = wirefmt.Varint(b)
-			if err != nil {
-				return nil, nil, err
+		for i := range n {
+			if s := vals.at(i).(*ExtremeState); s.Valid {
+				s.Best.Value = read(r, value.ReadWire)
 			}
-		}
-		for _, s := range exts {
-			if s.Valid {
-				raw, rest, err := wirefmt.Bytes(b, ids.Bytes)
-				if err != nil {
-					return nil, nil, err
-				}
-				copy(s.Best.Node[:], raw)
-				b = rest
-			}
-		}
-		for i, s := range exts {
-			if s.Valid {
-				s.Best.Value, b, err = value.ReadWire(b)
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-			g.Groups[keys[i]] = s
 		}
 	case KindStd:
-		stds := make([]*StdState, n)
-		for i := range stds {
-			stds[i] = &StdState{}
-			stds[i].N, b, err = wirefmt.Varint(b)
-			if err != nil {
-				return nil, nil, err
-			}
+		for i := range n {
+			vals.at(i).(*StdState).N = read(r, wirefmt.Varint)
 		}
-		for _, s := range stds {
-			s.Sum, b, err = wirefmt.Float(b)
-			if err != nil {
-				return nil, nil, err
-			}
+		for i := range n {
+			vals.at(i).(*StdState).Sum = read(r, wirefmt.Float)
 		}
-		for i, s := range stds {
-			s.SumSq, b, err = wirefmt.Float(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			g.Groups[keys[i]] = s
+		for i := range n {
+			vals.at(i).(*StdState).SumSq = read(r, wirefmt.Float)
 		}
 	default:
-		want := byte(spec.Kind)
-		for _, k := range keys {
-			if len(b) == 0 {
-				return nil, nil, wirefmt.ErrTruncated
+		slots := vals.(*states).s
+		for i := range slots {
+			if r.err == nil && (len(r.b) == 0 || r.b[0] != byte(spec.Kind)) {
+				r.corrupt("grouped %v slot truncated or mistagged", spec.Kind)
 			}
-			if b[0] != want {
-				return nil, nil, fmt.Errorf("aggregate: grouped %v slot tagged %d: %w", spec.Kind, b[0], wirefmt.ErrCorrupt)
-			}
-			var st State
-			st, b, err = readState(b, depth+1)
-			if err != nil {
-				return nil, nil, err
-			}
-			g.Groups[k] = st
+			slots[i] = r.state(depth + 1)
 		}
 	}
-	return g, b, nil
+	return g
+}
+
+// GobEncode carries the state through the gob fallback (the tag-0
+// message bodies, such as the orphan pull's RouteMsg) as its columnar
+// body.
+func (g *GroupedState) GobEncode() ([]byte, error) { return appendGroupedBody(nil, g) }
+
+// GobDecode is the inverse of GobEncode.
+func (g *GroupedState) GobDecode(b []byte) error {
+	*g = GroupedState{}
+	r := &reader{b: b}
+	if r.grouped(0, g); len(r.b) != 0 {
+		r.corrupt("%d bytes after a gob grouped body", len(r.b))
+	}
+	return r.err
 }

@@ -329,6 +329,7 @@ func TestChildTable(t *testing.T) {
 
 	// File a reporter that was never expected, between the two.
 	sb := tied(b)
+	sb.Retain() // the reporting child keeps the state it sent
 	i, found := tb.find(b)
 	if found || !tb.file(i, found, childSlot{id: b, state: sb, contrib: 1}) {
 		t.Fatal("a new reporter's slot must be filed and count as moved")

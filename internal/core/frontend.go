@@ -490,6 +490,8 @@ func (fq *feQuery) finish(n *Node, err error) {
 		res.Truncated = agg.Truncated()
 		fq.stats.GroupKeys = agg.KeyCount()
 	}
+	// Results are copies: the accumulator goes back to the pool.
+	aggregate.Recycle(agg)
 	res.Stats = fq.stats
 	fq.cb(res, err)
 }

@@ -1139,7 +1139,9 @@ func (fe *frontend) armEmptyTick(fs *feSub) {
 			return
 		}
 		fs.epoch++
-		res := Result{Agg: aggregate.NewGrouped(fs.req.Spec, n.cfg.MaxGroupKeys).Result()}
+		empty := fs.req.Spec.New()
+		res := Result{Agg: empty.Result()}
+		aggregate.Recycle(empty)
 		res.Stats.ShortCircuit = true
 		res.Stats.GroupBy = fs.req.GroupBy
 		fs.cb(Sample{Epoch: fs.epoch, At: n.env.Now(), Result: res})
@@ -1220,6 +1222,8 @@ func (fe *frontend) handleSample(from ids.ID, sm SampleMsg) {
 		res.Truncated = agg.Truncated()
 		res.Stats.GroupKeys = agg.KeyCount()
 	}
+	// Results are copies: the accumulator goes back to the pool.
+	aggregate.Recycle(agg)
 	fs.cb(Sample{
 		Epoch:        fs.epoch,
 		RootEpoch:    rootEpoch,

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/moara/moara/internal/aggregate"
+	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/value"
 )
 
@@ -498,5 +500,38 @@ func TestStandingClaimFollowsSubscriptionTable(t *testing.T) {
 	last := samples[len(samples)-1]
 	if v, _ := last.Result.Agg.Value.AsInt(); v != members || last.Contributors != members {
 		t.Fatalf("after the claim moved: count %d, contributors %d, want %d", v, last.Contributors, members)
+	}
+}
+
+// TestSampleGroupsSurviveShellReuse: the front-end hands its per-epoch
+// accumulator back to the pool once a sample's results are read, so a
+// delivered Sample.Result.Groups must not share its memory: reissuing
+// the shell and refilling it with other keys and values leaves the
+// delivered groups as they were.
+func TestSampleGroupsSurviveShellReuse(t *testing.T) {
+	net, nodes := miniCluster(t, 24, standingConfig())
+	for i, n := range nodes {
+		n.Store().Set("slice", value.Str([]string{"s0", "s1", "s2"}[i%3]))
+		n.Store().Set("load", value.Float(float64(i)/4))
+	}
+	var last Sample
+	mustSubscribe(t, nodes[0], "avg(load) group by slice every 200ms", func(s Sample) { last = s })
+	net.RunFor(3 * time.Second)
+	delivered := last.Result.Groups
+	if len(delivered) != 3 {
+		t.Fatalf("groups = %v", delivered)
+	}
+	want := fmt.Sprint(delivered)
+	spec := aggregate.Spec{Kind: aggregate.KindAvg}
+	for i := 0; i < 64; i++ {
+		g := aggregate.NewGrouped(spec, 0)
+		for k := 0; k < 8; k++ {
+			g.AddKeyed(ids.FromUint64(uint64(k+1)), fmt.Sprintf("s%d", k), value.Float(1e6+float64(i*k)))
+		}
+		aggregate.Recycle(g)
+	}
+	net.RunFor(time.Second) // later epochs reissue the front-end's shells too
+	if got := fmt.Sprint(delivered); got != want {
+		t.Fatalf("delivered groups changed under pool reuse:\n got %s\nwant %s", got, want)
 	}
 }

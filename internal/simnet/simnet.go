@@ -45,7 +45,10 @@ type Env interface {
 	// Self returns the node's identifier.
 	Self() ids.ID
 	// Send transmits m to the node with identifier to. Delivery is
-	// asynchronous and may be lost if the destination is down.
+	// asynchronous and may be lost if the destination is down. Send
+	// takes over the aggregate-state holds m carries (see
+	// aggregate.Recycle): the simulator hands them to the receiver, and
+	// the TCP agent returns them after the write.
 	Send(to ids.ID, m any)
 	// After schedules fn to run once after d. The returned function
 	// cancels the timer if it has not fired.

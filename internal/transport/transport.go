@@ -456,15 +456,18 @@ func (n *Node) countDecodeErr(err error) {
 }
 
 // send transmits one message, dialing (and caching) connections lazily.
-// Failures are silent, like UDP loss; Moara's timeouts handle them.
+// Failures are silent, like UDP loss; Moara's timeouts handle them. The
+// message's state holds go back either way.
 func (n *Node) send(toAddr string, m any) {
 	oc, err := n.conn(toAddr)
 	if err != nil {
+		releaseHolds(m)
 		return
 	}
 	oc.mu.Lock()
 	err = oc.write(m)
 	oc.mu.Unlock()
+	releaseHolds(m)
 	if err != nil {
 		oc.c.Close()
 		n.connMu.Lock()
@@ -475,6 +478,25 @@ func (n *Node) send(toAddr string, m any) {
 		return
 	}
 	n.msgsOut.Add(1)
+}
+
+// releaseHolds hands back the aggregate-state holds a message carries
+// (see aggregate.Recycle): the peer decodes a copy of its own, so once
+// the frame is written or the message dropped, nothing reads the
+// sender's states through it again.
+func releaseHolds(m any) {
+	switch m := m.(type) {
+	case core.EpochReportMsg:
+		aggregate.Recycle(m.State)
+	case core.SampleMsg:
+		aggregate.Recycle(m.State)
+	case core.ResponseMsg:
+		aggregate.Recycle(m.State)
+	case core.BatchMsg:
+		for _, item := range m.Items {
+			releaseHolds(item)
+		}
+	}
 }
 
 // write encodes and sends one message as one frame, in one Write. The
@@ -562,7 +584,10 @@ var _ simnet.Env = nodeEnv{}
 func (e nodeEnv) Self() ids.ID { return e.n.id }
 
 // Send transmits m to the node with identifier to, resolving the
-// address through the roster. Unknown destinations are dropped.
+// address through the roster. Unknown destinations are dropped. Send
+// takes over the state holds m carries: loopback delivery hands them to
+// the core, and every other path returns them once the frame is written
+// or the message dropped.
 func (e nodeEnv) Send(to ids.ID, m any) {
 	if to == e.n.id {
 		// Loopback: handle asynchronously to avoid lock recursion.
@@ -571,6 +596,7 @@ func (e nodeEnv) Send(to ids.ID, m any) {
 			defer e.n.mu.Unlock()
 			select {
 			case <-e.n.closed:
+				releaseHolds(m)
 				return
 			default:
 			}
@@ -580,6 +606,7 @@ func (e nodeEnv) Send(to ids.ID, m any) {
 	}
 	addr, ok := e.n.roster[to]
 	if !ok {
+		releaseHolds(m)
 		return
 	}
 	// Network I/O happens off the core lock.

@@ -140,9 +140,10 @@ func loopbackTraffic(t *testing.T) []any {
 // error.
 func TestFramesOverLoopback(t *testing.T) {
 	RegisterGob()
-	msgs := loopbackTraffic(t)
-
+	// Each side sends its own traffic: send hands the states a message
+	// carries back to the pool once written.
 	t.Run("dialing side", func(t *testing.T) {
+		msgs := loopbackTraffic(t)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -162,6 +163,13 @@ func TestFramesOverLoopback(t *testing.T) {
 		nd, err := Listen("127.0.0.1:0", nil, Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The expected frames are encoded before send recycles the state.
+		wants := make([][]byte, len(msgs))
+		for i, m := range msgs {
+			if wants[i], err = core.AppendMessage(nil, m); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, m := range msgs {
 			nd.send(ln.Addr().String(), m)
@@ -185,14 +193,10 @@ func TestFramesOverLoopback(t *testing.T) {
 			t.Fatalf("header: from %q, err %v", from, err)
 		}
 		var scratch []byte
-		for i, m := range msgs {
+		for i, want := range wants {
 			payload, err := readFrame(br, &scratch)
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
-			}
-			want, err := core.AppendMessage(nil, m)
-			if err != nil {
-				t.Fatal(err)
 			}
 			if !bytes.Equal(payload, want) {
 				t.Fatalf("frame %d: %d bytes on the wire differ from the %d-byte encoding", i, len(payload), len(want))
@@ -204,6 +208,7 @@ func TestFramesOverLoopback(t *testing.T) {
 	})
 
 	t.Run("accepting side", func(t *testing.T) {
+		msgs := loopbackTraffic(t)
 		nodes := startCluster(t, 2, core.Config{})
 		a, b := nodes[0], nodes[1]
 		for _, m := range msgs {
@@ -426,6 +431,17 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Add(payload[:len(payload)/2]) // truncations
 		}
 	}
+	// Key columns a decoder must reject: a repeated key and keys out of
+	// order.
+	grouped := aggregate.NewGrouped(aggregate.Spec{Kind: aggregate.KindAvg}, 8)
+	grouped.AddKeyed(ids.FromKey("a"), "cs101", value.Float(10))
+	grouped.AddKeyed(ids.FromKey("b"), "cs202", value.Float(30))
+	report, err := core.AppendMessage(nil, core.EpochReportMsg{Group: "g", Epoch: 1, State: grouped})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Replace(report, []byte("cs202"), []byte("cs101"), 1))
+	f.Add(bytes.Replace(report, []byte("cs101"), []byte("cs303"), 1))
 	f.Add(appendConnHeader(nil, "127.0.0.1:1"))
 	f.Add([]byte{wireMagic, 'M', 'W', wireVersion})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // huge frame length
@@ -453,4 +469,65 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, _, _ = core.ReadMessage(payload)
 		}
 	})
+}
+
+// TestSentStateReturnsToPool: Send takes over the state hold a message
+// carries. The peer decodes its own copy, so the hold goes back to the
+// pool once the frame is written, and at once when the destination is
+// unknown; a self-send hands it to the local core instead.
+func TestSentStateReturnsToPool(t *testing.T) {
+	RegisterGob()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		_, _ = io.Copy(io.Discard, c)
+	}()
+	nd, err := Listen("127.0.0.1:0", []string{ln.Addr().String()}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	report := func() (*aggregate.GroupedState, core.EpochReportMsg) {
+		g := aggregate.NewGrouped(aggregate.Spec{Kind: aggregate.KindSum}, 0)
+		g.AddKeyed(nd.ID(), "k", value.Int(1))
+		g.Retain() // the message's hold
+		return g, core.EpochReportMsg{SID: core.QueryID{Num: 1}, Group: "g", Epoch: 1, State: g}
+	}
+	send := func(to ids.ID, m any) { nd.Do(func(*core.Node) { nodeEnv{nd}.Send(to, m) }) }
+
+	g, m := report()
+	send(IDOf(ln.Addr().String()), m)
+	for deadline := time.Now().Add(5 * time.Second); nd.Stats().MsgsOut == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the report was never written")
+		}
+	}
+	if g.KeyCount() != 0 {
+		t.Fatal("a written report's state kept the message's hold")
+	}
+
+	g, m = report()
+	send(ids.FromKey("not in the roster"), m)
+	if g.KeyCount() != 0 {
+		t.Fatal("a report to an unknown peer kept the message's hold")
+	}
+
+	g, m = report()
+	send(nd.ID(), m)
+	for i := 0; i < 20; i++ {
+		time.Sleep(time.Millisecond)
+		nd.Do(func(*core.Node) {
+			if g.KeyCount() != 1 {
+				t.Fatal("a self-sent report lost the hold its receiver owns")
+			}
+		})
+	}
 }

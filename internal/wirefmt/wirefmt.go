@@ -116,7 +116,12 @@ func Bytes(b []byte, n int) ([]byte, []byte, error) {
 }
 
 // String consumes a length-prefixed string (copying the bytes).
-func String(b []byte) (string, []byte, error) {
+func String(b []byte) (string, []byte, error) { return ReuseString(b, "") }
+
+// ReuseString is String, but returns old instead of a copy when the bytes
+// spell it, so a decoder refilling a pooled key column allocates only for
+// the keys that changed.
+func ReuseString(b []byte, old string) (string, []byte, error) {
 	n, rest, err := Uvarint(b)
 	if err != nil {
 		return "", nil, err
@@ -124,7 +129,10 @@ func String(b []byte) (string, []byte, error) {
 	if n > uint64(len(rest)) {
 		return "", nil, ErrTruncated
 	}
-	return string(rest[:n]), rest[n:], nil
+	if raw := rest[:n]; string(raw) != old {
+		old = string(raw)
+	}
+	return old, rest[n:], nil
 }
 
 // Count consumes a plain uvarint element count and rejects counts that
