@@ -178,12 +178,12 @@ func TestGroupedCodecWarmAllocs(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			g.AddKeyed(ids.FromUint64(uint64(i+1)), fmt.Sprintf("slice-%02d", i), value.Float(float64(i)/3))
 		}
-		wire, err := AppendState(nil, g)
+		wire, err := appendState(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		decode := func() {
-			st, _, err := ReadState(wire)
+			st, _, err := readState(wire)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestGroupedCodecWarmAllocs(t *testing.T) {
 			t.Errorf("%v: warm decode allocates %.1f objects/op, want 0", kind, avg)
 		}
 		buf := make([]byte, 0, 2*len(wire))
-		if avg := testing.AllocsPerRun(100, func() { buf, _ = AppendState(buf[:0], g) }); avg > 0 {
+		if avg := testing.AllocsPerRun(100, func() { buf, _ = appendState(buf[:0], g) }); avg > 0 {
 			t.Errorf("%v: encode allocates %.1f objects/op, want 0", kind, avg)
 		}
 	}

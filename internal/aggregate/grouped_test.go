@@ -219,20 +219,22 @@ func TestParseSpecErrors(t *testing.T) {
 // keys out of order and more keys than the cap.
 func TestGroupedDecodeRejectsBadKeyColumn(t *testing.T) {
 	body := func(cap int, keys ...string) []byte {
-		b := AppendSpec([]byte{wireGrouped}, Spec{Kind: KindCount})
-		b = wirefmt.AppendVarint(b, int64(cap))
-		b = wirefmt.AppendVarint(b, 0)
-		b = append(b, wireNilState)
-		b = wirefmt.AppendLen(b, len(keys), false)
-		for _, k := range keys {
-			b = wirefmt.AppendString(b, k)
+		c := wirefmt.Codec{B: []byte{wireGrouped}}
+		spec, limit, spilled, one := Spec{Kind: KindCount}, int64(cap), int64(0), int64(1)
+		WireSpec(&c, &spec)
+		c.Varint(&limit)
+		c.Varint(&spilled)
+		c.B = append(c.B, wireNilState)
+		c.Len(len(keys), false, 1)
+		for i := range keys {
+			c.String(&keys[i])
 		}
 		for range keys {
-			b = wirefmt.AppendVarint(b, 1)
+			c.Varint(&one)
 		}
-		return b
+		return c.B
 	}
-	if _, _, err := ReadState(body(2, "a", "b")); err != nil {
+	if _, _, err := readState(body(2, "a", "b")); err != nil {
 		t.Fatalf("a valid key column: %v", err)
 	}
 	for name, b := range map[string][]byte{
@@ -240,7 +242,7 @@ func TestGroupedDecodeRejectsBadKeyColumn(t *testing.T) {
 		"descending": body(0, "b", "a"),
 		"over cap":   body(1, "a", "b"),
 	} {
-		if st, _, err := ReadState(b); !errors.Is(err, wirefmt.ErrCorrupt) {
+		if st, _, err := readState(b); !errors.Is(err, wirefmt.ErrCorrupt) {
 			t.Errorf("%s: decoded %v, err %v; want ErrCorrupt", name, st, err)
 		}
 	}

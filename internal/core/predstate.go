@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -135,11 +136,13 @@ type predState struct {
 	// Recompute scratch: qsetSpare double-buffers the qSet backing (the
 	// previous generation's buffer is rebuilt into while the current
 	// qSet/updateSet stay readable), selfBuf double-buffers the
-	// {self}-singleton updateSet, and pass stamps childState.mark.
-	qsetSpare []SetEntry
-	selfBuf   [2][1]SetEntry
-	selfFlip  int
-	pass      int
+	// {self}-singleton updateSet, pass stamps childState.mark, and
+	// adoptedSpare collects the adopted children to sort.
+	qsetSpare    []SetEntry
+	adoptedSpare []ids.ID
+	selfBuf      [2][1]SetEntry
+	selfFlip     int
+	pass         int
 
 	// dirty marks that a recompute input changed (children statuses,
 	// satLocal, level, the update flag); cleanGen is the overlay
@@ -218,15 +221,26 @@ func (ps *predState) recompute(structural []pastry.BroadcastTarget, threshold in
 		}
 		qset = addChild(qset, bt.ID, bt.Level, cs)
 	}
-	// Adopted (non-structural) children that reported state. NpOnly
-	// records are cost caches from response piggybacks — often SQP
-	// grandchildren — and must not become query targets here.
+	// Adopted (non-structural) children that reported state, in id
+	// order (the childTable order): qSet is the send order of
+	// disseminate and pushInstalls and the updateSet the parent
+	// compares, so it must not follow map order. NpOnly records are
+	// cost caches from response piggybacks — often SQP grandchildren —
+	// and must not become query targets here.
+	adopted := ps.adoptedSpare[:0]
 	for id, cs := range ps.children {
-		if cs == nil || cs.mark == ps.pass || cs.NpOnly {
-			continue
+		if cs != nil && cs.mark != ps.pass && !cs.NpOnly {
+			adopted = append(adopted, id)
 		}
+	}
+	if len(adopted) > 1 {
+		slices.SortFunc(adopted, ids.Cmp)
+	}
+	for _, id := range adopted {
+		cs := ps.children[id]
 		qset = addChild(qset, id, maxLevel(cs.UpdateSet, ps.level), cs)
 	}
+	ps.adoptedSpare = adopted
 	if ps.satLocal {
 		qset = append(qset, SetEntry{ID: self, Level: ps.level})
 	}

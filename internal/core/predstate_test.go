@@ -330,6 +330,36 @@ func TestNpCounting(t *testing.T) {
 	}
 }
 
+// TestRecomputeAdoptedChildrenInIDOrder: adopted (non-structural)
+// children enter qSet in ascending id order, whatever order the map of
+// children yields them in. qSet is the send order of disseminate and
+// pushInstalls, and each simulated send draws its latency in call order.
+func TestRecomputeAdoptedChildrenInIDOrder(t *testing.T) {
+	self := ids.FromUint64(1)
+	outOfOrder := 0
+	for trial := 0; trial < 64; trial++ {
+		ps := newPredState(groupSpec{canon: "a = 1", attr: "a"})
+		ps.level = 1
+		for k := 4; k >= 1; k-- {
+			id := ids.FromUint64(uint64(100*trial + k))
+			ps.children[id] = &childState{UpdateSet: []SetEntry{{ID: id, Level: 2}}, Np: 1}
+		}
+		ps.recompute(nil, 8, self, flatRegion)
+		if len(ps.qSet) != 4 {
+			t.Fatalf("trial %d: qSet %v, want the 4 adopted children", trial, ps.qSet)
+		}
+		for i := 1; i < len(ps.qSet); i++ {
+			if !ids.Less(ps.qSet[i-1].ID, ps.qSet[i].ID) {
+				outOfOrder++
+				break
+			}
+		}
+	}
+	if outOfOrder > 0 {
+		t.Fatalf("%d of 64 predStates list their adopted children out of id order", outOfOrder)
+	}
+}
+
 // TestGroupSpecRoundTrip checks wire-canon round-tripping, including
 // the global pseudo-group.
 func TestGroupSpecRoundTrip(t *testing.T) {

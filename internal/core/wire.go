@@ -1,18 +1,18 @@
 // Columnar wire codec for the hot message types. Each message encodes
-// as a one-byte tag plus a hand-rolled body (varint ints, 8-byte
-// floats, length-prefixed strings, aggregate states via the columnar
-// state codec). Tag 0 wraps a gob blob: any message without a columnar
-// encoding — the cold one-shot query plane, foreign State
-// implementations, anything future — automatically falls back to gob,
-// so the codec never loses a message it does not understand.
+// as a one-byte tag plus a body of varint ints, 8-byte floats,
+// length-prefixed strings and aggregate states (aggregate.WireState).
+// Every body is written once, as a wire method over a wirefmt.Codec that
+// runs in both directions; the transport's golden test pins its bytes.
+// Tag 0 wraps a gob blob: any message without a columnar layout — the
+// cold one-shot query plane, foreign State implementations, anything
+// future — automatically falls back to gob, so the codec never loses a
+// message it does not understand.
 package core
 
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"time"
 
 	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/ids"
@@ -33,12 +33,10 @@ const (
 	tagCancel      = 7
 	tagStatus      = 8
 
-	// maxMsgDepth bounds BatchMsg nesting on decode (hostile input;
+	// maxMsgDepth bounds BatchMsg nesting (hostile input on decode;
 	// real batches are one level deep).
 	maxMsgDepth = 16
 )
-
-var errNoColumnar = errors.New("core: no columnar encoding")
 
 // wireFallback is the gob envelope behind tag 0. The indirection
 // through an interface field is what lets gob carry any registered
@@ -50,438 +48,227 @@ type wireFallback struct{ M any }
 // payloads resist it). The result is self-delimiting: ReadMessage
 // returns the exact unconsumed remainder.
 func AppendMessage(b []byte, m any) ([]byte, error) {
-	return appendMessage(b, m, 0)
-}
-
-func appendMessage(b []byte, m any, depth int) ([]byte, error) {
-	orig := len(b)
-	out, err := appendColumnar(b, m, depth)
-	if err == nil {
-		return out, nil
+	c := wirefmt.Codec{B: b}
+	if wireMessage(&c, &m, 0); c.Err() != nil {
+		return nil, c.Err()
 	}
-	return appendGobFallback(b[:orig], m)
-}
-
-func appendColumnar(b []byte, m any, depth int) ([]byte, error) {
-	switch v := m.(type) {
-	case EpochReportMsg:
-		b = append(b, tagEpochReport)
-		b = appendQID(b, v.SID)
-		b = wirefmt.AppendString(b, v.Group)
-		b = wirefmt.AppendUvarint(b, v.Epoch)
-		b, err := aggregate.AppendState(b, v.State)
-		if err != nil {
-			return nil, err
-		}
-		b = wirefmt.AppendVarint(b, v.Contributors)
-		b = wirefmt.AppendVarint(b, int64(v.Np))
-		return wirefmt.AppendFloat(b, v.Unknown), nil
-	case BatchMsg:
-		if depth >= maxMsgDepth {
-			return nil, errNoColumnar
-		}
-		b = append(b, tagBatch)
-		b = wirefmt.AppendLen(b, len(v.Items), v.Items == nil)
-		var err error
-		for _, item := range v.Items {
-			// Items fall back individually: one foreign item costs
-			// itself a gob blob, not the whole batch.
-			if b, err = appendMessage(b, item, depth+1); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
-	case ResponseMsg:
-		b = append(b, tagResponse)
-		b = appendQID(b, v.QID)
-		b = wirefmt.AppendString(b, v.Group)
-		b, err := aggregate.AppendState(b, v.State)
-		if err != nil {
-			return nil, err
-		}
-		b = wirefmt.AppendBool(b, v.Dup)
-		b = wirefmt.AppendVarint(b, v.Contributors)
-		b = wirefmt.AppendVarint(b, int64(v.Np))
-		return wirefmt.AppendFloat(b, v.Unknown), nil
-	case SubscribeMsg:
-		b = append(b, tagSubscribe)
-		b = appendQID(b, v.SID)
-		b = wirefmt.AppendString(b, v.Group)
-		b = wirefmt.AppendString(b, v.Eval)
-		b = wirefmt.AppendString(b, v.Attr)
-		b = aggregate.AppendSpec(b, v.Spec)
-		b = wirefmt.AppendString(b, v.GroupBy)
-		b = wirefmt.AppendVarint(b, int64(v.Period))
-		b = wirefmt.AppendUvarint(b, v.Gen)
-		b = wirefmt.AppendUvarint(b, v.MinEpoch)
-		return append(b, v.ReplyTo[:]...), nil
-	case InstallMsg:
-		b = append(b, tagInstall)
-		b = appendQID(b, v.SID)
-		b = wirefmt.AppendString(b, v.Group)
-		b = wirefmt.AppendString(b, v.Eval)
-		b = wirefmt.AppendString(b, v.Attr)
-		b = aggregate.AppendSpec(b, v.Spec)
-		b = wirefmt.AppendString(b, v.GroupBy)
-		b = wirefmt.AppendVarint(b, int64(v.Period))
-		b = wirefmt.AppendUvarint(b, v.Gen)
-		b = wirefmt.AppendVarint(b, int64(v.Level))
-		b = wirefmt.AppendBool(b, v.Jump)
-		return append(b, v.ReplyTo[:]...), nil
-	case SampleMsg:
-		b = append(b, tagSample)
-		b = appendQID(b, v.SID)
-		b = wirefmt.AppendString(b, v.Group)
-		b = wirefmt.AppendUvarint(b, v.Epoch)
-		b = wirefmt.AppendVarint(b, int64(v.At))
-		b, err := aggregate.AppendState(b, v.State)
-		if err != nil {
-			return nil, err
-		}
-		b = wirefmt.AppendVarint(b, v.Contributors)
-		return wirefmt.AppendFloat(b, v.Expected), nil
-	case CancelMsg:
-		b = append(b, tagCancel)
-		b = appendQID(b, v.SID)
-		return wirefmt.AppendString(b, v.Group), nil
-	case StatusMsg:
-		b = append(b, tagStatus)
-		b = wirefmt.AppendString(b, v.Group)
-		b = wirefmt.AppendBool(b, v.Prune)
-		b = wirefmt.AppendLen(b, len(v.UpdateSet), v.UpdateSet == nil)
-		for _, e := range v.UpdateSet {
-			b = append(b, e.ID[:]...)
-			b = wirefmt.AppendVarint(b, int64(e.Level))
-			b = wirefmt.AppendBool(b, e.Jump)
-		}
-		b = wirefmt.AppendVarint(b, int64(v.Np))
-		b = wirefmt.AppendFloat(b, v.Unknown)
-		return wirefmt.AppendUvarint(b, v.LastSeq), nil
-	}
-	return nil, errNoColumnar
-}
-
-func appendGobFallback(b []byte, m any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wireFallback{M: m}); err != nil {
-		return nil, fmt.Errorf("core: wire fallback for %T: %w", m, err)
-	}
-	b = append(b, tagGob)
-	b = wirefmt.AppendUvarint(b, uint64(buf.Len()))
-	return append(b, buf.Bytes()...), nil
+	return c.B, nil
 }
 
 // ReadMessage decodes one AppendMessage-encoded message, returning the
 // unconsumed remainder. Arbitrary input errors cleanly.
 func ReadMessage(b []byte) (any, []byte, error) {
-	return readMessage(b, 0)
+	c := wirefmt.Codec{B: b, Dec: true}
+	var m any
+	if wireMessage(&c, &m, 0); c.Err() != nil {
+		return nil, nil, c.Err()
+	}
+	return m, c.B, nil
 }
 
-func readMessage(b []byte, depth int) (any, []byte, error) {
-	tag, b, err := wirefmt.Byte(b)
-	if err != nil {
-		return nil, nil, err
+// wireMessage carries one message: its tag, then its body. Encoding
+// falls back to a gob blob under tag 0 when the columnar layout fails
+// (a state without one), so one foreign item in a batch costs itself a
+// gob blob, not the whole batch. Decoding stores a fresh message in *m.
+func wireMessage(c *wirefmt.Codec, m *any, depth int) {
+	if tag := tagOf(*m); !c.Dec && tag != tagGob {
+		try := wirefmt.Codec{B: c.B}
+		if wireTagged(&try, tag, m, depth); try.Err() == nil {
+			c.B = try.B
+			return
+		}
 	}
+	wireTagged(c, tagGob, m, depth)
+}
+
+// tagOf is the columnar tag of m's type, or tagGob.
+func tagOf(m any) byte {
+	switch m.(type) {
+	case EpochReportMsg:
+		return tagEpochReport
+	case BatchMsg:
+		return tagBatch
+	case ResponseMsg:
+		return tagResponse
+	case SubscribeMsg:
+		return tagSubscribe
+	case InstallMsg:
+		return tagInstall
+	case SampleMsg:
+		return tagSample
+	case CancelMsg:
+		return tagCancel
+	case StatusMsg:
+		return tagStatus
+	}
+	return tagGob
+}
+
+// wireTagged carries tag and the body it names. Encoding writes the tag
+// passed in; decoding reads the tag over it.
+func wireTagged(c *wirefmt.Codec, tag byte, m *any, depth int) {
+	c.Byte(&tag)
 	switch tag {
 	case tagGob:
-		n, b, err := wirefmt.Uvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		if n > uint64(len(b)) {
-			return nil, nil, wirefmt.ErrTruncated
-		}
-		raw, b, err := wirefmt.Bytes(b, int(n))
-		if err != nil {
-			return nil, nil, err
-		}
-		var f wireFallback
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&f); err != nil {
-			return nil, nil, fmt.Errorf("core: wire fallback: %w", err)
-		}
-		return f.M, b, nil
+		wireGob(c, m)
 	case tagEpochReport:
-		var m EpochReportMsg
-		m.SID, b, err = readQID(b)
-		if err != nil {
-			return nil, nil, err
+		v, _ := (*m).(EpochReportMsg)
+		if v.wire(c); c.Dec {
+			*m = v
 		}
-		m.Group, b, err = wirefmt.String(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Epoch, b, err = wirefmt.Uvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.State, b, err = aggregate.ReadState(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Contributors, b, err = wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		np, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Np = int(np)
-		m.Unknown, b, err = wirefmt.Float(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, b, nil
 	case tagBatch:
-		if depth >= maxMsgDepth {
-			return nil, nil, fmt.Errorf("core: batch nesting too deep: %w", wirefmt.ErrCorrupt)
+		v, _ := (*m).(BatchMsg)
+		if v.wire(c, depth); c.Dec {
+			*m = v
 		}
-		n, isNil, b, err := wirefmt.Len(b, 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		var m BatchMsg
-		if !isNil {
-			m.Items = make([]any, n)
-			for i := range m.Items {
-				m.Items[i], b, err = readMessage(b, depth+1)
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		return m, b, nil
 	case tagResponse:
-		var m ResponseMsg
-		m.QID, b, err = readQID(b)
-		if err != nil {
-			return nil, nil, err
+		v, _ := (*m).(ResponseMsg)
+		if v.wire(c); c.Dec {
+			*m = v
 		}
-		m.Group, b, err = wirefmt.String(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.State, b, err = aggregate.ReadState(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Dup, b, err = wirefmt.Bool(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Contributors, b, err = wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		np, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Np = int(np)
-		m.Unknown, b, err = wirefmt.Float(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, b, nil
 	case tagSubscribe:
-		var m SubscribeMsg
-		m.SID, b, err = readQID(b)
-		if err != nil {
-			return nil, nil, err
+		v, _ := (*m).(SubscribeMsg)
+		if v.wire(c); c.Dec {
+			*m = v
 		}
-		if m.Group, m.Eval, m.Attr, m.Spec, m.GroupBy, b, err = readQueryHeader(b); err != nil {
-			return nil, nil, err
-		}
-		period, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Period = durationOf(period)
-		m.Gen, b, err = wirefmt.Uvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.MinEpoch, b, err = wirefmt.Uvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.ReplyTo, b, err = readID(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, b, nil
 	case tagInstall:
-		var m InstallMsg
-		m.SID, b, err = readQID(b)
-		if err != nil {
-			return nil, nil, err
+		v, _ := (*m).(InstallMsg)
+		if v.wire(c); c.Dec {
+			*m = v
 		}
-		if m.Group, m.Eval, m.Attr, m.Spec, m.GroupBy, b, err = readQueryHeader(b); err != nil {
-			return nil, nil, err
-		}
-		period, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Period = durationOf(period)
-		m.Gen, b, err = wirefmt.Uvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		level, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Level = int(level)
-		m.Jump, b, err = wirefmt.Bool(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.ReplyTo, b, err = readID(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, b, nil
 	case tagSample:
-		var m SampleMsg
-		m.SID, b, err = readQID(b)
-		if err != nil {
-			return nil, nil, err
+		v, _ := (*m).(SampleMsg)
+		if v.wire(c); c.Dec {
+			*m = v
 		}
-		m.Group, b, err = wirefmt.String(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Epoch, b, err = wirefmt.Uvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		at, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.At = durationOf(at)
-		m.State, b, err = aggregate.ReadState(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Contributors, b, err = wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Expected, b, err = wirefmt.Float(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, b, nil
 	case tagCancel:
-		var m CancelMsg
-		m.SID, b, err = readQID(b)
-		if err != nil {
-			return nil, nil, err
+		v, _ := (*m).(CancelMsg)
+		if v.wire(c); c.Dec {
+			*m = v
 		}
-		m.Group, b, err = wirefmt.String(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, b, nil
 	case tagStatus:
-		var m StatusMsg
-		m.Group, b, err = wirefmt.String(b)
-		if err != nil {
-			return nil, nil, err
+		v, _ := (*m).(StatusMsg)
+		if v.wire(c); c.Dec {
+			*m = v
 		}
-		m.Prune, b, err = wirefmt.Bool(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		n, isNil, b, err := wirefmt.Len(b, ids.Bytes+2)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !isNil {
-			m.UpdateSet = make([]SetEntry, n)
-			for i := range m.UpdateSet {
-				e := &m.UpdateSet[i]
-				if e.ID, b, err = readID(b); err != nil {
-					return nil, nil, err
-				}
-				lvl, rest, err := wirefmt.Varint(b)
-				if err != nil {
-					return nil, nil, err
-				}
-				e.Level = int(lvl)
-				if e.Jump, b, err = wirefmt.Bool(rest); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		np, b, err := wirefmt.Varint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Np = int(np)
-		m.Unknown, b, err = wirefmt.Float(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.LastSeq, b, err = wirefmt.Uvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, b, nil
+	default:
+		c.Corrupt("core: wire message tag %d", tag)
 	}
-	return nil, nil, fmt.Errorf("core: wire message tag %d: %w", tag, wirefmt.ErrCorrupt)
 }
 
-// readQueryHeader decodes the Group/Eval/Attr/Spec/GroupBy run shared
-// by SubscribeMsg and InstallMsg.
-func readQueryHeader(b []byte) (group, eval, attr string, spec aggregate.Spec, groupBy string, rest []byte, err error) {
-	if group, b, err = wirefmt.String(b); err != nil {
-		return
+// wireGob carries *m as a length-prefixed gob blob.
+func wireGob(c *wirefmt.Codec, m *any) {
+	var blob []byte
+	if !c.Dec {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(wireFallback{M: *m}); err != nil {
+			c.Fail(fmt.Errorf("core: wire fallback for %T: %w", *m, err))
+			return
+		}
+		blob = buf.Bytes()
 	}
-	if eval, b, err = wirefmt.String(b); err != nil {
-		return
+	if c.Bytes(&blob); c.Dec && c.Err() == nil {
+		var f wireFallback
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&f); err != nil {
+			c.Fail(fmt.Errorf("core: wire fallback: %w", err))
+		}
+		*m = f.M
 	}
-	if attr, b, err = wirefmt.String(b); err != nil {
-		return
-	}
-	if spec, b, err = aggregate.ReadSpec(b); err != nil {
-		return
-	}
-	groupBy, rest, err = wirefmt.String(b)
-	return
 }
 
-func appendQID(b []byte, q QueryID) []byte {
-	b = append(b, q.Origin[:]...)
-	return wirefmt.AppendUvarint(b, q.Num)
+func (q *QueryID) wire(c *wirefmt.Codec) {
+	c.Fixed(q.Origin[:])
+	c.Uvarint(&q.Num)
 }
 
-func readQID(b []byte) (QueryID, []byte, error) {
-	var q QueryID
-	raw, b, err := wirefmt.Bytes(b, ids.Bytes)
-	if err != nil {
-		return q, nil, err
-	}
-	copy(q.Origin[:], raw)
-	q.Num, b, err = wirefmt.Uvarint(b)
-	if err != nil {
-		return q, nil, err
-	}
-	return q, b, nil
+func (m *EpochReportMsg) wire(c *wirefmt.Codec) {
+	m.SID.wire(c)
+	c.String(&m.Group)
+	c.Uvarint(&m.Epoch)
+	aggregate.WireState(c, &m.State)
+	c.Varint(&m.Contributors)
+	c.Int(&m.Np)
+	c.Float(&m.Unknown)
 }
 
-// durationOf keeps the varint→Duration conversion in one place (the
-// wire carries nanoseconds).
-func durationOf(ns int64) time.Duration { return time.Duration(ns) }
-
-func readID(b []byte) (ids.ID, []byte, error) {
-	var id ids.ID
-	raw, b, err := wirefmt.Bytes(b, ids.Bytes)
-	if err != nil {
-		return id, nil, err
+func (m *BatchMsg) wire(c *wirefmt.Codec, depth int) {
+	if depth >= maxMsgDepth {
+		c.Corrupt("core: batch nesting too deep")
+		return
 	}
-	copy(id[:], raw)
-	return id, b, nil
+	if n, isNil := c.Len(len(m.Items), m.Items == nil, 1); c.Dec && !isNil {
+		m.Items = make([]any, n)
+	}
+	for i := range m.Items {
+		wireMessage(c, &m.Items[i], depth+1)
+	}
+}
+
+func (m *ResponseMsg) wire(c *wirefmt.Codec) {
+	m.QID.wire(c)
+	c.String(&m.Group)
+	aggregate.WireState(c, &m.State)
+	c.Bool(&m.Dup)
+	c.Varint(&m.Contributors)
+	c.Int(&m.Np)
+	c.Float(&m.Unknown)
+}
+
+func (m *SubscribeMsg) wire(c *wirefmt.Codec) {
+	m.SID.wire(c)
+	c.String(&m.Group)
+	c.String(&m.Eval)
+	c.String(&m.Attr)
+	aggregate.WireSpec(c, &m.Spec)
+	c.String(&m.GroupBy)
+	c.Varint((*int64)(&m.Period))
+	c.Uvarint(&m.Gen)
+	c.Uvarint(&m.MinEpoch)
+	c.Fixed(m.ReplyTo[:])
+}
+
+func (m *InstallMsg) wire(c *wirefmt.Codec) {
+	m.SID.wire(c)
+	c.String(&m.Group)
+	c.String(&m.Eval)
+	c.String(&m.Attr)
+	aggregate.WireSpec(c, &m.Spec)
+	c.String(&m.GroupBy)
+	c.Varint((*int64)(&m.Period))
+	c.Uvarint(&m.Gen)
+	c.Int(&m.Level)
+	c.Bool(&m.Jump)
+	c.Fixed(m.ReplyTo[:])
+}
+
+func (m *SampleMsg) wire(c *wirefmt.Codec) {
+	m.SID.wire(c)
+	c.String(&m.Group)
+	c.Uvarint(&m.Epoch)
+	c.Varint((*int64)(&m.At))
+	aggregate.WireState(c, &m.State)
+	c.Varint(&m.Contributors)
+	c.Float(&m.Expected)
+}
+
+func (m *CancelMsg) wire(c *wirefmt.Codec) {
+	m.SID.wire(c)
+	c.String(&m.Group)
+}
+
+func (m *StatusMsg) wire(c *wirefmt.Codec) {
+	c.String(&m.Group)
+	c.Bool(&m.Prune)
+	if n, isNil := c.Len(len(m.UpdateSet), m.UpdateSet == nil, ids.Bytes+2); c.Dec && !isNil {
+		m.UpdateSet = make([]SetEntry, n)
+	}
+	for i := range m.UpdateSet {
+		e := &m.UpdateSet[i]
+		c.Fixed(e.ID[:])
+		c.Int(&e.Level)
+		c.Bool(&e.Jump)
+	}
+	c.Int(&m.Np)
+	c.Float(&m.Unknown)
+	c.Uvarint(&m.LastSeq)
 }

@@ -235,17 +235,14 @@ func TestSingleFlight(t *testing.T) {
 			results[i], errs[i] = s.Query(ctx, "sum(load)")
 		}(i)
 	}
-	// Wait until one execution is in flight, then release it.
+	// Wait until every other caller has joined the one execution in
+	// flight (each counts itself before it blocks), then release it. A
+	// gate opened earlier lets a late caller find the answer in the
+	// result cache instead.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		fb.mu.Lock()
-		n := fb.execs
-		fb.mu.Unlock()
-		if n >= 1 {
-			break
-		}
+	for s.Stats().SingleFlight != callers-1 {
 		if time.Now().After(deadline) {
-			t.Fatal("no execution started")
+			t.Fatalf("%d of %d callers joined the flight", s.Stats().SingleFlight, callers-1)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -12,9 +12,11 @@
 //
 // Compatibility rule: within a codec version, message tags and body
 // layouts are append-only (new tags may be added; existing ones are
-// frozen). An incompatible layout change bumps the version byte, and a
-// reader drops connections bearing versions it does not know, so mixed
-// fleets should upgrade readers first.
+// frozen). TestWireLayoutsGolden holds version 1 to that: every
+// columnar layout must encode to the bytes in testdata/wire_v1.golden.
+// An incompatible layout change bumps the version byte (and starts a
+// new golden file), and a reader drops connections bearing versions it
+// does not know, so mixed fleets should upgrade readers first.
 package transport
 
 import (

@@ -531,3 +531,58 @@ func TestSentStateReturnsToPool(t *testing.T) {
 		})
 	}
 }
+
+// TestMessageCodecAllocs locks the message codec's steady state with a
+// warm pool: a 16-key report decodes into a pooled shell at the cost of
+// boxing the message, a status or install message also pays for its
+// slices and strings, and every message encodes into a pre-grown buffer
+// without allocating.
+func TestMessageCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled shells at random")
+	}
+	report := func(kind aggregate.Kind) core.EpochReportMsg {
+		g := aggregate.NewGrouped(aggregate.Spec{Kind: kind}, 64)
+		for i := 0; i < 16; i++ {
+			g.AddKeyed(ids.FromUint64(uint64(i+1)), fmt.Sprintf("slice-%02d", i), value.Float(float64(i)/3))
+		}
+		return core.EpochReportMsg{SID: core.QueryID{Origin: ids.FromKey("a"), Num: 42},
+			Group: "apache = true", Epoch: 12, State: g, Contributors: 16, Np: 5, Unknown: 1.5}
+	}
+	nodeA, nodeB := ids.FromKey("a"), ids.FromKey("b")
+	for _, tc := range []struct {
+		name      string
+		msg       any
+		maxDecode float64
+	}{
+		{"report avg", report(aggregate.KindAvg), 2},
+		{"report max", report(aggregate.KindMax), 2},
+		{"status", core.StatusMsg{Group: "apache = true", Prune: true, Np: 4, Unknown: 0.5, LastSeq: 9,
+			UpdateSet: []core.SetEntry{{ID: nodeA, Level: 1}, {ID: nodeB, Level: 2, Jump: true}}}, 3},
+		{"install", core.InstallMsg{SID: core.QueryID{Origin: nodeA, Num: 42}, Group: "g", Eval: "e",
+			Attr: "mem_util", Spec: aggregate.Spec{Kind: aggregate.KindAvg}, GroupBy: "slice",
+			Period: 500 * time.Millisecond, Gen: 5, Level: 2, Jump: true, ReplyTo: nodeB}, 3},
+	} {
+		wire, err := core.AppendMessage(nil, tc.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func() {
+			m, _, err := core.ReadMessage(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, ok := m.(core.EpochReportMsg); ok {
+				aggregate.Recycle(r.State)
+			}
+		}
+		decode() // warm the pool and the shell's key column
+		if avg := testing.AllocsPerRun(100, decode); avg > tc.maxDecode {
+			t.Errorf("%s: warm decode allocates %.1f objects/op, want <= %.0f", tc.name, avg, tc.maxDecode)
+		}
+		buf := make([]byte, 0, 2*len(wire))
+		if avg := testing.AllocsPerRun(100, func() { buf, _ = core.AppendMessage(buf[:0], tc.msg) }); avg > 0 {
+			t.Errorf("%s: encode allocates %.1f objects/op, want 0", tc.name, avg)
+		}
+	}
+}

@@ -1,64 +1,27 @@
 package value
 
-import (
-	"fmt"
+import "github.com/moara/moara/internal/wirefmt"
 
-	"github.com/moara/moara/internal/wirefmt"
-)
-
-// AppendWire appends the value's columnar-codec form: a kind byte plus
-// only the active payload (varint int, 8-byte float, length-prefixed
-// string, or one bool byte). Compare the gob form, which ships a field
-// map and every payload slot.
-func (v Value) AppendWire(b []byte) []byte {
-	b = append(b, byte(v.kind))
+// Wire carries the value in the columnar codec: a kind byte plus only
+// the active payload (varint int, 8-byte float, length-prefixed string,
+// or one bool byte). Compare the gob form, which ships a field map and
+// every payload slot.
+func (v *Value) Wire(c *wirefmt.Codec) {
+	k := byte(v.kind)
+	if c.Byte(&k); c.Dec {
+		*v = Value{kind: Kind(k)}
+	}
 	switch v.kind {
-	case KindInt:
-		b = wirefmt.AppendVarint(b, v.i)
-	case KindFloat:
-		b = wirefmt.AppendFloat(b, v.f)
-	case KindString:
-		b = wirefmt.AppendString(b, v.s)
-	case KindBool:
-		b = wirefmt.AppendBool(b, v.b)
-	}
-	return b
-}
-
-// ReadWire decodes one AppendWire-encoded value, returning the
-// unconsumed remainder.
-func ReadWire(b []byte) (Value, []byte, error) {
-	k, b, err := wirefmt.Byte(b)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	switch Kind(k) {
 	case KindInvalid:
-		return Value{}, b, nil
 	case KindInt:
-		i, rest, err := wirefmt.Varint(b)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return Int(i), rest, nil
+		c.Varint(&v.i)
 	case KindFloat:
-		f, rest, err := wirefmt.Float(b)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return Float(f), rest, nil
+		c.Float(&v.f)
 	case KindString:
-		s, rest, err := wirefmt.String(b)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return Str(s), rest, nil
+		c.String(&v.s)
 	case KindBool:
-		v, rest, err := wirefmt.Bool(b)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return Bool(v), rest, nil
+		c.Bool(&v.b)
+	default:
+		c.Corrupt("value: wire kind %d", k)
 	}
-	return Value{}, nil, fmt.Errorf("value: wire kind %d: %w", k, wirefmt.ErrCorrupt)
 }

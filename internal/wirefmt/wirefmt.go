@@ -1,10 +1,14 @@
-// Package wirefmt holds the primitive encoders/decoders shared by the
-// columnar wire codec: varints, fixed-width floats, length-prefixed
-// strings, and nil-preserving collection lengths. Every reader is
-// bounds-checked and returns the unconsumed remainder, so decoders
-// compose by threading the byte slice through — and arbitrary (fuzzed,
-// corrupted) input fails with an error instead of panicking or
-// over-allocating.
+// Package wirefmt is the columnar wire codec's one primitive: a Codec
+// that runs a layout in either direction. A layout is written once, as
+// a function that calls one Codec method per field with a pointer to
+// that field; encoding appends each field to B, decoding reads each
+// field from B into the pointer it was given. Decode-only checks (key
+// order, bounds) sit in the layout behind Codec.Dec.
+//
+// Decoding is bounds-checked throughout: arbitrary (fuzzed, corrupted)
+// input fails with an error instead of panicking or over-allocating.
+// The first error sticks: every later call leaves its destination
+// untouched, so a layout checks Err once at the end.
 //
 // Wire conventions:
 //   - unsigned integers: uvarint (encoding/binary)
@@ -19,6 +23,7 @@ package wirefmt
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -29,154 +34,196 @@ var ErrTruncated = errors.New("wirefmt: truncated input")
 // an element count larger than the bytes that would carry it, ...).
 var ErrCorrupt = errors.New("wirefmt: corrupt input")
 
-// AppendUvarint appends v as a uvarint.
-func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-// AppendVarint appends v as a zig-zag varint.
-func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
-
-// AppendFloat appends f as 8 little-endian IEEE 754 bytes.
-func AppendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+// Codec carries fields to or from B. Encoding (Dec false) appends to B;
+// decoding (Dec true) consumes B from the front, so after a layout B
+// holds the unread remainder.
+type Codec struct {
+	B   []byte
+	Dec bool
+	err error
 }
 
-// AppendString appends s with a uvarint length prefix.
-func AppendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
+// Err reports the first error a layout met, or nil.
+func (c *Codec) Err() error { return c.err }
 
-// AppendBool appends v as one byte (0 or 1).
-func AppendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+// Fail records err unless an earlier error is already recorded.
+func (c *Codec) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	return append(b, 0)
 }
 
-// AppendLen appends a collection length under the nil-preserving
-// "length+1" convention: pass isNil for a nil map/slice.
-func AppendLen(b []byte, n int, isNil bool) []byte {
-	if isNil {
-		return append(b, 0)
+// Corrupt records a structural error wrapping ErrCorrupt, formatted
+// from format and args, unless an earlier error is already recorded.
+func (c *Codec) Corrupt(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format+": %w", append(args, ErrCorrupt)...)
 	}
-	return binary.AppendUvarint(b, uint64(n)+1)
 }
 
-// Byte consumes one byte.
-func Byte(b []byte) (byte, []byte, error) {
-	if len(b) < 1 {
-		return 0, nil, ErrTruncated
+// take consumes n bytes, or records ErrTruncated and reports false.
+func (c *Codec) take(n int) ([]byte, bool) {
+	if c.err != nil {
+		return nil, false
 	}
-	return b[0], b[1:], nil
-}
-
-// Bool consumes one byte as a boolean; bytes other than 0/1 are corrupt.
-func Bool(b []byte) (bool, []byte, error) {
-	c, rest, err := Byte(b)
-	if err != nil || c > 1 {
-		return false, nil, errOf(err)
+	if n < 0 || len(c.B) < n {
+		c.err = ErrTruncated
+		return nil, false
 	}
-	return c == 1, rest, nil
+	raw := c.B[:n:n]
+	c.B = c.B[n:]
+	return raw, true
 }
 
-// Uvarint consumes a uvarint.
-func Uvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
+// Byte carries one byte.
+func (c *Codec) Byte(p *byte) {
+	if !c.Dec {
+		c.B = append(c.B, *p)
+	} else if raw, ok := c.take(1); ok {
+		*p = raw[0]
+	}
+}
+
+// Bool carries *p as one byte, 0 or 1; decoding rejects other bytes.
+func (c *Codec) Bool(p *bool) {
+	if !c.Dec {
+		b := byte(0)
+		if *p {
+			b = 1
+		}
+		c.B = append(c.B, b)
+		return
+	}
+	switch raw, ok := c.take(1); {
+	case !ok:
+	case raw[0] > 1:
+		c.Corrupt("wirefmt: bool byte %d", raw[0])
+	default:
+		*p = raw[0] == 1
+	}
+}
+
+// Uvarint carries *p as a uvarint.
+func (c *Codec) Uvarint(p *uint64) {
+	if !c.Dec {
+		c.B = binary.AppendUvarint(c.B, *p)
+	} else if v, ok := c.uvarint(); ok {
+		*p = v
+	}
+}
+
+// uvarint consumes a uvarint, or records the error and reports false.
+func (c *Codec) uvarint() (uint64, bool) {
+	if c.err != nil {
+		return 0, false
+	}
+	v, n := binary.Uvarint(c.B)
 	if n <= 0 {
-		return 0, nil, errOf(nil)
+		c.err = ErrTruncated
+		if n < 0 {
+			c.err = ErrCorrupt
+		}
+		return 0, false
 	}
-	return v, b[n:], nil
+	c.B = c.B[n:]
+	return v, true
 }
 
-// Varint consumes a zig-zag varint.
-func Varint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, errOf(nil)
+// Varint carries *p as a zig-zag varint.
+func (c *Codec) Varint(p *int64) {
+	if !c.Dec {
+		c.B = binary.AppendVarint(c.B, *p)
+	} else if v, ok := c.uvarint(); ok {
+		*p = int64(v>>1) ^ -int64(v&1)
 	}
-	return v, b[n:], nil
 }
 
-// Float consumes 8 little-endian bytes as a float64.
-func Float(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, ErrTruncated
+// Int carries *p as a zig-zag varint.
+func (c *Codec) Int(p *int) {
+	v := int64(*p)
+	if c.Varint(&v); c.Dec && c.err == nil {
+		*p = int(v)
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
 }
 
-// Bytes consumes exactly n raw bytes (no copy — callers copy if they
-// retain past the buffer's lifetime).
-func Bytes(b []byte, n int) ([]byte, []byte, error) {
-	if n < 0 || len(b) < n {
-		return nil, nil, ErrTruncated
+// Float carries *p as 8 little-endian IEEE 754 bytes.
+func (c *Codec) Float(p *float64) {
+	if !c.Dec {
+		c.B = binary.LittleEndian.AppendUint64(c.B, math.Float64bits(*p))
+	} else if raw, ok := c.take(8); ok {
+		*p = math.Float64frombits(binary.LittleEndian.Uint64(raw))
 	}
-	return b[:n], b[n:], nil
 }
 
-// String consumes a length-prefixed string (copying the bytes).
-func String(b []byte) (string, []byte, error) { return ReuseString(b, "") }
-
-// ReuseString is String, but returns old instead of a copy when the bytes
-// spell it, so a decoder refilling a pooled key column allocates only for
-// the keys that changed.
-func ReuseString(b []byte, old string) (string, []byte, error) {
-	n, rest, err := Uvarint(b)
-	if err != nil {
-		return "", nil, err
+// String carries *p with a uvarint length prefix. Decoding keeps *p
+// when the bytes spell it, so a decoder refilling a pooled key column
+// allocates only for the keys that changed.
+func (c *Codec) String(p *string) {
+	if !c.Dec {
+		c.B = binary.AppendUvarint(c.B, uint64(len(*p)))
+		c.B = append(c.B, *p...)
+	} else if raw, ok := c.prefixed(); ok && string(raw) != *p {
+		*p = string(raw)
 	}
-	if n > uint64(len(rest)) {
-		return "", nil, ErrTruncated
-	}
-	if raw := rest[:n]; string(raw) != old {
-		old = string(raw)
-	}
-	return old, rest[n:], nil
 }
 
-// Count consumes a plain uvarint element count and rejects counts that
-// could not fit in the remaining input at minElemBytes per element —
-// the guard that keeps hostile counts from driving huge allocations.
-func Count(b []byte, minElemBytes int) (int, []byte, error) {
-	v, rest, err := Uvarint(b)
-	if err != nil {
-		return 0, nil, err
+// Bytes carries *p with a uvarint length prefix. Decoding sets *p to a
+// view of B, not a copy: a caller that keeps it past B's lifetime
+// copies it.
+func (c *Codec) Bytes(p *[]byte) {
+	if !c.Dec {
+		c.B = binary.AppendUvarint(c.B, uint64(len(*p)))
+		c.B = append(c.B, *p...)
+	} else if raw, ok := c.prefixed(); ok {
+		*p = raw
 	}
-	if minElemBytes < 1 {
-		minElemBytes = 1
-	}
-	if v > uint64(len(rest)/minElemBytes) {
-		return 0, nil, ErrCorrupt
-	}
-	return int(v), rest, nil
 }
 
-// Len consumes a nil-preserving collection length (see AppendLen), with
-// the same allocation guard as Count.
-func Len(b []byte, minElemBytes int) (n int, isNil bool, rest []byte, err error) {
-	v, rest, err := Uvarint(b)
-	if err != nil {
-		return 0, false, nil, err
+// prefixed consumes a uvarint length and that many bytes.
+func (c *Codec) prefixed() ([]byte, bool) {
+	n, ok := c.uvarint()
+	if !ok {
+		return nil, false
 	}
-	if v == 0 {
-		return 0, true, rest, nil
+	if n > uint64(len(c.B)) {
+		c.err = ErrTruncated
+		return nil, false
 	}
-	v--
-	if minElemBytes < 1 {
-		minElemBytes = 1
-	}
-	if v > uint64(len(rest)/minElemBytes) {
-		return 0, false, nil, ErrCorrupt
-	}
-	return int(v), false, rest, nil
+	return c.take(int(n))
 }
 
-// errOf maps a nil error (from inline length checks) to ErrCorrupt,
-// passing real errors through.
-func errOf(err error) error {
-	if err != nil {
-		return err
+// Fixed carries len(p) raw bytes: encoding appends p, decoding copies
+// the next len(p) bytes into it.
+func (c *Codec) Fixed(p []byte) {
+	if !c.Dec {
+		c.B = append(c.B, p...)
+	} else if raw, ok := c.take(len(p)); ok {
+		copy(p, raw)
 	}
-	return ErrCorrupt
+}
+
+// Len carries a collection length under the nil-preserving "length+1"
+// convention. Encoding writes n, or the nil mark when isNil, and
+// returns its arguments. Decoding returns the length read and whether
+// it marks nil; it rejects a length that could not fit in the remaining
+// input at minElemBytes per element — the guard that keeps hostile
+// counts from driving huge allocations. A failed decode reports nil.
+func (c *Codec) Len(n int, isNil bool, minElemBytes int) (int, bool) {
+	if !c.Dec {
+		v := uint64(n) + 1
+		if isNil {
+			v = 0
+		}
+		c.B = binary.AppendUvarint(c.B, v)
+		return n, isNil
+	}
+	v, ok := c.uvarint()
+	if !ok || v == 0 {
+		return 0, true
+	}
+	if v-1 > uint64(len(c.B)/max(minElemBytes, 1)) {
+		c.err = ErrCorrupt
+		return 0, true
+	}
+	return int(v - 1), false
 }
