@@ -372,11 +372,13 @@ func poolGet(s Spec) State {
 // the state afterwards. A message carries one hold: the receiver that
 // files it takes the hold over, and on the TCP agent the transport
 // hands it back once the frame is written, because the peer decodes its
-// own copy. A hold that is never handed back (a message that was
-// dropped or rejected inside the core) leaves the state to the garbage
-// collector, which is the safe direction. Because its holders read a
-// retained state concurrently, it is immutable after its first
-// hand-off: build a new state instead of adding to a sent one.
+// own copy; a receiver that rejects the message hands its hold back
+// too. A message dropped in flight keeps its hold, and so does a filed
+// copy its receiver drops with the child's slot or the whole entry; both
+// leave the state to the garbage collector, which is the safe direction.
+// Because its holders read a retained state concurrently, it is
+// immutable after its first hand-off: build a new state instead of
+// adding to a sent one.
 //
 // Recycling a GroupedState reslices its columns to zero length, keeping
 // their backing arrays (and the key strings in them, which the decoder

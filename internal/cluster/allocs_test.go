@@ -10,55 +10,79 @@ import (
 
 // TestStandingEpochAllocBudget locks the steady-state allocation cost
 // of the standing-query epoch tick. After the pipeline is warm, one
-// epoch at one node costs: the epoch-tick timer re-arm, the local
-// re-evaluation, one pooled report state, one boxed EpochReportMsg,
-// and the outbox flush — all recycled or constant. The budget is
-// deliberately loose (2x the measured steady state) so it catches a
-// lost pool or a new per-epoch allocation loop, not jitter.
+// epoch at one node costs: the local re-evaluation, one pooled report
+// state per stream, one boxed EpochReportMsg per stream, and the outbox
+// flush, which with several streams ships them as one BatchMsg whose
+// item buffer the receiver hands back to the free list. The budgets
+// catch a lost pool or a new per-epoch allocation loop, not jitter.
 func TestStandingEpochAllocBudget(t *testing.T) {
-	const (
-		n      = 64
-		period = 200 * time.Millisecond
-		// allocsPerNodeEpoch is the gate: measured steady state is
-		// ~5-7 objects per node per epoch (message boxing, value
-		// boxing, batch slices); 16 leaves room for platform variation
-		// without letting a per-epoch allocation loop hide.
-		allocsPerNodeEpoch = 16.0
-	)
+	for _, tc := range []struct {
+		name    string
+		queries []string
+		// budget is objects per node per epoch. One stream measures
+		// ~1.0 and no edge carries a batch; 16 leaves room for platform
+		// variation. Four streams measure ~5.1 with every edge carrying
+		// a four-item batch, and 8.1 when each delivered batch leaves
+		// its buffer to the GC.
+		budget float64
+	}{
+		{"one-stream", []string{"avg(mem)"}, 16},
+		{"four-streams", []string{"avg(mem)", "max(mem)", "sum(mem)", "count(*)"}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 64
+			perNode := standingEpochAllocs(t, n, tc.queries) / n
+			t.Logf("steady-state standing epoch, %d streams: %.2f allocs per node", len(tc.queries), perNode)
+			if perNode > tc.budget {
+				t.Errorf("standing epoch allocates %.2f objects per node per epoch, budget %.1f — a pooled path regressed",
+					perNode, tc.budget)
+			}
+		})
+	}
+}
+
+// standingEpochAllocs runs the queries as standing streams on an n-node
+// cluster until every stream is warm and the pools are full, then
+// returns the average allocations of one epoch across the cluster.
+func standingEpochAllocs(t *testing.T, n int, queries []string) float64 {
+	const period = 200 * time.Millisecond
 	c := New(Options{N: n, Seed: 5, Node: core.Config{SubTTL: time.Hour}})
 	for i, nd := range c.Nodes {
 		nd.Store().Set("mem", value.Int(int64(i)))
 	}
-	req, err := core.ParseRequest("avg(mem)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Period = period
-	warm := false
-	if _, err := c.Subscribe(0, req, func(s core.Sample) {
-		if !s.ColdStart {
-			warm = true
+	warm := make([]bool, len(queries))
+	for i, q := range queries {
+		req, err := core.ParseRequest(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
+		req.Period = period
+		if _, err := c.Subscribe(0, req, func(s core.Sample) {
+			if !s.ColdStart {
+				warm[i] = true
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := 0; !warm && i < 64; i++ {
+	allWarm := func() bool {
+		for _, w := range warm {
+			if !w {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; !allWarm() && i < 64; i++ {
 		c.RunFor(period)
 	}
-	if !warm {
-		t.Fatal("standing subscription never warmed")
+	if !allWarm() {
+		t.Fatal("standing subscriptions never warmed")
 	}
 	// Let the pools fill (first post-warm epochs still allocate the
 	// recycled inventory).
 	c.RunFor(10 * period)
-
-	avg := testing.AllocsPerRun(10, func() {
+	return testing.AllocsPerRun(10, func() {
 		c.RunFor(period)
 	})
-	perNode := avg / n
-	t.Logf("steady-state standing epoch: %.0f allocs/epoch total, %.2f per node", avg, perNode)
-	if perNode > allocsPerNodeEpoch {
-		t.Errorf("standing epoch allocates %.2f objects per node per epoch, budget %.0f — a pooled path regressed",
-			perNode, allocsPerNodeEpoch)
-	}
 }

@@ -386,7 +386,7 @@ func TestChildTable(t *testing.T) {
 	i, found = sub.kids.find(a)
 	sub.kids.file(i, found, childSlot{id: a, state: tied(a)})
 	n.dropSub(sub, true)
-	if got := n.outboxOrder; !slices.Equal(got, []ids.ID{a, b, c, d}) {
+	if got := n.outTo; !slices.Equal(got, []ids.ID{a, b, c, d}) {
 		t.Fatalf("cancel cascade went to %v, want id order", got)
 	}
 }

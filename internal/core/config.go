@@ -114,15 +114,16 @@ type Config struct {
 	// window: messages a node emits to the same neighbor within the
 	// window ship as one wire-level BatchMsg, so Q concurrent queries
 	// traversing the same trees cost ~one wire message per tree edge
-	// instead of Q. Zero (the default) flushes after one event-loop
-	// tick — same virtual instant on the simulator, same serialized
-	// handler turn on the TCP agent — adding no latency while still
-	// merging everything a node sends in one burst. A standing epoch is
-	// one such burst on both runtimes: the node's epoch clock ticks
-	// every entry due in one timer event and flushes the outbox at its
-	// end. A positive window trades up to that much extra latency per
-	// hop for coalescing across bursts. CoalesceOff disables the outbox
-	// entirely.
+	// instead of Q. Zero (the default) waits for no window. On the
+	// simulator the flush runs after the current event, at the same
+	// virtual instant, so it merges everything a node sends in one
+	// burst. The TCP agent has no such defer: its flush is a zero-delay
+	// real timer, and every handler turn that takes the core lock before
+	// the timer does joins the same flush. A standing epoch is one burst
+	// on both runtimes: the node's epoch clock ticks every entry due in
+	// one timer event and flushes the outbox at its end. A positive
+	// window trades up to that much extra latency per hop for coalescing
+	// across bursts. CoalesceOff disables the outbox entirely.
 	CoalesceWindow time.Duration
 }
 

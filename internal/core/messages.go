@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/moara/moara/internal/aggregate"
@@ -323,3 +324,52 @@ func (BatchMsg) MsgKind() string { return "moara.batch" }
 // Unpack exposes the bundled messages (simnet.Batch); the simulator
 // uses it to count logical messages inside one wire transmission.
 func (b BatchMsg) Unpack() []any { return b.Items }
+
+// Release hands the batch's item buffer back to the free list the
+// outbox and the batch decoder draw from. Call it once nothing reads the
+// batch again: Node.Handle does after dispatching the items, and the TCP
+// agent after writing the frame (after handing back the items' state
+// holds, which Release does not touch). A batch that is never released
+// leaves its buffer to the garbage collector.
+func (b BatchMsg) Release() { putBatchBuf(b.Items) }
+
+// batchBufs is the free list of BatchMsg item buffers, shared by every
+// node in the process: a sender fills a buffer and its receiver, on the
+// sharded simulator often another goroutine, empties it.
+var batchBufs struct {
+	sync.Mutex
+	free [][]any
+}
+
+// maxBatchBufs bounds the free list; buffers past it go to the GC. An
+// epoch burst puts one buffer per sending node in flight at once, so the
+// bound sits well above the simulated populations (10k nodes).
+const maxBatchBufs = 1 << 16
+
+// takeBatchBuf returns an empty buffer with room for n items, from the
+// free list when its newest buffer is large enough.
+func takeBatchBuf(n int) []any {
+	batchBufs.Lock()
+	if k := len(batchBufs.free); k > 0 && cap(batchBufs.free[k-1]) >= n {
+		b := batchBufs.free[k-1]
+		batchBufs.free[k-1] = nil
+		batchBufs.free = batchBufs.free[:k-1]
+		batchBufs.Unlock()
+		return b
+	}
+	batchBufs.Unlock()
+	return make([]any, 0, n)
+}
+
+// putBatchBuf clears b, so the list pins no message, and files it.
+func putBatchBuf(b []any) {
+	if cap(b) == 0 {
+		return
+	}
+	clear(b)
+	batchBufs.Lock()
+	if len(batchBufs.free) < maxBatchBufs {
+		batchBufs.free = append(batchBufs.free, b[:0])
+	}
+	batchBufs.Unlock()
+}

@@ -63,19 +63,17 @@ type Node struct {
 	// last reconciled against (see maybeResyncSubs).
 	subsGen int
 
-	// outbox is the per-destination coalescing buffer (wire batching):
-	// sends within one CoalesceWindow to the same neighbor ship as a
-	// single BatchMsg. order keeps flushes deterministic. The spare pair
-	// double-buffers the map and order slice so the per-epoch flush
-	// cycle reuses them instead of reallocating; itemPool recycles the
-	// per-destination slices that were NOT shipped inside a BatchMsg
-	// (singleton flushes — a batched slice is owned by the receiver).
-	outbox      map[ids.ID][]any
-	outboxOrder []ids.ID
+	// The outbox is the per-destination coalescing buffer (wire
+	// batching): sends within one CoalesceWindow to the same neighbor
+	// ship as a single BatchMsg. outTo lists the destinations in
+	// first-send order, which is the flush order, and outItems[i] holds
+	// outTo[i]'s messages. A node sends to a handful of neighbors per
+	// window, so a scan from the back finds one faster than a hash probe.
+	// Item buffers come from the shared batch free list and go back to
+	// it unshipped (singletons) or from the receiver (batches).
+	outTo       []ids.ID
+	outItems    [][]any
 	outboxArmed bool
-	spareBox    map[ids.ID][]any
-	spareOrder  []ids.ID
-	itemPool    [][]any
 	flushFn     func()
 	// deferFn is the cancel-free timer fast path (simnet provides one;
 	// other Envs fall back to After with the handle discarded), and
@@ -178,8 +176,7 @@ func (n *Node) onPeerRemoved(dead ids.ID) {
 	for _, canon := range slices.Sorted(maps.Keys(n.preds)) {
 		ps := n.preds[canon]
 		changed := false
-		if _, ok := ps.children[dead]; ok {
-			delete(ps.children, dead)
+		if ps.children.remove(dead) {
 			ps.dirty = true
 			changed = true
 		}
@@ -306,57 +303,47 @@ func (n *Node) send(to ids.ID, m any) {
 		n.env.Send(to, m)
 		return
 	}
-	if n.outbox == nil {
-		n.outbox = make(map[ids.ID][]any)
+	i := len(n.outTo) - 1
+	for i >= 0 && n.outTo[i] != to {
+		i--
 	}
-	items, ok := n.outbox[to]
-	if !ok {
-		n.outboxOrder = append(n.outboxOrder, to)
-		if k := len(n.itemPool); k > 0 {
-			items = n.itemPool[k-1][:0]
-			n.itemPool = n.itemPool[:k-1]
-		}
+	if i < 0 {
+		i = len(n.outTo)
+		n.outTo = append(n.outTo, to)
+		n.outItems = append(n.outItems, takeBatchBuf(0))
 	}
-	n.outbox[to] = append(items, m)
+	n.outItems[i] = append(n.outItems[i], m)
 	if !n.outboxArmed {
 		n.outboxArmed = true
-		// A zero window flushes after one event-loop tick: the timer
-		// fires at the same virtual instant (simulator) or immediately
-		// after the current serialized handler turn (TCP agent), so
-		// everything one burst emits coalesces with no added latency.
+		// A zero window flushes after the current event at the same
+		// virtual instant on the simulator. The TCP agent has no such
+		// defer: the flush is a zero-delay real timer, and every handler
+		// turn that takes the core lock before the timer does joins the
+		// same flush (see Config.CoalesceWindow).
 		n.deferFn(n.cfg.CoalesceWindow, n.flushFn)
 	}
 }
 
-// flushOutbox ships every queued destination's messages: singletons go
-// raw (no envelope overhead), anything more ships as one BatchMsg. The
-// detached buffers become next window's spares, so steady-state epochs
-// cycle two maps instead of allocating one per flush.
+// flushOutbox ships every queued destination's messages in first-send
+// order: singletons go raw (no envelope overhead) and their buffers back
+// to the free list, anything more ships as one BatchMsg whose buffer the
+// receiver hands back.
 func (n *Node) flushOutbox() {
 	if n.closed {
 		return
 	}
-	box, order := n.outbox, n.outboxOrder
-	n.outbox, n.outboxOrder, n.outboxArmed = n.spareBox, n.spareOrder, false
-	n.spareBox, n.spareOrder = nil, nil
-	for _, to := range order {
-		items := box[to]
+	n.outboxArmed = false
+	for i, to := range n.outTo {
+		items := n.outItems[i]
 		if len(items) == 1 {
 			n.env.Send(to, items[0])
-			// The slice was not shipped; recycle its backing array,
-			// cleared so the pool does not pin the message it carried.
-			if len(n.itemPool) < 64 {
-				clear(items)
-				n.itemPool = append(n.itemPool, items[:0])
-			}
+			putBatchBuf(items)
 			continue
 		}
 		n.env.Send(to, BatchMsg{Items: items})
 	}
-	if box != nil {
-		clear(box)
-		n.spareBox, n.spareOrder = box, order[:0]
-	}
+	clear(n.outItems)
+	n.outTo, n.outItems = n.outTo[:0], n.outItems[:0]
 }
 
 // Handle dispatches an incoming message (implements simnet.Handler).
@@ -366,10 +353,12 @@ func (n *Node) Handle(from ids.ID, m any) {
 	}
 	if bm, ok := m.(BatchMsg); ok {
 		// Unpack a coalesced wire batch: items dispatch in send order,
-		// exactly as they would have arrived individually.
+		// exactly as they would have arrived individually. Nothing reads
+		// the batch afterwards, so its buffer goes back to the free list.
 		for _, item := range bm.Items {
 			n.Handle(from, item)
 		}
+		bm.Release()
 		return
 	}
 	if n.overlay.Handle(from, m) {
@@ -667,9 +656,13 @@ func (n *Node) handleStatus(from ids.ID, sm StatusMsg) {
 		return
 	}
 	ps := n.getPred(ge)
-	ps.children[from] = &childState{
+	// The status replaces the child's last one in place; its updateSet
+	// backing is reused (recompute copies the entries out).
+	cs, _ := ps.children.put(from)
+	*cs = childState{
+		id:        from,
 		Prune:     sm.Prune,
-		UpdateSet: append([]SetEntry(nil), sm.UpdateSet...),
+		UpdateSet: append(cs.UpdateSet[:0], sm.UpdateSet...),
 		Np:        sm.Np,
 		Unknown:   sm.Unknown,
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"time"
 
@@ -69,11 +70,12 @@ const (
 	evChange
 )
 
-// childState is the last status a child reported for one group.
+// childState is the last status child id reported for one group.
 // NpOnly entries carry cost information piggybacked on query responses
 // (§6.3) from children that have never sent a status update: the child
 // must still receive every query, but its subtree cost is known.
 type childState struct {
+	id        ids.ID
 	Prune     bool
 	UpdateSet []SetEntry
 	Np        int
@@ -98,7 +100,7 @@ type predState struct {
 	// children holds the last reported status per child (structural or
 	// adopted). Structural children with no entry are treated as
 	// NO-PRUNE with updateSet {child}, per Procedure 1's default.
-	children map[ids.ID]*childState
+	children childStatuses
 
 	satLocal bool
 	sat      bool
@@ -136,13 +138,11 @@ type predState struct {
 	// Recompute scratch: qsetSpare double-buffers the qSet backing (the
 	// previous generation's buffer is rebuilt into while the current
 	// qSet/updateSet stay readable), selfBuf double-buffers the
-	// {self}-singleton updateSet, pass stamps childState.mark, and
-	// adoptedSpare collects the adopted children to sort.
-	qsetSpare    []SetEntry
-	adoptedSpare []ids.ID
-	selfBuf      [2][1]SetEntry
-	selfFlip     int
-	pass         int
+	// {self}-singleton updateSet, and pass stamps childState.mark.
+	qsetSpare []SetEntry
+	selfBuf   [2][1]SetEntry
+	selfFlip  int
+	pass      int
 
 	// dirty marks that a recompute input changed (children statuses,
 	// satLocal, level, the update flag); cleanGen is the overlay
@@ -156,11 +156,50 @@ type predState struct {
 
 const maxWindow = 16
 
+// childStatuses holds a group's child statuses in ascending id order,
+// the childTable idiom: a node has a few dozen children at most, so a
+// binary search beats a hash probe, and recompute walks the adopted
+// children in id order without sorting them. A pointer into the column
+// is valid until the next put or remove.
+type childStatuses []childState
+
+// find locates child id: its index, or where its status belongs.
+func (t childStatuses) find(id ids.ID) (int, bool) {
+	i := sort.Search(len(t), func(i int) bool { return !ids.Less(t[i].id, id) })
+	return i, i < len(t) && t[i].id == id
+}
+
+// get returns child id's status, or nil.
+func (t childStatuses) get(id ids.ID) *childState {
+	if i, found := t.find(id); found {
+		return &t[i]
+	}
+	return nil
+}
+
+// put returns child id's status, adding an empty one first if the child
+// has none, and reports whether it added one.
+func (t *childStatuses) put(id ids.ID) (cs *childState, added bool) {
+	i, found := t.find(id)
+	if !found {
+		*t = slices.Insert(*t, i, childState{id: id})
+	}
+	return &(*t)[i], !found
+}
+
+// remove forgets child id's status and reports whether it had one.
+func (t *childStatuses) remove(id ids.ID) bool {
+	i, found := t.find(id)
+	if found {
+		*t = slices.Delete(*t, i, i+1)
+	}
+	return found
+}
+
 func newPredState(g groupSpec) *predState {
 	return &predState{
 		group:    g,
 		level:    -1,
-		children: make(map[ids.ID]*childState),
 		dirty:    true,
 		cleanGen: -1,
 	}
@@ -215,32 +254,23 @@ func (ps *predState) recompute(structural []pastry.BroadcastTarget, threshold in
 		return qs
 	}
 	for _, bt := range structural {
-		cs := ps.children[bt.ID]
+		cs := ps.children.get(bt.ID)
 		if cs != nil {
 			cs.mark = ps.pass
 		}
 		qset = addChild(qset, bt.ID, bt.Level, cs)
 	}
 	// Adopted (non-structural) children that reported state, in id
-	// order (the childTable order): qSet is the send order of
-	// disseminate and pushInstalls and the updateSet the parent
-	// compares, so it must not follow map order. NpOnly records are
-	// cost caches from response piggybacks — often SQP grandchildren —
-	// and must not become query targets here.
-	adopted := ps.adoptedSpare[:0]
-	for id, cs := range ps.children {
-		if cs != nil && cs.mark != ps.pass && !cs.NpOnly {
-			adopted = append(adopted, id)
+	// order (the column order): qSet is the send order of disseminate
+	// and pushInstalls and the updateSet the parent compares, so it must
+	// follow neither map nor arrival order. NpOnly records are cost
+	// caches from response piggybacks — often SQP grandchildren — and
+	// must not become query targets here.
+	for i := range ps.children {
+		if cs := &ps.children[i]; cs.mark != ps.pass && !cs.NpOnly {
+			qset = addChild(qset, cs.id, maxLevel(cs.UpdateSet, ps.level), cs)
 		}
 	}
-	if len(adopted) > 1 {
-		slices.SortFunc(adopted, ids.Cmp)
-	}
-	for _, id := range adopted {
-		cs := ps.children[id]
-		qset = addChild(qset, id, maxLevel(cs.UpdateSet, ps.level), cs)
-	}
-	ps.adoptedSpare = adopted
 	if ps.satLocal {
 		qset = append(qset, SetEntry{ID: self, Level: ps.level})
 	}

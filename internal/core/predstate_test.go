@@ -49,12 +49,12 @@ func TestStateMachineInvariants(t *testing.T) {
 				if len(structural) > 0 {
 					id := structural[rng.Intn(len(structural))].ID
 					if rng.Intn(2) == 0 {
-						ps.children[id] = &childState{Prune: true}
+						setChild(ps, id, childState{Prune: true})
 					} else {
-						ps.children[id] = &childState{
+						setChild(ps, id, childState{
 							UpdateSet: []SetEntry{{ID: id, Level: 2}},
 							Np:        1,
-						}
+						})
 					}
 				}
 			case 2: // query
@@ -109,7 +109,7 @@ func TestSatFollowsChildrenAndLocal(t *testing.T) {
 		t.Fatal("unreported child must imply SAT")
 	}
 	// Child prunes; no local satisfaction -> NO-SAT.
-	ps.children[child] = &childState{Prune: true}
+	setChild(ps, child, childState{Prune: true})
 	ps.recompute(structural, 2, self, flatRegion)
 	if ps.sat {
 		t.Fatal("pruned child and unsatisfied local must imply NO-SAT")
@@ -122,7 +122,7 @@ func TestSatFollowsChildrenAndLocal(t *testing.T) {
 	}
 	// Child reports an updateSet -> stays SAT even without local.
 	ps.satLocal = false
-	ps.children[child] = &childState{UpdateSet: []SetEntry{{ID: child, Level: 2}}, Np: 1}
+	setChild(ps, child, childState{UpdateSet: []SetEntry{{ID: child, Level: 2}}, Np: 1})
 	ps.recompute(structural, 2, self, flatRegion)
 	if !ps.sat {
 		t.Fatal("NO-PRUNE child must imply SAT")
@@ -155,10 +155,10 @@ func TestSQPThresholdCollapse(t *testing.T) {
 		ps.level = 1
 		structural := mk(tc.children)
 		for _, bt := range structural {
-			ps.children[bt.ID] = &childState{
+			setChild(ps, bt.ID, childState{
 				UpdateSet: []SetEntry{{ID: bt.ID, Level: bt.Level}},
 				Np:        1,
-			}
+			})
 		}
 		ps.recompute(structural, tc.threshold, self, flatRegion)
 		gotSelf := len(ps.updateSet) == 1 && ps.updateSet[0].ID == self
@@ -311,9 +311,9 @@ func TestNpCounting(t *testing.T) {
 
 	ps := newPredState(groupSpec{canon: "a = 1", attr: "a"})
 	ps.level = 1
-	ps.children[c1] = &childState{UpdateSet: []SetEntry{{ID: c1, Level: 2}}, Np: 4}
-	ps.children[c2] = &childState{Prune: true}
-	ps.children[c3] = &childState{UpdateSet: []SetEntry{{ID: c3, Level: 2}}, Np: 2}
+	setChild(ps, c1, childState{UpdateSet: []SetEntry{{ID: c1, Level: 2}}, Np: 4})
+	setChild(ps, c2, childState{Prune: true})
+	setChild(ps, c3, childState{UpdateSet: []SetEntry{{ID: c3, Level: 2}}, Np: 2})
 	ps.recompute(structural, 8, self, flatRegion)
 	// Children np: 4 + 0 + 2 = 6; self in NO-UPDATE receives queries: +1.
 	if ps.np != 7 {
@@ -323,7 +323,7 @@ func TestNpCounting(t *testing.T) {
 		t.Fatalf("unknown = %v, want 0", ps.unknown)
 	}
 	// An unreported structural child contributes to the unknown mass.
-	delete(ps.children, c3)
+	ps.children.remove(c3)
 	ps.recompute(structural, 8, self, flatRegion)
 	if ps.unknown != 1 {
 		t.Fatalf("unknown = %v, want 1", ps.unknown)
@@ -342,7 +342,7 @@ func TestRecomputeAdoptedChildrenInIDOrder(t *testing.T) {
 		ps.level = 1
 		for k := 4; k >= 1; k-- {
 			id := ids.FromUint64(uint64(100*trial + k))
-			ps.children[id] = &childState{UpdateSet: []SetEntry{{ID: id, Level: 2}}, Np: 1}
+			setChild(ps, id, childState{UpdateSet: []SetEntry{{ID: id, Level: 2}}, Np: 1})
 		}
 		ps.recompute(nil, 8, self, flatRegion)
 		if len(ps.qSet) != 4 {
@@ -405,4 +405,11 @@ func TestEvalLocal(t *testing.T) {
 	if !gs.evalLocal(get) || !gs.satLocal {
 		t.Fatal("global group must always be satisfied")
 	}
+}
+
+// setChild files cs as child id's status, as handleStatus does.
+func setChild(ps *predState, id ids.ID, cs childState) {
+	cs.id = id
+	dst, _ := ps.children.put(id)
+	*dst = cs
 }

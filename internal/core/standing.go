@@ -522,7 +522,7 @@ func (n *Node) epochWalk() {
 	n.ticking = live
 	n.armClock()
 	if flush {
-		if len(n.outboxOrder) > 0 {
+		if len(n.outTo) > 0 {
 			n.flushOutbox()
 		} else {
 			n.outboxArmed = false
@@ -727,10 +727,12 @@ func (n *Node) claimStanding(sub *subState) bool {
 // orphans tear down without waiting out the TTL. Routed reports (the
 // orphan pull: a severed subtree streaming directly to the tree root)
 // are filed the same way but skip the child-cost bookkeeping — the
-// sender is not a tree child.
+// sender is not a tree child. A rejected report hands back the state
+// hold its message carries.
 func (n *Node) handleEpochReport(from ids.ID, em EpochReportMsg, routed bool) {
 	sub, ok := n.subs[subKey{em.SID, em.Group}]
 	if !ok {
+		aggregate.Recycle(em.State)
 		n.send(from, CancelMsg{SID: em.SID, Group: em.Group})
 		return
 	}
@@ -739,6 +741,7 @@ func (n *Node) handleEpochReport(from ids.ID, em EpochReportMsg, routed bool) {
 		// child. The parent's report already carries this subtree, so
 		// filing it would count the subtree twice for as long as the
 		// cycle lasts.
+		aggregate.Recycle(em.State)
 		return
 	}
 	i, found := sub.kids.find(from)
@@ -751,6 +754,7 @@ func (n *Node) handleEpochReport(from ids.ID, em EpochReportMsg, routed bool) {
 		// tears down or re-parents; if it was dropped by a transient
 		// flap, the next reconcile re-installs it. The root is exempt:
 		// it files anything (orphan pulls arrive there unannounced).
+		aggregate.Recycle(em.State)
 		n.send(from, CancelMsg{SID: em.SID, Group: em.Group})
 		return
 	}
@@ -920,9 +924,9 @@ func (n *Node) noteChildCost(ps *predState, from ids.ID, np int, unknown float64
 	if ps == nil {
 		return
 	}
-	switch cs := ps.children[from]; {
-	case cs == nil:
-		ps.children[from] = &childState{NpOnly: true, Np: np, Unknown: unknown}
+	switch cs, added := ps.children.put(from); {
+	case added:
+		*cs = childState{id: from, NpOnly: true, Np: np, Unknown: unknown}
 		ps.dirty = true
 	case cs.NpOnly || !cs.Prune:
 		if cs.Np != np || cs.Unknown != unknown {

@@ -535,3 +535,44 @@ func TestSampleGroupsSurviveShellReuse(t *testing.T) {
 		t.Fatalf("delivered groups changed under pool reuse:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestRejectedEpochReportsHandBackTheirHold: an epoch report that the
+// receiver rejects still hands back the hold its message carries, so
+// the sender's last Recycle returns the state to the pool. The three
+// reject paths are an unknown subscription, a report from the entry's
+// own parent (a re-parenting 2-cycle), and a report from a child the
+// entry no longer installs.
+func TestRejectedEpochReportsHandBackTheirHold(t *testing.T) {
+	sender := ids.FromUint64(99)
+	for _, tc := range []struct {
+		name string
+		// sub is the receiver's entry for the report, or nil for none.
+		sub func(sid QueryID) *subState
+	}{
+		{"unknown-subscription", func(QueryID) *subState { return nil }},
+		{"two-cycle", func(sid QueryID) *subState {
+			return &subState{sid: sid, ge: &groupEntry{spec: globalGroup("v")}, parent: sender}
+		}},
+		{"not-installed", func(sid QueryID) *subState {
+			return &subState{sid: sid, ge: &groupEntry{spec: globalGroup("v")}, parent: ids.FromUint64(98)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, nodes := miniCluster(t, 1, Config{})
+			n := nodes[0]
+			sid := QueryID{Origin: n.Self(), Num: 1}
+			if sub := tc.sub(sid); sub != nil {
+				n.subs[subKey{sid, sub.ge.spec.canon}] = sub
+			}
+			st := aggregate.NewGrouped(aggregate.Spec{Kind: aggregate.KindSum}, 0)
+			st.AddKeyed(sender, "k", value.Int(1))
+			st.Retain() // the sender's own hold
+			st.Retain() // the message's hold
+			n.Handle(sender, EpochReportMsg{SID: sid, Group: globalGroup("v").canon, Epoch: 1, State: st, Contributors: 1})
+			aggregate.Recycle(st)
+			if got := st.KeyCount(); got != 0 {
+				t.Fatalf("state still holds %d keys after the sender's last hold went back: the rejected report kept its hold", got)
+			}
+		})
+	}
+}

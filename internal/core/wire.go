@@ -197,7 +197,7 @@ func (m *BatchMsg) wire(c *wirefmt.Codec, depth int) {
 		return
 	}
 	if n, isNil := c.Len(len(m.Items), m.Items == nil, 1); c.Dec && !isNil {
-		m.Items = make([]any, n)
+		m.Items = takeBatchBuf(n)[:n]
 	}
 	for i := range m.Items {
 		wireMessage(c, &m.Items[i], depth+1)

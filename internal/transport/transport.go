@@ -481,9 +481,9 @@ func (n *Node) send(toAddr string, m any) {
 }
 
 // releaseHolds hands back the aggregate-state holds a message carries
-// (see aggregate.Recycle): the peer decodes a copy of its own, so once
-// the frame is written or the message dropped, nothing reads the
-// sender's states through it again.
+// (see aggregate.Recycle) and a batch's item buffer: the peer decodes a
+// copy of its own, so once the frame is written or the message dropped,
+// nothing reads the sender's states or buffer through it again.
 func releaseHolds(m any) {
 	switch m := m.(type) {
 	case core.EpochReportMsg:
@@ -496,6 +496,7 @@ func releaseHolds(m any) {
 		for _, item := range m.Items {
 			releaseHolds(item)
 		}
+		m.Release()
 	}
 }
 
@@ -585,9 +586,9 @@ func (e nodeEnv) Self() ids.ID { return e.n.id }
 
 // Send transmits m to the node with identifier to, resolving the
 // address through the roster. Unknown destinations are dropped. Send
-// takes over the state holds m carries: loopback delivery hands them to
-// the core, and every other path returns them once the frame is written
-// or the message dropped.
+// takes over the state holds and the batch buffer m carries: loopback
+// delivery hands them to the core, and every other path returns them
+// once the frame is written or the message dropped.
 func (e nodeEnv) Send(to ids.ID, m any) {
 	if to == e.n.id {
 		// Loopback: handle asynchronously to avoid lock recursion.

@@ -474,7 +474,9 @@ func FuzzDecodeFrame(f *testing.F) {
 // TestSentStateReturnsToPool: Send takes over the state hold a message
 // carries. The peer decodes its own copy, so the hold goes back to the
 // pool once the frame is written, and at once when the destination is
-// unknown; a self-send hands it to the local core instead.
+// unknown; a self-send hands it to the local core instead, which owns it
+// from then on (it rejects this report, for a subscription it does not
+// hold, and hands the hold back itself).
 func TestSentStateReturnsToPool(t *testing.T) {
 	RegisterGob()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -521,12 +523,13 @@ func TestSentStateReturnsToPool(t *testing.T) {
 	}
 
 	g, m = report()
+	g.Retain() // the sender's own hold, which only the test hands back
 	send(nd.ID(), m)
 	for i := 0; i < 20; i++ {
 		time.Sleep(time.Millisecond)
 		nd.Do(func(*core.Node) {
 			if g.KeyCount() != 1 {
-				t.Fatal("a self-sent report lost the hold its receiver owns")
+				t.Fatal("a self-sent report's hold went back twice: the transport released the hold its receiver owns")
 			}
 		})
 	}
