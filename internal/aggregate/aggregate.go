@@ -57,56 +57,46 @@ const (
 	KindCollect
 )
 
-// ctor describes one registered aggregation function: its canonical
-// query-language name, accepted aliases, and the constructor producing
-// its empty State. Spec.New, ParseSpec, and Kind.String are all views of
-// this one registry, so adding a function is a single-entry change.
-type ctor struct {
+// kindInfo describes one registered aggregation function: its canonical
+// query-language name, accepted aliases, and the constructor of its zero
+// State (reset then makes it a Spec's empty state). Spec.New, ParseSpec,
+// Kind.String and the wire decoder are all views of this one registry,
+// so adding a function is one row here plus its State type.
+type kindInfo struct {
 	name    string
 	aliases []string
 	// sketch marks approximation kinds whose merges are
 	// bound-preserving rather than value-identical (see Approximate);
 	// the merge-law property harness keys its comparison mode on it.
-	sketch   bool
-	newState func(Spec) State
+	sketch bool
+	zero   func() State
 }
 
-var registry = map[Kind]ctor{
-	KindSum:   {name: "sum", newState: func(Spec) State { return &SumState{} }},
-	KindCount: {name: "count", newState: func(Spec) State { return &CountState{} }},
-	KindMin:   {name: "min", newState: func(Spec) State { return &ExtremeState{Max: false} }},
-	KindMax:   {name: "max", newState: func(Spec) State { return &ExtremeState{Max: true} }},
-	KindAvg:   {name: "avg", aliases: []string{"average", "mean"}, newState: func(Spec) State { return &AvgState{} }},
-	KindTopK: {name: "top", newState: func(s Spec) State {
-		k := s.K
-		if k <= 0 {
-			k = 1
-		}
-		return &TopKState{K: k}
-	}},
-	KindEnum: {name: "enum", aliases: []string{"enumerate", "list"}, newState: func(Spec) State { return &EnumState{} }},
-	KindStd:  {name: "std", aliases: []string{"stddev"}, newState: func(Spec) State { return &StdState{} }},
-	KindDCount: {name: "dcount", aliases: []string{"countdistinct"}, sketch: true,
-		newState: func(Spec) State { return &DCountState{} }},
-	KindQuantile: {name: "quantile", aliases: []string{"percentile"}, sketch: true,
-		newState: func(s Spec) State { return &QuantileState{Q: s.Q} }},
-	KindTopKeys: {name: "topkeys", sketch: true, newState: func(s Spec) State {
-		k := s.K
-		if k <= 0 {
-			k = DefaultTopKeys
-		}
-		return &TopKeysState{K: k}
-	}},
-	KindUnion:   {name: "union", newState: func(Spec) State { return &UnionState{Cap: SetCap} }},
-	KindCollect: {name: "collect", newState: func(Spec) State { return &CollectState{Cap: SetCap} }},
+var registry = [...]kindInfo{
+	KindSum:      {name: "sum", zero: func() State { return new(SumState) }},
+	KindCount:    {name: "count", zero: func() State { return new(CountState) }},
+	KindMin:      {name: "min", zero: func() State { return new(ExtremeState) }},
+	KindMax:      {name: "max", zero: func() State { return new(ExtremeState) }},
+	KindAvg:      {name: "avg", aliases: []string{"average", "mean"}, zero: func() State { return new(AvgState) }},
+	KindTopK:     {name: "top", zero: func() State { return new(TopKState) }},
+	KindEnum:     {name: "enum", aliases: []string{"enumerate", "list"}, zero: func() State { return new(EnumState) }},
+	KindStd:      {name: "std", aliases: []string{"stddev"}, zero: func() State { return new(StdState) }},
+	KindDCount:   {name: "dcount", aliases: []string{"countdistinct"}, sketch: true, zero: func() State { return new(DCountState) }},
+	KindQuantile: {name: "quantile", aliases: []string{"percentile"}, sketch: true, zero: func() State { return new(QuantileState) }},
+	KindTopKeys:  {name: "topkeys", sketch: true, zero: func() State { return new(TopKeysState) }},
+	KindUnion:    {name: "union", zero: func() State { return new(UnionState) }},
+	KindCollect:  {name: "collect", zero: func() State { return new(CollectState) }},
 }
+
+// registered reports whether k has a row in the registry.
+func (k Kind) registered() bool { return k > KindInvalid && int(k) < len(registry) }
 
 // kindByName indexes the registry by canonical name and alias.
 var kindByName = func() map[string]Kind {
 	m := make(map[string]Kind)
-	for k, c := range registry {
-		m[c.name] = k
-		for _, a := range c.aliases {
+	for _, k := range Kinds() {
+		m[registry[k].name] = k
+		for _, a := range registry[k].aliases {
 			m[a] = k
 		}
 	}
@@ -115,8 +105,8 @@ var kindByName = func() map[string]Kind {
 
 // String returns the function's query-language name.
 func (k Kind) String() string {
-	if c, ok := registry[k]; ok {
-		return c.name
+	if k.registered() {
+		return registry[k].name
 	}
 	return "invalid"
 }
@@ -151,7 +141,7 @@ func (s Spec) String() string {
 // construction can: an unregistered kind, a quantile rank outside
 // (0, 1), or a non-positive K where one is required.
 func (s Spec) Validate() error {
-	if _, ok := registry[s.Kind]; !ok {
+	if !s.Kind.registered() {
 		return fmt.Errorf("aggregate: invalid spec kind %d", s.Kind)
 	}
 	switch s.Kind {
@@ -161,7 +151,7 @@ func (s Spec) Validate() error {
 		}
 	case KindTopK, KindTopKeys:
 		if s.K <= 0 {
-			return fmt.Errorf("aggregate: %s needs a positive k", registry[s.Kind].name)
+			return fmt.Errorf("aggregate: %v needs a positive k", s.Kind)
 		}
 	}
 	return nil
@@ -192,7 +182,7 @@ func ParseSpecArg(name, arg string) (Spec, error) {
 		s := Spec{Kind: k}
 		switch k {
 		case KindTopK:
-			s.K = 1
+			s.K = defaultTopK
 		case KindTopKeys:
 			s.K = DefaultTopKeys
 			if arg != "" {
@@ -230,9 +220,6 @@ func ParseSpecArg(name, arg string) (Spec, error) {
 		return Spec{Kind: KindTopKeys, K: k}, nil
 	}
 	if rest, ok := strings.CutPrefix(n, "top"); ok {
-		if rest == "" {
-			return Spec{Kind: KindTopK, K: 1}, nil
-		}
 		k, err := strconv.Atoi(rest)
 		if err != nil || k <= 0 {
 			return Spec{}, fmt.Errorf("aggregate: bad top-k spec %q", name)
@@ -258,8 +245,10 @@ type Entry struct {
 // State is a partial aggregate for some set of nodes. The zero State of
 // a Spec (via New) represents the empty set.
 //
-// All State implementations have exported fields and are registered for
-// gob so they can cross the TCP transport.
+// The set of States is closed: its unexported methods keep every
+// implementation in this package, one leaf type per registered kind plus
+// the keyed GroupedState, and each has a columnar wire layout (wire.go).
+// Their exported fields let gob carry them inside tag-0 messages too.
 type State interface {
 	// Add folds one node's local value into the state. Invalid values
 	// (missing attributes) are ignored except by COUNT over "*".
@@ -270,6 +259,13 @@ type State interface {
 	Result() Result
 	// Nodes reports how many node contributions the state holds.
 	Nodes() int64
+	// kind is the state's aggregation function, and so its wire tag
+	// and pool (GroupedState answers its own tag, wireGrouped).
+	kind() Kind
+	// reset empties the state for spec, keeping its backing arrays,
+	// and stamps the spec's parameters. It is the one place a kind's
+	// parameter defaults are written.
+	reset(spec Spec)
 }
 
 // KeyCount is one heavy-hitter entry of a TOPKEYS result: an attribute
@@ -307,53 +303,34 @@ func (r Result) String() string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-// New creates the empty state for the spec by looking up the
-// function's registered constructor. Recycled states (see Recycle) are
-// reused when available: the per-node per-epoch report path allocates
-// one state tree per message, and at N=10k the pool is the difference
-// between steady-state and GC-bound.
+// New creates the empty state for the spec. Recycled states (see
+// Recycle) are reused when available: the per-node per-epoch report path
+// allocates one state tree per message, and at N=10k the pool is the
+// difference between steady-state and GC-bound.
 func (s Spec) New() State {
-	if st := poolGet(s); st != nil {
-		return st
-	}
-	c, ok := registry[s.Kind]
-	if !ok {
+	if !s.Kind.registered() {
 		panic(fmt.Sprintf("aggregate: New on invalid spec %v", s))
 	}
-	return c.newState(s)
-}
-
-// statePools recycles leaf states per Kind. States are fully reset on
-// put; TopK's K is re-stamped on get (the pool is keyed by kind only).
-var statePools [16]sync.Pool
-
-func poolGet(s Spec) State {
-	k := int(s.Kind)
-	if k <= 0 || k >= len(statePools) {
-		return nil
+	st, ok := statePools[s.Kind].Get().(State)
+	if !ok {
+		return freshState(s)
 	}
-	st, _ := statePools[k].Get().(State)
-	if st == nil {
-		return nil
-	}
-	// The pool is keyed by kind only; parameter fields are re-stamped
-	// from the spec on the way out.
-	switch t := st.(type) {
-	case *TopKState:
-		t.K = s.K
-		if t.K <= 0 {
-			t.K = 1
-		}
-	case *TopKeysState:
-		t.K = s.K
-		if t.K <= 0 {
-			t.K = DefaultTopKeys
-		}
-	case *QuantileState:
-		t.Q = s.Q
-	}
+	st.reset(s)
 	return st
 }
+
+// freshState builds s's empty state without the pool: the zero State of
+// its kind, reset for s. Its slices and maps are nil, which is what the
+// wire decoder needs to reproduce a nil-vs-empty distinction.
+func freshState(s Spec) State {
+	st := registry[s.Kind].zero()
+	st.reset(s)
+	return st
+}
+
+// statePools recycles leaf states per Kind. A pooled state is reset, and
+// its parameters stamped from the requesting spec, on its way out.
+var statePools [len(registry)]sync.Pool
 
 // Recycle gives up the caller's reference to a state tree and, when it
 // was the last one, returns the tree to the allocation pools.
@@ -380,72 +357,22 @@ func poolGet(s Spec) State {
 // immutable after its first hand-off: build a new state instead of
 // adding to a sent one.
 //
-// Recycling a GroupedState reslices its columns to zero length, keeping
-// their backing arrays (and the key strings in them, which the decoder
-// reuses when the next report repeats a key), and pools the shell by
-// Spec.Kind.
+// Recycling a GroupedState resets it (see GroupedState.reset) and pools
+// the shell by Spec.Kind; a leaf goes to its kind's pool as it is, and
+// Spec.New resets it on the way out.
 //
 // Recycling anything still referenced is a correctness bug, not a
 // performance tweak.
 func Recycle(st State) {
 	switch s := st.(type) {
 	case nil:
-		return
 	case *GroupedState:
-		if s.holders.Add(-1) > 0 {
-			return
+		if s.holders.Add(-1) <= 0 {
+			s.reset(s.Spec)
+			groupedPools[s.Spec.Kind].Put(s)
 		}
-		s.truncate(0)
-		Recycle(s.Other)
-		s.Cap, s.Other, s.Spilled, s.tail = 0, nil, 0, 0
-		s.holders.Store(0)
-		groupedPools[s.Spec.Kind].Put(s)
-	case *SumState:
-		*s = SumState{}
-		statePools[int(KindSum)].Put(st)
-	case *CountState:
-		*s = CountState{}
-		statePools[int(KindCount)].Put(st)
-	case *ExtremeState:
-		max := s.Max
-		*s = ExtremeState{Max: max}
-		if max {
-			statePools[int(KindMax)].Put(st)
-		} else {
-			statePools[int(KindMin)].Put(st)
-		}
-	case *AvgState:
-		*s = AvgState{}
-		statePools[int(KindAvg)].Put(st)
-	case *StdState:
-		*s = StdState{}
-		statePools[int(KindStd)].Put(st)
-	case *TopKState:
-		entries := s.Entries[:0]
-		*s = TopKState{Entries: entries}
-		statePools[int(KindTopK)].Put(st)
-	case *EnumState:
-		entries := s.Entries[:0]
-		*s = EnumState{Entries: entries}
-		statePools[int(KindEnum)].Put(st)
-	case *DCountState:
-		s.reset()
-		statePools[int(KindDCount)].Put(st)
-	case *QuantileState:
-		s.reset()
-		statePools[int(KindQuantile)].Put(st)
-	case *TopKeysState:
-		s.reset()
-		statePools[int(KindTopKeys)].Put(st)
-	case *UnionState:
-		entries := s.Entries[:0]
-		keys := s.Keys[:0]
-		*s = UnionState{Cap: SetCap, Keys: keys, Entries: entries}
-		statePools[int(KindUnion)].Put(st)
-	case *CollectState:
-		entries := s.Entries[:0]
-		*s = CollectState{Cap: SetCap, Entries: entries}
-		statePools[int(KindCollect)].Put(st)
+	default:
+		statePools[st.kind()].Put(st)
 	}
 }
 
@@ -517,6 +444,9 @@ func (s *SumState) Result() Result {
 // Nodes reports the number of contributions.
 func (s *SumState) Nodes() int64 { return s.N }
 
+func (s *SumState) kind() Kind { return KindSum }
+func (s *SumState) reset(Spec) { *s = SumState{} }
+
 // ---------------------------------------------------------------------
 
 // CountState counts contributing nodes.
@@ -546,6 +476,9 @@ func (s *CountState) Result() Result { return Result{Value: value.Int(s.N)} }
 
 // Nodes reports the number of contributions.
 func (s *CountState) Nodes() int64 { return s.N }
+
+func (s *CountState) kind() Kind { return KindCount }
+func (s *CountState) reset(Spec) { *s = CountState{} }
 
 // ---------------------------------------------------------------------
 
@@ -604,6 +537,15 @@ func (s *ExtremeState) Result() Result {
 // Nodes reports the number of contributions.
 func (s *ExtremeState) Nodes() int64 { return s.N }
 
+func (s *ExtremeState) kind() Kind {
+	if s.Max {
+		return KindMax
+	}
+	return KindMin
+}
+
+func (s *ExtremeState) reset(spec Spec) { *s = ExtremeState{Max: spec.Kind == KindMax} }
+
 // ---------------------------------------------------------------------
 
 // AvgState composes SUM and COUNT, as §3.1 prescribes.
@@ -635,7 +577,13 @@ func (s *AvgState) Result() Result {
 // Nodes reports the number of contributions.
 func (s *AvgState) Nodes() int64 { return s.Sum.N }
 
+func (s *AvgState) kind() Kind { return KindAvg }
+func (s *AvgState) reset(Spec) { *s = AvgState{} }
+
 // ---------------------------------------------------------------------
+
+// defaultTopK is the TOP-K list bound of a bare `top`.
+const defaultTopK = 1
 
 // TopKState keeps the K largest contributions, ordered descending with
 // node IDs breaking ties so merges are deterministic.
@@ -712,6 +660,16 @@ func (s *TopKState) Result() Result {
 // Nodes reports the number of contributions.
 func (s *TopKState) Nodes() int64 { return s.N }
 
+func (s *TopKState) kind() Kind { return KindTopK }
+
+// reset keeps defaultTopK entries when the spec gives no positive K.
+func (s *TopKState) reset(spec Spec) {
+	*s = TopKState{K: spec.K, Entries: s.Entries[:0]}
+	if s.K <= 0 {
+		s.K = defaultTopK
+	}
+}
+
 // ---------------------------------------------------------------------
 
 // EnumState lists every contribution (the paper's enumeration function).
@@ -749,6 +707,9 @@ func (s *EnumState) Result() Result {
 
 // Nodes reports the number of contributions.
 func (s *EnumState) Nodes() int64 { return int64(len(s.Entries)) }
+
+func (s *EnumState) kind() Kind { return KindEnum }
+func (s *EnumState) reset(Spec) { *s = EnumState{Entries: s.Entries[:0]} }
 
 // ---------------------------------------------------------------------
 
@@ -798,3 +759,6 @@ func (s *StdState) Result() Result {
 
 // Nodes reports the number of contributions.
 func (s *StdState) Nodes() int64 { return s.N }
+
+func (s *StdState) kind() Kind { return KindStd }
+func (s *StdState) reset(Spec) { *s = StdState{} }

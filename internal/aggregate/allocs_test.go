@@ -152,9 +152,9 @@ func TestSketchMergeAllocBudget(t *testing.T) {
 		if err := dst.Merge(src); err != nil {
 			t.Fatal(err)
 		}
-		dst.reset()
+		dst.reset(Spec{Kind: KindQuantile, Q: 0.99})
 		avg := testing.AllocsPerRun(100, func() {
-			dst.reset()
+			dst.reset(Spec{Kind: KindQuantile, Q: 0.99})
 			if err := dst.Merge(src); err != nil {
 				t.Fatal(err)
 			}

@@ -78,7 +78,16 @@ type leaves[T any, P interface {
 	State
 }] struct {
 	s    []T
-	zero T // an empty slot (an ExtremeState's Max flag)
+	zero T // an empty slot: reset for the owning state's Spec
+}
+
+func newLeaves[T any, P interface {
+	*T
+	State
+}](spec Spec) *leaves[T, P] {
+	c := &leaves[T, P]{}
+	P(&c.zero).reset(spec)
+	return c
 }
 
 func (c *leaves[T, P]) at(i int) State { return P(&c.s[i]) }
@@ -122,15 +131,15 @@ func (g *GroupedState) col() column {
 	if g.vals == nil {
 		switch g.Spec.Kind {
 		case KindSum:
-			g.vals = &leaves[SumState, *SumState]{}
+			g.vals = newLeaves[SumState](g.Spec)
 		case KindCount:
-			g.vals = &leaves[CountState, *CountState]{}
+			g.vals = newLeaves[CountState](g.Spec)
 		case KindMin, KindMax:
-			g.vals = &leaves[ExtremeState, *ExtremeState]{zero: ExtremeState{Max: g.Spec.Kind == KindMax}}
+			g.vals = newLeaves[ExtremeState](g.Spec)
 		case KindAvg:
-			g.vals = &leaves[AvgState, *AvgState]{}
+			g.vals = newLeaves[AvgState](g.Spec)
 		case KindStd:
-			g.vals = &leaves[StdState, *StdState]{}
+			g.vals = newLeaves[StdState](g.Spec)
 		default:
 			g.vals = &states{spec: &g.Spec}
 		}
@@ -287,6 +296,18 @@ func (g *GroupedState) truncate(n int) {
 	if g.vals != nil {
 		g.vals.truncate(n)
 	}
+}
+
+func (g *GroupedState) kind() Kind { return wireGrouped }
+
+// reset empties g for spec, a spec of g's kind: the columns keep their
+// backing arrays, and the key strings in them, which the decoder reuses
+// when the next report repeats a key.
+func (g *GroupedState) reset(spec Spec) {
+	g.truncate(0)
+	Recycle(g.Other)
+	g.Spec, g.Cap, g.Other, g.Spilled, g.tail = spec, 0, nil, 0, 0
+	g.holders.Store(0)
 }
 
 func (g *GroupedState) other() State {

@@ -267,7 +267,7 @@ func newRef(spec Spec, cap int) *refGrouped {
 
 func (r *refGrouped) otherState() State {
 	if r.other == nil {
-		r.other = registry[r.spec.Kind].newState(r.spec)
+		r.other = freshState(r.spec)
 	}
 	return r.other
 }
@@ -285,7 +285,7 @@ func (r *refGrouped) slot(key string) (State, bool) {
 		_ = r.otherState().Merge(r.groups[max])
 		delete(r.groups, max)
 	}
-	st := registry[r.spec.Kind].newState(r.spec)
+	st := freshState(r.spec)
 	r.groups[key] = st
 	return st, true
 }
@@ -373,7 +373,7 @@ func sameAsRef(g *GroupedState, r *refGrouped) error {
 		return fmt.Errorf("keys %q, want %q", g.Keys(), want)
 	}
 	want := make(map[string]Result, len(r.groups)+1)
-	total := registry[r.spec.Kind].newState(r.spec)
+	total := freshState(r.spec)
 	var nodes int64
 	for _, k := range slices.Sorted(maps.Keys(r.groups)) {
 		want[k] = r.groups[k].Result()

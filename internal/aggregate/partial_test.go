@@ -347,7 +347,7 @@ func TestRecyclePoolRoundTripAllKinds(t *testing.T) {
 			if got.Nodes() != 0 {
 				t.Fatalf("pooled state not empty: %d nodes", got.Nodes())
 			}
-			want := registry[kind].newState(spec)
+			want := freshState(spec)
 			if !reflect.DeepEqual(got.Result(), want.Result()) {
 				t.Fatalf("pooled empty result differs from fresh:\n got %#v\nwant %#v",
 					got.Result(), want.Result())

@@ -7,7 +7,7 @@
 // a state whose *error bound* is preserved, not necessarily identical
 // bytes — and the property tests in partial_test.go key on Approximate
 // to compare accordingly. Background: Agarwal et al., "Mergeable
-// Summaries" (arXiv 1204.3223).
+// Summaries" (PODS 2012).
 
 package aggregate
 
@@ -51,16 +51,15 @@ const (
 // Approximate reports whether the kind's merge law is bound-preserving
 // approximation (the sketch family) rather than value-identical. The
 // generic merge-law harness keys its comparison mode on this.
-func Approximate(k Kind) bool { return registry[k].sketch }
+func Approximate(k Kind) bool { return k.registered() && registry[k].sketch }
 
 // Kinds returns every registered aggregation kind in ascending order,
 // so registry-driven tests cover new kinds automatically.
 func Kinds() []Kind {
-	out := make([]Kind, 0, len(registry))
-	for k := range registry {
+	out := make([]Kind, 0, len(registry)-1)
+	for k := KindSum; k.registered(); k++ {
 		out = append(out, k)
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -254,7 +253,9 @@ func (s *DCountState) Result() Result {
 // Nodes reports the number of contributions.
 func (s *DCountState) Nodes() int64 { return s.N }
 
-func (s *DCountState) reset() {
+func (s *DCountState) kind() Kind { return KindDCount }
+
+func (s *DCountState) reset(Spec) {
 	clear(s.Sparse)
 	s.Dense = nil
 	s.N = 0
@@ -392,13 +393,12 @@ func (s *QuantileState) addLevel() {
 	s.Levels = append(s.Levels, nil)
 }
 
-// reset empties the state but keeps its level arrays for addLevel, so a
-// pooled state grows the same levels, and encodes the same bytes, as a
-// fresh one.
-func (s *QuantileState) reset() {
-	s.Levels = s.Levels[:0]
-	s.N = 0
-	s.Coin = 0
+func (s *QuantileState) kind() Kind { return KindQuantile }
+
+// reset keeps the level arrays for addLevel, so a pooled state grows the
+// same levels, and encodes the same bytes, as a fresh one.
+func (s *QuantileState) reset(spec Spec) {
+	*s = QuantileState{Q: spec.Q, Levels: s.Levels[:0]}
 }
 
 // ---------------------------------------------------------------------
@@ -504,9 +504,15 @@ func (s *TopKeysState) Result() Result {
 // Nodes reports the number of contributions.
 func (s *TopKeysState) Nodes() int64 { return s.N }
 
-func (s *TopKeysState) reset() {
+func (s *TopKeysState) kind() Kind { return KindTopKeys }
+
+// reset keeps DefaultTopKeys counters when the spec gives no positive K.
+func (s *TopKeysState) reset(spec Spec) {
 	clear(s.Counts)
-	s.N = 0
+	s.K, s.N = spec.K, 0
+	if s.K <= 0 {
+		s.K = DefaultTopKeys
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -588,6 +594,12 @@ func (s *UnionState) Result() Result {
 // Nodes reports the number of contributions.
 func (s *UnionState) Nodes() int64 { return s.N }
 
+func (s *UnionState) kind() Kind { return KindUnion }
+
+func (s *UnionState) reset(Spec) {
+	*s = UnionState{Cap: SetCap, Keys: s.Keys[:0], Entries: s.Entries[:0]}
+}
+
 // ---------------------------------------------------------------------
 
 // CollectState lists per-node contributions like ENUMERATE, but
@@ -644,3 +656,7 @@ func (s *CollectState) Result() Result {
 
 // Nodes reports the number of contributions.
 func (s *CollectState) Nodes() int64 { return s.N }
+
+func (s *CollectState) kind() Kind { return KindCollect }
+
+func (s *CollectState) reset(Spec) { *s = CollectState{Cap: SetCap, Entries: s.Entries[:0]} }

@@ -11,8 +11,8 @@
 //
 // Decoding is shape-faithful for the leaf kinds: nil vs empty slices
 // and maps survive (wirefmt's length+1 convention), so a decoded state
-// DeepEquals the encoded one — the cross-codec equivalence sweep in
-// internal/transport holds every registered kind to that bar. Decoding
+// DeepEquals the encoded one — TestEveryKindHasALayout holds every
+// registered kind to that bar. Decoding
 // always builds a fresh state (a pooled shell for a keyed one); it
 // never writes into the state the destination held.
 package aggregate
@@ -41,27 +41,26 @@ func WireSpec(c *wirefmt.Codec, s *Spec) {
 	c.Byte((*byte)(&s.Kind))
 	c.Int(&s.K)
 	c.Float(&s.Q)
-	if !c.Dec || s.Kind == KindInvalid {
-		return
-	}
-	if _, ok := registry[s.Kind]; !ok {
+	if c.Dec && s.Kind != KindInvalid && !s.Kind.registered() {
 		c.Corrupt("aggregate: wire spec kind %d", s.Kind)
 	}
 }
 
 // WireState carries one state: a tag, then its body. A nil state is one
-// byte. Encoding a State implementation outside this package's registry
-// fails the codec, and the message layer answers with its gob fallback.
-// Decoding stores a fresh state in *st; container nesting is
-// depth-limited.
+// byte. The set of States is closed, so every state has a tag (its
+// kind) and a layout below. Decoding stores a fresh state in *st;
+// container nesting is depth-limited.
 func WireState(c *wirefmt.Codec, st *State) { wireState(c, st, 0) }
 
 func wireState(c *wirefmt.Codec, st *State, depth int) {
-	tag := stateTag(*st)
+	tag := byte(wireNilState)
+	if *st != nil {
+		tag = byte((*st).kind())
+	}
 	c.Byte(&tag)
 	if c.Dec {
 		*st = nil
-		switch {
+		switch k := Kind(tag); {
 		case depth > maxStateDepth:
 			c.Corrupt("aggregate: state nesting too deep")
 		case c.Err() != nil, tag == wireNilState:
@@ -70,15 +69,18 @@ func wireState(c *wirefmt.Codec, st *State, depth int) {
 				*st = g
 			}
 			return
+		case !k.registered():
+			c.Corrupt("aggregate: wire state tag %d", tag)
+			return
 		default:
-			ctor, ok := registry[Kind(tag)]
-			if !ok {
-				c.Corrupt("aggregate: wire state tag %d", tag)
-				return
-			}
-			*st = ctor.newState(Spec{Kind: Kind(tag)})
+			// Never a pooled state: its empty slices are not nil.
+			*st = freshState(Spec{Kind: k})
 		}
 	}
+	// The body dispatch is a static type switch, one arm per type, on
+	// purpose: a call through an interface method (st.wire(c)) lets c
+	// escape, moving every caller's Codec to the heap — one allocation
+	// per encode and per decode on the report path.
 	switch s := (*st).(type) {
 	case nil:
 	case *GroupedState:
@@ -123,47 +125,8 @@ func wireState(c *wirefmt.Codec, st *State, depth int) {
 		c.Varint(&s.N)
 		wireEntries(c, &s.Entries)
 	default:
-		c.Fail(fmt.Errorf("aggregate: no columnar encoding for %T", s))
+		c.Fail(fmt.Errorf("aggregate: no layout for %T", s))
 	}
-}
-
-// stateTag is the tag st is encoded under: its Kind byte for a leaf.
-// A State from outside the registry has none; wireState fails it.
-func stateTag(st State) byte {
-	switch s := st.(type) {
-	case nil:
-		return wireNilState
-	case *GroupedState:
-		return wireGrouped
-	case *SumState:
-		return byte(KindSum)
-	case *CountState:
-		return byte(KindCount)
-	case *ExtremeState:
-		if s.Max {
-			return byte(KindMax)
-		}
-		return byte(KindMin)
-	case *AvgState:
-		return byte(KindAvg)
-	case *TopKState:
-		return byte(KindTopK)
-	case *EnumState:
-		return byte(KindEnum)
-	case *StdState:
-		return byte(KindStd)
-	case *DCountState:
-		return byte(KindDCount)
-	case *QuantileState:
-		return byte(KindQuantile)
-	case *TopKeysState:
-		return byte(KindTopKeys)
-	case *UnionState:
-		return byte(KindUnion)
-	case *CollectState:
-		return byte(KindCollect)
-	}
-	return wireNilState
 }
 
 // ---------------------------------------------------------------------

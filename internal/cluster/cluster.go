@@ -79,6 +79,9 @@ type Cluster struct {
 
 	// down tracks nodes currently crashed (by index).
 	down map[int]bool
+	// machineOf places each node on its machine's CPU under
+	// co-location (nil without it); the network's CPUOf reads it.
+	machineOf map[ids.ID]int
 
 	opts Options
 }
@@ -111,45 +114,35 @@ func New(opts Options) *Cluster {
 		Shards:        opts.Shards,
 		ShardWorkers:  opts.ShardWorkers,
 	}
-	if opts.InstancesPerMachine > 1 {
-		machineOf := make(map[ids.ID]int, opts.N)
-		for i := 0; i < opts.N; i++ {
-			machineOf[NodeID(i)] = i / opts.InstancesPerMachine
-		}
-		sopts.CPUOf = func(id ids.ID) int {
-			if m, ok := machineOf[id]; ok {
-				return m
-			}
-			return -1
-		}
-	}
-	net := simnet.New(sopts)
 	c := &Cluster{
-		Net:   net,
 		Nodes: make([]*core.Node, 0, opts.N),
 		IDs:   make([]ids.ID, 0, opts.N),
 		ByID:  make(map[ids.ID]*core.Node, opts.N),
 		down:  make(map[int]bool),
 		opts:  opts,
 	}
+	if opts.InstancesPerMachine > 1 {
+		c.machineOf = make(map[ids.ID]int, opts.N)
+		sopts.CPUOf = func(id ids.ID) int {
+			if m, ok := c.machineOf[id]; ok {
+				return m
+			}
+			return -1
+		}
+	}
+	c.Net = simnet.New(sopts)
 	for i := 0; i < opts.N; i++ {
-		id := NodeID(i)
-		env := net.AddNode(id)
-		n := core.NewNode(env, opts.Node, opts.Overlay)
-		env.BindHandler(n)
-		c.Nodes = append(c.Nodes, n)
-		c.IDs = append(c.IDs, id)
-		c.ByID[id] = n
+		c.add(i)
 	}
 	switch opts.Bootstrap {
 	case BootstrapProtocol:
 		c.Nodes[0].Overlay().BootstrapAlone()
 		for i := 1; i < opts.N; i++ {
 			c.Nodes[i].Overlay().Join(c.IDs[0])
-			net.RunFor(opts.JoinSpacing)
+			c.Net.RunFor(opts.JoinSpacing)
 		}
 		// Let announcements settle.
-		net.RunFor(2 * time.Second)
+		c.Net.RunFor(2 * time.Second)
 	default:
 		c.Oracle = pastry.NewOracle(c.IDs)
 		for _, n := range c.Nodes {
@@ -172,15 +165,24 @@ func (c *Cluster) Node(i int) *core.Node { return c.Nodes[i] }
 // of its announcements reaching a subscribed parent.
 func (c *Cluster) AddNode() int {
 	i := len(c.Nodes)
+	c.add(i).Overlay().Join(c.liveBootstrap(i))
+	return i
+}
+
+// add registers node i on the network — on its machine's CPU under
+// co-location, joiners included — and appends it to the cluster.
+func (c *Cluster) add(i int) *core.Node {
 	id := NodeID(i)
+	if c.machineOf != nil {
+		c.machineOf[id] = i / c.opts.InstancesPerMachine
+	}
 	env := c.Net.AddNode(id)
 	n := core.NewNode(env, c.opts.Node, c.opts.Overlay)
 	env.BindHandler(n)
 	c.Nodes = append(c.Nodes, n)
 	c.IDs = append(c.IDs, id)
 	c.ByID[id] = n
-	n.Overlay().Join(c.liveBootstrap(i))
-	return i
+	return n
 }
 
 // liveBootstrap picks a live member (other than node i) for a join or

@@ -7,7 +7,9 @@ import (
 
 	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/core"
+	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/predicate"
+	"github.com/moara/moara/internal/simnet"
 )
 
 func sumReq(pred string) core.Request {
@@ -239,5 +241,47 @@ func TestManyGroupsIndependentTrees(t *testing.T) {
 		if got := intResult(t, res); got != 16 {
 			t.Fatalf("group %d: sum = %d, want 16", g, got)
 		}
+	}
+}
+
+// joinerPing is a bare simulator message for TestJoinersRunOnTheirMachine.
+type joinerPing struct{}
+
+// pingClock records when its node handled a joinerPing and passes every
+// other message on to the Moara node.
+type pingClock struct {
+	node *core.Node
+	at   time.Duration
+}
+
+func (p *pingClock) Handle(from ids.ID, m any) {
+	if _, ok := m.(joinerPing); ok {
+		p.at = p.node.Env().Now()
+		return
+	}
+	p.node.Handle(from, m)
+}
+
+// TestJoinersRunOnTheirMachine: under co-location a node added to a
+// running cluster queues on the CPU of its machine (index / instances
+// per machine), like the nodes booted with the cluster. Joiners 19 and
+// 20 land on machines 1 and 2, so two pings sent at one instant are
+// handled at one instant, not one processing delay apart.
+func TestJoinersRunOnTheirMachine(t *testing.T) {
+	c := New(Options{
+		N: 19, Latency: simnet.Fixed(time.Millisecond),
+		ProcDelay: 5 * time.Millisecond, SerializeProc: true, InstancesPerMachine: 10,
+	})
+	joiners := []int{c.AddNode(), c.AddNode()}
+	c.Net.RunFor(10 * time.Second)
+	clocks := make([]*pingClock, len(joiners))
+	for i, j := range joiners {
+		clocks[i] = &pingClock{node: c.Node(j)}
+		c.Node(j).Env().(interface{ BindHandler(simnet.Handler) }).BindHandler(clocks[i])
+		c.Node(0).Env().Send(c.IDs[j], joinerPing{})
+	}
+	c.Net.RunFor(time.Second)
+	if a, b := clocks[0].at, clocks[1].at; a == 0 || a != b {
+		t.Fatalf("joiners on machines 1 and 2 handled one-instant pings at %v and %v", a, b)
 	}
 }

@@ -86,15 +86,8 @@ type Config struct {
 	// StateTTL garbage-collects predicate state idle for this long
 	// while in NO-UPDATE (0 disables GC).
 	StateTTL time.Duration
-	// ProbeCacheTTL caches group-cost probes at the front-end. The
-	// paper probes on every composite query, so the default is 0.
-	ProbeCacheTTL time.Duration
 	// QueryTimeout bounds a front-end query end to end.
 	QueryTimeout time.Duration
-	// MaxCNFClauses caps CNF expansion during planning; larger
-	// composite predicates fall back to querying every mentioned
-	// group (still complete).
-	MaxCNFClauses int
 	// MaxGroupKeys caps the distinct keys a grouped query's keyed
 	// accumulator holds at any node; past it, contributions spill into
 	// the aggregate.OtherKey bucket (memory protection against
@@ -153,9 +146,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.QueryTimeout == 0 {
 		c.QueryTimeout = 15 * time.Second
-	}
-	if c.MaxCNFClauses == 0 {
-		c.MaxCNFClauses = 128
 	}
 	switch {
 	case c.MaxGroupKeys == 0:

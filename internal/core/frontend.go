@@ -125,17 +125,11 @@ type frontend struct {
 	// callback; probes indexes the in-flight size-probe rounds of
 	// one-shot queries and standing-query (re-)installs alike by probe
 	// query ID.
-	pending    map[QueryID]*feQuery
-	probes     map[QueryID]*probeRound
-	probeCache map[string]probeEntry
+	pending map[QueryID]*feQuery
+	probes  map[QueryID]*probeRound
 
 	// subs holds the standing-query registry (see standing.go).
 	subs map[QueryID]*feSub
-}
-
-type probeEntry struct {
-	cost float64
-	at   time.Duration
 }
 
 // probeRound is one §6.3 size-probe round: the probes still unanswered
@@ -174,7 +168,6 @@ func (fe *frontend) init(n *Node) {
 	fe.n = n
 	fe.pending = make(map[QueryID]*feQuery)
 	fe.probes = make(map[QueryID]*probeRound)
-	fe.probeCache = make(map[string]probeEntry)
 	fe.subs = make(map[QueryID]*feSub)
 }
 
@@ -245,7 +238,7 @@ func (fe *frontend) planRequest(req Request, standing bool) (queryPlan, error) {
 	case !standing && req.Period > 0:
 		return queryPlan{}, fmt.Errorf("%w (every %v)", ErrStandingOnly, req.Period)
 	}
-	plan := buildPlan(req.Attr, req.Pred, fe.n.cfg.MaxCNFClauses)
+	plan := buildPlan(req.Attr, req.Pred, maxCNFClauses)
 	plan.groupBy = req.GroupBy
 	return plan, nil
 }
@@ -287,20 +280,15 @@ func (fe *frontend) execute(req Request, cb func(Result, error)) {
 
 // startProbes opens a probe round: it fills costs for every group in
 // any cover of plan (§6.3) — the global group from the system-size
-// estimate, costs cached within ProbeCacheTTL from the cache — and
-// routes a size probe for each of the rest. The caller hands the round
-// to awaitProbes.
+// estimate — and routes a size probe for each of the rest, on every
+// composite query as the paper does. The caller hands the round to
+// awaitProbes.
 func (fe *frontend) startProbes(plan queryPlan, costs map[string]float64, done func()) *probeRound {
 	n := fe.n
 	pr := &probeRound{pending: make(map[QueryID]string), costs: costs, done: done}
-	now := n.env.Now()
 	for _, g := range plan.distinctGroupsOfPlan() {
 		if g.expr == nil {
 			costs[g.canon] = 2 * n.overlay.EstimateSize()
-			continue
-		}
-		if ce, ok := fe.probeCache[g.canon]; ok && n.cfg.ProbeCacheTTL > 0 && now-ce.at <= n.cfg.ProbeCacheTTL {
-			costs[g.canon] = ce.cost
 			continue
 		}
 		pqid := n.nextQID()
@@ -356,7 +344,6 @@ func (fe *frontend) handleProbeResp(m ProbeRespMsg) {
 	delete(fe.probes, m.QID)
 	delete(pr.pending, m.QID)
 	pr.costs[m.Group] = m.Cost
-	fe.probeCache[m.Group] = probeEntry{cost: m.Cost, at: fe.n.env.Now()}
 	if len(pr.pending) == 0 {
 		fe.endProbes(pr)
 		pr.done()

@@ -37,6 +37,11 @@ type queryPlan struct {
 	groupBy string
 }
 
+// maxCNFClauses caps CNF expansion during planning; a larger composite
+// predicate falls back to querying every group it mentions (still
+// complete).
+const maxCNFClauses = 128
+
 // buildPlan derives the covers for a query over pred aggregating
 // attrName. A nil pred selects the global pseudo-group.
 func buildPlan(attrName string, pred predicate.Expr, maxClauses int) queryPlan {

@@ -3,10 +3,11 @@
 // length-prefixed strings and aggregate states (aggregate.WireState).
 // Every body is written once, as a wire method over a wirefmt.Codec that
 // runs in both directions; the transport's golden test pins its bytes.
-// Tag 0 wraps a gob blob: any message without a columnar layout — the
-// cold one-shot query plane, foreign State implementations, anything
-// future — automatically falls back to gob, so the codec never loses a
-// message it does not understand.
+// Tag 0 wraps a gob blob for the message types without a columnar
+// layout — the cold one-shot query plane, anything future — one batch
+// item at a time, so a cold item in a batch costs only itself a blob.
+// The set of aggregate states is closed and each has a layout, so a
+// tagged message always encodes in columnar form.
 package core
 
 import (
@@ -43,10 +44,9 @@ const (
 // concrete message type.
 type wireFallback struct{ M any }
 
-// AppendMessage appends one message in columnar form, falling back to a
-// tagged gob blob for types without a columnar encoding (or whose state
-// payloads resist it). The result is self-delimiting: ReadMessage
-// returns the exact unconsumed remainder.
+// AppendMessage appends one message: columnar when its type has a
+// layout, a tagged gob blob otherwise. The result is self-delimiting:
+// ReadMessage returns the exact unconsumed remainder.
 func AppendMessage(b []byte, m any) ([]byte, error) {
 	c := wirefmt.Codec{B: b}
 	if wireMessage(&c, &m, 0); c.Err() != nil {
@@ -64,21 +64,6 @@ func ReadMessage(b []byte) (any, []byte, error) {
 		return nil, nil, c.Err()
 	}
 	return m, c.B, nil
-}
-
-// wireMessage carries one message: its tag, then its body. Encoding
-// falls back to a gob blob under tag 0 when the columnar layout fails
-// (a state without one), so one foreign item in a batch costs itself a
-// gob blob, not the whole batch. Decoding stores a fresh message in *m.
-func wireMessage(c *wirefmt.Codec, m *any, depth int) {
-	if tag := tagOf(*m); !c.Dec && tag != tagGob {
-		try := wirefmt.Codec{B: c.B}
-		if wireTagged(&try, tag, m, depth); try.Err() == nil {
-			c.B = try.B
-			return
-		}
-	}
-	wireTagged(c, tagGob, m, depth)
 }
 
 // tagOf is the columnar tag of m's type, or tagGob.
@@ -104,9 +89,11 @@ func tagOf(m any) byte {
 	return tagGob
 }
 
-// wireTagged carries tag and the body it names. Encoding writes the tag
-// passed in; decoding reads the tag over it.
-func wireTagged(c *wirefmt.Codec, tag byte, m *any, depth int) {
+// wireMessage carries one message: its tag, then the body the tag
+// names. Encoding writes the tag of m's type; decoding reads the tag and
+// stores a fresh message in *m.
+func wireMessage(c *wirefmt.Codec, m *any, depth int) {
+	tag := tagOf(*m)
 	c.Byte(&tag)
 	switch tag {
 	case tagGob:

@@ -303,7 +303,8 @@ type Options struct {
 	// CPUs: the paper's Emulab testbed ran 10 Moara instances per
 	// physical machine, so co-located instances contend for one CPU.
 	// It must be a pure function of the ID: a registered node's CPU is
-	// evaluated once, at AddNode.
+	// evaluated once, at AddNode, which panics on a CPU number outside
+	// [0, 1<<20).
 	CPUOf func(id ids.ID) int
 	// Shards is the number of event heaps (see shard.go); 0 means 1.
 	// Nodes are partitioned round-robin across the heaps, which drain
@@ -332,10 +333,8 @@ type Network struct {
 	envs   []*nodeEnv
 	idlist []ids.ID
 	// busyCPU is the per-CPU busy horizon for SerializeProc, indexed by
-	// CPU number (node index when CPUOf is nil); busyOther catches
-	// out-of-range CPU keys.
-	busyCPU   []time.Duration
-	busyOther map[int64]time.Duration
+	// CPU number (node index when CPUOf is nil).
+	busyCPU []time.Duration
 
 	shards []*shard
 	// The window coordinator: the window size, the worker cap (1
@@ -405,6 +404,9 @@ func (n *Network) AddNode(id ids.ID) *nodeEnv {
 	}
 	if n.opts.CPUOf != nil {
 		env.cpu = n.opts.CPUOf(id)
+		if env.cpu < 0 || env.cpu >= 1<<20 { // busyCPU is indexed by it
+			panic(fmt.Sprintf("simnet: CPUOf(%s) = %d, outside [0, 1<<20)", id.Short(), env.cpu))
+		}
 	}
 	env.shard = n.shards[env.idx%len(n.shards)]
 	// The per-sender latency/jitter stream: a distinct salt keeps it
@@ -549,17 +551,8 @@ func (n *Network) RunUntil(t time.Duration) { n.run(t, true, nil, 0) }
 
 // serializeOn queues one processing occupancy on a CPU and returns the
 // completion time. The CPU is the destination's own dense index by
-// default, or the configured CPU number under co-location;
-// out-of-range CPU numbers (e.g. a CPUOf returning -1 for unknown
-// nodes) fall back to a map.
+// default, or its configured CPU number under co-location.
 func (n *Network) serializeOn(cpu int, arrival, proc time.Duration) time.Duration {
-	if cpu >= 0 && cpu < 1<<20 {
-		return n.busyDense(cpu, arrival, proc)
-	}
-	return n.busyMap(int64(cpu), arrival, proc)
-}
-
-func (n *Network) busyDense(cpu int, arrival, proc time.Duration) time.Duration {
 	if cpu >= len(n.busyCPU) {
 		n.busyCPU = append(n.busyCPU, make([]time.Duration, cpu+1-len(n.busyCPU))...)
 	}
@@ -569,19 +562,6 @@ func (n *Network) busyDense(cpu int, arrival, proc time.Duration) time.Duration 
 	}
 	end := start + proc
 	n.busyCPU[cpu] = end
-	return end
-}
-
-func (n *Network) busyMap(key int64, arrival, proc time.Duration) time.Duration {
-	if n.busyOther == nil {
-		n.busyOther = make(map[int64]time.Duration)
-	}
-	start := arrival
-	if b := n.busyOther[key]; b > start {
-		start = b
-	}
-	end := start + proc
-	n.busyOther[key] = end
 	return end
 }
 

@@ -240,6 +240,22 @@ func TestSharedCPUQueueing(t *testing.T) {
 	}
 }
 
+// TestCPUOfOutOfRangePanics: a node whose CPUOf number cannot index the
+// busy horizons is refused at AddNode, not queued on some shared CPU.
+func TestCPUOfOutOfRangePanics(t *testing.T) {
+	for _, cpu := range []int{-1, 1 << 20} {
+		net := New(Options{SerializeProc: true, CPUOf: func(ids.ID) int { return cpu }})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CPUOf = %d: AddNode did not panic", cpu)
+				}
+			}()
+			net.AddNode(ids.FromUint64(1))
+		}()
+	}
+}
+
 func TestRunWhileStopsEarly(t *testing.T) {
 	net := New(Options{Seed: 1})
 	count := 0

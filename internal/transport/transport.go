@@ -506,8 +506,8 @@ func (oc *outConn) write(m any) error {
 	frame, err := appendFrame(oc.buf, m)
 	if err != nil {
 		// Encoding failed before any byte hit the wire; the connection
-		// is still clean, so report success-shaped loss (the message is
-		// unencodable, gob fallback included).
+		// is still clean, so report success-shaped loss (a tag-0 message
+		// gob cannot carry, such as an unregistered type).
 		return nil
 	}
 	oc.buf = frame[:0]
