@@ -71,7 +71,7 @@ func main() {
 		case line == "quit" || line == "exit":
 			return
 		case line == "help":
-			fmt.Println("  <agg>(<attr>) [group by <attr>] [where <pred>] [every <dur>] | set <node> <attr> <val> | get <node> <attr> | trees [node] | subs [node] | stats | quit")
+			fmt.Println("  <agg>(<attr>) [where <pred>] [group by <attr>] [every <dur>], clauses in any order (README \"Query language\") | set <node> <attr> <val> | get <node> <attr> | trees [node] | subs [node] | stats | quit")
 			fmt.Println("  aggs: sum count min max avg std topN enum | sketches: dcount quantile(x,q) pNN topkeys(x,k) union collect")
 		case line == "stats":
 			logical, wire := c.Messages(), c.WireMessages()

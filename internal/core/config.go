@@ -71,9 +71,6 @@ type Config struct {
 	// ChildTimeout bounds how long a node waits for a child's query
 	// response before aggregating without it (§7).
 	ChildTimeout time.Duration
-	// ProbeTimeout bounds how long the front-end waits for size
-	// probes before falling back to conservative cost estimates.
-	ProbeTimeout time.Duration
 	// SeenTTL is how long query IDs are remembered for duplicate
 	// elimination and answer-once accounting (§6.2; paper: 5 minutes).
 	// The memory expires by generation, swapped by the GC timer, so an
@@ -137,9 +134,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.ChildTimeout == 0 {
 		c.ChildTimeout = 2 * time.Second
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.SeenTTL == 0 {
 		c.SeenTTL = 5 * time.Minute

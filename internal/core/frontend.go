@@ -304,15 +304,19 @@ func (fe *frontend) startProbes(plan queryPlan, costs map[string]float64, done f
 	return pr
 }
 
+// probeTimeout bounds how long the front-end waits for size probes
+// before falling back to conservative cost estimates.
+const probeTimeout = 2 * time.Second
+
 // awaitProbes completes the round at once when nothing needed probing,
-// and otherwise bounds the wait: probes still missing at ProbeTimeout
+// and otherwise bounds the wait: probes still missing at probeTimeout
 // fall back to the conservative system-size cost and planning proceeds.
 func (fe *frontend) awaitProbes(pr *probeRound) {
 	if len(pr.pending) == 0 {
 		pr.done()
 		return
 	}
-	pr.cancel = fe.n.env.After(fe.n.cfg.ProbeTimeout, func() {
+	pr.cancel = fe.n.env.After(probeTimeout, func() {
 		pr.cancel = nil
 		fe.endProbes(pr)
 		pr.done()
@@ -492,14 +496,11 @@ func coverCanons(cover []groupSpec) []string {
 	return out
 }
 
-// ParseRequest builds a Request from query-language text:
-//
-//	<agg>(<attr>) [group by <attr>] [where <predicate>] [every <duration>]
-//
-// e.g. "avg(mem_util) group by slice where apache = true" or, as a
-// standing query, "avg(load) where group = db every 2s". Failures wrap
-// ErrParse, so callers branch with errors.Is rather than message
-// matching.
+// ParseRequest builds a Request from query-language text (README
+// "Query language"), e.g. "avg(mem_util) group by slice where apache =
+// true" or, as a standing query, "avg(load) where group = db every 2s".
+// Failures wrap ErrParse, so callers branch with errors.Is rather than
+// message matching.
 func ParseRequest(s string) (Request, error) {
 	req, err := parseRequestText(s)
 	if err != nil {

@@ -113,10 +113,9 @@ func TestConcurrentFrontEndQueries(t *testing.T) {
 
 // TestProbeTimeoutFallsBack: when a probe target never answers (we
 // point one group at a tree whose root is down), planning proceeds with
-// conservative costs after ProbeTimeout.
+// conservative costs after probeTimeout.
 func TestProbeTimeoutFallsBack(t *testing.T) {
 	net, nodes := miniCluster(t, 24, Config{
-		ProbeTimeout: 100 * time.Millisecond,
 		QueryTimeout: 3 * time.Second,
 		ChildTimeout: 300 * time.Millisecond,
 	})
@@ -150,6 +149,28 @@ func TestProbeTimeoutFallsBack(t *testing.T) {
 		// The y-tree is dead, so only the x cover can answer; if y was
 		// chosen the query must have timed out empty.
 		t.Logf("planner chose %v with dead y-root (acceptable but empty)", res.Stats.Chosen)
+	}
+}
+
+// TestSubQueryRootRecomputesOnPolicyFlip: a sub-query root whose
+// adaptation policy flips its update flag recomputes np before it
+// answers, as every other entry point does, so its population estimate
+// never counts a node that does not satisfy the predicate.
+func TestSubQueryRootRecomputesOnPolicyFlip(t *testing.T) {
+	net, nodes := miniCluster(t, 1, Config{})
+	nodes[0].Store().SetBool("A", false)
+	req := Request{
+		Attr: "*", Spec: aggregate.Spec{Kind: aggregate.KindCount},
+		Pred: predicate.MustParse("A = true"),
+	}
+	for i := 0; i < 2; i++ {
+		res, err := runQuery(t, net, nodes[0], req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Expected != 0 {
+			t.Fatalf("query %d: Expected = %v, want 0 (no node satisfies A = true)", i, res.Expected)
+		}
 	}
 }
 

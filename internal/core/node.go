@@ -724,7 +724,9 @@ func (n *Node) handleSubQuery(sq SubQueryMsg) {
 	if n.cfg.Mode != ModeGlobal {
 		n.recomputeState(ps)
 		ps.recordQueryEvent(n.self)
-		ps.runPolicy(n.cfg.Mode, n.cfg.KUpdate, n.cfg.KNoUpdate)
+		if ps.runPolicy(n.cfg.Mode, n.cfg.KUpdate, n.cfg.KNoUpdate) {
+			n.recomputeState(ps)
+		}
 		ps.touch(n.env.Now())
 	}
 	n.disseminate(ps, qm, sq.ReplyTo)

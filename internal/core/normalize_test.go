@@ -64,6 +64,7 @@ func TestFormatRequestRoundTrip(t *testing.T) {
 		"avg(mem) group by dc every 3s",
 		"count(*) where os = linux or os = freebsd every 500ms",
 		"top3(cpu) group by slice",
+		"avg(x) every 500us",
 	}
 	for _, text := range texts {
 		req, err := ParseRequest(text)

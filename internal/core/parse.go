@@ -2,219 +2,83 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/predicate"
 )
 
-// parseRequestText parses the front-end query language:
-//
-//	[select] <agg>(<attr>) [group by <attr>] [where <predicate>] [every <duration>]
-//
-// The group-by and every clauses may appear anywhere relative to the
-// where clause. An every clause makes the request a standing query
+// parseRequestText reads the front-end query language, whose grammar
+// README "Query language" states, as one token stream from the
+// predicate lexer. Each clause is whole and appears at most once, in
+// any order; a where predicate ends at the first token that cannot
+// continue it. An every clause makes the request a standing query
 // (Request.Period > 0), run via Subscribe rather than Execute.
-// Examples:
-//
-//	count(*) where service_x = true
-//	select max(cpu_usage) where service_x = true and apache = true
-//	avg(mem_util) group by slice where apache = true
-//	count(*) where apache = true group by os
-//	top3(load) where (service_x = true) and (apache = true)
-//	avg(load) where group = db every 2s
-//	avg(mem_util) group by slice every 500ms
-//	quantile(load, 0.99) group by slice every 2s
-//	p95(load) where apache = true
-//	dcount(os) every 2s
-//	topkeys(os, 4) group by site
 func parseRequestText(s string) (Request, error) {
-	text := strings.TrimSpace(s)
-	if text == "" {
-		return Request{}, fmt.Errorf("core: empty query")
-	}
-	lower := strings.ToLower(text)
-	if strings.HasPrefix(lower, "select") && (len(text) == 6 || text[6] == ' ' || text[6] == '\t') {
-		text = strings.TrimSpace(text[6:])
-		lower = strings.ToLower(text)
-	}
-
-	open := strings.IndexByte(text, '(')
-	if open < 0 {
+	p := predicate.NewParser(s)
+	p.Keyword("select")
+	fn, ok := p.Word()
+	if !ok || !p.Punct('(') {
 		return Request{}, fmt.Errorf("core: expected <agg>(<attr>) in %q", s)
 	}
-	closeIdx := strings.IndexByte(text[open:], ')')
-	if closeIdx < 0 {
-		return Request{}, fmt.Errorf("core: missing ')' in %q", s)
+	attr, ok := p.Word()
+	if !ok {
+		return Request{}, fmt.Errorf("core: expected one attribute name in %q", s)
 	}
-	closeIdx += open
-
 	// Two-argument forms — quantile(attr, q), topkeys(attr, k) — carry
 	// the parameter after a comma; everything else takes a bare attr.
-	attrName := strings.TrimSpace(text[open+1 : closeIdx])
 	arg := ""
-	if comma := strings.IndexByte(attrName, ','); comma >= 0 {
-		arg = strings.TrimSpace(attrName[comma+1:])
-		attrName = strings.TrimSpace(attrName[:comma])
-		if arg == "" || strings.ContainsRune(arg, ',') {
+	if p.Punct(',') {
+		if arg, ok = p.Word(); !ok {
 			return Request{}, fmt.Errorf("core: bad aggregate argument list in %q", s)
 		}
 	}
-	spec, err := aggregate.ParseSpecArg(strings.TrimSpace(text[:open]), arg)
+	if !p.Punct(')') {
+		return Request{}, fmt.Errorf("core: missing ')' in %q", s)
+	}
+	spec, err := aggregate.ParseSpecArg(fn, arg)
 	if err != nil {
 		return Request{}, err
 	}
-	if attrName == "" {
-		return Request{}, fmt.Errorf("core: empty attribute in %q", s)
-	}
-
-	rest := strings.TrimSpace(text[closeIdx+1:])
-	rest, period, err := cutEvery(rest)
-	if err != nil {
-		return Request{}, err
-	}
-	rest, groupBy, err := cutGroupBy(rest)
-	if err != nil {
-		return Request{}, err
-	}
-	var pred predicate.Expr
-	if rest != "" {
-		lowRest := strings.ToLower(rest)
-		if !strings.HasPrefix(lowRest, "where") {
-			return Request{}, fmt.Errorf("core: expected 'where', got %q", rest)
-		}
-		predText := strings.TrimSpace(rest[len("where"):])
-		if predText == "" {
-			return Request{}, fmt.Errorf("core: empty predicate in %q", s)
-		}
-		pred, err = predicate.ParseExpr(predText)
-		if err != nil {
-			return Request{}, err
-		}
-	}
-	return Request{Attr: attrName, Spec: spec, Pred: pred, GroupBy: groupBy, Period: period}, nil
-}
-
-// cutEvery extracts an optional `every <duration>` clause (a standing
-// query's epoch period), wherever it appears relative to the where and
-// group-by clauses, returning the remaining text with the clause
-// removed. An "every" token not followed by something duration-shaped
-// (e.g. the attribute name in `where every = 1`) is left alone.
-func cutEvery(s string) (rest string, period time.Duration, err error) {
-	found := false
-	toks := tokenize(s)
-	for i := 0; i < len(toks); i++ {
-		if !strings.EqualFold(toks[i].text, "every") {
-			continue
-		}
-		if i+1 >= len(toks) {
-			// A trailing "every" is an ordinary value or attribute
-			// token (`where slice = every`, `group by every`), not a
-			// clause; a genuinely dangling clause still fails in the
-			// where-clause parse downstream.
-			continue
-		}
-		next := toks[i+1].text
-		if !strings.ContainsAny(next[:1], "0123456789.+-") {
-			// Not a clause: "every" used as an attribute name or literal.
-			continue
-		}
-		d, perr := time.ParseDuration(next)
-		if perr != nil {
-			return "", 0, fmt.Errorf("core: bad every duration %q", next)
-		}
-		if d <= 0 {
-			return "", 0, fmt.Errorf("core: every duration must be positive, got %q", next)
-		}
-		if found {
-			return "", 0, fmt.Errorf("core: duplicate every clause in %q", s)
-		}
-		found = true
-		period = d
-		// Splice the clause out by byte offsets (see cutGroupBy) and
-		// rescan from the start so a duplicate clause is rejected.
-		before := s[:toks[i].start]
-		after := ""
-		if i+2 < len(toks) {
-			after = s[toks[i+2].start:]
-		}
-		s = strings.TrimSpace(strings.TrimSpace(before) + " " + after)
-		toks = tokenize(s)
-		i = -1
-	}
-	return strings.TrimSpace(s), period, nil
-}
-
-// cutGroupBy extracts an optional `group by <attr>` clause from the
-// text following the aggregate, wherever it appears relative to the
-// where clause, returning the remaining text with the clause removed.
-func cutGroupBy(s string) (rest, groupBy string, err error) {
-	toks := tokenize(s)
-	for i, t := range toks {
-		if !strings.EqualFold(t.text, "group") {
-			continue
-		}
-		if i+1 >= len(toks) || !strings.EqualFold(toks[i+1].text, "by") {
-			// A bare "group" token is a legitimate attribute name or
-			// literal in the predicate, not a clause.
-			continue
-		}
-		if i+2 >= len(toks) {
-			return "", "", fmt.Errorf("core: group by needs an attribute in %q", s)
-		}
-		key := toks[i+2].text
-		if !validGroupKey(key) {
-			return "", "", fmt.Errorf("core: bad group by attribute %q", key)
-		}
-		// Splice the clause out by byte offsets, preserving the
-		// predicate text exactly as written.
-		before := s[:toks[i].start]
-		after := ""
-		if i+3 < len(toks) {
-			after = s[toks[i+3].start:]
-		}
-		rest = strings.TrimSpace(strings.TrimSpace(before) + " " + after)
-		return rest, key, nil
-	}
-	return strings.TrimSpace(s), "", nil
-}
-
-// token is one whitespace-delimited word plus its byte offset. A quoted
-// span (predicate string literal) extends its token through any spaces
-// it contains, so clause keywords inside quotes are never mistaken for
-// a group-by clause.
-type token struct {
-	text  string
-	start int
-}
-
-func tokenize(s string) []token {
-	var out []token
-	i := 0
-	for i < len(s) {
-		if s[i] == ' ' || s[i] == '\t' {
-			i++
-			continue
-		}
-		j := i
-		for j < len(s) && s[j] != ' ' && s[j] != '\t' {
-			if q := s[j]; q == '"' || q == '\'' {
-				j++
-				for j < len(s) && s[j] != q {
-					j++
-				}
-				if j < len(s) {
-					j++
-				}
-				continue
+	req := Request{Attr: attr, Spec: spec}
+	for {
+		switch {
+		case p.Keyword("where"):
+			if req.Pred != nil {
+				return Request{}, fmt.Errorf("core: duplicate where clause in %q", s)
 			}
-			j++
+			if req.Pred, err = p.Expr(); err != nil {
+				return Request{}, err
+			}
+		case p.Keyword("group"):
+			if !p.Keyword("by") {
+				return Request{}, fmt.Errorf("core: expected 'group by' in %q", s)
+			}
+			if req.GroupBy != "" {
+				return Request{}, fmt.Errorf("core: duplicate group by clause in %q", s)
+			}
+			key, _ := p.Word()
+			if !validGroupKey(key) {
+				return Request{}, fmt.Errorf("core: bad group by attribute %q in %q", key, s)
+			}
+			req.GroupBy = key
+		case p.Keyword("every"):
+			if req.Period != 0 {
+				return Request{}, fmt.Errorf("core: duplicate every clause in %q", s)
+			}
+			w, _ := p.Word()
+			d, err := time.ParseDuration(w)
+			if err != nil || d <= 0 {
+				return Request{}, fmt.Errorf("core: every needs a positive duration, got %q", w)
+			}
+			req.Period = d
+		default:
+			if err := p.Done(); err != nil {
+				return Request{}, err
+			}
+			return req, nil
 		}
-		out = append(out, token{text: s[i:j], start: i})
-		i = j
 	}
-	return out
 }
 
 // validGroupKey accepts attribute-name identifiers; grouping by "*" or

@@ -8,13 +8,14 @@ import (
 )
 
 // FuzzParseRequestText fuzzes the front-end query language end to end
-// (parseRequestText -> cutEvery/cutGroupBy -> aggregate.ParseSpec ->
-// predicate.ParseExpr), seeded with the grammar examples from parse.go
-// plus known-tricky shapes. The parser must never panic, and accepted
-// requests must satisfy the Request invariants the planner relies on.
+// (parseRequestText over one predicate.Parser token stream, calling
+// aggregate.ParseSpecArg and Parser.Expr), seeded with the grammar
+// examples from README "Query language" plus known-tricky shapes. The
+// parser must never panic, and accepted requests must satisfy the
+// Request invariants the planner relies on.
 func FuzzParseRequestText(f *testing.F) {
 	seeds := []string{
-		// The grammar examples documented on parseRequestText.
+		// The grammar examples in README "Query language".
 		"count(*) where service_x = true",
 		"select max(cpu_usage) where service_x = true and apache = true",
 		"avg(mem_util) group by slice where apache = true",
@@ -55,6 +56,18 @@ func FuzzParseRequestText(f *testing.F) {
 		"std(x) where ((a = 1) and (b = 2)) or not (c < 3)",
 		"count(*) where a = \xff\xfe",
 		"avg(x) group by é",
+		// Forms the one-stream reader rejects: an attribute that is not
+		// one word, a keyword glued to the next word, a clause inside
+		// the predicate.
+		"avg(mem util)",
+		"avg(!)",
+		"count(*) wherex = 1",
+		"avg(x) where a = 1 every 2s and b = 2",
+		"avg(x) where a = 1 group by os and b = 2",
+		// Any lexer space separates clause words.
+		"avg(x) where a = 1\revery 2s",
+		"avg(x) where a = 1\vgroup by os",
+		"select\favg(x)\fevery\f2s",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -64,8 +77,11 @@ func FuzzParseRequestText(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if req.Attr == "" {
-			t.Fatalf("accepted %q with empty attribute", s)
+		// The attribute crosses the wire as a name every node looks up,
+		// so it must be exactly one word of the query language.
+		p := predicate.NewParser(req.Attr)
+		if w, ok := p.Word(); !ok || w != req.Attr || p.Done() != nil {
+			t.Fatalf("accepted %q with attribute %q that is not one word", s, req.Attr)
 		}
 		if req.Spec.Kind == aggregate.KindInvalid {
 			t.Fatalf("accepted %q with invalid spec", s)

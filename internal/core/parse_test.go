@@ -126,6 +126,10 @@ func TestParseRequestEveryForms(t *testing.T) {
 		{`count(*) where note = "tick every 2s"`, 0, "", true},
 		// One-shot queries stay period-free.
 		{"avg(mem_util) where a = true", 0, "", true},
+		// Every byte the lexer reads as a space separates clause words.
+		{"avg(x) where a = 1\revery 2s", 2 * time.Second, "", true},
+		{"avg(x) where a = 1\vgroup by os every 2s", 2 * time.Second, "os", true},
+		{"select\favg(x)\fgroup\fby\fos\fevery\f2s", 2 * time.Second, "os", false},
 	}
 	for _, tc := range tests {
 		req, err := parseRequestText(tc.in)
@@ -205,6 +209,13 @@ func TestParseRequestErrors(t *testing.T) {
 		"dcount(os, 4)",       // dcount takes no argument
 		"union(slice, 9)",     // union takes no argument
 		"top3(load, 4)",       // prefix forms take no argument
+		// The attribute is one word, a keyword is a whole word, and no
+		// clause sits inside the predicate.
+		"count(*) wherex = 1",
+		"avg(mem util)",
+		"avg(!)",
+		"avg(x) where a = 1 every 2s and b = 2",
+		"avg(x) where a = 1 group by os and b = 2",
 	}
 	for _, in := range bad {
 		if _, err := parseRequestText(in); err == nil {

@@ -21,13 +21,13 @@ import (
 // 'not' is pushed down to the operators per the paper's implicit-not
 // support.
 func ParseExpr(s string) (Expr, error) {
-	p := &parser{toks: lex(s)}
-	e, err := p.parseOr()
+	p := NewParser(s)
+	e, err := p.Expr()
 	if err != nil {
 		return nil, err
 	}
-	if !p.eof() {
-		return nil, fmt.Errorf("predicate: trailing input %q", p.peek().text)
+	if err := p.Done(); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -60,8 +60,7 @@ const (
 	tokEOF tokKind = iota
 	tokIdent
 	tokOp
-	tokLParen
-	tokRParen
+	tokPunct // '(', ')' or ','
 	tokLiteral
 	tokErr
 )
@@ -79,11 +78,8 @@ func lex(s string) []token {
 		switch {
 		case unicode.IsSpace(rune(c)):
 			i++
-		case c == '(':
-			out = append(out, token{tokLParen, "("})
-			i++
-		case c == ')':
-			out = append(out, token{tokRParen, ")"})
+		case c == '(' || c == ')' || c == ',':
+			out = append(out, token{tokPunct, s[i : i+1]})
 			i++
 		case c == '<' || c == '>' || c == '=' || c == '!':
 			j := i + 1
@@ -127,14 +123,22 @@ func isWordChar(c byte) bool {
 		c == '+'
 }
 
-type parser struct {
+// Parser reads query-language text as one token stream. ParseExpr reads
+// a whole predicate with it; a reader of a larger grammar walks its own
+// clauses with Keyword, Word and Punct and calls Expr where a predicate
+// belongs. Expr stops at the first token that cannot continue the
+// expression, so the caller decides what may follow it.
+type Parser struct {
 	toks []token
 	pos  int
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+// NewParser lexes s for reading.
+func NewParser(s string) *Parser { return &Parser{toks: lex(s)} }
 
-func (p *parser) next() token {
+func (p *Parser) peek() token { return p.toks[p.pos] }
+
+func (p *Parser) next() token {
 	t := p.toks[p.pos]
 	if t.kind != tokEOF {
 		p.pos++
@@ -142,24 +146,55 @@ func (p *parser) next() token {
 	return t
 }
 
-func (p *parser) eof() bool { return p.peek().kind == tokEOF }
-
-func (p *parser) keyword(kw string) bool {
-	t := p.peek()
-	if t.kind == tokIdent && strings.EqualFold(t.text, kw) {
+// Keyword consumes the next token if it is the whole word kw, compared
+// case-insensitively: "wherex" is not the keyword "where".
+func (p *Parser) Keyword(kw string) bool {
+	if t := p.peek(); t.kind == tokIdent && strings.EqualFold(t.text, kw) {
 		p.pos++
 		return true
 	}
 	return false
 }
 
-func (p *parser) parseOr() (Expr, error) {
+// Word consumes and returns the next token if it is an identifier or a
+// bare (unquoted) literal.
+func (p *Parser) Word() (string, bool) {
+	t := p.peek()
+	if t.kind != tokIdent {
+		return "", false
+	}
+	p.pos++
+	return t.text, true
+}
+
+// Punct consumes the next token if it is the punctuation c, one of
+// '(', ')' and ','.
+func (p *Parser) Punct(c byte) bool {
+	if t := p.peek(); t.kind == tokPunct && t.text[0] == c {
+		p.pos++
+		return true
+	}
+	return false
+}
+
+// Expr reads one predicate expression.
+func (p *Parser) Expr() (Expr, error) { return p.parseOr() }
+
+// Done reports an error unless every token has been read.
+func (p *Parser) Done() error {
+	if t := p.peek(); t.kind != tokEOF {
+		return fmt.Errorf("predicate: trailing input %q", t.text)
+	}
+	return nil
+}
+
+func (p *Parser) parseOr() (Expr, error) {
 	first, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
 	terms := []Expr{first}
-	for p.keyword("or") {
+	for p.Keyword("or") {
 		t, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -172,13 +207,13 @@ func (p *parser) parseOr() (Expr, error) {
 	return Or{Terms: terms}, nil
 }
 
-func (p *parser) parseAnd() (Expr, error) {
+func (p *Parser) parseAnd() (Expr, error) {
 	first, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	terms := []Expr{first}
-	for p.keyword("and") {
+	for p.Keyword("and") {
 		t, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -191,30 +226,28 @@ func (p *parser) parseAnd() (Expr, error) {
 	return And{Terms: terms}, nil
 }
 
-func (p *parser) parseUnary() (Expr, error) {
-	if p.keyword("not") {
+func (p *Parser) parseUnary() (Expr, error) {
+	if p.Keyword("not") {
 		inner, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return Negate(inner), nil
 	}
-	if p.peek().kind == tokLParen {
-		p.next()
+	if p.Punct('(') {
 		inner, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		if p.peek().kind != tokRParen {
+		if !p.Punct(')') {
 			return nil, fmt.Errorf("predicate: missing ')' near %q", p.peek().text)
 		}
-		p.next()
 		return inner, nil
 	}
 	return p.parseSimpleTerm()
 }
 
-func (p *parser) parseSimpleTerm() (Expr, error) {
+func (p *Parser) parseSimpleTerm() (Expr, error) {
 	attrTok := p.next()
 	if attrTok.kind != tokIdent {
 		return nil, fmt.Errorf("predicate: expected attribute, got %q", attrTok.text)

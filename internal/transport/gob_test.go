@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/moara/moara/internal/aggregate"
-	"github.com/moara/moara/internal/baseline"
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/pastry"
@@ -114,8 +113,6 @@ func wireSamples(t testing.TB) []any {
 			core.StatusMsg{Group: "g", Np: 1, UpdateSet: []core.SetEntry{{ID: nodeB, Level: 2}}},
 		}},
 		core.BatchMsg{},
-		baseline.CentralQueryMsg{Num: 5, Attr: "cpu", Spec: spec, Pred: "a = 1"},
-		baseline.CentralRespMsg{Num: 5, State: sum},
 		core.ResponseMsg{QID: qid, Group: "g", State: sum},
 		core.ResponseMsg{QID: qid, Group: "g", State: &aggregate.CountState{N: 4}},
 		core.ResponseMsg{QID: qid, Group: "g",

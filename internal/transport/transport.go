@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/moara/moara/internal/aggregate"
-	"github.com/moara/moara/internal/baseline"
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/pastry"
@@ -57,8 +56,6 @@ var wireTypes = []any{
 	core.SampleMsg{},
 	core.CancelMsg{},
 	core.BatchMsg{},
-	baseline.CentralQueryMsg{},
-	baseline.CentralRespMsg{},
 	&aggregate.GroupedState{},
 	&aggregate.SumState{},
 	&aggregate.CountState{},

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -445,6 +446,25 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(appendConnHeader(nil, "127.0.0.1:1"))
 	f.Add([]byte{wireMagic, 'M', 'W', wireVersion})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // huge frame length
+	// Whole connection streams, which reach the frame layer: a header
+	// then a gob-fallback frame and a columnar one, the same stream cut
+	// mid-frame, a header then a huge frame length, and a header then a
+	// frame whose message tag is unknown.
+	stream := appendConnHeader(nil, "127.0.0.1:1")
+	for _, m := range []any{
+		core.ProbeMsg{QID: core.QueryID{Num: 1}, Group: "g", Attr: "cpu"},
+		core.EpochReportMsg{Group: "g", Epoch: 1, State: grouped},
+	} {
+		if stream, err = appendFrame(stream, m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(stream)
+	f.Add(stream[:len(stream)-3])
+	f.Add(append(appendConnHeader(nil, "127.0.0.1:1"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01))
+	unknownTag := binary.AppendUvarint(appendConnHeader(nil, "127.0.0.1:1"), uint64(len(report)))
+	unknownTag = append(unknownTag, 0xFF)
+	f.Add(append(unknownTag, report[1:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Message layer directly.
 		if m, rest, err := core.ReadMessage(data); err == nil {

@@ -90,15 +90,10 @@ func Str(v string) Value { return value.Str(v) }
 // Bool builds a boolean attribute value.
 func Bool(v bool) Value { return value.Bool(v) }
 
-// ParseRequest parses query-language text:
-//
-//	[select] <agg>(<attr>) [group by <attr>] [where <predicate>] [every <duration>]
-//
-// with agg ∈ {sum, count, min, max, avg, std, topN, enum} and
-// predicates composed from (attr op value) terms with and/or/not and
-// parentheses. The group-by and every clauses may precede or follow
-// the where clause. An every clause makes the request a standing query
-// (run it with Subscribe, not Query/Execute).
+// ParseRequest parses query-language text (README "Query language"),
+// e.g. "avg(mem_util) group by slice where apache = true". An every
+// clause makes the request a standing query (run it with Subscribe,
+// not Query/Execute).
 func ParseRequest(text string) (Request, error) {
 	return core.ParseRequest(text)
 }
