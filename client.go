@@ -3,8 +3,8 @@ package moara
 import (
 	"context"
 	"errors"
-	"time"
 
+	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/service"
 )
@@ -82,67 +82,7 @@ var (
 // or the samples' source node — hand samples to a channel, or front the
 // client with NewService and a positive Buffer for a safe asynchronous
 // hand-off.
-func (s *SimCluster) Client(i int) Client {
-	return &simClient{c: s, node: i}
-}
-
-// simClient is one node's Client view of a SimCluster.
-type simClient struct {
-	c    *SimCluster
-	node int
-}
-
-func (sc *simClient) Query(ctx context.Context, text string) (Result, error) {
-	req, err := ParseRequest(text)
-	if err != nil {
-		return Result{}, err
-	}
-	return sc.Execute(ctx, req)
-}
-
-func (sc *simClient) Execute(ctx context.Context, req Request) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	return sc.c.c.Execute(sc.node, req)
-}
-
-func (sc *simClient) Subscribe(ctx context.Context, text string, fn func(Sample)) (Sub, error) {
-	req, err := ParseRequest(text)
-	if err != nil {
-		return nil, err
-	}
-	return sc.SubscribeRequest(ctx, req, fn)
-}
-
-// SubscribeRequest is the parsed-request install path (the service
-// front-end uses it to install normalized requests directly).
-func (sc *simClient) SubscribeRequest(ctx context.Context, req Request, fn func(Sample)) (Sub, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	id, err := sc.c.c.Subscribe(sc.node, req, fn)
-	if err != nil {
-		return nil, err
-	}
-	return &simSub{c: sc.c, node: sc.node, id: id}, nil
-}
-
-func (sc *simClient) Attrs() Attrs { return sc.c.c.Nodes[sc.node].Store() }
-
-// Now exposes the cluster's virtual clock; the service front-end picks
-// it up so cache ages and admission decisions are deterministic.
-func (sc *simClient) Now() time.Duration { return sc.c.c.Net.Now() }
-
-// simSub is a standing-query handle on a simulated cluster.
-type simSub struct {
-	c    *SimCluster
-	node int
-	id   core.QueryID
-}
-
-func (ss *simSub) ID() core.QueryID   { return ss.id }
-func (ss *simSub) Unsubscribe() error { return ss.c.c.Unsubscribe(ss.node, ss.id) }
+func (s *SimCluster) Client(i int) Client { return s.c.Client(i) }
 
 // Service is the query-service front-end (see internal/service): it
 // normalizes requests, shares subsumed standing queries, caches
@@ -172,7 +112,7 @@ func WithTenant(ctx context.Context, tenant string) context.Context {
 // Interface conformance (compile-time): every deployment form is a
 // Client.
 var (
-	_ Client = (*simClient)(nil)
+	_ Client = (*cluster.Client)(nil)
 	_ Client = (*Agent)(nil)
 	_ Client = (*Service)(nil)
 )

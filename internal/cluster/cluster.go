@@ -67,6 +67,30 @@ type Options struct {
 	ShardWorkers int
 }
 
+// Emulab returns o on the paper's Emulab testbed: a switched LAN, and
+// 800±400 µs of processing per message (standing in for the
+// FreePastry/Java software stack), queued on CPUs that 10 consecutive
+// instances share.
+func (o Options) Emulab() Options {
+	o.Latency = simnet.LAN(simnet.LANConfig{})
+	o.ProcDelay = 800 * time.Microsecond
+	o.ProcJitter = 400 * time.Microsecond
+	o.SerializeProc = true
+	o.InstancesPerMachine = 10
+	return o
+}
+
+// PlanetLab returns o on a PlanetLab-style wide-area network: heavy-tailed
+// latencies drawn from o.Seed with intermittently slow stragglers, and
+// 500±500 µs of processing per message, queued per node.
+func (o Options) PlanetLab() Options {
+	o.Latency = simnet.WAN(simnet.WANConfig{Seed: o.Seed})
+	o.ProcDelay = 500 * time.Microsecond
+	o.ProcJitter = 500 * time.Microsecond
+	o.SerializeProc = true
+	return o
+}
+
 // Cluster is a complete simulated deployment.
 type Cluster struct {
 	Net    *simnet.Network

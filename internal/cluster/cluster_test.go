@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -76,6 +77,66 @@ func TestSimplePredicateCount(t *testing.T) {
 		}
 		if got := intResult(t, res); got != int64(inGroup) {
 			t.Fatalf("round %d: count = %d, want %d", round, got, inGroup)
+		}
+	}
+}
+
+// TestGlobalBaselineIsPinnedPolicy checks that the Global baseline
+// (Fig. 9) is the §4 policy held in NO-UPDATE: every node keeps
+// advertising (NO-PRUNE, {self}), so membership churn sends no status,
+// every query floods the whole broadcast tree at the same cost, and the
+// expected population is the flood's NO-PRUNE count — every node.
+func TestGlobalBaselineIsPinnedPolicy(t *testing.T) {
+	const n = 64
+	c := New(Options{N: n, Seed: 3, Node: core.Config{Mode: core.ModeGlobal}})
+	member := make([]bool, n)
+	for i, nd := range c.Nodes {
+		member[i] = i%2 == 0
+		nd.Store().SetBool("A", member[i])
+	}
+	req := core.Request{
+		Attr: "*",
+		Spec: aggregate.Spec{Kind: aggregate.KindCount},
+		Pred: predicate.MustParse("A = true"),
+	}
+	rng := rand.New(rand.NewSource(3))
+	first := int64(0)
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			// A burst of attribute flips between queries: churn an
+			// adaptive tree would report up as status updates.
+			for _, i := range rng.Perm(n)[:n/4] {
+				member[i] = !member[i]
+				c.Nodes[i].Store().SetBool("A", member[i])
+			}
+			c.RunFor(5 * time.Second)
+		}
+		want := 0
+		for _, m := range member {
+			if m {
+				want++
+			}
+		}
+		before := c.MoaraMessages()
+		res, err := c.Execute(0, req)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		c.RunFor(5 * time.Second)
+		cost := c.MoaraMessages() - before
+		if got := intResult(t, res); got != int64(want) {
+			t.Fatalf("round %d: count = %d, want %d", round, got, want)
+		}
+		if res.Expected != n {
+			t.Fatalf("round %d: Expected = %v, want %d (the whole flood)", round, res.Expected, n)
+		}
+		if round == 0 {
+			first = cost
+		} else if cost != first {
+			t.Fatalf("round %d: query cost %d messages, want %d like the first", round, cost, first)
+		}
+		if st := c.Net.Counter().ByKind()["moara.status"]; st != 0 {
+			t.Fatalf("round %d: %d status messages sent, want none", round, st)
 		}
 	}
 }

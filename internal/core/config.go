@@ -6,15 +6,17 @@ package core
 
 import "time"
 
-// Mode selects the maintenance strategy; the non-default modes implement
-// the paper's comparison baselines.
+// Mode selects the adaptation policy; the non-default modes implement
+// the paper's comparison baselines by pinning the policy's update flag.
 type Mode uint8
 
 const (
 	// ModeAdaptive is Moara's dynamic adaptation policy (§4).
 	ModeAdaptive Mode = iota
-	// ModeGlobal never maintains group state: every query is broadcast
-	// to all nodes ("Global" in Fig. 9).
+	// ModeGlobal pins every node in NO-UPDATE: group state is kept, but
+	// each node advertises (NO-PRUNE, {self}), so every query floods
+	// the broadcast tree and no status flows ("Global" in Fig. 9, the
+	// SDIMS tree of Fig. 12a).
 	ModeGlobal
 	// ModeAlwaysUpdate pins every node in UPDATE state, eagerly
 	// propagating every membership change ("Moara (Always-Update)").
@@ -53,7 +55,9 @@ const (
 // Config tunes a Moara node. The zero value plus Defaults() matches the
 // paper's implementation choices.
 type Config struct {
-	// Mode selects adaptive maintenance or a baseline strategy.
+	// Mode selects the adaptive policy (§4) or a baseline that pins it:
+	// Always-Update, or Global (NO-UPDATE everywhere: queries flood the
+	// broadcast tree, no status flows).
 	Mode Mode
 	// Covers selects the cover-choice policy (ablation knob).
 	Covers CoverPolicy

@@ -81,13 +81,6 @@ type Node struct {
 	deferFn func(time.Duration, func())
 	armFn   func(time.Duration, func(), *simnet.Timer)
 
-	// predMemo short-circuits the per-message predicate-state lookup:
-	// virtually all traffic at a node concerns one or two groups, and
-	// canon strings arrive pointer-equal across messages, so the memo
-	// hit is a pointer compare instead of a string-map probe.
-	predMemoCanon string
-	predMemoVal   *predState
-
 	// targetScratch backs queryTargets' list and subScratch subsOf's;
 	// each is consumed before the next call.
 	targetScratch []SetEntry
@@ -411,12 +404,10 @@ func (n *Node) maybeResyncSubs() {
 	n.subsGen = g
 	for _, sub := range n.subsOf("") {
 		ps := sub.ge.ps
-		if ps == nil && n.cfg.Mode != ModeGlobal {
+		if ps == nil {
 			continue
 		}
-		if ps != nil && n.cfg.Mode != ModeGlobal {
-			n.recomputeState(ps)
-		}
+		n.recomputeState(ps)
 		n.pushInstalls(sub, ps, false)
 	}
 }
@@ -474,7 +465,6 @@ func (n *Node) groupOf(canon string) (*groupEntry, error) {
 
 func (n *Node) getPred(ge *groupEntry) *predState {
 	if ps := ge.ps; ps != nil {
-		n.predMemoCanon, n.predMemoVal = ge.spec.canon, ps
 		return ps
 	}
 	g := ge.spec
@@ -482,7 +472,6 @@ func (n *Node) getPred(ge *groupEntry) *predState {
 	ps.evalLocal(n.store)
 	n.preds[g.canon] = ps
 	ge.ps = ps
-	n.predMemoCanon, n.predMemoVal = g.canon, ps
 	if g.expr != nil {
 		for _, a := range predicate.Attrs(g.expr) {
 			n.byAttr[a] = append(n.byAttr[a], g.canon)
@@ -493,18 +482,6 @@ func (n *Node) getPred(ge *groupEntry) *predState {
 	return ps
 }
 
-// predLookup is the memoized n.preds access.
-func (n *Node) predLookup(canon string) (*predState, bool) {
-	if n.predMemoVal != nil && n.predMemoCanon == canon {
-		return n.predMemoVal, true
-	}
-	ps, ok := n.preds[canon]
-	if ok {
-		n.predMemoCanon, n.predMemoVal = canon, ps
-	}
-	return ps, ok
-}
-
 func (n *Node) dropPred(canon string) {
 	ps, ok := n.preds[canon]
 	if !ok {
@@ -512,9 +489,6 @@ func (n *Node) dropPred(canon string) {
 	}
 	delete(n.preds, canon)
 	n.groupCache[canon].ps = nil
-	if n.predMemoVal == ps {
-		n.predMemoCanon, n.predMemoVal = "", nil
-	}
 	if ps.group.expr != nil {
 		for _, a := range predicate.Attrs(ps.group.expr) {
 			list := n.byAttr[a]
@@ -599,9 +573,6 @@ func (n *Node) onAttrChange(name string, _, _ value.Value) {
 // recompute, record a churn event if observable state moved, re-run the
 // adaptation policy, and propagate status if warranted.
 func (n *Node) onStateChange(ps *predState) {
-	if n.cfg.Mode == ModeGlobal {
-		return
-	}
 	changed := n.recomputeState(ps)
 	if changed {
 		ps.recordEvent(evChange)
@@ -617,11 +588,29 @@ func (n *Node) onStateChange(ps *predState) {
 	n.syncSubs(ps)
 }
 
+// queryLoad is §4's step for one query-plane arrival — a query, a
+// subscription, an install, or one epoch of standing load: bring the
+// state up to date, account for the queries seq reveals this node
+// missed, record this one, run the policy, and recompute if the update
+// flag flipped. It reports the flip.
+func (n *Node) queryLoad(ps *predState, seq uint64) (flipped bool) {
+	n.recomputeState(ps)
+	ps.observeSeq(seq, n.self)
+	ps.recordQueryEvent(n.self)
+	flipped = ps.runPolicy(n.cfg.Mode, n.cfg.KUpdate, n.cfg.KNoUpdate)
+	if flipped {
+		// np depends on the update flag.
+		n.recomputeState(ps)
+	}
+	ps.touch(n.env.Now())
+	return flipped
+}
+
 // maybeSendStatus sends the parent a status update when the parent's
 // view of this node would otherwise be stale. NO-UPDATE nodes advertise
 // the constant (NO-PRUNE, {self}) view, so they naturally go silent.
 func (n *Node) maybeSendStatus(ps *predState) {
-	if !ps.hasParent || n.cfg.Mode == ModeGlobal {
+	if !ps.hasParent {
 		return
 	}
 	prune, set := ps.wireView(n.self)
@@ -685,6 +674,7 @@ func (n *Node) handleStatus(from ids.ID, sm StatusMsg) {
 type exec struct {
 	qid     QueryID
 	group   string
+	ge      *groupEntry
 	attrKey string
 	spec    aggregate.Spec
 	groupBy string
@@ -708,8 +698,7 @@ func (n *Node) handleSubQuery(sq SubQueryMsg) {
 		return
 	}
 	ps := n.getPred(ge)
-	ps.setLevel(0)
-	ps.hasParent = false
+	ps.becomeRoot()
 	qm := QueryMsg{
 		QID:     sq.QID,
 		Seq:     ps.nextSeq(),
@@ -721,15 +710,8 @@ func (n *Node) handleSubQuery(sq SubQueryMsg) {
 		Level:   0,
 		ReplyTo: n.self,
 	}
-	if n.cfg.Mode != ModeGlobal {
-		n.recomputeState(ps)
-		ps.recordQueryEvent(n.self)
-		if ps.runPolicy(n.cfg.Mode, n.cfg.KUpdate, n.cfg.KNoUpdate) {
-			n.recomputeState(ps)
-		}
-		ps.touch(n.env.Now())
-	}
-	n.disseminate(ps, qm, sq.ReplyTo)
+	n.queryLoad(ps, qm.Seq)
+	n.disseminate(ge, qm, sq.ReplyTo)
 }
 
 // handleQuery processes a query received from a tree parent or via an
@@ -740,43 +722,25 @@ func (n *Node) handleQuery(_ ids.ID, qm QueryMsg) {
 		n.send(qm.ReplyTo, ResponseMsg{QID: qm.QID, Group: qm.Group, Dup: true})
 		return
 	}
-	if n.cfg.Mode == ModeGlobal {
-		// The stateless Global baseline: no group state anywhere.
-		n.disseminate(nil, qm, qm.ReplyTo)
-		return
-	}
 	ps := n.getPred(ge)
-	ps.touch(n.env.Now())
 	if ps.level < 0 || qm.Level < ps.level {
 		ps.setLevel(qm.Level)
 	}
-	if (!qm.Jump && (!ps.hasParent || ps.parent != qm.ReplyTo)) ||
-		(qm.Jump && !ps.hasParent) {
-		// New tree parent (first query, or §7 reconfiguration): it
-		// knows nothing about us yet. SQP jumps do NOT re-parent —
-		// the update plane stays on the tree while queries shortcut
-		// across it (§5) — but an orphan accepts any parent.
-		ps.parent = qm.ReplyTo
-		ps.hasParent = true
-		ps.lastSentValid = false
-	}
-	n.recomputeState(ps)
-	ps.observeSeq(qm.Seq, n.self)
-	ps.recordQueryEvent(n.self)
-	if ps.runPolicy(n.cfg.Mode, n.cfg.KUpdate, n.cfg.KNoUpdate) {
-		n.recomputeState(ps)
-	}
-	n.disseminate(ps, qm, qm.ReplyTo)
+	ps.adopt(qm.ReplyTo, qm.Jump)
+	n.queryLoad(ps, qm.Seq)
+	n.disseminate(ge, qm, qm.ReplyTo)
 	n.maybeSendStatus(ps)
 }
 
 // disseminate forwards the query to this node's current query targets
 // and aggregates their responses plus the local contribution; exec
-// records are pooled. ps is nil for the stateless Global baseline.
-func (n *Node) disseminate(ps *predState, qm QueryMsg, replyTo ids.ID) {
+// records are pooled.
+func (n *Node) disseminate(ge *groupEntry, qm QueryMsg, replyTo ids.ID) {
+	ps := ge.ps
 	ex := n.newExec()
 	ex.qid = qm.QID
 	ex.group = qm.Group
+	ex.ge = ge
 	ex.attrKey = qm.Attr
 	ex.spec = qm.Spec
 	ex.groupBy = qm.GroupBy
@@ -786,7 +750,7 @@ func (n *Node) disseminate(ps *predState, qm QueryMsg, replyTo ids.ID) {
 		ex.contrib++
 		ex.state.AddKeyed(n.self, n.groupKey(qm.GroupBy), n.localValue(qm.Attr))
 	}
-	targets := n.queryTargets(ps, qm.Level)
+	targets := n.queryTargets(ps)
 	if len(targets) == 0 {
 		n.finishExec(ex)
 		return
@@ -804,19 +768,13 @@ func (n *Node) disseminate(ps *predState, qm QueryMsg, replyTo ids.ID) {
 }
 
 // queryTargets lists the children a query or subscription goes to: the
-// group tree's query target set, or under ModeGlobal the broadcast tree
-// below level. It lives in a scratch buffer valid until the next call.
-func (n *Node) queryTargets(ps *predState, level int) []SetEntry {
+// group tree's query target set. It lives in a scratch buffer valid
+// until the next call.
+func (n *Node) queryTargets(ps *predState) []SetEntry {
 	targets := n.targetScratch[:0]
-	if n.cfg.Mode == ModeGlobal {
-		for _, bt := range n.structural(level) {
-			targets = append(targets, SetEntry{ID: bt.ID, Level: bt.Level})
-		}
-	} else {
-		for _, e := range ps.qSet {
-			if e.ID != n.self {
-				targets = append(targets, e)
-			}
+	for _, e := range ps.qSet {
+		if e.ID != n.self {
+			targets = append(targets, e)
 		}
 	}
 	n.targetScratch = targets
@@ -852,7 +810,7 @@ func (n *Node) newExec() *exec {
 
 // evalLocal evaluates a query's full predicate at this node: eval, or
 // when it is empty the group predicate, read off the group state ps
-// when there is one (the stateless Global baseline keeps none).
+// when there is one (a standing entry outlives state the GC dropped).
 func (n *Node) evalLocal(ps *predState, eval, group string) bool {
 	if eval == "" {
 		if ps != nil {
@@ -927,8 +885,7 @@ func (n *Node) handleResponse(from ids.ID, rm ResponseMsg) {
 	if !rm.Dup {
 		c.state, c.contrib = rm.State, rm.Contributors
 		ex.contrib += rm.Contributors
-		ps, _ := n.predLookup(ex.group)
-		n.noteChildCost(ps, from, rm.Np, rm.Unknown)
+		n.noteChildCost(ex.ge.ps, from, rm.Np, rm.Unknown)
 	}
 	ex.kids.file(i, true, c)
 	if !ex.kids.waiting() {
@@ -945,7 +902,7 @@ func (n *Node) finishExec(ex *exec) {
 	ex.kids.fold(ex.state)
 	ex.kids.reset()
 	np, unknown := 0, 0.0
-	if ps, ok := n.predLookup(ex.group); ok {
+	if ps := ex.ge.ps; ps != nil {
 		np, unknown = ps.np, ps.unknown
 	}
 	n.send(ex.replyTo, ResponseMsg{
@@ -968,13 +925,9 @@ func (n *Node) finishExec(ex *exec) {
 // handleProbe answers a §6.3 size probe with the group's current query
 // cost: 2·np for warm trees, a system-size estimate for cold ones.
 func (n *Node) handleProbe(pm ProbeMsg) {
-	cost := 0.0
-	ps, ok := n.predLookup(pm.Group)
-	switch {
-	case n.cfg.Mode == ModeGlobal || !ok:
-		cost = 2 * n.overlay.EstimateSize()
-	default:
-		cost = 2 * (float64(ps.np) + ps.unknown)
+	cost := 2 * n.overlay.EstimateSize()
+	if ge, ok := n.groupCache[pm.Group]; ok && ge.ps != nil {
+		cost = 2 * (float64(ge.ps.np) + ge.ps.unknown)
 	}
 	n.send(pm.ReplyTo, ProbeRespMsg{QID: pm.QID, Group: pm.Group, Cost: cost})
 }

@@ -445,6 +445,27 @@ func (ps *predState) setLevel(level int) {
 	}
 }
 
+// becomeRoot places this node at the root of the group tree.
+func (ps *predState) becomeRoot() {
+	ps.setLevel(0)
+	ps.hasParent = false
+}
+
+// adopt takes from, the sender of a query or install, as the tree
+// parent when it is a new one (first arrival, or §7 reconfiguration):
+// the parent knows nothing about us yet, so the next status is sent in
+// full. SQP jumps do NOT re-parent — the update plane stays on the tree
+// while queries shortcut across it (§5) — but an orphan accepts any
+// parent.
+func (ps *predState) adopt(from ids.ID, jump bool) {
+	if ps.hasParent && (jump || ps.parent == from) {
+		return
+	}
+	ps.parent = from
+	ps.hasParent = true
+	ps.lastSentValid = false
+}
+
 // touch refreshes the GC clock.
 func (ps *predState) touch(now time.Duration) { ps.lastActive = now }
 

@@ -201,8 +201,7 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 		return
 	}
 	ps := n.getPred(ge)
-	ps.setLevel(0)
-	ps.hasParent = false
+	ps.becomeRoot()
 	if !ok {
 		sub = &subState{sid: sm.SID, ge: ge}
 		n.subs[key] = sub
@@ -244,14 +243,7 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 	}
 	// Standing load drives the §4 adaptation machinery exactly like
 	// query load, so the tree prunes under pure subscription traffic.
-	if n.cfg.Mode != ModeGlobal {
-		n.recomputeState(ps)
-		ps.recordQueryEvent(n.self)
-		if ps.runPolicy(n.cfg.Mode, n.cfg.KUpdate, n.cfg.KNoUpdate) {
-			n.recomputeState(ps)
-		}
-		ps.touch(n.env.Now())
-	}
+	n.queryLoad(ps, 0)
 	n.pushInstalls(sub, ps, n.refreshDue(sub, !ok))
 }
 
@@ -276,7 +268,6 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 		return
 	}
 	ps := n.getPred(ge)
-	ps.touch(n.env.Now())
 	if ok && im.Gen > sub.gen {
 		// A new renewal round re-assigns tree positions: after a root
 		// or interior death the rebuilt tree places this node at a
@@ -287,14 +278,7 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 	} else if ps.level < 0 || im.Level < ps.level {
 		ps.setLevel(im.Level)
 	}
-	if (!im.Jump && (!ps.hasParent || ps.parent != im.ReplyTo)) ||
-		(im.Jump && !ps.hasParent) {
-		// Same parent-adoption rule as handleQuery: SQP jumps do not
-		// re-parent the update plane, but an orphan accepts anyone.
-		ps.parent = im.ReplyTo
-		ps.hasParent = true
-		ps.lastSentValid = false
-	}
+	ps.adopt(im.ReplyTo, im.Jump)
 	if !ok {
 		sub = &subState{sid: im.SID, ge: ge}
 		n.subs[key] = sub
@@ -341,20 +325,12 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 	if !ok {
 		n.armEpoch(sub)
 	}
-	if n.cfg.Mode != ModeGlobal {
-		n.recomputeState(ps)
-		ps.recordQueryEvent(n.self)
-		if ps.runPolicy(n.cfg.Mode, n.cfg.KUpdate, n.cfg.KNoUpdate) {
-			n.recomputeState(ps)
-		}
-	}
+	n.queryLoad(ps, 0)
 	if adopted {
 		n.sendReport(sub, n.env.Now())
 	}
 	n.pushInstalls(sub, ps, n.refreshDue(sub, !ok))
-	if n.cfg.Mode != ModeGlobal {
-		n.maybeSendStatus(ps)
-	}
+	n.maybeSendStatus(ps)
 }
 
 // refreshDue decides whether this install receipt should cascade a full
@@ -385,7 +361,7 @@ func (n *Node) refreshDue(sub *subState, isNew bool) bool {
 // — and if the departed child reports again, handleEpochReport rejects
 // it with a single cancel, pacing teardown at epoch cadence.
 func (n *Node) pushInstalls(sub *subState, ps *predState, refresh bool) {
-	targets := n.queryTargets(ps, sub.level)
+	targets := n.queryTargets(ps)
 	im := InstallMsg{
 		SID:     sub.sid,
 		Group:   sub.ge.spec.canon,
@@ -553,16 +529,9 @@ func (n *Node) epochTick(sub *subState, now time.Duration) {
 	// the adaptive target set into a sustained install/flip war between
 	// competing parents — each flip leaving a double-counted report
 	// behind for the stale window.
-	if n.cfg.Mode != ModeGlobal {
-		if ps := sub.ge.ps; ps != nil {
-			ps.recordQueryEvent(n.self)
-			if ps.runPolicy(n.cfg.Mode, n.cfg.KUpdate, n.cfg.KNoUpdate) {
-				n.recomputeState(ps)
-				n.maybeSendStatus(ps)
-				n.syncSubs(ps)
-			}
-			ps.touch(now)
-		}
+	if ps := sub.ge.ps; ps != nil && n.queryLoad(ps, 0) {
+		n.maybeSendStatus(ps)
+		n.syncSubs(ps)
 	}
 }
 
@@ -762,7 +731,7 @@ func (n *Node) handleEpochReport(from ids.ID, em EpochReportMsg, routed bool) {
 		contrib: em.Contributors, epoch: em.Epoch, at: n.env.Now()}) {
 		sub.changed = true
 	}
-	if !routed && n.cfg.Mode != ModeGlobal {
+	if !routed {
 		n.noteChildCost(sub.ge.ps, from, em.Np, em.Unknown)
 	}
 }

@@ -10,25 +10,12 @@ import (
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/metrics"
 	"github.com/moara/moara/internal/predicate"
-	"github.com/moara/moara/internal/simnet"
 	"github.com/moara/moara/internal/workload"
 )
 
-// emulabOptions builds the medium-scale datacenter environment of the
-// paper's Emulab runs: a switched LAN plus a serialized per-message
-// processing cost standing in for the FreePastry/Java software stack
-// (10 Moara instances per physical machine).
+// emulabOptions boots n nodes on the model of the paper's Emulab runs.
 func emulabOptions(n int, seed int64, node core.Config) cluster.Options {
-	return cluster.Options{
-		N:                   n,
-		Seed:                seed,
-		Latency:             simnet.LAN(simnet.LANConfig{}),
-		ProcDelay:           800 * time.Microsecond,
-		ProcJitter:          400 * time.Microsecond,
-		SerializeProc:       true,
-		InstancesPerMachine: 10,
-		Node:                node,
-	}
+	return cluster.Options{N: n, Seed: seed, Node: node}.Emulab()
 }
 
 // Fig12aOptions parameterize the static-group latency/bandwidth

@@ -12,25 +12,13 @@ import (
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/metrics"
 	"github.com/moara/moara/internal/predicate"
-	"github.com/moara/moara/internal/simnet"
 )
 
 // planetlabOptions builds the wide-area environment of the paper's
 // PlanetLab runs: heavy-tailed pairwise RTTs with a few severely
 // bottlenecked links, plus modest processing delay.
 func planetlabOptions(n int, seed int64, node core.Config) cluster.Options {
-	return cluster.Options{
-		N:    n,
-		Seed: seed,
-		Latency: simnet.WAN(simnet.WANConfig{
-			MedianRTT: 120 * time.Millisecond,
-			Seed:      seed,
-		}),
-		ProcDelay:     500 * time.Microsecond,
-		ProcJitter:    500 * time.Microsecond,
-		SerializeProc: true,
-		Node:          node,
-	}
+	return cluster.Options{N: n, Seed: seed, Node: node}.PlanetLab()
 }
 
 var cdfPercentiles = []float64{25, 50, 75, 90, 95, 99, 100}

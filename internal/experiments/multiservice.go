@@ -70,56 +70,6 @@ func msCluster(opt MultiServiceOptions) *cluster.Cluster {
 	return c
 }
 
-// clusterClient adapts one cluster node to the service Backend shape —
-// the same adapter the public API provides (moara.SimCluster.Client),
-// rebuilt here because experiments sit below the root package.
-type clusterClient struct {
-	c    *cluster.Cluster
-	node int
-}
-
-func (cc clusterClient) Query(ctx context.Context, text string) (core.Result, error) {
-	req, err := core.ParseRequest(text)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return cc.Execute(ctx, req)
-}
-
-func (cc clusterClient) Execute(ctx context.Context, req core.Request) (core.Result, error) {
-	return cc.c.Execute(cc.node, req)
-}
-
-func (cc clusterClient) Subscribe(ctx context.Context, text string, fn func(core.Sample)) (core.Sub, error) {
-	req, err := core.ParseRequest(text)
-	if err != nil {
-		return nil, err
-	}
-	return cc.SubscribeRequest(ctx, req, fn)
-}
-
-func (cc clusterClient) SubscribeRequest(ctx context.Context, req core.Request, fn func(core.Sample)) (core.Sub, error) {
-	id, err := cc.c.Subscribe(cc.node, req, fn)
-	if err != nil {
-		return nil, err
-	}
-	return clusterSub{cc.c, cc.node, id}, nil
-}
-
-func (cc clusterClient) Attrs() core.AttrStore { return cc.c.Nodes[cc.node].Store() }
-
-// Now exposes the virtual clock, making service decisions deterministic.
-func (cc clusterClient) Now() time.Duration { return cc.c.Net.Now() }
-
-type clusterSub struct {
-	c    *cluster.Cluster
-	node int
-	id   core.QueryID
-}
-
-func (cs clusterSub) ID() core.QueryID   { return cs.id }
-func (cs clusterSub) Unsubscribe() error { return cs.c.Unsubscribe(cs.node, cs.id) }
-
 // msRender renders every observable sample field, so stream comparisons
 // across runs are byte-exact — epochs, root epochs, virtual delivery
 // times, lags, coverage, and values all participate.
@@ -165,7 +115,7 @@ func msDirectRun(opt MultiServiceOptions, reqs []core.Request) (wire int64, stre
 // and the service stats.
 func msServiceRun(opt MultiServiceOptions, texts []string, formOf []int) (wire int64, streams []string, stats service.Stats) {
 	c := msCluster(opt)
-	svc := service.New(clusterClient{c, 0}, service.Options{})
+	svc := service.New(c.Client(0), service.Options{})
 	ctx := context.Background()
 	collected := make([][]string, len(texts))
 	for i, text := range texts {
@@ -192,7 +142,7 @@ func msServiceRun(opt MultiServiceOptions, texts []string, formOf []int) (wire i
 // whole run, cost one execution's wire messages.
 func msCachedOneShots(opt MultiServiceOptions, rounds int) (execWire, totalWire int64, hits int64) {
 	c := msCluster(opt)
-	svc := service.New(clusterClient{c, 0}, service.Options{CacheTTL: time.Hour})
+	svc := service.New(c.Client(0), service.Options{CacheTTL: time.Hour})
 	ctx := context.Background()
 	if _, err := svc.Query(ctx, "avg(mem_util)"); err != nil {
 		panic(err)

@@ -106,9 +106,9 @@ type options struct {
 	cl        cluster.Options
 	nodeCfg   core.Config
 	bootstrap cluster.Bootstrap
-	// latency builds the model from the final seed, once every option
-	// is applied.
-	latency func(seed int64) simnet.LatencyModel
+	// model sets the network model once every option is applied, so it
+	// sees the final seed.
+	model func(cluster.Options) cluster.Options
 }
 
 // WithSeed fixes the cluster's random seed (default 1).
@@ -140,13 +140,7 @@ func WithCoalesceWindow(d time.Duration) Option {
 // WithLANModel simulates a datacenter LAN with per-message processing
 // cost and shared CPUs, like the paper's Emulab testbed.
 func WithLANModel() Option {
-	return func(o *options) {
-		o.latency = func(int64) simnet.LatencyModel { return simnet.LAN(simnet.LANConfig{}) }
-		o.cl.ProcDelay = 800 * time.Microsecond
-		o.cl.ProcJitter = 400 * time.Microsecond
-		o.cl.SerializeProc = true
-		o.cl.InstancesPerMachine = 10
-	}
+	return func(o *options) { o.model = cluster.Options.Emulab }
 }
 
 // WithWANModel simulates a PlanetLab-style wide-area network with
@@ -155,10 +149,7 @@ func WithLANModel() Option {
 // paper runs its PlanetLab experiments without query timeouts).
 func WithWANModel() Option {
 	return func(o *options) {
-		o.latency = func(seed int64) simnet.LatencyModel { return simnet.WAN(simnet.WANConfig{Seed: seed}) }
-		o.cl.ProcDelay = 500 * time.Microsecond
-		o.cl.ProcJitter = 500 * time.Microsecond
-		o.cl.SerializeProc = true
+		o.model = cluster.Options.PlanetLab
 		if o.nodeCfg.ChildTimeout == 0 {
 			o.nodeCfg.ChildTimeout = 90 * time.Second
 		}
@@ -177,8 +168,10 @@ func WithProtocolBootstrap() Option {
 // WithShards partitions the simulated nodes across k event heaps that
 // drain conservative-lookahead windows in parallel. It is a speed
 // setting only: a seed gives the same run at any shard or worker count.
-// k >= 2 is incompatible with WithLANModel's CPU-contention physics
-// (SerializeProc, shared machines). k <= 1 runs every node on one heap.
+// k >= 2 is incompatible with the per-node CPU queueing of WithLANModel
+// and WithWANModel (SerializeProc; WithLANModel also shares machines):
+// NewSimCluster panics on the combination. k <= 1 runs every node on
+// one heap.
 func WithShards(k int) Option {
 	return func(o *options) { o.cl.Shards = k }
 }
@@ -189,8 +182,11 @@ func WithShards(k int) Option {
 // the scheduler its lookahead horizon.
 func WithPairwiseModel(base, spread time.Duration) Option {
 	return func(o *options) {
-		o.latency = func(seed int64) simnet.LatencyModel { return simnet.Pairwise(base, spread, seed) }
-		o.cl.ProcDelay = 300 * time.Microsecond
+		o.model = func(c cluster.Options) cluster.Options {
+			c.Latency = simnet.Pairwise(base, spread, c.Seed)
+			c.ProcDelay = 300 * time.Microsecond
+			return c
+		}
 	}
 }
 
@@ -215,8 +211,8 @@ func clusterOptions(n int, opts []Option) cluster.Options {
 	o.cl.Seed = o.seed
 	o.cl.Node = o.nodeCfg
 	o.cl.Bootstrap = o.bootstrap
-	if o.latency != nil {
-		o.cl.Latency = o.latency(o.seed)
+	if o.model != nil {
+		o.cl = o.model(o.cl)
 	}
 	return o.cl
 }
