@@ -1,8 +1,8 @@
 // Package cluster boots whole Moara deployments on the simulated
-// network: N nodes with deterministic identifiers, overlay state built
-// either by the oracle (large-scale experiments) or the join protocol
-// (integration tests), plus synchronous driver helpers that pump the
-// event loop until a query completes.
+// network: N nodes with deterministic identifiers and oracle-built
+// overlay state, later members joining through the real join protocol
+// (AddNode), plus synchronous driver helpers that pump the event loop
+// until a query completes.
 package cluster
 
 import (
@@ -14,17 +14,6 @@ import (
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/pastry"
 	"github.com/moara/moara/internal/simnet"
-)
-
-// Bootstrap selects how overlay routing state is established.
-type Bootstrap uint8
-
-const (
-	// BootstrapOracle fills routing tables from global knowledge
-	// (the FreePastry-simulator equivalent; default).
-	BootstrapOracle Bootstrap = iota
-	// BootstrapProtocol runs the real join handshake node by node.
-	BootstrapProtocol
 )
 
 // Options configure a simulated cluster.
@@ -50,11 +39,6 @@ type Options struct {
 	Node core.Config
 	// Overlay is the Pastry configuration applied to every node.
 	Overlay pastry.Config
-	// Bootstrap selects oracle or protocol bootstrap.
-	Bootstrap Bootstrap
-	// JoinSpacing is the virtual-time gap between protocol joins
-	// (default 200ms).
-	JoinSpacing time.Duration
 	// Shards is simnet's heap count (see simnet.Options.Shards): 0 or 1
 	// runs every node on one heap, K >= 2 partitions the nodes across K
 	// heaps that drain lookahead windows in parallel. It is a speed
@@ -115,18 +99,14 @@ func NodeID(i int) ids.ID {
 	return ids.FromKey(fmt.Sprintf("node-%d", i))
 }
 
-// New boots a cluster. With oracle bootstrap the cluster is ready
-// immediately; with protocol bootstrap the join sequence has already
-// been driven to completion in virtual time.
+// New boots a cluster, its routing tables filled from global knowledge
+// (the FreePastry-simulator equivalent), ready immediately.
 func New(opts Options) *Cluster {
 	if opts.N <= 0 {
 		panic("cluster: N must be positive")
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
-	}
-	if opts.JoinSpacing == 0 {
-		opts.JoinSpacing = 200 * time.Millisecond
 	}
 	sopts := simnet.Options{
 		Seed:          opts.Seed,
@@ -158,20 +138,9 @@ func New(opts Options) *Cluster {
 	for i := 0; i < opts.N; i++ {
 		c.add(i)
 	}
-	switch opts.Bootstrap {
-	case BootstrapProtocol:
-		c.Nodes[0].Overlay().BootstrapAlone()
-		for i := 1; i < opts.N; i++ {
-			c.Nodes[i].Overlay().Join(c.IDs[0])
-			c.Net.RunFor(opts.JoinSpacing)
-		}
-		// Let announcements settle.
-		c.Net.RunFor(2 * time.Second)
-	default:
-		c.Oracle = pastry.NewOracle(c.IDs)
-		for _, n := range c.Nodes {
-			c.Oracle.Fill(n.Overlay())
-		}
+	c.Oracle = pastry.NewOracle(c.IDs)
+	for _, n := range c.Nodes {
+		c.Oracle.Fill(n.Overlay())
 	}
 	return c
 }

@@ -271,8 +271,15 @@ func TestDisjointIntersectionShortCircuits(t *testing.T) {
 	}
 }
 
+// TestProtocolBootstrapQuery grows a cluster from one node through the
+// real join protocol, one join every 200 ms, and queries it.
 func TestProtocolBootstrapQuery(t *testing.T) {
-	c := New(Options{N: 48, Seed: 17, Bootstrap: BootstrapProtocol})
+	c := New(Options{N: 1, Seed: 17})
+	for len(c.Nodes) < 48 {
+		c.AddNode()
+		c.RunFor(200 * time.Millisecond)
+	}
+	c.RunFor(2 * time.Second)
 	want := int64(0)
 	for i, n := range c.Nodes {
 		n.Store().SetInt("a", int64(i%5))

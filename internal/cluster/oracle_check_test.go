@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -293,5 +294,60 @@ func TestStringGroupsManySlices(t *testing.T) {
 		if got, _ := res.Agg.Value.AsInt(); got != counts[s] {
 			t.Fatalf("slice %d: count = %d, want %d", s, got, counts[s])
 		}
+	}
+}
+
+// TestEdgeThresholdsMatchEval pins three thresholds the planner's
+// interval algebra once modelled wrongly: an int above 2^53 (float64
+// rounds it), +Inf (a stored value like any other) and NaN (satisfies
+// no term). 63 nodes hold x = 10+i and one holds the odd value; on every
+// round, cold tree and pruned alike, the answer equals the brute-force
+// Eval count.
+func TestEdgeThresholdsMatchEval(t *testing.T) {
+	rows := []struct {
+		name  string
+		odd   value.Value
+		query string
+		want  int64
+	}{
+		{"int above 2^53", value.Int(1<<53 + 1), "count(*) where x > 9007199254740993 or x > 9007199254740992", 1},
+		{"+Inf", value.Float(math.Inf(1)), "count(*) where x >= 3 or x < inf", 64},
+		{"NaN", value.Float(math.NaN()), "count(*) where x = 3 or x < 5", 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			c := New(Options{N: 64, Seed: 38})
+			for i, n := range c.Nodes {
+				n.Store().SetInt("x", int64(10+i))
+			}
+			c.Nodes[63].Store().Set("x", row.odd)
+			req, err := core.ParseRequest(row.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eval := int64(0)
+			for _, n := range c.Nodes {
+				if req.Pred.Eval(n.Store()) {
+					eval++
+				}
+			}
+			var got []int64
+			for round := 0; round < 6; round++ {
+				res, err := c.Execute(0, req)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				got = append(got, intResult(t, res))
+				c.RunFor(2 * time.Second)
+			}
+			for _, g := range got {
+				if g != eval {
+					t.Fatalf("answers %v; Eval counts %d", got, eval)
+				}
+			}
+			if eval != row.want {
+				t.Fatalf("Eval counts %d nodes, want %d", eval, row.want)
+			}
+		})
 	}
 }

@@ -238,7 +238,7 @@ func (fe *frontend) planRequest(req Request, standing bool) (queryPlan, error) {
 	case !standing && req.Period > 0:
 		return queryPlan{}, fmt.Errorf("%w (every %v)", ErrStandingOnly, req.Period)
 	}
-	plan := buildPlan(req.Attr, req.Pred, maxCNFClauses)
+	plan := buildPlan(req.Attr, req.Pred, 0)
 	plan.groupBy = req.GroupBy
 	return plan, nil
 }

@@ -9,7 +9,7 @@ import (
 
 // NormalizeRequest rewrites req into the canonical form the query
 // service keys on: the predicate is normalized (flattened, deduplicated,
-// redundant bounds folded — see predicate.Normalize), and the
+// redundant terms folded — see predicate.Normalize), and the
 // attribute/group-by names are whitespace-trimmed. Two requests that
 // normalize equal are the same query: same answer, same tree state,
 // same sample stream.

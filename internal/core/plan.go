@@ -37,13 +37,11 @@ type queryPlan struct {
 	groupBy string
 }
 
-// maxCNFClauses caps CNF expansion during planning; a larger composite
+// buildPlan derives the covers for a query over pred aggregating
+// attrName. A nil pred selects the global pseudo-group. maxClauses caps
+// CNF expansion (0 is predicate.DefaultMaxClauses); a larger composite
 // predicate falls back to querying every group it mentions (still
 // complete).
-const maxCNFClauses = 128
-
-// buildPlan derives the covers for a query over pred aggregating
-// attrName. A nil pred selects the global pseudo-group.
 func buildPlan(attrName string, pred predicate.Expr, maxClauses int) queryPlan {
 	if pred == nil {
 		return queryPlan{covers: [][]groupSpec{{globalGroup(attrName)}}}
@@ -64,12 +62,23 @@ func buildPlan(attrName string, pred predicate.Expr, maxClauses int) queryPlan {
 		}
 	}
 
-	clauses := make([][]predicate.Simple, 0, len(cnf))
-	universal := make([]bool, 0, len(cnf))
-	for _, cl := range cnf {
-		reduced, isUniverse := reduceClause(cl)
-		clauses = append(clauses, reduced)
-		universal = append(universal, isUniverse)
+	// Within-clause (OR) reduction: subsumed and duplicate terms go, and
+	// a term beside its complement makes the clause universal (Fig. 7
+	// row 1 for "or").
+	clauses := make([][]predicate.Simple, len(cnf))
+	universal := make([]bool, len(cnf))
+	for i, cl := range cnf {
+		drop, complement := predicate.Redundant(cl, false)
+		universal[i] = complement
+		if complement {
+			continue
+		}
+		clauses[i] = make([]predicate.Simple, 0, len(cl))
+		for k, s := range cl {
+			if drop == nil || !drop[k] {
+				clauses[i] = append(clauses[i], s)
+			}
+		}
 	}
 
 	// Cross-clause semantic reduction (Fig. 7): the result is contained
@@ -124,40 +133,6 @@ func buildPlan(attrName string, pred predicate.Expr, maxClauses int) queryPlan {
 		}
 	}
 	return plan
-}
-
-// reduceClause applies within-clause (OR) semantic reductions: dropped
-// subsumed terms, deduplication, and complement detection (a term and
-// its complement make the clause universal, Fig. 7 row 1 for "or").
-func reduceClause(cl []predicate.Simple) (out []predicate.Simple, isUniverse bool) {
-	kept := make([]predicate.Simple, 0, len(cl))
-	for i, a := range cl {
-		drop := false
-		for j, b := range cl {
-			if i == j {
-				continue
-			}
-			switch predicate.Relation(a, b) {
-			case predicate.RelComplement:
-				return nil, true
-			case predicate.RelSubset:
-				// a ⊆ b: b alone covers a's nodes.
-				drop = true
-			case predicate.RelEqual:
-				// Keep the canonically first duplicate.
-				if j < i {
-					drop = true
-				}
-			}
-			if drop {
-				break
-			}
-		}
-		if !drop {
-			kept = append(kept, a)
-		}
-	}
-	return kept, false
 }
 
 // distinctGroups lists every distinct simple term of pred as a group.

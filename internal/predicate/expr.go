@@ -106,7 +106,9 @@ func (f GetterFunc) Get(name string) value.Value { return f(name) }
 type Expr interface {
 	// Eval reports whether the predicate holds for the node whose
 	// attributes g resolves. Missing or incomparable attributes never
-	// satisfy a term.
+	// satisfy a term, and neither does NaN, stored or as the threshold.
+	// Ints compare exactly with ints, and with floats as float64; ±Inf
+	// order as the extremes.
 	Eval(g Getter) bool
 	// Canon renders a canonical form used as the tree/state key; it is
 	// stable across parses of equivalent text.
@@ -125,7 +127,7 @@ type Simple struct {
 // Eval reports whether the node's attribute satisfies the term.
 func (s Simple) Eval(g Getter) bool {
 	v := g.Get(s.Attr)
-	if !v.IsValid() {
+	if !v.IsValid() || isNaN(v) || isNaN(s.Val) {
 		return false
 	}
 	c, err := value.Compare(v, s.Val)
@@ -148,6 +150,13 @@ func (s Simple) Eval(g Getter) bool {
 	default:
 		return false
 	}
+}
+
+// isNaN reports a float NaN, which value.Compare would call equal to
+// every number.
+func isNaN(v value.Value) bool {
+	f, ok := v.AsFloat()
+	return ok && f != f
 }
 
 // String renders the term.

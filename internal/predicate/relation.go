@@ -49,11 +49,16 @@ func (r Rel) String() string {
 	}
 }
 
-// Relation infers the set relation of a relative to b. It returns
-// RelUnknown for different attributes or undecidable operator/type
-// combinations. Numeric predicates use interval algebra over the reals;
-// boolean predicates use exact two-point-domain analysis; string
-// equality predicates use point/co-point analysis.
+// Relation infers the set relation of a relative to b over every value
+// Simple.Eval sees. It returns RelUnknown for different attributes or
+// undecidable operator/type combinations. Numeric predicates use
+// interval algebra over the extended reals, where ±Inf are ordinary
+// extremes; a NaN threshold, or an Int threshold of magnitude 2^53 or
+// more (float64 rounds it, Eval compares ints exactly), is unknown.
+// Boolean predicates use exact two-point-domain analysis; string
+// equality predicates use point/co-point analysis. A value of another
+// kind, a NaN or a missing attribute satisfies neither term, so it
+// never separates two sets.
 func Relation(a, b Simple) Rel {
 	if a.Attr != b.Attr {
 		return RelUnknown
@@ -79,6 +84,44 @@ func Relation(a, b Simple) Rel {
 		}
 	}
 	return RelUnknown
+}
+
+// Redundant marks the terms of a junction (a conjunction when and is
+// set, else a disjunction) that another term makes redundant, deciding
+// by Relation. Terms are walked in order and each goes at its first
+// redundancy: under or a term inside a strictly larger one, under and
+// a term around a strictly smaller one, and of two equal terms the
+// later. The kept terms evaluate exactly like the junction on every
+// value. drop is nil when nothing goes. A term beside its complement
+// returns (nil, true): the disjunction holds for every value of its
+// domain, the conjunction for none.
+func Redundant(terms []Simple, and bool) (drop []bool, complement bool) {
+	if len(terms) < 2 {
+		return nil, false
+	}
+	redundant := RelSubset
+	if and {
+		redundant = RelSuperset
+	}
+	for i, a := range terms {
+		for j, b := range terms {
+			if i == j {
+				continue
+			}
+			rel := Relation(a, b)
+			if rel == RelComplement {
+				return nil, true
+			}
+			if rel == redundant || (rel == RelEqual && j < i) {
+				if drop == nil {
+					drop = make([]bool, len(terms))
+				}
+				drop[i] = true
+				break
+			}
+		}
+	}
+	return drop, false
 }
 
 // boolRelation decides relations over the two-point domain {false,true}.
@@ -143,10 +186,10 @@ func stringRelation(a, b Simple) Rel {
 }
 
 // ---------------------------------------------------------------------
-// Interval algebra over the reals for numeric predicates.
+// Interval algebra over the extended reals for numeric predicates.
 
 // interval is [lo,hi] with independently open endpoints; lo/hi may be
-// ±Inf (infinite endpoints are always open).
+// ±Inf, which are points of the domain like any other.
 type interval struct {
 	lo, hi         float64
 	loOpen, hiOpen bool
@@ -166,32 +209,42 @@ func (iv interval) empty() bool {
 // any simple predicate; at most 4 after one intersection).
 type intervalSet []interval
 
-// numericSet builds the satisfying set of a numeric simple predicate.
+// numericSet builds the satisfying set of a numeric simple predicate,
+// empty intervals dropped. Below 2^53 an Int threshold converts exactly,
+// and Eval then orders every stored number as its float64 image does.
 func numericSet(s Simple) (intervalSet, bool) {
 	v, ok := s.Val.AsFloat()
-	if !ok {
+	if !ok || math.IsNaN(v) {
+		return nil, false
+	}
+	if i, isInt := s.Val.AsInt(); isInt && (i >= 1<<53 || i <= -1<<53) {
 		return nil, false
 	}
 	inf := math.Inf(1)
+	var set intervalSet
 	switch s.Op {
 	case OpLT:
-		return intervalSet{{lo: -inf, hi: v, loOpen: true, hiOpen: true}}, true
+		set = intervalSet{{lo: -inf, hi: v, hiOpen: true}}
 	case OpLE:
-		return intervalSet{{lo: -inf, hi: v, loOpen: true}}, true
+		set = intervalSet{{lo: -inf, hi: v}}
 	case OpGT:
-		return intervalSet{{lo: v, hi: inf, loOpen: true, hiOpen: true}}, true
+		set = intervalSet{{lo: v, hi: inf, loOpen: true}}
 	case OpGE:
-		return intervalSet{{lo: v, hi: inf, hiOpen: true}}, true
+		set = intervalSet{{lo: v, hi: inf}}
 	case OpEQ:
-		return intervalSet{{lo: v, hi: v}}, true
+		set = intervalSet{{lo: v, hi: v}}
 	case OpNE:
-		return intervalSet{
-			{lo: -inf, hi: v, loOpen: true, hiOpen: true},
-			{lo: v, hi: inf, loOpen: true, hiOpen: true},
-		}, true
+		set = intervalSet{{lo: -inf, hi: v, hiOpen: true}, {lo: v, hi: inf, loOpen: true}}
 	default:
 		return nil, false
 	}
+	out := set[:0]
+	for _, iv := range set {
+		if !iv.empty() {
+			out = append(out, iv)
+		}
+	}
+	return out, true
 }
 
 // intersect computes the pairwise intersection of two interval sets.
@@ -267,10 +320,11 @@ func less(a, b interval) bool {
 	return !a.loOpen && b.loOpen
 }
 
-// isUniverse reports whether the set covers all reals.
+// isUniverse reports whether the set covers all extended reals.
 func isUniverse(s intervalSet) bool {
 	s = normalize(s)
-	return len(s) == 1 && math.IsInf(s[0].lo, -1) && math.IsInf(s[0].hi, 1)
+	return len(s) == 1 && math.IsInf(s[0].lo, -1) && math.IsInf(s[0].hi, 1) &&
+		!s[0].loOpen && !s[0].hiOpen
 }
 
 // union concatenates and normalizes.

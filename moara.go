@@ -102,10 +102,9 @@ func ParseRequest(text string) (Request, error) {
 type Option func(*options)
 
 type options struct {
-	seed      int64
-	cl        cluster.Options
-	nodeCfg   core.Config
-	bootstrap cluster.Bootstrap
+	seed    int64
+	cl      cluster.Options
+	nodeCfg core.Config
 	// model sets the network model once every option is applied, so it
 	// sees the final seed.
 	model func(cluster.Options) cluster.Options
@@ -159,12 +158,6 @@ func WithWANModel() Option {
 	}
 }
 
-// WithProtocolBootstrap joins nodes through the real Pastry handshake
-// instead of oracle-filled routing tables.
-func WithProtocolBootstrap() Option {
-	return func(o *options) { o.bootstrap = cluster.BootstrapProtocol }
-}
-
 // WithShards partitions the simulated nodes across k event heaps that
 // drain conservative-lookahead windows in parallel. It is a speed
 // setting only: a seed gives the same run at any shard or worker count.
@@ -210,7 +203,6 @@ func clusterOptions(n int, opts []Option) cluster.Options {
 	o.cl.N = n
 	o.cl.Seed = o.seed
 	o.cl.Node = o.nodeCfg
-	o.cl.Bootstrap = o.bootstrap
 	if o.model != nil {
 		o.cl = o.model(o.cl)
 	}

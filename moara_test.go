@@ -109,8 +109,15 @@ func TestModelSeedOptionOrder(t *testing.T) {
 	}
 }
 
+// TestProtocolBootstrapOption grows a cluster from one node through the
+// real Pastry join handshake, one join every 200 ms, and queries it.
 func TestProtocolBootstrapOption(t *testing.T) {
-	c := NewSimCluster(24, WithSeed(7), WithProtocolBootstrap())
+	c := NewSimCluster(1, WithSeed(7))
+	for c.Size() < 24 {
+		c.AddNode()
+		c.RunFor(200 * time.Millisecond)
+	}
+	c.RunFor(2 * time.Second)
 	for i := 0; i < c.Size(); i++ {
 		c.SetAttr(i, "x", Int(2))
 	}
