@@ -95,3 +95,41 @@ func TestEpochClockMixedPeriods(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseLeavesNoTimers: Close stops every timer a node holds — the
+// epoch clock, the outbox flush, the GC sweep, child, query and probe
+// timeouts, renewals — so a closed cluster leaves nothing on the event
+// heap. On the TCP agent each of these is a live time.AfterFunc into a
+// closed core.
+func TestCloseLeavesNoTimers(t *testing.T) {
+	c := New(Options{N: 16, Seed: 5})
+	for i, nd := range c.Nodes {
+		nd.Store().SetFloat("mem", float64(i%7))
+	}
+	if _, err := c.ExecuteText(3, "avg(mem)"); err != nil {
+		t.Fatal(err)
+	}
+	req, err := core.ParseRequest("sum(mem) every 1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	sid, err := c.Subscribe(0, req, func(core.Sample) { samples++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(5 * time.Second)
+	if samples == 0 {
+		t.Fatal("the subscription delivered no sample")
+	}
+	if err := c.Unsubscribe(0, sid); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(5 * time.Second)
+	for _, nd := range c.Nodes {
+		nd.Close()
+	}
+	if p := c.Net.PendingEvents(); p != 0 {
+		t.Fatalf("%d events pending after every node closed, want 0", p)
+	}
+}

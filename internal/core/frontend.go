@@ -11,6 +11,7 @@ import (
 	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/predicate"
+	"github.com/moara/moara/internal/simnet"
 )
 
 // Request is one front-end query: (query-attribute, aggregation
@@ -128,7 +129,7 @@ type frontend struct {
 	pending map[QueryID]*feQuery
 	probes  map[QueryID]*probeRound
 
-	// subs holds the standing-query registry (see standing.go).
+	// subs holds the standing-query registry (feSub, below).
 	subs map[QueryID]*feSub
 }
 
@@ -139,7 +140,7 @@ type frontend struct {
 type probeRound struct {
 	pending map[QueryID]string
 	costs   map[string]float64
-	cancel  func()
+	timeout simnet.Timer
 	done    func()
 }
 
@@ -155,8 +156,8 @@ type feQuery struct {
 	// answers holds each cover tree's root answer, sorted by group canon
 	// (QID stays zero until the root answers); finish merges them in
 	// that order, whatever order the roots answered in.
-	answers     []ResponseMsg
-	queryCancel func()
+	answers []ResponseMsg
+	timeout simnet.Timer
 
 	stats        ExecStats
 	startAt      time.Duration
@@ -198,16 +199,25 @@ func (fe *frontend) recover() {
 		// state.
 		fe.endProbes(fs.probes)
 		if fs.plan.empty {
-			if fs.emptyCancel != nil {
-				fs.emptyCancel()
-			}
 			fe.armEmptyTick(fs)
 			continue
 		}
-		if fs.renewCancel != nil {
-			fs.renewCancel()
-		}
 		fe.armRenew(fs)
+	}
+}
+
+// close stops the front-end's timers: query and probe timeouts,
+// subscription renewals and empty-plan ticks.
+func (fe *frontend) close() {
+	for _, fq := range fe.pending {
+		fq.timeout.Stop()
+	}
+	for _, pr := range fe.probes {
+		pr.timeout.Stop()
+	}
+	for _, fs := range fe.subs {
+		fs.renew.Stop()
+		fs.empty.Stop()
 	}
 }
 
@@ -316,11 +326,10 @@ func (fe *frontend) awaitProbes(pr *probeRound) {
 		pr.done()
 		return
 	}
-	pr.cancel = fe.n.env.After(probeTimeout, func() {
-		pr.cancel = nil
+	fe.n.env.Arm(probeTimeout, func() {
 		fe.endProbes(pr)
 		pr.done()
-	})
+	}, &pr.timeout)
 }
 
 // endProbes closes a round, complete or not: answers still in flight
@@ -334,10 +343,7 @@ func (fe *frontend) endProbes(pr *probeRound) {
 		delete(fe.probes, pqid)
 	}
 	pr.pending = nil
-	if pr.cancel != nil {
-		pr.cancel()
-		pr.cancel = nil
-	}
+	pr.timeout.Stop()
 }
 
 func (fe *frontend) handleProbeResp(m ProbeRespMsg) {
@@ -416,11 +422,11 @@ func (fe *frontend) startSubQueries(fq *feQuery) {
 		})
 	}
 	slices.SortFunc(fq.answers, func(a, b ResponseMsg) int { return strings.Compare(a.Group, b.Group) })
-	fq.queryCancel = n.env.After(n.cfg.QueryTimeout, func() {
+	n.env.Arm(n.cfg.QueryTimeout, func() {
 		if !fq.done {
 			fq.finish(n, nil)
 		}
-	})
+	}, &fq.timeout)
 }
 
 // handleQueryResp files a tree root's aggregated answer in its cover
@@ -447,9 +453,7 @@ func (fq *feQuery) finish(n *Node, err error) {
 		return
 	}
 	fq.done = true
-	if fq.queryCancel != nil {
-		fq.queryCancel()
-	}
+	fq.timeout.Stop()
 	n.fe.endProbes(fq.probes)
 	delete(n.fe.pending, fq.qid)
 	now := n.env.Now()
@@ -507,4 +511,303 @@ func ParseRequest(s string) (Request, error) {
 		return Request{}, fmt.Errorf("%w: %v", ErrParse, err)
 	}
 	return req, nil
+}
+
+// ---------------------------------------------------------------------
+// Front-end side: the subscription registry
+
+// feSub is one standing query owned by this front-end.
+type feSub struct {
+	sid  QueryID
+	req  Request
+	cb   func(Sample)
+	plan queryPlan
+
+	// groups is the currently installed cover, sorted by canon so that
+	// cancels and the per-sample merge run in an order the seed fixes;
+	// latest/fresh hold each tree's newest SampleMsg and whether it
+	// arrived since the last emitted sample; rootOf tracks which node
+	// each tree's samples come from, so a root handover re-raises the
+	// warm-up marking.
+	groups []groupSpec
+	latest map[string]SampleMsg
+	fresh  map[string]bool
+	rootOf map[string]ids.ID
+
+	epoch     uint64
+	warmAfter uint64
+	// gen is the renewal round counter: bumped on every
+	// (re-)plan-and-install, cascaded down-tree in SubscribeMsg and
+	// InstallMsg so stale chains lose their children after a repair.
+	gen uint64
+
+	costs  map[string]float64
+	probes *probeRound
+	renew  simnet.Timer
+	empty  simnet.Timer
+}
+
+// Subscribe installs a standing query from this node: the request's
+// cover is installed once down each group tree, and cb is invoked with
+// one Sample per Period until Unsubscribe. Like Execute, it must be
+// called on the node's event goroutine and the callback runs there.
+func (n *Node) Subscribe(req Request, cb func(Sample)) (QueryID, error) {
+	return n.fe.subscribe(req, cb)
+}
+
+// Unsubscribe cancels a standing query, tearing its subscription state
+// down across the trees it was installed on. It returns ErrUnknownSub
+// when sid is not a live subscription of this front-end (already
+// unsubscribed, or never installed here) — a double-unsubscribe is a
+// caller bug worth surfacing, not a silent no-op.
+func (n *Node) Unsubscribe(sid QueryID) error {
+	return n.fe.unsubscribe(sid)
+}
+
+func (fe *frontend) subscribe(req Request, cb func(Sample)) (QueryID, error) {
+	plan, err := fe.planRequest(req, true)
+	if err != nil {
+		return QueryID{}, err
+	}
+	fs := &feSub{
+		sid:    fe.n.nextQID(),
+		req:    req,
+		cb:     cb,
+		plan:   plan,
+		latest: make(map[string]SampleMsg),
+		fresh:  make(map[string]bool),
+		rootOf: make(map[string]ids.ID),
+		costs:  make(map[string]float64),
+	}
+	fe.subs[fs.sid] = fs
+	if plan.empty {
+		// Provably empty: no network state at all, but the stream
+		// still ticks so dashboards see the (empty) series.
+		fe.armEmptyTick(fs)
+		return fs.sid, nil
+	}
+	fe.subPlanAndInstall(fs)
+	fe.armRenew(fs)
+	return fs.sid, nil
+}
+
+func (fe *frontend) unsubscribe(sid QueryID) error {
+	fs, ok := fe.subs[sid]
+	if !ok {
+		return fmt.Errorf("%w: %v", ErrUnknownSub, sid)
+	}
+	delete(fe.subs, sid)
+	fs.renew.Stop()
+	fe.endProbes(fs.probes)
+	fs.empty.Stop()
+	for _, g := range fs.groups {
+		fe.n.overlay.Route(g.treeKey(), CancelMsg{SID: sid, Group: g.canon})
+	}
+	return nil
+}
+
+// subPlanAndInstall probes composite covers (reusing the §6.3 size
+// probes) and installs the chosen one; trivial plans install directly.
+// A still-unfinished previous probe round (a response lost or slower
+// than the renewal cadence) is abandoned first, so its timeout cannot
+// fire into the new round's state.
+func (fe *frontend) subPlanAndInstall(fs *feSub) {
+	fs.gen++
+	fe.endProbes(fs.probes)
+	if fs.plan.singleTrivialCover() {
+		fe.setCover(fs, fs.plan.covers[0])
+		return
+	}
+	fs.probes = fe.startProbes(fs.plan, fs.costs, func() {
+		fe.setCover(fs, fe.chooseCover(fs.plan, fs.costs))
+	})
+	fe.awaitProbes(fs.probes)
+}
+
+// setCover reconciles the installed cover with the chosen one: dropped
+// groups are cancelled (in canon order), every current group is
+// (re-)subscribed (in cover order, like a one-shot's sub-queries), and a
+// cover flip restarts the warm-up marking.
+func (fe *frontend) setCover(fs *feSub, cover []groupSpec) {
+	n := fe.n
+	next := slices.Clone(cover)
+	slices.SortFunc(next, func(a, b groupSpec) int { return strings.Compare(a.canon, b.canon) })
+	changed := false
+	for _, g := range next {
+		if !hasGroup(fs.groups, g.canon) {
+			changed = true
+		}
+	}
+	for _, g := range fs.groups {
+		if !hasGroup(next, g.canon) {
+			changed = true
+			n.overlay.Route(g.treeKey(), CancelMsg{SID: fs.sid, Group: g.canon})
+			delete(fs.latest, g.canon)
+			delete(fs.fresh, g.canon)
+			delete(fs.rootOf, g.canon)
+		}
+	}
+	fs.groups = next
+	for _, g := range cover {
+		eval := fs.plan.evalCanon
+		if eval == g.canon {
+			eval = ""
+		}
+		n.overlay.Route(g.treeKey(), SubscribeMsg{
+			SID:      fs.sid,
+			Group:    g.canon,
+			Eval:     eval,
+			Attr:     fs.req.Attr,
+			Spec:     fs.req.Spec,
+			GroupBy:  fs.req.GroupBy,
+			Period:   fs.req.Period,
+			Gen:      fs.gen,
+			MinEpoch: fs.latest[g.canon].Epoch,
+			ReplyTo:  n.self,
+		})
+	}
+	if changed {
+		fs.warmAfter = fs.epoch + fe.warmupEpochs()
+	}
+}
+
+func hasGroup(groups []groupSpec, canon string) bool {
+	for _, g := range groups {
+		if g.canon == canon {
+			return true
+		}
+	}
+	return false
+}
+
+// warmupEpochs estimates how many epochs the contribution pipeline
+// needs to fill: one per tree level (contributions climb one hop per
+// epoch), slack for the install dissemination itself, and one more for
+// the stale window in which a formation-time handoff (a member
+// re-parented while the tree adapted) can still be double-carried.
+func (fe *frontend) warmupEpochs() uint64 {
+	depth := uint64(3)
+	for est := fe.n.overlay.EstimateSize(); est > 1; est /= ids.Radix {
+		depth++
+	}
+	return depth
+}
+
+// armRenew schedules the periodic lease renewal: composite plans
+// re-probe and may flip covers; trivial plans just re-route the
+// subscription to the (possibly moved) root.
+func (fe *frontend) armRenew(fs *feSub) {
+	n := fe.n
+	n.env.Arm(n.cfg.SubRenewInterval, func() {
+		if n.closed || fe.subs[fs.sid] != fs {
+			return
+		}
+		fe.subPlanAndInstall(fs)
+		fe.armRenew(fs)
+	}, &fs.renew)
+}
+
+// armEmptyTick streams empty samples for a provably empty plan.
+func (fe *frontend) armEmptyTick(fs *feSub) {
+	n := fe.n
+	n.env.Arm(fs.req.Period, func() {
+		if n.closed || fe.subs[fs.sid] != fs {
+			return
+		}
+		fs.epoch++
+		empty := fs.req.Spec.New()
+		res := Result{Agg: empty.Result()}
+		aggregate.Recycle(empty)
+		res.Stats.ShortCircuit = true
+		res.Stats.GroupBy = fs.req.GroupBy
+		fs.cb(Sample{Epoch: fs.epoch, At: n.env.Now(), Result: res})
+		fe.armEmptyTick(fs)
+	}, &fs.empty)
+}
+
+// handleSample consumes a root's per-epoch aggregate, emitting one
+// merged Sample to the subscriber when every tree of the cover has
+// reported for the epoch.
+func (fe *frontend) handleSample(from ids.ID, sm SampleMsg) {
+	n := fe.n
+	fs, ok := fe.subs[sm.SID]
+	if !ok {
+		n.send(from, CancelMsg{SID: sm.SID, Group: sm.Group})
+		return
+	}
+	if !hasGroup(fs.groups, sm.Group) {
+		// A tree from a flipped-away cover is still streaming.
+		n.send(from, CancelMsg{SID: sm.SID, Group: sm.Group})
+		return
+	}
+	prevSm, hadSm := fs.latest[sm.Group]
+	if hadSm && sm.Epoch <= prevSm.Epoch {
+		// A stale or duplicate root epoch: after the tree key moves
+		// (a failover or a closer joiner), the demoted root keeps
+		// streaming until its lease expires — the takeover root
+		// fast-forwarded past it (SubscribeMsg.MinEpoch), so dropping
+		// anything at or behind the newest epoch keeps the delivered
+		// stream monotone.
+		return
+	}
+	prevRoot, hadRoot := fs.rootOf[sm.Group]
+	if (hadRoot && prevRoot != from) || (hadSm && sm.Epoch > prevSm.Epoch+2) {
+		// Root handover — or a gap in the root's tick stream (the root
+		// crashed and recovered, or the tree went dark long enough to
+		// skip epochs): the contribution pipeline refills from scratch
+		// either way, so re-raise the ColdStart marking rather than
+		// presenting the refill samples as steady-state readings.
+		fs.warmAfter = fs.epoch + fe.warmupEpochs()
+	}
+	fs.rootOf[sm.Group] = from
+	// The displaced sample's state is folded into nothing that outlives
+	// this call (every emitted Sample merges into a fresh accumulator).
+	aggregate.Recycle(prevSm.State)
+	fs.latest[sm.Group] = sm
+	fs.fresh[sm.Group] = true
+	if len(fs.fresh) < len(fs.groups) {
+		return
+	}
+	clear(fs.fresh)
+	fs.epoch++
+	now := n.env.Now()
+	agg := aggregate.NewGrouped(fs.req.Spec, n.cfg.MaxGroupKeys)
+	var lag time.Duration
+	var rootEpoch uint64
+	var contrib int64
+	var expected float64
+	for _, g := range fs.groups {
+		s, ok := fs.latest[g.canon]
+		if !ok || s.State == nil {
+			continue
+		}
+		_ = agg.Merge(s.State)
+		contrib += s.Contributors
+		expected += s.Expected
+		if l := now - s.At; l > lag {
+			lag = l
+		}
+		if s.Epoch > rootEpoch {
+			rootEpoch = s.Epoch
+		}
+	}
+	res := Result{Agg: agg.Result(), Contributors: contrib, Expected: expected}
+	res.Stats.GroupBy = fs.req.GroupBy
+	if fs.req.GroupBy != "" {
+		res.Groups = agg.Results()
+		res.Truncated = agg.Truncated()
+		res.Stats.GroupKeys = agg.KeyCount()
+	}
+	// Results are copies: the accumulator goes back to the pool.
+	aggregate.Recycle(agg)
+	fs.cb(Sample{
+		Epoch:        fs.epoch,
+		RootEpoch:    rootEpoch,
+		At:           now,
+		Lag:          lag,
+		ColdStart:    fs.epoch <= fs.warmAfter,
+		Contributors: contrib,
+		Expected:     expected,
+		Result:       res,
+	})
 }

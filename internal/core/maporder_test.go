@@ -17,7 +17,7 @@ var orderedMaps = map[string]bool{"subs": true, "preds": true, "execs": true, "p
 // timer — directly, or through the reconcile and finish paths.
 func sendsInOrder(name string) bool {
 	switch name {
-	case "send", "Route", "After", "pushInstalls", "finishExec", "onStateChange":
+	case "send", "Route", "Arm", "pushInstalls", "finishExec", "onStateChange":
 		return true
 	}
 	return strings.HasPrefix(name, "arm")
@@ -107,7 +107,7 @@ func (n *Node) a() {
 	}
 	for _, fq := range n.fe.pending {
 		if fq != nil {
-			n.env.After(0, nil)
+			n.env.Arm(0, nil, nil)
 		}
 	}
 	// unordered: every entry is cancelled, none sends
@@ -123,6 +123,6 @@ func (n *Node) a() {
 		t.Fatal(err)
 	}
 	if got := mapOrderSends(fset, f); len(got) != 2 {
-		t.Fatalf("guard flagged %q, want the pushInstalls and After calls only", got)
+		t.Fatalf("guard flagged %q, want the pushInstalls and Arm calls only", got)
 	}
 }

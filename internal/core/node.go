@@ -74,12 +74,8 @@ type Node struct {
 	outTo       []ids.ID
 	outItems    [][]any
 	outboxArmed bool
+	outbox      simnet.Timer
 	flushFn     func()
-	// deferFn is the cancel-free timer fast path (simnet provides one;
-	// other Envs fall back to After with the handle discarded), and
-	// armFn the reusable-Timer-slot counterpart.
-	deferFn func(time.Duration, func())
-	armFn   func(time.Duration, func(), *simnet.Timer)
 
 	// targetScratch backs queryTargets' list and subScratch subsOf's;
 	// each is consumed before the next call.
@@ -90,7 +86,7 @@ type Node struct {
 
 	qidCounter uint64
 	gcArmed    bool
-	gcCancel   func()
+	gc         simnet.Timer
 	closed     bool
 
 	// Fallback receives messages the node does not understand (used by
@@ -118,31 +114,10 @@ func NewNode(env simnet.Env, cfg Config, overlayCfg pastry.Config) *Node {
 		targetsCache: make(map[int][]pastry.BroadcastTarget),
 		targetsGen:   -1,
 		subsGen:      -1,
+		qidCounter:   env.Incarnation(),
 	}
 	n.flushFn = n.flushOutbox
 	n.clockFn = n.epochWalk
-	if d, ok := env.(interface {
-		Defer(time.Duration, func())
-	}); ok {
-		n.deferFn = d.Defer
-	} else {
-		n.deferFn = func(d time.Duration, fn func()) { env.After(d, fn) }
-	}
-	if a, ok := env.(interface {
-		Arm(time.Duration, func(), *simnet.Timer)
-	}); ok {
-		n.armFn = a.Arm
-	} else {
-		n.armFn = func(d time.Duration, fn func(), t *simnet.Timer) {
-			t.SetFallback(env.After(d, fn))
-		}
-	}
-	if inc, ok := env.(interface{ Incarnation() uint64 }); ok {
-		// A node restarted under its old ID must not reuse the query
-		// numbers of its previous life: peers still remember those for
-		// SeenTTL and would answer them as replays.
-		n.qidCounter = inc.Incarnation()
-	}
 	n.overlay = pastry.New(env, overlayCfg)
 	n.overlay.Deliver = n.handleRouted
 	n.overlay.OnNodeRemoved = n.onPeerRemoved
@@ -228,10 +203,12 @@ func (n *Node) Self() ids.ID { return n.self }
 // Config returns the node's configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// Close stops timers, the epoch clock included. Any messages still
-// queued in the coalescing outbox are flushed first (best-effort), so
-// e.g. a cancel cascade queued just before shutdown still reaches the
-// children instead of leaving them to the SubTTL GC.
+// Close stops every timer the node holds: the epoch clock, the outbox
+// flush, the GC sweep, child timeouts, the front-end's and the
+// overlay's. Any messages still queued in the coalescing outbox are
+// flushed first (best-effort), so e.g. a cancel cascade queued just
+// before shutdown still reaches the children instead of leaving them to
+// the SubTTL GC.
 func (n *Node) Close() {
 	if n.closed {
 		return
@@ -239,15 +216,12 @@ func (n *Node) Close() {
 	n.flushOutbox()
 	n.closed = true
 	n.clock.Stop()
-	for _, fs := range n.fe.subs {
-		if fs.renewCancel != nil {
-			fs.renewCancel()
-		}
-		n.fe.endProbes(fs.probes)
-		if fs.emptyCancel != nil {
-			fs.emptyCancel()
-		}
+	n.outbox.Stop()
+	n.gc.Stop()
+	for _, ex := range n.execs {
+		ex.timer.Stop()
 	}
+	n.fe.close()
 	n.overlay.Close()
 }
 
@@ -264,12 +238,8 @@ func (n *Node) Recover(bootstrap ids.ID) {
 		return
 	}
 	n.overlay.Rejoin(bootstrap)
-	if n.gcCancel != nil {
-		// A GC timer armed before the crash may still be pending; left
-		// alone, its callback would re-arm a second self-perpetuating
-		// sweep chain alongside the fresh one.
-		n.gcCancel()
-	}
+	// A GC timer armed before the crash may still be pending; re-arming
+	// its slot replaces it, so no second sweep chain starts.
 	n.gcArmed = false
 	n.armGC()
 	// Entries due at the same instant tick in list order.
@@ -313,7 +283,7 @@ func (n *Node) send(to ids.ID, m any) {
 		// defer: the flush is a zero-delay real timer, and every handler
 		// turn that takes the core lock before the timer does joins the
 		// same flush (see Config.CoalesceWindow).
-		n.deferFn(n.cfg.CoalesceWindow, n.flushFn)
+		n.env.Arm(n.cfg.CoalesceWindow, n.flushFn, &n.outbox)
 	}
 }
 
@@ -794,7 +764,7 @@ func (n *Node) armExecTimeout(ex *exec, qm QueryMsg) {
 			}
 		}
 	}
-	n.armFn(n.cfg.ChildTimeout, ex.timeoutFn, &ex.timer)
+	n.env.Arm(n.cfg.ChildTimeout, ex.timeoutFn, &ex.timer)
 }
 
 // newExec takes an exec record from the pool; its child table (if any)
@@ -966,7 +936,7 @@ func (n *Node) armGC() {
 		period = time.Minute
 	}
 	n.gcArmed = true
-	n.gcCancel = n.env.After(period, func() {
+	n.env.Arm(period, func() {
 		n.gcArmed = false
 		n.sweep()
 		// Re-arm only while something remains collectible: remembered
@@ -975,7 +945,7 @@ func (n *Node) armGC() {
 		if !n.ledger.empty() || (n.cfg.StateTTL > 0 && len(n.preds) > 0) {
 			n.armGC()
 		}
-	})
+	}, &n.gc)
 }
 
 func (n *Node) sweep() {

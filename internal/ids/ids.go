@@ -91,6 +91,18 @@ func (id ID) Short() string {
 	return hex.EncodeToString(id[:4])
 }
 
+// Seed derives a well-mixed 64-bit seed from all 16 identifier bytes
+// (FNV-1a): the simulator's per-node streams and the oracle's routing
+// slot picks are keyed by it.
+func (id ID) Seed() uint64 {
+	s := uint64(14695981039346656037)
+	for _, b := range id {
+		s ^= uint64(b)
+		s *= 1099511628211
+	}
+	return s
+}
+
 // IsZero reports whether the identifier is all zeros.
 func (id ID) IsZero() bool {
 	return id == Zero

@@ -1,10 +1,24 @@
 package ids
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// TestSeedIsFNV1a: Seed is 64-bit FNV-1a over the 16 identifier bytes.
+// The simulator's per-node streams and the oracle's routing slots are
+// keyed by it, so a different hash would move every seeded transcript.
+func TestSeedIsFNV1a(t *testing.T) {
+	for _, id := range []ID{Zero, FromKey("a"), FromUint64(42), MustHex("ffffffffffffffffffffffffffffffff")} {
+		h := fnv.New64a()
+		h.Write(id[:])
+		if got, want := id.Seed(), h.Sum64(); got != want {
+			t.Fatalf("Seed(%v) = %#x, want %#x", id, got, want)
+		}
+	}
+}
 
 func TestDigitRoundTrip(t *testing.T) {
 	id := MustHex("0123456789abcdef0123456789abcdef")

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement utilities the experiment
-// harness uses: latency recorders with percentile/CDF extraction and
-// small statistical helpers. Everything operates on virtual-time
+// harness uses: latency recorders with mean and percentile extraction
+// and millisecond formatting. Everything operates on virtual-time
 // durations produced by the simulator.
 package metrics
 
@@ -30,13 +30,6 @@ func (r *Recorder) Add(d time.Duration) {
 
 // Len returns the sample count.
 func (r *Recorder) Len() int { return len(r.samples) }
-
-// Samples returns the raw samples in insertion order.
-func (r *Recorder) Samples() []time.Duration {
-	out := make([]time.Duration, len(r.samples))
-	copy(out, r.samples)
-	return out
-}
 
 func (r *Recorder) sortSamples() {
 	if !r.sorted {
@@ -72,65 +65,6 @@ func (r *Recorder) Percentile(p float64) time.Duration {
 		rank = len(r.samples)
 	}
 	return r.samples[rank-1]
-}
-
-// Median returns the 50th percentile.
-func (r *Recorder) Median() time.Duration { return r.Percentile(50) }
-
-// Max returns the largest sample.
-func (r *Recorder) Max() time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sortSamples()
-	return r.samples[len(r.samples)-1]
-}
-
-// Min returns the smallest sample.
-func (r *Recorder) Min() time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sortSamples()
-	return r.samples[0]
-}
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	Latency  time.Duration
-	Fraction float64 // cumulative fraction in [0,1]
-}
-
-// CDF returns the distribution sampled at up to points evenly spaced
-// cumulative fractions (the Fig. 14/15 plots).
-func (r *Recorder) CDF(points int) []CDFPoint {
-	if len(r.samples) == 0 || points <= 0 {
-		return nil
-	}
-	r.sortSamples()
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		frac := float64(i) / float64(points)
-		idx := int(math.Ceil(frac*float64(len(r.samples)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out = append(out, CDFPoint{Latency: r.samples[idx], Fraction: frac})
-	}
-	return out
-}
-
-// Series is a labeled sequence of (x, y) points, the common currency of
-// the experiment drivers and their output printers.
-type Series struct {
-	Label  string
-	Points []Point
-}
-
-// Point is one measurement.
-type Point struct {
-	X float64
-	Y float64
 }
 
 // FormatMs renders a duration in fractional milliseconds.

@@ -20,7 +20,7 @@ func TestRecorderStats(t *testing.T) {
 	if got := r.Mean(); got != 55*time.Millisecond {
 		t.Fatalf("mean = %v", got)
 	}
-	if got := r.Median(); got != 50*time.Millisecond {
+	if got := r.Percentile(50); got != 50*time.Millisecond {
 		t.Fatalf("median = %v", got)
 	}
 	if got := r.Percentile(90); got != 90*time.Millisecond {
@@ -29,37 +29,15 @@ func TestRecorderStats(t *testing.T) {
 	if got := r.Percentile(100); got != 100*time.Millisecond {
 		t.Fatalf("p100 = %v", got)
 	}
-	if r.Min() != 10*time.Millisecond || r.Max() != 100*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", r.Min(), r.Max())
+	if lo, hi := r.Percentile(1), r.Percentile(100); lo != 10*time.Millisecond || hi != 100*time.Millisecond {
+		t.Fatalf("min/max = %v/%v", lo, hi)
 	}
 }
 
 func TestRecorderEmpty(t *testing.T) {
 	r := NewRecorder(0)
-	if r.Mean() != 0 || r.Median() != 0 || r.Max() != 0 || r.Min() != 0 {
+	if r.Mean() != 0 || r.Percentile(50) != 0 || r.Percentile(100) != 0 || r.Percentile(1) != 0 {
 		t.Fatal("empty recorder should return zeros")
-	}
-	if cdf := r.CDF(10); cdf != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	r := NewRecorder(100)
-	for i := 100; i >= 1; i-- {
-		r.Add(time.Duration(i) * time.Millisecond)
-	}
-	cdf := r.CDF(20)
-	if len(cdf) != 20 {
-		t.Fatalf("points = %d", len(cdf))
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Latency < cdf[i-1].Latency || cdf[i].Fraction <= cdf[i-1].Fraction {
-			t.Fatalf("CDF not monotone at %d: %+v", i, cdf[i])
-		}
-	}
-	if cdf[len(cdf)-1].Fraction != 1 {
-		t.Fatalf("last fraction = %v", cdf[len(cdf)-1].Fraction)
 	}
 }
 
@@ -75,13 +53,12 @@ func TestFormatMs(t *testing.T) {
 func TestAddAfterSortKeepsOrder(t *testing.T) {
 	r := NewRecorder(4)
 	fill(r, 30, 10)
-	_ = r.Median() // forces sort
+	_ = r.Percentile(50) // forces sort
 	fill(r, 20)
-	if got := r.Median(); got != 20*time.Millisecond {
+	if got := r.Percentile(50); got != 20*time.Millisecond {
 		t.Fatalf("median after resort = %v", got)
 	}
-	s := r.Samples()
-	if len(s) != 3 {
-		t.Fatalf("samples = %v", s)
+	if r.Len() != 3 {
+		t.Fatalf("len = %d", r.Len())
 	}
 }

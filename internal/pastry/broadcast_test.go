@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/moara/moara/internal/ids"
+	"github.com/moara/moara/internal/simnet"
 )
 
 // stubEnv satisfies simnet.Env for table-only tests.
@@ -15,11 +16,12 @@ type stubEnv struct {
 	rng *rand.Rand
 }
 
-func (s stubEnv) Self() ids.ID                                { return s.id }
-func (s stubEnv) Send(ids.ID, any)                            {}
-func (s stubEnv) After(time.Duration, func()) (cancel func()) { return func() {} }
-func (s stubEnv) Now() time.Duration                          { return 0 }
-func (s stubEnv) Rand() *rand.Rand                            { return s.rng }
+func (s stubEnv) Self() ids.ID                             { return s.id }
+func (s stubEnv) Send(ids.ID, any)                         {}
+func (s stubEnv) Arm(time.Duration, func(), *simnet.Timer) {}
+func (s stubEnv) Now() time.Duration                       { return 0 }
+func (s stubEnv) Rand() *rand.Rand                         { return s.rng }
+func (s stubEnv) Incarnation() uint64                      { return 0 }
 
 func buildOracleNodes(t *testing.T, n int) (*Oracle, map[ids.ID]*Node, []ids.ID) {
 	t.Helper()

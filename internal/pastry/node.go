@@ -58,8 +58,9 @@ type Node struct {
 
 	hbMisses    map[ids.ID]int
 	hbRound     int
-	stopHB      func()
-	stopJoin    func()
+	hb          simnet.Timer
+	hbOn        bool
+	join        simnet.Timer
 	joined      bool
 	joinPending []pendingRoute
 	gen         int
@@ -126,14 +127,8 @@ func (n *Node) BootstrapAlone() {
 
 // Close stops background timers.
 func (n *Node) Close() {
-	if n.stopHB != nil {
-		n.stopHB()
-		n.stopHB = nil
-	}
-	if n.stopJoin != nil {
-		n.stopJoin()
-		n.stopJoin = nil
-	}
+	n.stopHeartbeats()
+	n.join.Stop()
 }
 
 // ---------------------------------------------------------------------
@@ -470,11 +465,7 @@ func (n *Node) Join(bootstrap ids.ID) {
 }
 
 func (n *Node) armJoinRetry(bootstrap ids.ID) {
-	if n.stopJoin != nil {
-		n.stopJoin()
-	}
-	n.stopJoin = n.env.After(joinRetryEvery, func() {
-		n.stopJoin = nil
+	n.env.Arm(joinRetryEvery, func() {
 		if n.joined {
 			return
 		}
@@ -486,7 +477,7 @@ func (n *Node) armJoinRetry(bootstrap ids.ID) {
 		}
 		n.env.Send(target, JoinRequest{Joiner: n.self})
 		n.armJoinRetry(bootstrap)
-	})
+	}, &n.join)
 }
 
 // Rejoin re-enters the overlay after a crash-recovery: liveness state is
@@ -496,10 +487,7 @@ func (n *Node) armJoinRetry(bootstrap ids.ID) {
 // encounters — which is what clears the death certificates the cluster
 // installed when this node was declared failed.
 func (n *Node) Rejoin(bootstrap ids.ID) {
-	if n.stopHB != nil {
-		n.stopHB()
-		n.stopHB = nil
-	}
+	n.stopHeartbeats()
 	clear(n.hbMisses)
 	n.announced = make(map[ids.ID]bool)
 	n.joined = false
@@ -667,9 +655,10 @@ func (n *Node) knownSample() []ids.ID {
 // Liveness
 
 func (n *Node) startHeartbeats() {
-	if n.cfg.HeartbeatEvery <= 0 || n.stopHB != nil {
+	if n.cfg.HeartbeatEvery <= 0 || n.hbOn {
 		return
 	}
+	n.hbOn = true
 	var tick func()
 	tick = func() {
 		for _, id := range n.leaf.Members() {
@@ -718,9 +707,14 @@ func (n *Node) startHeartbeats() {
 			known = append(append(known, ks...), n.self)
 			n.env.Send(peer, AnnounceAck{Known: known})
 		}
-		n.stopHB = n.env.After(n.cfg.HeartbeatEvery, tick)
+		n.env.Arm(n.cfg.HeartbeatEvery, tick, &n.hb)
 	}
-	n.stopHB = n.env.After(n.cfg.HeartbeatEvery, tick)
+	n.env.Arm(n.cfg.HeartbeatEvery, tick, &n.hb)
+}
+
+func (n *Node) stopHeartbeats() {
+	n.hb.Stop()
+	n.hbOn = false
 }
 
 func (n *Node) handleHeartbeat(from ids.ID, m Heartbeat) {

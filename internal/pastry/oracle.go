@@ -87,7 +87,7 @@ func (o *Oracle) Fill(n *Node) {
 			if chi <= clo {
 				continue
 			}
-			pick := clo + int(mix(idSeedOracle(self), uint64(r*ids.Radix+c))%uint64(chi-clo))
+			pick := clo + int(mix(self.Seed(), uint64(r*ids.Radix+c))%uint64(chi-clo))
 			n.rt.Set(r, c, o.sorted[pick])
 		}
 		lo, hi = o.narrow(lo, hi, self, r, selfDigit)
@@ -123,17 +123,7 @@ func prefixBound(ref ids.ID, r, c int, hi bool) ids.ID {
 	return out.WithDigit(r, c)
 }
 
-// idSeedOracle derives a well-mixed 64-bit seed from all 16 identifier
-// bytes (FNV-1a).
-func idSeedOracle(id ids.ID) uint64 {
-	s := uint64(14695981039346656037)
-	for _, b := range id {
-		s ^= uint64(b)
-		s *= 1099511628211
-	}
-	return s
-}
-
+// mix differs from simnet's mix; merging them would re-pick every oracle routing slot.
 func mix(a, b uint64) uint64 {
 	x := a ^ (b+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9
 	x ^= x >> 30

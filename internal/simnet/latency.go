@@ -150,7 +150,7 @@ var _ LatencyModel = (*WANModel)(nil)
 
 // pairKey builds an order-independent 64-bit key for a node pair.
 func pairKey(a, b ids.ID) uint64 {
-	ka, kb := idSeed(a), idSeed(b)
+	ka, kb := a.Seed(), b.Seed()
 	if ka > kb {
 		ka, kb = kb, ka
 	}
@@ -161,7 +161,7 @@ func pairKey(a, b ids.ID) uint64 {
 // through it during a slow window (zero for healthy nodes; the peak
 // value regardless of when).
 func (m *WANModel) StragglerDelay(a ids.ID) time.Duration {
-	rng := splitmix{key: idSeed(a) ^ 0x5bf03635 ^ uint64(m.cfg.Seed)}
+	rng := splitmix{key: a.Seed() ^ 0x5bf03635 ^ uint64(m.cfg.Seed)}
 	if rng.float() >= m.cfg.StragglerFrac {
 		return 0
 	}
@@ -183,7 +183,7 @@ func (m *WANModel) stragglerAt(a ids.ID, now time.Duration) time.Duration {
 		return d
 	}
 	window := uint64(now / m.cfg.StragglerWindow)
-	h := mix(idSeed(a)^uint64(m.cfg.Seed), window)
+	h := mix(a.Seed()^uint64(m.cfg.Seed), window)
 	if float64(h%1000)/1000 < m.cfg.StragglerDuty {
 		return d
 	}
@@ -251,7 +251,7 @@ func (m *pairwiseModel) Latency(from, to ids.ID, _ time.Duration, _ *rand.Rand) 
 	if m.spread <= 0 {
 		return m.base
 	}
-	h := mix(idSeed(from)^uint64(m.seed), idSeed(to))
+	h := mix(from.Seed()^uint64(m.seed), to.Seed())
 	return m.base + time.Duration(h%uint64(m.spread))
 }
 

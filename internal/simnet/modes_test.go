@@ -51,8 +51,8 @@ func TestHeapModes(t *testing.T) {
 				note := func(what string) func() {
 					return func() { order = append(order, fmt.Sprintf("%s@%v/%v", what, a.Now(), net.Now())) }
 				}
-				a.Defer(200*time.Microsecond, note("early"))
-				a.Defer(500*time.Microsecond, note("timer"))
+				a.Arm(200*time.Microsecond, note("early"), new(Timer))
+				a.Arm(500*time.Microsecond, note("timer"), new(Timer))
 				net.Schedule(500*time.Microsecond, note("schedule"))
 				net.Run(0)
 				want := "[early@200µs/200µs schedule@500µs/500µs timer@500µs/500µs]"
@@ -86,7 +86,7 @@ func TestHeapModes(t *testing.T) {
 				a := addNodes(net, 1)[0]
 				fired := 0
 				for i := 1; i <= 10; i++ {
-					a.Defer(time.Duration(i)*100*time.Microsecond, func() { fired++ })
+					a.Arm(time.Duration(i)*100*time.Microsecond, func() { fired++ }, new(Timer))
 				}
 				net.RunWhile(func() bool { return fired < 3 })
 				if fired != 10 {
@@ -135,7 +135,7 @@ func TestHeapModes(t *testing.T) {
 					seen = append(seen, fmt.Sprintf("%v/%v", b.Now(), net.Now()))
 				}))
 				a.Send(b.Self(), "x")
-				a.Defer(300*time.Microsecond, func() { a.Send(b.Self(), "y") })
+				a.Arm(300*time.Microsecond, func() { a.Send(b.Self(), "y") }, new(Timer))
 				net.Run(0)
 				want := "[1ms/300µs 1.3ms/1.3ms]"
 				if got := fmt.Sprint(seen); got != want {
@@ -156,7 +156,7 @@ func TestRunUntilNeverRewinds(t *testing.T) {
 		net := New(Options{Shards: shards, Latency: Fixed(time.Millisecond)})
 		env := net.AddNode(shardTestID(0))
 		env.BindHandler(handlerFunc(func(ids.ID, any) {}))
-		env.Defer(20*time.Millisecond, func() {})
+		env.Arm(20*time.Millisecond, func() {}, new(Timer))
 		net.RunUntil(10 * time.Millisecond)
 		net.RunUntil(5 * time.Millisecond)
 		net.RunFor(-time.Millisecond)
@@ -164,7 +164,7 @@ func TestRunUntilNeverRewinds(t *testing.T) {
 			t.Fatalf("shards=%d: clocks at net %v, node %v after past targets, want 10ms", shards, net.Now(), env.Now())
 		}
 		var at time.Duration
-		env.Defer(time.Millisecond, func() { at = env.Now() })
+		env.Arm(time.Millisecond, func() { at = env.Now() }, new(Timer))
 		net.Run(0)
 		if at != 11*time.Millisecond {
 			t.Fatalf("shards=%d: timer armed at 10ms+1ms fired at %v", shards, at)

@@ -100,8 +100,8 @@ type shard struct {
 
 	events eventQueue
 	// free recycles event records; freed events bump their gen so stale
-	// cancel closures become no-ops instead of corrupting a reused
-	// record.
+	// cancels (a Timer or cancel func still holding the record) become
+	// no-ops instead of corrupting a reused record.
 	free []*event
 	// counter accumulates this shard's accounting: sends by its own
 	// nodes, deliveries to its own nodes. Network.Counter() merges the
@@ -141,7 +141,7 @@ func (sh *shard) newEvent() *event {
 }
 
 // freeEvent returns a record to the pool. The gen bump invalidates any
-// cancel closure still holding the record; payload fields are cleared
+// Timer or cancel func still holding the record; payload fields are cleared
 // so a recycled record can never replay its previous role.
 func (sh *shard) freeEvent(ev *event) {
 	ev.gen++

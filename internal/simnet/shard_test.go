@@ -51,7 +51,7 @@ func buildEcho(t *testing.T, opts Options, n, pings int) ([][]string, *Network) 
 		env := envs[i]
 		for p := 0; p < pings; p++ {
 			d := time.Duration(i*7+p*13) * time.Millisecond
-			env.Defer(d, func() { env.Send(to, "ping") })
+			env.Arm(d, func() { env.Send(to, "ping") }, new(Timer))
 		}
 	}
 	net.Run(0)
@@ -118,7 +118,7 @@ func TestShardedRunUntil(t *testing.T) {
 	var fired []time.Duration
 	for _, d := range []time.Duration{5, 20, 35, 50} {
 		d := d * time.Millisecond
-		env.Defer(d, func() { fired = append(fired, d) })
+		env.Arm(d, func() { fired = append(fired, d) }, new(Timer))
 	}
 	net.RunUntil(35 * time.Millisecond)
 	if net.Now() != 35*time.Millisecond {
@@ -144,7 +144,7 @@ func TestShardedScheduleOrdering(t *testing.T) {
 	env := net.AddNode(shardTestID(0))
 	env.BindHandler(&echoHandler{env: env})
 	var order []string
-	env.Defer(10*time.Millisecond, func() { order = append(order, "node") })
+	env.Arm(10*time.Millisecond, func() { order = append(order, "node") }, new(Timer))
 	net.Schedule(10*time.Millisecond, func() { order = append(order, "driver-a") })
 	cancel := net.Schedule(10*time.Millisecond, func() { order = append(order, "cancelled") })
 	net.Schedule(10*time.Millisecond, func() { order = append(order, "driver-b") })
@@ -156,8 +156,9 @@ func TestShardedScheduleOrdering(t *testing.T) {
 	}
 }
 
-// TestShardedTimerCancel checks After-cancel and Timer re-arming on
-// the sharded scheduler.
+// TestShardedTimerCancel checks After-cancel, Timer.Stop and Timer
+// re-arming on the sharded scheduler: re-arming a slot whose timer is
+// still pending replaces it.
 func TestShardedTimerCancel(t *testing.T) {
 	net := New(Options{Shards: 3, Latency: Fixed(time.Millisecond)})
 	env := net.AddNode(shardTestID(0))
@@ -166,13 +167,18 @@ func TestShardedTimerCancel(t *testing.T) {
 	cancel := env.After(5*time.Millisecond, func() { fired += 100 })
 	cancel()
 	var tm Timer
-	env.Arm(7*time.Millisecond, func() { fired += 1000 }, &tm)
+	env.Arm(6*time.Millisecond, func() { fired += 10 }, &tm)
 	tm.Stop()
+	env.Arm(7*time.Millisecond, func() { fired += 1000 }, &tm)
 	env.Arm(9*time.Millisecond, func() { fired++ }, &tm)
 	net.Run(0)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want only the re-armed timer", fired)
 	}
+	if net.PendingEvents() != 0 {
+		t.Fatalf("pending = %d after the run, want 0", net.PendingEvents())
+	}
+	tm.Stop() // after it fired: a no-op
 }
 
 // TestShardedDownNode checks that a down node neither receives nor
@@ -185,7 +191,7 @@ func TestShardedDownNode(t *testing.T) {
 	hb := &echoHandler{env: b}
 	a.BindHandler(ha)
 	b.BindHandler(hb)
-	b.Defer(5*time.Millisecond, func() { hb.got = append(hb.got, "timer") })
+	b.Arm(5*time.Millisecond, func() { hb.got = append(hb.got, "timer") }, new(Timer))
 	net.SetDown(shardTestID(1), true)
 	a.Send(shardTestID(1), "hello")
 	net.Run(0)

@@ -38,9 +38,11 @@ type Handler interface {
 	Handle(from ids.ID, m any)
 }
 
-// Env is the environment a node runs in: its identity, a message
-// transport, timers, a clock, and a random source. internal/pastry and
-// internal/core depend only on this interface.
+// Env is the whole runtime contract a node runs against: its identity,
+// a message transport, timers, a clock, a random source, and an
+// incarnation stamp. internal/pastry and internal/core depend only on
+// this interface, and the simulator and the TCP agent both implement all
+// of it.
 type Env interface {
 	// Self returns the node's identifier.
 	Self() ids.ID
@@ -50,9 +52,10 @@ type Env interface {
 	// aggregate.Recycle): the simulator hands them to the receiver, and
 	// the TCP agent returns them after the write.
 	Send(to ids.ID, m any)
-	// After schedules fn to run once after d. The returned function
-	// cancels the timer if it has not fired.
-	After(d time.Duration, fn func()) (cancel func())
+	// Arm schedules fn to run once after d and records the handle in t;
+	// t.Stop cancels it. A timer still pending in t is stopped first, so
+	// re-arming a slot replaces its timer.
+	Arm(d time.Duration, fn func(), t *Timer)
 	// Now returns the current (virtual or wall-clock) time expressed
 	// as an offset from the run's epoch.
 	Now() time.Duration
@@ -60,6 +63,11 @@ type Env interface {
 	// seed in the simulator, which builds it on the first call, so a
 	// node that never draws holds none.
 	Rand() *rand.Rand
+	// Incarnation is where the node starts numbering its queries. A node
+	// restarted under its old ID must not reuse the query numbers of its
+	// previous life: peers still remember those for SeenTTL and would
+	// answer them as replays.
+	Incarnation() uint64
 }
 
 // LatencyModel computes one-way message latencies. Models receive the
@@ -411,7 +419,7 @@ func (n *Network) AddNode(id ids.ID) *nodeEnv {
 	env.shard = n.shards[env.idx%len(n.shards)]
 	// The per-sender latency/jitter stream: a distinct salt keeps it
 	// independent of the node-logic stream Rand builds.
-	env.latSrc = splitmix{key: uint64(n.opts.Seed) ^ idSeed(id) ^ latStreamSalt}
+	env.latSrc = splitmix{key: uint64(n.opts.Seed) ^ id.Seed() ^ latStreamSalt}
 	env.latRng = rand.New(&env.latSrc)
 	n.nodes[id] = env
 	n.envs = append(n.envs, env)
@@ -604,9 +612,8 @@ func (e *nodeEnv) Send(to ids.ID, m any) {
 	e.shard.send(e, to, m)
 }
 
-// After schedules fn on the virtual clock. The crashed-node guard
-// rides in the event record itself rather than a per-timer wrapper
-// closure.
+// After schedules fn on the virtual clock and returns its cancel
+// function. It is not part of Env; only the benchmark module calls it.
 func (e *nodeEnv) After(d time.Duration, fn func()) (cancel func()) {
 	ev := e.shard.defer_(e, d, fn)
 	n := e.net
@@ -614,23 +621,15 @@ func (e *nodeEnv) After(d time.Duration, fn func()) (cancel func()) {
 	return func() { n.cancelEvent(ev, gen) }
 }
 
-// Defer is After without the cancellation handle: fire-and-forget
-// timers (the per-burst outbox flush) skip the cancel-closure
-// allocation entirely.
-func (e *nodeEnv) Defer(d time.Duration, fn func()) {
-	e.shard.defer_(e, d, fn)
-}
-
-// Timer is a reusable cancellation slot for periodic re-armed timers
-// (epoch ticks, per-query child timeouts): re-arming writes the same
-// three words instead of allocating a fresh cancel closure per cycle.
-// The zero Timer is inert; Stop after the timer fired is a no-op.
+// Timer is a reusable cancellation slot for a node's timers: re-arming
+// writes the same few words instead of allocating a cancel closure per
+// cycle. The zero Timer is inert; Stop after the timer fired is a no-op.
 type Timer struct {
-	// stop is the fallback for environments without the Arm fast path.
-	stop func()
-	net  *Network
-	ev   *event
-	gen  uint64
+	// ext is a timer another runtime scheduled (SetStop).
+	ext interface{ Stop() bool }
+	net *Network
+	ev  *event
+	gen uint64
 }
 
 // Stop cancels the timer if it has not fired.
@@ -640,27 +639,27 @@ func (t *Timer) Stop() {
 		t.net = nil
 		return
 	}
-	if t.stop != nil {
-		t.stop()
-		t.stop = nil
+	if t.ext != nil {
+		t.ext.Stop()
+		t.ext = nil
 	}
 }
 
-// SetFallback arms the slot with a plain cancel function (used by
-// environments that only implement After).
-func (t *Timer) SetFallback(cancel func()) {
+// SetStop arms the slot with a timer another runtime scheduled (the TCP
+// agent's); Stop calls its Stop.
+func (t *Timer) SetStop(ext interface{ Stop() bool }) {
 	t.net = nil
-	t.stop = cancel
+	t.ext = ext
 }
 
-// Arm schedules fn like After but records the cancellation in t,
-// allocation-free.
+// Arm schedules fn on the virtual clock. The crashed-node guard rides
+// in the event record itself rather than a per-timer wrapper closure.
 func (e *nodeEnv) Arm(d time.Duration, fn func(), t *Timer) {
+	t.Stop()
 	ev := e.shard.defer_(e, d, fn)
 	t.net = e.net
 	t.ev = ev
 	t.gen = ev.gen
-	t.stop = nil
 }
 
 // Now returns the owning shard's clock: the instant of the event being
@@ -668,26 +667,18 @@ func (e *nodeEnv) Arm(d time.Duration, fn func(), t *Timer) {
 func (e *nodeEnv) Now() time.Duration { return e.shard.now }
 
 // Rand returns the node's deterministic random source, seeded with
-// Seed ^ idSeed(id). It is built on the first call: a math/rand source
+// Seed ^ id.Seed(). It is built on the first call: a math/rand source
 // is ~4.9 KB and only overlay gossip draws from it, so nodes that never
 // draw never hold one.
 func (e *nodeEnv) Rand() *rand.Rand {
 	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.net.opts.Seed ^ int64(idSeed(e.id))))
+		e.rng = rand.New(rand.NewSource(e.net.opts.Seed ^ int64(e.id.Seed())))
 	}
 	return e.rng
 }
 
-// idSeed derives a well-mixed 64-bit seed from all 16 identifier
-// bytes (FNV-1a).
-func idSeed(id ids.ID) uint64 {
-	s := uint64(14695981039346656037)
-	for _, b := range id {
-		s ^= uint64(b)
-		s *= 1099511628211
-	}
-	return s
-}
+// Incarnation is 0: a simulated node numbers its queries from the start.
+func (e *nodeEnv) Incarnation() uint64 { return 0 }
 
 // event is one scheduled callback or message delivery. Records are
 // pooled; gen guards recycled records against stale cancels.

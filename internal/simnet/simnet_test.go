@@ -67,7 +67,7 @@ func TestDeterminism(t *testing.T) {
 
 // TestNodeRandLazy: at one and two shards a node's random source exists only
 // once the node draws from it, and the stream it then yields is the one
-// an eagerly built source over Seed ^ idSeed(id) would have.
+// an eagerly built source over Seed ^ id.Seed() would have.
 func TestNodeRandLazy(t *testing.T) {
 	const seed, k = 77, 64
 	for _, shards := range []int{0, 2} {
@@ -80,13 +80,13 @@ func TestNodeRandLazy(t *testing.T) {
 		}
 		drawer := envs[1]
 		var got []int64
-		drawer.After(time.Millisecond, func() {
+		drawer.Arm(time.Millisecond, func() {
 			for i := 0; i < k; i++ {
 				got = append(got, drawer.Rand().Int63())
 			}
-		})
+		}, new(Timer))
 		net.RunFor(10 * time.Millisecond)
-		want := rand.New(rand.NewSource(seed ^ int64(idSeed(drawer.id))))
+		want := rand.New(rand.NewSource(seed ^ int64(drawer.id.Seed())))
 		if len(got) != k {
 			t.Fatalf("shards=%d: %d draws, want %d", shards, len(got), k)
 		}
@@ -109,9 +109,10 @@ func TestTimersAndCancel(t *testing.T) {
 	env := net.AddNode(a)
 	env.BindHandler(&recordingHandler{})
 	fired := 0
-	env.After(5*time.Millisecond, func() { fired++ })
-	cancel := env.After(time.Millisecond, func() { fired += 100 })
-	cancel()
+	var keep, drop Timer
+	env.Arm(5*time.Millisecond, func() { fired++ }, &keep)
+	env.Arm(time.Millisecond, func() { fired += 100 }, &drop)
+	drop.Stop()
 	net.RunFor(10 * time.Millisecond)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 (cancel leaked)", fired)

@@ -611,19 +611,42 @@ func (e nodeEnv) Send(to ids.ID, m any) {
 	go e.n.send(addr, m)
 }
 
-// After schedules fn on the real clock, serialized with the core.
-func (e nodeEnv) After(d time.Duration, fn func()) (cancel func()) {
-	t := time.AfterFunc(d, func() {
-		e.n.mu.Lock()
-		defer e.n.mu.Unlock()
-		select {
-		case <-e.n.closed:
-			return
-		default:
-		}
-		fn()
-	})
-	return func() { t.Stop() }
+// Arm schedules fn on the real clock, serialized with the core, and
+// records the handle in t.
+func (e nodeEnv) Arm(d time.Duration, fn func(), t *simnet.Timer) {
+	t.Stop()
+	a := &agentTimer{n: e.n, fn: fn}
+	a.at = time.AfterFunc(d, a.fire)
+	t.SetStop(a)
+}
+
+// agentTimer is one Arm on the real clock. Like a simulator timer, it
+// never runs once stopped under the core lock, even if its clock already
+// fired and fire waits for the lock; nor once the node is closed.
+type agentTimer struct {
+	n       *Node
+	fn      func()
+	at      *time.Timer
+	stopped bool // guarded by n.mu
+}
+
+func (a *agentTimer) fire() {
+	a.n.mu.Lock()
+	defer a.n.mu.Unlock()
+	select {
+	case <-a.n.closed:
+		return
+	default:
+	}
+	if !a.stopped {
+		a.fn()
+	}
+}
+
+// Stop runs under the core lock, as the core's timer calls do.
+func (a *agentTimer) Stop() bool {
+	a.stopped = true
+	return a.at.Stop()
 }
 
 // Now returns the elapsed wall-clock time since the node started.

@@ -3,10 +3,12 @@ package transport
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/moara/moara/internal/core"
+	"github.com/moara/moara/internal/simnet"
 	"github.com/moara/moara/internal/value"
 )
 
@@ -284,4 +286,109 @@ func TestTCPConcurrentStandingCoalesced(t *testing.T) {
 	}
 	// B keeps streaming full samples after A's batched cancel cascade.
 	waitWarm("B after cancel", chB)
+}
+
+// TestAgentArm drives the agent's real-clock timers directly: a timer
+// runs once, Stop before it fires prevents it and after it fired does
+// nothing, re-arming a slot replaces its pending timer, and nothing
+// armed before Close runs after Close returns. The core arms and stops
+// its timers under the core lock, so the test does too.
+func TestAgentArm(t *testing.T) {
+	listen := func(t *testing.T) *Node {
+		t.Helper()
+		nd, err := Listen("127.0.0.1:0", nil, Options{})
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		t.Cleanup(func() { nd.Close() })
+		return nd
+	}
+	locked := func(nd *Node, fn func(env nodeEnv)) {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		fn(nodeEnv{nd})
+	}
+	wait := func(t *testing.T, fired <-chan string, want string) {
+		t.Helper()
+		select {
+		case got := <-fired:
+			if got != want {
+				t.Fatalf("timer %q fired, want %q", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timer %q never fired", want)
+		}
+	}
+	quiet := func(t *testing.T, fired <-chan string) {
+		t.Helper()
+		select {
+		case got := <-fired:
+			t.Fatalf("timer %q fired, want none", got)
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	note := func(fired chan<- string, name string) func() {
+		return func() { fired <- name }
+	}
+
+	t.Run("fires once", func(t *testing.T) {
+		nd, fired := listen(t), make(chan string, 4)
+		var tm simnet.Timer
+		locked(nd, func(env nodeEnv) { env.Arm(time.Millisecond, note(fired, "a"), &tm) })
+		wait(t, fired, "a")
+		quiet(t, fired)
+	})
+	t.Run("stop before it fires", func(t *testing.T) {
+		nd, fired := listen(t), make(chan string, 4)
+		var tm simnet.Timer
+		locked(nd, func(env nodeEnv) {
+			env.Arm(time.Millisecond, note(fired, "a"), &tm)
+			time.Sleep(5 * time.Millisecond) // the clock fires; the callback waits for the lock
+			tm.Stop()
+		})
+		quiet(t, fired)
+	})
+	t.Run("stop after it fired", func(t *testing.T) {
+		nd, fired := listen(t), make(chan string, 4)
+		var tm simnet.Timer
+		locked(nd, func(env nodeEnv) { env.Arm(time.Millisecond, note(fired, "a"), &tm) })
+		wait(t, fired, "a")
+		locked(nd, func(nodeEnv) { tm.Stop() })
+		locked(nd, func(env nodeEnv) { env.Arm(time.Millisecond, note(fired, "b"), &tm) })
+		wait(t, fired, "b")
+		quiet(t, fired)
+	})
+	t.Run("re-arm replaces", func(t *testing.T) {
+		nd, fired := listen(t), make(chan string, 4)
+		var tm simnet.Timer
+		locked(nd, func(env nodeEnv) {
+			env.Arm(time.Millisecond, note(fired, "a"), &tm)
+			time.Sleep(5 * time.Millisecond)
+			env.Arm(10*time.Millisecond, note(fired, "b"), &tm)
+		})
+		wait(t, fired, "b")
+		quiet(t, fired)
+	})
+	t.Run("nothing runs after close", func(t *testing.T) {
+		nd := listen(t)
+		var closed atomic.Bool
+		var late atomic.Int64
+		timers := make([]simnet.Timer, 64)
+		locked(nd, func(env nodeEnv) {
+			for i := range timers {
+				env.Arm(time.Duration(i)*50*time.Microsecond, func() {
+					if closed.Load() {
+						late.Add(1)
+					}
+				}, &timers[i])
+			}
+		})
+		time.Sleep(time.Millisecond)
+		nd.Close()
+		closed.Store(true)
+		time.Sleep(20 * time.Millisecond)
+		if n := late.Load(); n != 0 {
+			t.Fatalf("%d timers ran after Close returned", n)
+		}
+	})
 }
