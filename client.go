@@ -2,7 +2,6 @@ package moara
 
 import (
 	"context"
-	"errors"
 
 	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
@@ -116,7 +115,3 @@ var (
 	_ Client = (*Agent)(nil)
 	_ Client = (*Service)(nil)
 )
-
-// IsOverload reports whether err is an admission-control shed. It is
-// shorthand for errors.Is(err, ErrOverload).
-func IsOverload(err error) bool { return errors.Is(err, ErrOverload) }

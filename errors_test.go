@@ -96,7 +96,4 @@ func TestErrOverloadFromService(t *testing.T) {
 	if !errors.Is(err, ErrOverload) {
 		t.Fatalf("err = %v, want ErrOverload", err)
 	}
-	if !IsOverload(err) {
-		t.Fatal("IsOverload(err) = false")
-	}
 }

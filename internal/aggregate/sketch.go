@@ -422,7 +422,7 @@ func (s *TopKeysState) Add(_ ids.ID, v value.Value) {
 	s.N++
 	k := v.Key()
 	if s.Counts == nil {
-		s.Counts = make(map[string]int64, s.K)
+		s.Counts = make(map[string]int64)
 	}
 	if _, ok := s.Counts[k]; ok || len(s.Counts) < s.K {
 		s.Counts[k]++
@@ -449,7 +449,7 @@ func (s *TopKeysState) Merge(other State) error {
 	}
 	s.N += o.N
 	if len(o.Counts) > 0 && s.Counts == nil {
-		s.Counts = make(map[string]int64, s.K)
+		s.Counts = make(map[string]int64)
 	}
 	for k, c := range o.Counts {
 		s.Counts[k] += c

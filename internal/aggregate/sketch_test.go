@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -208,6 +209,29 @@ func TestTopKeysErrorBound(t *testing.T) {
 		if len(res.Counts) == 0 || res.Counts[0].Key != "0" {
 			t.Errorf("seed %d: top key = %v, want 0", seed, res.Counts)
 		}
+	}
+}
+
+// TestTopKeysSizedByContents: K comes unbounded from the query text
+// (topkeys(host, 1048576)), so the counter map must be sized by the
+// keys it holds, not by K. Two one-value states merged stay far below
+// what a K-sized map would cost (over 100 MB at K = 2^20).
+func TestTopKeysSizedByContents(t *testing.T) {
+	spec := Spec{Kind: KindTopKeys, K: 1 << 20}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, b := spec.New(), spec.New()
+	a.Add(ids.FromUint64(1), value.Str("x"))
+	b.Add(ids.FromUint64(2), value.Str("y"))
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("two one-value topkeys states at K=2^20 allocated %d bytes, want < 1 MB", grew)
+	}
+	if got := len(a.Result().Counts); got != 2 {
+		t.Errorf("merged state holds %d keys, want 2", got)
 	}
 }
 

@@ -60,21 +60,11 @@ func RunAblationCoverSelection(opt AblationOptions) *Table {
 		policy core.CoverPolicy
 	}
 	run := func(s strategy) (float64, time.Duration) {
-		c := cluster.New(emulabOptions(opt.N, opt.Seed, core.Config{Covers: s.policy}))
+		c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed, Node: core.Config{Covers: s.policy}}.Emulab())
 		rng := rand.New(rand.NewSource(opt.Seed + 59))
 		perm := rng.Perm(opt.N)
-		small := make(map[int]bool, opt.Small)
-		for _, i := range perm[:opt.Small] {
-			small[i] = true
-		}
-		large := make(map[int]bool, opt.Large)
-		for _, i := range perm[:opt.Large] { // superset of small
-			large[i] = true
-		}
-		for i, nd := range c.Nodes {
-			nd.Store().SetBool("small", small[i])
-			nd.Store().SetBool("large", large[i])
-		}
+		setGroup(c, "small", perm[:opt.Small])
+		setGroup(c, "large", perm[:opt.Large]) // superset of small
 		req, err := core.ParseRequest("count(*) where small = true and large = true")
 		if err != nil {
 			panic(err)
@@ -90,28 +80,12 @@ func RunAblationCoverSelection(opt AblationOptions) *Table {
 			if err != nil {
 				panic(err)
 			}
-			for w := 0; w < 2; w++ {
-				if _, err := c.Execute(0, wreq); err != nil {
-					panic(err)
-				}
-			}
+			poll(c, 2, 0, nil, wreq)
 		}
-		if _, err := c.Execute(0, req); err != nil {
-			panic(err)
-		}
+		poll(c, 1, 0, nil, req)
 		c.RunFor(2 * time.Second)
 		c.Net.ResetCounter()
-		rec := metrics.NewRecorder(opt.Queries)
-		for q := 0; q < opt.Queries; q++ {
-			res, err := c.Execute(0, req)
-			if err != nil {
-				panic(err)
-			}
-			if got, _ := res.Agg.Value.AsInt(); got != int64(opt.Small) {
-				panic(fmt.Sprintf("ablation %s: got %d want %d", s.label, got, opt.Small))
-			}
-			rec.Add(res.Stats.TotalTime)
-		}
+		rec := poll(c, opt.Queries, 0, wantSum("ablation "+s.label, opt.Small), req)
 		return float64(c.MoaraMessages()) / float64(opt.Queries), rec.Mean()
 	}
 

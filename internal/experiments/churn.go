@@ -169,40 +169,13 @@ func churnStandingRun(opt ChurnOptions, frac float64, coalesce time.Duration) (c
 	if err != nil {
 		panic(err)
 	}
-	req.Period = opt.Period
-
-	warm, counting := false, false
-	var lags []time.Duration
-	liveNow := c.LiveCount
-	if _, err := c.Subscribe(0, req, func(s core.Sample) {
-		if !s.ColdStart {
-			warm = true
-		}
-		if counting {
-			compl.add(s.Contributors, liveNow())
-			lags = append(lags, s.Lag)
-		}
-	}); err != nil {
-		panic(err)
-	}
-	for i := 0; !warm && i < 64; i++ {
-		c.RunFor(opt.Period)
-	}
-	if !warm {
-		panic("churn: standing subscription never warmed")
-	}
+	sub := subscribeWarm(c, req, opt.Period)
 	rng := rand.New(rand.NewSource(opt.Seed + 101))
 	churnDriver(c, opt, frac, rng)
-	start := c.WireQueryMessages()
-	counting = true
-	c.RunFor(time.Duration(opt.Epochs) * opt.Period)
-	counting = false
-	wire = float64(c.WireQueryMessages()-start) / float64(opt.Epochs)
-	rec := metrics.NewRecorder(len(lags))
-	for _, l := range lags {
-		rec.Add(l)
-	}
-	return compl, metrics.Ms(rec.Mean()), wire
+	wire, lags := sub.window(opt.Epochs, c.WireQueryMessages, func(s core.Sample) {
+		compl.add(s.Contributors, c.LiveCount())
+	})
+	return compl, metrics.Ms(lags.Mean()), wire
 }
 
 // churnOneShotRun measures one fresh dissemination per epoch through
@@ -223,16 +196,9 @@ func churnOneShotRun(opt ChurnOptions, frac float64, coalesce time.Duration) (co
 	rng := rand.New(rand.NewSource(opt.Seed + 103))
 	churnDriver(c, opt, frac, rng)
 	start := c.WireQueryMessages()
-	rec := metrics.NewRecorder(opt.Epochs)
-	for e := 0; e < opt.Epochs; e++ {
-		res, err := c.Execute(0, req)
-		if err != nil {
-			panic(err)
-		}
+	rec := poll(c, opt.Epochs, opt.Period, func(res core.Result) {
 		compl.add(res.Contributors, c.LiveCount())
-		rec.Add(res.Stats.TotalTime)
-		c.RunFor(opt.Period)
-	}
+	}, req)
 	wire = float64(c.WireQueryMessages()-start) / float64(opt.Epochs)
 	return compl, metrics.Ms(rec.Mean()), wire
 }
@@ -255,30 +221,7 @@ func churnRepairRun(opt ChurnOptions, killRoot bool) (repairEpochs, detectEpochs
 	if err != nil {
 		panic(err)
 	}
-	req.Period = opt.Period
-	warm := false
-	type obs struct {
-		at      time.Duration
-		covered bool
-	}
-	var trace []obs
-	recording := false
-	if _, err := c.Subscribe(0, req, func(s core.Sample) {
-		if !s.ColdStart {
-			warm = true
-		}
-		if recording {
-			trace = append(trace, obs{at: s.At, covered: s.Contributors >= int64(c.LiveCount())})
-		}
-	}); err != nil {
-		panic(err)
-	}
-	for i := 0; !warm && i < 64; i++ {
-		c.RunFor(opt.Period)
-	}
-	if !warm {
-		panic("churn: repair subscription never warmed")
-	}
+	sub := subscribeWarm(c, req, opt.Period)
 	c.RunFor(2 * opt.Period)
 
 	// The victim: the tree root (worst case — repair needs the renewal
@@ -298,10 +241,16 @@ func churnRepairRun(opt ChurnOptions, killRoot bool) (repairEpochs, detectEpochs
 	if victim < 0 {
 		panic("churn: no subscribed victim to kill")
 	}
-	recording = true
+	type obs struct {
+		at      time.Duration
+		covered bool
+	}
+	var trace []obs
 	killAt := c.Net.Now()
 	c.Kill(victim)
-	c.RunFor(30 * opt.Period)
+	sub.window(30, c.WireQueryMessages, func(s core.Sample) {
+		trace = append(trace, obs{at: s.At, covered: s.Contributors >= int64(c.LiveCount())})
+	})
 
 	// Walk the trace: detection = kill to the first uncovered sample;
 	// repair = first through last uncovered sample (the transient

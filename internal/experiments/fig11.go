@@ -5,10 +5,8 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
-	"github.com/moara/moara/internal/predicate"
 )
 
 // Fig11aOptions parameterize the separate-query-plane scaling
@@ -58,36 +56,13 @@ func sqpCosts(n, groupSize, threshold, queries, warm int, seed int64) (queryCost
 	if groupSize > n {
 		groupSize = n
 	}
-	inGroup := make(map[int]bool, groupSize)
-	for _, i := range members[:groupSize] {
-		inGroup[i] = true
-	}
-	for i, nd := range c.Nodes {
-		nd.Store().SetBool("A", inGroup[i])
-	}
-	req := core.Request{
-		Attr: "A",
-		Spec: aggregate.Spec{Kind: aggregate.KindSum},
-		Pred: predicate.MustParse("A = true"),
-	}
-	for w := 0; w < warm; w++ {
-		if _, err := c.Execute(0, req); err != nil {
-			panic(err)
-		}
-	}
+	setGroup(c, "A", members[:groupSize])
+	poll(c, warm, 0, nil, groupReq)
 	if warm > 0 {
 		c.RunFor(2 * time.Second)
 		c.Net.ResetCounter()
 	}
-	for q := 0; q < queries; q++ {
-		res, err := c.Execute(0, req)
-		if err != nil {
-			panic(err)
-		}
-		if got, _ := res.Agg.Value.AsInt(); got != int64(groupSize) {
-			panic(fmt.Sprintf("fig11: sum=%d want %d (n=%d t=%d q=%d)", got, groupSize, n, threshold, q))
-		}
-	}
+	poll(c, queries, 0, wantSum(fmt.Sprintf("fig11 n=%d t=%d", n, threshold), groupSize), groupReq)
 	kinds := c.Net.Counter().ByKind()
 	qmsgs := float64(kinds["moara.query"] + kinds["moara.resp"])
 	umsgs := float64(kinds["moara.status"])

@@ -5,18 +5,11 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/metrics"
-	"github.com/moara/moara/internal/predicate"
 	"github.com/moara/moara/internal/workload"
 )
-
-// emulabOptions boots n nodes on the model of the paper's Emulab runs.
-func emulabOptions(n int, seed int64, node core.Config) cluster.Options {
-	return cluster.Options{N: n, Seed: seed, Node: node}.Emulab()
-}
 
 // Fig12aOptions parameterize the static-group latency/bandwidth
 // comparison against a single global SDIMS-style tree.
@@ -56,37 +49,14 @@ func RunFig12a(opt Fig12aOptions) *Table {
 		Columns: []string{"series", "latency_ms", "msgs_per_query"},
 	}
 	run := func(label string, mode core.Mode, groupSize int) {
-		c := cluster.New(emulabOptions(opt.N, opt.Seed, core.Config{Mode: mode}))
+		c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed, Node: core.Config{Mode: mode}}.Emulab())
 		rng := rand.New(rand.NewSource(opt.Seed + 17))
-		members := rng.Perm(opt.N)[:groupSize]
-		inGroup := make(map[int]bool, groupSize)
-		for _, i := range members {
-			inGroup[i] = true
-		}
-		for i, nd := range c.Nodes {
-			nd.Store().SetBool("A", inGroup[i])
-		}
-		req := core.Request{
-			Attr: "A",
-			Spec: aggregate.Spec{Kind: aggregate.KindSum},
-			Pred: predicate.MustParse("A = true"),
-		}
+		setGroup(c, "A", rng.Perm(opt.N)[:groupSize])
 		// Settle pruning before measuring steady-state latency.
-		if err := c.Warm(req, req, req); err != nil {
+		if err := c.Warm(groupReq, groupReq, groupReq); err != nil {
 			panic(err)
 		}
-		rec := metrics.NewRecorder(opt.Queries)
-		for q := 0; q < opt.Queries; q++ {
-			res, err := c.Execute(0, req)
-			if err != nil {
-				panic(err)
-			}
-			if got, _ := res.Agg.Value.AsInt(); got != int64(groupSize) {
-				panic(fmt.Sprintf("fig12a %s: sum=%d want %d", label, got, groupSize))
-			}
-			rec.Add(res.Stats.TotalTime)
-			c.RunFor(200 * time.Millisecond)
-		}
+		rec := poll(c, opt.Queries, 200*time.Millisecond, wantSum("fig12a "+label, groupSize), groupReq)
 		msgs := float64(c.MoaraMessages()) / float64(opt.Queries)
 		t.AddRow(label, metrics.FormatMs(rec.Mean()), f1(msgs))
 	}
@@ -137,21 +107,10 @@ func (o Fig12bOptions) Defaults() Fig12bOptions {
 // outsiders join; queries injected at 1/s. It returns per-query
 // latencies in injection order.
 func dynamicGroupRun(opt Fig12bOptions, churn int, interval time.Duration) []time.Duration {
-	c := cluster.New(emulabOptions(opt.N, opt.Seed, core.Config{}))
+	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed}.Emulab())
 	rng := rand.New(rand.NewSource(opt.Seed + 97))
-	member := make([]bool, opt.N)
-	for _, i := range rng.Perm(opt.N)[:opt.GroupSize] {
-		member[i] = true
-	}
-	for i, nd := range c.Nodes {
-		nd.Store().SetBool("A", member[i])
-	}
-	req := core.Request{
-		Attr: "A",
-		Spec: aggregate.Spec{Kind: aggregate.KindSum},
-		Pred: predicate.MustParse("A = true"),
-	}
-	if err := c.Warm(req, req, req); err != nil {
+	member := setGroup(c, "A", rng.Perm(opt.N)[:opt.GroupSize])
+	if err := c.Warm(groupReq, groupReq, groupReq); err != nil {
 		panic(err)
 	}
 	applyChurn := func() {
@@ -191,7 +150,7 @@ func dynamicGroupRun(opt Fig12bOptions, churn int, interval time.Duration) []tim
 			continue
 		}
 		c.Net.RunUntil(nextQuery)
-		res, err := c.Execute(0, req)
+		res, err := c.Execute(0, groupReq)
 		if err != nil {
 			panic(err)
 		}

@@ -111,17 +111,10 @@ func (o Fig13bOptions) Defaults() Fig13bOptions {
 func RunFig13b(opt Fig13bOptions) *Table {
 	opt = opt.Defaults()
 	totalGroups := opt.MaxGroups * opt.ComplexTi
-	c := cluster.New(emulabOptions(opt.N, opt.Seed, core.Config{}))
+	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed}.Emulab())
 	rng := rand.New(rand.NewSource(opt.Seed + 41))
 	for g := 0; g < totalGroups; g++ {
-		attr := fmt.Sprintf("g%d", g)
-		in := make(map[int]bool, opt.GroupSize)
-		for _, i := range rng.Perm(opt.N)[:opt.GroupSize] {
-			in[i] = true
-		}
-		for i, nd := range c.Nodes {
-			nd.Store().SetBool(attr, in[i])
-		}
+		setGroup(c, fmt.Sprintf("g%d", g), rng.Perm(opt.N)[:opt.GroupSize])
 	}
 	t := &Table{
 		Title: "Fig. 13(b): composite query latency",
@@ -143,22 +136,11 @@ func RunFig13b(opt Fig13bOptions) *Table {
 			panic(err)
 		}
 		// Warm the involved trees, then measure.
-		for w := 0; w < 2; w++ {
-			if _, err := c.Execute(0, req); err != nil {
-				panic(err)
-			}
-		}
-		recT := metrics.NewRecorder(opt.Queries)
+		poll(c, 2, 0, nil, req)
 		recQ := metrics.NewRecorder(opt.Queries)
-		for q := 0; q < opt.Queries; q++ {
-			res, err := c.Execute(0, req)
-			if err != nil {
-				panic(err)
-			}
-			recT.Add(res.Stats.TotalTime)
+		recT := poll(c, opt.Queries, 50*time.Millisecond, func(res core.Result) {
 			recQ.Add(res.Stats.QueryTime)
-			c.RunFor(50 * time.Millisecond)
-		}
+		}, req)
 		return recT.Mean(), recQ.Mean()
 	}
 	for n := 2; n <= opt.MaxGroups; n++ {

@@ -11,15 +11,7 @@ import (
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/metrics"
-	"github.com/moara/moara/internal/predicate"
 )
-
-// planetlabOptions builds the wide-area environment of the paper's
-// PlanetLab runs: heavy-tailed pairwise RTTs with a few severely
-// bottlenecked links, plus modest processing delay.
-func planetlabOptions(n int, seed int64, node core.Config) cluster.Options {
-	return cluster.Options{N: n, Seed: seed, Node: node}.PlanetLab()
-}
 
 var cdfPercentiles = []float64{25, 50, 75, 90, 95, 99, 100}
 
@@ -51,41 +43,18 @@ func (o Fig14Options) Defaults() Fig14Options {
 // fig14Run measures per-query completion latencies for one group size
 // on the wide-area model.
 func fig14Run(opt Fig14Options, groupSize int) *metrics.Recorder {
-	c := cluster.New(planetlabOptions(opt.N, opt.Seed, core.Config{
+	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed, Node: core.Config{
 		// The paper does not time out queries, to obtain complete
 		// answers; bound only by a generous limit.
 		ChildTimeout: 120 * time.Second,
 		QueryTimeout: 300 * time.Second,
-	}))
+	}}.PlanetLab())
 	rng := rand.New(rand.NewSource(opt.Seed + 3))
-	in := make(map[int]bool, groupSize)
-	for _, i := range rng.Perm(opt.N)[:groupSize] {
-		in[i] = true
-	}
-	for i, nd := range c.Nodes {
-		nd.Store().SetBool("A", in[i])
-	}
-	req := core.Request{
-		Attr: "A",
-		Spec: aggregate.Spec{Kind: aggregate.KindSum},
-		Pred: predicate.MustParse("A = true"),
-	}
-	if err := c.Warm(req, req, req); err != nil {
+	setGroup(c, "A", rng.Perm(opt.N)[:groupSize])
+	if err := c.Warm(groupReq, groupReq, groupReq); err != nil {
 		panic(err)
 	}
-	rec := metrics.NewRecorder(opt.Queries)
-	for q := 0; q < opt.Queries; q++ {
-		res, err := c.Execute(0, req)
-		if err != nil {
-			panic(err)
-		}
-		if got, _ := res.Agg.Value.AsInt(); got != int64(groupSize) {
-			panic(fmt.Sprintf("fig14: sum=%d want %d", got, groupSize))
-		}
-		rec.Add(res.Stats.TotalTime)
-		c.RunFor(5 * time.Second)
-	}
-	return rec
+	return poll(c, opt.Queries, 5*time.Second, wantSum("fig14", groupSize), groupReq)
 }
 
 // RunFig14 reproduces Fig. 14: the CDF of query response latency on the
@@ -171,18 +140,12 @@ func RunFig15(opt Fig15Options) *Table {
 // fig15CentralRun pools per-reply arrival latencies of the centralized
 // aggregator across queries.
 func fig15CentralRun(opt Fig15Options, groupSize int) *metrics.Recorder {
-	c := cluster.New(planetlabOptions(opt.N, opt.Seed, core.Config{}))
+	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed}.PlanetLab())
 	for _, nd := range c.Nodes {
 		baseline.AttachResponder(nd)
 	}
 	rng := rand.New(rand.NewSource(opt.Seed + 3))
-	in := make(map[int]bool, groupSize)
-	for _, i := range rng.Perm(opt.N)[:groupSize] {
-		in[i] = true
-	}
-	for i, nd := range c.Nodes {
-		nd.Store().SetBool("A", in[i])
-	}
+	setGroup(c, "A", rng.Perm(opt.N)[:groupSize])
 	coordID := ids.FromKey("central-coordinator")
 	env := c.Net.AddNode(coordID)
 	coord := baseline.NewCentral(env, c.IDs)

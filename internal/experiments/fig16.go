@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/metrics"
-	"github.com/moara/moara/internal/predicate"
 	"github.com/moara/moara/internal/simnet"
 )
 
@@ -44,10 +42,10 @@ func RunFig16(opt Fig16Options) *Table {
 		capture bool
 		maxEdge time.Duration
 	)
-	copts := planetlabOptions(opt.N, opt.Seed, core.Config{
+	copts := cluster.Options{N: opt.N, Seed: opt.Seed, Node: core.Config{
 		ChildTimeout: 120 * time.Second,
 		QueryTimeout: 300 * time.Second,
-	})
+	}}.PlanetLab()
 	copts.Tap = func(_, _ ids.ID, m any, wire time.Duration) {
 		if !capture {
 			return
@@ -72,12 +70,7 @@ func RunFig16(opt Fig16Options) *Table {
 	for _, nd := range c.Nodes {
 		nd.Store().SetBool("A", true)
 	}
-	req := core.Request{
-		Attr: "A",
-		Spec: aggregate.Spec{Kind: aggregate.KindSum},
-		Pred: predicate.MustParse("A = true"),
-	}
-	if err := c.Warm(req, req, req); err != nil {
+	if err := c.Warm(groupReq, groupReq, groupReq); err != nil {
 		panic(err)
 	}
 	t := &Table{
@@ -88,7 +81,7 @@ func RunFig16(opt Fig16Options) *Table {
 	}
 	for q := 0; q < opt.Queries; q++ {
 		capture, maxEdge = true, 0
-		res, err := c.Execute(0, req)
+		res, err := c.Execute(0, groupReq)
 		if err != nil {
 			panic(err)
 		}

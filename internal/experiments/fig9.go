@@ -5,10 +5,8 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
-	"github.com/moara/moara/internal/predicate"
 	"github.com/moara/moara/internal/workload"
 )
 
@@ -88,7 +86,6 @@ type workloadParams struct {
 	mode                      core.Mode
 	seed                      int64
 	kUpdate, kNoUpdate        int
-	threshold                 int
 }
 
 // runQueryChurnWorkload runs one Fig. 9/10 cell and returns messages
@@ -98,7 +95,6 @@ func runQueryChurnWorkload(p workloadParams) float64 {
 		Mode:      p.mode,
 		KUpdate:   p.kUpdate,
 		KNoUpdate: p.kNoUpdate,
-		Threshold: p.threshold,
 	}
 	c := cluster.New(cluster.Options{N: p.n, Seed: p.seed, Node: cfg})
 	rng := rand.New(rand.NewSource(p.seed + 7))
@@ -107,23 +103,16 @@ func runQueryChurnWorkload(p workloadParams) float64 {
 		vals[i] = rng.Intn(2) == 0
 		n.Store().SetBool("A", vals[i])
 	}
-	req := core.Request{
-		Attr: "A",
-		Spec: aggregate.Spec{Kind: aggregate.KindSum},
-		Pred: predicate.MustParse("A = true"),
-	}
 	// Warm-up: one query so trees exist and parents are known in every
 	// system, then measure only the scheduled events (paper §7.1).
-	if err := c.Warm(req); err != nil {
+	if err := c.Warm(groupReq); err != nil {
 		panic(err)
 	}
 	schedule := workload.Schedule(rng, p.queries, p.churns)
 	for _, ev := range schedule {
 		switch ev {
 		case workload.EventQuery:
-			if _, err := c.Execute(0, req); err != nil {
-				panic(err)
-			}
+			poll(c, 1, 0, nil, groupReq)
 		case workload.EventChurn:
 			for _, i := range workload.ToggleBatch(rng, p.n, p.burst) {
 				vals[i] = !vals[i]

@@ -54,7 +54,7 @@ func RunGroupBy(opt GroupByOptions) *Table {
 			opt.N, opt.Slices, opt.Queries),
 		Columns: []string{"series", "latency_ms", "msgs_per_round", "vs_scalar"},
 	}
-	c := cluster.New(emulabOptions(opt.N, opt.Seed, core.Config{}))
+	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed}.Emulab())
 	rng := rand.New(rand.NewSource(opt.Seed + 41))
 	slices := workload.AssignSlices(rng, opt.N, opt.Slices)
 	distinct := map[string]bool{}
@@ -95,19 +95,7 @@ func RunGroupBy(opt GroupByOptions) *Table {
 		if err := c.Warm(reqs...); err != nil {
 			panic(err)
 		}
-		rec := metrics.NewRecorder(opt.Queries)
-		for q := 0; q < opt.Queries; q++ {
-			var roundLatency time.Duration
-			for _, req := range reqs {
-				res, err := c.Execute(0, req)
-				if err != nil {
-					panic(err)
-				}
-				roundLatency += res.Stats.TotalTime
-			}
-			rec.Add(roundLatency)
-			c.RunFor(200 * time.Millisecond)
-		}
+		rec := poll(c, opt.Queries, 200*time.Millisecond, nil, reqs...)
 		msgs := float64(c.MoaraMessages()) / float64(opt.Queries)
 		t.AddRow(label, metrics.FormatMs(rec.Mean()), f1(msgs), "")
 		return msgs

@@ -60,7 +60,7 @@ func (o MultiQueryOptions) Defaults() MultiQueryOptions {
 // install path), and the requested coalescing window.
 func mqCluster(opt MultiQueryOptions, coalesce time.Duration) *cluster.Cluster {
 	nodeCfg := core.Config{SubTTL: 10 * time.Minute, CoalesceWindow: coalesce}
-	c := cluster.New(emulabOptions(opt.N, opt.Seed, nodeCfg))
+	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed, Node: nodeCfg}.Emulab())
 	slices := workload.AssignSlices(c.Net.Rand(), opt.N, opt.Slices)
 	for i, nd := range c.Nodes {
 		nd.Store().SetString("slice", slices[i])

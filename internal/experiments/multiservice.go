@@ -61,7 +61,7 @@ func (o MultiServiceOptions) Defaults() MultiServiceOptions {
 // event streams.
 func msCluster(opt MultiServiceOptions) *cluster.Cluster {
 	nodeCfg := core.Config{SubTTL: 10 * time.Minute}
-	c := cluster.New(emulabOptions(opt.N, opt.Seed, nodeCfg))
+	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed, Node: nodeCfg}.Emulab())
 	slices := workload.AssignSlices(c.Net.Rand(), opt.N, opt.Slices)
 	for i, nd := range c.Nodes {
 		nd.Store().SetString("slice", slices[i])

@@ -126,7 +126,7 @@ func seedEquivNodes(c *cluster.Cluster) {
 // Emulab-model cluster and transcribes every result and the full
 // message accounting.
 func scenarioOneShot(tr *transcript) {
-	c := cluster.New(emulabOptions(120, 7, core.Config{}))
+	c := cluster.New(cluster.Options{N: 120, Seed: 7}.Emulab())
 	seedEquivNodes(c)
 	queries := []string{
 		"avg(mem)",
@@ -154,7 +154,7 @@ func scenarioOneShot(tr *transcript) {
 // transcribes every delivered sample over a fixed horizon, then the
 // unsubscribe teardown and final accounting.
 func scenarioStanding(tr *transcript) {
-	c := cluster.New(emulabOptions(120, 11, core.Config{SubTTL: 60 * time.Second}))
+	c := cluster.New(cluster.Options{N: 120, Seed: 11, Node: core.Config{SubTTL: 60 * time.Second}}.Emulab())
 	seedEquivNodes(c)
 	period := 200 * time.Millisecond
 

@@ -56,7 +56,8 @@ func (o SketchesOptions) Defaults() SketchesOptions {
 }
 
 // gobSize measures a partial state by its gob encoding, this table's
-// yardstick (the transport's columnar layouts are smaller still).
+// yardstick. The transport's columnar layouts are not uniformly
+// smaller: the quantile summary's runs larger than gob's.
 func gobSize(st aggregate.State) int {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -136,7 +137,7 @@ func stateSizeRows(t *Table, c int) {
 // exact enum(host) baseline on the cluster, one at a time, measuring
 // per-epoch wire cost, delivery lag, and final-sample accuracy.
 func standingSketchRows(t *Table, opt SketchesOptions) {
-	c := cluster.New(emulabOptions(opt.N, opt.Seed, core.Config{SubTTL: 10 * time.Minute}))
+	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed, Node: core.Config{SubTTL: 10 * time.Minute}}.Emulab())
 	loads := make([]float64, opt.N)
 	for i, nd := range c.Nodes {
 		nd.Store().SetString("host", fmt.Sprintf("h%06d", i))
@@ -150,41 +151,12 @@ func standingSketchRows(t *Table, opt SketchesOptions) {
 		if err != nil {
 			panic(err)
 		}
-		req.Period = opt.Period
-		warm, counting := false, false
-		var lags []time.Duration
 		var last core.Sample
-		sid, err := c.Subscribe(0, req, func(s core.Sample) {
-			if !s.ColdStart {
-				warm = true
-			}
-			if counting {
-				lags = append(lags, s.Lag)
-				last = s
-			}
-		})
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; !warm && i < 64; i++ {
-			c.RunFor(opt.Period)
-		}
-		if !warm {
-			panic("sketches: standing subscription never warmed")
-		}
-		startWire := c.WireQueryMessages()
-		counting = true
-		c.RunFor(time.Duration(opt.Epochs) * opt.Period)
-		counting = false
-		msgs := float64(c.WireQueryMessages()-startWire) / float64(opt.Epochs)
-		c.Unsubscribe(0, sid)
+		sub := subscribeWarm(c, req, opt.Period)
+		msgs, lags := sub.window(opt.Epochs, c.WireQueryMessages, func(s core.Sample) { last = s })
+		c.Unsubscribe(0, sub.id)
 		c.RunFor(2 * opt.Period)
-
-		rec := metrics.NewRecorder(len(lags))
-		for _, l := range lags {
-			rec.Add(l)
-		}
-		t.AddRow(label, itoa(opt.N), "-", f1(msgs), metrics.FormatMs(rec.Mean()), errOf(last))
+		t.AddRow(label, itoa(opt.N), "-", f1(msgs), metrics.FormatMs(lags.Mean()), errOf(last))
 	}
 
 	measure("standing enum(host)", "enum(host)", func(core.Sample) string { return "0" })

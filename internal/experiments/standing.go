@@ -65,7 +65,7 @@ func RunStanding(opt StandingOptions) *Table {
 	// short measurement window (they are still exercised — install and
 	// warm-up run the full protocol).
 	nodeCfg := core.Config{SubTTL: 120 * time.Second}
-	c := cluster.New(emulabOptions(opt.N, opt.Seed, nodeCfg))
+	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed, Node: nodeCfg}.Emulab())
 	rng := rand.New(rand.NewSource(opt.Seed + 41))
 	slices := workload.AssignSlices(rng, opt.N, opt.Slices)
 	for i, nd := range c.Nodes {
@@ -88,15 +88,7 @@ func RunStanding(opt StandingOptions) *Table {
 			panic(err)
 		}
 		start := c.QueryMessages()
-		rec := metrics.NewRecorder(opt.Epochs)
-		for e := 0; e < opt.Epochs; e++ {
-			res, err := c.Execute(0, req)
-			if err != nil {
-				panic(err)
-			}
-			rec.Add(res.Stats.TotalTime)
-			c.RunFor(opt.Period)
-		}
+		rec := poll(c, opt.Epochs, opt.Period, nil, req)
 		msgs := float64(c.QueryMessages()-start) / float64(opt.Epochs)
 		t.AddRow(label, metrics.FormatMs(rec.Mean()), f1(msgs), "1.0x")
 		return msgs
@@ -105,39 +97,11 @@ func RunStanding(opt StandingOptions) *Table {
 	// measureStanding: install once, then count warm epochs only (the
 	// Sample.ColdStart marking delimits the pipeline fill).
 	measureStanding := func(label string, req core.Request, pollMsgs float64) float64 {
-		req.Period = opt.Period
-		warm := false
-		var lags []time.Duration
-		counting := false
-		sid, err := c.Subscribe(0, req, func(s core.Sample) {
-			if !s.ColdStart {
-				warm = true
-			}
-			if counting {
-				lags = append(lags, s.Lag)
-			}
-		})
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; !warm && i < 64; i++ {
-			c.RunFor(opt.Period)
-		}
-		if !warm {
-			panic("standing subscription never warmed")
-		}
-		start := c.QueryMessages()
-		counting = true
-		c.RunFor(time.Duration(opt.Epochs) * opt.Period)
-		msgs := float64(c.QueryMessages()-start) / float64(opt.Epochs)
-		counting = false
-		c.Unsubscribe(0, sid)
+		sub := subscribeWarm(c, req, opt.Period)
+		msgs, lags := sub.window(opt.Epochs, c.QueryMessages, nil)
+		c.Unsubscribe(0, sub.id)
 		c.RunFor(2 * opt.Period) // drain the cancel cascade
-		rec := metrics.NewRecorder(len(lags))
-		for _, l := range lags {
-			rec.Add(l)
-		}
-		t.AddRow(label, metrics.FormatMs(rec.Mean()), f1(msgs), fmt.Sprintf("%.2fx", msgs/pollMsgs))
+		t.AddRow(label, metrics.FormatMs(lags.Mean()), f1(msgs), fmt.Sprintf("%.2fx", msgs/pollMsgs))
 		return msgs
 	}
 

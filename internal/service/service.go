@@ -84,10 +84,6 @@ type Options struct {
 	// prefer fresh data over complete history). 0 keeps synchronous
 	// fan-out, which preserves the simulator's determinism.
 	Buffer int
-	// Now overrides the service clock (cache ages, bucket refill).
-	// Defaults to the backend's own clock when it has one, else wall
-	// time since service creation.
-	Now func() time.Duration
 }
 
 // Service is the query-service front-end. It is safe for concurrent
@@ -96,7 +92,9 @@ type Options struct {
 type Service struct {
 	inner Backend
 	opts  Options
-	start time.Time
+	// now is the service clock (cache ages, bucket refill): the
+	// backend's own clock when it has one, else wall time since New.
+	now func() time.Duration
 
 	mu       sync.Mutex
 	shared   map[string]*sharedSub
@@ -145,7 +143,6 @@ func New(inner Backend, opts Options) *Service {
 	s := &Service{
 		inner:   inner,
 		opts:    opts,
-		start:   time.Now(),
 		shared:  make(map[string]*sharedSub),
 		flights: make(map[string]*flight),
 		tenants: make(map[string]*bucket),
@@ -153,17 +150,14 @@ func New(inner Backend, opts Options) *Service {
 	if opts.CacheTTL > 0 {
 		s.cache = newResultCache(opts.CacheSize)
 	}
-	if s.opts.Now == nil {
-		if c, ok := inner.(clocked); ok {
-			s.opts.Now = c.Now
-		} else {
-			s.opts.Now = func() time.Duration { return time.Since(s.start) }
-		}
+	if c, ok := inner.(clocked); ok {
+		s.now = c.Now
+	} else {
+		start := time.Now()
+		s.now = func() time.Duration { return time.Since(start) }
 	}
 	return s
 }
-
-func (s *Service) now() time.Duration { return s.opts.Now() }
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
