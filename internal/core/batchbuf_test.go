@@ -28,7 +28,7 @@ type batchChecker struct {
 }
 
 func (c batchChecker) Handle(from ids.ID, m any) {
-	if bm, ok := m.(BatchMsg); ok {
+	if bm, ok := m.(*BatchMsg); ok {
 		c.seen.Add(1)
 		// Pings sent to one node in one instant share a batch, so a
 		// batch is a run of whole test batches, each in index order.
@@ -49,9 +49,10 @@ func (c batchChecker) Handle(from ids.ID, m any) {
 	c.n.Handle(from, m)
 }
 
-// TestBatchBufferOwnership pins who owns a BatchMsg's item buffer: the
-// receiving node clears it once Handle returns and any later send may
-// reuse it, and a batch a node hands over is never written again.
+// TestBatchBufferOwnership pins who owns a pooled BatchMsg and its item
+// buffer: the receiving node clears the buffer once Handle returns and
+// hands the batch back, buffer and all, for any later send to reuse; and
+// a batch a node hands over is never written again.
 func TestBatchBufferOwnership(t *testing.T) {
 	t.Run("handled-batch-is-cleared-and-reused", func(t *testing.T) {
 		_, nodes := miniCluster(t, 2, Config{})
@@ -60,15 +61,23 @@ func TestBatchBufferOwnership(t *testing.T) {
 			CancelMsg{SID: QueryID{Num: 1}, Group: "g"},
 			CancelMsg{SID: QueryID{Num: 2}, Group: "g"},
 		}
-		a.Handle(b.Self(), BatchMsg{Items: items})
+		bm := &BatchMsg{Items: items}
+		a.Handle(b.Self(), bm)
 		for i, it := range items {
 			if it != nil {
 				t.Fatalf("item %d still set after Handle returned: %v", i, it)
 			}
 		}
-		b.send(a.Self(), CancelMsg{SID: QueryID{Num: 3}, Group: "g"})
-		if got := b.outItems[0]; &got[:1][0] != &items[0] {
-			t.Fatal("the next send did not reuse the handled batch's buffer")
+		if len(bm.Items) != 0 || &bm.Items[:1][0] != &items[0] {
+			t.Fatal("the handled batch did not keep its emptied buffer")
+		}
+		if raceEnabled {
+			return // the race detector drops pooled messages at random
+		}
+		// The batch went back to the free list: the next draw hands it
+		// out again, or the one after it when an older batch sat first.
+		if batchMsgs.get() != bm && batchMsgs.get() != bm {
+			t.Fatal("the handled batch did not go back to the free list for the next send")
 		}
 	})
 

@@ -107,7 +107,7 @@ func (r *oneShotRelay) query(t *testing.T, spec aggregate.Spec) (QueryMsg, []ids
 		Spec:    spec,
 		ReplyTo: r.parent,
 	}
-	r.relay.Handle(r.parent, qm)
+	r.relay.Handle(r.parent, ref(qm))
 	ex := r.relay.execs[execKey{qm.QID, qm.Group}]
 	if ex == nil {
 		t.Fatal("relay did not wait on any child")
@@ -124,7 +124,7 @@ func (r *oneShotRelay) query(t *testing.T, spec aggregate.Spec) (QueryMsg, []ids
 
 // respond hands the relay child j's answer to qm.
 func (r *oneShotRelay) respond(qm QueryMsg, kids []ids.ID, j int) {
-	r.relay.Handle(kids[j], ResponseMsg{
+	r.relay.Handle(kids[j], &ResponseMsg{
 		QID:          qm.QID,
 		Group:        qm.Group,
 		State:        childPartial(qm.Spec, j),
@@ -269,7 +269,7 @@ func TestFrontEndArrivalOrder(t *testing.T) {
 				t.Fatalf("%s: cover has %d trees, want %d", tc.pred, len(fq.answers), len(order))
 			}
 			for _, j := range order {
-				n.Handle(ids.FromKey("root"), ResponseMsg{
+				n.Handle(ids.FromKey("root"), &ResponseMsg{
 					QID:          fq.qid,
 					Group:        fq.answers[j].Group,
 					State:        childPartial(tc.spec, j),

@@ -431,7 +431,7 @@ func (fe *frontend) startSubQueries(fq *feQuery) {
 
 // handleQueryResp files a tree root's aggregated answer in its cover
 // slot; finish merges the slots.
-func (fe *frontend) handleQueryResp(_ ids.ID, rm ResponseMsg) {
+func (fe *frontend) handleQueryResp(rm ResponseMsg) {
 	fq, ok := fe.pending[rm.QID]
 	if !ok {
 		return

@@ -17,12 +17,12 @@ type recorder struct{ resps []ResponseMsg }
 
 func (r *recorder) Handle(from ids.ID, m any) {
 	switch msg := m.(type) {
-	case BatchMsg:
+	case *BatchMsg:
 		for _, it := range msg.Items {
 			r.Handle(from, it)
 		}
-	case ResponseMsg:
-		r.resps = append(r.resps, msg)
+	case *ResponseMsg:
+		r.resps = append(r.resps, *msg)
 	}
 }
 
@@ -33,6 +33,10 @@ func attachRecorder(net *simnet.Network) (ids.ID, *recorder) {
 	net.AddNode(id).BindHandler(rec)
 	return id, rec
 }
+
+// ref hands a message to Handle as a pooled kind travels: by pointer,
+// a fresh one per delivery, since Handle hands it back.
+func ref[T any](m T) *T { return &m }
 
 // sumQuery is a query for sum(a) over group, as a tree parent at from
 // would forward it.
@@ -55,13 +59,13 @@ func TestLedgerReplaySameTree(t *testing.T) {
 	}
 	parent, rec := attachRecorder(net)
 	qm := sumQuery(parent, 1, globalGroup("a").canon)
-	nodes[0].Handle(parent, qm)
+	nodes[0].Handle(parent, ref(qm))
 	net.RunFor(time.Second)
 	if len(rec.resps) != 1 || rec.resps[0].Dup || rec.resps[0].Contributors != 16 {
 		t.Fatalf("first arrival: responses %+v, want one answer from 16 contributors", rec.resps)
 	}
 	forwarded := net.Counter().Logical("moara.query")
-	nodes[0].Handle(parent, qm)
+	nodes[0].Handle(parent, ref(qm))
 	net.RunFor(time.Second)
 	if len(rec.resps) != 2 || !rec.resps[1].Dup {
 		t.Fatalf("replay: responses %+v, want a Dup", rec.resps)
@@ -80,8 +84,8 @@ func TestLedgerNonCanonicalGroup(t *testing.T) {
 	n.Store().SetInt("a", 1)
 	n.Store().SetBool("x", true)
 	parent, rec := attachRecorder(net)
-	n.Handle(parent, sumQuery(parent, 1, "x=true"))
-	n.Handle(parent, sumQuery(parent, 1, "x = true"))
+	n.Handle(parent, ref(sumQuery(parent, 1, "x=true")))
+	n.Handle(parent, ref(sumQuery(parent, 1, "x = true")))
 	net.RunFor(time.Second)
 	if len(rec.resps) != 2 || rec.resps[0].Dup || !rec.resps[1].Dup {
 		t.Fatalf("responses %+v, want an answer then a Dup", rec.resps)
@@ -90,7 +94,7 @@ func TestLedgerNonCanonicalGroup(t *testing.T) {
 	if len(n.preds) != 0 {
 		t.Fatalf("idle predicate state not collected: %d groups", len(n.preds))
 	}
-	n.Handle(parent, sumQuery(parent, 2, "x=true"))
+	n.Handle(parent, ref(sumQuery(parent, 2, "x=true")))
 	net.RunFor(time.Second)
 	if len(rec.resps) != 3 || rec.resps[2].Dup || rec.resps[2].Contributors != 1 {
 		t.Fatalf("query after collection: %+v", rec.resps[2:])
@@ -151,16 +155,16 @@ func TestLedgerGenerationEdge(t *testing.T) {
 	viaY := sumQuery(parent, 1, "y = true")
 	rotate := func() { n.ledger.rotate(n.env.Now(), 0) }
 
-	n.Handle(parent, viaX)
+	n.Handle(parent, ref(viaX))
 	net.RunFor(time.Second)
 	rotate()
-	n.Handle(parent, viaX)
+	n.Handle(parent, ref(viaX))
 	net.RunFor(time.Second)
-	n.Handle(parent, viaY)
+	n.Handle(parent, ref(viaY))
 	net.RunFor(time.Second)
 	rotate()
-	n.Handle(parent, viaX)
-	n.Handle(parent, viaY)
+	n.Handle(parent, ref(viaX))
+	n.Handle(parent, ref(viaY))
 	net.RunFor(time.Second)
 
 	want := []struct {
@@ -240,7 +244,7 @@ func TestLedgerWindowBounds(t *testing.T) {
 	const phases = 12
 	for k := 0; k < phases; k++ {
 		qm := sumQuery(parent, uint64(k+1), group)
-		deliver := func() { n.Handle(parent, qm) }
+		deliver := func() { n.Handle(parent, ref(qm)) }
 		start := time.Duration(k) * ttl / 5
 		net.Schedule(start, deliver)
 		net.Schedule(start+ttl-time.Millisecond, deliver)

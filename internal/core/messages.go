@@ -313,6 +313,7 @@ func (CancelMsg) MsgKind() string { return "moara.cancel" }
 // item in order), and message accounting counts the items as logical
 // messages while the batch itself counts once as a wire message — Q
 // standing queries sharing a tree edge cost one wire message per epoch.
+// A pooled *BatchMsg keeps its item buffer across uses.
 type BatchMsg struct {
 	Items []any
 }
@@ -325,51 +326,61 @@ func (BatchMsg) MsgKind() string { return "moara.batch" }
 // uses it to count logical messages inside one wire transmission.
 func (b BatchMsg) Unpack() []any { return b.Items }
 
-// Release hands the batch's item buffer back to the free list the
-// outbox and the batch decoder draw from. Call it once nothing reads the
-// batch again: Node.Handle does after dispatching the items, and the TCP
-// agent after writing the frame (after handing back the items' state
-// holds, which Release does not touch). A batch that is never released
-// leaves its buffer to the garbage collector.
-func (b BatchMsg) Release() { putBatchBuf(b.Items) }
+// ---------------------------------------------------------------------
+// Pooled messages
+//
+// QueryMsg, ResponseMsg, EpochReportMsg and BatchMsg cross a tree edge
+// on every hop and epoch, so they travel as pointers from one free list
+// per kind, shared by every node in the process (tree traffic is one-way
+// per kind: per-node lists would drain at senders, fill at receivers).
+// Drawn by the sending node or by ReadMessage, a message is its
+// receiver's once sent, and is handed back once, with Release: by
+// Node.Handle after dispatching it, by the TCP agent once its frame is
+// written or dropped. Release zeroes it, so handlers copy what they keep.
+// One never handed back (lost in flight, sent to a closed node, routed
+// through the overlay on the agent) falls to the garbage collector.
 
-// batchBufs is the free list of BatchMsg item buffers, shared by every
-// node in the process: a sender fills a buffer and its receiver, on the
-// sharded simulator often another goroutine, empties it.
-var batchBufs struct {
-	sync.Mutex
-	free [][]any
+// freeList is the free list of one pooled kind.
+type freeList[T any] struct{ sync.Pool }
+
+// get returns a zeroed message, a batch with its emptied item buffer.
+func (l *freeList[T]) get() *T {
+	if m, ok := l.Get().(*T); ok {
+		return m
+	}
+	return new(T)
 }
 
-// maxBatchBufs bounds the free list; buffers past it go to the GC. An
-// epoch burst puts one buffer per sending node in flight at once, so the
-// bound sits well above the simulated populations (10k nodes).
-const maxBatchBufs = 1 << 16
-
-// takeBatchBuf returns an empty buffer with room for n items, from the
-// free list when its newest buffer is large enough.
-func takeBatchBuf(n int) []any {
-	batchBufs.Lock()
-	if k := len(batchBufs.free); k > 0 && cap(batchBufs.free[k-1]) >= n {
-		b := batchBufs.free[k-1]
-		batchBufs.free[k-1] = nil
-		batchBufs.free = batchBufs.free[:k-1]
-		batchBufs.Unlock()
-		return b
-	}
-	batchBufs.Unlock()
-	return make([]any, 0, n)
+// of returns a message drawn from the list holding v.
+func (l *freeList[T]) of(v T) *T {
+	m := l.get()
+	*m = v
+	return m
 }
 
-// putBatchBuf clears b, so the list pins no message, and files it.
-func putBatchBuf(b []any) {
-	if cap(b) == 0 {
-		return
+var (
+	queryMsgs    freeList[QueryMsg]
+	responseMsgs freeList[ResponseMsg]
+	reportMsgs   freeList[EpochReportMsg]
+	batchMsgs    freeList[BatchMsg]
+)
+
+// Release hands a pooled message back to its free list, zeroed, and
+// ignores anything else. A batch keeps its item buffer, cleared.
+func Release(m any) {
+	switch m := m.(type) {
+	case *QueryMsg:
+		*m = QueryMsg{}
+		queryMsgs.Put(m)
+	case *ResponseMsg:
+		*m = ResponseMsg{}
+		responseMsgs.Put(m)
+	case *EpochReportMsg:
+		*m = EpochReportMsg{}
+		reportMsgs.Put(m)
+	case *BatchMsg:
+		clear(m.Items)
+		m.Items = m.Items[:0]
+		batchMsgs.Put(m)
 	}
-	clear(b)
-	batchBufs.Lock()
-	if len(batchBufs.free) < maxBatchBufs {
-		batchBufs.free = append(batchBufs.free, b[:0])
-	}
-	batchBufs.Unlock()
 }

@@ -66,13 +66,13 @@ type Node struct {
 	// The outbox is the per-destination coalescing buffer (wire
 	// batching): sends within one CoalesceWindow to the same neighbor
 	// ship as a single BatchMsg. outTo lists the destinations in
-	// first-send order, which is the flush order, and outItems[i] holds
-	// outTo[i]'s messages. A node sends to a handful of neighbors per
-	// window, so a scan from the back finds one faster than a hash probe.
-	// Item buffers come from the shared batch free list and go back to
-	// it unshipped (singletons) or from the receiver (batches).
+	// first-send order, which is the flush order, and outBatches[i]
+	// holds outTo[i]'s messages. A node sends to a handful of neighbors
+	// per window, so a scan from the back finds one faster than a hash
+	// probe. Batches come from the batch free list and go back to it
+	// unshipped (singletons) or from the receiver.
 	outTo       []ids.ID
-	outItems    [][]any
+	outBatches  []*BatchMsg
 	outboxArmed bool
 	outbox      simnet.Timer
 	flushFn     func()
@@ -178,7 +178,7 @@ func (n *Node) onPeerRemoved(dead ids.ID) {
 		}
 	}
 	slices.SortFunc(finished, func(a, b *exec) int {
-		return cmp.Or(compareQID(a.qid, b.qid), strings.Compare(a.group, b.group))
+		return cmp.Or(compareQID(a.key.qid, b.key.qid), strings.Compare(a.key.group, b.key.group))
 	})
 	for _, ex := range finished {
 		ex.timer.Stop()
@@ -273,9 +273,10 @@ func (n *Node) send(to ids.ID, m any) {
 	if i < 0 {
 		i = len(n.outTo)
 		n.outTo = append(n.outTo, to)
-		n.outItems = append(n.outItems, takeBatchBuf(0))
+		n.outBatches = append(n.outBatches, batchMsgs.get())
 	}
-	n.outItems[i] = append(n.outItems[i], m)
+	b := n.outBatches[i]
+	b.Items = append(b.Items, m)
 	if !n.outboxArmed {
 		n.outboxArmed = true
 		// A zero window flushes after the current event at the same
@@ -288,40 +289,39 @@ func (n *Node) send(to ids.ID, m any) {
 }
 
 // flushOutbox ships every queued destination's messages in first-send
-// order: singletons go raw (no envelope overhead) and their buffers back
-// to the free list, anything more ships as one BatchMsg whose buffer the
-// receiver hands back.
+// order: singletons go raw (no envelope overhead) and their batch back
+// to the free list, anything more ships as one BatchMsg the receiver
+// hands back.
 func (n *Node) flushOutbox() {
 	if n.closed {
 		return
 	}
 	n.outboxArmed = false
 	for i, to := range n.outTo {
-		items := n.outItems[i]
-		if len(items) == 1 {
-			n.env.Send(to, items[0])
-			putBatchBuf(items)
+		b := n.outBatches[i]
+		if len(b.Items) == 1 {
+			n.env.Send(to, b.Items[0])
+			Release(b)
 			continue
 		}
-		n.env.Send(to, BatchMsg{Items: items})
+		n.env.Send(to, b)
 	}
-	clear(n.outItems)
-	n.outTo, n.outItems = n.outTo[:0], n.outItems[:0]
+	clear(n.outBatches)
+	n.outTo, n.outBatches = n.outTo[:0], n.outBatches[:0]
 }
 
-// Handle dispatches an incoming message (implements simnet.Handler).
+// Handle dispatches an incoming message (simnet.Handler), then releases it.
 func (n *Node) Handle(from ids.ID, m any) {
 	if n.closed {
 		return
 	}
-	if bm, ok := m.(BatchMsg); ok {
+	if bm, ok := m.(*BatchMsg); ok {
 		// Unpack a coalesced wire batch: items dispatch in send order,
-		// exactly as they would have arrived individually. Nothing reads
-		// the batch afterwards, so its buffer goes back to the free list.
+		// exactly as they would have arrived individually.
 		for _, item := range bm.Items {
 			n.Handle(from, item)
 		}
-		bm.Release()
+		Release(bm)
 		return
 	}
 	if n.overlay.Handle(from, m) {
@@ -333,9 +333,9 @@ func (n *Node) Handle(from ids.ID, m any) {
 		return
 	}
 	switch msg := m.(type) {
-	case QueryMsg:
+	case *QueryMsg:
 		n.handleQuery(from, msg)
-	case ResponseMsg:
+	case *ResponseMsg:
 		n.handleResponse(from, msg)
 	case StatusMsg:
 		n.handleStatus(from, msg)
@@ -343,7 +343,7 @@ func (n *Node) Handle(from ids.ID, m any) {
 		n.fe.handleProbeResp(msg)
 	case InstallMsg:
 		n.handleInstall(from, msg)
-	case EpochReportMsg:
+	case *EpochReportMsg:
 		n.handleEpochReport(from, msg, false)
 	case SampleMsg:
 		n.fe.handleSample(from, msg)
@@ -354,6 +354,7 @@ func (n *Node) Handle(from ids.ID, m any) {
 			n.Fallback(from, m)
 		}
 	}
+	Release(m)
 }
 
 // maybeResyncSubs reconciles every subscription's installed children
@@ -385,17 +386,18 @@ func (n *Node) maybeResyncSubs() {
 // handleRouted receives payloads delivered by the overlay to this node
 // as the owner of their key.
 func (n *Node) handleRouted(key ids.ID, payload any, origin ids.ID) {
-	switch msg := payload.(type) {
+	switch msg := pooled(payload).(type) {
 	case SubQueryMsg:
 		n.handleSubQuery(msg)
 	case ProbeMsg:
 		n.handleProbe(msg)
 	case SubscribeMsg:
 		n.handleSubscribe(msg)
-	case EpochReportMsg:
+	case *EpochReportMsg:
 		// The orphan pull: a subtree whose uptree chain was severed by a
 		// crash streams to the tree root through the overlay.
 		n.handleEpochReport(origin, msg, true)
+		Release(msg)
 	case CancelMsg:
 		n.handleCancel(key, msg, true)
 	}
@@ -642,8 +644,7 @@ func (n *Node) handleStatus(from ids.ID, sm StatusMsg) {
 // and finishExec folds them once, after the local contribution, in
 // child-id order, so the answer does not depend on arrival order.
 type exec struct {
-	qid     QueryID
-	group   string
+	key     execKey
 	ge      *groupEntry
 	attrKey string
 	spec    aggregate.Spec
@@ -657,14 +658,13 @@ type exec struct {
 	timer   simnet.Timer
 	// timeoutFn is the timeout closure, built once per pooled record.
 	timeoutFn func()
-	key       execKey
 }
 
 // handleSubQuery starts dissemination at the tree root.
 func (n *Node) handleSubQuery(sq SubQueryMsg) {
 	ge, err := n.groupOf(sq.Group)
 	if err != nil || n.markSeen(sq.QID, ge.id) {
-		n.send(sq.ReplyTo, ResponseMsg{QID: sq.QID, Group: sq.Group, Dup: true})
+		n.send(sq.ReplyTo, responseMsgs.of(ResponseMsg{QID: sq.QID, Group: sq.Group, Dup: true}))
 		return
 	}
 	ps := n.getPred(ge)
@@ -681,15 +681,15 @@ func (n *Node) handleSubQuery(sq SubQueryMsg) {
 		ReplyTo: n.self,
 	}
 	n.queryLoad(ps, qm.Seq)
-	n.disseminate(ge, qm, sq.ReplyTo)
+	n.disseminate(ge, &qm, sq.ReplyTo)
 }
 
 // handleQuery processes a query received from a tree parent or via an
 // SQP jump.
-func (n *Node) handleQuery(_ ids.ID, qm QueryMsg) {
+func (n *Node) handleQuery(_ ids.ID, qm *QueryMsg) {
 	ge, err := n.groupOf(qm.Group)
 	if err != nil || n.markSeen(qm.QID, ge.id) {
-		n.send(qm.ReplyTo, ResponseMsg{QID: qm.QID, Group: qm.Group, Dup: true})
+		n.send(qm.ReplyTo, responseMsgs.of(ResponseMsg{QID: qm.QID, Group: qm.Group, Dup: true}))
 		return
 	}
 	ps := n.getPred(ge)
@@ -705,11 +705,10 @@ func (n *Node) handleQuery(_ ids.ID, qm QueryMsg) {
 // disseminate forwards the query to this node's current query targets
 // and aggregates their responses plus the local contribution; exec
 // records are pooled.
-func (n *Node) disseminate(ge *groupEntry, qm QueryMsg, replyTo ids.ID) {
+func (n *Node) disseminate(ge *groupEntry, qm *QueryMsg, replyTo ids.ID) {
 	ps := ge.ps
 	ex := n.newExec()
-	ex.qid = qm.QID
-	ex.group = qm.Group
+	ex.key = execKey{qm.QID, qm.Group}
 	ex.ge = ge
 	ex.attrKey = qm.Attr
 	ex.spec = qm.Spec
@@ -725,16 +724,14 @@ func (n *Node) disseminate(ge *groupEntry, qm QueryMsg, replyTo ids.ID) {
 		n.finishExec(ex)
 		return
 	}
-	n.execs[execKey{qm.QID, qm.Group}] = ex
-	fwd := qm
-	fwd.ReplyTo = n.self
+	n.execs[ex.key] = ex
 	for _, t := range targets {
 		ex.kids.expect(t.ID)
-		fwd.Level = t.Level
-		fwd.Jump = t.Jump
+		fwd := queryMsgs.of(*qm)
+		fwd.ReplyTo, fwd.Level, fwd.Jump = n.self, t.Level, t.Jump
 		n.send(t.ID, fwd)
 	}
-	n.armExecTimeout(ex, qm)
+	n.armExecTimeout(ex)
 }
 
 // queryTargets lists the children a query or subscription goes to: the
@@ -755,8 +752,7 @@ func (n *Node) queryTargets(ps *predState) []SetEntry {
 // aggregation, reusing the pooled record's closure and timer slot. At
 // the timeout the aggregation finishes with the children it has (§7:
 // queries complete independent of failure-detection timeouts).
-func (n *Node) armExecTimeout(ex *exec, qm QueryMsg) {
-	ex.key = execKey{qm.QID, qm.Group}
+func (n *Node) armExecTimeout(ex *exec) {
 	if ex.timeoutFn == nil {
 		ex.timeoutFn = func() {
 			if n.execs[ex.key] == ex {
@@ -841,14 +837,14 @@ func (n *Node) groupKey(groupBy string) string {
 
 // handleResponse files a child's partial aggregate in its slot; the
 // merge waits for finishExec.
-func (n *Node) handleResponse(from ids.ID, rm ResponseMsg) {
+func (n *Node) handleResponse(from ids.ID, rm *ResponseMsg) {
 	ex, ok := n.execs[execKey{rm.QID, rm.Group}]
 	i := 0
 	if ok {
 		i, ok = ex.kids.find(from)
 	}
 	if !ok || !ex.kids[i].expected {
-		n.fe.handleQueryResp(from, rm)
+		n.fe.handleQueryResp(*rm)
 		return
 	}
 	c := childSlot{id: from}
@@ -868,21 +864,21 @@ func (n *Node) handleResponse(from ids.ID, rm ResponseMsg) {
 // child-id order (childTable.fold, the fold a standing rebuild uses),
 // and answers the parent.
 func (n *Node) finishExec(ex *exec) {
-	delete(n.execs, execKey{ex.qid, ex.group})
+	delete(n.execs, ex.key)
 	ex.kids.fold(ex.state)
 	ex.kids.reset()
 	np, unknown := 0, 0.0
 	if ps := ex.ge.ps; ps != nil {
 		np, unknown = ps.np, ps.unknown
 	}
-	n.send(ex.replyTo, ResponseMsg{
-		QID:          ex.qid,
-		Group:        ex.group,
+	n.send(ex.replyTo, responseMsgs.of(ResponseMsg{
+		QID:          ex.key.qid,
+		Group:        ex.key.group,
 		State:        ex.state,
 		Contributors: ex.contrib,
 		Np:           np,
 		Unknown:      unknown,
-	})
+	}))
 	// Recycle the record: the shipped state is owned by the response
 	// from here on, everything else resets. The timeout closure is kept
 	// — it reads ex.key at fire time, so it re-binds with the record.

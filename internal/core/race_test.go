@@ -1,0 +1,7 @@
+//go:build race
+
+package core
+
+// raceEnabled: the race detector drops sync.Pool entries at random, so
+// a pooled message is not always handed out again under it.
+const raceEnabled = true

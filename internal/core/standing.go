@@ -602,7 +602,7 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 	if ps := sub.ge.ps; ps != nil {
 		np, unknown = ps.np, ps.unknown
 	}
-	em := EpochReportMsg{
+	em := reportMsgs.of(EpochReportMsg{
 		SID:          sub.sid,
 		Group:        sub.ge.spec.canon,
 		Epoch:        sub.epoch,
@@ -610,7 +610,7 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		Contributors: contrib,
 		Np:           np,
 		Unknown:      unknown,
-	}
+	})
 	state.Retain()
 	if sub.orphaned {
 		// The uptree chain is severed (parent purged as dead): pull
@@ -665,13 +665,13 @@ func (n *Node) retractRouted(sub *subState) {
 	n.overlay.Route(sub.ge.spec.treeKey(), n.emptyReport(sub))
 }
 
-func (n *Node) emptyReport(sub *subState) EpochReportMsg {
-	return EpochReportMsg{
+func (n *Node) emptyReport(sub *subState) *EpochReportMsg {
+	return reportMsgs.of(EpochReportMsg{
 		SID:   sub.sid,
 		Group: sub.ge.spec.canon,
 		Epoch: sub.epoch,
 		State: aggregate.NewGrouped(sub.spec, n.cfg.MaxGroupKeys),
-	}
+	})
 }
 
 // claimStanding reserves this node's per-epoch contribution for exactly
@@ -696,7 +696,7 @@ func (n *Node) claimStanding(sub *subState) bool {
 // are filed the same way but skip the child-cost bookkeeping — the
 // sender is not a tree child. A rejected report hands back the state
 // hold its message carries.
-func (n *Node) handleEpochReport(from ids.ID, em EpochReportMsg, routed bool) {
+func (n *Node) handleEpochReport(from ids.ID, em *EpochReportMsg, routed bool) {
 	sub, ok := n.subs[subKey{em.SID, em.Group}]
 	if !ok {
 		aggregate.Recycle(em.State)

@@ -139,7 +139,7 @@ func TestStandingIgnoresParentReport(t *testing.T) {
 				continue
 			}
 			sub.kids.expect(sub.parent)
-			n.Handle(sub.parent, EpochReportMsg{SID: key.sid, Group: key.group, Epoch: sub.epoch,
+			n.Handle(sub.parent, &EpochReportMsg{SID: key.sid, Group: key.group, Epoch: sub.epoch,
 				State: aggregate.NewGrouped(sub.spec, 0), Contributors: 1000})
 			if i, ok := sub.kids.find(sub.parent); ok && sub.kids[i].has {
 				t.Fatalf("node %s filed its parent's report", n.Self().Short())
@@ -568,7 +568,7 @@ func TestRejectedEpochReportsHandBackTheirHold(t *testing.T) {
 			st.AddKeyed(sender, "k", value.Int(1))
 			st.Retain() // the sender's own hold
 			st.Retain() // the message's hold
-			n.Handle(sender, EpochReportMsg{SID: sid, Group: globalGroup("v").canon, Epoch: 1, State: st, Contributors: 1})
+			n.Handle(sender, &EpochReportMsg{SID: sid, Group: globalGroup("v").canon, Epoch: 1, State: st, Contributors: 1})
 			aggregate.Recycle(st)
 			if got := st.KeyCount(); got != 0 {
 				t.Fatalf("state still holds %d keys after the sender's last hold went back: the rejected report kept its hold", got)

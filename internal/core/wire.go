@@ -56,7 +56,8 @@ func AppendMessage(b []byte, m any) ([]byte, error) {
 }
 
 // ReadMessage decodes one AppendMessage-encoded message, returning the
-// unconsumed remainder. Arbitrary input errors cleanly.
+// unconsumed remainder. Arbitrary input errors cleanly. A pooled kind
+// decodes to its pointer form, which AppendMessage encodes like a value.
 func ReadMessage(b []byte) (any, []byte, error) {
 	c := wirefmt.Codec{B: b, Dec: true}
 	var m any
@@ -69,11 +70,11 @@ func ReadMessage(b []byte) (any, []byte, error) {
 // tagOf is the columnar tag of m's type, or tagGob.
 func tagOf(m any) byte {
 	switch m.(type) {
-	case EpochReportMsg:
+	case EpochReportMsg, *EpochReportMsg:
 		return tagEpochReport
-	case BatchMsg:
+	case BatchMsg, *BatchMsg:
 		return tagBatch
-	case ResponseMsg:
+	case ResponseMsg, *ResponseMsg:
 		return tagResponse
 	case SubscribeMsg:
 		return tagSubscribe
@@ -99,19 +100,22 @@ func wireMessage(c *wirefmt.Codec, m *any, depth int) {
 	case tagGob:
 		wireGob(c, m)
 	case tagEpochReport:
-		v, _ := (*m).(EpochReportMsg)
-		if v.wire(c); c.Dec {
-			*m = v
+		if v, ok := (*m).(EpochReportMsg); ok {
+			v.wire(c)
+		} else {
+			reportMsgs.carried(c, m).wire(c)
 		}
 	case tagBatch:
-		v, _ := (*m).(BatchMsg)
-		if v.wire(c, depth); c.Dec {
-			*m = v
+		if v, ok := (*m).(BatchMsg); ok {
+			v.wire(c, depth)
+		} else {
+			batchMsgs.carried(c, m).wire(c, depth)
 		}
 	case tagResponse:
-		v, _ := (*m).(ResponseMsg)
-		if v.wire(c); c.Dec {
-			*m = v
+		if v, ok := (*m).(ResponseMsg); ok {
+			v.wire(c)
+		} else {
+			responseMsgs.carried(c, m).wire(c)
 		}
 	case tagSubscribe:
 		v, _ := (*m).(SubscribeMsg)
@@ -143,6 +147,18 @@ func wireMessage(c *wirefmt.Codec, m *any, depth int) {
 	}
 }
 
+// carried is the pooled message *m carries in pointer form; on decode, a
+// message drawn from l and stored in *m.
+func (l *freeList[T]) carried(c *wirefmt.Codec, m *any) *T {
+	if c.Dec {
+		v := l.get()
+		*m = v
+		return v
+	}
+	v, _ := (*m).(*T)
+	return v
+}
+
 // wireGob carries *m as a length-prefixed gob blob.
 func wireGob(c *wirefmt.Codec, m *any) {
 	var blob []byte
@@ -159,8 +175,20 @@ func wireGob(c *wirefmt.Codec, m *any) {
 		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&f); err != nil {
 			c.Fail(fmt.Errorf("core: wire fallback: %w", err))
 		}
-		*m = f.M
+		*m = pooled(f.M)
 	}
+}
+
+// pooled returns a gob-decoded query (tag 0) or orphan pull's report
+// (an overlay route's payload) in its pointer form.
+func pooled(m any) any {
+	switch v := m.(type) {
+	case QueryMsg:
+		return &v
+	case EpochReportMsg:
+		return &v
+	}
+	return m
 }
 
 func (q *QueryID) wire(c *wirefmt.Codec) {
@@ -183,8 +211,13 @@ func (m *BatchMsg) wire(c *wirefmt.Codec, depth int) {
 		c.Corrupt("core: batch nesting too deep")
 		return
 	}
-	if n, isNil := c.Len(len(m.Items), m.Items == nil, 1); c.Dec && !isNil {
-		m.Items = takeBatchBuf(n)[:n]
+	if n, isNil := c.Len(len(m.Items), m.Items == nil, 1); c.Dec {
+		// A decoded batch refills the item buffer its pooled message kept.
+		if m.Items = append(m.Items[:0], make([]any, n)...); isNil {
+			m.Items = nil
+		} else if m.Items == nil {
+			m.Items = []any{}
+		}
 	}
 	for i := range m.Items {
 		wireMessage(c, &m.Items[i], depth+1)

@@ -59,7 +59,7 @@ func RunFig16(opt Fig16Options) *Table {
 		}
 		for _, item := range items {
 			switch item.(type) {
-			case core.QueryMsg, core.ResponseMsg, core.SubQueryMsg:
+			case *core.QueryMsg, *core.ResponseMsg, core.SubQueryMsg:
 				if wire > maxEdge {
 					maxEdge = wire
 				}

@@ -151,6 +151,11 @@ func TestFig16Tracks(t *testing.T) {
 	above := 0
 	for _, row := range tab.Rows {
 		lat, bott := parseF(t, row[1]), parseF(t, row[2])
+		if bott <= 0 {
+			// Every query crosses at least one tree edge, so a zero
+			// bottleneck means the tap saw no query traffic at all.
+			t.Fatalf("query %s: bottleneck %v ms, want > 0", row[0], bott)
+		}
 		if lat >= 0.8*bott {
 			above++
 		}

@@ -50,6 +50,7 @@ func TestCrossCodecEquivalence(t *testing.T) {
 				t.Errorf("%T/%s: %d trailing bytes after decode", m, tc.name, len(rest))
 				continue
 			}
+			got = valueOf(got)
 			if !reflect.DeepEqual(got, tc.msg) {
 				t.Errorf("%T/%s: columnar round trip mismatch:\n got %#v\nwant %#v", m, tc.name, got, tc.msg)
 				continue
@@ -72,6 +73,80 @@ func TestCrossCodecEquivalence(t *testing.T) {
 		}
 	}
 	assertWireTypesCovered(t, covered)
+}
+
+// valueOf returns a decoded message in value form: ReadMessage hands the
+// pooled kinds back as pointers, batch items included.
+func valueOf(m any) any {
+	switch v := m.(type) {
+	case *core.QueryMsg:
+		return *v
+	case *core.ResponseMsg:
+		return *v
+	case *core.EpochReportMsg:
+		return *v
+	case *core.BatchMsg:
+		b := *v
+		if b.Items != nil {
+			b.Items = make([]any, len(v.Items))
+			for i, it := range v.Items {
+				b.Items[i] = valueOf(it)
+			}
+		}
+		return b
+	}
+	return m
+}
+
+// TestPooledKindsOnTheWire: each pooled message kind encodes to the same
+// bytes from its value and its pointer form, bare and as a batch item,
+// and decodes to the pointer form. A query rides tag 0 (gob), the other
+// three their columnar layouts.
+func TestPooledKindsOnTheWire(t *testing.T) {
+	RegisterGob()
+	pooled := map[reflect.Type]bool{
+		reflect.TypeOf(core.QueryMsg{}): true, reflect.TypeOf(core.ResponseMsg{}): true,
+		reflect.TypeOf(core.EpochReportMsg{}): true, reflect.TypeOf(core.BatchMsg{}): true,
+	}
+	seen := make(map[reflect.Type]bool)
+	for _, m := range wireSamples(t) {
+		typ := reflect.TypeOf(m)
+		if !pooled[typ] {
+			continue
+		}
+		seen[typ] = true
+		ptr := reflect.New(typ)
+		ptr.Elem().Set(reflect.ValueOf(m))
+		for _, tc := range []struct {
+			name       string
+			value, ptr any
+		}{
+			{"bare", m, ptr.Interface()},
+			{"batched", core.BatchMsg{Items: []any{m}}, &core.BatchMsg{Items: []any{ptr.Interface()}}},
+		} {
+			want, err := core.AppendMessage(nil, tc.value)
+			if err != nil {
+				t.Fatalf("%T/%s: encode: %v", m, tc.name, err)
+			}
+			got, err := core.AppendMessage(nil, tc.ptr)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%T/%s: pointer form encodes to %x (err %v), value form to %x", m, tc.name, got, err, want)
+			}
+			dec, _, err := core.ReadMessage(want)
+			if err != nil {
+				t.Fatalf("%T/%s: decode: %v", m, tc.name, err)
+			}
+			if reflect.TypeOf(dec) != reflect.TypeOf(tc.ptr) {
+				t.Errorf("%T/%s: decodes to %T, want %T", m, tc.name, dec, tc.ptr)
+			}
+			if b, ok := dec.(*core.BatchMsg); ok && tc.name == "batched" && reflect.TypeOf(b.Items[0]) != ptr.Type() {
+				t.Errorf("%T/%s: batch item decodes to %T, want %s", m, tc.name, b.Items[0], ptr.Type())
+			}
+		}
+	}
+	if len(seen) != len(pooled) {
+		t.Fatalf("wire samples cover %d of the %d pooled kinds", len(seen), len(pooled))
+	}
 }
 
 // TestColumnarFrameRoundTrip drives the framing layer itself: header
@@ -517,11 +592,11 @@ func TestSentStateReturnsToPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	report := func() (*aggregate.GroupedState, core.EpochReportMsg) {
+	report := func() (*aggregate.GroupedState, *core.EpochReportMsg) {
 		g := aggregate.NewGrouped(aggregate.Spec{Kind: aggregate.KindSum}, 0)
 		g.AddKeyed(nd.ID(), "k", value.Int(1))
 		g.Retain() // the message's hold
-		return g, core.EpochReportMsg{SID: core.QueryID{Num: 1}, Group: "g", Epoch: 1, State: g}
+		return g, &core.EpochReportMsg{SID: core.QueryID{Num: 1}, Group: "g", Epoch: 1, State: g}
 	}
 	send := func(to ids.ID, m any) { nd.Do(func(*core.Node) { nodeEnv{nd}.Send(to, m) }) }
 
@@ -556,10 +631,10 @@ func TestSentStateReturnsToPool(t *testing.T) {
 }
 
 // TestMessageCodecAllocs locks the message codec's steady state with a
-// warm pool: a 16-key report decodes into a pooled shell at the cost of
-// boxing the message, a status or install message also pays for its
-// slices and strings, and every message encodes into a pre-grown buffer
-// without allocating.
+// warm pool: a 16-key report decodes into a pooled shell and a pooled
+// message, a status or install message also pays for boxing the message
+// and for its slices and strings, and every message encodes into a
+// pre-grown buffer without allocating.
 func TestMessageCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled shells at random")
@@ -595,8 +670,9 @@ func TestMessageCodecAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r, ok := m.(core.EpochReportMsg); ok {
+			if r, ok := m.(*core.EpochReportMsg); ok {
 				aggregate.Recycle(r.State)
+				core.Release(r)
 			}
 		}
 		decode() // warm the pool and the shell's key column
