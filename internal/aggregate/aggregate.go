@@ -350,9 +350,10 @@ var statePools [len(registry)]sync.Pool
 // files it takes the hold over, and on the TCP agent the transport
 // hands it back once the frame is written, because the peer decodes its
 // own copy; a receiver that rejects the message hands its hold back
-// too. A message dropped in flight keeps its hold, and so does a filed
-// copy its receiver drops with the child's slot or the whole entry; both
-// leave the state to the garbage collector, which is the safe direction.
+// too, and so does a receiver that drops a filed copy with the child's
+// slot or the whole entry. A message dropped in flight keeps its hold
+// and leaves the state to the garbage collector, which is the safe
+// direction.
 // Because its holders read a retained state concurrently, it is
 // immutable after its first hand-off: build a new state instead of
 // adding to a sent one.

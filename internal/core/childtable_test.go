@@ -377,8 +377,11 @@ func TestChildTable(t *testing.T) {
 	// alike, in id order, whatever order they were installed in.
 	_, nodes := miniCluster(t, 1, Config{})
 	n := nodes[0]
-	sub := &subState{sid: QueryID{Origin: n.Self(), Num: 1}, ge: &groupEntry{spec: globalGroup("v")}}
-	n.subs[subKey{sub.sid, sub.ge.spec.canon}] = sub
+	ps, err := n.groupOf(globalGroup("v").canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := n.newSub(ps, QueryID{Origin: n.Self(), Num: 1}, time.Second)
 	sub.kids.expect(d)
 	sub.kids.expect(b)
 	i, found = sub.kids.find(c)

@@ -84,8 +84,11 @@ type Config struct {
 	// upper bound: it follows from the lower one and the GC period,
 	// and only the lower bound is a correctness promise.
 	SeenTTL time.Duration
-	// StateTTL garbage-collects predicate state idle for this long
-	// while in NO-UPDATE (0 disables GC).
+	// StateTTL garbage-collects a group that has idled this long in
+	// NO-UPDATE (0 disables GC). The drop removes the group's whole
+	// record — tree state, ledger id, parsed evals and attribute-index
+	// place; a group with a subscription entry is never collected, and
+	// ids are never reused.
 	StateTTL time.Duration
 	// QueryTimeout bounds a front-end query end to end.
 	QueryTimeout time.Duration

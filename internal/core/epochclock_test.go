@@ -58,8 +58,8 @@ func TestEpochClockLifecycle(t *testing.T) {
 		}
 	}
 	net.RunFor(10 * time.Millisecond)
-	if len(n.subs) != 0 || n.clockArmed || len(n.ticking) != 0 {
-		t.Fatalf("after the last drop: %d subs, %d on the clock, armed=%v", len(n.subs), len(n.ticking), n.clockArmed)
+	if n.nsubs != 0 || n.clockArmed || len(n.ticking) != 0 {
+		t.Fatalf("after the last drop: %d subs, %d on the clock, armed=%v", n.nsubs, len(n.ticking), n.clockArmed)
 	}
 	before := walks
 	net.RunFor(time.Second)

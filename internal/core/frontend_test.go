@@ -203,7 +203,7 @@ func TestStateGC(t *testing.T) {
 	}
 	withState := 0
 	for _, n := range nodes {
-		if len(n.preds) > 0 {
+		if len(n.groups) > 0 {
 			withState++
 		}
 	}
@@ -215,7 +215,7 @@ func TestStateGC(t *testing.T) {
 	// either PRUNE/UPDATE or NO-UPDATE. NO-UPDATE state must go.)
 	net.RunFor(time.Minute)
 	for _, n := range nodes {
-		for canon, ps := range n.preds {
+		for canon, ps := range n.groups {
 			if !ps.update {
 				t.Fatalf("idle NO-UPDATE state %q survived GC", canon)
 			}

@@ -36,8 +36,8 @@ type TreeInfo struct {
 // Trees snapshots every group tree this node currently holds state
 // for, sorted by group for stable display.
 func (n *Node) Trees() []TreeInfo {
-	out := make([]TreeInfo, 0, len(n.preds))
-	for canon, ps := range n.preds {
+	out := make([]TreeInfo, 0, len(n.groups))
+	for canon, ps := range n.groups {
 		out = append(out, TreeInfo{
 			Group:     canon,
 			Level:     ps.level,
@@ -102,8 +102,11 @@ type SubInfo struct {
 // Subs snapshots every subscription entry this node holds, sorted by
 // group then subscription for stable display.
 func (n *Node) Subs() []SubInfo {
-	out := make([]SubInfo, 0, len(n.subs))
-	for _, sub := range n.subs {
+	out := make([]SubInfo, 0, n.nsubs)
+	for _, sub := range n.ticking {
+		if sub.dead {
+			continue
+		}
 		parent := ""
 		if !sub.root {
 			parent = sub.parent.Short()
@@ -123,7 +126,7 @@ func (n *Node) Subs() []SubInfo {
 		sort.Strings(reporters)
 		out = append(out, SubInfo{
 			SID:          sub.sid,
-			Group:        sub.ge.spec.canon,
+			Group:        sub.ps.group.canon,
 			Root:         sub.root,
 			Period:       sub.period,
 			Epoch:        sub.epoch,

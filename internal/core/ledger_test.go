@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,9 +13,12 @@ import (
 	"github.com/moara/moara/internal/simnet"
 )
 
-// recorder is a bare simulator endpoint standing in for a tree parent:
-// it keeps every query response sent to it.
-type recorder struct{ resps []ResponseMsg }
+// recorder is a bare simulator endpoint standing in for a tree parent
+// or child: it keeps every query response and cancel sent to it.
+type recorder struct {
+	resps   []ResponseMsg
+	cancels []CancelMsg
+}
 
 func (r *recorder) Handle(from ids.ID, m any) {
 	switch msg := m.(type) {
@@ -23,6 +28,8 @@ func (r *recorder) Handle(from ids.ID, m any) {
 		}
 	case *ResponseMsg:
 		r.resps = append(r.resps, *msg)
+	case CancelMsg:
+		r.cancels = append(r.cancels, msg)
 	}
 }
 
@@ -90,9 +97,12 @@ func TestLedgerNonCanonicalGroup(t *testing.T) {
 	if len(rec.resps) != 2 || rec.resps[0].Dup || !rec.resps[1].Dup {
 		t.Fatalf("responses %+v, want an answer then a Dup", rec.resps)
 	}
+	if len(n.groups) != 1 || n.groups["x = true"] == nil {
+		t.Fatalf("group table %v, want one record under the canonical form", slices.Collect(maps.Keys(n.groups)))
+	}
 	net.RunFor(10 * time.Second)
-	if len(n.preds) != 0 {
-		t.Fatalf("idle predicate state not collected: %d groups", len(n.preds))
+	if len(n.groups) != 0 {
+		t.Fatalf("idle predicate state not collected: %d groups", len(n.groups))
 	}
 	n.Handle(parent, ref(sumQuery(parent, 2, "x=true")))
 	net.RunFor(time.Second)

@@ -4,14 +4,16 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // orderedMaps are the fields of core's maps that hold per-node tables:
-// Node.subs, Node.preds, Node.execs, frontend.pending and frontend.subs.
-var orderedMaps = map[string]bool{"subs": true, "preds": true, "execs": true, "pending": true}
+// Node.groups, Node.execs, frontend.pending and frontend.subs.
+var orderedMaps = map[string]bool{"groups": true, "subs": true, "execs": true, "pending": true}
 
 // sendsInOrder reports whether a call to name emits a message or arms a
 // timer — directly, or through the reconcile and finish paths.
@@ -23,10 +25,30 @@ func sendsInOrder(name string) bool {
 	return strings.HasPrefix(name, "arm")
 }
 
+// bareImporter stands in for every imported package with an empty one:
+// the checker needs the types of core's own fields, not of its imports.
+type bareImporter struct{}
+
+func (bareImporter) Import(p string) (*types.Package, error) {
+	return types.NewPackage(p, path.Base(p)), nil
+}
+
+// rangeTypes type-checks files as far as core's own declarations allow
+// and records the type of every expression it could resolve.
+func rangeTypes(fset *token.FileSet, files []*ast.File) *types.Info {
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	conf := types.Config{Importer: bareImporter{}, Error: func(error) {}}
+	_, _ = conf.Check("core", fset, files, info)
+	return info
+}
+
 // mapOrderSends lists every range over one of orderedMaps whose body
 // sends or arms a timer, unless the range carries an
-// "// unordered: <reason>" comment on its line or the line above.
-func mapOrderSends(fset *token.FileSet, f *ast.File) []string {
+// "// unordered: <reason>" comment on its line or the line above. A
+// field of one of those names that info resolves to a type other than a
+// map (a sorted slice) is not a map range; one it cannot resolve counts
+// as a map.
+func mapOrderSends(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 	escaped := map[int]bool{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
@@ -45,6 +67,11 @@ func mapOrderSends(fset *token.FileSet, f *ast.File) []string {
 		line := fset.Position(rs.Pos()).Line
 		if !ok || !orderedMaps[sel.Sel.Name] || escaped[line] || escaped[line-1] {
 			return true
+		}
+		if tv, known := info.Types[rs.X]; known && tv.Type != nil {
+			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap && tv.Type != types.Typ[types.Invalid] {
+				return true
+			}
 		}
 		ast.Inspect(rs.Body, func(m ast.Node) bool {
 			call, ok := m.(*ast.CallExpr)
@@ -80,7 +107,7 @@ func TestNoSendInMapOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	checked := 0
+	var files []*ast.File
 	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
@@ -89,21 +116,37 @@ func TestNoSendInMapOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked++
-		for _, v := range mapOrderSends(fset, f) {
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		t.Fatal("no source files checked")
+	}
+	info := rangeTypes(fset, files)
+	for _, f := range files {
+		for _, v := range mapOrderSends(fset, f, info) {
 			t.Error(v)
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no source files checked")
+	// The resolver itself: Node.groups is a map, a group's subs a slice.
+	resolved := map[string]string{}
+	for e, tv := range info.Types {
+		if sel, ok := e.(*ast.SelectorExpr); ok && (sel.Sel.Name == "groups" || sel.Sel.Name == "subs") {
+			resolved[types.ExprString(e)] = tv.Type.String()
+		}
+	}
+	if got := resolved["n.groups"]; !strings.HasPrefix(got, "map[") {
+		t.Fatalf("n.groups resolved to %q, want a map type", got)
+	}
+	if got := resolved["ps.subs"]; !strings.HasPrefix(got, "[]") {
+		t.Fatalf("ps.subs resolved to %q, want a slice type", got)
 	}
 
 	// The guard itself: it flags a send in a map range and honours the
 	// escape comment.
 	const src = `package p
 func (n *Node) a() {
-	for _, sub := range n.subs {
-		n.pushInstalls(sub, nil, false)
+	for _, sub := range n.groups {
+		n.pushInstalls(sub, false)
 	}
 	for _, fq := range n.fe.pending {
 		if fq != nil {
@@ -114,7 +157,7 @@ func (n *Node) a() {
 	for _, sub := range n.subs {
 		n.send(sub.parent, nil)
 	}
-	for _, sub := range n.subsOf("") {
+	for _, sub := range n.liveSubs() {
 		n.armEpoch(sub)
 	}
 }`
@@ -122,7 +165,7 @@ func (n *Node) a() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mapOrderSends(fset, f); len(got) != 2 {
+	if got := mapOrderSends(fset, f, rangeTypes(fset, []*ast.File{f})); len(got) != 2 {
 		t.Fatalf("guard flagged %q, want the pushInstalls and Arm calls only", got)
 	}
 }

@@ -29,22 +29,30 @@ type Node struct {
 	store   *attr.Store
 	self    ids.ID
 
-	preds  map[string]*predState
-	byAttr map[string][]string
+	// groups holds one record per group this node keeps state for,
+	// keyed by the group's canonical form (see groupOf and dropGroup);
+	// byAttr lists the records whose group predicate reads an attribute,
+	// and groupIDs counts the records ever made, so a dropped group's
+	// ledger id is never handed out again.
+	groups   map[string]*predState
+	byAttr   map[string][]*predState
+	groupIDs uint32
 
 	execs  map[execKey]*exec
 	ledger ledger
 
-	// subs is the standing-query subscription table (standing.go).
-	// tableGen counts its insertions and deletions and attrGen the
-	// attribute changes: a subscription entry rebuilds its subtree state
-	// only when one of them, or one of its child slots, moved.
-	subs     map[subKey]*subState
+	// Standing-query subscription entries live on their group's record
+	// (standing.go); nsubs counts them. tableGen counts their insertions
+	// and deletions and attrGen the attribute changes: a subscription
+	// entry rebuilds its subtree state only when one of them, or one of
+	// its child slots, moved.
+	nsubs    int
 	tableGen uint64
 	attrGen  uint64
-	// ticking lists the subscription entries in arm order; clock is the
-	// node's one epoch timer, armed for clockAt, the earliest due instant
-	// among them, while clockArmed (see armEpoch).
+	// ticking lists the subscription entries in arm order, each live one
+	// and the dropped ones the next walk unlinks; clock is the node's one
+	// epoch timer, armed for clockAt, the earliest due instant among
+	// them, while clockArmed (see armEpoch).
 	ticking    []*subState
 	clock      simnet.Timer
 	clockAt    time.Duration
@@ -52,9 +60,6 @@ type Node struct {
 	clockFn    func()
 
 	fe frontend
-
-	parseCache map[string]predicate.Expr
-	groupCache map[string]*groupEntry
 
 	targetsGen   int
 	targetsCache map[int][]pastry.BroadcastTarget
@@ -77,7 +82,7 @@ type Node struct {
 	outbox      simnet.Timer
 	flushFn     func()
 
-	// targetScratch backs queryTargets' list and subScratch subsOf's;
+	// targetScratch backs queryTargets' list and subScratch liveSubs';
 	// each is consumed before the next call.
 	targetScratch []SetEntry
 	subScratch    []*subState
@@ -104,13 +109,10 @@ func NewNode(env simnet.Env, cfg Config, overlayCfg pastry.Config) *Node {
 		cfg:          cfg.Defaults(),
 		store:        attr.NewStore(),
 		self:         env.Self(),
-		preds:        make(map[string]*predState),
-		byAttr:       make(map[string][]string),
+		groups:       make(map[string]*predState),
+		byAttr:       make(map[string][]*predState),
 		execs:        make(map[execKey]*exec),
 		ledger:       newLedger(),
-		subs:         make(map[subKey]*subState),
-		parseCache:   make(map[string]predicate.Expr),
-		groupCache:   make(map[string]*groupEntry),
 		targetsCache: make(map[int][]pastry.BroadcastTarget),
 		targetsGen:   -1,
 		subsGen:      -1,
@@ -141,8 +143,8 @@ func (n *Node) onPeerRemoved(dead ids.ID) {
 	// Both loops below send (status, install and response messages), and
 	// on the simulator every send draws from the node's latency stream:
 	// walk the maps in a fixed order so one seed gives one run.
-	for _, canon := range slices.Sorted(maps.Keys(n.preds)) {
-		ps := n.preds[canon]
+	for _, canon := range slices.Sorted(maps.Keys(n.groups)) {
+		ps := n.groups[canon]
 		changed := false
 		if ps.children.remove(dead) {
 			ps.dirty = true
@@ -162,7 +164,7 @@ func (n *Node) onPeerRemoved(dead ids.ID) {
 	}
 	// A standing entry forgets the dead child; a one-shot keeps what it
 	// already answered.
-	for _, sub := range n.subs {
+	for _, sub := range n.ticking {
 		sub.changed = sub.kids.remove(dead) || sub.changed
 		if !sub.root && sub.parent == dead {
 			sub.orphaned = true
@@ -244,8 +246,9 @@ func (n *Node) Recover(bootstrap ids.ID) {
 	n.armGC()
 	// Entries due at the same instant tick in list order.
 	n.clock.Stop()
+	live := n.liveSubs()
 	clear(n.ticking)
-	n.ticking = append(n.ticking[:0], n.subsOf("")...)
+	n.ticking = append(n.ticking[:0], live...)
 	now := n.env.Now()
 	for _, sub := range n.ticking {
 		sub.due = nextDue(now, sub.period)
@@ -365,7 +368,7 @@ func (n *Node) Handle(from ids.ID, m any) {
 // of the purge, and the per-epoch reconcile in epochTick is only the
 // backstop.
 func (n *Node) maybeResyncSubs() {
-	if len(n.subs) == 0 {
+	if n.nsubs == 0 {
 		return
 	}
 	g := n.overlay.Gen()
@@ -373,13 +376,9 @@ func (n *Node) maybeResyncSubs() {
 		return
 	}
 	n.subsGen = g
-	for _, sub := range n.subsOf("") {
-		ps := sub.ge.ps
-		if ps == nil {
-			continue
-		}
-		n.recomputeState(ps)
-		n.pushInstalls(sub, ps, false)
+	for _, sub := range n.liveSubs() {
+		n.recomputeState(sub.ps)
+		n.pushInstalls(sub, false)
 	}
 }
 
@@ -406,75 +405,62 @@ func (n *Node) handleRouted(key ids.ID, payload any, origin ids.ID) {
 // ---------------------------------------------------------------------
 // Predicate state bookkeeping
 
-// groupEntry is a group interned at this node: its parsed spec, the
-// dense id the ledger records it by, and its predicate state (nil until
-// getPred creates it; dropPred clears it).
-type groupEntry struct {
-	spec groupSpec
-	id   uint32
-	ps   *predState
-}
-
-// groupOf resolves a group's wire form to its interned entry, parsing
-// it at first sight; a non-canonical spelling shares the entry of its
-// canonical form. Entries are never evicted, so ids are never reused.
-func (n *Node) groupOf(canon string) (*groupEntry, error) {
-	if ge, ok := n.groupCache[canon]; ok {
-		return ge, nil
+// groupOf resolves a group's wire form to its record, making the record
+// at first sight: a non-canonical spelling resolves to the record of its
+// canonical form, the one key the group table knows.
+func (n *Node) groupOf(wire string) (*predState, error) {
+	if ps, ok := n.groups[wire]; ok {
+		return ps, nil
 	}
-	g, err := parseGroupSpec(canon)
+	g, err := parseGroupSpec(wire)
 	if err != nil {
 		return nil, err
 	}
-	ge, ok := n.groupCache[g.canon]
-	if !ok {
-		ge = &groupEntry{spec: g, id: uint32(len(n.groupCache))}
-		n.groupCache[g.canon] = ge
+	if ps, ok := n.groups[g.canon]; ok {
+		return ps, nil
 	}
-	n.groupCache[canon] = ge
-	return ge, nil
-}
-
-func (n *Node) getPred(ge *groupEntry) *predState {
-	if ps := ge.ps; ps != nil {
-		return ps
-	}
-	g := ge.spec
 	ps := newPredState(g)
+	ps.id = n.groupIDs
+	n.groupIDs++
 	ps.evalLocal(n.store)
-	n.preds[g.canon] = ps
-	ge.ps = ps
+	n.groups[g.canon] = ps
 	if g.expr != nil {
 		for _, a := range predicate.Attrs(g.expr) {
-			n.byAttr[a] = append(n.byAttr[a], g.canon)
+			n.byAttr[a] = append(n.byAttr[a], ps)
 		}
 	}
 	ps.touch(n.env.Now())
 	n.armGC()
-	return ps
+	return ps, nil
 }
 
-func (n *Node) dropPred(canon string) {
-	ps, ok := n.preds[canon]
-	if !ok {
+// findGroup is groupOf for a message that makes no state: the group's
+// record, or nil when the node holds none.
+func (n *Node) findGroup(wire string) *predState {
+	if ps, ok := n.groups[wire]; ok {
+		return ps
+	}
+	if g, err := parseGroupSpec(wire); err == nil && g.canon != wire {
+		return n.groups[g.canon]
+	}
+	return nil
+}
+
+// dropGroup removes a group's record from every table that lists it: the
+// group table and the attribute index. Its tree state, parsed evals and
+// id go with it; an in-flight exec that still points at the record keeps
+// it, detached. The caller makes sure no subscription entry lives on it.
+func (n *Node) dropGroup(ps *predState) {
+	delete(n.groups, ps.group.canon)
+	if ps.group.expr == nil {
 		return
 	}
-	delete(n.preds, canon)
-	n.groupCache[canon].ps = nil
-	if ps.group.expr != nil {
-		for _, a := range predicate.Attrs(ps.group.expr) {
-			list := n.byAttr[a]
-			out := list[:0]
-			for _, c := range list {
-				if c != canon {
-					out = append(out, c)
-				}
-			}
-			if len(out) == 0 {
-				delete(n.byAttr, a)
-			} else {
-				n.byAttr[a] = out
-			}
+	for _, a := range predicate.Attrs(ps.group.expr) {
+		list := slices.DeleteFunc(n.byAttr[a], func(o *predState) bool { return o == ps })
+		if len(list) == 0 {
+			delete(n.byAttr, a)
+		} else {
+			n.byAttr[a] = list
 		}
 	}
 }
@@ -528,12 +514,7 @@ func (n *Node) recomputeState(ps *predState) bool {
 // references the changed attribute (the Moara agent hook of §3.1).
 func (n *Node) onAttrChange(name string, _, _ value.Value) {
 	n.attrGen++
-	canons := n.byAttr[name]
-	for _, canon := range canons {
-		ps, ok := n.preds[canon]
-		if !ok {
-			continue
-		}
+	for _, ps := range n.byAttr[name] {
 		if !ps.evalLocal(n.store) {
 			continue
 		}
@@ -612,11 +593,10 @@ func (n *Node) maybeSendStatus(ps *predState) {
 // handleStatus merges a child's PRUNE/NO-PRUNE + updateSet report (§4,
 // §5) and reacts to any resulting observable change.
 func (n *Node) handleStatus(from ids.ID, sm StatusMsg) {
-	ge, err := n.groupOf(sm.Group)
+	ps, err := n.groupOf(sm.Group)
 	if err != nil {
 		return
 	}
-	ps := n.getPred(ge)
 	// The status replaces the child's last one in place; its updateSet
 	// backing is reused (recompute copies the entries out).
 	cs, _ := ps.children.put(from)
@@ -645,7 +625,7 @@ func (n *Node) handleStatus(from ids.ID, sm StatusMsg) {
 // child-id order, so the answer does not depend on arrival order.
 type exec struct {
 	key     execKey
-	ge      *groupEntry
+	ps      *predState
 	attrKey string
 	spec    aggregate.Spec
 	groupBy string
@@ -662,12 +642,11 @@ type exec struct {
 
 // handleSubQuery starts dissemination at the tree root.
 func (n *Node) handleSubQuery(sq SubQueryMsg) {
-	ge, err := n.groupOf(sq.Group)
-	if err != nil || n.markSeen(sq.QID, ge.id) {
+	ps, err := n.groupOf(sq.Group)
+	if err != nil || n.markSeen(sq.QID, ps.id) {
 		n.send(sq.ReplyTo, responseMsgs.of(ResponseMsg{QID: sq.QID, Group: sq.Group, Dup: true}))
 		return
 	}
-	ps := n.getPred(ge)
 	ps.becomeRoot()
 	qm := QueryMsg{
 		QID:     sq.QID,
@@ -681,41 +660,39 @@ func (n *Node) handleSubQuery(sq SubQueryMsg) {
 		ReplyTo: n.self,
 	}
 	n.queryLoad(ps, qm.Seq)
-	n.disseminate(ge, &qm, sq.ReplyTo)
+	n.disseminate(ps, &qm, sq.ReplyTo)
 }
 
 // handleQuery processes a query received from a tree parent or via an
 // SQP jump.
 func (n *Node) handleQuery(_ ids.ID, qm *QueryMsg) {
-	ge, err := n.groupOf(qm.Group)
-	if err != nil || n.markSeen(qm.QID, ge.id) {
+	ps, err := n.groupOf(qm.Group)
+	if err != nil || n.markSeen(qm.QID, ps.id) {
 		n.send(qm.ReplyTo, responseMsgs.of(ResponseMsg{QID: qm.QID, Group: qm.Group, Dup: true}))
 		return
 	}
-	ps := n.getPred(ge)
 	if ps.level < 0 || qm.Level < ps.level {
 		ps.setLevel(qm.Level)
 	}
 	ps.adopt(qm.ReplyTo, qm.Jump)
 	n.queryLoad(ps, qm.Seq)
-	n.disseminate(ge, qm, qm.ReplyTo)
+	n.disseminate(ps, qm, qm.ReplyTo)
 	n.maybeSendStatus(ps)
 }
 
 // disseminate forwards the query to this node's current query targets
 // and aggregates their responses plus the local contribution; exec
 // records are pooled.
-func (n *Node) disseminate(ge *groupEntry, qm *QueryMsg, replyTo ids.ID) {
-	ps := ge.ps
+func (n *Node) disseminate(ps *predState, qm *QueryMsg, replyTo ids.ID) {
 	ex := n.newExec()
 	ex.key = execKey{qm.QID, qm.Group}
-	ex.ge = ge
+	ex.ps = ps
 	ex.attrKey = qm.Attr
 	ex.spec = qm.Spec
 	ex.groupBy = qm.GroupBy
 	ex.replyTo = replyTo
 	ex.state = aggregate.NewGrouped(qm.Spec, n.cfg.MaxGroupKeys)
-	if n.evalLocal(ps, qm.Eval, qm.Group) && n.claimAnswer(qm.QID) {
+	if n.evalLocal(ps, qm.Eval) && n.claimAnswer(qm.QID) {
 		ex.contrib++
 		ex.state.AddKeyed(n.self, n.groupKey(qm.GroupBy), n.localValue(qm.Attr))
 	}
@@ -775,35 +752,25 @@ func (n *Node) newExec() *exec {
 }
 
 // evalLocal evaluates a query's full predicate at this node: eval, or
-// when it is empty the group predicate, read off the group state ps
-// when there is one (a standing entry outlives state the GC dropped).
-func (n *Node) evalLocal(ps *predState, eval, group string) bool {
+// when it is empty the group predicate, read off the group record ps.
+// The record keeps every eval it has parsed, so a query text is parsed
+// once while its group lives.
+func (n *Node) evalLocal(ps *predState, eval string) bool {
 	if eval == "" {
-		if ps != nil {
-			return ps.satLocal
-		}
-		if group == "" || group[0] == '*' {
-			return true
-		}
-		eval = group
+		return ps.satLocal
 	}
-	e, err := n.parseCached(eval)
-	if err != nil {
-		return false
+	e, ok := ps.evals[eval]
+	if !ok {
+		var err error
+		if e, err = predicate.ParseExpr(eval); err != nil {
+			return false
+		}
+		if ps.evals == nil {
+			ps.evals = make(map[string]predicate.Expr)
+		}
+		ps.evals[eval] = e
 	}
 	return e.Eval(n.store)
-}
-
-func (n *Node) parseCached(s string) (predicate.Expr, error) {
-	if e, ok := n.parseCache[s]; ok {
-		return e, nil
-	}
-	e, err := predicate.ParseExpr(s)
-	if err != nil {
-		return nil, err
-	}
-	n.parseCache[s] = e
-	return e, nil
 }
 
 // localValue produces this node's contribution for the query attribute;
@@ -851,7 +818,7 @@ func (n *Node) handleResponse(from ids.ID, rm *ResponseMsg) {
 	if !rm.Dup {
 		c.state, c.contrib = rm.State, rm.Contributors
 		ex.contrib += rm.Contributors
-		n.noteChildCost(ex.ge.ps, from, rm.Np, rm.Unknown)
+		n.noteChildCost(ex.ps, from, rm.Np, rm.Unknown)
 	}
 	ex.kids.file(i, true, c)
 	if !ex.kids.waiting() {
@@ -867,17 +834,13 @@ func (n *Node) finishExec(ex *exec) {
 	delete(n.execs, ex.key)
 	ex.kids.fold(ex.state)
 	ex.kids.reset()
-	np, unknown := 0, 0.0
-	if ps := ex.ge.ps; ps != nil {
-		np, unknown = ps.np, ps.unknown
-	}
 	n.send(ex.replyTo, responseMsgs.of(ResponseMsg{
 		QID:          ex.key.qid,
 		Group:        ex.key.group,
 		State:        ex.state,
 		Contributors: ex.contrib,
-		Np:           np,
-		Unknown:      unknown,
+		Np:           ex.ps.np,
+		Unknown:      ex.ps.unknown,
 	}))
 	// Recycle the record: the shipped state is owned by the response
 	// from here on, everything else resets. The timeout closure is kept
@@ -892,8 +855,8 @@ func (n *Node) finishExec(ex *exec) {
 // cost: 2·np for warm trees, a system-size estimate for cold ones.
 func (n *Node) handleProbe(pm ProbeMsg) {
 	cost := 2 * n.overlay.EstimateSize()
-	if ge, ok := n.groupCache[pm.Group]; ok && ge.ps != nil {
-		cost = 2 * (float64(ge.ps.np) + ge.ps.unknown)
+	if ps := n.findGroup(pm.Group); ps != nil {
+		cost = 2 * (float64(ps.np) + ps.unknown)
 	}
 	n.send(pm.ReplyTo, ProbeRespMsg{QID: pm.QID, Group: pm.Group, Cost: cost})
 }
@@ -938,7 +901,7 @@ func (n *Node) armGC() {
 		// Re-arm only while something remains collectible: remembered
 		// query IDs always expire; predicate state only when StateTTL is
 		// set (otherwise an idle node would tick forever).
-		if !n.ledger.empty() || (n.cfg.StateTTL > 0 && len(n.preds) > 0) {
+		if !n.ledger.empty() || (n.cfg.StateTTL > 0 && len(n.groups) > 0) {
 			n.armGC()
 		}
 	}, &n.gc)
@@ -950,9 +913,11 @@ func (n *Node) sweep() {
 	if n.cfg.StateTTL <= 0 {
 		return
 	}
-	for canon, ps := range n.preds {
-		if !ps.update && now-ps.lastActive > n.cfg.StateTTL {
-			n.dropPred(canon)
+	for _, ps := range n.groups {
+		// A group that carries a subscription entry is in use, whatever
+		// its mode: its stream ticks on it.
+		if len(ps.subs) == 0 && !ps.update && now-ps.lastActive > n.cfg.StateTTL {
+			n.dropGroup(ps)
 		}
 	}
 }

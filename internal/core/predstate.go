@@ -86,9 +86,22 @@ type childState struct {
 	mark int
 }
 
-// predState is the per-(node, group) state of §4 and §5.
+// predState is a node's one record of a group: the per-(node, group)
+// tree state of §4 and §5, the id the ledger records the group's
+// arrivals by, the group's standing-query entries, and the query evals
+// it has parsed. Node.groups holds it under the group's canonical form
+// and Node.byAttr under every attribute its predicate reads; dropGroup
+// removes it from both, and with it everything the group held.
 type predState struct {
 	group groupSpec
+	// id is the group's ledger id, from a node-wide counter: a dropped
+	// group's id is never handed out again, so no record the ledger still
+	// holds can name a different group.
+	id uint32
+	// subs holds the group's subscription entries in sid order.
+	subs []*subState
+	// evals maps each query eval seen on this group to its parse.
+	evals map[string]predicate.Expr
 
 	// level is this node's depth in the group tree's broadcast
 	// structure, learned from the first query received; -1 = unknown.

@@ -104,21 +104,15 @@ type Sample struct {
 func (s Sample) Completeness() float64 { return s.Result.Completeness() }
 
 // ---------------------------------------------------------------------
-// Node side: the subscription table and the epoch loop
+// Node side: the subscription entries and the epoch loop
 
-// subKey identifies one subscription entry at a node: a node reached
-// through several trees of a composite cover holds one entry per tree.
-type subKey struct {
-	sid   QueryID
-	group string
-}
-
-// subState is one standing query's per-(node, group) state.
+// subState is one standing query's per-(node, group) state. It lives on
+// its group's record: a node reached through several trees of a
+// composite cover holds one entry per tree.
 type subState struct {
 	sid QueryID
-	// ge is the interned group the entry was created for; ge.ps is its
-	// predicate state (nil while dropped), read without a lookup.
-	ge      *groupEntry
+	// ps is the record of the group the entry lives on.
+	ps      *predState
 	eval    string
 	attrKey string
 	spec    aggregate.Spec
@@ -169,8 +163,8 @@ type subState struct {
 	changed bool
 	// claim caches claimStanding's answer for tableGen.
 	claim bool
-	// dead is set by dropSub; the next epoch walk unlinks the entry from
-	// the node's clock without ticking it.
+	// dead is set by dropSub, which takes the entry off its group; the
+	// next epoch walk unlinks it from the node's clock without ticking it.
 	dead bool
 	// due is the entry's next tick instant on the node's epoch clock.
 	due time.Duration
@@ -190,21 +184,18 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 	if sm.Period <= 0 {
 		return
 	}
-	ge, err := n.groupOf(sm.Group)
+	ps, err := n.groupOf(sm.Group)
 	if err != nil {
 		return
 	}
-	key := subKey{sm.SID, sm.Group}
-	sub, ok := n.subs[key]
+	sub := ps.sub(sm.SID)
+	ok := sub != nil
 	if ok && sm.Gen < sub.gen {
 		return
 	}
-	ps := n.getPred(ge)
 	ps.becomeRoot()
 	if !ok {
-		sub = &subState{sid: sm.SID, ge: ge}
-		n.subs[key] = sub
-		n.tableGen++
+		sub = n.newSub(ps, sm.SID, sm.Period)
 	}
 	sub.changed = true
 	if ok && !sub.root && !sub.orphaned {
@@ -237,13 +228,10 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 	sub.period = sm.Period
 	sub.level = 0
 	sub.lastRenew = n.env.Now()
-	if !ok {
-		n.armEpoch(sub)
-	}
 	// Standing load drives the §4 adaptation machinery exactly like
 	// query load, so the tree prunes under pure subscription traffic.
 	n.queryLoad(ps, 0)
-	n.pushInstalls(sub, ps, n.refreshDue(sub, !ok))
+	n.pushInstalls(sub, n.refreshDue(sub, !ok))
 }
 
 // handleInstall registers (or refreshes) a subscription delivered by a
@@ -253,12 +241,12 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 	if im.Period <= 0 {
 		return
 	}
-	ge, err := n.groupOf(im.Group)
+	ps, err := n.groupOf(im.Group)
 	if err != nil {
 		return
 	}
-	key := subKey{im.SID, im.Group}
-	sub, ok := n.subs[key]
+	sub := ps.sub(im.SID)
+	ok := sub != nil
 	if ok && im.Gen < sub.gen {
 		// A stale renewal round: after a repair, the chains hanging off
 		// a dead interior node keep refreshing their old edges until
@@ -266,7 +254,6 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 		// the rebuilt tree, nor keep stale leases alive.
 		return
 	}
-	ps := n.getPred(ge)
 	if ok && im.Gen > sub.gen {
 		// A new renewal round re-assigns tree positions: after a root
 		// or interior death the rebuilt tree places this node at a
@@ -279,9 +266,7 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 	}
 	ps.adopt(im.ReplyTo, im.Jump)
 	if !ok {
-		sub = &subState{sid: im.SID, ge: ge}
-		n.subs[key] = sub
-		n.tableGen++
+		sub = n.newSub(ps, im.SID, im.Period)
 	}
 	sub.changed = true
 	// A repaired adoption — the first install after this node's parent
@@ -321,15 +306,43 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 	sub.period = im.Period
 	sub.level = im.Level
 	sub.lastRenew = n.env.Now()
-	if !ok {
-		n.armEpoch(sub)
-	}
 	n.queryLoad(ps, 0)
 	if adopted {
 		n.sendReport(sub, n.env.Now())
 	}
-	n.pushInstalls(sub, ps, n.refreshDue(sub, !ok))
+	n.pushInstalls(sub, n.refreshDue(sub, !ok))
 	n.maybeSendStatus(ps)
+}
+
+// newSub makes subscription entry sid on group ps, in sid order, and puts
+// it on the node's epoch clock.
+func (n *Node) newSub(ps *predState, sid QueryID, period time.Duration) *subState {
+	sub := &subState{sid: sid, ps: ps, period: period}
+	i, _ := slices.BinarySearchFunc(ps.subs, sid, cmpSID)
+	ps.subs = slices.Insert(ps.subs, i, sub)
+	n.nsubs++
+	n.tableGen++
+	n.armEpoch(sub)
+	return sub
+}
+
+func cmpSID(s *subState, sid QueryID) int { return compareQID(s.sid, sid) }
+
+// sub returns the group's entry for subscription sid, or nil.
+func (ps *predState) sub(sid QueryID) *subState {
+	if i, found := slices.BinarySearchFunc(ps.subs, sid, cmpSID); found {
+		return ps.subs[i]
+	}
+	return nil
+}
+
+// findSub returns subscription sid's entry on the group spelled group, or
+// nil.
+func (n *Node) findSub(sid QueryID, group string) *subState {
+	if ps := n.findGroup(group); ps != nil {
+		return ps.sub(sid)
+	}
+	return nil
 }
 
 // refreshDue decides whether this install receipt should cascade a full
@@ -359,11 +372,11 @@ func (n *Node) refreshDue(sub *subState, isNew bool) bool {
 // deleting its buffered report, so any double-count ends with the edge
 // — and if the departed child reports again, handleEpochReport rejects
 // it with a single cancel, pacing teardown at epoch cadence.
-func (n *Node) pushInstalls(sub *subState, ps *predState, refresh bool) {
-	targets := n.queryTargets(ps)
+func (n *Node) pushInstalls(sub *subState, refresh bool) {
+	targets := n.queryTargets(sub.ps)
 	im := InstallMsg{
 		SID:     sub.sid,
-		Group:   sub.ge.spec.canon,
+		Group:   sub.ps.group.canon,
 		Eval:    sub.eval,
 		Attr:    sub.attrKey,
 		Spec:    sub.spec,
@@ -386,7 +399,7 @@ func (n *Node) pushInstalls(sub *subState, ps *predState, refresh bool) {
 			continue
 		}
 		if refresh {
-			n.send(id, CancelMsg{SID: sub.sid, Group: sub.ge.spec.canon})
+			n.send(id, CancelMsg{SID: sub.sid, Group: sub.ps.group.canon})
 		}
 		sub.changed = sub.kids.remove(id) || sub.changed
 	}
@@ -397,26 +410,24 @@ func (n *Node) pushInstalls(sub *subState, ps *predState, refresh bool) {
 // so the subscription tree tracks the adaptive group tree between
 // renewals.
 func (n *Node) syncSubs(ps *predState) {
-	if len(n.subs) == 0 {
-		return
-	}
-	for _, sub := range n.subsOf(ps.group.canon) {
-		n.pushInstalls(sub, ps, false)
+	for _, sub := range ps.subs {
+		n.pushInstalls(sub, false)
 	}
 }
 
-// subsOf lists the entries on group canon ("" for all) in (sid, group)
-// order, in a scratch slice valid until the next call: a loop that sends
-// walks this, never n.subs, so one seed gives one run.
-func (n *Node) subsOf(canon string) []*subState {
+// liveSubs lists the node's live entries in (sid, group) order, in a
+// scratch slice valid until the next call: a loop over every entry that
+// sends walks this, not the clock's arm order, so a restart or a resync
+// sends in an order fixed by the entries alone.
+func (n *Node) liveSubs() []*subState {
 	out := n.subScratch[:0]
-	for _, sub := range n.subs {
-		if canon == "" || sub.ge.spec.canon == canon {
+	for _, sub := range n.ticking {
+		if !sub.dead {
 			out = append(out, sub)
 		}
 	}
 	slices.SortFunc(out, func(a, b *subState) int {
-		return cmp.Or(compareQID(a.sid, b.sid), strings.Compare(a.ge.spec.canon, b.ge.spec.canon))
+		return cmp.Or(compareQID(a.sid, b.sid), strings.Compare(a.ps.group.canon, b.ps.group.canon))
 	})
 	n.subScratch = out
 	return out
@@ -527,9 +538,9 @@ func (n *Node) epochTick(sub *subState, now time.Duration) {
 	// the adaptive target set into a sustained install/flip war between
 	// competing parents — each flip leaving a double-counted report
 	// behind for the stale window.
-	if ps := sub.ge.ps; ps != nil && n.queryLoad(ps, 0) {
-		n.maybeSendStatus(ps)
-		n.syncSubs(ps)
+	if n.queryLoad(sub.ps, 0) {
+		n.maybeSendStatus(sub.ps)
+		n.syncSubs(sub.ps)
 	}
 }
 
@@ -570,20 +581,17 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 	}
 	state := sub.built
 	contrib += sub.builtSelf
+	ps := sub.ps
 	if sub.root {
-		expected := 0.0
-		if ps := sub.ge.ps; ps != nil {
-			expected = float64(ps.np) + ps.unknown
-		}
 		state.Retain()
 		n.send(sub.replyTo, SampleMsg{
 			SID:          sub.sid,
-			Group:        sub.ge.spec.canon,
+			Group:        ps.group.canon,
 			Epoch:        sub.epoch,
 			At:           now,
 			State:        state,
 			Contributors: contrib,
-			Expected:     expected,
+			Expected:     float64(ps.np) + ps.unknown,
 		})
 		return
 	}
@@ -598,18 +606,14 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		return
 	}
 	sub.lastNonEmpty = !empty
-	np, unknown := 0, 0.0
-	if ps := sub.ge.ps; ps != nil {
-		np, unknown = ps.np, ps.unknown
-	}
 	em := reportMsgs.of(EpochReportMsg{
 		SID:          sub.sid,
-		Group:        sub.ge.spec.canon,
+		Group:        ps.group.canon,
 		Epoch:        sub.epoch,
 		State:        state,
 		Contributors: contrib,
-		Np:           np,
-		Unknown:      unknown,
+		Np:           ps.np,
+		Unknown:      ps.unknown,
 	})
 	state.Retain()
 	if sub.orphaned {
@@ -617,7 +621,7 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		// directly to the tree root through the overlay so the subtree
 		// stays in the stream while the tree repairs around us.
 		sub.pulled = true
-		n.overlay.Route(sub.ge.spec.treeKey(), em)
+		n.overlay.Route(ps.group.treeKey(), em)
 		return
 	}
 	n.send(sub.parent, em)
@@ -641,7 +645,7 @@ func (n *Node) rebuild(sub *subState) {
 		sub.claim, sub.tableGen = n.claimStanding(sub), n.tableGen
 	}
 	sub.builtSelf = 0
-	if sub.claim && n.evalLocal(sub.ge.ps, sub.eval, sub.ge.spec.canon) {
+	if sub.claim && n.evalLocal(sub.ps, sub.eval) {
 		sub.builtSelf = 1
 		state.AddKeyed(n.self, n.groupKey(sub.groupBy), n.localValue(sub.attrKey))
 	}
@@ -662,13 +666,13 @@ func (n *Node) retract(sub *subState, to ids.ID) {
 
 // retractRouted clears the direct-to-root copy left by the orphan pull.
 func (n *Node) retractRouted(sub *subState) {
-	n.overlay.Route(sub.ge.spec.treeKey(), n.emptyReport(sub))
+	n.overlay.Route(sub.ps.group.treeKey(), n.emptyReport(sub))
 }
 
 func (n *Node) emptyReport(sub *subState) *EpochReportMsg {
 	return reportMsgs.of(EpochReportMsg{
 		SID:   sub.sid,
-		Group: sub.ge.spec.canon,
+		Group: sub.ps.group.canon,
 		Epoch: sub.epoch,
 		State: aggregate.NewGrouped(sub.spec, n.cfg.MaxGroupKeys),
 	})
@@ -678,11 +682,11 @@ func (n *Node) emptyReport(sub *subState) *EpochReportMsg {
 // one tree of a composite cover: the lexicographically smallest group
 // among the node's live subscriptions for the SID (the standing analog
 // of §6.2's answered-once cache, but stateless and epoch-free). The
-// answer depends only on the subscription table, so rebuild asks once
-// per table generation, not once per entry per epoch.
+// answer depends only on the live entries, so rebuild asks once per
+// table generation, not once per entry per epoch.
 func (n *Node) claimStanding(sub *subState) bool {
-	for k := range n.subs {
-		if k.sid == sub.sid && k.group < sub.ge.spec.canon {
+	for _, o := range n.ticking {
+		if !o.dead && o.sid == sub.sid && o.ps.group.canon < sub.ps.group.canon {
 			return false
 		}
 	}
@@ -697,8 +701,8 @@ func (n *Node) claimStanding(sub *subState) bool {
 // sender is not a tree child. A rejected report hands back the state
 // hold its message carries.
 func (n *Node) handleEpochReport(from ids.ID, em *EpochReportMsg, routed bool) {
-	sub, ok := n.subs[subKey{em.SID, em.Group}]
-	if !ok {
+	sub := n.findSub(em.SID, em.Group)
+	if sub == nil {
 		aggregate.Recycle(em.State)
 		n.send(from, CancelMsg{SID: em.SID, Group: em.Group})
 		return
@@ -730,7 +734,7 @@ func (n *Node) handleEpochReport(from ids.ID, em *EpochReportMsg, routed bool) {
 		sub.changed = true
 	}
 	if !routed {
-		n.noteChildCost(sub.ge.ps, from, em.Np, em.Unknown)
+		n.noteChildCost(sub.ps, from, em.Np, em.Unknown)
 	}
 }
 
@@ -743,8 +747,8 @@ func (n *Node) handleEpochReport(from ids.ID, em *EpochReportMsg, routed bool) {
 // cancels (the front-end addressing the tree root through the overlay)
 // are always honored.
 func (n *Node) handleCancel(from ids.ID, cm CancelMsg, routed bool) {
-	sub, ok := n.subs[subKey{cm.SID, cm.Group}]
-	if !ok {
+	sub := n.findSub(cm.SID, cm.Group)
+	if sub == nil {
 		return
 	}
 	if !routed && !sub.orphaned {
@@ -762,29 +766,37 @@ func (n *Node) handleCancel(from ids.ID, cm CancelMsg, routed bool) {
 	n.dropSub(sub, true)
 }
 
-// dropSub removes one subscription entry; cascade forwards the cancel
-// to the node's children — installed or merely reporting — in id order.
-// The entry stays on the epoch clock's list, marked dead, until the next
-// walk unlinks it; the last entry to go stops the clock.
+// dropSub removes one subscription entry from its group; cascade
+// forwards the cancel to the node's children — installed or merely
+// reporting — in id order. The entry hands back the holds it has on
+// states: the retained build and every filed report. It stays on the
+// epoch clock's list, marked dead, until the next walk unlinks it; the
+// last entry to go stops the clock.
 func (n *Node) dropSub(sub *subState, cascade bool) {
 	if sub.dead {
 		return
 	}
 	sub.dead = true
-	delete(n.subs, subKey{sub.sid, sub.ge.spec.canon})
+	ps := sub.ps
+	ps.subs = slices.DeleteFunc(ps.subs, func(o *subState) bool { return o == sub })
+	n.nsubs--
 	n.tableGen++
-	if len(n.subs) == 0 {
+	if n.nsubs == 0 {
 		n.clock.Stop()
 		n.clockArmed = false
 		n.ticking = nil
 	}
-	if !cascade {
-		return
+	if cascade {
+		cm := CancelMsg{SID: sub.sid, Group: ps.group.canon}
+		for _, s := range sub.kids {
+			n.send(s.id, cm)
+		}
 	}
-	cm := CancelMsg{SID: sub.sid, Group: sub.ge.spec.canon}
-	for _, s := range sub.kids {
-		n.send(s.id, cm)
+	if sub.built != nil {
+		aggregate.Recycle(sub.built)
+		sub.built = nil
 	}
+	sub.kids.reset()
 }
 
 // ---------------------------------------------------------------------
@@ -846,14 +858,15 @@ func (t *childTable) file(i int, found bool, c childSlot) bool {
 	return moved
 }
 
-// remove forgets child id, edge and partial, and reports whether it held
-// a partial (which is not recycled).
+// remove forgets child id, edge and partial, handing back the partial's
+// hold, and reports whether it held a partial.
 func (t *childTable) remove(id ids.ID) bool {
 	i, found := t.find(id)
 	if !found {
 		return false
 	}
 	had := (*t)[i].has
+	aggregate.Recycle((*t)[i].state)
 	*t = slices.Delete(*t, i, i+1)
 	return had
 }
@@ -884,13 +897,9 @@ func (t *childTable) reset() {
 }
 
 // noteChildCost refreshes a child's lazily maintained subtree cost
-// (§6.3) in the group state ps (none: nothing to refresh) from the np
-// piggybacked on its response or epoch report, which reaches ancestors
-// even from NO-UPDATE children.
+// (§6.3) in the group state ps from the np piggybacked on its response
+// or epoch report, which reaches ancestors even from NO-UPDATE children.
 func (n *Node) noteChildCost(ps *predState, from ids.ID, np int, unknown float64) {
-	if ps == nil {
-		return
-	}
 	switch cs, added := ps.children.put(from); {
 	case added:
 		*cs = childState{id: from, NpOnly: true, Np: np, Unknown: unknown}

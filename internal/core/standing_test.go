@@ -134,12 +134,12 @@ func TestStandingIgnoresParentReport(t *testing.T) {
 	mustSubscribe(t, nodes[0], "count(*) where g = true every 200ms", func(Sample) {})
 	net.RunFor(2 * time.Second)
 	for _, n := range nodes {
-		for key, sub := range n.subs {
+		for _, sub := range n.liveSubs() {
 			if sub.root {
 				continue
 			}
 			sub.kids.expect(sub.parent)
-			n.Handle(sub.parent, &EpochReportMsg{SID: key.sid, Group: key.group, Epoch: sub.epoch,
+			n.Handle(sub.parent, &EpochReportMsg{SID: sub.sid, Group: sub.ps.group.canon, Epoch: sub.epoch,
 				State: aggregate.NewGrouped(sub.spec, 0), Contributors: 1000})
 			if i, ok := sub.kids.find(sub.parent); ok && sub.kids[i].has {
 				t.Fatalf("node %s filed its parent's report", n.Self().Short())
@@ -440,7 +440,7 @@ func TestStandingClaimFollowsSubscriptionTable(t *testing.T) {
 	claims := func(n *Node) (out [3]int64) {
 		for g, group := range groups {
 			out[g] = -1
-			if sub, ok := n.subs[subKey{sid, group}]; ok {
+			if sub := n.findSub(sid, group); sub != nil {
 				out[g] = sub.builtSelf
 			}
 		}
@@ -473,14 +473,14 @@ func TestStandingClaimFollowsSubscriptionTable(t *testing.T) {
 	}
 
 	// The parent on the smallest tree cancels the edge.
-	sub := x.subs[subKey{sid, groups[0]}]
+	sub := x.findSub(sid, groups[0])
 	var parent *Node
 	for _, n := range nodes {
 		if n.self == sub.parent {
 			parent = n
 		}
 	}
-	psub := parent.subs[subKey{sid, groups[0]}]
+	psub := parent.findSub(sid, groups[0])
 	psub.kids.remove(x.self)
 	psub.changed = true
 	x.Handle(parent.self, CancelMsg{SID: sid, Group: groups[0]})
@@ -546,23 +546,24 @@ func TestRejectedEpochReportsHandBackTheirHold(t *testing.T) {
 	sender := ids.FromUint64(99)
 	for _, tc := range []struct {
 		name string
-		// sub is the receiver's entry for the report, or nil for none.
-		sub func(sid QueryID) *subState
+		// parent is the parent of the receiver's entry for the report,
+		// or nil for no entry.
+		parent *ids.ID
 	}{
-		{"unknown-subscription", func(QueryID) *subState { return nil }},
-		{"two-cycle", func(sid QueryID) *subState {
-			return &subState{sid: sid, ge: &groupEntry{spec: globalGroup("v")}, parent: sender}
-		}},
-		{"not-installed", func(sid QueryID) *subState {
-			return &subState{sid: sid, ge: &groupEntry{spec: globalGroup("v")}, parent: ids.FromUint64(98)}
-		}},
+		{"unknown-subscription", nil},
+		{"two-cycle", &sender},
+		{"not-installed", ref(ids.FromUint64(98))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, nodes := miniCluster(t, 1, Config{})
 			n := nodes[0]
 			sid := QueryID{Origin: n.Self(), Num: 1}
-			if sub := tc.sub(sid); sub != nil {
-				n.subs[subKey{sid, sub.ge.spec.canon}] = sub
+			if tc.parent != nil {
+				ps, err := n.groupOf(globalGroup("v").canon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.newSub(ps, sid, time.Second).parent = *tc.parent
 			}
 			st := aggregate.NewGrouped(aggregate.Spec{Kind: aggregate.KindSum}, 0)
 			st.AddKeyed(sender, "k", value.Int(1))
@@ -572,6 +573,43 @@ func TestRejectedEpochReportsHandBackTheirHold(t *testing.T) {
 			aggregate.Recycle(st)
 			if got := st.KeyCount(); got != 0 {
 				t.Fatalf("state still holds %d keys after the sender's last hold went back: the rejected report kept its hold", got)
+			}
+		})
+	}
+}
+
+// TestDroppedEntryHandsBackItsHolds: a subscription entry that drops a
+// filed report — the whole entry cancelled, or one child's slot removed
+// when the child is purged — hands back the hold the slot took over, so
+// the sender's last Recycle returns the state to the pool.
+func TestDroppedEntryHandsBackItsHolds(t *testing.T) {
+	for _, end := range []string{"cancel", "peer-removed"} {
+		t.Run(end, func(t *testing.T) {
+			net, nodes := miniCluster(t, 1, Config{})
+			n := nodes[0]
+			fe, _ := attachRecorder(net)
+			sender := ids.FromUint64(99)
+			sid := QueryID{Origin: fe, Num: 1}
+			spec := aggregate.Spec{Kind: aggregate.KindSum}
+			group := globalGroup("v").canon
+			n.handleSubscribe(SubscribeMsg{SID: sid, Group: group, Attr: "v", Spec: spec,
+				Period: time.Second, Gen: 1, ReplyTo: fe})
+			st := aggregate.NewGrouped(spec, 0)
+			st.AddKeyed(sender, "k", value.Int(1))
+			st.Retain() // the sender's own hold
+			st.Retain() // the message's hold
+			n.Handle(sender, &EpochReportMsg{SID: sid, Group: group, Epoch: 1, State: st, Contributors: 1})
+			if s := n.Subs(); len(s) != 1 || s[0].Children != 1 {
+				t.Fatalf("entry %+v, want the report filed", s)
+			}
+			if end == "cancel" {
+				n.Handle(fe, CancelMsg{SID: sid, Group: group})
+			} else {
+				n.onPeerRemoved(sender)
+			}
+			aggregate.Recycle(st)
+			if got := st.KeyCount(); got != 0 {
+				t.Fatalf("state still holds %d keys after the sender's last hold went back: the dropped slot kept its hold", got)
 			}
 		})
 	}
