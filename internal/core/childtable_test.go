@@ -337,10 +337,10 @@ func TestChildTable(t *testing.T) {
 	// Re-filing the same state only refreshes; a different one moves.
 	sb.Retain()
 	i, found = tb.find(b)
-	if tb.file(i, found, childSlot{id: b, state: sb, contrib: 1, epoch: 2}) {
+	if tb.file(i, found, childSlot{id: b, state: sb, contrib: 1, seq: 2}) {
 		t.Fatal("re-filing the held state must not count as moved")
 	}
-	if tb[i].epoch != 2 {
+	if tb[i].seq != 2 {
 		t.Fatal("re-filing must refresh the slot")
 	}
 	// Filing keeps the expected flag it is handed.

@@ -245,14 +245,29 @@ func (InstallMsg) MsgKind() string { return "moara.install" }
 // the subscription tree — the standing-query analog of ResponseMsg,
 // carrying the same keyed GroupedState payloads, but without any
 // downward dissemination: one message per tree edge per epoch.
+//
+// A report is full or unchanged. A full one carries State and numbers it
+// with Seq. An unchanged one (Since != 0) carries no State: it says the
+// subtree state is still the one of the sender's full report Since, and
+// refreshes only Contributors, Np and Unknown. A parent whose slot holds
+// that full report keeps its state; any other parent files nothing and
+// asks the child for a full report (see handleEpochReport).
 type EpochReportMsg struct {
 	SID   QueryID
 	Group string
 	// Epoch is the sender's local epoch counter (observability only;
 	// parents batch whatever reports arrived since their last tick).
 	Epoch uint64
-	// State is the subtree's keyed partial aggregate.
+	// State is the subtree's keyed partial aggregate; nil in an
+	// unchanged report.
 	State aggregate.State
+	// Seq numbers a full report from a counter the sending node keeps
+	// across its entries, starting past its Incarnation, so a restarted
+	// agent never reuses a number. Zero on a retraction.
+	Seq uint64
+	// Since marks an unchanged report: the Seq of the full report whose
+	// State still stands.
+	Since uint64
 	// Contributors counts the subtree members folded into State this
 	// epoch (including attribute-less members), like
 	// ResponseMsg.Contributors.

@@ -90,9 +90,12 @@ type Node struct {
 	freeExecs []*exec
 
 	qidCounter uint64
-	gcArmed    bool
-	gc         simnet.Timer
-	closed     bool
+	// reportSeq numbers the full epoch reports (EpochReportMsg.Seq).
+	reportSeq uint64
+	gcArmed   bool
+	gc        simnet.Timer
+	gcFn      func()
+	closed    bool
 
 	// Fallback receives messages the node does not understand (used by
 	// the baseline packages to graft extra protocols onto a node).
@@ -117,9 +120,11 @@ func NewNode(env simnet.Env, cfg Config, overlayCfg pastry.Config) *Node {
 		targetsGen:   -1,
 		subsGen:      -1,
 		qidCounter:   env.Incarnation(),
+		reportSeq:    env.Incarnation(),
 	}
 	n.flushFn = n.flushOutbox
 	n.clockFn = n.epochWalk
+	n.gcFn = n.gcFire
 	n.overlay = pastry.New(env, overlayCfg)
 	n.overlay.Deliver = n.handleRouted
 	n.overlay.OnNodeRemoved = n.onPeerRemoved
@@ -895,16 +900,19 @@ func (n *Node) armGC() {
 		period = time.Minute
 	}
 	n.gcArmed = true
-	n.env.Arm(period, func() {
-		n.gcArmed = false
-		n.sweep()
-		// Re-arm only while something remains collectible: remembered
-		// query IDs always expire; predicate state only when StateTTL is
-		// set (otherwise an idle node would tick forever).
-		if !n.ledger.empty() || (n.cfg.StateTTL > 0 && len(n.groups) > 0) {
-			n.armGC()
-		}
-	}, &n.gc)
+	n.env.Arm(period, n.gcFn, &n.gc)
+}
+
+// gcFire is the GC timer firing: one sweep, then a re-arm only while
+// something remains collectible: remembered query IDs always expire;
+// predicate state only when StateTTL is set (otherwise an idle node
+// would tick forever).
+func (n *Node) gcFire() {
+	n.gcArmed = false
+	n.sweep()
+	if !n.ledger.empty() || (n.cfg.StateTTL > 0 && len(n.groups) > 0) {
+		n.armGC()
+	}
 }
 
 func (n *Node) sweep() {

@@ -41,23 +41,29 @@ import (
 // one wire frame per epoch, on the simulator and the TCP agent alike,
 // and the heap holds one epoch event per node, not one per entry.
 //
-// An unchanged subtree costs a pointer, not a merge. Each entry retains
-// the subtree state it last built and re-sends it, under the new epoch
-// number and with fresh Contributors/Np/Unknown, until an input moves:
-// a child slot files a different state or is dropped (the two-period
-// stale sweep included, which still runs every tick), an attribute of
-// this node changes (Node.attrGen), the node's subscription table gains
-// or loses an entry (Node.tableGen — the composite-cover claim depends
-// on it), or an install or subscribe touches the entry. A parent
-// recognises a re-sent state by pointer identity and only refreshes the
-// slot; over sockets every decode is a new object, so there leaf agents
-// skip their rebuild and interior agents rebuild as before. The retained
-// state is shared by its builder, the reports in flight and the parent's
-// slot, so it is never written after its first send and goes back to the
-// pool through the holder count of aggregate.Recycle. None of this is
-// configurable: the skip is exact (Merge is a pure function of its
-// inputs), so there is no setting under which rebuilding is the better
-// answer.
+// An unchanged subtree costs a few words, not a merge. Each entry
+// retains the subtree state it last built and re-uses it, under the new
+// epoch number and with fresh Contributors/Np/Unknown, until an input
+// moves: a child slot files a different state or is dropped (the
+// two-period stale sweep included, which still runs every tick), an
+// attribute of this node changes (Node.attrGen), the node's
+// subscription table gains or loses an entry (Node.tableGen — the
+// composite-cover claim depends on it), a subscribe touches the entry,
+// or an install changes what it computes. Once the entry has shipped
+// the state to its parent in a full report, it sends unchanged reports
+// that name that report's Seq and carry no state, on the simulator and
+// over sockets alike, so an interior agent whose children are quiet
+// decodes, merges and rebuilds nothing. A parent whose slot holds the
+// named report only refreshes the slot; any other files nothing and
+// re-installs the child, and since every install receipt (a
+// re-parenting included), retraction and rebuild makes the entry's next
+// report full, the child answers with the state it holds, without
+// rebuilding. The retained state is shared by its builder, the reports
+// in flight and the parent's slot, so it is never written after its
+// first send and goes back to the pool through the holder count of
+// aggregate.Recycle. None of this is configurable: the skip is exact
+// (Merge is a pure function of its inputs), so there is no setting under
+// which rebuilding is the better answer.
 
 // Sample is one epoch of a standing query delivered to the subscriber.
 type Sample struct {
@@ -157,9 +163,14 @@ type subState struct {
 	builtEmpty bool
 	attrGen    uint64
 	tableGen   uint64
+	// sentSeq is the Seq of the full report that shipped built to the
+	// current parent, or 0 when the next report must be full: after a
+	// rebuild, an install receipt (a re-parenting included) or a
+	// retraction. While it is set, reports go out unchanged.
+	sentSeq uint64
 	// changed marks an input of built that moved since the rebuild: a
-	// child slot filed a different state or was dropped, or an install
-	// or subscribe touched the entry.
+	// child slot filed a different state or was dropped, a subscribe
+	// touched the entry, or an install changed what it computes.
 	changed bool
 	// claim caches claimStanding's answer for tableGen.
 	claim bool
@@ -268,7 +279,12 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 	if !ok {
 		sub = n.newSub(ps, im.SID, im.Period)
 	}
-	sub.changed = true
+	// An install changes the state only through what the entry
+	// computes; any install makes the next report full, which is how a
+	// parent asks for one.
+	sub.changed = sub.changed || !ok || sub.eval != im.Eval || sub.attrKey != im.Attr ||
+		sub.spec != im.Spec || sub.groupBy != im.GroupBy
+	sub.sentSeq = 0
 	// A repaired adoption — the first install after this node's parent
 	// was purged as dead, or a round-advancing re-parenting (the tree
 	// was rebuilt around us after a root or interior death) — warrants
@@ -374,22 +390,9 @@ func (n *Node) refreshDue(sub *subState, isNew bool) bool {
 // it with a single cancel, pacing teardown at epoch cadence.
 func (n *Node) pushInstalls(sub *subState, refresh bool) {
 	targets := n.queryTargets(sub.ps)
-	im := InstallMsg{
-		SID:     sub.sid,
-		Group:   sub.ps.group.canon,
-		Eval:    sub.eval,
-		Attr:    sub.attrKey,
-		Spec:    sub.spec,
-		GroupBy: sub.groupBy,
-		Period:  sub.period,
-		Gen:     sub.gen,
-		ReplyTo: n.self,
-	}
 	for _, t := range targets {
 		if sub.kids.expect(t.ID) || refresh {
-			im.Level = t.Level
-			im.Jump = t.Jump
-			n.send(t.ID, im)
+			n.send(t.ID, n.install(sub, t))
 		}
 	}
 	for i := 0; i < len(sub.kids); {
@@ -402,6 +405,23 @@ func (n *Node) pushInstalls(sub *subState, refresh bool) {
 			n.send(id, CancelMsg{SID: sub.sid, Group: sub.ps.group.canon})
 		}
 		sub.changed = sub.kids.remove(id) || sub.changed
+	}
+}
+
+// install is sub's install for query target t.
+func (n *Node) install(sub *subState, t SetEntry) InstallMsg {
+	return InstallMsg{
+		SID:     sub.sid,
+		Group:   sub.ps.group.canon,
+		Eval:    sub.eval,
+		Attr:    sub.attrKey,
+		Spec:    sub.spec,
+		GroupBy: sub.groupBy,
+		Period:  sub.period,
+		Gen:     sub.gen,
+		Level:   t.Level,
+		Jump:    t.Jump,
+		ReplyTo: n.self,
 	}
 }
 
@@ -547,7 +567,8 @@ func (n *Node) epochTick(sub *subState, now time.Duration) {
 // sendReport pushes the subscription's current subtree batch — the
 // local contribution (if claimed) plus every fresh child report, rebuilt
 // only if one of them moved since the retained state was built — one
-// hop up-tree, or streams the root sample. epochTick
+// hop up-tree, as an unchanged report once the parent holds that state,
+// or streams the root sample. epochTick
 // calls it once per epoch; handleInstall also calls it eagerly when a
 // node is adopted by a new parent, so a subtree repaired after a crash
 // re-enters the stream without waiting out a full epoch of pipeline
@@ -562,6 +583,9 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 	var contrib int64
 	for i := 0; i < len(sub.kids); {
 		s := &sub.kids[i]
+		// A request for a full report lapses at the tick: a child whose
+		// report has not come by then may be asked again.
+		s.asked = false
 		if s.has && now-s.at > stale {
 			aggregate.Recycle(s.state)
 			sub.changed = true
@@ -610,11 +634,18 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		SID:          sub.sid,
 		Group:        ps.group.canon,
 		Epoch:        sub.epoch,
-		State:        state,
 		Contributors: contrib,
 		Np:           ps.np,
 		Unknown:      ps.unknown,
 	})
+	if sub.sentSeq != 0 && !sub.orphaned {
+		// The parent holds built already: say so, without the state.
+		em.Since = sub.sentSeq
+		n.send(sub.parent, em)
+		return
+	}
+	n.reportSeq++
+	em.State, em.Seq = state, n.reportSeq
 	state.Retain()
 	if sub.orphaned {
 		// The uptree chain is severed (parent purged as dead): pull
@@ -624,6 +655,7 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		n.overlay.Route(ps.group.treeKey(), em)
 		return
 	}
+	sub.sentSeq = em.Seq
 	n.send(sub.parent, em)
 }
 
@@ -652,7 +684,7 @@ func (n *Node) rebuild(sub *subState) {
 	sub.kids.fold(state)
 	sub.built = state
 	sub.builtEmpty = state.Nodes() == 0 && !state.Truncated()
-	sub.attrGen, sub.changed = n.attrGen, false
+	sub.attrGen, sub.changed, sub.sentSeq = n.attrGen, false, 0
 	sub.rebuilds++
 }
 
@@ -669,7 +701,9 @@ func (n *Node) retractRouted(sub *subState) {
 	n.overlay.Route(sub.ps.group.treeKey(), n.emptyReport(sub))
 }
 
+// emptyReport is a retraction; the entry's next report is full.
 func (n *Node) emptyReport(sub *subState) *EpochReportMsg {
+	sub.sentSeq = 0
 	return reportMsgs.of(EpochReportMsg{
 		SID:   sub.sid,
 		Group: sub.ps.group.canon,
@@ -729,13 +763,39 @@ func (n *Node) handleEpochReport(from ids.ID, em *EpochReportMsg, routed bool) {
 		n.send(from, CancelMsg{SID: em.SID, Group: em.Group})
 		return
 	}
-	if sub.kids.file(i, found, childSlot{id: from, expected: expected, state: em.State,
-		contrib: em.Contributors, epoch: em.Epoch, at: n.env.Now()}) {
-		sub.changed = true
+	switch {
+	case em.Since == 0:
+		if sub.kids.file(i, found, childSlot{id: from, expected: expected, state: em.State,
+			contrib: em.Contributors, seq: em.Seq, at: n.env.Now()}) {
+			sub.changed = true
+		}
+	case found && sub.kids[i].has && sub.kids[i].seq == em.Since:
+		// The slot holds the state the child re-sends: refreshing the
+		// slot does not move it.
+		s := &sub.kids[i]
+		s.contrib, s.at = em.Contributors, n.env.Now()
+	case expected && !sub.kids[i].asked:
+		// The slot lacks that state (a full report was lost, late, or
+		// swept): file nothing and ask for a full report, once per
+		// epoch. An install receipt makes the child's next report full,
+		// and re-installing a child's entry does not rebuild it.
+		sub.kids[i].asked = n.reinstall(sub, from)
 	}
 	if !routed {
 		n.noteChildCost(sub.ps, from, em.Np, em.Unknown)
 	}
+}
+
+// reinstall sends child the install pushInstalls would, and reports
+// whether child is still one of the entry's query targets.
+func (n *Node) reinstall(sub *subState, child ids.ID) bool {
+	for _, t := range n.queryTargets(sub.ps) {
+		if t.ID == child {
+			n.send(child, n.install(sub, t))
+			return true
+		}
+	}
+	return false
 }
 
 // handleCancel tears a subscription down and propagates the cancel to
@@ -804,16 +864,18 @@ func (n *Node) dropSub(sub *subState, cascade bool) {
 
 // childSlot is one child of an aggregation. expected marks a child the
 // node waits on (an unanswered one-shot target, an installed child); has
-// marks a filed partial (a one-shot answer, or the newest epoch report,
-// which replaces its predecessor so a child skewing across epochs counts
-// once).
+// marks a filed partial (a one-shot answer, or the newest full epoch
+// report, which replaces its predecessor so a child skewing across
+// epochs counts once). seq is that report's Seq, and asked marks a
+// standing child asked for a full report this epoch (handleEpochReport).
 type childSlot struct {
 	id       ids.ID
 	expected bool
 	has      bool
+	asked    bool
 	state    aggregate.State
 	contrib  int64
-	epoch    uint64
+	seq      uint64
 	at       time.Duration
 }
 

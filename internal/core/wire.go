@@ -33,6 +33,10 @@ const (
 	tagSample      = 6
 	tagCancel      = 7
 	tagStatus      = 8
+	// A full report with its Seq (tag 1 is one with Seq 0), and an
+	// unchanged report, which carries no state.
+	tagReportSeq  = 9
+	tagReportSame = 10
 
 	// maxMsgDepth bounds BatchMsg nesting (hostile input on decode;
 	// real batches are one level deep).
@@ -69,9 +73,11 @@ func ReadMessage(b []byte) (any, []byte, error) {
 
 // tagOf is the columnar tag of m's type, or tagGob.
 func tagOf(m any) byte {
-	switch m.(type) {
-	case EpochReportMsg, *EpochReportMsg:
-		return tagEpochReport
+	switch m := m.(type) {
+	case EpochReportMsg:
+		return m.tag()
+	case *EpochReportMsg:
+		return m.tag()
 	case BatchMsg, *BatchMsg:
 		return tagBatch
 	case ResponseMsg, *ResponseMsg:
@@ -99,11 +105,11 @@ func wireMessage(c *wirefmt.Codec, m *any, depth int) {
 	switch tag {
 	case tagGob:
 		wireGob(c, m)
-	case tagEpochReport:
+	case tagEpochReport, tagReportSeq, tagReportSame:
 		if v, ok := (*m).(EpochReportMsg); ok {
-			v.wire(c)
+			v.wire(c, tag)
 		} else {
-			reportMsgs.carried(c, m).wire(c)
+			reportMsgs.carried(c, m).wire(c, tag)
 		}
 	case tagBatch:
 		if v, ok := (*m).(BatchMsg); ok {
@@ -196,14 +202,40 @@ func (q *QueryID) wire(c *wirefmt.Codec) {
 	c.Uvarint(&q.Num)
 }
 
-func (m *EpochReportMsg) wire(c *wirefmt.Codec) {
+// tag is the report's layout: tag 1 keeps its bytes for a full report
+// with Seq 0.
+func (m *EpochReportMsg) tag() byte {
+	switch {
+	case m.Since != 0:
+		return tagReportSame
+	case m.Seq != 0:
+		return tagReportSeq
+	}
+	return tagEpochReport
+}
+
+// wire carries the report in the layout tag names: tag 1's body, less
+// the state in an unchanged report, then Seq or Since. A decoded Seq or
+// Since of 0 would re-encode under another tag, so it is corrupt.
+func (m *EpochReportMsg) wire(c *wirefmt.Codec, tag byte) {
 	m.SID.wire(c)
 	c.String(&m.Group)
 	c.Uvarint(&m.Epoch)
-	aggregate.WireState(c, &m.State)
+	if tag != tagReportSame {
+		aggregate.WireState(c, &m.State)
+	}
 	c.Varint(&m.Contributors)
 	c.Int(&m.Np)
 	c.Float(&m.Unknown)
+	switch tag {
+	case tagReportSeq:
+		c.Uvarint(&m.Seq)
+	case tagReportSame:
+		c.Uvarint(&m.Since)
+	}
+	if c.Dec && tag != tagEpochReport && m.Seq == 0 && m.Since == 0 {
+		c.Corrupt("core: report numbered 0")
+	}
 }
 
 func (m *BatchMsg) wire(c *wirefmt.Codec, depth int) {

@@ -625,7 +625,8 @@ func (e *nodeEnv) After(d time.Duration, fn func()) (cancel func()) {
 // writes the same few words instead of allocating a cancel closure per
 // cycle. The zero Timer is inert; Stop after the timer fired is a no-op.
 type Timer struct {
-	// ext is a timer another runtime scheduled (SetStop).
+	// ext is a timer another runtime scheduled (SetStop). It stays in
+	// the slot after Stop, so that runtime can re-arm it in place (Ext).
 	ext interface{ Stop() bool }
 	net *Network
 	ev  *event
@@ -641,9 +642,11 @@ func (t *Timer) Stop() {
 	}
 	if t.ext != nil {
 		t.ext.Stop()
-		t.ext = nil
 	}
 }
+
+// Ext returns the timer another runtime put in the slot, or nil.
+func (t *Timer) Ext() interface{ Stop() bool } { return t.ext }
 
 // SetStop arms the slot with a timer another runtime scheduled (the TCP
 // agent's); Stop calls its Stop.

@@ -139,6 +139,12 @@ func wireSamples(t testing.TB) []any {
 			core.EpochReportMsg{SID: qid, Group: "g", Epoch: 21, State: dcountDense, Np: 3},
 		}},
 		value.Str("plain value"),
+		// A full epoch report numbered by its sender (an agent's numbers
+		// start past its incarnation stamp), and the unchanged report
+		// that later stands for it: no state, only that number.
+		core.EpochReportMsg{SID: qid, Group: "g", Epoch: 22, State: grouped, Seq: 1<<60 + 7,
+			Contributors: 9, Np: 5, Unknown: 1.5},
+		core.EpochReportMsg{SID: qid, Group: "g", Epoch: 23, Since: 1<<60 + 7, Contributors: 9, Np: 5, Unknown: 1.5},
 	}
 	return samples
 }

@@ -612,22 +612,37 @@ func (e nodeEnv) Send(to ids.ID, m any) {
 }
 
 // Arm schedules fn on the real clock, serialized with the core, and
-// records the handle in t.
+// records the handle in t. The slot keeps its timer across arms: the
+// first Arm on a slot makes it, every later one re-arms it in place.
 func (e nodeEnv) Arm(d time.Duration, fn func(), t *simnet.Timer) {
 	t.Stop()
-	a := &agentTimer{n: e.n, fn: fn}
-	a.at = time.AfterFunc(d, a.fire)
-	t.SetStop(a)
+	a, ok := t.Ext().(*agentTimer)
+	if !ok {
+		a = &agentTimer{n: e.n}
+		t.SetStop(a)
+	}
+	a.fn, a.due, a.armed = fn, time.Now().Add(d), true
+	if ok {
+		a.at.Reset(d)
+	} else {
+		a.at = time.AfterFunc(d, a.fire)
+	}
 }
 
-// agentTimer is one Arm on the real clock. Like a simulator timer, it
-// never runs once stopped under the core lock, even if its clock already
-// fired and fire waits for the lock; nor once the node is closed.
+// agentTimer is a timer slot's timer on the real clock. Like a simulator
+// timer, it runs fn once per arming, never before that arming's deadline,
+// never once stopped under the core lock, and never once the node is
+// closed. A callback of an earlier arming that was already waiting for
+// the lock when the slot was stopped or re-armed therefore does nothing:
+// it finds the slot disarmed, or its deadline still ahead.
 type agentTimer struct {
-	n       *Node
-	fn      func()
-	at      *time.Timer
-	stopped bool // guarded by n.mu
+	n  *Node
+	at *time.Timer
+	// Guarded by n.mu: this arming's callback and deadline, and whether
+	// it is still to run.
+	fn    func()
+	due   time.Time
+	armed bool
 }
 
 func (a *agentTimer) fire() {
@@ -638,14 +653,15 @@ func (a *agentTimer) fire() {
 		return
 	default:
 	}
-	if !a.stopped {
+	if a.armed && !time.Now().Before(a.due) {
+		a.armed = false
 		a.fn()
 	}
 }
 
 // Stop runs under the core lock, as the core's timer calls do.
 func (a *agentTimer) Stop() bool {
-	a.stopped = true
+	a.armed = false
 	return a.at.Stop()
 }
 

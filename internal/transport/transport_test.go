@@ -290,8 +290,9 @@ func TestTCPConcurrentStandingCoalesced(t *testing.T) {
 
 // TestAgentArm drives the agent's real-clock timers directly: a timer
 // runs once, Stop before it fires prevents it and after it fired does
-// nothing, re-arming a slot replaces its pending timer, and nothing
-// armed before Close runs after Close returns. The core arms and stops
+// nothing, re-arming a slot replaces its pending timer (even when the
+// old callback already waits for the lock), and nothing armed before
+// Close runs after Close returns. The core arms and stops
 // its timers under the core lock, so the test does too.
 func TestAgentArm(t *testing.T) {
 	listen := func(t *testing.T) *Node {
@@ -368,6 +369,36 @@ func TestAgentArm(t *testing.T) {
 		})
 		wait(t, fired, "b")
 		quiet(t, fired)
+	})
+	t.Run("re-arm while the old callback waits", func(t *testing.T) {
+		// The slot is re-armed in place, with the same callback, while the
+		// first arming's callback waits for the lock: that waiting
+		// callback must not run the second arming early, and the second
+		// arming runs once, at its deadline.
+		nd, fired := listen(t), make(chan time.Time, 4)
+		tick := func() { fired <- time.Now() }
+		const d = 50 * time.Millisecond
+		var tm simnet.Timer
+		var rearmed time.Time
+		locked(nd, func(env nodeEnv) {
+			env.Arm(time.Millisecond, tick, &tm)
+			time.Sleep(5 * time.Millisecond) // the clock fires; the callback waits for the lock
+			rearmed = time.Now()
+			env.Arm(d, tick, &tm)
+		})
+		select {
+		case at := <-fired:
+			if early := at.Sub(rearmed); early < d {
+				t.Fatalf("the re-armed timer ran %v after its arming, before its %v deadline", early, d)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the re-armed timer never ran")
+		}
+		select {
+		case <-fired:
+			t.Fatal("the re-armed timer ran twice")
+		case <-time.After(100 * time.Millisecond):
+		}
 	})
 	t.Run("nothing runs after close", func(t *testing.T) {
 		nd := listen(t)

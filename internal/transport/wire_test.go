@@ -518,6 +518,19 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(bytes.Replace(report, []byte("cs202"), []byte("cs101"), 1))
 	f.Add(bytes.Replace(report, []byte("cs101"), []byte("cs303"), 1))
+	// A numbered full report and an unchanged one, and each with its
+	// number 0, which no encoder writes under their tags.
+	for _, m := range []core.EpochReportMsg{
+		{Group: "g", Epoch: 1, State: grouped, Seq: 1},
+		{Group: "g", Epoch: 2, Since: 1, Contributors: 2},
+	} {
+		numbered, err := core.AppendMessage(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(numbered)
+		f.Add(append(numbered[:len(numbered)-1:len(numbered)-1], 0))
+	}
 	f.Add(appendConnHeader(nil, "127.0.0.1:1"))
 	f.Add([]byte{wireMagic, 'M', 'W', wireVersion})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // huge frame length
@@ -569,8 +582,8 @@ func FuzzDecodeFrame(f *testing.F) {
 // TestSentStateReturnsToPool: Send takes over the state hold a message
 // carries. The peer decodes its own copy, so the hold goes back to the
 // pool once the frame is written, and at once when the destination is
-// unknown; a self-send hands it to the local core instead, which owns it
-// from then on (it rejects this report, for a subscription it does not
+// unknown; an unchanged report carries none; a self-send hands it to the
+// local core instead, which owns it from then on (it rejects this report, for a subscription it does not
 // hold, and hands the hold back itself).
 func TestSentStateReturnsToPool(t *testing.T) {
 	RegisterGob()
@@ -615,6 +628,20 @@ func TestSentStateReturnsToPool(t *testing.T) {
 	send(ids.FromKey("not in the roster"), m)
 	if g.KeyCount() != 0 {
 		t.Fatal("a report to an unknown peer kept the message's hold")
+	}
+
+	// An unchanged report carries no state and so no hold: writing it
+	// hands back nothing, and the state it stands for keeps its holder.
+	g, _ = report()
+	written := nd.Stats().MsgsOut
+	send(IDOf(ln.Addr().String()), &core.EpochReportMsg{SID: core.QueryID{Num: 1}, Group: "g", Epoch: 2, Since: 1})
+	for deadline := time.Now().Add(5 * time.Second); nd.Stats().MsgsOut == written; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the unchanged report was never written")
+		}
+	}
+	if g.KeyCount() != 1 {
+		t.Fatal("writing an unchanged report handed back a hold it never took")
 	}
 
 	g, m = report()
