@@ -114,9 +114,6 @@ func main() {
 				for _, line := range moara.FormatGroups(res) {
 					fmt.Printf("  %s\n", line)
 				}
-				if res.Truncated {
-					fmt.Println("  (truncated: key cap exceeded, remainder under <other>)")
-				}
 			}
 			fmt.Printf("  %s  (%d contributors, %v)\n",
 				res.Agg, res.Contributors, res.Stats.TotalTime.Round(time.Millisecond))

@@ -141,9 +141,6 @@ func runQuery(c *moara.SimCluster, cl moara.Client, q string, samples int) {
 		for _, line := range moara.FormatGroups(res) {
 			fmt.Printf("  %s\n", line)
 		}
-		if res.Truncated {
-			fmt.Println("  (truncated: key cap exceeded, remainder under <other>)")
-		}
 		fmt.Printf("  total %s across %d keys\n", res.Agg.Value, res.Stats.GroupKeys)
 	} else {
 		fmt.Printf("  %s\n", res.Agg)

@@ -194,19 +194,28 @@ func TestGroupedMonitorSeries(t *testing.T) {
 	}
 }
 
-// TestFormatGroups checks the display helper's ordering and shape.
+// TestFormatGroups checks the display helper's ordering and shape, and
+// that a result past the key cap ends with the truncation note.
 func TestFormatGroups(t *testing.T) {
-	c := NewSimCluster(16, WithSeed(31))
-	for i := 0; i < c.Size(); i++ {
-		c.SetAttr(i, "dc", Str([]string{"east", "west"}[i%2]))
-		c.SetAttr(i, "v", Int(1))
+	format := func(maxKeys int) (Result, []string) {
+		c := NewSimCluster(16, WithSeed(31), WithNodeConfig(core.Config{MaxGroupKeys: maxKeys}))
+		for i := 0; i < c.Size(); i++ {
+			c.SetAttr(i, "dc", Str([]string{"east", "west", "north"}[i%3]))
+			c.SetAttr(i, "v", Int(1))
+		}
+		res, err := c.Client(0).Query(context.Background(), "count(*) group by dc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, FormatGroups(res)
 	}
-	res, err := c.Client(0).Query(context.Background(), "count(*) group by dc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := FormatGroups(res)
-	if len(lines) != 2 || !strings.HasPrefix(lines[0], "east=") || !strings.HasPrefix(lines[1], "west=") {
+	if _, lines := format(0); len(lines) != 3 || !strings.HasPrefix(lines[0], "east=") ||
+		!strings.HasPrefix(lines[1], "north=") || !strings.HasPrefix(lines[2], "west=") {
 		t.Fatalf("lines = %v", lines)
+	}
+	res, lines := format(2)
+	if !res.Truncated || len(lines) != len(res.Groups)+1 ||
+		lines[len(lines)-1] != "(truncated: key cap exceeded, remainder under <other>)" {
+		t.Fatalf("truncated=%v lines = %v", res.Truncated, lines)
 	}
 }

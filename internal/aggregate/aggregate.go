@@ -492,9 +492,11 @@ type ExtremeState struct {
 	N     int64
 }
 
-// Add folds one node's value in.
+// Add folds one node's value in. NaN is skipped like an invalid value:
+// it compares equal to every number, so keeping it would make the
+// answer depend on merge order.
 func (s *ExtremeState) Add(node ids.ID, v value.Value) {
-	if !v.IsValid() {
+	if f, ok := v.AsFloat(); !v.IsValid() || ok && math.IsNaN(f) {
 		return
 	}
 	s.N++

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -292,7 +295,27 @@ func soakHost(i int) string { return fmt.Sprintf("h%04d", i) }
 //     over live nodes: dcount within the sketch's error bound of the
 //     live count, p99 inside the feasible rank window of the sorted
 //     live loads.
+//
+// Tier-1 runs churn schedule 83; -schedules picks others, e.g.
+// go test ./internal/cluster -run TestSketchChurnSoak -args -schedules=1-40
 func TestSketchChurnSoak(t *testing.T) {
+	lo, hi, found := strings.Cut(*soakSchedules, "-")
+	first, err1 := strconv.Atoi(lo)
+	last, err2 := strconv.Atoi(hi)
+	if !found {
+		last, err2 = first, nil
+	}
+	if err1 != nil || err2 != nil || last < first {
+		t.Fatalf("-schedules=%q: want N or N-M", *soakSchedules)
+	}
+	for s := first; s <= last; s++ {
+		t.Run(fmt.Sprintf("schedule=%d", s), func(t *testing.T) { sketchChurnSoak(t, int64(s)) })
+	}
+}
+
+var soakSchedules = flag.String("schedules", "83", "TestSketchChurnSoak's churn schedules: N or N-M")
+
+func sketchChurnSoak(t *testing.T, schedule int64) {
 	const (
 		n      = 96
 		period = 250 * time.Millisecond
@@ -360,7 +383,7 @@ func TestSketchChurnSoak(t *testing.T) {
 		t.Fatalf("streams never warmed: dcount=%v p99=%v", dcountWarm, quantWarm)
 	}
 
-	rng := rand.New(rand.NewSource(83))
+	rng := rand.New(rand.NewSource(schedule))
 	kills := 0
 	for _, ev := range workload.Churn(rng, n, workload.ChurnHalfLife(0.01, period), window, 0.5) {
 		ev := ev

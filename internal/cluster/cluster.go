@@ -43,8 +43,6 @@ type Options struct {
 	// runs every node on one heap, K >= 2 partitions the nodes across K
 	// heaps that drain lookahead windows in parallel. It is a speed
 	// setting: a seed gives the same run at any shard/worker count.
-	// K >= 2 is incompatible with SerializeProc, InstancesPerMachine > 1,
-	// and Tap (simnet rejects those at construction).
 	Shards int
 	// ShardWorkers caps OS-thread parallelism for sharded runs
 	// (0 = GOMAXPROCS, 1 = serial; results identical either way).

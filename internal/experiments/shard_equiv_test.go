@@ -7,15 +7,21 @@ package experiments
 // message accounting) at shards=1, 2 and 4, serial and parallel workers
 // alike. This is the cluster-level counterpart of simnet's
 // TestShardedEchoEquivalence. The scenario draws a latency and a
-// processing jitter per message, and pumps one-shots through
-// Cluster.Execute, which stops at a RunWhile condition.
+// processing jitter per message, queues processing on CPUs that ten
+// instances share (so co-located nodes sit on different shards), hashes
+// every send a Tap sees into the transcript, and pumps one-shots
+// through Cluster.Execute, which stops at a RunWhile condition.
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"io"
 	"testing"
 	"time"
 
 	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
+	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/pastry"
 	"github.com/moara/moara/internal/simnet"
 	"github.com/moara/moara/internal/value"
@@ -26,13 +32,15 @@ import (
 func shardEquivOptions(shards, workers int) cluster.Options {
 	period := 200 * time.Millisecond
 	return cluster.Options{
-		N:            96,
-		Seed:         17,
-		Latency:      simnet.LAN(simnet.LANConfig{}),
-		ProcDelay:    300 * time.Microsecond,
-		ProcJitter:   200 * time.Microsecond,
-		Shards:       shards,
-		ShardWorkers: workers,
+		N:                   96,
+		Seed:                17,
+		Latency:             simnet.LAN(simnet.LANConfig{}),
+		ProcDelay:           300 * time.Microsecond,
+		ProcJitter:          200 * time.Microsecond,
+		SerializeProc:       true,
+		InstancesPerMachine: 10,
+		Shards:              shards,
+		ShardWorkers:        workers,
 		Node: core.Config{
 			ChildTimeout:     2 * period,
 			QueryTimeout:     10 * period,
@@ -59,9 +67,18 @@ func runOneShot(tr *transcript, c *cluster.Cluster, q string) {
 // scenarioSharded exercises the full stack through a fixed schedule:
 // one-shot queries, two standing queries with distinct periods, a
 // kill/join/recover script under heartbeats, and a final accounting
-// snapshot.
+// snapshot with the hash of every tapped send.
 func scenarioSharded(tr *transcript, shards, workers int) {
-	c := cluster.New(shardEquivOptions(shards, workers))
+	opts := shardEquivOptions(shards, workers)
+	taps, tapHash := 0, fnv.New64a()
+	opts.Tap = func(from, to ids.ID, m any, lat time.Duration) {
+		taps++
+		tapHash.Write(from[:])
+		tapHash.Write(to[:])
+		io.WriteString(tapHash, simnet.KindOf(m))
+		binary.Write(tapHash, binary.LittleEndian, int64(lat))
+	}
+	c := cluster.New(opts)
 	seedEquivNodes(c)
 	period := 200 * time.Millisecond
 
@@ -111,6 +128,7 @@ func scenarioSharded(tr *transcript, shards, workers int) {
 	c.RunFor(2 * period)
 
 	tr.logf("virtual now=%v live=%d", c.Net.Now(), c.LiveCount())
+	tr.logf("taps=%d hash=%016x", taps, tapHash.Sum64())
 	tr.logCounters(c)
 }
 

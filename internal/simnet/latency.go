@@ -234,33 +234,9 @@ func (m *WANModel) MinLatency() time.Duration {
 	return time.Duration(floor * (1 - m.cfg.JitterFrac/2))
 }
 
-// Pairwise returns a draw-free deterministic model: each ordered node
-// pair gets a stable one-way delay of base plus a hashed offset in
-// [0, spread), at nanosecond granularity, so a pair's delay never
-// varies from message to message.
-func Pairwise(base, spread time.Duration, seed int64) LatencyModel {
-	return &pairwiseModel{base: base, spread: spread, seed: seed}
-}
-
-type pairwiseModel struct {
-	base, spread time.Duration
-	seed         int64
-}
-
-func (m *pairwiseModel) Latency(from, to ids.ID, _ time.Duration, _ *rand.Rand) time.Duration {
-	if m.spread <= 0 {
-		return m.base
-	}
-	h := mix(from.Seed()^uint64(m.seed), to.Seed())
-	return m.base + time.Duration(h%uint64(m.spread))
-}
-
-// MinLatency reports the base delay (the hashed offset only adds).
-func (m *pairwiseModel) MinLatency() time.Duration { return m.base }
-
 // mix is the splitmix64 finalizer over a ^ b·φ, the package's one hash:
-// WAN pair keys, pairwise delays, straggler duty cycles and every
-// splitmix stream derive from it.
+// WAN pair keys, straggler duty cycles and every splitmix stream derive
+// from it.
 func mix(a, b uint64) uint64 {
 	x := a ^ b*0x9e3779b97f4a7c15
 	x ^= x >> 30

@@ -10,15 +10,15 @@ package simnet
 // then every event in [t, t+H) is causally independent of concurrently
 // executing events on other shards, so the shards may drain their heaps
 // through the window in parallel. Cross-shard deliveries are staged in
-// per-(source, destination) inbox buffers and folded into the
-// destination heaps at the window barrier — by construction they always
-// land at or beyond the window end.
+// the sending shard's log and pushed onto the destination heaps at the
+// window barrier — by construction they always land at or beyond the
+// window end.
 //
 // One shard follows the same rules as K. A run's observable behavior
 // (results, samples, virtual-time latencies, message accounting, where
-// RunWhile stops, what Now reads) is a function of the seed alone — the
-// shard count, the worker count, and the OS scheduler never change it.
-// Three disciplines deliver that:
+// RunWhile stops, what Now reads, what Tap sees) is a function of the
+// seed alone — the shard count, the worker count, and the OS scheduler
+// never change it. Four disciplines deliver that:
 //
 //  1. Event keys. Every event is ordered by (time, origin, birth
 //     sequence), where origin is the creating node's registration index
@@ -37,20 +37,24 @@ package simnet
 //     the coordinator at window edges, before any node event at the same
 //     instant, and Network.Now is the coordinator's clock, which moves
 //     at window edges.
+//  4. Send order. SerializeProc's CPU queues (shared across shards
+//     under CPUOf) and Tap see sends in the order one heap runs them.
+//     With either option every send goes on the log, stamped with its
+//     instant and the largest event key its shard has run at that
+//     instant — not the sending event's own key, because a heap runs a
+//     zero-delay timer right after the event that armed it, whatever
+//     the timer's key. Outside a window (Schedule callbacks, harness
+//     code) the stamp is the coordinator's call counter instead. The
+//     coordinator merges the logs by stamp at the barrier, then calls
+//     Tap and reserves the CPU for each send in that order.
 //
 // A message to a node that is not registered when it is sent is dropped
 // at send, and one to a node removed while it is in flight is dropped
 // on arrival, so a message never targets a shard assignment made after
-// the fact. Both count as sent.
-//
-// Features whose semantics are inherently global-send-order need one
-// shard and panic at construction with K >= 2: SerializeProc's CPU-queue
-// accounting advances a per-CPU busy horizon in global send order, CPUOf
-// may co-locate nodes from different shards on one CPU, and Tap observes
-// sends in a global order that parallel windows do not have. Drop stays
-// available, but the callback runs concurrently from shard workers: it
-// must be thread-safe and must decide from its arguments alone (not
-// shared mutable state or call order) to stay shard-count independent.
+// the fact. Both count as sent. Drop runs at send, concurrently from
+// shard workers: it must be thread-safe and must decide from its
+// arguments alone (not shared mutable state or call order) to stay
+// shard-count independent.
 
 import (
 	"fmt"
@@ -84,16 +88,17 @@ func packKey(origin int32, oseq int64) int64 {
 	return (int64(origin)+1)<<40 | oseq
 }
 
-// stagedMsg is a cross-shard delivery parked in an inbox buffer until
-// the window barrier.
-type stagedMsg struct {
-	at  time.Duration
-	key int64
-	msg delivery
+// sent is a send waiting in its shard's log for the barrier: the send
+// instant, its place in send order (see the header), the drawn wire
+// latency and processing time, and the delivery's event key.
+type sent struct {
+	at, lat, proc time.Duration
+	ord, key      int64
+	msg           delivery
 }
 
 // shard is one partition of the network: a private heap, pool, and
-// counter, plus staging buffers for messages addressed to other shards.
+// counter, plus the log of sends waiting for the barrier.
 type shard struct {
 	net *Network
 	idx int
@@ -111,13 +116,14 @@ type shard struct {
 	// processed. Between barriers all shard clocks are re-aligned to
 	// the coordinator's.
 	now time.Duration
-	// winEnd is the (exclusive) end of the window being executed; the
-	// cross-shard horizon guard asserts against it.
-	winEnd time.Duration
-	// stageOut[d] buffers messages this shard's nodes sent to shard d
-	// during the current window. Only this shard appends; the
-	// coordinator drains it at the barrier.
-	stageOut [][]stagedMsg
+	// runKey is the largest event key run at now in this window, -1
+	// outside a window.
+	runKey int64
+	// log holds the sends that wait for the barrier: cross-shard ones,
+	// and every one under SerializeProc or Tap. Only this shard appends;
+	// the coordinator drains it, from next on.
+	log  []sent
+	next int
 
 	processed int
 }
@@ -182,9 +188,9 @@ func (sh *shard) push(at time.Duration, key int64, msg delivery) {
 	sh.events.push(ev)
 }
 
-// send transmits a message from e. Deliveries to the sender's own shard
-// go straight onto its heap; cross-shard deliveries are staged for the
-// barrier fold.
+// send transmits a message from e. Without SerializeProc or Tap a
+// delivery to the sender's own shard goes straight onto its heap; every
+// other send waits in the log for the barrier.
 func (sh *shard) send(e *nodeEnv, to ids.ID, m any) {
 	n := sh.net
 	logical := sh.counter.countSend(e.idx, m)
@@ -196,29 +202,21 @@ func (sh *shard) send(e *nodeEnv, to ids.ID, m any) {
 		return // not registered: dropped at send (see the header)
 	}
 	lat := n.opts.Latency.Latency(e.id, to, sh.now, e.latRng)
-	if n.opts.Tap != nil {
-		n.opts.Tap(e.id, to, m, lat)
-	}
 	proc := n.opts.ProcDelay
 	if n.opts.ProcJitter > 0 {
 		proc += time.Duration(e.latRng.Int63n(int64(n.opts.ProcJitter)))
 	}
-	at := sh.now + lat + proc
-	if n.opts.SerializeProc && proc > 0 {
-		// The message waits for the receiver's CPU to finish earlier
-		// work, then occupies it for proc. CPUs may be shared between
-		// co-located instances (Emulab: 10 per machine).
-		at = n.serializeOn(dst.cpu, sh.now+lat, proc)
-	}
 	msg := delivery{from: e.id, dst: dst, m: m, logical: logical}
-	if dst.shard == sh {
-		sh.push(at, e.key(), msg)
+	if dst.shard == sh && !n.ordered {
+		sh.push(sh.now+lat+proc, e.key(), msg)
 		return
 	}
-	if at < sh.winEnd {
-		panic(fmt.Sprintf("simnet: cross-shard delivery at %v lands inside the lookahead window ending %v — the latency model violated its MinLatency bound", at, sh.winEnd))
+	ord := sh.runKey
+	if ord < 0 { // outside a window: on the coordinator, in call order
+		ord = n.calls
+		n.calls++
 	}
-	sh.stageOut[dst.shard.idx] = append(sh.stageOut[dst.shard.idx], stagedMsg{at: at, key: e.key(), msg: msg})
+	sh.log = append(sh.log, sent{at: sh.now, lat: lat, proc: proc, ord: ord, key: e.key(), msg: msg})
 }
 
 // exec runs one popped event — a delivery or a timer — and recycles its
@@ -246,33 +244,73 @@ func (sh *shard) exec(ev *event) {
 // runWindow drains this shard's heap through [*, end), leaving events
 // at or beyond end for later windows.
 func (sh *shard) runWindow(end time.Duration) {
-	sh.winEnd = end
 	for sh.events.Len() > 0 && sh.events.q[0].at < end {
 		ev := sh.events.pop()
+		if ev.at != sh.now {
+			sh.runKey = -1
+		}
 		sh.now = ev.at
+		sh.runKey = max(sh.runKey, ev.seq)
 		sh.processed++
 		sh.exec(ev)
 	}
+	sh.runKey = -1
 }
 
-// foldStaged moves every staged cross-shard message onto its
-// destination heap. Coordinator context only: all shard workers are
-// parked, so the buffers are stable.
+// foldStaged delivers every logged send. Under SerializeProc or Tap it
+// first merges the shards' logs, each already in send order, by stamp.
+// Coordinator context only: all shard workers are parked, so the logs
+// are stable.
 func (n *Network) foldStaged() {
-	for _, src := range n.shards {
-		for d, buf := range src.stageOut {
-			for i := range buf {
-				n.shards[d].push(buf[i].at, buf[i].key, buf[i].msg)
-				buf[i] = stagedMsg{}
+	for n.ordered {
+		src := n.shards[0]
+		for _, sh := range n.shards[1:] {
+			if sh.next < len(sh.log) && (src.next == len(src.log) || sh.log[sh.next].before(&src.log[src.next])) {
+				src = sh
 			}
-			src.stageOut[d] = buf[:0]
 		}
+		if src.next == len(src.log) {
+			break
+		}
+		n.deliver(&src.log[src.next])
+		src.next++
+	}
+	for _, sh := range n.shards {
+		for i := sh.next; i < len(sh.log); i++ {
+			n.deliver(&sh.log[i])
+		}
+		clear(sh.log)
+		sh.log, sh.next = sh.log[:0], 0
 	}
 }
 
+// before orders two logged sends by stamp.
+func (s *sent) before(o *sent) bool {
+	return s.at < o.at || s.at == o.at && s.ord < o.ord
+}
+
+// deliver calls Tap for one send, reserves the receiver's CPU under
+// SerializeProc, and pushes the delivery onto the receiver's heap.
+func (n *Network) deliver(s *sent) {
+	if n.opts.Tap != nil {
+		n.opts.Tap(s.msg.from, s.msg.dst.id, s.msg.m, s.lat)
+	}
+	at := s.at + s.lat + s.proc
+	if n.opts.SerializeProc && s.proc > 0 {
+		// The message waits for the receiver's CPU to finish earlier
+		// work, then occupies it for proc. CPUs may be shared between
+		// co-located instances (Emulab: 10 per machine).
+		at = n.serializeOn(s.msg.dst.cpu, s.at+s.lat, s.proc)
+	}
+	if at < n.winEnd {
+		panic(fmt.Sprintf("simnet: delivery at %v lands inside the lookahead window ending %v — the latency model violated its MinLatency bound", at, n.winEnd))
+	}
+	s.msg.dst.shard.push(at, s.key, s.msg)
+}
+
 // nextEventAt returns the earliest pending shard-event time, or
-// ok=false when all heaps are empty. (Staged buffers are always empty
-// when this runs: the coordinator folds them first.)
+// ok=false when all heaps are empty. (The logs are always empty when
+// this runs: the coordinator folds them first.)
 func (n *Network) nextEventAt() (time.Duration, bool) {
 	var best time.Duration
 	found := false
@@ -349,7 +387,7 @@ func (n *Network) run(target time.Duration, bounded bool, cond func() bool, maxE
 			// Include events at exactly target, then stop.
 			end = target + 1
 		}
-		n.now = next
+		n.now, n.winEnd = next, end
 		n.runOneWindow(end)
 		for _, sh := range n.shards {
 			processed += sh.processed

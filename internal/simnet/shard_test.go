@@ -210,8 +210,8 @@ func TestShardedDownNode(t *testing.T) {
 	}
 }
 
-// TestShardedGates checks that unsupported feature combinations are
-// rejected at construction.
+// TestShardedGates checks that a network without a positive lookahead
+// window is rejected at construction.
 func TestShardedGates(t *testing.T) {
 	expectPanic := func(name string, opts Options) {
 		t.Helper()
@@ -222,9 +222,6 @@ func TestShardedGates(t *testing.T) {
 		}()
 		New(opts)
 	}
-	expectPanic("serializeproc", Options{Shards: 2, SerializeProc: true, ProcDelay: time.Millisecond})
-	expectPanic("cpuof", Options{Shards: 2, CPUOf: func(ids.ID) int { return 0 }})
-	expectPanic("tap", Options{Shards: 2, Tap: func(_, _ ids.ID, _ any, _ time.Duration) {}})
 	expectPanic("no-lookahead", Options{Shards: 2, Latency: Uniform(0, time.Millisecond)})
 	expectPanic("no-lookahead one shard", Options{Latency: Uniform(0, time.Millisecond)})
 	// ProcDelay alone is a usable bound.
@@ -246,28 +243,76 @@ func TestShardedLookaheadHorizon(t *testing.T) {
 	}
 }
 
-// TestPairwiseModel checks the deterministic pairwise model: stable,
-// draw-free, bounded, direction-dependent.
-func TestPairwiseModel(t *testing.T) {
-	m := Pairwise(2*time.Millisecond, time.Millisecond, 7)
-	a, b := shardTestID(0), shardTestID(1)
-	l1 := m.Latency(a, b, 0, nil)
-	l2 := m.Latency(a, b, time.Hour, nil)
-	if l1 != l2 {
-		t.Fatalf("pairwise latency unstable: %v vs %v", l1, l2)
+// relayHandler forwards "go" to the node's target, through a zero-delay
+// timer when viaTimer is set, and records when anything else arrives.
+type relayHandler struct {
+	env      *nodeEnv
+	target   ids.ID
+	viaTimer bool
+	done     string
+}
+
+func (h *relayHandler) Handle(_ ids.ID, m any) {
+	if m != "go" {
+		h.done = fmt.Sprintf("%v@%v", m, h.env.Now())
+		return
 	}
-	if l1 < 2*time.Millisecond || l1 >= 3*time.Millisecond {
-		t.Fatalf("latency %v outside [base, base+spread)", l1)
+	if h.viaTimer {
+		h.env.Arm(0, func() { h.env.Send(h.target, "x") }, new(Timer))
+		return
 	}
-	if m.MinLatency() != 2*time.Millisecond {
-		t.Fatal("pairwise MinLatency wrong")
+	h.env.Send(h.target, "y")
+}
+
+// TestShardedSendOrder pins the send-order rule: two senders on two
+// shards reach one shared CPU at one instant, and the CPU serves them
+// in the order one heap sends them. Node 1 runs its "go" (keyed by
+// node 2) first and sends y; node 0 runs its "go" (keyed by node 3) and
+// arms a zero-delay timer, keyed by node 0 — below node 2's key — that
+// sends x. One heap runs that timer right after the event that armed
+// it, so x queues behind y.
+func TestShardedSendOrder(t *testing.T) {
+	run := func(shards, workers int) (done, taps []string) {
+		var hs [6]relayHandler
+		net := New(Options{
+			Latency:       Fixed(time.Millisecond),
+			ProcDelay:     time.Millisecond,
+			SerializeProc: true,
+			CPUOf: func(id ids.ID) int {
+				for i := 0; i < 6; i++ {
+					if id == shardTestID(i) {
+						return min(i, 4) // nodes 4 and 5 share CPU 4
+					}
+				}
+				return -1
+			},
+			Tap: func(from, to ids.ID, m any, _ time.Duration) {
+				taps = append(taps, fmt.Sprintf("%s>%s:%v", from.Short(), to.Short(), m))
+			},
+			Shards:       shards,
+			ShardWorkers: workers,
+		})
+		for i := range hs {
+			hs[i].env = net.AddNode(shardTestID(i))
+			hs[i].env.BindHandler(&hs[i])
+		}
+		hs[0].target, hs[0].viaTimer = shardTestID(4), true
+		hs[1].target = shardTestID(5)
+		hs[3].env.Send(shardTestID(0), "go")
+		hs[2].env.Send(shardTestID(1), "go")
+		net.Run(0)
+		return []string{hs[4].done, hs[5].done}, taps
 	}
-	rev := m.Latency(b, a, 0, nil)
-	fwd := m.Latency(a, b, 0, nil)
-	// Directions hash independently; equality would be a (harmless)
-	// coincidence, so only check both stay in range.
-	if rev < 2*time.Millisecond || rev >= 3*time.Millisecond || fwd != l1 {
-		t.Fatalf("reverse latency %v out of range", rev)
+	wantDone, wantTaps := run(1, 1)
+	if got := fmt.Sprint(wantDone); got != "[x@5ms y@4ms]" {
+		t.Fatalf("one shard: completions %s, want y served first", got)
+	}
+	for _, workers := range []int{1, 2} {
+		done, taps := run(2, workers)
+		if fmt.Sprint(done) != fmt.Sprint(wantDone) || fmt.Sprint(taps) != fmt.Sprint(wantTaps) {
+			t.Errorf("two shards, %d workers: completions %v taps %v; one shard: %v %v",
+				workers, done, taps, wantDone, wantTaps)
+		}
 	}
 }
 
@@ -282,7 +327,6 @@ func TestMinLatencyBounds(t *testing.T) {
 		{"uniform", Uniform(2*time.Millisecond, 9*time.Millisecond)},
 		{"lan", LAN(LANConfig{})},
 		{"wan", WAN(WANConfig{Seed: 5})},
-		{"pairwise", Pairwise(time.Millisecond, time.Millisecond, 3)},
 	}
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range models {

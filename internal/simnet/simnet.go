@@ -300,26 +300,28 @@ type Options struct {
 	// Tap, when non-nil, observes every sent message along with its
 	// sampled one-way wire latency (before processing delay). The
 	// Fig. 16 bottleneck analysis uses it to reconstruct tree-edge
-	// round-trip times.
+	// round-trip times. It runs on the coordinator at the window
+	// barrier, in send order (see shard.go), so it needs no locking.
 	Tap func(from, to ids.ID, m any, wireLatency time.Duration)
 	// SerializeProc, when true, models per-node CPU queueing: messages
 	// to one node are processed one at a time, each occupying the node
-	// for ProcDelay(+jitter). This reproduces the aggregation-root
-	// serialization that dominates the paper's Emulab latencies.
+	// for ProcDelay(+jitter), in the order they were sent. This
+	// reproduces the aggregation-root serialization that dominates the
+	// paper's Emulab latencies.
 	SerializeProc bool
 	// CPUOf, when non-nil with SerializeProc, maps nodes to shared
 	// CPUs: the paper's Emulab testbed ran 10 Moara instances per
 	// physical machine, so co-located instances contend for one CPU.
 	// It must be a pure function of the ID: a registered node's CPU is
 	// evaluated once, at AddNode, which panics on a CPU number outside
-	// [0, 1<<20).
+	// [0, 1<<20). Co-located nodes may live on different shards.
 	CPUOf func(id ids.ID) int
 	// Shards is the number of event heaps (see shard.go); 0 means 1.
 	// Nodes are partitioned round-robin across the heaps, which drain
 	// lookahead windows of MinLatency() + ProcDelay in parallel; that
 	// sum must be positive. Shards and ShardWorkers are speed settings
-	// only: a run is the same for a given seed whatever they are.
-	// SerializeProc, CPUOf and Tap require one heap.
+	// only: a run is the same for a given seed whatever they are, every
+	// other option included.
 	Shards int
 	// ShardWorkers caps how many OS threads execute a window in
 	// parallel: 0 means GOMAXPROCS, 1 forces inline (serial)
@@ -354,6 +356,13 @@ type Network struct {
 	drv     eventQueue
 	dseq    int64
 	wg      sync.WaitGroup
+	// winEnd is the end of the last window, which no logged delivery
+	// may land before. ordered is set by SerializeProc or Tap: every
+	// send is logged, and the logs merge into send order. calls stamps
+	// sends made outside a window.
+	winEnd  time.Duration
+	ordered bool
+	calls   int64
 }
 
 // New creates an empty simulated network.
@@ -362,16 +371,6 @@ func New(opts Options) *Network {
 		opts.Latency = Fixed(time.Millisecond)
 	}
 	k := max(opts.Shards, 1)
-	if k > 1 {
-		switch {
-		case opts.SerializeProc:
-			panic("simnet: SerializeProc is not supported with Shards >= 2 (its CPU-queue accounting is global-send-order semantics; use one heap)")
-		case opts.CPUOf != nil:
-			panic("simnet: CPUOf is not supported with Shards >= 2")
-		case opts.Tap != nil:
-			panic("simnet: Tap is not supported with Shards >= 2 (sends have no global observation order across parallel windows)")
-		}
-	}
 	n := &Network{
 		opts:    opts,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
@@ -379,6 +378,7 @@ func New(opts Options) *Network {
 		shards:  make([]*shard, k),
 		horizon: opts.Latency.MinLatency() + opts.ProcDelay,
 		workers: opts.ShardWorkers,
+		ordered: opts.SerializeProc || opts.Tap != nil,
 	}
 	if n.horizon <= 0 {
 		panic("simnet: the lookahead window MinLatency() + ProcDelay must be positive")
@@ -388,12 +388,7 @@ func New(opts Options) *Network {
 	}
 	n.workers = max(min(n.workers, k), 1)
 	for i := range n.shards {
-		n.shards[i] = &shard{
-			net:      n,
-			idx:      i,
-			counter:  n.newCounter(),
-			stageOut: make([][]stagedMsg, k),
-		}
+		n.shards[i] = &shard{net: n, idx: i, counter: n.newCounter(), runKey: -1}
 	}
 	return n
 }
@@ -492,15 +487,12 @@ func (n *Network) Rand() *rand.Rand { return n.rng }
 // PendingEvents reports the scheduled-event backlog (deliveries plus
 // armed timers). Harnesses use it to watch for runaway amplification —
 // a protocol bug that doubles messages per hop shows up here long
-// before it exhausts memory. It sums the shard heaps, the staged
-// cross-shard inboxes, and the coordinator's Schedule queue.
+// before it exhausts memory. It sums the shard heaps, the logged sends,
+// and the coordinator's Schedule queue.
 func (n *Network) PendingEvents() int {
 	total := n.drv.Len()
 	for _, sh := range n.shards {
-		total += sh.events.Len()
-		for _, buf := range sh.stageOut {
-			total += len(buf)
-		}
+		total += sh.events.Len() + len(sh.log)
 	}
 	return total
 }

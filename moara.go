@@ -64,7 +64,6 @@ import (
 	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/ids"
-	"github.com/moara/moara/internal/simnet"
 	"github.com/moara/moara/internal/transport"
 	"github.com/moara/moara/internal/value"
 )
@@ -160,27 +159,10 @@ func WithWANModel() Option {
 
 // WithShards partitions the simulated nodes across k event heaps that
 // drain conservative-lookahead windows in parallel. It is a speed
-// setting only: a seed gives the same run at any shard or worker count.
-// k >= 2 is incompatible with the per-node CPU queueing of WithLANModel
-// and WithWANModel (SerializeProc; WithLANModel also shares machines):
-// NewSimCluster panics on the combination. k <= 1 runs every node on
-// one heap.
+// setting only: a seed gives the same run at any shard or worker count,
+// with any latency model. k <= 1 runs every node on one heap.
 func WithShards(k int) Option {
 	return func(o *options) { o.cl.Shards = k }
-}
-
-// WithPairwiseModel simulates a wide-area network with stable, hashed
-// per-pair one-way delays (no per-message jitter draws): each ordered
-// node pair gets base + hash in [0, spread). Its positive base gives
-// the scheduler its lookahead horizon.
-func WithPairwiseModel(base, spread time.Duration) Option {
-	return func(o *options) {
-		o.model = func(c cluster.Options) cluster.Options {
-			c.Latency = simnet.Pairwise(base, spread, c.Seed)
-			c.ProcDelay = 300 * time.Microsecond
-			return c
-		}
-	}
 }
 
 // SimCluster is an in-process simulated Moara deployment.
@@ -334,9 +316,6 @@ func FormatSample(s Sample) []string {
 		for _, l := range FormatGroups(s.Result) {
 			lines = append(lines, "  "+l)
 		}
-		if s.Result.Truncated {
-			lines = append(lines, "  (truncated: key cap exceeded, remainder under <other>)")
-		}
 		return lines
 	}
 	return []string{fmt.Sprintf("epoch %d%s: %s (%d contributors)",
@@ -344,7 +323,8 @@ func FormatSample(s Sample) []string {
 }
 
 // FormatGroups renders a grouped result's per-key answers as
-// "key=value" lines, sorted by key for stable display.
+// "key=value" lines, sorted by key for stable display, then a note when
+// the key cap truncated the result.
 func FormatGroups(res Result) []string {
 	keys := make([]string, 0, len(res.Groups))
 	for k := range res.Groups {
@@ -361,6 +341,9 @@ func FormatGroups(res Result) []string {
 			continue
 		}
 		out = append(out, fmt.Sprintf("%s=%s", k, g.Value))
+	}
+	if res.Truncated {
+		out = append(out, "(truncated: key cap exceeded, remainder under <other>)")
 	}
 	return out
 }

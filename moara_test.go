@@ -76,7 +76,7 @@ func TestSimClusterWANModel(t *testing.T) {
 // TestModelSeedOptionOrder: a seeded latency model is built from the
 // final seed, so WithSeed before or after it gives the same network.
 func TestModelSeedOptionOrder(t *testing.T) {
-	for _, model := range []Option{WithWANModel(), WithPairwiseModel(5*time.Millisecond, 20*time.Millisecond)} {
+	for _, model := range []Option{WithWANModel(), WithLANModel()} {
 		seedFirst := clusterOptions(48, []Option{WithSeed(11), model})
 		seedLast := clusterOptions(48, []Option{model, WithSeed(11)})
 		for i := 0; i < 16; i++ {

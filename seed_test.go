@@ -22,7 +22,7 @@ func TestStandingSeedReproducible(t *testing.T) {
 		opts []Option
 	}{
 		{"lan", []Option{WithLANModel()}},
-		{"pairwise-4-shards", []Option{WithPairwiseModel(5*time.Millisecond, 20*time.Millisecond), WithShards(4)}},
+		{"lan-4-shards", []Option{WithLANModel(), WithShards(4)}},
 	}
 	queries := []string{
 		"avg(load) every 1s",
