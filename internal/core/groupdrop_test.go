@@ -113,7 +113,7 @@ func TestGroupDropLeavesNoTrace(t *testing.T) {
 	qm := sumQuery(parent, 1, group)
 	qm.Eval = eval
 	n.Handle(parent, ref(qm))
-	n.Handle(child, StatusMsg{Group: group, UpdateSet: []SetEntry{{ID: child, Level: 1}}, Np: 1})
+	n.Handle(child, &StatusMsg{Group: group, UpdateSet: []SetEntry{{ID: child, Level: 1}}, Np: 1})
 	sid := QueryID{Origin: parent, Num: 2}
 	n.Handle(parent, InstallMsg{SID: sid, Group: group, Eval: eval, Attr: "a",
 		Spec: aggregate.Spec{Kind: aggregate.KindSum}, Period: 100 * time.Millisecond, Gen: 1, ReplyTo: parent})

@@ -261,9 +261,9 @@ type EpochReportMsg struct {
 	// State is the subtree's keyed partial aggregate; nil in an
 	// unchanged report.
 	State aggregate.State
-	// Seq numbers a full report from a counter the sending node keeps
-	// across its entries, starting past its Incarnation, so a restarted
-	// agent never reuses a number. Zero on a retraction.
+	// Seq numbers a full report or a retraction from a counter the sending
+	// node keeps across its entries, starting past its Incarnation, so a
+	// restarted agent never reuses a number; parents file them in order.
 	Seq uint64
 	// Since marks an unchanged report: the Seq of the full report whose
 	// State still stands.
@@ -344,10 +344,10 @@ func (b BatchMsg) Unpack() []any { return b.Items }
 // ---------------------------------------------------------------------
 // Pooled messages
 //
-// QueryMsg, ResponseMsg, EpochReportMsg and BatchMsg cross a tree edge
-// on every hop and epoch, so they travel as pointers from one free list
-// per kind, shared by every node in the process (tree traffic is one-way
-// per kind: per-node lists would drain at senders, fill at receivers).
+// QueryMsg, ResponseMsg, StatusMsg, EpochReportMsg and BatchMsg are the
+// tree's traffic, so they travel as pointers from one free list per kind,
+// shared by every node in the process (tree traffic is one-way per kind:
+// per-node lists would drain at senders, fill at receivers).
 // Drawn by the sending node or by ReadMessage, a message is its
 // receiver's once sent, and is handed back once, with Release: by
 // Node.Handle after dispatching it, by the TCP agent once its frame is
@@ -358,7 +358,7 @@ func (b BatchMsg) Unpack() []any { return b.Items }
 // freeList is the free list of one pooled kind.
 type freeList[T any] struct{ sync.Pool }
 
-// get returns a zeroed message, a batch with its emptied item buffer.
+// get returns a zeroed message; a batch or a status keeps its buffer.
 func (l *freeList[T]) get() *T {
 	if m, ok := l.Get().(*T); ok {
 		return m
@@ -376,12 +376,13 @@ func (l *freeList[T]) of(v T) *T {
 var (
 	queryMsgs    freeList[QueryMsg]
 	responseMsgs freeList[ResponseMsg]
+	statusMsgs   freeList[StatusMsg]
 	reportMsgs   freeList[EpochReportMsg]
 	batchMsgs    freeList[BatchMsg]
 )
 
 // Release hands a pooled message back to its free list, zeroed, and
-// ignores anything else. A batch keeps its item buffer, cleared.
+// ignores anything else. A batch or a status keeps its buffer, emptied.
 func Release(m any) {
 	switch m := m.(type) {
 	case *QueryMsg:
@@ -390,6 +391,9 @@ func Release(m any) {
 	case *ResponseMsg:
 		*m = ResponseMsg{}
 		responseMsgs.Put(m)
+	case *StatusMsg:
+		*m = StatusMsg{UpdateSet: m.UpdateSet[:0]}
+		statusMsgs.Put(m)
 	case *EpochReportMsg:
 		*m = EpochReportMsg{}
 		reportMsgs.Put(m)

@@ -90,7 +90,7 @@ type Node struct {
 	freeExecs []*exec
 
 	qidCounter uint64
-	// reportSeq numbers the full epoch reports (EpochReportMsg.Seq).
+	// reportSeq numbers full reports and retractions (EpochReportMsg.Seq).
 	reportSeq uint64
 	gcArmed   bool
 	gc        simnet.Timer
@@ -345,7 +345,7 @@ func (n *Node) Handle(from ids.ID, m any) {
 		n.handleQuery(from, msg)
 	case *ResponseMsg:
 		n.handleResponse(from, msg)
-	case StatusMsg:
+	case *StatusMsg:
 		n.handleStatus(from, msg)
 	case ProbeRespMsg:
 		n.fe.handleProbeResp(msg)
@@ -581,23 +581,24 @@ func (n *Node) maybeSendStatus(ps *predState) {
 	}
 	ps.lastSentValid = true
 	ps.lastSentPrune = prune
-	ps.lastSentSet = append([]SetEntry(nil), set...)
-	// Ship the retained copy, not the live set: recompute reuses the
-	// qSet/updateSet backing buffers, and on the simulator an in-flight
-	// message aliases the sender's memory until delivery.
-	n.send(ps.parent, StatusMsg{
+	ps.lastSentSet = append(ps.lastSentSet[:0], set...)
+	// The message ships its own copy: recompute reuses the qSet/updateSet
+	// backing buffers, and a sent message is the receiver's.
+	sm := statusMsgs.get()
+	*sm = StatusMsg{
 		Group:     ps.group.canon,
 		Prune:     prune,
-		UpdateSet: ps.lastSentSet,
+		UpdateSet: append(sm.UpdateSet, set...),
 		Np:        ps.np,
 		Unknown:   ps.unknown,
 		LastSeq:   ps.lastSeq,
-	})
+	}
+	n.send(ps.parent, sm)
 }
 
 // handleStatus merges a child's PRUNE/NO-PRUNE + updateSet report (§4,
 // §5) and reacts to any resulting observable change.
-func (n *Node) handleStatus(from ids.ID, sm StatusMsg) {
+func (n *Node) handleStatus(from ids.ID, sm *StatusMsg) {
 	ps, err := n.groupOf(sm.Group)
 	if err != nil {
 		return

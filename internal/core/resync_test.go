@@ -137,3 +137,92 @@ func TestStandingResyncAfterLostReport(t *testing.T) {
 		t.Fatalf("the write at node %d (depth %d) never reached the stream", c, depth)
 	}
 }
+
+// TestRoutedRetractionAfterFullReport: an orphan that pulled its subtree
+// to the tree root through the overlay is adopted by the root itself. It
+// retracts the pulled copy through the overlay and sends its eager full
+// report directly, and here the routed retraction arrives second. The
+// retraction is numbered below the full report, so the root's slot keeps
+// the full report's state instead of emptying.
+func TestRoutedRetractionAfterFullReport(t *testing.T) {
+	const period = 100 * time.Millisecond
+	var (
+		hold bool
+		held []any
+	)
+	net := simnet.New(simnet.Options{Seed: 3, Drop: func(_, _ ids.ID, m any) bool {
+		if rm, ok := m.(pastry.RouteMsg); ok {
+			_, ok = rm.Payload.(*EpochReportMsg)
+			if hold && ok {
+				held = append(held, m)
+			}
+			return hold && ok
+		}
+		if _, ok := m.(*EpochReportMsg); hold && ok {
+			held = append(held, m)
+			return true
+		}
+		return false
+	}})
+	members := []ids.ID{ids.FromKey("retract-a"), ids.FromKey("retract-b")}
+	oracle := pastry.NewOracle(members)
+	nodes := make([]*Node, len(members))
+	for i, id := range members {
+		env := net.AddNode(id)
+		nodes[i] = NewNode(env, Config{SubTTL: time.Hour, SubRenewInterval: time.Hour, CoalesceWindow: CoalesceOff},
+			pastry.Config{})
+		env.BindHandler(nodes[i])
+		oracle.Fill(nodes[i].Overlay())
+		nodes[i].Store().SetInt("v", int64(i+1))
+	}
+	mustSubscribe(t, nodes[0], "sum(v) every 100ms", func(Sample) {})
+	net.RunFor(10 * period)
+	root, child := nodes[0], nodes[1]
+	if !root.Subs()[0].Root {
+		root, child = child, root
+	}
+	entry := func(n *Node) *subState { return n.groups[n.Subs()[0].Group].subs[0] }
+	rs, cs := entry(root), entry(child)
+	slot := func() childSlot {
+		i, found := rs.kids.find(child.self)
+		if !found {
+			t.Fatal("the root holds no slot for its child")
+		}
+		return rs.kids[i]
+	}
+
+	// The child's parent is purged as dead: it pulls to the root.
+	cs.orphaned = true
+	net.RunFor(2 * period)
+	if s := slot(); !cs.pulled || !s.has || s.state.Nodes() != 1 {
+		t.Fatalf("pulled %v, slot %+v: want the root to file the orphan's pulled report", cs.pulled, s)
+	}
+	pulled := slot().seq
+
+	// The root adopts the orphan; hold what the child sends it.
+	hold = true
+	child.Handle(root.self, root.install(rs, SetEntry{ID: child.self, Level: cs.level}))
+	hold = false
+	var full, retraction *EpochReportMsg
+	var route pastry.RouteMsg
+	for _, m := range held {
+		switch m := m.(type) {
+		case pastry.RouteMsg:
+			route, retraction = m, m.Payload.(*EpochReportMsg)
+		case *EpochReportMsg:
+			full = m
+		}
+	}
+	if full == nil || retraction == nil || full.Since != 0 || retraction.State.Nodes() != 0 {
+		t.Fatalf("held %+v: want a routed retraction and a direct full report", held)
+	}
+	rseq, fseq := retraction.Seq, full.Seq
+	root.Handle(child.self, full)
+	root.Handle(child.self, route)
+	if s := slot(); !s.has || s.seq != fseq || s.state == nil || s.state.Nodes() != 1 {
+		t.Fatalf("after the late retraction the root's slot holds %+v, want full report %d with the child's state", s, fseq)
+	}
+	if !(pulled < rseq && rseq < fseq) {
+		t.Fatalf("pulled report %d, retraction %d, full report %d: want them numbered in send order", pulled, rseq, fseq)
+	}
+}

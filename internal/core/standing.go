@@ -701,14 +701,16 @@ func (n *Node) retractRouted(sub *subState) {
 	n.overlay.Route(sub.ps.group.treeKey(), n.emptyReport(sub))
 }
 
-// emptyReport is a retraction; the entry's next report is full.
+// emptyReport is a numbered retraction; the entry's next report is full.
 func (n *Node) emptyReport(sub *subState) *EpochReportMsg {
 	sub.sentSeq = 0
+	n.reportSeq++
 	return reportMsgs.of(EpochReportMsg{
 		SID:   sub.sid,
 		Group: sub.ps.group.canon,
 		Epoch: sub.epoch,
 		State: aggregate.NewGrouped(sub.spec, n.cfg.MaxGroupKeys),
+		Seq:   n.reportSeq,
 	})
 }
 
@@ -764,6 +766,10 @@ func (n *Node) handleEpochReport(from ids.ID, em *EpochReportMsg, routed bool) {
 		return
 	}
 	switch {
+	case em.Since == 0 && found && em.Seq < sub.kids[i].seq:
+		// Sent before the report the slot holds: a late routed retraction.
+		aggregate.Recycle(em.State)
+		return
 	case em.Since == 0:
 		if sub.kids.file(i, found, childSlot{id: from, expected: expected, state: em.State,
 			contrib: em.Contributors, seq: em.Seq, at: n.env.Now()}) {

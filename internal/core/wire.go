@@ -90,7 +90,7 @@ func tagOf(m any) byte {
 		return tagSample
 	case CancelMsg:
 		return tagCancel
-	case StatusMsg:
+	case StatusMsg, *StatusMsg:
 		return tagStatus
 	}
 	return tagGob
@@ -144,9 +144,10 @@ func wireMessage(c *wirefmt.Codec, m *any, depth int) {
 			*m = v
 		}
 	case tagStatus:
-		v, _ := (*m).(StatusMsg)
-		if v.wire(c); c.Dec {
-			*m = v
+		if v, ok := (*m).(StatusMsg); ok {
+			v.wire(c)
+		} else {
+			statusMsgs.carried(c, m).wire(c)
 		}
 	default:
 		c.Corrupt("core: wire message tag %d", tag)
@@ -311,8 +312,13 @@ func (m *CancelMsg) wire(c *wirefmt.Codec) {
 func (m *StatusMsg) wire(c *wirefmt.Codec) {
 	c.String(&m.Group)
 	c.Bool(&m.Prune)
-	if n, isNil := c.Len(len(m.UpdateSet), m.UpdateSet == nil, ids.Bytes+2); c.Dec && !isNil {
-		m.UpdateSet = make([]SetEntry, n)
+	if n, isNil := c.Len(len(m.UpdateSet), m.UpdateSet == nil, ids.Bytes+2); c.Dec {
+		// A decoded status refills the buffer its pooled message kept.
+		if m.UpdateSet = append(m.UpdateSet[:0], make([]SetEntry, n)...); isNil {
+			m.UpdateSet = nil
+		} else if m.UpdateSet == nil {
+			m.UpdateSet = []SetEntry{}
+		}
 	}
 	for i := range m.UpdateSet {
 		e := &m.UpdateSet[i]

@@ -159,9 +159,11 @@ func isNaN(v value.Value) bool {
 	return ok && f != f
 }
 
-// String renders the term.
+// String renders the term, a group's canonical name, in one allocation.
 func (s Simple) String() string {
-	return fmt.Sprintf("%s %s %s", s.Attr, s.Op, s.Val)
+	var buf [64]byte
+	b := append(append(append(append(buf[:0], s.Attr...), ' '), s.Op.String()...), ' ')
+	return string(s.Val.Append(b))
 }
 
 // Canon renders the canonical term form.

@@ -1,7 +1,10 @@
 package predicate
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -271,5 +274,36 @@ func TestCanonQuickStable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSimpleCanonAllocBudget: a term's canonical text — the key of every
+// group the planner and the nodes look up — is the fmt rendering of
+// attribute, operator and value, built in one allocation for a bool or
+// string operand of ordinary length.
+func TestSimpleCanonAllocBudget(t *testing.T) {
+	long := strings.Repeat("attribute_", 8)
+	for _, s := range []Simple{
+		{Attr: "apache", Op: OpEQ, Val: value.Bool(true)},
+		{Attr: "os", Op: OpNE, Val: value.Str("linux")},
+		{Attr: "slice", Op: OpEQ, Val: value.Str(`cs "101"\ü`)},
+		{Attr: "cpu_util", Op: OpGE, Val: value.Float(0.5)},
+		{Attr: "cpu_util", Op: OpLT, Val: value.Float(math.Inf(-1))},
+		{Attr: "jobs", Op: OpGT, Val: value.Int(-123456789)},
+		{Attr: long, Op: OpLE, Val: value.Str(long)},
+		{Attr: "x", Op: OpInvalid},
+	} {
+		want := fmt.Sprintf("%s %s %s", s.Attr, s.Op, s.Val)
+		if got := s.Canon(); got != want {
+			t.Errorf("Canon() = %q, want %q", got, want)
+		}
+	}
+	for _, s := range []Simple{
+		{Attr: "apache", Op: OpEQ, Val: value.Bool(true)},
+		{Attr: "os", Op: OpNE, Val: value.Str("linux")},
+	} {
+		if avg := testing.AllocsPerRun(100, func() { _ = s.Canon() }); avg > 1 {
+			t.Errorf("%s: Canon allocates %.1f objects, want at most 1", s, avg)
+		}
 	}
 }

@@ -101,15 +101,26 @@ func (v Value) String() string {
 	switch v.kind {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
-	case KindString:
-		return strconv.Quote(v.s)
 	case KindBool:
 		return strconv.FormatBool(v.b)
-	default:
-		return "<invalid>"
 	}
+	var buf [32]byte
+	return string(v.Append(buf[:0]))
+}
+
+// Append appends the String form of the value to b.
+func (v Value) Append(b []byte) []byte {
+	switch v.kind {
+	case KindInt:
+		return strconv.AppendInt(b, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
+	case KindString:
+		return strconv.AppendQuote(b, v.s)
+	case KindBool:
+		return strconv.AppendBool(b, v.b)
+	}
+	return append(b, "<invalid>"...)
 }
 
 // Key renders the value as a canonical group-by key: like String, but
