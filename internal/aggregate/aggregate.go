@@ -65,11 +65,7 @@ const (
 type kindInfo struct {
 	name    string
 	aliases []string
-	// sketch marks approximation kinds whose merges are
-	// bound-preserving rather than value-identical (see Approximate);
-	// the merge-law property harness keys its comparison mode on it.
-	sketch bool
-	zero   func() State
+	zero    func() State
 }
 
 var registry = [...]kindInfo{
@@ -81,9 +77,9 @@ var registry = [...]kindInfo{
 	KindTopK:     {name: "top", zero: func() State { return new(TopKState) }},
 	KindEnum:     {name: "enum", aliases: []string{"enumerate", "list"}, zero: func() State { return new(EnumState) }},
 	KindStd:      {name: "std", aliases: []string{"stddev"}, zero: func() State { return new(StdState) }},
-	KindDCount:   {name: "dcount", aliases: []string{"countdistinct"}, sketch: true, zero: func() State { return new(DCountState) }},
-	KindQuantile: {name: "quantile", aliases: []string{"percentile"}, sketch: true, zero: func() State { return new(QuantileState) }},
-	KindTopKeys:  {name: "topkeys", sketch: true, zero: func() State { return new(TopKeysState) }},
+	KindDCount:   {name: "dcount", aliases: []string{"countdistinct"}, zero: func() State { return new(DCountState) }},
+	KindQuantile: {name: "quantile", aliases: []string{"percentile"}, zero: func() State { return new(QuantileState) }},
+	KindTopKeys:  {name: "topkeys", zero: func() State { return new(TopKeysState) }},
 	KindUnion:    {name: "union", zero: func() State { return new(UnionState) }},
 	KindCollect:  {name: "collect", zero: func() State { return new(CollectState) }},
 }

@@ -119,8 +119,8 @@ func TestPartialAggregationLawKillSubsets(t *testing.T) {
 // ---------------------------------------------------------------------
 // Generic merge-law harness over the registry: every registered kind —
 // current and future — gets the partial-aggregation laws for free. For
-// exact kinds (Approximate reports false, plus the merge-shape-exact
-// dcount) any random partition of the population, merged in any random
+// merge-shape-exact kinds (mergeShapeExact, the dcount sketch included)
+// any random partition of the population, merged in any random
 // tree shape, must reproduce the single-state ingest Result bit for
 // bit, in any merge order. For the bound-preserving sketches (quantile,
 // topkeys) the law is weaker by design — mergeability means the error

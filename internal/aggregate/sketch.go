@@ -5,8 +5,8 @@
 // standing-query epoch reports unchanged. The merge law here is weaker
 // than for the exact states — merging partials in any tree shape yields
 // a state whose *error bound* is preserved, not necessarily identical
-// bytes — and the property tests in partial_test.go key on Approximate
-// to compare accordingly. Background: Agarwal et al., "Mergeable
+// bytes — and the property tests in partial_test.go (mergeShapeExact)
+// compare accordingly. Background: Agarwal et al., "Mergeable
 // Summaries" (PODS 2012).
 
 package aggregate
@@ -47,11 +47,6 @@ const (
 	// rank, in at most a few KiB of state.
 	quantCap = 256
 )
-
-// Approximate reports whether the kind's merge law is bound-preserving
-// approximation (the sketch family) rather than value-identical. The
-// generic merge-law harness keys its comparison mode on this.
-func Approximate(k Kind) bool { return k.registered() && registry[k].sketch }
 
 // Kinds returns every registered aggregation kind in ascending order,
 // so registry-driven tests cover new kinds automatically.

@@ -377,9 +377,10 @@ func sumOf(st State) *SumState {
 	return st.(*SumState)
 }
 
-// GobEncode carries the state through the gob fallback (the tag-0
-// message bodies, such as the orphan pull's RouteMsg) as its columnar
-// body.
+// GobEncode carries the state through gob as its columnar body. Every
+// message that holds a state has a columnar layout, so no frame needs
+// it today; the gob sweep of the transport tests still encodes every
+// registered message, states included, through gob.
 func (g *GroupedState) GobEncode() ([]byte, error) {
 	c := wirefmt.Codec{}
 	wireGroupedBody(&c, g, 0)

@@ -197,7 +197,7 @@ func TestChurnSoak(t *testing.T) {
 			if !o.cold && over > overMax {
 				// Magnitude is bounded only outside rebuild windows: a
 				// root takeover can transiently double-carry big
-				// subtrees (pull + rebuilt tree) and is marked cold.
+				// subtrees (old chain + rebuilt tree) and is marked cold.
 				overMax = over
 			}
 		} else {
@@ -296,24 +296,28 @@ func soakHost(i int) string { return fmt.Sprintf("h%04d", i) }
 //     live count, p99 inside the feasible rank window of the sorted
 //     live loads.
 //
-// Tier-1 runs churn schedule 83; -schedules picks others, e.g.
+// Tier-1 runs churn schedules 22 (a repair that must not leave a subtree
+// counted along two paths) and 83; -schedules picks others,
+// a comma-separated list of N or N-M, e.g.
 // go test ./internal/cluster -run TestSketchChurnSoak -args -schedules=1-40
 func TestSketchChurnSoak(t *testing.T) {
-	lo, hi, found := strings.Cut(*soakSchedules, "-")
-	first, err1 := strconv.Atoi(lo)
-	last, err2 := strconv.Atoi(hi)
-	if !found {
-		last, err2 = first, nil
-	}
-	if err1 != nil || err2 != nil || last < first {
-		t.Fatalf("-schedules=%q: want N or N-M", *soakSchedules)
-	}
-	for s := first; s <= last; s++ {
-		t.Run(fmt.Sprintf("schedule=%d", s), func(t *testing.T) { sketchChurnSoak(t, int64(s)) })
+	for _, span := range strings.Split(*soakSchedules, ",") {
+		lo, hi, found := strings.Cut(span, "-")
+		first, err1 := strconv.Atoi(lo)
+		last, err2 := strconv.Atoi(hi)
+		if !found {
+			last, err2 = first, nil
+		}
+		if err1 != nil || err2 != nil || last < first {
+			t.Fatalf("-schedules=%q: want a comma-separated list of N or N-M", *soakSchedules)
+		}
+		for s := first; s <= last; s++ {
+			t.Run(fmt.Sprintf("schedule=%d", s), func(t *testing.T) { sketchChurnSoak(t, int64(s)) })
+		}
 	}
 }
 
-var soakSchedules = flag.String("schedules", "83", "TestSketchChurnSoak's churn schedules: N or N-M")
+var soakSchedules = flag.String("schedules", "22,83", "TestSketchChurnSoak's churn schedules: a comma-separated list of N or N-M")
 
 func sketchChurnSoak(t *testing.T, schedule int64) {
 	const (

@@ -81,8 +81,8 @@ type SubInfo struct {
 	// Parent is the short ID of the node reports flow to ("" at the
 	// root).
 	Parent string
-	// Orphaned marks a subscription whose parent was purged as dead
-	// and which is pulling directly to the root until re-adopted.
+	// Orphaned marks a subscription whose parent was purged as dead;
+	// it sends no report until an install re-adopts it.
 	Orphaned bool
 	// Gen is the newest renewal round seen.
 	Gen uint64

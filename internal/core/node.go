@@ -352,7 +352,7 @@ func (n *Node) Handle(from ids.ID, m any) {
 	case InstallMsg:
 		n.handleInstall(from, msg)
 	case *EpochReportMsg:
-		n.handleEpochReport(from, msg, false)
+		n.handleEpochReport(from, msg)
 	case SampleMsg:
 		n.fe.handleSample(from, msg)
 	case CancelMsg:
@@ -389,19 +389,14 @@ func (n *Node) maybeResyncSubs() {
 
 // handleRouted receives payloads delivered by the overlay to this node
 // as the owner of their key.
-func (n *Node) handleRouted(key ids.ID, payload any, origin ids.ID) {
-	switch msg := pooled(payload).(type) {
+func (n *Node) handleRouted(key ids.ID, payload any) {
+	switch msg := payload.(type) {
 	case SubQueryMsg:
 		n.handleSubQuery(msg)
 	case ProbeMsg:
 		n.handleProbe(msg)
 	case SubscribeMsg:
 		n.handleSubscribe(msg)
-	case *EpochReportMsg:
-		// The orphan pull: a subtree whose uptree chain was severed by a
-		// crash streams to the tree root through the overlay.
-		n.handleEpochReport(origin, msg, true)
-		Release(msg)
 	case CancelMsg:
 		n.handleCancel(key, msg, true)
 	}

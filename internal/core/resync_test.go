@@ -138,28 +138,186 @@ func TestStandingResyncAfterLostReport(t *testing.T) {
 	}
 }
 
-// TestRoutedRetractionAfterFullReport: an orphan that pulled its subtree
-// to the tree root through the overlay is adopted by the root itself. It
-// retracts the pulled copy through the overlay and sends its eager full
-// report directly, and here the routed retraction arrives second. The
-// retraction is numbered below the full report, so the root's slot keeps
-// the full report's state instead of emptying.
-func TestRoutedRetractionAfterFullReport(t *testing.T) {
+// TestOrphanWaitsForItsNewParent kills an interior node of a standing
+// tree and purges it everywhere, as an obituary would. Its children are
+// orphans: a child reports only to its current parent, so between the
+// purge and the install that adopts it an orphan sends no epoch report
+// at all, though it keeps ticking. The adopting installs are held back
+// for three epochs to make that window long. Once they are handed over,
+// each orphan's eager full report lands in its new parent's slot, and
+// from then on no sample counts a member twice: the stream settles on the
+// exact answer over the live nodes.
+func TestOrphanWaitsForItsNewParent(t *testing.T) {
+	const n, period = 64, 200 * time.Millisecond
+	type held struct {
+		from, to ids.ID
+		m        InstallMsg
+	}
+	var (
+		orphans  = map[ids.ID]bool{}
+		holding  bool
+		installs []held
+		silent   int // reports an orphan sent while orphaned
+		eager    = map[ids.ID]uint64{}
+		nodes    []*Node
+		index    = map[ids.ID]int{}
+	)
+	net := simnet.New(simnet.Options{Seed: 11, Latency: simnet.Uniform(5*time.Millisecond, 15*time.Millisecond),
+		Drop: func(from, to ids.ID, m any) bool {
+			if !orphans[from] && !orphans[to] {
+				return false
+			}
+			switch m := m.(type) {
+			case InstallMsg:
+				if holding && orphans[to] {
+					installs = append(installs, held{from, to, m})
+					return true
+				}
+			case *EpochReportMsg:
+				if orphans[from] && nodes[index[from]].Subs()[0].Orphaned {
+					silent++
+				}
+				if orphans[from] && m.Since == 0 && eager[from] == 0 && !holding {
+					eager[from] = m.Seq
+				}
+			case pastry.RouteMsg:
+				if _, ok := m.Payload.(*EpochReportMsg); ok && orphans[from] {
+					silent++
+				}
+			}
+			return false
+		}})
+	members := make([]ids.ID, n)
+	for i := range members {
+		members[i] = ids.FromKey(fmt.Sprintf("orphan-%d", i))
+	}
+	oracle := pastry.NewOracle(members)
+	nodes = make([]*Node, n)
+	short := make(map[string]int, n)
+	for i, id := range members {
+		env := net.AddNode(id)
+		nodes[i] = NewNode(env, Config{SubTTL: time.Hour, SubRenewInterval: time.Hour, CoalesceWindow: CoalesceOff},
+			pastry.Config{})
+		env.BindHandler(nodes[i])
+		oracle.Fill(nodes[i].Overlay())
+		nodes[i].Store().SetInt("v", int64(i+1))
+		index[id], short[id.Short()] = i, i
+	}
+	var samples []Sample
+	mustSubscribe(t, nodes[0], "sum(v) every 200ms", func(s Sample) { samples = append(samples, s) })
+	net.RunFor(20 * period)
+
+	// The victim: the interior node (neither the root nor the
+	// subscriber) whose largest child subtree is largest, so that an
+	// orphan carries children of its own.
+	below := make([]int, n)
+	for _, nd := range nodes {
+		for si := nd.Subs()[0]; !si.Root; {
+			p := short[si.Parent]
+			below[p]++
+			si = nodes[p].Subs()[0]
+		}
+	}
+	largest := make([]int, n)
+	for i, nd := range nodes {
+		if si := nd.Subs()[0]; !si.Root {
+			p := short[si.Parent]
+			largest[p] = max(largest[p], below[i]+1)
+		}
+	}
+	victim := -1
+	for i, nd := range nodes {
+		if i != 0 && !nd.Subs()[0].Root && largest[i] > 0 && (victim < 0 || largest[i] > largest[victim]) {
+			victim = i
+		}
+	}
+	if victim < 0 || largest[victim] < 2 {
+		t.Fatal("no interior node below the root with a grandchild")
+	}
+	dead := members[victim]
+	want := int64(n*(n+1)/2 - (victim + 1))
+	for i, nd := range nodes {
+		if nd.Subs()[0].Parent == dead.Short() {
+			orphans[members[i]] = true
+		}
+	}
+	net.SetDown(dead, true)
+	holding = true
+	for i, nd := range nodes {
+		if i != victim {
+			nd.Overlay().RemoveNode(dead)
+		}
+	}
+	for o := range orphans {
+		if !nodes[index[o]].Subs()[0].Orphaned {
+			t.Fatalf("the victim's child %s is not orphaned by the purge", o.Short())
+		}
+	}
+	net.RunFor(3 * period)
+	holding = false
+	if silent != 0 {
+		t.Fatalf("orphans sent %d epoch reports before any install adopted them, want none", silent)
+	}
+	adopted := map[ids.ID]bool{}
+	for _, h := range installs {
+		adopted[h.to] = true
+	}
+	for o := range orphans {
+		if !nodes[index[o]].Subs()[0].Orphaned {
+			t.Fatalf("orphan %s was adopted while its installs were held", o.Short())
+		}
+		if !adopted[o] {
+			t.Fatalf("no install came for orphan %s", o.Short())
+		}
+	}
+
+	warm := len(samples)
+	for _, h := range installs {
+		nodes[index[h.to]].Handle(h.from, h.m)
+	}
+	net.RunFor(20 * time.Millisecond)
+	for o := range orphans {
+		si := nodes[index[o]].Subs()[0]
+		parent := nodes[short[si.Parent]]
+		sub := parent.groups[si.Group].subs[0]
+		i, found := sub.kids.find(o)
+		if eager[o] == 0 || !found {
+			t.Fatalf("orphan %s: eager full report %d, slot found %v: want the new parent to file it", o.Short(), eager[o], found)
+		}
+		if slot := sub.kids[i]; !slot.has || slot.seq != eager[o] {
+			t.Fatalf("orphan %s: the new parent's slot holds report %d (has %v), want the eager full report %d", o.Short(), slot.seq, slot.has, eager[o])
+		}
+	}
+	net.RunFor(10 * period)
+	exact := false
+	for _, s := range samples[warm:] {
+		v, _ := s.Result.Agg.Value.AsInt()
+		if s.Contributors > n-1 || v > want {
+			t.Fatalf("epoch %d: sum %d from %d contributors, more than the %d live nodes' %d", s.Epoch, v, s.Contributors, n-1, want)
+		}
+		if exact && (s.Contributors != n-1 || v != want) {
+			t.Fatalf("epoch %d: sum %d from %d contributors after the stream was exact", s.Epoch, v, s.Contributors)
+		}
+		exact = s.Contributors == n-1 && v == want
+	}
+	if !exact {
+		t.Fatalf("the stream never reached sum %d over the %d live nodes", want, n-1)
+	}
+}
+
+// TestLateRetractionLeavesTheSlot: a child retracts its subtree and then
+// sends a full report, and the retraction arrives second. It is numbered
+// below the full report, so the parent's slot keeps the full report's
+// state instead of emptying.
+func TestLateRetractionLeavesTheSlot(t *testing.T) {
 	const period = 100 * time.Millisecond
 	var (
 		hold bool
-		held []any
+		held []*EpochReportMsg
 	)
 	net := simnet.New(simnet.Options{Seed: 3, Drop: func(_, _ ids.ID, m any) bool {
-		if rm, ok := m.(pastry.RouteMsg); ok {
-			_, ok = rm.Payload.(*EpochReportMsg)
-			if hold && ok {
-				held = append(held, m)
-			}
-			return hold && ok
-		}
-		if _, ok := m.(*EpochReportMsg); hold && ok {
-			held = append(held, m)
+		if em, ok := m.(*EpochReportMsg); hold && ok {
+			held = append(held, em)
 			return true
 		}
 		return false
@@ -183,46 +341,26 @@ func TestRoutedRetractionAfterFullReport(t *testing.T) {
 	}
 	entry := func(n *Node) *subState { return n.groups[n.Subs()[0].Group].subs[0] }
 	rs, cs := entry(root), entry(child)
-	slot := func() childSlot {
-		i, found := rs.kids.find(child.self)
-		if !found {
-			t.Fatal("the root holds no slot for its child")
-		}
-		return rs.kids[i]
-	}
 
-	// The child's parent is purged as dead: it pulls to the root.
-	cs.orphaned = true
-	net.RunFor(2 * period)
-	if s := slot(); !cs.pulled || !s.has || s.state.Nodes() != 1 {
-		t.Fatalf("pulled %v, slot %+v: want the root to file the orphan's pulled report", cs.pulled, s)
-	}
-	pulled := slot().seq
-
-	// The root adopts the orphan; hold what the child sends it.
 	hold = true
-	child.Handle(root.self, root.install(rs, SetEntry{ID: child.self, Level: cs.level}))
+	child.retract(cs, root.self)
+	child.sendReport(cs, net.Now())
 	hold = false
-	var full, retraction *EpochReportMsg
-	var route pastry.RouteMsg
-	for _, m := range held {
-		switch m := m.(type) {
-		case pastry.RouteMsg:
-			route, retraction = m, m.Payload.(*EpochReportMsg)
-		case *EpochReportMsg:
-			full = m
-		}
+	if len(held) != 2 || held[0].State.Nodes() != 0 || held[1].Since != 0 || held[1].State.Nodes() != 1 {
+		t.Fatalf("held %+v: want a retraction, then a full report", held)
 	}
-	if full == nil || retraction == nil || full.Since != 0 || retraction.State.Nodes() != 0 {
-		t.Fatalf("held %+v: want a routed retraction and a direct full report", held)
+	retraction, full := held[0], held[1]
+	if retraction.Seq >= full.Seq {
+		t.Fatalf("retraction %d, full report %d: want them numbered in send order", retraction.Seq, full.Seq)
 	}
-	rseq, fseq := retraction.Seq, full.Seq
+	fseq := full.Seq
 	root.Handle(child.self, full)
-	root.Handle(child.self, route)
-	if s := slot(); !s.has || s.seq != fseq || s.state == nil || s.state.Nodes() != 1 {
-		t.Fatalf("after the late retraction the root's slot holds %+v, want full report %d with the child's state", s, fseq)
+	root.Handle(child.self, retraction)
+	i, found := rs.kids.find(child.self)
+	if !found {
+		t.Fatal("the root holds no slot for its child")
 	}
-	if !(pulled < rseq && rseq < fseq) {
-		t.Fatalf("pulled report %d, retraction %d, full report %d: want them numbered in send order", pulled, rseq, fseq)
+	if s := rs.kids[i]; !s.has || s.seq != fseq || s.state == nil || s.state.Nodes() != 1 {
+		t.Fatalf("after the late retraction the root's slot holds %+v, want full report %d with the child's state", s, fseq)
 	}
 }

@@ -138,16 +138,13 @@ type subState struct {
 	kids childTable
 
 	// orphaned marks a subscription whose parent was purged as dead.
-	// While orphaned, reports are routed through the overlay to the
-	// tree root directly (the pull bypass: the subtree stays in the
-	// stream even though its uptree chain is severed), and the next
-	// install — from whichever node adopts us on the repaired tree —
-	// triggers an eager report so the retained subtree state re-enters
-	// the tree path without waiting for the next epoch tick.
+	// An orphan keeps ticking and rebuilding but sends nothing: a child
+	// reports only to its current parent. The next install — from
+	// whichever node adopts it on the repaired tree — triggers an eager
+	// report, so the retained subtree state re-enters the tree path
+	// without waiting for the next epoch tick. An orphan nothing adopts
+	// (its stream was cancelled) expires with its SubTTL lease.
 	orphaned bool
-	// pulled records that at least one orphaned report was routed to
-	// the root, so adoption knows to retract the direct copy.
-	pulled bool
 	// lastNonEmpty records that the previous report carried content, so
 	// a batch that goes empty (members re-parented away, group left)
 	// sends one final empty report — clearing the parent's buffered
@@ -214,14 +211,6 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 		// contribution from the old parent's path so the root sample
 		// and the old chain never carry it simultaneously.
 		n.retract(sub, sub.parent)
-	}
-	if ok && sub.pulled {
-		// An orphan pull routed at the tree key delivers to its owner —
-		// which is now us. Drop the buffered self-copy, or the root
-		// sample would carry this subtree twice (fresh child reports
-		// plus the pulled snapshot) until it staled out.
-		sub.kids.remove(n.self)
-		sub.pulled = false
 	}
 	sub.root = true
 	sub.orphaned = false
@@ -296,14 +285,7 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 	// bit for bit.
 	reparented := ok && !sub.root && im.Gen > sub.gen && sub.parent != im.ReplyTo
 	adopted := sub.orphaned || reparented
-	switch {
-	case sub.orphaned && sub.pulled:
-		// Adopted after pulling directly to the root: retract the
-		// direct copy so the tree path is the contribution's only
-		// carrier from here on.
-		n.retractRouted(sub)
-		sub.pulled = false
-	case reparented && !sub.orphaned:
+	if reparented && !sub.orphaned {
 		// A round-advancing re-parenting between live carriers (the
 		// tree was rebuilt elsewhere): clear our subtree at the old
 		// parent so the two rounds' paths never both count us.
@@ -619,6 +601,11 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		})
 		return
 	}
+	if sub.orphaned {
+		// The parent was purged as dead: nothing carries this subtree
+		// up until an install adopts it.
+		return
+	}
 	empty := sub.builtEmpty && contrib == 0
 	if empty && !sub.lastNonEmpty {
 		// Interior hops skip empty batches: a pure relay with nothing
@@ -638,7 +625,7 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 		Np:           ps.np,
 		Unknown:      ps.unknown,
 	})
-	if sub.sentSeq != 0 && !sub.orphaned {
+	if sub.sentSeq != 0 {
 		// The parent holds built already: say so, without the state.
 		em.Since = sub.sentSeq
 		n.send(sub.parent, em)
@@ -647,14 +634,6 @@ func (n *Node) sendReport(sub *subState, now time.Duration) {
 	n.reportSeq++
 	em.State, em.Seq = state, n.reportSeq
 	state.Retain()
-	if sub.orphaned {
-		// The uptree chain is severed (parent purged as dead): pull
-		// directly to the tree root through the overlay so the subtree
-		// stays in the stream while the tree repairs around us.
-		sub.pulled = true
-		n.overlay.Route(ps.group.treeKey(), em)
-		return
-	}
 	sub.sentSeq = em.Seq
 	n.send(sub.parent, em)
 }
@@ -696,11 +675,6 @@ func (n *Node) retract(sub *subState, to ids.ID) {
 	n.send(to, n.emptyReport(sub))
 }
 
-// retractRouted clears the direct-to-root copy left by the orphan pull.
-func (n *Node) retractRouted(sub *subState) {
-	n.overlay.Route(sub.ps.group.treeKey(), n.emptyReport(sub))
-}
-
 // emptyReport is a numbered retraction; the entry's next report is full.
 func (n *Node) emptyReport(sub *subState) *EpochReportMsg {
 	sub.sentSeq = 0
@@ -731,19 +705,16 @@ func (n *Node) claimStanding(sub *subState) bool {
 
 // handleEpochReport files a child's per-epoch batch; reports for
 // subscriptions this node does not hold are answered with CancelMsg so
-// orphans tear down without waiting out the TTL. Routed reports (the
-// orphan pull: a severed subtree streaming directly to the tree root)
-// are filed the same way but skip the child-cost bookkeeping — the
-// sender is not a tree child. A rejected report hands back the state
-// hold its message carries.
-func (n *Node) handleEpochReport(from ids.ID, em *EpochReportMsg, routed bool) {
+// orphans tear down without waiting out the TTL. A rejected report
+// hands back the state hold its message carries.
+func (n *Node) handleEpochReport(from ids.ID, em *EpochReportMsg) {
 	sub := n.findSub(em.SID, em.Group)
 	if sub == nil {
 		aggregate.Recycle(em.State)
 		n.send(from, CancelMsg{SID: em.SID, Group: em.Group})
 		return
 	}
-	if !routed && !sub.root && from == sub.parent {
+	if !sub.root && from == sub.parent {
 		// Mid re-parenting, two nodes can hold each other as parent and
 		// child. The parent's report already carries this subtree, so
 		// filing it would count the subtree twice for as long as the
@@ -753,21 +724,26 @@ func (n *Node) handleEpochReport(from ids.ID, em *EpochReportMsg, routed bool) {
 	}
 	i, found := sub.kids.find(from)
 	expected := found && sub.kids[i].expected
-	if !routed && !sub.root && !expected {
+	if !sub.root && !expected {
 		// A report from a child this node no longer installs: the edge
 		// was dropped by a reconcile (tree adaptation or churn repair),
 		// and filing the report would double-count a subtree that now
 		// reaches the root along another path. Reject it — the child
 		// tears down or re-parents; if it was dropped by a transient
 		// flap, the next reconcile re-installs it. The root is exempt:
-		// it files anything (orphan pulls arrive there unannounced).
+		// an SQP handoff (§5) drops the bypassed child's edge at the
+		// root at once, but that child carries the handed-off members
+		// until the root's jump install re-parents them, and rejecting
+		// it would take them out of the sample meanwhile.
 		aggregate.Recycle(em.State)
 		n.send(from, CancelMsg{SID: em.SID, Group: em.Group})
 		return
 	}
 	switch {
 	case em.Since == 0 && found && em.Seq < sub.kids[i].seq:
-		// Sent before the report the slot holds: a late routed retraction.
+		// Sent before the report the slot holds: a retraction that a
+		// later full report overtook (on the simulator each message
+		// draws its own latency).
 		aggregate.Recycle(em.State)
 		return
 	case em.Since == 0:
@@ -787,9 +763,7 @@ func (n *Node) handleEpochReport(from ids.ID, em *EpochReportMsg, routed bool) {
 		// and re-installing a child's entry does not rebuild it.
 		sub.kids[i].asked = n.reinstall(sub, from)
 	}
-	if !routed {
-		n.noteChildCost(sub.ps, from, em.Np, em.Unknown)
-	}
+	n.noteChildCost(sub.ps, from, em.Np, em.Unknown)
 }
 
 // reinstall sends child the install pushInstalls would, and reports
@@ -817,10 +791,7 @@ func (n *Node) handleCancel(from ids.ID, cm CancelMsg, routed bool) {
 	if sub == nil {
 		return
 	}
-	if !routed && !sub.orphaned {
-		// Orphans accept a cancel from anyone: their owner is dead, and
-		// the likely sender is the tree root rejecting a pulled report
-		// for a subscription that no longer exists.
+	if !routed {
 		owner := sub.parent
 		if sub.root {
 			owner = sub.replyTo

@@ -182,20 +182,12 @@ func wireGob(c *wirefmt.Codec, m *any) {
 		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&f); err != nil {
 			c.Fail(fmt.Errorf("core: wire fallback: %w", err))
 		}
-		*m = pooled(f.M)
+		*m = f.M
+		if q, ok := f.M.(QueryMsg); ok {
+			// A query is handled in its pointer form.
+			*m = &q
+		}
 	}
-}
-
-// pooled returns a gob-decoded query (tag 0) or orphan pull's report
-// (an overlay route's payload) in its pointer form.
-func pooled(m any) any {
-	switch v := m.(type) {
-	case QueryMsg:
-		return &v
-	case EpochReportMsg:
-		return &v
-	}
-	return m
 }
 
 func (q *QueryID) wire(c *wirefmt.Codec) {

@@ -32,7 +32,7 @@ func (c Config) withDefaults() Config {
 }
 
 // DeliverFunc receives payloads routed to this node as the key's owner.
-type DeliverFunc func(key ids.ID, payload any, origin ids.ID)
+type DeliverFunc func(key ids.ID, payload any)
 
 // Node is one overlay participant. It is not safe for concurrent use;
 // drive it from a single goroutine (the simulator loop or a per-node
@@ -137,7 +137,6 @@ func (n *Node) Close() {
 // RouteMsg carries an application payload toward the owner of Key.
 type RouteMsg struct {
 	Key     ids.ID
-	Origin  ids.ID
 	Payload any
 	Hops    int
 	// Maint marks overlay-maintenance payloads (slot repair), keeping
@@ -267,7 +266,7 @@ func (n *Node) NextHop(key ids.ID) (next ids.ID, self bool) {
 // Route sends payload toward the owner of key, delivering locally when
 // this node is the owner.
 func (n *Node) Route(key ids.ID, payload any) {
-	n.routeMsg(RouteMsg{Key: key, Origin: n.self, Payload: payload})
+	n.routeMsg(RouteMsg{Key: key, Payload: payload})
 }
 
 func (n *Node) routeMsg(m RouteMsg) {
@@ -278,7 +277,7 @@ func (n *Node) routeMsg(m RouteMsg) {
 			return
 		}
 		if n.Deliver != nil {
-			n.Deliver(m.Key, m.Payload, m.Origin)
+			n.Deliver(m.Key, m.Payload)
 		}
 		return
 	}
@@ -384,7 +383,7 @@ func (n *Node) RemoveNode(dead ids.ID) {
 		// node can no longer reach — for a broadcast tree, an orphaned
 		// subtree. Probe the dead node's ring region for a live
 		// replacement instead of waiting for background gossip.
-		n.routeMsg(RouteMsg{Key: dead, Origin: n.self, Payload: RepairProbe{Origin: n.self}, Maint: true})
+		n.routeMsg(RouteMsg{Key: dead, Payload: RepairProbe{Origin: n.self}, Maint: true})
 	}
 	if n.OnNodeRemoved != nil {
 		n.OnNodeRemoved(dead)

@@ -74,9 +74,9 @@ func wireSamples(t testing.TB) []any {
 	}
 
 	samples := []any{
-		pastry.RouteMsg{Key: nodeA, Origin: nodeB, Hops: 3,
+		pastry.RouteMsg{Key: nodeA, Hops: 3,
 			Payload: core.ProbeMsg{QID: qid, Group: "g", Attr: "cpu", ReplyTo: nodeB}},
-		pastry.RouteMsg{Key: nodeA, Origin: nodeB, Hops: 1, Maint: true,
+		pastry.RouteMsg{Key: nodeA, Hops: 1, Maint: true,
 			Payload: pastry.RepairProbe{Origin: nodeB}},
 		pastry.JoinRequest{Joiner: nodeA, Rows: []ids.ID{nodeB}, Hops: 1},
 		pastry.JoinReply{Rows: []ids.ID{nodeA}, Leaf: []ids.ID{nodeB}},
