@@ -80,8 +80,8 @@ func main() {
 			s := node.Stats()
 			fmt.Printf("  msgs in/out: %d/%d  bytes in/out: %d/%d\n",
 				s.MsgsIn, s.MsgsOut, s.BytesIn, s.BytesOut)
-			fmt.Printf("  decode errors: %d  dials: %d (errors %d, suppressed %d)\n",
-				s.DecodeErrors, s.Dials, s.DialErrors, s.DialsSuppressed)
+			fmt.Printf("  decode errors: %d  encode errors: %d  dials: %d (errors %d, suppressed %d)\n",
+				s.DecodeErrors, s.EncodeErrors, s.Dials, s.DialErrors, s.DialsSuppressed)
 			var remembered int
 			node.Do(func(c *core.Node) { remembered = c.Remembered() })
 			fmt.Printf("  query IDs remembered (answer-once window): %d\n", remembered)

@@ -243,8 +243,8 @@ type Entry struct {
 //
 // The set of States is closed: its unexported methods keep every
 // implementation in this package, one leaf type per registered kind plus
-// the keyed GroupedState, and each has a columnar wire layout (wire.go).
-// Their exported fields let gob carry them inside tag-0 messages too.
+// the keyed GroupedState, and each has a columnar wire layout (wire.go),
+// its only one.
 type State interface {
 	// Add folds one node's local value into the state. Invalid values
 	// (missing attributes) are ignored except by COUNT over "*".

@@ -42,7 +42,7 @@ const (
 // which the first ordered read (encode, Merge, Keys, Result) or Retain
 // folds in; a shared state is therefore never written by a reader.
 //
-// Use NewGrouped and the methods; gob goes through the columnar body.
+// Use NewGrouped and the methods.
 type GroupedState struct {
 	// Spec is the per-key aggregation function.
 	Spec Spec

@@ -1,8 +1,6 @@
 package aggregate
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"maps"
@@ -159,36 +157,26 @@ func TestGroupedMergeErrors(t *testing.T) {
 	}
 }
 
-// TestGroupedGobRoundTrip: the keyed state survives the wire intact,
-// including nested per-key states and the spill bucket.
-func TestGroupedGobRoundTrip(t *testing.T) {
-	gob.Register(&GroupedState{})
-	gob.Register(&AvgState{})
+// TestGroupedWireRoundTrip: the keyed state survives its columnar
+// layout intact, including nested per-key states and the spill bucket.
+func TestGroupedWireRoundTrip(t *testing.T) {
 	g := NewGrouped(Spec{Kind: KindAvg}, 2)
 	for i := 0; i < 8; i++ {
 		g.AddKeyed(ids.FromUint64(uint64(i+1)), keyOf(i, 4), value.Float(float64(i)))
 	}
-	var buf bytes.Buffer
-	var in State = g
-	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
+	if g.Spilled == 0 {
+		t.Fatal("the sample did not spill")
+	}
+	b, err := appendState(nil, g)
+	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	var out State
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
+	out, rest, err := readState(b)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v (%d bytes left)", err, len(rest))
 	}
-	got, ok := out.(*GroupedState)
-	if !ok {
-		t.Fatalf("decoded %T", out)
-	}
-	if got.KeyCount() != g.KeyCount() || got.Spilled != g.Spilled || got.Nodes() != g.Nodes() {
-		t.Fatalf("round trip mangled state: %+v vs %+v", got, g)
-	}
-	want, have := g.Results(), got.Results()
-	for k, w := range want {
-		if !resultsEqual(have[k], w) {
-			t.Errorf("key %q: %v != %v", k, have[k], w)
-		}
+	if !reflect.DeepEqual(out, State(g)) {
+		t.Fatalf("round trip mangled state:\n got %#v\nwant %#v", out, g)
 	}
 }
 

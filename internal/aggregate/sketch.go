@@ -1,7 +1,7 @@
 // Mergeable-sketch states: bounded-memory approximations of aggregates
 // whose exact forms grow with population (quantiles, distinct counts)
 // or cardinality (heavy hitters, set union). Each is an ordinary State,
-// so it rides the keyed GroupedState plumbing, pooling, gob sweep, and
+// so it rides the keyed GroupedState plumbing, pooling, wire layouts, and
 // standing-query epoch reports unchanged. The merge law here is weaker
 // than for the exact states — merging partials in any tree shape yields
 // a state whose *error bound* is preserved, not necessarily identical
@@ -38,7 +38,7 @@ const (
 	hllM = 1 << hllP
 	// Sparse states (few distinct values — every leaf, most groups)
 	// stay a small map until promotion; the threshold keeps the sparse
-	// form strictly cheaper to hold and to gob-encode than dense.
+	// form strictly cheaper to hold and to encode than dense.
 	hllSparseLimit = hllM / 8
 
 	// quantCap is the per-level compactor capacity of QuantileState.

@@ -376,23 +376,3 @@ func sumOf(st State) *SumState {
 	}
 	return st.(*SumState)
 }
-
-// GobEncode carries the state through gob as its columnar body. Every
-// message that holds a state has a columnar layout, so no frame needs
-// it today; the gob sweep of the transport tests still encodes every
-// registered message, states included, through gob.
-func (g *GroupedState) GobEncode() ([]byte, error) {
-	c := wirefmt.Codec{}
-	wireGroupedBody(&c, g, 0)
-	return c.B, c.Err()
-}
-
-// GobDecode is the inverse of GobEncode.
-func (g *GroupedState) GobDecode(b []byte) error {
-	*g = GroupedState{}
-	c := wirefmt.Codec{B: b, Dec: true}
-	if wireGroupedBody(&c, g, 0); len(c.B) != 0 {
-		c.Corrupt("aggregate: %d bytes after a gob grouped body", len(c.B))
-	}
-	return c.Err()
-}

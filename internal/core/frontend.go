@@ -465,7 +465,7 @@ func (fq *feQuery) finish(n *Node, err error) {
 		}
 	}
 	agg := aggregate.NewGrouped(fq.req.Spec, n.cfg.MaxGroupKeys)
-	var res Result
+	res := Result{Stats: fq.stats}
 	for _, a := range fq.answers {
 		if a.Dup {
 			continue
@@ -479,16 +479,21 @@ func (fq *feQuery) finish(n *Node, err error) {
 		res.Contributors += a.Contributors
 		res.Expected += float64(a.Np) + a.Unknown
 	}
-	res.Agg = agg.Result()
-	if fq.req.GroupBy != "" {
-		res.Groups = agg.Results()
-		res.Truncated = agg.Truncated()
-		fq.stats.GroupKeys = agg.KeyCount()
-	}
-	// Results are copies: the accumulator goes back to the pool.
-	aggregate.Recycle(agg)
-	res.Stats = fq.stats
+	res.take(agg)
 	fq.cb(res, err)
+}
+
+// take sets r's answer from the merged accumulator agg, per key when
+// r.Stats.GroupBy names a key attribute, and hands agg back to the pool:
+// the answer holds copies.
+func (r *Result) take(agg *aggregate.GroupedState) {
+	r.Agg = agg.Result()
+	if r.Stats.GroupBy != "" {
+		r.Groups = agg.Results()
+		r.Truncated = agg.Truncated()
+		r.Stats.GroupKeys = agg.KeyCount()
+	}
+	aggregate.Recycle(agg)
 }
 
 func coverCanons(cover []groupSpec) []string {
@@ -791,15 +796,9 @@ func (fe *frontend) handleSample(from ids.ID, sm SampleMsg) {
 			rootEpoch = s.Epoch
 		}
 	}
-	res := Result{Agg: agg.Result(), Contributors: contrib, Expected: expected}
+	res := Result{Contributors: contrib, Expected: expected}
 	res.Stats.GroupBy = fs.req.GroupBy
-	if fs.req.GroupBy != "" {
-		res.Groups = agg.Results()
-		res.Truncated = agg.Truncated()
-		res.Stats.GroupKeys = agg.KeyCount()
-	}
-	// Results are copies: the accumulator goes back to the pool.
-	aggregate.Recycle(agg)
+	res.take(agg)
 	fs.cb(Sample{
 		Epoch:        fs.epoch,
 		RootEpoch:    rootEpoch,

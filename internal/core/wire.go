@@ -4,8 +4,9 @@
 // Every body is written once, as a wire method over a wirefmt.Codec that
 // runs in both directions; the transport's golden test pins its bytes.
 // Tag 0 wraps a gob blob for the message types without a columnar
-// layout — the cold one-shot query plane, anything future — one batch
-// item at a time, so a cold item in a batch costs only itself a blob.
+// layout — the overlay and the cold one-shot query plane, the types
+// gobTypes registers — one batch item at a time, so a cold item in a
+// batch costs only itself a blob.
 // The set of aggregate states is closed and each has a layout, so a
 // tagged message always encodes in columnar form.
 package core
@@ -14,9 +15,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/ids"
+	"github.com/moara/moara/internal/pastry"
 	"github.com/moara/moara/internal/wirefmt"
 )
 
@@ -47,6 +50,24 @@ const (
 // through an interface field is what lets gob carry any registered
 // concrete message type.
 type wireFallback struct{ M any }
+
+// gobTypes is gob's whole registry: every message type tag 0 carries,
+// top-level or as a routed payload. None holds a Value or a State,
+// which ride only the columnar layouts.
+var gobTypes = []any{
+	pastry.RouteMsg{}, pastry.JoinRequest{}, pastry.JoinReply{}, pastry.Announce{},
+	pastry.AnnounceAck{}, pastry.Heartbeat{}, pastry.Obituary{}, pastry.RepairProbe{},
+	SubQueryMsg{}, QueryMsg{}, ProbeMsg{}, ProbeRespMsg{}, SubscribeMsg{}, CancelMsg{},
+}
+
+func init() {
+	for _, t := range gobTypes {
+		gob.Register(t)
+	}
+}
+
+// GobTypes returns one zero value of every type tag 0 carries.
+func GobTypes() []any { return slices.Clone(gobTypes) }
 
 // AppendMessage appends one message: columnar when its type has a
 // layout, a tagged gob blob otherwise. The result is self-delimiting:

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sort"
@@ -14,6 +12,7 @@ import (
 	"github.com/moara/moara/internal/ids"
 	"github.com/moara/moara/internal/metrics"
 	"github.com/moara/moara/internal/value"
+	"github.com/moara/moara/internal/wirefmt"
 )
 
 // SketchesOptions parameterize the approximate-aggregate study: the
@@ -55,19 +54,19 @@ func (o SketchesOptions) Defaults() SketchesOptions {
 	return o
 }
 
-// gobSize measures a partial state by its gob encoding, this table's
-// yardstick. The transport's columnar layouts are not uniformly
-// smaller: the quantile summary's runs larger than gob's.
-func gobSize(st aggregate.State) int {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		panic(err)
+// wireSize measures a partial state by its columnar encoding, the bytes
+// a message that carries it puts on the wire.
+func wireSize(st aggregate.State) int {
+	c := wirefmt.Codec{}
+	aggregate.WireState(&c, &st)
+	if c.Err() != nil {
+		panic(c.Err())
 	}
-	return buf.Len()
+	return len(c.B)
 }
 
 // RunSketches produces the bounded-state table. Part one ingests C
-// distinct values into each aggregate and reports the gob-encoded
+// distinct values into each aggregate and reports the encoded
 // partial-state size: enum grows linearly with C while every sketch
 // stays flat, and the err column shows what the bound buys — the
 // sketch's observed error against the exact answer over the same
@@ -79,7 +78,7 @@ func RunSketches(opt SketchesOptions) *Table {
 	opt = opt.Defaults()
 	t := &Table{
 		Title: "Approximate aggregates: bounded sketch state vs exact enum",
-		Note: fmt.Sprintf("state bytes are gob-encoded partial states (the wire's unit); standing run at N=%d (Emulab model), epoch=%v, %d warm epochs",
+		Note: fmt.Sprintf("state bytes are partial states in their columnar wire encoding; standing run at N=%d (Emulab model), epoch=%v, %d warm epochs",
 			opt.N, opt.Period, opt.Epochs),
 		Columns: []string{"series", "distinct_or_n", "state_bytes", "msgs_per_epoch", "lag_ms", "err"},
 	}
@@ -129,7 +128,7 @@ func stateSizeRows(t *Table, c int) {
 			// cap by design; the bound is the point, not the error.
 			errCell = "-"
 		}
-		t.AddRow(sp.label, itoa(c), itoa(gobSize(st)), "-", "-", errCell)
+		t.AddRow(sp.label, itoa(c), itoa(wireSize(st)), "-", "-", errCell)
 	}
 }
 

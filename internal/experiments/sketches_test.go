@@ -7,9 +7,9 @@ import (
 
 // TestSketchesShape asserts the bounded-state headline at a scaled-down
 // size: across a 100x cardinality sweep the exact enum state grows
-// linearly while every sketch state stays flat (the 10k-distinct HLL is
-// no bigger than the 1k one, and orders of magnitude under enum), and
-// the standing dcount/p99 streams land within their error bounds
+// linearly while every sketch state stays flat (an HLL never outgrows
+// its dense register file and header, orders of magnitude under enum),
+// and the standing dcount/p99 streams land within their error bounds
 // against the live-population oracle.
 func TestSketchesShape(t *testing.T) {
 	if testing.Short() {
@@ -40,9 +40,11 @@ func TestSketchesShape(t *testing.T) {
 		t.Errorf("enum state did not grow linearly: %v bytes at 100, %v at 10000",
 			enum["100"].bytes, enum["10000"].bytes)
 	}
-	if hll["10000"].bytes > hll["1000"].bytes {
-		t.Errorf("dense HLL state grew past its bound: %v bytes at 1000, %v at 10000",
-			hll["1000"].bytes, hll["10000"].bytes)
+	// A dense HLL is its 2^11 one-byte registers plus a few varints.
+	for card, c := range hll {
+		if c.bytes > 1<<11+8 {
+			t.Errorf("HLL state grew past its bound: %v bytes at %s distinct", c.bytes, card)
+		}
 	}
 	if hll["10000"].bytes*20 > enum["10000"].bytes {
 		t.Errorf("HLL state %v bytes not well under enum %v at 10k distinct",

@@ -173,6 +173,10 @@ type Stats struct {
 	// decode (corrupt frame, unknown tag, gob-body error, bad magic or
 	// version).
 	DecodeErrors uint64
+	// EncodeErrors counts outbound messages that failed to encode (a
+	// type tag 0 does not carry) and so were never sent nor counted in
+	// MsgsOut.
+	EncodeErrors uint64
 	// Dials / DialErrors count outbound connection attempts and
 	// failures; DialsSuppressed counts sends skipped by the negative
 	// dial cache while a dead peer was in backoff.
@@ -188,6 +192,7 @@ func (n *Node) Stats() Stats {
 		BytesIn:         n.bytesIn.Load(),
 		BytesOut:        n.bytesOut.Load(),
 		DecodeErrors:    n.decodeErrs.Load(),
+		EncodeErrors:    n.encodeErrs.Load(),
 		Dials:           n.dials.Load(),
 		DialErrors:      n.dialErrs.Load(),
 		DialsSuppressed: n.dialsSuppressed.Load(),

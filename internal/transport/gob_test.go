@@ -19,8 +19,8 @@ import (
 // wireSamples builds one populated sample of every wire type, in its
 // interesting shapes. Both codec sweeps — the gob round trip below and
 // the cross-codec equivalence sweep in wire_test.go — iterate this same
-// list, so a type added to the system but forgotten here fails the
-// wireTypes coverage check in CI instead of at an agent's first use.
+// list, so a type core registers for tag 0 but forgotten here fails the
+// coverage check in CI instead of at an agent's first use.
 func wireSamples(t testing.TB) []any {
 	t.Helper()
 	nodeA, nodeB := ids.FromKey("a"), ids.FromKey("b")
@@ -78,6 +78,11 @@ func wireSamples(t testing.TB) []any {
 			Payload: core.ProbeMsg{QID: qid, Group: "g", Attr: "cpu", ReplyTo: nodeB}},
 		pastry.RouteMsg{Key: nodeA, Hops: 1, Maint: true,
 			Payload: pastry.RepairProbe{Origin: nodeB}},
+		// A standing query's install and cancel, routed to a tree root.
+		pastry.RouteMsg{Key: nodeB, Hops: 2,
+			Payload: core.SubscribeMsg{SID: qid, Group: "slice = cs101", Attr: "mem_util", Spec: spec,
+				GroupBy: "slice", Period: time.Second, Gen: 2, MinEpoch: 3, ReplyTo: nodeA}},
+		pastry.RouteMsg{Key: nodeB, Hops: 2, Payload: core.CancelMsg{SID: qid, Group: "slice = cs101"}},
 		pastry.JoinRequest{Joiner: nodeA, Rows: []ids.ID{nodeB}, Hops: 1},
 		pastry.JoinReply{Rows: []ids.ID{nodeA}, Leaf: []ids.ID{nodeB}},
 		pastry.Announce{ID: nodeA},
@@ -138,7 +143,6 @@ func wireSamples(t testing.TB) []any {
 			core.EpochReportMsg{SID: qid, Group: "g", Epoch: 21, State: groupedCollect, Np: 3},
 			core.EpochReportMsg{SID: qid, Group: "g", Epoch: 21, State: dcountDense, Np: 3},
 		}},
-		value.Str("plain value"),
 		// A full epoch report numbered by its sender (an agent's numbers
 		// start past its incarnation stamp), and the unchanged report
 		// that later stands for it: no state, only that number.
@@ -149,37 +153,33 @@ func wireSamples(t testing.TB) []any {
 	return samples
 }
 
-// markCovered records m's type (recursing into batches, routed
-// payloads, and message state fields) for the wireTypes coverage check.
+// markCovered records the type of every message m carries on tag 0 —
+// m itself, its batch items and routed payloads — for the registry
+// coverage check. Columnar messages and their states never ride gob.
 func markCovered(covered map[reflect.Type]bool, m any) {
-	if m == nil {
-		return
-	}
-	covered[reflect.TypeOf(m)] = true
 	switch v := m.(type) {
 	case core.BatchMsg:
 		for _, item := range v.Items {
 			markCovered(covered, item)
 		}
+		return
 	case pastry.RouteMsg:
-		markCovered(covered, v.Payload)
-	case core.ResponseMsg:
-		markCovered(covered, v.State)
-	case core.EpochReportMsg:
-		markCovered(covered, v.State)
-	case core.SampleMsg:
-		markCovered(covered, v.State)
+		// The payload rides inside the route's gob blob.
+		covered[reflect.TypeOf(v.Payload)] = true
+	}
+	if payload, err := core.AppendMessage(nil, m); err == nil && payload[0] == 0 {
+		covered[reflect.TypeOf(m)] = true
 	}
 }
 
-// assertWireTypesCovered fails for every registered wire type the sweep
-// never exercised: a wire type added to wireTypes but not sampled fails
-// CI instead of silently shipping untested.
-func assertWireTypesCovered(t *testing.T, covered map[reflect.Type]bool) {
+// assertGobTypesCovered fails for every type core registers for tag 0
+// that the sweep never carried: a type added to the registry but not
+// sampled fails CI instead of silently shipping untested.
+func assertGobTypesCovered(t *testing.T, covered map[reflect.Type]bool) {
 	t.Helper()
-	for _, wt := range wireTypes {
-		if !covered[reflect.TypeOf(wt)] {
-			t.Errorf("registered wire type %T has no round-trip sample; add one to wireSamples", wt)
+	for _, gt := range core.GobTypes() {
+		if !covered[reflect.TypeOf(gt)] {
+			t.Errorf("tag-0 type %T has no round-trip sample; add one to wireSamples", gt)
 		}
 	}
 }
@@ -193,29 +193,39 @@ type envelope struct {
 	Payload  any
 }
 
-// TestGobRoundTripAllWireTypes round-trips every wire sample through a
-// gob encoder/decoder pair: every type in wireTypes must be registered
-// and survive, or the tag-0 fallback loses it.
+// gobRoundTrip carries m through the reference gob envelope.
+func gobRoundTrip(m any) (any, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&envelope{FromAddr: "x", Payload: m}); err != nil {
+		return nil, fmt.Errorf("gob encode: %w", err)
+	}
+	var env envelope
+	if err := gob.NewDecoder(&buf).Decode(&env); err != nil {
+		return nil, fmt.Errorf("gob decode: %w", err)
+	}
+	return env.Payload, nil
+}
+
+// TestGobRoundTripAllWireTypes round-trips every wire sample that rides
+// tag 0 through a gob encoder/decoder pair: every type core registers
+// must be sampled and survive, or the tag-0 fallback loses it.
 func TestGobRoundTripAllWireTypes(t *testing.T) {
-	RegisterGob()
 	covered := make(map[reflect.Type]bool)
 	for _, m := range wireSamples(t) {
 		markCovered(covered, m)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&envelope{FromAddr: "x", Payload: m}); err != nil {
-			t.Errorf("%T: encode: %v", m, err)
+		if payload, err := core.AppendMessage(nil, m); err != nil || payload[0] != 0 {
 			continue
 		}
-		var env envelope
-		if err := gob.NewDecoder(&buf).Decode(&env); err != nil {
-			t.Errorf("%T: decode: %v", m, err)
+		got, err := gobRoundTrip(m)
+		if err != nil {
+			t.Errorf("%T: %v", m, err)
 			continue
 		}
-		if !reflect.DeepEqual(env.Payload, m) {
-			t.Errorf("%T: round trip mismatch:\n got %#v\nwant %#v", m, env.Payload, m)
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("%T: round trip mismatch:\n got %#v\nwant %#v", m, got, m)
 		}
 	}
-	assertWireTypesCovered(t, covered)
+	assertGobTypesCovered(t, covered)
 }
 
 // TestWireTypesHaveMsgKind asserts that every envelope-level wire type
@@ -224,18 +234,24 @@ func TestGobRoundTripAllWireTypes(t *testing.T) {
 // type without MsgKind would silently bill under its Go type name and
 // dodge the "moara."/"overlay." accounting prefixes the experiments
 // aggregate by. Aggregation states ride inside messages and are never
-// counted individually, so they are exempt.
+// counted individually, so only messages, batch items and routed
+// payloads are checked.
 func TestWireTypesHaveMsgKind(t *testing.T) {
-	for _, wt := range wireTypes {
-		if _, isState := wt.(aggregate.State); isState {
-			continue
+	var check func(m any)
+	check = func(m any) {
+		if _, ok := m.(simnet.Kinder); !ok {
+			t.Errorf("wire type %T does not implement MsgKind()", m)
 		}
-		if _, isValue := wt.(value.Value); isValue {
-			// Attribute values are payload fields, not envelopes.
-			continue
+		switch v := m.(type) {
+		case core.BatchMsg:
+			for _, item := range v.Items {
+				check(item)
+			}
+		case pastry.RouteMsg:
+			check(v.Payload)
 		}
-		if _, ok := wt.(simnet.Kinder); !ok {
-			t.Errorf("wire type %T does not implement MsgKind()", wt)
-		}
+	}
+	for _, m := range wireSamples(t) {
+		check(m)
 	}
 }

@@ -47,7 +47,6 @@ func goldenLines(t *testing.T) []string {
 // decode and re-encode to its own bytes. A layout change that is meant
 // bumps wireVersion and starts a new golden file.
 func TestWireLayoutsGolden(t *testing.T) {
-	RegisterGob()
 	raw, err := os.ReadFile(goldenFile)
 	if err != nil {
 		t.Fatal(err)

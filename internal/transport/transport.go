@@ -12,7 +12,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -30,61 +29,10 @@ import (
 	"github.com/moara/moara/internal/value"
 )
 
-// wireTypes lists one sample of every type crossing the TCP transport
-// as a frame's message (or nested in a BatchMsg / aggregate State). The
-// gob round-trip sweep in gob_test.go iterates this same list to prove
-// every registered type survives encode/decode — add new wire types
-// HERE so they cannot skip either registration or the sweep.
-var wireTypes = []any{
-	pastry.RouteMsg{},
-	pastry.JoinRequest{},
-	pastry.JoinReply{},
-	pastry.Announce{},
-	pastry.AnnounceAck{},
-	pastry.Heartbeat{},
-	pastry.Obituary{},
-	pastry.RepairProbe{},
-	core.SubQueryMsg{},
-	core.QueryMsg{},
-	core.ResponseMsg{},
-	core.StatusMsg{},
-	core.ProbeMsg{},
-	core.ProbeRespMsg{},
-	core.SubscribeMsg{},
-	core.InstallMsg{},
-	core.EpochReportMsg{},
-	core.SampleMsg{},
-	core.CancelMsg{},
-	core.BatchMsg{},
-	&aggregate.GroupedState{},
-	&aggregate.SumState{},
-	&aggregate.CountState{},
-	&aggregate.ExtremeState{},
-	&aggregate.AvgState{},
-	&aggregate.TopKState{},
-	&aggregate.EnumState{},
-	&aggregate.StdState{},
-	&aggregate.DCountState{},
-	&aggregate.QuantileState{},
-	&aggregate.TopKeysState{},
-	&aggregate.UnionState{},
-	&aggregate.CollectState{},
-	value.Value{},
-}
-
-// RegisterGob registers every wire type crossing the TCP transport with
-// gob, which still encodes the bodies of messages that have no columnar
-// layout (tag 0, see core.AppendMessage). Call once per process before
-// creating nodes; it is idempotent via sync.Once.
-func RegisterGob() {
-	gobOnce.Do(func() {
-		for _, t := range wireTypes {
-			gob.Register(t)
-		}
-	})
-}
-
-var gobOnce sync.Once
+// RegisterGob does nothing: core registers the types tag 0 carries
+// itself (core.GobTypes). It stays for callers written against the
+// transport's earlier registry.
+func RegisterGob() {}
 
 // IDOf derives a node's overlay identifier from its listen address.
 func IDOf(addr string) ids.ID { return ids.FromKey(addr) }
@@ -126,6 +74,7 @@ type Node struct {
 	msgsIn, msgsOut   atomic.Uint64
 	bytesIn, bytesOut atomic.Uint64
 	decodeErrs        atomic.Uint64
+	encodeErrs        atomic.Uint64
 	dials, dialErrs   atomic.Uint64
 	dialsSuppressed   atomic.Uint64
 
@@ -149,7 +98,6 @@ type outConn struct {
 // cluster addresses, including addr itself). The overlay is
 // bootstrapped from the roster.
 func Listen(addr string, roster []string, opts Options) (*Node, error) {
-	RegisterGob()
 	if opts.DialTimeout == 0 {
 		opts.DialTimeout = 5 * time.Second
 	}
@@ -452,9 +400,9 @@ func (n *Node) countDecodeErr(err error) {
 	n.decodeErrs.Add(1)
 }
 
-// send transmits one message, dialing (and caching) connections lazily.
-// Failures are silent, like UDP loss; Moara's timeouts handle them. The
-// message's state holds go back either way.
+// send transmits one message, dialing (and caching) connections lazily,
+// as one frame in one Write. Failures are silent, like UDP loss; Moara's
+// timeouts handle them. The message's state holds go back either way.
 func (n *Node) send(toAddr string, m any) {
 	oc, err := n.conn(toAddr)
 	if err != nil {
@@ -462,19 +410,28 @@ func (n *Node) send(toAddr string, m any) {
 		return
 	}
 	oc.mu.Lock()
-	err = oc.write(m)
+	frame, encErr := appendFrame(oc.buf, m)
+	if encErr == nil {
+		oc.buf = frame[:0]
+		_, err = oc.c.Write(frame)
+	}
 	oc.mu.Unlock()
 	releaseHolds(m)
-	if err != nil {
+	switch {
+	case encErr != nil:
+		// A type tag 0 does not carry: no byte hit the wire, so the
+		// connection is still clean.
+		n.encodeErrs.Add(1)
+	case err != nil:
 		oc.c.Close()
 		n.connMu.Lock()
 		if n.conns[toAddr] == oc {
 			delete(n.conns, toAddr)
 		}
 		n.connMu.Unlock()
-		return
+	default:
+		n.msgsOut.Add(1)
 	}
-	n.msgsOut.Add(1)
 }
 
 // releaseHolds hands back the aggregate-state holds a message carries
@@ -495,21 +452,6 @@ func releaseHolds(m any) {
 		}
 	}
 	core.Release(m)
-}
-
-// write encodes and sends one message as one frame, in one Write. The
-// caller holds oc.mu.
-func (oc *outConn) write(m any) error {
-	frame, err := appendFrame(oc.buf, m)
-	if err != nil {
-		// Encoding failed before any byte hit the wire; the connection
-		// is still clean, so report success-shaped loss (a tag-0 message
-		// gob cannot carry, such as an unregistered type).
-		return nil
-	}
-	oc.buf = frame[:0]
-	_, err = oc.c.Write(frame)
-	return err
 }
 
 func (n *Node) conn(addr string) (*outConn, error) {

@@ -164,25 +164,6 @@ func TestTCPQueryTimeoutOnBadRequest(t *testing.T) {
 	}
 }
 
-func TestValueGobRoundTrip(t *testing.T) {
-	vals := []value.Value{
-		value.Int(-9), value.Float(3.25), value.Str("hello"), value.Bool(true), {},
-	}
-	for _, v := range vals {
-		data, err := v.GobEncode()
-		if err != nil {
-			t.Fatalf("encode %v: %v", v, err)
-		}
-		var back value.Value
-		if err := back.GobDecode(data); err != nil {
-			t.Fatalf("decode %v: %v", v, err)
-		}
-		if back.Kind() != v.Kind() || (v.IsValid() && !value.Equal(v, back)) {
-			t.Fatalf("round trip %v -> %v", v, back)
-		}
-	}
-}
-
 // TestTCPStandingOneFramePerEdge: standing queries on one tree share
 // each agent's epoch: the agent ticks every due entry in one timer turn
 // and flushes the reports in one frame per tree edge. Four streams then

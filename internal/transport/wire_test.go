@@ -18,14 +18,13 @@ import (
 	"github.com/moara/moara/internal/value"
 )
 
-// TestCrossCodecEquivalence is the correctness lock on the columnar
+// TestCrossCodecEquivalence is the correctness lock on the message
 // codec: every wire sample — including the sketch states riding inside
-// keyed GroupedStates inside BatchMsg — must round-trip through the
-// columnar codec to a DeepEqual of the original, bare and nested in a
-// BatchMsg, and must decode to the same result the reference gob
-// encoding (envelope, gob_test.go) produces.
+// keyed GroupedStates inside BatchMsg — must round-trip through
+// core.AppendMessage to a DeepEqual of the original, bare and nested in
+// a BatchMsg, and a message that rides tag 0 must decode to the same
+// result the reference gob encoding (envelope, gob_test.go) produces.
 func TestCrossCodecEquivalence(t *testing.T) {
-	RegisterGob()
 	covered := make(map[reflect.Type]bool)
 	for _, m := range wireSamples(t) {
 		markCovered(covered, m)
@@ -55,24 +54,22 @@ func TestCrossCodecEquivalence(t *testing.T) {
 				t.Errorf("%T/%s: columnar round trip mismatch:\n got %#v\nwant %#v", m, tc.name, got, tc.msg)
 				continue
 			}
-			// Cross-codec: the gob decode of the same message must be
-			// indistinguishable from the columnar decode.
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&envelope{FromAddr: "x", Payload: tc.msg}); err != nil {
-				t.Errorf("%T/%s: gob encode: %v", m, tc.name, err)
+			if payload[0] != 0 {
 				continue
 			}
-			var env envelope
-			if err := gob.NewDecoder(&buf).Decode(&env); err != nil {
-				t.Errorf("%T/%s: gob decode: %v", m, tc.name, err)
+			// A tag-0 message: the reference gob decode of it must be
+			// indistinguishable from the codec's.
+			ref, err := gobRoundTrip(tc.msg)
+			if err != nil {
+				t.Errorf("%T/%s: %v", m, tc.name, err)
 				continue
 			}
-			if !reflect.DeepEqual(got, env.Payload) {
-				t.Errorf("%T/%s: codecs disagree:\ncolumnar %#v\n     gob %#v", m, tc.name, got, env.Payload)
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%T/%s: codecs disagree:\n   codec %#v\n     gob %#v", m, tc.name, got, ref)
 			}
 		}
 	}
-	assertWireTypesCovered(t, covered)
+	assertGobTypesCovered(t, covered)
 }
 
 // valueOf returns a decoded message in value form: ReadMessage hands the
@@ -105,7 +102,6 @@ func valueOf(m any) any {
 // and decodes to the pointer form. A query rides tag 0 (gob), the other
 // four their columnar layouts.
 func TestPooledKindsOnTheWire(t *testing.T) {
-	RegisterGob()
 	pooled := map[reflect.Type]bool{
 		reflect.TypeOf(core.QueryMsg{}): true, reflect.TypeOf(core.ResponseMsg{}): true,
 		reflect.TypeOf(core.StatusMsg{}): true, reflect.TypeOf(core.EpochReportMsg{}): true,
@@ -156,7 +152,6 @@ func TestPooledKindsOnTheWire(t *testing.T) {
 // plus several frames through a pipe, decoded with the connection-level
 // reader primitives.
 func TestColumnarFrameRoundTrip(t *testing.T) {
-	RegisterGob()
 	wire := appendConnHeader(nil, "10.0.0.1:7777")
 	msgs := []any{
 		core.CancelMsg{SID: core.QueryID{Num: 1}, Group: "g"},
@@ -218,7 +213,6 @@ func loopbackTraffic(t *testing.T) []any {
 // must dispatch every frame, the large one included, without a decode
 // error.
 func TestFramesOverLoopback(t *testing.T) {
-	RegisterGob()
 	// Each side sends its own traffic: send hands the states a message
 	// carries back to the pool once written.
 	t.Run("dialing side", func(t *testing.T) {
@@ -442,13 +436,37 @@ func TestDecodeErrorsCountedAndSurvived(t *testing.T) {
 	}
 }
 
+// TestEncodeErrorsCounted: a message core cannot encode — a type tag 0
+// does not carry — never reaches the wire. It counts as one encode
+// error and not as a sent message, and the connection stays usable.
+func TestEncodeErrorsCounted(t *testing.T) {
+	nodes := startCluster(t, 2, core.Config{})
+	a, b := nodes[0], nodes[1]
+	type unregistered struct{ N int }
+	before := a.Stats()
+	a.send(b.Addr(), unregistered{N: 7})
+	st := a.Stats()
+	if st.EncodeErrors != before.EncodeErrors+1 || st.MsgsOut != before.MsgsOut {
+		t.Fatalf("encodeErrors %d -> %d, msgsOut %d -> %d: want one encode error and no message sent",
+			before.EncodeErrors, st.EncodeErrors, before.MsgsOut, st.MsgsOut)
+	}
+	a.send(b.Addr(), core.CancelMsg{Group: "g"})
+	for deadline := time.Now().Add(5 * time.Second); b.Stats().MsgsIn == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the connection carried nothing after the encode error")
+		}
+	}
+	if st := b.Stats(); st.MsgsIn != 1 || st.DecodeErrors != 0 {
+		t.Fatalf("peer msgsIn = %d, decodeErrors = %d, want 1 and 0", st.MsgsIn, st.DecodeErrors)
+	}
+}
+
 // TestBadVersionDropsConnection: a connection that opens with anything
 // but the magic and a known codec version — an unknown version
 // (compatibility rule), or the gob envelope stream pre-framing agents
 // spoke — must be dropped and counted as one decode error, and the node
 // must go on answering queries.
 func TestBadVersionDropsConnection(t *testing.T) {
-	RegisterGob()
 	var gobStream bytes.Buffer
 	if err := gob.NewEncoder(&gobStream).Encode(&envelope{FromAddr: "203.0.113.9:1", Payload: core.CancelMsg{Group: "g"}}); err != nil {
 		t.Fatal(err)
@@ -499,7 +517,6 @@ func TestBadVersionDropsConnection(t *testing.T) {
 // cleanly, never panic, and never allocate past the chunked-growth
 // bound. Anything that decodes must re-encode.
 func FuzzDecodeFrame(f *testing.F) {
-	RegisterGob()
 	for _, m := range wireSamples(f) {
 		payload, err := core.AppendMessage(nil, m)
 		if err != nil {
@@ -589,7 +606,6 @@ func FuzzDecodeFrame(f *testing.F) {
 // local core instead, which owns it from then on (it rejects this report, for a subscription it does not
 // hold, and hands the hold back itself).
 func TestSentStateReturnsToPool(t *testing.T) {
-	RegisterGob()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

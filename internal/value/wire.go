@@ -4,8 +4,7 @@ import "github.com/moara/moara/internal/wirefmt"
 
 // Wire carries the value in the columnar codec: a kind byte plus only
 // the active payload (varint int, 8-byte float, length-prefixed string,
-// or one bool byte). Compare the gob form, which ships a field map and
-// every payload slot.
+// or one bool byte). It is a value's only encoding.
 func (v *Value) Wire(c *wirefmt.Codec) {
 	k := byte(v.kind)
 	if c.Byte(&k); c.Dec {
