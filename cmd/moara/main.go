@@ -86,12 +86,9 @@ func main() {
 			}
 			fmt.Printf("  query IDs remembered (answer-once window): %d across %d nodes\n", remembered, c.Size())
 		case line == "subs" || strings.HasPrefix(line, "subs "):
-			parts := strings.Fields(line)
-			node := 0
-			if len(parts) == 2 {
-				if i, err := strconv.Atoi(parts[1]); err == nil && i >= 0 && i < c.Size() {
-					node = i
-				}
+			node, ok := nodeArg(c, line)
+			if !ok {
+				break
 			}
 			infos := c.Subs(node)
 			if len(infos) == 0 {
@@ -102,12 +99,9 @@ func main() {
 					si.SID, si.Group, si.Root, si.Period, si.Epoch, si.Children, si.Targets, si.Contributors, si.Rebuilds, si.Reuses)
 			}
 		case strings.HasPrefix(line, "trees"):
-			parts := strings.Fields(line)
-			node := 0
-			if len(parts) == 2 {
-				if i, err := strconv.Atoi(parts[1]); err == nil && i >= 0 && i < c.Size() {
-					node = i
-				}
+			node, ok := nodeArg(c, line)
+			if !ok {
+				break
 			}
 			for _, ti := range c.Trees(node) {
 				fmt.Printf("  %-40s level=%-2d sat=%-5v update=%-5v prune=%-5v qset=%d np=%d\n",
@@ -184,15 +178,34 @@ func runStanding(c *moara.SimCluster, cl moara.Client, q string, period time.Dur
 	fmt.Printf("  cancelled after %d epochs\n", got)
 }
 
+// nodeArg reads the optional node index of `subs [node]` and
+// `trees [node]`: node 0 when it is absent.
+func nodeArg(c *moara.SimCluster, line string) (int, bool) {
+	if parts := strings.Fields(line); len(parts) == 2 {
+		return nodeIndex(c, parts[1])
+	}
+	return 0, true
+}
+
+// nodeIndex parses a node index, printing the "bad node index" line
+// when arg names none of c's nodes.
+func nodeIndex(c *moara.SimCluster, arg string) (int, bool) {
+	i, err := strconv.Atoi(arg)
+	if err != nil || i < 0 || i >= c.Size() {
+		fmt.Printf("  bad node index %q (0..%d)\n", arg, c.Size()-1)
+		return 0, false
+	}
+	return i, true
+}
+
 func doSet(c *moara.SimCluster, line string) {
 	parts := strings.Fields(line)
 	if len(parts) != 4 {
 		fmt.Println("  usage: set <node> <attr> <value>")
 		return
 	}
-	i, err := strconv.Atoi(parts[1])
-	if err != nil || i < 0 || i >= c.Size() {
-		fmt.Printf("  bad node index %q (0..%d)\n", parts[1], c.Size()-1)
+	i, ok := nodeIndex(c, parts[1])
+	if !ok {
 		return
 	}
 	v, err := value.Parse(parts[3])
@@ -210,9 +223,8 @@ func doGet(c *moara.SimCluster, line string) {
 		fmt.Println("  usage: get <node> <attr>")
 		return
 	}
-	i, err := strconv.Atoi(parts[1])
-	if err != nil || i < 0 || i >= c.Size() {
-		fmt.Printf("  bad node index %q\n", parts[1])
+	i, ok := nodeIndex(c, parts[1])
+	if !ok {
 		return
 	}
 	fmt.Printf("  node %d: %s = %s\n", i, parts[2], c.Attr(i, parts[2]))

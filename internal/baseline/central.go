@@ -41,13 +41,6 @@ type CentralRespMsg struct {
 // MsgKind labels the message for accounting.
 func (CentralRespMsg) MsgKind() string { return "central.resp" }
 
-// ReplyArrival records when one node's answer reached the coordinator,
-// for the Fig. 15 per-reply CDF.
-type ReplyArrival struct {
-	Node ids.ID
-	At   time.Duration
-}
-
 // CentralResult is a completed centralized query.
 type CentralResult struct {
 	Agg aggregate.Result
@@ -55,8 +48,9 @@ type CentralResult struct {
 	Contributors int64
 	// Latency is time to the LAST reply (the paper's completion rule).
 	Latency time.Duration
-	// Replies records each node's reply arrival offset from injection.
-	Replies []ReplyArrival
+	// Replies records each node's reply arrival offset from injection,
+	// for the Fig. 15 per-reply CDF.
+	Replies []time.Duration
 }
 
 // Central is the centralized aggregator: it knows the full membership
@@ -69,11 +63,10 @@ type Central struct {
 }
 
 type centralExec struct {
-	spec     aggregate.Spec
 	state    aggregate.State
 	missing  map[ids.ID]bool
 	started  time.Duration
-	replies  []ReplyArrival
+	replies  []time.Duration
 	contribs int64
 	cb       func(CentralResult)
 }
@@ -94,7 +87,6 @@ func NewCentral(env simnet.Env, members []ids.ID) *Central {
 func (c *Central) Query(attrName string, spec aggregate.Spec, pred string, cb func(CentralResult)) {
 	c.counter++
 	ex := &centralExec{
-		spec:    spec,
 		state:   spec.New(),
 		missing: make(map[ids.ID]bool, len(c.members)),
 		started: c.env.Now(),
@@ -119,7 +111,7 @@ func (c *Central) Handle(from ids.ID, m any) {
 		return
 	}
 	delete(ex.missing, from)
-	ex.replies = append(ex.replies, ReplyArrival{Node: from, At: c.env.Now() - ex.started})
+	ex.replies = append(ex.replies, c.env.Now()-ex.started)
 	if rm.State != nil {
 		ex.contribs += rm.State.Nodes()
 		_ = ex.state.Merge(rm.State)

@@ -79,9 +79,9 @@ func TestCentralRepliesCarryArrivalTimes(t *testing.T) {
 	env.BindHandler(coord)
 	done := false
 	coord.Query("v", aggregate.Spec{Kind: aggregate.KindSum}, "", func(r CentralResult) {
-		for _, rep := range r.Replies {
-			if rep.At <= 0 || rep.At > time.Second {
-				t.Errorf("reply arrival out of range: %v", rep.At)
+		for _, at := range r.Replies {
+			if at <= 0 || at > time.Second {
+				t.Errorf("reply arrival out of range: %v", at)
 			}
 		}
 		done = true

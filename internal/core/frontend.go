@@ -154,8 +154,9 @@ type feQuery struct {
 	probes *probeRound
 
 	// answers holds each cover tree's root answer, sorted by group canon
-	// (QID stays zero until the root answers); finish merges them in
-	// that order, whatever order the roots answered in.
+	// (QID stays zero until the root answers; nil until the sub-queries
+	// go out); finish merges them in that order, whatever order the
+	// roots answered in.
 	answers []ResponseMsg
 	timeout simnet.Timer
 
@@ -307,7 +308,6 @@ func (fe *frontend) startProbes(plan queryPlan, costs map[string]float64, done f
 		n.overlay.Route(g.treeKey(), ProbeMsg{
 			QID:     pqid,
 			Group:   g.canon,
-			Attr:    g.attr,
 			ReplyTo: n.self,
 		})
 	}
@@ -458,11 +458,8 @@ func (fq *feQuery) finish(n *Node, err error) {
 	delete(n.fe.pending, fq.qid)
 	now := n.env.Now()
 	fq.stats.TotalTime = now - fq.startAt
-	if fq.queryStartAt > 0 || !fq.stats.ShortCircuit {
+	if fq.answers != nil {
 		fq.stats.QueryTime = now - fq.queryStartAt
-		if fq.queryStartAt == 0 {
-			fq.stats.QueryTime = 0
-		}
 	}
 	agg := aggregate.NewGrouped(fq.req.Spec, n.cfg.MaxGroupKeys)
 	res := Result{Stats: fq.stats}

@@ -142,7 +142,6 @@ func (StatusMsg) MsgKind() string { return "moara.status" }
 type ProbeMsg struct {
 	QID     QueryID
 	Group   string
-	Attr    string
 	ReplyTo ids.ID
 }
 

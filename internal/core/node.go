@@ -627,9 +627,6 @@ func (n *Node) handleStatus(from ids.ID, sm *StatusMsg) {
 type exec struct {
 	key     execKey
 	ps      *predState
-	attrKey string
-	spec    aggregate.Spec
-	groupBy string
 	replyTo ids.ID
 	state   *aggregate.GroupedState
 	// contrib counts members that answered in this subtree (completeness
@@ -688,9 +685,6 @@ func (n *Node) disseminate(ps *predState, qm *QueryMsg, replyTo ids.ID) {
 	ex := n.newExec()
 	ex.key = execKey{qm.QID, qm.Group}
 	ex.ps = ps
-	ex.attrKey = qm.Attr
-	ex.spec = qm.Spec
-	ex.groupBy = qm.GroupBy
 	ex.replyTo = replyTo
 	ex.state = aggregate.NewGrouped(qm.Spec, n.cfg.MaxGroupKeys)
 	if n.evalLocal(ps, qm.Eval) && n.claimAnswer(qm.QID) {

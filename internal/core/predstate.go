@@ -21,9 +21,8 @@ const globalGroupPrefix = "*:"
 // pseudo-group for an attribute.
 type groupSpec struct {
 	canon string
-	attr  string           // tree attribute (hashes to the tree key)
-	expr  predicate.Expr   // nil for the global pseudo-group
-	sim   predicate.Simple // valid when expr != nil
+	attr  string         // tree attribute (hashes to the tree key)
+	expr  predicate.Expr // nil for the global pseudo-group
 }
 
 // globalGroup builds the pseudo-group spanning all nodes for attr.
@@ -33,7 +32,7 @@ func globalGroup(attr string) groupSpec {
 
 // simpleGroup builds the group named by one simple predicate.
 func simpleGroup(s predicate.Simple) groupSpec {
-	return groupSpec{canon: s.Canon(), attr: s.Attr, expr: s, sim: s}
+	return groupSpec{canon: s.Canon(), attr: s.Attr, expr: s}
 }
 
 // parseGroupSpec reconstructs a groupSpec from its canonical wire form.

@@ -124,7 +124,6 @@ type subState struct {
 	spec    aggregate.Spec
 	groupBy string
 	period  time.Duration
-	level   int
 
 	// root marks the tree root (reached by overlay routing); it
 	// streams SampleMsg to replyTo instead of reporting to a parent.
@@ -226,7 +225,6 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 	sub.spec = sm.Spec
 	sub.groupBy = sm.GroupBy
 	sub.period = sm.Period
-	sub.level = 0
 	sub.lastRenew = n.env.Now()
 	// Standing load drives the §4 adaptation machinery exactly like
 	// query load, so the tree prunes under pure subscription traffic.
@@ -302,7 +300,6 @@ func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
 	sub.spec = im.Spec
 	sub.groupBy = im.GroupBy
 	sub.period = im.Period
-	sub.level = im.Level
 	sub.lastRenew = n.env.Now()
 	n.queryLoad(ps, 0)
 	if adopted {

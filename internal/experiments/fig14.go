@@ -155,8 +155,8 @@ func fig15CentralRun(opt Fig15Options, groupSize int) *metrics.Recorder {
 	for q := 0; q < opt.Queries; q++ {
 		done := false
 		coord.Query("A", aggregate.Spec{Kind: aggregate.KindSum}, "A = true", func(res baseline.CentralResult) {
-			for _, r := range res.Replies {
-				rec.Add(r.At)
+			for _, at := range res.Replies {
+				rec.Add(at)
 			}
 			done = true
 		})

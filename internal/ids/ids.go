@@ -159,24 +159,8 @@ func Cmp(a, b ID) int {
 // Less reports a < b in unsigned integer order.
 func Less(a, b ID) bool { return toU128(a).cmp(toU128(b)) < 0 }
 
-// Distance returns the absolute difference |a-b| interpreted as 128-bit
-// unsigned integers (linear, not ring, distance).
-func Distance(a, b ID) ID {
-	ua, ub := toU128(a), toU128(b)
-	if ua.cmp(ub) < 0 {
-		ua, ub = ub, ua
-	}
-	return ua.sub(ub).id()
-}
-
-// RingDistance returns the minimal distance between a and b around the
+// ringDistU returns the minimal distance between a and b around the
 // 2^128 ring: min(|a-b|, 2^128 - |a-b|).
-func RingDistance(a, b ID) ID {
-	return ringDistU(toU128(a), toU128(b)).id()
-}
-
-// ringDistU is RingDistance in the uint64-pair domain (the routing hot
-// path compares distances far more often than it materializes them).
 func ringDistU(ua, ub u128) u128 {
 	if ua.cmp(ub) < 0 {
 		ua, ub = ub, ua
@@ -209,7 +193,8 @@ func (a Gap) Less(b Gap) bool {
 	return a.Lo < b.Lo
 }
 
-// Fraction maps the gap to [0,1), like Fraction on an ID.
+// Fraction maps the gap to [0,1): its value divided by 2^128, with
+// 64-bit precision.
 func (a Gap) Fraction() float64 {
 	return float64(a.Hi) / (1 << 63) / 2
 }
@@ -237,8 +222,6 @@ func toU128(a ID) u128 {
 	return u128{binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])}
 }
 
-func (a u128) id() ID { return join(a.hi, a.lo) }
-
 func (a u128) cmp(b u128) int {
 	switch {
 	case a.hi < b.hi:
@@ -260,22 +243,11 @@ func (a u128) sub(b u128) u128 {
 	return u128{hi, lo}
 }
 
-func split(a ID) (hi, lo uint64) {
-	return binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])
-}
-
 func join(hi, lo uint64) ID {
 	var id ID
 	binary.BigEndian.PutUint64(id[:8], hi)
 	binary.BigEndian.PutUint64(id[8:], lo)
 	return id
-}
-
-// Fraction maps the identifier to [0,1): the value of id divided by
-// 2^128, with 64-bit precision. Useful for ring-density estimates.
-func Fraction(id ID) float64 {
-	hi, _ := split(id)
-	return float64(hi) / (1 << 63) / 2
 }
 
 // RandSource is the subset of math/rand functionality the ids package

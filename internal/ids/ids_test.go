@@ -91,7 +91,7 @@ func TestCommonPrefixLenProperty(t *testing.T) {
 func TestDistanceSymmetry(t *testing.T) {
 	f := func(a, b [16]byte) bool {
 		x, y := ID(a), ID(b)
-		return Distance(x, y) == Distance(y, x) && RingDistance(x, y) == RingDistance(y, x)
+		return ringDistU(toU128(x), toU128(y)) == ringDistU(toU128(y), toU128(x))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -101,9 +101,13 @@ func TestDistanceSymmetry(t *testing.T) {
 func TestRingDistanceWraps(t *testing.T) {
 	almostMax := MustHex("ffffffffffffffffffffffffffffffff")
 	one := FromUint64(1)
-	d := RingDistance(almostMax, one)
-	if got := FromUint64(2); d != got {
-		t.Fatalf("ring distance across wrap = %s, want %s", d, got)
+	if d := ringDistU(toU128(almostMax), toU128(one)); d != (u128{0, 2}) {
+		t.Fatalf("ring distance across wrap = %v, want 2", d)
+	}
+	// 1 is 2 steps from the key across the wrap; fff...c is 3 steps
+	// without it, so only the ring metric picks 1.
+	if below := MustHex("fffffffffffffffffffffffffffffffc"); !CloserToKey(almostMax, one, below) {
+		t.Fatalf("CloserToKey(%s, %s, %s) ignores the wrap", almostMax.Short(), one.Short(), below.Short())
 	}
 }
 
@@ -146,11 +150,11 @@ func TestFromKeyDeterministic(t *testing.T) {
 }
 
 func TestFraction(t *testing.T) {
-	if f := Fraction(Zero); f != 0 {
+	if f := GapCWNative(Zero, Zero).Fraction(); f != 0 {
 		t.Errorf("Fraction(0) = %v", f)
 	}
 	half := MustHex("80000000000000000000000000000000")
-	if f := Fraction(half); f < 0.499 || f > 0.501 {
+	if f := GapCWNative(Zero, half).Fraction(); f < 0.499 || f > 0.501 {
 		t.Errorf("Fraction(2^127) = %v, want 0.5", f)
 	}
 }

@@ -83,13 +83,22 @@ func TestProtocolRoutingConverges(t *testing.T) {
 }
 
 // TestHeartbeatDetectsFailure enables liveness probing and crashes a
-// node; its leaf-set neighbors must detect and purge it.
+// node; its leaf-set neighbors must detect and purge it. The watcher's
+// own detection shows as the obituary it sends: a purge alone could
+// come from an obituary another node gossiped.
 func TestHeartbeatDetectsFailure(t *testing.T) {
-	net := simnet.New(simnet.Options{Seed: 7, Latency: simnet.Fixed(time.Millisecond)})
+	var watcherID, victim ids.ID
+	deadSeen := false
+	net := simnet.New(simnet.Options{Seed: 7, Latency: simnet.Fixed(time.Millisecond),
+		Tap: func(from, _ ids.ID, m any, _ time.Duration) {
+			if ob, ok := m.(Obituary); ok && from == watcherID && ob.Dead == victim {
+				deadSeen = true
+			}
+		}})
 	nodes, members := buildProtocolCluster(t, net, 16, 500*time.Millisecond)
 
 	victimIdx := 5
-	victim := members[victimIdx]
+	victim = members[victimIdx]
 	// Find a neighbor that currently has the victim in its leaf set.
 	var watcher *Node
 	for i, n := range nodes {
@@ -101,12 +110,7 @@ func TestHeartbeatDetectsFailure(t *testing.T) {
 	if watcher == nil {
 		t.Skip("no neighbor holds the victim")
 	}
-	deadSeen := false
-	watcher.OnNeighborDead = func(dead ids.ID) {
-		if dead == victim {
-			deadSeen = true
-		}
-	}
+	watcherID = watcher.Self()
 	net.SetDown(victim, true)
 	// Heartbeats every 500ms, 3 misses allowed: detection within ~2.5s.
 	net.RunFor(5 * time.Second)

@@ -7,11 +7,11 @@ import (
 	"github.com/moara/moara/internal/simnet"
 )
 
+// leafSetSize is the number of leaf-set entries kept per side.
+const leafSetSize = 8
+
 // Config tunes an overlay node.
 type Config struct {
-	// LeafSetSize is the number of leaf-set entries kept per side
-	// (default 8).
-	LeafSetSize int
 	// HeartbeatEvery enables leaf-set liveness probing when > 0.
 	// Large-scale simulations leave it disabled, mirroring the paper's
 	// exclusion of DHT maintenance traffic.
@@ -22,9 +22,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.LeafSetSize == 0 {
-		c.LeafSetSize = 8
-	}
 	if c.HeartbeatMiss == 0 {
 		c.HeartbeatMiss = 3
 	}
@@ -47,8 +44,6 @@ type Node struct {
 
 	// Deliver is invoked when a routed payload reaches its key's owner.
 	Deliver DeliverFunc
-	// OnNeighborDead is invoked when a neighbor is declared failed.
-	OnNeighborDead func(dead ids.ID)
 	// OnNodeRemoved is invoked whenever a node is purged from routing
 	// state — by local heartbeat detection or by a gossiped obituary.
 	// The Moara layer hooks it to drop per-group child state and
@@ -56,14 +51,13 @@ type Node struct {
 	// partial aggregate can never be merged past the purge.
 	OnNodeRemoved func(dead ids.ID)
 
-	hbMisses    map[ids.ID]int
-	hbRound     int
-	hb          simnet.Timer
-	hbOn        bool
-	join        simnet.Timer
-	joined      bool
-	joinPending []pendingRoute
-	gen         int
+	hbMisses map[ids.ID]int
+	hbRound  int
+	hb       simnet.Timer
+	hbOn     bool
+	join     simnet.Timer
+	joined   bool
+	gen      int
 	// estCache memoizes EstimateSize against the leaf-set version: the
 	// adaptation layer consults the estimate per unreported child per
 	// recompute, far more often than the leaf set changes.
@@ -85,12 +79,6 @@ type Node struct {
 	announced map[ids.ID]bool
 }
 
-type pendingRoute struct {
-	key     ids.ID
-	payload any
-	origin  ids.ID
-}
-
 // New creates an overlay node bound to env.
 func New(env simnet.Env, cfg Config) *Node {
 	cfg = cfg.withDefaults()
@@ -98,7 +86,7 @@ func New(env simnet.Env, cfg Config) *Node {
 		env:        env,
 		cfg:        cfg,
 		self:       env.Self(),
-		leaf:       NewLeafSet(env.Self(), cfg.LeafSetSize),
+		leaf:       NewLeafSet(env.Self(), leafSetSize),
 		estVersion: -1,
 		hbMisses:   make(map[ids.ID]int),
 		dead:       make(map[ids.ID]time.Duration),
@@ -282,7 +270,7 @@ func (n *Node) routeMsg(m RouteMsg) {
 		return
 	}
 	m.Hops++
-	if m.Hops > ids.Digits+2*n.cfg.LeafSetSize {
+	if m.Hops > ids.Digits+2*leafSetSize {
 		// Routing loop under pathological state; drop.
 		return
 	}
@@ -619,10 +607,6 @@ func (n *Node) handleJoinReply(m JoinReply) {
 	}
 	if !wasJoined {
 		n.startHeartbeats()
-		for _, p := range n.joinPending {
-			n.Route(p.key, p.payload)
-		}
-		n.joinPending = nil
 	}
 }
 
@@ -728,9 +712,6 @@ func (n *Node) handleHeartbeat(from ids.ID, m Heartbeat) {
 func (n *Node) declareDead(deadID ids.ID) {
 	n.RemoveNode(deadID)
 	n.dead[deadID] = n.env.Now()
-	if n.OnNeighborDead != nil {
-		n.OnNeighborDead(deadID)
-	}
 	// Gossip the death certificate so the purge propagates beyond this
 	// node's leaf set: routing-table entries are not heartbeat-monitored,
 	// so without the obituary flood an interior node's death would leave

@@ -34,9 +34,6 @@ func (o *Oracle) Reset(members []ids.ID) {
 	}
 }
 
-// Members returns the sorted membership.
-func (o *Oracle) Members() []ids.ID { return o.sorted }
-
 // Owner returns the live node closest to key on the ring (the root of
 // key's DHT tree).
 func (o *Oracle) Owner(key ids.ID) ids.ID {
@@ -67,7 +64,7 @@ func (o *Oracle) Fill(n *Node) {
 	total := len(o.sorted)
 
 	// Leaf set from ring order.
-	for d := 1; d <= n.cfg.LeafSetSize && d < total; d++ {
+	for d := 1; d <= leafSetSize && d < total; d++ {
 		n.leaf.Install(o.sorted[(idx+d)%total])
 		n.leaf.Install(o.sorted[(idx-d+total)%total])
 	}

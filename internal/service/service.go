@@ -347,13 +347,11 @@ type sharedSub struct {
 	installErr error
 	// subs holds the live subscribers in attach order — fan-out order
 	// is deterministic, which keeps simulated runs seed-reproducible.
-	subs   []*subscriber
-	nextID uint64
+	subs []*subscriber
 }
 
 // subscriber is one caller's attachment to a shared stream.
 type subscriber struct {
-	id uint64
 	fn func(core.Sample)
 	// ch/stop implement the buffered hand-off mode; nil in synchronous
 	// mode.
@@ -363,8 +361,7 @@ type subscriber struct {
 
 // attach adds a subscriber (caller holds s.mu).
 func (sh *sharedSub) attach(s *Service, fn func(core.Sample)) *svcSub {
-	sh.nextID++
-	sub := &subscriber{id: sh.nextID, fn: fn}
+	sub := &subscriber{fn: fn}
 	if s.opts.Buffer > 0 {
 		sub.ch = make(chan core.Sample, s.opts.Buffer)
 		sub.stop = make(chan struct{})

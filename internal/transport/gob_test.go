@@ -75,7 +75,7 @@ func wireSamples(t testing.TB) []any {
 
 	samples := []any{
 		pastry.RouteMsg{Key: nodeA, Hops: 3,
-			Payload: core.ProbeMsg{QID: qid, Group: "g", Attr: "cpu", ReplyTo: nodeB}},
+			Payload: core.ProbeMsg{QID: qid, Group: "g", ReplyTo: nodeB}},
 		pastry.RouteMsg{Key: nodeA, Hops: 1, Maint: true,
 			Payload: pastry.RepairProbe{Origin: nodeB}},
 		// A standing query's install and cancel, routed to a tree root.
@@ -96,7 +96,7 @@ func wireSamples(t testing.TB) []any {
 		core.ResponseMsg{QID: qid, Group: "g", State: grouped, Contributors: 7, Np: 3, Unknown: 1.5},
 		core.StatusMsg{Group: "g", Prune: true, Np: 4, Unknown: 0.5, LastSeq: 9,
 			UpdateSet: []core.SetEntry{{ID: nodeA, Level: 1}}},
-		core.ProbeMsg{QID: qid, Group: "g", Attr: "cpu", ReplyTo: nodeA},
+		core.ProbeMsg{QID: qid, Group: "g", ReplyTo: nodeA},
 		core.ProbeRespMsg{QID: qid, Group: "g", Cost: 12.5},
 		core.SubscribeMsg{SID: qid, Group: "slice = cs101", Eval: "a = 1", Attr: "mem_util",
 			Spec: spec, GroupBy: "slice", Period: 2 * time.Second, Gen: 4, MinEpoch: 6, ReplyTo: nodeB},

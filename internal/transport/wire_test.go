@@ -560,7 +560,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// frame whose message tag is unknown.
 	stream := appendConnHeader(nil, "127.0.0.1:1")
 	for _, m := range []any{
-		core.ProbeMsg{QID: core.QueryID{Num: 1}, Group: "g", Attr: "cpu"},
+		core.ProbeMsg{QID: core.QueryID{Num: 1}, Group: "g"},
 		core.EpochReportMsg{Group: "g", Epoch: 1, State: grouped},
 	} {
 		if stream, err = appendFrame(stream, m); err != nil {

@@ -56,6 +56,22 @@ func TestSimClusterOptions(t *testing.T) {
 	}
 }
 
+// TestQueryTimeFromVirtualZero checks that a query whose sub-queries
+// go out at virtual time 0 still reports its query phase: a count(*)
+// needs no probes, so its query time is its total time.
+func TestQueryTimeFromVirtualZero(t *testing.T) {
+	c := NewSimCluster(16)
+	for q := 0; q < 2; q++ {
+		res, err := c.Client(0).Query(context.Background(), "count(*)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Stats; st.TotalTime <= 0 || st.QueryTime != st.TotalTime {
+			t.Fatalf("query %d: total=%v query=%v, want equal and positive", q, st.TotalTime, st.QueryTime)
+		}
+	}
+}
+
 func TestSimClusterWANModel(t *testing.T) {
 	c := NewSimCluster(48, WithSeed(3), WithWANModel())
 	for i := 0; i < c.Size(); i++ {
