@@ -22,9 +22,6 @@ func renderSample(s Sample) string {
 			fmt.Fprintf(&b, " %s", l)
 		}
 	}
-	if s.Err != nil {
-		fmt.Fprintf(&b, " err=%v", s.Err)
-	}
 	return b.String()
 }
 

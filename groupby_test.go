@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/moara/moara/internal/aggregate"
 	"github.com/moara/moara/internal/core"
 )
 
@@ -218,4 +219,36 @@ func TestFormatGroups(t *testing.T) {
 		lines[len(lines)-1] != "(truncated: key cap exceeded, remainder under <other>)" {
 		t.Fatalf("truncated=%v lines = %v", res.Truncated, lines)
 	}
+}
+
+// TestFormatSample checks the lines both shells print per standing
+// sample: the scalar form with its cold marker and contributor count,
+// and the grouped form's header, key-sorted lines and truncation note.
+func TestFormatSample(t *testing.T) {
+	check := func(s Sample, want ...string) {
+		t.Helper()
+		if got := FormatSample(s); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("FormatSample = %q, want %q", got, want)
+		}
+	}
+	scalar := Sample{Epoch: 3, ColdStart: true, Result: Result{Agg: aggregate.Result{Value: Float(4.5)}, Contributors: 7}}
+	check(scalar, "epoch 3 (cold): 4.5 (7 contributors)")
+	scalar.ColdStart = false
+	check(scalar, "epoch 3: 4.5 (7 contributors)")
+
+	grouped := Sample{Epoch: 9, Result: Result{
+		Agg: aggregate.Result{Value: Int(8)},
+		Groups: map[string]aggregate.Result{
+			"west":             {Value: Int(2)},
+			"east":             {Value: Int(5)},
+			aggregate.OtherKey: {Value: Int(1)},
+		},
+		Truncated:    true,
+		Contributors: 8,
+	}}
+	check(grouped, "epoch 9:", "  <other>=1", "  east=5", "  west=2",
+		"  (truncated: key cap exceeded, remainder under <other>)")
+	grouped.ColdStart, grouped.Result.Truncated = true, false
+	delete(grouped.Result.Groups, aggregate.OtherKey)
+	check(grouped, "epoch 9 (cold):", "  east=5", "  west=2")
 }

@@ -59,7 +59,7 @@ const (
 
 // kindInfo describes one registered aggregation function: its canonical
 // query-language name, accepted aliases, and the constructor of its zero
-// State (reset then makes it a Spec's empty state). Spec.New, ParseSpec,
+// State (reset then makes it a Spec's empty state). Spec.New, ParseSpecArg,
 // Kind.String and the wire decoder are all views of this one registry,
 // so adding a function is one row here plus its State type.
 type kindInfo struct {
@@ -158,16 +158,11 @@ func (s Spec) Validate() error {
 // `quantile(x, 0.999)` land on the same Spec.Q bit pattern.
 func canonQ(q float64) float64 { return math.Round(q*1e6) / 1e6 }
 
-// ParseSpec parses an aggregation function name: sum, count, min, max,
-// avg, std, enum, dcount, union, collect, topN (e.g. top3), topkeysN,
-// or pNN (e.g. p99, p99.9).
-func ParseSpec(name string) (Spec, error) {
-	return ParseSpecArg(name, "")
-}
-
-// ParseSpecArg parses an aggregation function name plus the optional
-// second argument of the two-argument query forms `quantile(attr, q)`
-// and `topkeys(attr, k)`. Functions that take no argument reject a
+// ParseSpecArg parses an aggregation function name (sum, count, min,
+// max, avg, std, enum, dcount, union, collect, topN such as top3,
+// topkeysN, or pNN such as p99 and p99.9) plus the optional second
+// argument of the two-argument query forms `quantile(attr, q)` and
+// `topkeys(attr, k)`. Functions that take no argument reject a
 // non-empty arg.
 func ParseSpecArg(name, arg string) (Spec, error) {
 	n := strings.ToLower(strings.TrimSpace(name))

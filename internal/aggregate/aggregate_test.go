@@ -237,15 +237,15 @@ func TestParseSpec(t *testing.T) {
 		{"enumerate", Spec{Kind: KindEnum}, false},
 	}
 	for _, tc := range tests {
-		got, err := ParseSpec(tc.in)
+		got, err := ParseSpecArg(tc.in, "")
 		if tc.err {
 			if err == nil {
-				t.Errorf("ParseSpec(%q) should fail", tc.in)
+				t.Errorf("ParseSpecArg(%q, \"\") should fail", tc.in)
 			}
 			continue
 		}
 		if err != nil || got != tc.want {
-			t.Errorf("ParseSpec(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+			t.Errorf("ParseSpecArg(%q, \"\") = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
 }
@@ -263,8 +263,8 @@ func TestStdDeviation(t *testing.T) {
 	if empty.Result().Value.IsValid() {
 		t.Fatal("std of empty set should be invalid")
 	}
-	if sp, err := ParseSpec("stddev"); err != nil || sp.Kind != KindStd {
-		t.Fatalf("ParseSpec(stddev) = %v, %v", sp, err)
+	if sp, err := ParseSpecArg("stddev", ""); err != nil || sp.Kind != KindStd {
+		t.Fatalf("ParseSpecArg(stddev) = %v, %v", sp, err)
 	}
 }
 

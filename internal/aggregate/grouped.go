@@ -412,13 +412,6 @@ func (g *GroupedState) Nodes() int64 {
 	return n
 }
 
-// Keys lists the held group keys in ascending order (Other excluded).
-// The slice is g's own key column: read it, don't keep or modify it.
-func (g *GroupedState) Keys() []string {
-	g.settle()
-	return slices.Clip(g.keys)
-}
-
 // KeyCount reports the number of exactly-held keys.
 func (g *GroupedState) KeyCount() int { return len(g.keys) }
 

@@ -16,6 +16,13 @@ import (
 
 func keyOf(i int, nKeys int) string { return fmt.Sprintf("k%02d", i%nKeys) }
 
+// Keys lists the held group keys in ascending order (Other excluded).
+// The slice is g's own key column: read it, don't keep or modify it.
+func (g *GroupedState) Keys() []string {
+	g.settle()
+	return slices.Clip(g.keys)
+}
+
 // TestGroupedScalarSpecialCase: an ungrouped query through the keyed
 // engine (everything under ScalarKey) must equal the plain scalar state.
 func TestGroupedScalarSpecialCase(t *testing.T) {
@@ -195,8 +202,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"avg ustale",
 	}
 	for _, in := range bad {
-		if sp, err := ParseSpec(in); err == nil {
-			t.Errorf("ParseSpec(%q) = %v, should fail", in, sp)
+		if sp, err := ParseSpecArg(in, ""); err == nil {
+			t.Errorf("ParseSpecArg(%q, \"\") = %v, should fail", in, sp)
 		}
 	}
 }

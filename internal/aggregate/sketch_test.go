@@ -432,7 +432,7 @@ func TestQuantileSpecCanonical(t *testing.T) {
 		if got := tc.a.String(); got != tc.canon {
 			t.Errorf("canonical form = %q, want %q", got, tc.canon)
 		}
-		back, err := ParseSpec(tc.a.String())
+		back, err := ParseSpecArg(tc.a.String(), "")
 		if err != nil || back != tc.a {
 			t.Errorf("canonical %q did not round-trip: %v, %v", tc.a.String(), back, err)
 		}

@@ -4,13 +4,13 @@
 package attr
 
 import (
-	"sort"
+	"math"
 
 	"github.com/moara/moara/internal/value"
 )
 
 // ChangeFunc observes attribute updates. old is invalid when the
-// attribute is newly set; new is invalid when it is deleted.
+// attribute is newly set.
 type ChangeFunc func(name string, old, new value.Value)
 
 // Store holds one node's attributes. It is not safe for concurrent use;
@@ -31,9 +31,12 @@ func (s *Store) Subscribe(fn ChangeFunc) {
 }
 
 // Set writes an attribute and notifies listeners when the value changed.
+// A NaN and a number differ, though value.Equal calls them equal.
 func (s *Store) Set(name string, v value.Value) {
 	old := s.vals[name]
-	if old.IsValid() && value.Equal(old, v) && old.Kind() == v.Kind() {
+	of, _ := old.AsFloat()
+	nf, _ := v.AsFloat()
+	if old.IsValid() && value.Equal(old, v) && old.Kind() == v.Kind() && math.IsNaN(of) == math.IsNaN(nf) {
 		return
 	}
 	s.vals[name] = v
@@ -52,37 +55,8 @@ func (s *Store) SetBool(name string, v bool) { s.Set(name, value.Bool(v)) }
 // SetString is shorthand for Set with a string value.
 func (s *Store) SetString(name, v string) { s.Set(name, value.Str(v)) }
 
-// Delete removes an attribute, notifying listeners if it existed.
-func (s *Store) Delete(name string) {
-	old, ok := s.vals[name]
-	if !ok {
-		return
-	}
-	delete(s.vals, name)
-	s.notify(name, old, value.Value{})
-}
-
 // Get returns the attribute's value; an invalid Value when unset.
 func (s *Store) Get(name string) value.Value { return s.vals[name] }
-
-// Has reports whether the attribute is set.
-func (s *Store) Has(name string) bool {
-	_, ok := s.vals[name]
-	return ok
-}
-
-// Names returns all attribute names in sorted order.
-func (s *Store) Names() []string {
-	out := make([]string, 0, len(s.vals))
-	for k := range s.vals {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of attributes.
-func (s *Store) Len() int { return len(s.vals) }
 
 func (s *Store) notify(name string, old, new value.Value) {
 	for _, fn := range s.listeners {

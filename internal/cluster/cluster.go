@@ -143,9 +143,6 @@ func New(opts Options) *Cluster {
 	return c
 }
 
-// Node returns the i-th node.
-func (c *Cluster) Node(i int) *core.Node { return c.Nodes[i] }
-
 // AddNode joins one new node into the running cluster through the real
 // join protocol (§7 reconfiguration: overlay membership changes while
 // group trees are live) and returns its index. The join bootstraps via
@@ -187,12 +184,11 @@ func (c *Cluster) liveBootstrap(i int) ids.ID {
 	panic("cluster: no live bootstrap node")
 }
 
-// Kill crashes node i: it stops sending, receiving, and ticking, but —
-// unlike the old test-only pattern of calling Overlay().RemoveNode on
-// every survivor — nothing else is touched. The survivors purge the
-// dead node through the liveness path: its leaf-set neighbors detect the
-// silence by heartbeat misses (enable Overlay.HeartbeatEvery) and gossip
-// an obituary cluster-wide, which also drops every Moara-layer child
+// Kill crashes node i: it stops sending, receiving, and ticking, and
+// nothing else is touched. The survivors purge the dead node through
+// the liveness path: its leaf-set neighbors detect the silence by
+// heartbeat misses (enable Overlay.HeartbeatEvery) and gossip an
+// obituary cluster-wide, which also drops every Moara-layer child
 // state and buffered epoch report referencing the corpse. Without
 // heartbeats the overlay never heals and queries rely on child timeouts
 // alone, exactly as a real deployment without failure detection would.

@@ -344,9 +344,9 @@ func TestJoinersRunOnTheirMachine(t *testing.T) {
 	c.Net.RunFor(10 * time.Second)
 	clocks := make([]*pingClock, len(joiners))
 	for i, j := range joiners {
-		clocks[i] = &pingClock{node: c.Node(j)}
-		c.Node(j).Env().(interface{ BindHandler(simnet.Handler) }).BindHandler(clocks[i])
-		c.Node(0).Env().Send(c.IDs[j], joinerPing{})
+		clocks[i] = &pingClock{node: c.Nodes[j]}
+		c.Nodes[j].Env().(interface{ BindHandler(simnet.Handler) }).BindHandler(clocks[i])
+		c.Nodes[0].Env().Send(c.IDs[j], joinerPing{})
 	}
 	c.Net.RunFor(time.Second)
 	if a, b := clocks[0].at, clocks[1].at; a == 0 || a != b {

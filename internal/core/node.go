@@ -105,7 +105,7 @@ type Node struct {
 var _ simnet.Handler = (*Node)(nil)
 
 // NewNode creates a Moara node on env. The node's overlay must still be
-// bootstrapped (Join, BootstrapAlone, or an Oracle Fill).
+// bootstrapped (Join or an Oracle Fill).
 func NewNode(env simnet.Env, cfg Config, overlayCfg pastry.Config) *Node {
 	n := &Node{
 		env:          env,
@@ -206,9 +206,6 @@ func (n *Node) Store() *attr.Store { return n.store }
 
 // Self returns the node's identifier.
 func (n *Node) Self() ids.ID { return n.self }
-
-// Config returns the node's configuration.
-func (n *Node) Config() Config { return n.cfg }
 
 // Close stops every timer the node holds: the epoch clock, the outbox
 // flush, the GC sweep, child timeouts, the front-end's and the

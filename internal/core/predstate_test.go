@@ -11,13 +11,8 @@ import (
 	"github.com/moara/moara/internal/value"
 )
 
-func testGroup(t *testing.T) groupSpec {
-	t.Helper()
-	s, err := predicate.ParseSimple("a = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return simpleGroup(s)
+func testGroup() groupSpec {
+	return simpleGroup(predicate.MustParse("a = 1").(predicate.Simple))
 }
 
 func flatRegion(int) float64 { return 1 }
@@ -363,7 +358,7 @@ func TestRecomputeAdoptedChildrenInIDOrder(t *testing.T) {
 // TestGroupSpecRoundTrip checks wire-canon round-tripping, including
 // the global pseudo-group.
 func TestGroupSpecRoundTrip(t *testing.T) {
-	g := testGroup(t)
+	g := testGroup()
 	back, err := parseGroupSpec(g.canon)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +381,7 @@ func TestGroupSpecRoundTrip(t *testing.T) {
 
 // TestEvalLocal checks group predicate evaluation against a store.
 func TestEvalLocal(t *testing.T) {
-	g := testGroup(t)
+	g := testGroup()
 	ps := newPredState(g)
 	get := predicate.GetterFunc(func(name string) value.Value {
 		if name == "a" {

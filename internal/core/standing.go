@@ -100,9 +100,6 @@ type Sample struct {
 	// Result is the epoch's aggregate (Stats carries only the group-by
 	// metadata; there is no per-epoch planning).
 	Result Result
-	// Err is non-nil when the round failed (subscription setup errors;
-	// per-epoch delivery has no failure callback).
-	Err error
 }
 
 // Completeness is Contributors/Expected clamped to [0,1] (1 when

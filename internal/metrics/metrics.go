@@ -28,9 +28,6 @@ func (r *Recorder) Add(d time.Duration) {
 	r.sorted = false
 }
 
-// Len returns the sample count.
-func (r *Recorder) Len() int { return len(r.samples) }
-
 func (r *Recorder) sortSamples() {
 	if !r.sorted {
 		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })

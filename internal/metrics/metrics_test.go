@@ -14,8 +14,8 @@ func fill(r *Recorder, ms ...int) {
 func TestRecorderStats(t *testing.T) {
 	r := NewRecorder(8)
 	fill(r, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
-	if r.Len() != 10 {
-		t.Fatalf("len = %d", r.Len())
+	if len(r.samples) != 10 {
+		t.Fatalf("len = %d", len(r.samples))
 	}
 	if got := r.Mean(); got != 55*time.Millisecond {
 		t.Fatalf("mean = %v", got)
@@ -58,7 +58,7 @@ func TestAddAfterSortKeepsOrder(t *testing.T) {
 	if got := r.Percentile(50); got != 20*time.Millisecond {
 		t.Fatalf("median after resort = %v", got)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d", r.Len())
+	if len(r.samples) != 3 {
+		t.Fatalf("len = %d", len(r.samples))
 	}
 }

@@ -28,7 +28,8 @@ func buildProtocolCluster(t *testing.T, net *simnet.Network, n int, hb time.Dura
 		nodes[i] = New(env, Config{HeartbeatEvery: hb})
 		env.BindHandler(&protoNode{nodes[i]})
 	}
-	nodes[0].BootstrapAlone()
+	nodes[0].joined = true // the first member of a new overlay
+	nodes[0].startHeartbeats()
 	for i := 1; i < n; i++ {
 		nodes[i].Join(members[0])
 		net.RunFor(100 * time.Millisecond)
@@ -41,10 +42,10 @@ func TestProtocolJoinAllJoined(t *testing.T) {
 	net := simnet.New(simnet.Options{Seed: 3, Latency: simnet.Fixed(time.Millisecond)})
 	nodes, _ := buildProtocolCluster(t, net, 30, 0)
 	for i, n := range nodes {
-		if !n.Joined() {
+		if !n.joined {
 			t.Fatalf("node %d not joined", i)
 		}
-		if len(n.Leaf().Members()) == 0 {
+		if len(n.leaf.Members()) == 0 {
 			t.Fatalf("node %d has empty leaf set", i)
 		}
 	}
@@ -102,7 +103,7 @@ func TestHeartbeatDetectsFailure(t *testing.T) {
 	// Find a neighbor that currently has the victim in its leaf set.
 	var watcher *Node
 	for i, n := range nodes {
-		if i != victimIdx && n.Leaf().Contains(victim) {
+		if i != victimIdx && n.leaf.Contains(victim) {
 			watcher = n
 			break
 		}
@@ -117,7 +118,7 @@ func TestHeartbeatDetectsFailure(t *testing.T) {
 	if !deadSeen {
 		t.Fatal("failure not detected by heartbeats")
 	}
-	if watcher.Leaf().Contains(victim) {
+	if watcher.leaf.Contains(victim) {
 		t.Fatal("dead node still in watcher's leaf set")
 	}
 }
@@ -133,7 +134,7 @@ func TestObituaryPurgesClusterWide(t *testing.T) {
 	victim := members[victimIdx]
 	holders := 0
 	for i, n := range nodes {
-		if i != victimIdx && (n.Leaf().Contains(victim) || tableContains(n, victim)) {
+		if i != victimIdx && (n.leaf.Contains(victim) || tableContains(n, victim)) {
 			holders++
 		}
 	}
@@ -146,7 +147,7 @@ func TestObituaryPurgesClusterWide(t *testing.T) {
 		if i == victimIdx {
 			continue
 		}
-		if n.Leaf().Contains(victim) {
+		if n.leaf.Contains(victim) {
 			t.Errorf("node %d still has the victim in its leaf set", i)
 		}
 		if tableContains(n, victim) {
@@ -156,7 +157,7 @@ func TestObituaryPurgesClusterWide(t *testing.T) {
 }
 
 func tableContains(n *Node, id ids.ID) bool {
-	for _, e := range n.Table().Entries() {
+	for _, e := range n.rt.Entries() {
 		if e == id {
 			return true
 		}
@@ -178,7 +179,7 @@ func TestRejoinAfterDeathCertificate(t *testing.T) {
 	net.SetDown(victim, false)
 	nodes[victimIdx].Rejoin(members[0])
 	net.RunFor(5 * time.Second)
-	if !nodes[victimIdx].Joined() {
+	if !nodes[victimIdx].joined {
 		t.Fatal("victim did not rejoin")
 	}
 	known := 0
@@ -186,7 +187,7 @@ func TestRejoinAfterDeathCertificate(t *testing.T) {
 		if i == victimIdx {
 			continue
 		}
-		if n.Leaf().Contains(victim) || tableContains(n, victim) {
+		if n.leaf.Contains(victim) || tableContains(n, victim) {
 			known++
 		}
 	}
@@ -212,12 +213,12 @@ func TestJoinRetriesThroughLostHandshake(t *testing.T) {
 	net.SetDown(members[0], true)
 	jn.Join(members[0])
 	net.RunFor(time.Second)
-	if jn.Joined() {
+	if jn.joined {
 		t.Fatal("join should not have completed against a dead bootstrap")
 	}
 	net.SetDown(members[0], false)
 	net.RunFor(10 * time.Second) // retry cadence is 2s
-	if !jn.Joined() {
+	if !jn.joined {
 		t.Fatal("join retry never completed after the bootstrap recovered")
 	}
 }

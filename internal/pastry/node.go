@@ -98,21 +98,6 @@ func New(env simnet.Env, cfg Config) *Node {
 // Self returns the node's identifier.
 func (n *Node) Self() ids.ID { return n.self }
 
-// Leaf exposes the leaf set (read-only use).
-func (n *Node) Leaf() *LeafSet { return n.leaf }
-
-// Table exposes the routing table (read-only use).
-func (n *Node) Table() *RoutingTable { return &n.rt }
-
-// Joined reports whether the node has completed bootstrap.
-func (n *Node) Joined() bool { return n.joined }
-
-// BootstrapAlone marks the node as the first member of a new overlay.
-func (n *Node) BootstrapAlone() {
-	n.joined = true
-	n.startHeartbeats()
-}
-
 // Close stops background timers.
 func (n *Node) Close() {
 	n.stopHeartbeats()

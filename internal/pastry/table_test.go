@@ -252,7 +252,7 @@ func TestJoinProtocolBuildsRoutableOverlay(t *testing.T) {
 	_ = o
 	joined := 0
 	for _, id := range members {
-		if nodes[id].Joined() {
+		if nodes[id].joined {
 			joined++
 		}
 	}
@@ -260,10 +260,10 @@ func TestJoinProtocolBuildsRoutableOverlay(t *testing.T) {
 		t.Fatalf("joined = %d", joined)
 	}
 	for _, id := range members[:5] {
-		if got := len(nodes[id].Table().Entries()); got == 0 {
+		if got := len(nodes[id].rt.Entries()); got == 0 {
 			t.Fatalf("node %s has empty table", id.Short())
 		}
-		if got := len(nodes[id].Leaf().Members()); got == 0 {
+		if got := len(nodes[id].leaf.Members()); got == 0 {
 			t.Fatalf("node %s has empty leaf set", id.Short())
 		}
 	}
@@ -272,7 +272,7 @@ func TestJoinProtocolBuildsRoutableOverlay(t *testing.T) {
 func TestRemoveNodePurgesState(t *testing.T) {
 	_, nodes, members := buildOracleNodes(t, 30)
 	n := nodes[members[0]]
-	entries := n.Table().Entries()
+	entries := n.rt.Entries()
 	if len(entries) == 0 {
 		t.Skip("no entries")
 	}
@@ -281,7 +281,7 @@ func TestRemoveNodePurgesState(t *testing.T) {
 	if n.Gen() == gen {
 		t.Fatal("generation not bumped on removal")
 	}
-	for _, e := range n.Table().Entries() {
+	for _, e := range n.rt.Entries() {
 		if e == entries[0] {
 			t.Fatal("dead node still in table")
 		}

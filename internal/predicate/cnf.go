@@ -20,35 +20,11 @@ func (c Clause) Canon() string {
 	return strings.Join(parts, " or ")
 }
 
-// Expr rebuilds the clause as a predicate expression.
-func (c Clause) Expr() Expr {
-	if len(c) == 1 {
-		return c[0]
-	}
-	terms := make([]Expr, len(c))
-	for i, s := range c {
-		terms[i] = s
-	}
-	return Or{Terms: terms}
-}
-
 // CNF is a conjunction of clauses. Every clause is a structural cover of
 // the original predicate: querying all groups in any single clause
 // reaches every node that satisfies the whole predicate (proof sketch in
 // §6.3 of the paper).
 type CNF []Clause
-
-// Expr rebuilds the CNF as a predicate expression.
-func (f CNF) Expr() Expr {
-	if len(f) == 1 {
-		return f[0].Expr()
-	}
-	terms := make([]Expr, len(f))
-	for i, c := range f {
-		terms[i] = c.Expr()
-	}
-	return And{Terms: terms}
-}
 
 // DefaultMaxClauses caps CNF growth during distribution. Beyond the cap
 // ToCNF fails and the planner falls back to querying every referenced

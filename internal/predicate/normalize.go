@@ -104,12 +104,3 @@ func fold(terms []Expr, and bool) Expr {
 	}
 	return Or{Terms: terms}
 }
-
-// CanonOf renders the canonical string of a normalized predicate; nil
-// renders as the empty string (the all-nodes group).
-func CanonOf(e Expr) string {
-	if e == nil {
-		return ""
-	}
-	return Normalize(e).Canon()
-}

@@ -13,7 +13,7 @@ func canon(t *testing.T, text string) string {
 	if err != nil {
 		t.Fatalf("parse %q: %v", text, err)
 	}
-	return CanonOf(e)
+	return Normalize(e).Canon()
 }
 
 func TestNormalizeEquivalentForms(t *testing.T) {
@@ -128,8 +128,5 @@ func TestNormalizeIdempotent(t *testing.T) {
 func TestNormalizeNil(t *testing.T) {
 	if Normalize(nil) != nil {
 		t.Fatal("Normalize(nil) != nil")
-	}
-	if CanonOf(nil) != "" {
-		t.Fatalf("CanonOf(nil) = %q, want empty", CanonOf(nil))
 	}
 }

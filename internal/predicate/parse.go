@@ -32,19 +32,6 @@ func ParseExpr(s string) (Expr, error) {
 	return e, nil
 }
 
-// ParseSimple parses a single simple predicate term.
-func ParseSimple(s string) (Simple, error) {
-	e, err := ParseExpr(s)
-	if err != nil {
-		return Simple{}, err
-	}
-	sim, ok := e.(Simple)
-	if !ok {
-		return Simple{}, fmt.Errorf("predicate: %q is not a simple predicate", s)
-	}
-	return sim, nil
-}
-
 // MustParse is ParseExpr that panics on error; for tests and examples.
 func MustParse(s string) Expr {
 	e, err := ParseExpr(s)

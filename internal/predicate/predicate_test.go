@@ -125,6 +125,31 @@ func TestNegateLaw(t *testing.T) {
 	}
 }
 
+// Expr rebuilds the clause as a predicate expression.
+func (c Clause) Expr() Expr {
+	if len(c) == 1 {
+		return c[0]
+	}
+	terms := make([]Expr, len(c))
+	for i, s := range c {
+		terms[i] = s
+	}
+	return Or{Terms: terms}
+}
+
+// Expr rebuilds the CNF as a predicate expression, the oracle of
+// TestCNFEquivalence.
+func (f CNF) Expr() Expr {
+	if len(f) == 1 {
+		return f[0].Expr()
+	}
+	terms := make([]Expr, len(f))
+	for i, c := range f {
+		terms[i] = c.Expr()
+	}
+	return And{Terms: terms}
+}
+
 // TestCNFEquivalence model-checks ToCNF: the CNF must evaluate exactly
 // like the original expression on random attribute assignments.
 func TestCNFEquivalence(t *testing.T) {

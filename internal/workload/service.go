@@ -35,26 +35,6 @@ func ServiceQueries(q, forms, nSlices int, period time.Duration) []string {
 	return out
 }
 
-// ServiceForms returns the canonical text of each distinct form in
-// ServiceQueries(q, forms, ...) order — the queries a service-less
-// deployment would install once each.
-func ServiceForms(forms, nSlices int, period time.Duration) []string {
-	if forms < 1 {
-		forms = 1
-	}
-	if nSlices < 1 {
-		nSlices = 1
-	}
-	if max := 4 * nSlices; forms > max {
-		forms = max
-	}
-	out := make([]string, forms)
-	for f := range out {
-		out[f] = serviceVariant(f, 0, nSlices, period)
-	}
-	return out
-}
-
 var serviceSpecs = [4]string{"avg(mem_util)", "sum(mem_util)", "count(*)", "max(mem_util)"}
 
 // serviceVariant renders form f in syntactic style (variant 0 is the

@@ -22,7 +22,8 @@ func TestServiceQueriesShape(t *testing.T) {
 	if len(texts) != q {
 		t.Fatalf("got %d texts, want %d", len(texts), q)
 	}
-	canonical := ServiceForms(forms, nSlices, period)
+	// The first forms texts are each form's canonical variant.
+	canonical := ServiceQueries(forms, forms, nSlices, period)
 	if len(canonical) != forms {
 		t.Fatalf("got %d forms, want %d", len(canonical), forms)
 	}

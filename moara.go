@@ -105,7 +105,7 @@ type options struct {
 	cl      cluster.Options
 	nodeCfg core.Config
 	// model sets the network model once every option is applied, so it
-	// sees the final seed.
+	// sees the final seed and node configuration.
 	model func(cluster.Options) cluster.Options
 }
 
@@ -147,12 +147,14 @@ func WithLANModel() Option {
 // paper runs its PlanetLab experiments without query timeouts).
 func WithWANModel() Option {
 	return func(o *options) {
-		o.model = cluster.Options.PlanetLab
-		if o.nodeCfg.ChildTimeout == 0 {
-			o.nodeCfg.ChildTimeout = 90 * time.Second
-		}
-		if o.nodeCfg.QueryTimeout == 0 {
-			o.nodeCfg.QueryTimeout = 240 * time.Second
+		o.model = func(cl cluster.Options) cluster.Options {
+			if cl.Node.ChildTimeout == 0 {
+				cl.Node.ChildTimeout = 90 * time.Second
+			}
+			if cl.Node.QueryTimeout == 0 {
+				cl.Node.QueryTimeout = 240 * time.Second
+			}
+			return cl.PlanetLab()
 		}
 	}
 }
@@ -176,7 +178,8 @@ func NewSimCluster(n int, opts ...Option) *SimCluster {
 }
 
 // clusterOptions applies opts in order, then builds the latency model
-// from the final seed, so WithSeed may come before or after the model.
+// from the final seed and node configuration, so WithSeed and
+// WithNodeConfig may come before or after the model.
 func clusterOptions(n int, opts []Option) cluster.Options {
 	o := options{seed: 1}
 	for _, fn := range opts {

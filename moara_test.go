@@ -90,8 +90,17 @@ func TestSimClusterWANModel(t *testing.T) {
 }
 
 // TestModelSeedOptionOrder: a seeded latency model is built from the
-// final seed, so WithSeed before or after it gives the same network.
+// final seed, so WithSeed before or after it gives the same network;
+// the WAN model's raised timeouts likewise fill the final node
+// configuration, whichever side of WithNodeConfig it comes.
 func TestModelSeedOptionOrder(t *testing.T) {
+	cfg := WithNodeConfig(core.Config{Threshold: 2})
+	for _, opts := range [][]Option{{WithWANModel(), cfg}, {cfg, WithWANModel()}} {
+		if got := clusterOptions(8, opts).Node; got.ChildTimeout != 90*time.Second || got.QueryTimeout != 240*time.Second || got.Threshold != 2 {
+			t.Errorf("timeouts %v/%v, threshold %d; want 1m30s/4m0s, 2", got.ChildTimeout, got.QueryTimeout, got.Threshold)
+		}
+	}
+
 	for _, model := range []Option{WithWANModel(), WithLANModel()} {
 		seedFirst := clusterOptions(48, []Option{WithSeed(11), model})
 		seedLast := clusterOptions(48, []Option{model, WithSeed(11)})

@@ -101,15 +101,12 @@ func monitorQuery(query string, every time.Duration) (string, time.Duration, err
 
 // GroupSeries pivots grouped monitoring samples into one time series
 // per group key: series[key][r] is key's aggregate value in round r (an
-// invalid Value for rounds where the key was absent or the query
-// failed). Keys are collected across the whole window, so a group that
-// appears mid-run gets a full-length, left-padded series.
+// invalid Value for rounds where the key was absent). Keys are collected
+// across the whole window, so a group that appears mid-run gets a
+// full-length, left-padded series.
 func GroupSeries(samples []Sample) map[string][]Value {
 	series := make(map[string][]Value)
 	for r, s := range samples {
-		if s.Err != nil {
-			continue
-		}
 		for k, agg := range s.Result.Groups {
 			if _, ok := series[k]; !ok {
 				series[k] = make([]Value, len(samples))
