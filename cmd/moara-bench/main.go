@@ -5,14 +5,18 @@
 // additionally writes machine-readable per-figure tables. Performance
 // measurement and regression gating live in bench/ (see BENCHMARK.json).
 //
+// The figures and their paper and quick parameters are
+// experiments.Figures.
+//
 // Usage:
 //
 //	moara-bench [-profile paper|quick] [-tsv DIR] \
 //	            [-cpuprofile FILE] [-memprofile FILE] [-trace FILE] \
 //	            fig9 fig10 ... | all
 //
-// Profiles: "paper" reproduces the paper's parameters, "quick" keeps
-// each figure under ~1s for CI smoke.
+// Profiles: "paper" reproduces the paper's parameters, "quick" scales
+// them down for CI smoke (all figures in about a minute, most of it
+// churn's).
 package main
 
 import (
@@ -27,154 +31,6 @@ import (
 
 	"github.com/moara/moara/internal/experiments"
 )
-
-type runner func(profile string) *experiments.Table
-
-var figures = []struct {
-	name string
-	desc string
-	run  runner
-}{
-	{"fig2a", "slice-size distribution (synthetic trace)", func(p string) *experiments.Table {
-		return experiments.RunFig2a(experiments.Fig2aOptions{})
-	}},
-	{"fig2b", "utility-computing job trace (synthetic)", func(p string) *experiments.Table {
-		return experiments.RunFig2b(experiments.Fig2bOptions{})
-	}},
-	{"fig9", "bandwidth vs query:churn ratio", func(p string) *experiments.Table {
-		o := experiments.Fig9Options{}
-		if p != "paper" {
-			o = experiments.Fig9Options{N: 1000, Events: 100, Burst: 200}
-		}
-		return experiments.RunFig9(o)
-	}},
-	{"fig10", "(kUPDATE,kNO-UPDATE) sensitivity", func(p string) *experiments.Table {
-		o := experiments.Fig10Options{}
-		if p != "paper" {
-			o = experiments.Fig10Options{N: 200, Events: 100, Burst: 40}
-		}
-		return experiments.RunFig10(o)
-	}},
-	{"fig11a", "SQP query cost vs system size", func(p string) *experiments.Table {
-		o := experiments.Fig11aOptions{}
-		if p != "paper" {
-			o = experiments.Fig11aOptions{
-				Sizes:   []int{16, 64, 256, 1024, 4096},
-				Queries: 200,
-			}
-		}
-		return experiments.RunFig11a(o)
-	}},
-	{"fig11b", "SQP query/update cost vs subset size", func(p string) *experiments.Table {
-		o := experiments.Fig11bOptions{}
-		if p != "paper" {
-			o = experiments.Fig11bOptions{N: 2048, GroupSizes: []int{8, 32, 128, 512, 2048}, Queries: 200}
-		}
-		return experiments.RunFig11b(o)
-	}},
-	{"fig12a", "static groups: Moara vs SDIMS global tree", func(p string) *experiments.Table {
-		o := experiments.Fig12aOptions{}
-		if p != "paper" {
-			o = experiments.Fig12aOptions{N: 500, Queries: 40}
-		}
-		return experiments.RunFig12a(o)
-	}},
-	{"fig12b", "dynamic group latency", func(p string) *experiments.Table {
-		o := experiments.Fig12bOptions{}
-		if p != "paper" {
-			o = experiments.Fig12bOptions{N: 500, Queries: 40}
-		}
-		return experiments.RunFig12b(o)
-	}},
-	{"fig13a", "latency timeline under churn", func(p string) *experiments.Table {
-		o := experiments.Fig13aOptions{}
-		if p != "paper" {
-			o = experiments.Fig13aOptions{Seconds: 60}
-		}
-		return experiments.RunFig13a(o)
-	}},
-	{"fig13b", "composite query latency", func(p string) *experiments.Table {
-		o := experiments.Fig13bOptions{}
-		if p != "paper" {
-			o = experiments.Fig13bOptions{Queries: 60}
-		}
-		return experiments.RunFig13b(o)
-	}},
-	{"fig14", "PlanetLab latency CDF", func(p string) *experiments.Table {
-		o := experiments.Fig14Options{}
-		if p != "paper" {
-			o = experiments.Fig14Options{Queries: 100}
-		}
-		return experiments.RunFig14(o)
-	}},
-	{"fig15", "Moara vs centralized aggregator", func(p string) *experiments.Table {
-		o := experiments.Fig15Options{}
-		if p != "paper" {
-			o = experiments.Fig15Options{Queries: 40}
-		}
-		return experiments.RunFig15(o)
-	}},
-	{"fig16", "bottleneck link analysis", func(p string) *experiments.Table {
-		o := experiments.Fig16Options{}
-		if p != "paper" {
-			o = experiments.Fig16Options{Queries: 60}
-		}
-		return experiments.RunFig16(o)
-	}},
-	{"groupby", "grouped queries: keyed in-tree merge vs one query per group", func(p string) *experiments.Table {
-		o := experiments.GroupByOptions{}
-		if p != "paper" {
-			o = experiments.GroupByOptions{N: 300, Slices: 16, Queries: 10}
-		}
-		return experiments.RunGroupBy(o)
-	}},
-	{"standing", "standing queries: installed epoch re-aggregation vs one-shot polling", func(p string) *experiments.Table {
-		o := experiments.StandingOptions{}
-		if p != "paper" {
-			o = experiments.StandingOptions{N: 300, Slices: 16, Epochs: 20}
-		}
-		return experiments.RunStanding(o)
-	}},
-	{"multiquery", "concurrent queries: per-destination wire coalescing vs Q", func(p string) *experiments.Table {
-		o := experiments.MultiQueryOptions{}
-		if p != "paper" {
-			o = experiments.MultiQueryOptions{N: 300, Slices: 16, Epochs: 24}
-		}
-		return experiments.RunMultiQuery(o)
-	}},
-	{"multiservice", "query service: Q>>N subsumption sharing + result caching", func(p string) *experiments.Table {
-		o := experiments.MultiServiceOptions{}
-		if p == "quick" {
-			// The acceptance contract: 10k subscriptions over 32 forms at
-			// N=2000 bill the wire within 1.25x of the 32 forms alone.
-			o = experiments.MultiServiceOptions{N: 2000, Q: 10000, Forms: 32, Slices: 16, Epochs: 6}
-		}
-		return experiments.RunMultiService(o)
-	}},
-	{"churn", "membership churn: completeness, lag, and repair under kill/join/recover", func(p string) *experiments.Table {
-		o := experiments.ChurnOptions{}
-		if p != "paper" {
-			o = experiments.ChurnOptions{N: 300, Epochs: 30}
-		}
-		return experiments.RunChurn(o)
-	}},
-	{"ablation", "composite cover selection ablation (§6.3)", func(p string) *experiments.Table {
-		o := experiments.AblationOptions{}
-		if p != "paper" {
-			o = experiments.AblationOptions{N: 200, Large: 150, Queries: 40}
-		}
-		return experiments.RunAblationCoverSelection(o)
-	}},
-	{"sketches", "approximate aggregates: bounded sketch state vs exact enum", func(p string) *experiments.Table {
-		o := experiments.SketchesOptions{}
-		if p == "quick" {
-			// CI smoke: the bounded-state contract end to end, under a
-			// second of cluster time.
-			o = experiments.SketchesOptions{N: 2000, Cardinalities: []int{100, 1000, 10000}, Epochs: 6}
-		}
-		return experiments.RunSketches(o)
-	}},
-}
 
 func main() {
 	profile := flag.String("profile", "paper", "parameter profile: paper or quick")
@@ -200,18 +56,11 @@ func main() {
 
 	selected := map[string]bool{}
 	for _, a := range args {
-		if a == "all" {
-			for _, f := range figures {
-				selected[f.name] = true
-			}
-			continue
-		}
 		found := false
-		for _, f := range figures {
-			if f.name == a {
-				selected[a] = true
+		for _, f := range experiments.Figures {
+			if a == "all" || f.Name == a {
+				selected[f.Name] = true
 				found = true
-				break
 			}
 		}
 		if !found {
@@ -248,17 +97,17 @@ func main() {
 		defer trace.Stop()
 	}
 
-	for _, f := range figures {
-		if !selected[f.name] {
+	for _, f := range experiments.Figures {
+		if !selected[f.Name] {
 			continue
 		}
 		start := time.Now()
-		tab := f.run(*profile)
+		tab := f.Run(*profile == "quick")
 		wall := time.Since(start)
 		tab.Note += fmt.Sprintf(" [profile=%s, wall=%s]", *profile, wall.Round(time.Millisecond))
 		tab.Fprint(os.Stdout)
 		if *tsvDir != "" {
-			if err := writeTSV(*tsvDir, f.name, tab); err != nil {
+			if err := writeTSV(*tsvDir, f.Name, tab); err != nil {
 				fmt.Fprintf(os.Stderr, "write tsv: %v\n", err)
 				os.Exit(1)
 			}
@@ -303,7 +152,7 @@ flags:
 
 figures:
 `)
-	for _, f := range figures {
-		fmt.Fprintf(os.Stderr, "  %-10s %s\n", f.name, f.desc)
+	for _, f := range experiments.Figures {
+		fmt.Fprintf(os.Stderr, "  %-10s %s\n", f.Name, f.Desc)
 	}
 }

@@ -12,6 +12,7 @@
 //	<query> every <dur>      standing query: streams samples per epoch
 //	set <node> <attr> <val>  write an attribute on a node's agent
 //	get <node> <attr>        read an attribute
+//	trees [node]             per-group tree state snapshot
 //	subs [node]              standing-subscription table snapshot
 //	stats                    message-counter snapshot
 //	help, quit

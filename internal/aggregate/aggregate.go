@@ -188,11 +188,13 @@ func ParseSpecArg(name, arg string) (Spec, error) {
 			if arg == "" {
 				return Spec{}, fmt.Errorf("aggregate: %s needs a rank: %s(attr, q) with 0 < q < 1", n, n)
 			}
+			// The rank is checked once rounded, so one that rounds to 0
+			// or 1 is rejected rather than rendered as p0 or p100.
 			q, err := strconv.ParseFloat(arg, 64)
-			if err != nil || !(q > 0 && q < 1) { // negated so NaN is rejected too
+			if q = canonQ(q); err != nil || !(q > 0 && q < 1) { // negated so NaN is rejected too
 				return Spec{}, fmt.Errorf("aggregate: bad quantile rank %q (need 0 < q < 1)", arg)
 			}
-			s.Q = canonQ(q)
+			s.Q = q
 			return s, nil
 		}
 		if arg != "" {
@@ -219,10 +221,11 @@ func ParseSpecArg(name, arg string) (Spec, error) {
 	}
 	if rest, ok := strings.CutPrefix(n, "p"); ok && rest != "" && rest[0] >= '0' && rest[0] <= '9' {
 		pct, err := strconv.ParseFloat(rest, 64)
-		if err != nil || !(pct > 0 && pct < 100) { // negated so NaN is rejected too
+		q := canonQ(pct / 100)
+		if err != nil || !(q > 0 && q < 1) { // negated so NaN is rejected too
 			return Spec{}, fmt.Errorf("aggregate: bad percentile spec %q (need p0 < pNN < p100)", name)
 		}
-		return Spec{Kind: KindQuantile, Q: canonQ(pct / 100)}, nil
+		return Spec{Kind: KindQuantile, Q: q}, nil
 	}
 	return Spec{}, fmt.Errorf("aggregate: unknown function %q", name)
 }

@@ -192,23 +192,27 @@ func TestParseRequestErrors(t *testing.T) {
 		"avg(x) where y = 1 group by",
 		"avg(x) trailing garbage",
 		// Sketch argument-list errors.
-		"quantile(x)",         // quantile requires a q argument
-		"quantile(x, 2)",      // q outside (0,1)
-		"quantile(x, 0)",      // q outside (0,1)
-		"quantile(x, nan)",    // non-numeric q
-		"quantile(x,)",        // empty argument
-		"quantile(x,,)",       // argument itself contains a comma
-		"quantile(x, 0.5, 3)", // too many arguments
-		"p0(x)",               // pNN must be in (0,100)
-		"p100(x)",             // pNN must be in (0,100)
-		"topkeys(x, 0)",       // k must be positive
-		"topkeys(x, -2)",      // k must be positive
-		"topkeys(x, three)",   // non-numeric k
-		"topkeys0(x)",         // suffix form k must be positive
-		"sum(x, 3)",           // exact aggregates take no argument
-		"dcount(os, 4)",       // dcount takes no argument
-		"union(slice, 9)",     // union takes no argument
-		"top3(load, 4)",       // prefix forms take no argument
+		"quantile(x)",            // quantile requires a q argument
+		"quantile(x, 2)",         // q outside (0,1)
+		"quantile(x, 0)",         // q outside (0,1)
+		"quantile(x, nan)",       // non-numeric q
+		"quantile(x,)",           // empty argument
+		"quantile(x,,)",          // argument itself contains a comma
+		"quantile(x, 0.5, 3)",    // too many arguments
+		"p0(x)",                  // pNN must be in (0,100)
+		"p100(x)",                // pNN must be in (0,100)
+		"p99.99999999(x)",        // rank rounds to 1
+		"p0.00001(x)",            // rank rounds to 0
+		"quantile(x, 0.9999999)", // q rounds to 1
+		"quantile(x, 0.0000001)", // q rounds to 0
+		"topkeys(x, 0)",          // k must be positive
+		"topkeys(x, -2)",         // k must be positive
+		"topkeys(x, three)",      // non-numeric k
+		"topkeys0(x)",            // suffix form k must be positive
+		"sum(x, 3)",              // exact aggregates take no argument
+		"dcount(os, 4)",          // dcount takes no argument
+		"union(slice, 9)",        // union takes no argument
+		"top3(load, 4)",          // prefix forms take no argument
 		// The attribute is one word, a keyword is a whole word, and no
 		// clause sits inside the predicate.
 		"count(*) wherex = 1",

@@ -14,31 +14,11 @@ import (
 // asymmetric intersection (small group ∩ large group) where picking
 // the right cover matters.
 type AblationOptions struct {
-	N       int
-	Small   int // small group size
-	Large   int // large group size
-	Queries int
+	N       int // paper: 500
+	Small   int // small group size (paper: 10)
+	Large   int // large group size (paper: 400)
+	Queries int // paper: 100
 	Seed    int64
-}
-
-// Defaults fills reasonable parameters.
-func (o AblationOptions) Defaults() AblationOptions {
-	if o.N == 0 {
-		o.N = 500
-	}
-	if o.Small == 0 {
-		o.Small = 10
-	}
-	if o.Large == 0 {
-		o.Large = 400
-	}
-	if o.Queries == 0 {
-		o.Queries = 100
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // RunAblationCoverSelection quantifies §6.3's design choice: for the
@@ -47,7 +27,6 @@ func (o AblationOptions) Defaults() AblationOptions {
 // and (b) naively querying both groups. Reported as messages and
 // latency per query.
 func RunAblationCoverSelection(opt AblationOptions) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Ablation: composite cover selection (§6.3)",
 		Note: fmt.Sprintf("N=%d, small=%d, large=%d, %d queries of large∩small; per query",

@@ -20,39 +20,16 @@ import (
 // paper figure — the paper delegates membership churn to FreePastry
 // (§7) and evaluates static trees only.
 type ChurnOptions struct {
-	N int // nodes (default 1000)
+	N int // nodes (paper: 1000)
 	// PerEpoch sweeps the churn rate as the expected fraction of nodes
-	// leaving per epoch, matched by arrivals (default 0, 0.005, 0.01,
+	// leaving per epoch, matched by arrivals (paper: 0, 0.005, 0.01,
 	// 0.02). The headline rate for the coalesce-off contrasts is the
 	// entry closest to 0.01.
 	PerEpoch    []float64
-	Epochs      int           // measured epochs per series (default 40)
-	Period      time.Duration // epoch length (default 200ms)
-	RecoverFrac float64       // fraction of arrivals that are recoveries (default 0.5)
+	Epochs      int           // measured epochs per series (paper: 40)
+	Period      time.Duration // epoch length (paper: 200ms)
+	RecoverFrac float64       // fraction of arrivals that are recoveries (paper: 0.5)
 	Seed        int64
-}
-
-// Defaults fills unset parameters.
-func (o ChurnOptions) Defaults() ChurnOptions {
-	if o.N == 0 {
-		o.N = 1000
-	}
-	if len(o.PerEpoch) == 0 {
-		o.PerEpoch = []float64{0, 0.005, 0.01, 0.02}
-	}
-	if o.Epochs == 0 {
-		o.Epochs = 40
-	}
-	if o.Period == 0 {
-		o.Period = 200 * time.Millisecond
-	}
-	if o.RecoverFrac == 0 {
-		o.RecoverFrac = 0.5
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // churnCluster boots a deployment with the liveness path enabled:
@@ -280,7 +257,6 @@ func churnRepairRun(opt ChurnOptions, killRoot bool) (repairEpochs, detectEpochs
 // turnaround as the churn rate sweeps, for standing and one-shot
 // queries, coalesced and not, plus the targeted repair measurement.
 func RunChurn(opt ChurnOptions) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Churn resilience: completeness and lag vs membership churn rate",
 		Note: fmt.Sprintf("N=%d, epoch=%v, %d measured epochs, Poisson kill/join/recover (recover frac %.1f), heartbeat=epoch/2 x2 misses",

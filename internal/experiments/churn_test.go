@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -16,7 +17,8 @@ func TestChurnShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep")
 	}
-	opt := ChurnOptions{N: 150, Epochs: 30, Seed: 9}.Defaults()
+	opt := ChurnOptions{N: 150, PerEpoch: []float64{0, 0.005, 0.01, 0.02}, Epochs: 30,
+		Period: 200 * time.Millisecond, RecoverFrac: 0.5, Seed: 9}
 	compl, _, wire := churnStandingRun(opt, 0.01, 0)
 	t.Logf("standing @1%%/epoch: mean=%.3f min=%.3f wire/epoch=%.1f", compl.mean(), compl.min, wire)
 	if compl.mean() < 0.95 {
@@ -51,7 +53,8 @@ func TestChurnOneShotCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep")
 	}
-	opt := ChurnOptions{N: 120, Epochs: 20, Period: 200 * time.Millisecond, Seed: 11}.Defaults()
+	opt := ChurnOptions{N: 120, PerEpoch: []float64{0, 0.005, 0.01, 0.02}, Epochs: 20,
+		Period: 200 * time.Millisecond, RecoverFrac: 0.5, Seed: 11}
 	compl, latMs, _ := churnOneShotRun(opt, 0.01, 0)
 	t.Logf("one-shot @1%%/epoch: mean=%.3f min=%.3f lat=%.1fms over %d rounds", compl.mean(), compl.min, latMs, compl.count)
 	if compl.count != opt.Epochs {
@@ -59,5 +62,19 @@ func TestChurnOneShotCompletes(t *testing.T) {
 	}
 	if compl.mean() < 0.85 {
 		t.Errorf("one-shot mean completeness %.3f below 0.85", compl.mean())
+	}
+}
+
+// TestChurnZeroRecoverFrac checks that a zero RecoverFrac runs as zero,
+// so every arrival is a fresh join: the table's note prints the value
+// the run used.
+func TestChurnZeroRecoverFrac(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster sweep")
+	}
+	tab := RunChurn(ChurnOptions{N: 64, PerEpoch: []float64{0.01}, Epochs: 4,
+		Period: 200 * time.Millisecond, RecoverFrac: 0, Seed: 1})
+	if !strings.Contains(tab.Note, "(recover frac 0.0)") {
+		t.Errorf("churn note does not report recover frac 0.0: %s", tab.Note)
 	}
 }

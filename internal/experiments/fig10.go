@@ -10,41 +10,17 @@ import (
 type Fig10Options struct {
 	N      int // paper: 500
 	Events int // paper: 500
-	Burst  int // paper-style 20% of N
-	Steps  int
+	Burst  int // paper: 100, 20% of N
+	Steps  int // ratio steps including the endpoints (paper: 6)
 	Seed   int64
 	// Pairs are the (kUPDATE, kNO-UPDATE) window settings to compare
 	// (paper Fig. 10 shows a representative subset).
 	Pairs [][2]int
 }
 
-// Defaults fills the paper's parameters.
-func (o Fig10Options) Defaults() Fig10Options {
-	if o.N == 0 {
-		o.N = 500
-	}
-	if o.Events == 0 {
-		o.Events = 500
-	}
-	if o.Burst == 0 {
-		o.Burst = o.N / 5
-	}
-	if o.Steps == 0 {
-		o.Steps = 6
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if len(o.Pairs) == 0 {
-		o.Pairs = [][2]int{{1, 1}, {1, 3}, {2, 1}, {3, 1}, {3, 3}}
-	}
-	return o
-}
-
 // RunFig10 reproduces Fig. 10: bandwidth across query:churn ratios for
 // different (kUPDATE, kNO-UPDATE) adaptation windows.
 func RunFig10(opt Fig10Options) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Fig. 10: sensitivity to (kUPDATE, kNO-UPDATE)",
 		Note: fmt.Sprintf("N=%d, burst=%d, events=%d; avg messages per node",

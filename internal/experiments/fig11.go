@@ -20,26 +20,6 @@ type Fig11aOptions struct {
 	Seed       int64
 }
 
-// Defaults fills the paper's parameters.
-func (o Fig11aOptions) Defaults() Fig11aOptions {
-	if len(o.Sizes) == 0 {
-		o.Sizes = []int{16, 64, 256, 1024, 4096, 16384}
-	}
-	if len(o.GroupSizes) == 0 {
-		o.GroupSizes = []int{8, 32, 128}
-	}
-	if len(o.Thresholds) == 0 {
-		o.Thresholds = []int{1, 2, 4}
-	}
-	if o.Queries == 0 {
-		o.Queries = 1000
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
 // sqpCosts runs Queries identical group queries on a fresh cluster and
 // returns (avg query cost, total update cost) in messages. With warm=0
 // the query cost includes the cold-start broadcast amortized over all
@@ -72,7 +52,6 @@ func sqpCosts(n, groupSize, threshold, queries, warm int, seed int64) (queryCost
 // RunFig11a reproduces Fig. 11(a): average query cost vs system size,
 // with and without the separate query plane.
 func RunFig11a(opt Fig11aOptions) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Fig. 11(a): SQP query cost vs number of nodes",
 		Note: fmt.Sprintf("%d queries per cell; avg messages per query; series (groupsize,threshold)",
@@ -107,35 +86,14 @@ type Fig11bOptions struct {
 	N          int   // paper: 8,192
 	GroupSizes []int // paper: subset sizes, log-spaced
 	Thresholds []int // paper: 2, 4, 16 (relative to 1)
-	Queries    int
+	Queries    int   // paper: 1,000
 	Seed       int64
-}
-
-// Defaults fills the paper's parameters.
-func (o Fig11bOptions) Defaults() Fig11bOptions {
-	if o.N == 0 {
-		o.N = 8192
-	}
-	if len(o.GroupSizes) == 0 {
-		o.GroupSizes = []int{8, 32, 128, 512, 2048, 8192}
-	}
-	if len(o.Thresholds) == 0 {
-		o.Thresholds = []int{2, 4, 16}
-	}
-	if o.Queries == 0 {
-		o.Queries = 1000
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // RunFig11b reproduces Fig. 11(b): query cost as % of the threshold=1
 // cost, and update cost as % of the threshold=1 update cost, vs group
 // size.
 func RunFig11b(opt Fig11bOptions) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Fig. 11(b): SQP query/update costs vs subset size",
 		Note: fmt.Sprintf("N=%d, %d queries; qc%% = query cost vs threshold=1, uc%% = update cost vs threshold=1",

@@ -20,28 +20,10 @@ type Fig12aOptions struct {
 	Seed       int64
 }
 
-// Defaults fills the paper's parameters.
-func (o Fig12aOptions) Defaults() Fig12aOptions {
-	if o.N == 0 {
-		o.N = 500
-	}
-	if len(o.GroupSizes) == 0 {
-		o.GroupSizes = []int{32, 64, 128, 256, 500}
-	}
-	if o.Queries == 0 {
-		o.Queries = 100
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
 // RunFig12a reproduces Fig. 12(a): per-query latency and message count
 // for static groups of increasing size, Moara vs the SDIMS single
 // global tree approach.
 func RunFig12a(opt Fig12aOptions) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Fig. 12(a): static groups, Moara vs SDIMS global tree",
 		Note: fmt.Sprintf("N=%d (Emulab model), %d queries per cell; latency ms / msgs per query",
@@ -71,45 +53,22 @@ func RunFig12a(opt Fig12aOptions) *Table {
 
 // Fig12bOptions parameterize the dynamic-group latency experiment.
 type Fig12bOptions struct {
-	N         int   // paper: 500
-	GroupSize int   // paper: 100
-	Churns    []int // paper: 40..200
-	Intervals []time.Duration
-	Queries   int // queries at 1/s (paper: 100 per run)
+	N         int             // paper: 500
+	GroupSize int             // paper: 100
+	Churns    []int           // paper: 40..200
+	Intervals []time.Duration // paper: 5s, 45s
+	Queries   int             // queries at 1/s (paper: 100 per run)
 	Seed      int64
 }
 
-// Defaults fills the paper's parameters.
-func (o Fig12bOptions) Defaults() Fig12bOptions {
-	if o.N == 0 {
-		o.N = 500
-	}
-	if o.GroupSize == 0 {
-		o.GroupSize = 100
-	}
-	if len(o.Churns) == 0 {
-		o.Churns = []int{40, 80, 120, 160, 200}
-	}
-	if len(o.Intervals) == 0 {
-		o.Intervals = []time.Duration{5 * time.Second, 45 * time.Second}
-	}
-	if o.Queries == 0 {
-		o.Queries = 100
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// dynamicGroupRun drives the Fig. 12(b)/13(a) workload: a group of
-// GroupSize nodes; every interval, churn members leave and churn
-// outsiders join; queries injected at 1/s. It returns per-query
-// latencies in injection order.
-func dynamicGroupRun(opt Fig12bOptions, churn int, interval time.Duration) []time.Duration {
-	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed}.Emulab())
-	rng := rand.New(rand.NewSource(opt.Seed + 97))
-	member := setGroup(c, "A", rng.Perm(opt.N)[:opt.GroupSize])
+// dynamicGroupRun drives the Fig. 12(b)/13(a) workload on n nodes: a
+// group of groupSize nodes; every interval, churn members leave and
+// churn outsiders join; queries injected at 1/s. It returns the
+// latencies of the first queries in injection order.
+func dynamicGroupRun(n, groupSize, queries int, seed int64, churn int, interval time.Duration) []time.Duration {
+	c := cluster.New(cluster.Options{N: n, Seed: seed}.Emulab())
+	rng := rand.New(rand.NewSource(seed + 97))
+	member := setGroup(c, "A", rng.Perm(n)[:groupSize])
 	if err := c.Warm(groupReq, groupReq, groupReq); err != nil {
 		panic(err)
 	}
@@ -135,14 +94,14 @@ func dynamicGroupRun(opt Fig12bOptions, churn int, interval time.Duration) []tim
 			c.Nodes[i].Store().SetBool("A", true)
 		}
 	}
-	latencies := make([]time.Duration, 0, opt.Queries)
+	latencies := make([]time.Duration, 0, queries)
 	start := c.Net.Now()
 	nextQuery := start + time.Second
 	nextChurn := start + interval
 	if churn == 0 {
 		nextChurn = start + 365*24*time.Hour
 	}
-	for len(latencies) < opt.Queries {
+	for len(latencies) < queries {
 		if nextChurn <= nextQuery {
 			c.Net.RunUntil(nextChurn)
 			applyChurn()
@@ -164,7 +123,6 @@ func dynamicGroupRun(opt Fig12bOptions, churn int, interval time.Duration) []tim
 // churn for different churn sizes and intervals, with the static-group
 // latency as the reference line.
 func RunFig12b(opt Fig12bOptions) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Fig. 12(b): dynamic group latency",
 		Note: fmt.Sprintf("N=%d, group=%d, %d queries at 1/s; avg latency ms",
@@ -175,11 +133,11 @@ func RunFig12b(opt Fig12bOptions) *Table {
 		t.Columns = append(t.Columns, fmt.Sprintf("interval_%ds", int(iv.Seconds())))
 	}
 	t.Columns = append(t.Columns, "static_baseline")
-	staticLat := mean(dynamicGroupRun(opt, 0, time.Hour))
+	staticLat := mean(dynamicGroupRun(opt.N, opt.GroupSize, opt.Queries, opt.Seed, 0, time.Hour))
 	for _, churn := range opt.Churns {
 		row := []string{itoa(churn)}
 		for _, iv := range opt.Intervals {
-			lat := mean(dynamicGroupRun(opt, churn, iv))
+			lat := mean(dynamicGroupRun(opt.N, opt.GroupSize, opt.Queries, opt.Seed, churn, iv))
 			row = append(row, metrics.FormatMs(lat))
 		}
 		row = append(row, metrics.FormatMs(staticLat))

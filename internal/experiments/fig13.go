@@ -21,45 +21,11 @@ type Fig13aOptions struct {
 	Seed      int64
 }
 
-// Defaults fills the paper's parameters.
-func (o Fig13aOptions) Defaults() Fig13aOptions {
-	if o.N == 0 {
-		o.N = 500
-	}
-	if o.GroupSize == 0 {
-		o.GroupSize = 200
-	}
-	if o.Churn == 0 {
-		o.Churn = 160
-	}
-	if o.Interval == 0 {
-		o.Interval = 5 * time.Second
-	}
-	if o.Seconds == 0 {
-		o.Seconds = 100
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
 // RunFig13a reproduces Fig. 13(a): per-query latency over time with a
 // churn batch every Interval, one query per second.
 func RunFig13a(opt Fig13aOptions) *Table {
-	opt = opt.Defaults()
-	lats := dynamicGroupRun(Fig12bOptions{
-		N:         opt.N,
-		GroupSize: opt.GroupSize,
-		Queries:   opt.Seconds,
-		Seed:      opt.Seed,
-	}.Defaults(), opt.Churn, opt.Interval)
-	static := dynamicGroupRun(Fig12bOptions{
-		N:         opt.N,
-		GroupSize: opt.GroupSize,
-		Queries:   opt.Seconds / 2,
-		Seed:      opt.Seed,
-	}.Defaults(), 0, time.Hour)
+	lats := dynamicGroupRun(opt.N, opt.GroupSize, opt.Seconds, opt.Seed, opt.Churn, opt.Interval)
+	static := dynamicGroupRun(opt.N, opt.GroupSize, opt.Seconds/2, opt.Seed, 0, time.Hour)
 	t := &Table{
 		Title: "Fig. 13(a): latency over time under churn",
 		Note: fmt.Sprintf("N=%d, group=%d, churn=%d every %v; static avg %s ms",
@@ -82,34 +48,10 @@ type Fig13bOptions struct {
 	Seed      int64
 }
 
-// Defaults fills the paper's parameters.
-func (o Fig13bOptions) Defaults() Fig13bOptions {
-	if o.N == 0 {
-		o.N = 500
-	}
-	if o.GroupSize == 0 {
-		o.GroupSize = 50
-	}
-	if o.MaxGroups == 0 {
-		o.MaxGroups = 10
-	}
-	if o.Queries == 0 {
-		o.Queries = 300
-	}
-	if o.ComplexTi == 0 {
-		o.ComplexTi = 3
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
 // RunFig13b reproduces Fig. 13(b): latency of intersection, union and
 // complex composite queries vs the number of groups per query, with and
 // without the size-probe phase.
 func RunFig13b(opt Fig13bOptions) *Table {
-	opt = opt.Defaults()
 	totalGroups := opt.MaxGroups * opt.ComplexTi
 	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed}.Emulab())
 	rng := rand.New(rand.NewSource(opt.Seed + 41))

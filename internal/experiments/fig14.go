@@ -23,45 +23,27 @@ type Fig14Options struct {
 	Seed       int64
 }
 
-// Defaults fills the paper's parameters.
-func (o Fig14Options) Defaults() Fig14Options {
-	if o.N == 0 {
-		o.N = 200
-	}
-	if len(o.GroupSizes) == 0 {
-		o.GroupSizes = []int{50, 100, 150, 200}
-	}
-	if o.Queries == 0 {
-		o.Queries = 500
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// fig14Run measures per-query completion latencies for one group size
-// on the wide-area model.
-func fig14Run(opt Fig14Options, groupSize int) *metrics.Recorder {
-	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed, Node: core.Config{
+// fig14Run measures the completion latencies of queries queries for
+// one group size among n nodes on the wide-area model.
+func fig14Run(n, queries int, seed int64, groupSize int) *metrics.Recorder {
+	c := cluster.New(cluster.Options{N: n, Seed: seed, Node: core.Config{
 		// The paper does not time out queries, to obtain complete
 		// answers; bound only by a generous limit.
 		ChildTimeout: 120 * time.Second,
 		QueryTimeout: 300 * time.Second,
 	}}.PlanetLab())
-	rng := rand.New(rand.NewSource(opt.Seed + 3))
-	setGroup(c, "A", rng.Perm(opt.N)[:groupSize])
+	rng := rand.New(rand.NewSource(seed + 3))
+	setGroup(c, "A", rng.Perm(n)[:groupSize])
 	if err := c.Warm(groupReq, groupReq, groupReq); err != nil {
 		panic(err)
 	}
-	return poll(c, opt.Queries, 5*time.Second, wantSum("fig14", groupSize), groupReq)
+	return poll(c, queries, 5*time.Second, wantSum("fig14", groupSize), groupReq)
 }
 
 // RunFig14 reproduces Fig. 14: the CDF of query response latency on the
 // wide-area model for different group sizes, reported at fixed
 // percentiles.
 func RunFig14(opt Fig14Options) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Fig. 14: PlanetLab query latency CDF",
 		Note: fmt.Sprintf("N=%d WAN model, %d queries per group; latency ms at percentile",
@@ -71,7 +53,7 @@ func RunFig14(opt Fig14Options) *Table {
 	recs := make([]*metrics.Recorder, len(opt.GroupSizes))
 	for i, m := range opt.GroupSizes {
 		t.Columns = append(t.Columns, fmt.Sprintf("group%d", m))
-		recs[i] = fig14Run(opt, m)
+		recs[i] = fig14Run(opt.N, opt.Queries, opt.Seed, m)
 	}
 	for _, p := range cdfPercentiles {
 		row := []string{fmt.Sprintf("%.0f%%", p)}
@@ -85,27 +67,10 @@ func RunFig14(opt Fig14Options) *Table {
 
 // Fig15Options parameterize the Moara-vs-centralized experiment.
 type Fig15Options struct {
-	N          int
+	N          int   // paper: 200
 	GroupSizes []int // paper: 100, 150
-	Queries    int
+	Queries    int   // paper: 100
 	Seed       int64
-}
-
-// Defaults fills the paper's parameters.
-func (o Fig15Options) Defaults() Fig15Options {
-	if o.N == 0 {
-		o.N = 200
-	}
-	if len(o.GroupSizes) == 0 {
-		o.GroupSizes = []int{100, 150}
-	}
-	if o.Queries == 0 {
-		o.Queries = 100
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // RunFig15 reproduces Fig. 15: Moara's query completion CDF vs the
@@ -113,7 +78,6 @@ func (o Fig15Options) Defaults() Fig15Options {
 // CDF pools individual reply arrivals (the "hare" that sprints, then
 // stalls on stragglers); Moara's CDF is per-query completion.
 func RunFig15(opt Fig15Options) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title:   "Fig. 15: Moara vs centralized aggregator",
 		Note:    fmt.Sprintf("N=%d WAN model, %d queries; latency ms at percentile", opt.N, opt.Queries),
@@ -122,9 +86,7 @@ func RunFig15(opt Fig15Options) *Table {
 	var cols []*metrics.Recorder
 	for _, m := range opt.GroupSizes {
 		t.Columns = append(t.Columns, fmt.Sprintf("moara%d", m), fmt.Sprintf("central%d", m))
-		cols = append(cols, fig14Run(Fig14Options{
-			N: opt.N, GroupSizes: nil, Queries: opt.Queries, Seed: opt.Seed,
-		}.Defaults(), m))
+		cols = append(cols, fig14Run(opt.N, opt.Queries, opt.Seed, m))
 		cols = append(cols, fig15CentralRun(opt, m))
 	}
 	for _, p := range cdfPercentiles {

@@ -18,26 +18,11 @@ type Fig16Options struct {
 	Seed    int64
 }
 
-// Defaults fills the paper's parameters.
-func (o Fig16Options) Defaults() Fig16Options {
-	if o.N == 0 {
-		o.N = 200
-	}
-	if o.Queries == 0 {
-		o.Queries = 220
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
 // RunFig16 reproduces Fig. 16: per-query completion latency alongside
 // the round-trip latency of the slowest tree edge used by that query
 // (the paper's offline bottleneck analysis, here reconstructed from a
 // message tap on the simulated network).
 func RunFig16(opt Fig16Options) *Table {
-	opt = opt.Defaults()
 	var (
 		capture bool
 		maxEdge time.Duration

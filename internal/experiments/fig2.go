@@ -14,26 +14,11 @@ type Fig2aOptions struct {
 	Seed     int64
 }
 
-// Defaults fills the paper's parameters.
-func (o Fig2aOptions) Defaults() Fig2aOptions {
-	if o.Slices == 0 {
-		o.Slices = 400
-	}
-	if o.MaxNodes == 0 {
-		o.MaxNodes = 450
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
 // RunFig2a regenerates Fig. 2(a): PlanetLab slice sizes by rank,
 // assigned vs in use. The paper's CoTop snapshot is proprietary; the
 // synthesizer matches its published shape (about half of all slices
 // under 10 assigned nodes; in-use counts a thinned subset).
 func RunFig2a(opt Fig2aOptions) *Table {
-	opt = opt.Defaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	slices := workload.SliceSizes(rng, opt.Slices, opt.MaxNodes)
 	t := &Table{
@@ -65,25 +50,10 @@ type Fig2bOptions struct {
 	Seed    int64
 }
 
-// Defaults fills the paper's parameters.
-func (o Fig2bOptions) Defaults() Fig2bOptions {
-	if o.Minutes == 0 {
-		o.Minutes = 1400
-	}
-	if o.Peak == 0 {
-		o.Peak = 170
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
 // RunFig2b regenerates Fig. 2(b): machines used over time by two
 // animation-rendering batch jobs (synthetic stand-in for HP's
 // proprietary 6-month utility-computing trace).
 func RunFig2b(opt Fig2bOptions) *Table {
-	opt = opt.Defaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	job0 := workload.RenderingJob(rng, 0, opt.Minutes, opt.Peak)
 	job1 := workload.RenderingJob(rng, opt.Minutes/4, opt.Minutes/2, opt.Peak/2)

@@ -14,31 +14,11 @@ import (
 // (Fig. 9): N nodes, Events total query/churn events at each ratio,
 // churn bursts toggling Burst random nodes' attribute A.
 type Fig9Options struct {
-	N      int   // paper: 10,000
-	Events int   // paper: 500
-	Burst  int   // paper: 2,000
-	Steps  int   // ratio steps including the endpoints (paper: 6)
-	Seed   int64 //
-}
-
-// Defaults fills the paper's parameters.
-func (o Fig9Options) Defaults() Fig9Options {
-	if o.N == 0 {
-		o.N = 10000
-	}
-	if o.Events == 0 {
-		o.Events = 500
-	}
-	if o.Burst == 0 {
-		o.Burst = o.N / 5
-	}
-	if o.Steps == 0 {
-		o.Steps = 6
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
+	N      int // paper: 10,000
+	Events int // paper: 500
+	Burst  int // paper: 2,000
+	Steps  int // ratio steps including the endpoints (paper: 6)
+	Seed   int64
 }
 
 var fig9Systems = []struct {
@@ -54,7 +34,6 @@ var fig9Systems = []struct {
 // query:churn ratios from 0:Events to Events:0, for the Global,
 // Always-Update and adaptive Moara systems.
 func RunFig9(opt Fig9Options) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Fig. 9: bandwidth vs query:churn ratio",
 		Note: fmt.Sprintf("N=%d, burst=%d, events=%d; avg messages per node",

@@ -18,27 +18,10 @@ import (
 // group. Not a paper figure — it evaluates the grouped-query extension
 // against the G-query baseline the paper's one-shot model implies.
 type GroupByOptions struct {
-	N       int // nodes (default 1000)
-	Slices  int // distinct group-by keys (default 32)
-	Queries int // measured rounds per series (default 20)
+	N       int // nodes (paper: 1000)
+	Slices  int // distinct group-by keys (paper: 32)
+	Queries int // measured rounds per series (paper: 20)
 	Seed    int64
-}
-
-// Defaults fills unset parameters.
-func (o GroupByOptions) Defaults() GroupByOptions {
-	if o.N == 0 {
-		o.N = 1000
-	}
-	if o.Slices == 0 {
-		o.Slices = 32
-	}
-	if o.Queries == 0 {
-		o.Queries = 20
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // RunGroupBy measures one monitoring round of "avg(mem_util) per slice"
@@ -47,7 +30,6 @@ func (o GroupByOptions) Defaults() GroupByOptions {
 // scalar query per slice. Grouped cost should track the scalar cost,
 // not G times it.
 func RunGroupBy(opt GroupByOptions) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Group-by: keyed in-tree aggregation vs one query per group",
 		Note: fmt.Sprintf("N=%d (Emulab model), %d slices (Zipf), %d rounds per series",

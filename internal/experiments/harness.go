@@ -9,6 +9,8 @@ import (
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/metrics"
 	"github.com/moara/moara/internal/predicate"
+	"github.com/moara/moara/internal/value"
+	"github.com/moara/moara/internal/workload"
 )
 
 // The §7 measurement method, written once: a static group marked by a
@@ -70,6 +72,35 @@ func wantSum(label string, want int) func(core.Result) {
 	}
 }
 
+// pump runs the cluster one period at a time until done holds, for at
+// most 64 periods, and reports whether it holds.
+func pump(c *cluster.Cluster, period time.Duration, done func() bool) bool {
+	for i := 0; !done() && i < 64; i++ {
+		c.RunFor(period)
+	}
+	return done()
+}
+
+// sliceCluster boots the multi-query and service studies' deployment:
+// n nodes on the Emulab model with slice-skewed attributes, renewals
+// pushed outside the measurement window (they are amortized background
+// cost, still exercised by the install path), and the given coalescing
+// window. One seed gives one attribute assignment, so identical install
+// schedules make identical event streams.
+func sliceCluster(n, slices int, seed int64, coalesce time.Duration) *cluster.Cluster {
+	nodeCfg := core.Config{SubTTL: 10 * time.Minute, CoalesceWindow: coalesce}
+	c := cluster.New(cluster.Options{N: n, Seed: seed, Node: nodeCfg}.Emulab())
+	names := workload.AssignSlices(c.Net.Rand(), n, slices)
+	for i, nd := range c.Nodes {
+		nd.Store().SetString("slice", names[i])
+		// Integer-valued utilization keeps every aggregate exact
+		// (integer sums are order-independent), so per-sample values
+		// are byte-comparable across coalesced and uncoalesced runs.
+		nd.Store().Set("mem_util", value.Int(int64(i*13%100)))
+	}
+	return c
+}
+
 // warmSub is a standing query subscribed from node 0 whose pipeline
 // has filled: a sample without ColdStart has arrived.
 type warmSub struct {
@@ -79,8 +110,8 @@ type warmSub struct {
 	each   func(core.Sample) // set only while a window counts
 }
 
-// subscribeWarm subscribes req from node 0 every period and pumps up to
-// 64 periods until a warm sample arrives.
+// subscribeWarm subscribes req from node 0 every period and pumps until
+// a warm sample arrives.
 func subscribeWarm(c *cluster.Cluster, req core.Request, period time.Duration) *warmSub {
 	s := &warmSub{c: c, period: period}
 	warm := false
@@ -96,10 +127,7 @@ func subscribeWarm(c *cluster.Cluster, req core.Request, period time.Duration) *
 	if err != nil {
 		panic(err)
 	}
-	for i := 0; !warm && i < 64; i++ {
-		c.RunFor(period)
-	}
-	if !warm {
+	if !pump(c, period, func() bool { return warm }) {
 		panic("standing subscription never warmed")
 	}
 	s.id = id

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/metrics"
-	"github.com/moara/moara/internal/value"
 	"github.com/moara/moara/internal/workload"
 )
 
@@ -18,58 +18,12 @@ import (
 // envelopes. Not a paper figure — it evaluates the multi-query scaling
 // the paper's per-query cost model (§5–§6) leaves on the table.
 type MultiQueryOptions struct {
-	N      int           // nodes (default 1000)
-	Slices int           // distinct slice values for filtered/grouped forms (default 32)
-	Qs     []int         // concurrency sweep (default 1,2,4,8)
-	Epochs int           // measured epochs (standing) / rounds (one-shot) per series (default 24)
-	Period time.Duration // epoch length (default 200ms)
+	N      int           // nodes (paper: 1000)
+	Slices int           // distinct slice values for filtered/grouped forms (paper: 32)
+	Qs     []int         // concurrency sweep (paper: 1,2,4,8)
+	Epochs int           // measured epochs (standing) / rounds (one-shot) per series (paper: 24)
+	Period time.Duration // epoch length (paper: 200ms)
 	Seed   int64
-}
-
-// Defaults fills unset parameters.
-func (o MultiQueryOptions) Defaults() MultiQueryOptions {
-	if o.N == 0 {
-		o.N = 1000
-	}
-	if o.Slices == 0 {
-		o.Slices = 32
-	}
-	if len(o.Qs) == 0 {
-		o.Qs = []int{1, 2, 4, 8}
-	}
-	// The vs-baseline is Qs[0] and the headline contrast uses the last
-	// entry, so normalize caller-supplied sweeps to ascending order —
-	// on a copy, never the caller's backing array.
-	o.Qs = append([]int(nil), o.Qs...)
-	sort.Ints(o.Qs)
-	if o.Epochs == 0 {
-		o.Epochs = 24
-	}
-	if o.Period == 0 {
-		o.Period = 200 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// mqCluster boots one measurement deployment: the Emulab model with
-// slice-skewed attributes, renewals pushed outside the measurement
-// window (they are amortized background cost, still exercised by the
-// install path), and the requested coalescing window.
-func mqCluster(opt MultiQueryOptions, coalesce time.Duration) *cluster.Cluster {
-	nodeCfg := core.Config{SubTTL: 10 * time.Minute, CoalesceWindow: coalesce}
-	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed, Node: nodeCfg}.Emulab())
-	slices := workload.AssignSlices(c.Net.Rand(), opt.N, opt.Slices)
-	for i, nd := range c.Nodes {
-		nd.Store().SetString("slice", slices[i])
-		// Integer-valued utilization keeps every aggregate exact
-		// (integer sums are order-independent), so per-sample values
-		// are byte-comparable across coalesced and uncoalesced runs.
-		nd.Store().Set("mem_util", value.Int(int64(i*13%100)))
-	}
-	return c
 }
 
 // frontends spreads q front-end indices evenly over the cluster.
@@ -110,7 +64,7 @@ func sampleKey(s core.Sample) string {
 // collection keeps pumping past the message-counting window until
 // every subscription has its Epochs samples.
 func mqStandingRun(opt MultiQueryOptions, q int, coalesce time.Duration) (lagMs, wire, logical float64, values [][]string) {
-	c := mqCluster(opt, coalesce)
+	c := sliceCluster(opt.N, opt.Slices, opt.Seed, coalesce)
 	req, err := core.ParseRequest("avg(mem_util)")
 	if err != nil {
 		panic(err)
@@ -162,10 +116,7 @@ func mqStandingRun(opt MultiQueryOptions, q int, coalesce time.Duration) (lagMs,
 		}
 		return true
 	}
-	for i := 0; !allWarm() && i < 64; i++ {
-		c.RunFor(opt.Period)
-	}
-	if !allWarm() {
+	if !pump(c, opt.Period, allWarm) {
 		panic("multiquery: standing subscriptions never warmed")
 	}
 	wireStart, logicalStart := c.WireQueryMessages(), c.QueryMessages()
@@ -182,9 +133,7 @@ func mqStandingRun(opt MultiQueryOptions, q int, coalesce time.Duration) (lagMs,
 		}
 		return true
 	}
-	for i := 0; !allCollected() && i < 64; i++ {
-		c.RunFor(opt.Period)
-	}
+	pump(c, opt.Period, allCollected)
 	collecting = false
 	for i, f := range fes {
 		c.Unsubscribe(f, sids[i])
@@ -228,7 +177,7 @@ func mqExecuteConcurrent(c *cluster.Cluster, fes []int, reqs []core.Request) tim
 // QueryMsg/ResponseMsg envelopes — at the price of up to one window of
 // extra latency per hop.
 func mqOneShotRun(opt MultiQueryOptions, q int, coalesce time.Duration) (latMs, wire, logical float64) {
-	c := mqCluster(opt, coalesce)
+	c := sliceCluster(opt.N, opt.Slices, opt.Seed, coalesce)
 	req, err := core.ParseRequest("avg(mem_util)")
 	if err != nil {
 		panic(err)
@@ -256,7 +205,7 @@ func mqOneShotRun(opt MultiQueryOptions, q int, coalesce time.Duration) (latMs, 
 // installed up front, the one-shot half re-issues concurrently every
 // round, and messages are counted per round over the whole mix.
 func mqMixedRun(opt MultiQueryOptions, q int) (latMs, wire, logical float64) {
-	c := mqCluster(opt, 0)
+	c := sliceCluster(opt.N, opt.Slices, opt.Seed, 0)
 	specs := workload.MultiQuery(c.Net.Rand(), opt.N, q, opt.Slices, opt.Period.String())
 	var (
 		oneFes  []int
@@ -285,10 +234,7 @@ func mqMixedRun(opt MultiQueryOptions, q int) (latMs, wire, logical float64) {
 		oneFes = append(oneFes, spec.Frontend)
 		oneReqs = append(oneReqs, req)
 	}
-	for i := 0; warmSeen < warmNeeded && i < 64; i++ {
-		c.RunFor(opt.Period)
-	}
-	if warmSeen < warmNeeded {
+	if !pump(c, opt.Period, func() bool { return warmSeen >= warmNeeded }) {
 		panic("multiquery: mixed standing subscriptions never warmed")
 	}
 	if len(oneReqs) > 0 {
@@ -339,7 +285,9 @@ func equalSampleValues(a, b [][]string) bool {
 // uncoalesced run, which ships ~Q x the wire messages for the same
 // answers.
 func RunMultiQuery(opt MultiQueryOptions) *Table {
-	opt = opt.Defaults()
+	// The vs-baseline is Qs[0] and the headline contrast uses the last
+	// entry, so the sweep runs ascending, sorted on a copy.
+	opt.Qs = slices.Sorted(slices.Values(opt.Qs))
 	t := &Table{
 		Title: "Multi-query scale: per-destination wire coalescing under concurrent workloads",
 		Note: fmt.Sprintf("N=%d (Emulab model), %d slices (Zipf), epoch=%v, %d epochs/rounds per series",

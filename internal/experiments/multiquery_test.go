@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMultiQueryShape asserts the issue's acceptance headline at its
@@ -15,7 +16,8 @@ func TestMultiQueryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep")
 	}
-	tab := RunMultiQuery(MultiQueryOptions{N: 300, Slices: 16, Epochs: 24, Seed: 1})
+	tab := RunMultiQuery(MultiQueryOptions{N: 300, Slices: 16, Qs: []int{1, 2, 4, 8}, Epochs: 24,
+		Period: 200 * time.Millisecond, Seed: 1})
 	wire := map[string]float64{}
 	logical := map[string]float64{}
 	for _, row := range tab.Rows {

@@ -6,10 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"github.com/moara/moara/internal/cluster"
 	"github.com/moara/moara/internal/core"
 	"github.com/moara/moara/internal/service"
-	"github.com/moara/moara/internal/value"
 	"github.com/moara/moara/internal/workload"
 )
 
@@ -20,54 +18,13 @@ import (
 // implies: when Q ≫ N and queries repeat, the wire bill must track the
 // distinct-form count, not the subscriber count.
 type MultiServiceOptions struct {
-	N      int           // nodes (default 2000)
-	Q      int           // concurrent standing subscriptions (default 10000)
-	Forms  int           // distinct normalized forms among the Q (default 32)
-	Slices int           // distinct slice values (default 16)
-	Epochs int           // measured epochs per run (default 6)
-	Period time.Duration // epoch length (default 200ms)
+	N      int           // nodes (paper: 2000)
+	Q      int           // concurrent standing subscriptions (paper: 10000)
+	Forms  int           // distinct normalized forms among the Q (paper: 32)
+	Slices int           // distinct slice values (paper: 16)
+	Epochs int           // measured epochs per run (paper: 6)
+	Period time.Duration // epoch length (paper: 200ms)
 	Seed   int64
-}
-
-// Defaults fills unset parameters.
-func (o MultiServiceOptions) Defaults() MultiServiceOptions {
-	if o.N == 0 {
-		o.N = 2000
-	}
-	if o.Q == 0 {
-		o.Q = 10000
-	}
-	if o.Forms == 0 {
-		o.Forms = 32
-	}
-	if o.Slices == 0 {
-		o.Slices = 16
-	}
-	if o.Epochs == 0 {
-		o.Epochs = 6
-	}
-	if o.Period == 0 {
-		o.Period = 200 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// msCluster boots one measurement deployment, identical across the
-// direct and service runs: same seed, same latency model, same
-// attribute assignment — so identical install schedules make identical
-// event streams.
-func msCluster(opt MultiServiceOptions) *cluster.Cluster {
-	nodeCfg := core.Config{SubTTL: 10 * time.Minute}
-	c := cluster.New(cluster.Options{N: opt.N, Seed: opt.Seed, Node: nodeCfg}.Emulab())
-	slices := workload.AssignSlices(c.Net.Rand(), opt.N, opt.Slices)
-	for i, nd := range c.Nodes {
-		nd.Store().SetString("slice", slices[i])
-		nd.Store().Set("mem_util", value.Int(int64(i*13%100)))
-	}
-	return c
 }
 
 // msRender renders every observable sample field, so stream comparisons
@@ -88,7 +45,7 @@ func msWindow(opt MultiServiceOptions) time.Duration {
 // the wire message bill over the window plus each form's full rendered
 // stream.
 func msDirectRun(opt MultiServiceOptions, reqs []core.Request) (wire int64, streams []string) {
-	c := msCluster(opt)
+	c := sliceCluster(opt.N, opt.Slices, opt.Seed, 0)
 	collected := make([][]string, len(reqs))
 	for i, req := range reqs {
 		i := i
@@ -114,7 +71,7 @@ func msDirectRun(opt MultiServiceOptions, reqs []core.Request) (wire int64, stre
 // subscriber's rendered stream, the form index each subscriber maps to,
 // and the service stats.
 func msServiceRun(opt MultiServiceOptions, texts []string, formOf []int) (wire int64, streams []string, stats service.Stats) {
-	c := msCluster(opt)
+	c := sliceCluster(opt.N, opt.Slices, opt.Seed, 0)
 	svc := service.New(c.Client(0), service.Options{})
 	ctx := context.Background()
 	collected := make([][]string, len(texts))
@@ -141,7 +98,7 @@ func msServiceRun(opt MultiServiceOptions, texts []string, formOf []int) (wire i
 // repeats of one query, re-issued every period with a TTL covering the
 // whole run, cost one execution's wire messages.
 func msCachedOneShots(opt MultiServiceOptions, rounds int) (execWire, totalWire int64, hits int64) {
-	c := msCluster(opt)
+	c := sliceCluster(opt.N, opt.Slices, opt.Seed, 0)
 	svc := service.New(c.Client(0), service.Options{CacheTTL: time.Hour})
 	ctx := context.Background()
 	if _, err := svc.Query(ctx, "avg(mem_util)"); err != nil {
@@ -164,7 +121,6 @@ func msCachedOneShots(opt MultiServiceOptions, rounds int) (execWire, totalWire 
 // subscriber's sample stream is byte-identical to the stream the same
 // form delivers in an independent, service-less run.
 func RunMultiService(opt MultiServiceOptions) *Table {
-	opt = opt.Defaults()
 	texts := workload.ServiceQueries(opt.Q, opt.Forms, opt.Slices, opt.Period)
 
 	// Distinct normalized forms in first-appearance order — the install

@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMultiServiceShape asserts the acceptance headline at a reduced
@@ -14,7 +15,8 @@ func TestMultiServiceShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep")
 	}
-	tab := RunMultiService(MultiServiceOptions{N: 200, Q: 500, Forms: 16, Slices: 8, Epochs: 6, Seed: 1})
+	tab := RunMultiService(MultiServiceOptions{N: 200, Q: 500, Forms: 16, Slices: 8, Epochs: 6,
+		Period: 200 * time.Millisecond, Seed: 1})
 	for _, row := range tab.Rows {
 		t.Log(row)
 	}

@@ -1,9 +1,11 @@
 // Package experiments contains one driver per table/figure of the
-// paper's evaluation (§7). Each driver builds the workload at paper (or
-// caller-scaled) parameters on the simulated network, runs it, and
-// returns a Table whose rows mirror the figure's series; every cell is
-// virtual time or a count (wall-clock measurement belongs to bench/).
-// cmd/moara-bench runs the drivers at paper or quick parameters.
+// paper's evaluation (§7). Each driver builds the workload on the
+// simulated network with exactly the options it is given (a zero field
+// means zero), runs it, and returns a Table whose rows mirror the
+// figure's series; every cell is virtual time or a count (wall-clock
+// measurement belongs to bench/). Figures, which cmd/moara-bench runs,
+// holds each figure's paper and quick parameters: adding a figure is
+// one driver plus one Figures row.
 package experiments
 
 import (

@@ -90,7 +90,7 @@ func TestFig13bShape(t *testing.T) {
 		t.Skip("cluster sweep")
 	}
 	tab := RunFig13b(Fig13bOptions{
-		N: 200, GroupSize: 30, MaxGroups: 4, Queries: 25, Seed: 7,
+		N: 200, GroupSize: 30, MaxGroups: 4, Queries: 25, ComplexTi: 3, Seed: 7,
 	})
 	for _, row := range tab.Rows {
 		t.Log(row)
@@ -169,7 +169,7 @@ func TestFig16Tracks(t *testing.T) {
 
 // TestFig2Generators sanity-checks the synthetic trace shapes.
 func TestFig2Generators(t *testing.T) {
-	a := RunFig2a(Fig2aOptions{})
+	a := RunFig2a(Fig2aOptions{Slices: 400, MaxNodes: 450, Seed: 1})
 	if !strings.Contains(a.Note, "% of slices under 10") {
 		t.Fatalf("fig2a note missing distribution stat: %s", a.Note)
 	}
@@ -185,7 +185,7 @@ func TestFig2Generators(t *testing.T) {
 	if top <= bottom {
 		t.Errorf("rank-1 slice (%v) should dominate rank-last (%v)", top, bottom)
 	}
-	b := RunFig2b(Fig2bOptions{})
+	b := RunFig2b(Fig2bOptions{Minutes: 1400, Peak: 170, Seed: 1})
 	if len(b.Rows) < 10 {
 		t.Fatalf("fig2b too few samples: %d", len(b.Rows))
 	}

@@ -23,35 +23,14 @@ import (
 // exact oracle. Not a paper figure — the paper's aggregation functions
 // are exact; this table is the repo's bounded-state extension.
 type SketchesOptions struct {
-	// N is the cluster size for the standing run (default 2000; the
-	// scale profile runs 10000).
+	// N is the cluster size for the standing run (paper: 2000).
 	N int
 	// Cardinalities sweep the distinct-value counts of the state-size
-	// table (default 100, 1000, 10000, 100000).
+	// table (paper: 100, 1000, 10000, 100000).
 	Cardinalities []int
-	Epochs        int           // measured standing epochs (default 8)
-	Period        time.Duration // epoch length (default 200ms)
+	Epochs        int           // measured standing epochs (paper: 8)
+	Period        time.Duration // epoch length (paper: 200ms)
 	Seed          int64
-}
-
-// Defaults fills unset parameters.
-func (o SketchesOptions) Defaults() SketchesOptions {
-	if o.N == 0 {
-		o.N = 2000
-	}
-	if len(o.Cardinalities) == 0 {
-		o.Cardinalities = []int{100, 1000, 10000, 100000}
-	}
-	if o.Epochs == 0 {
-		o.Epochs = 8
-	}
-	if o.Period == 0 {
-		o.Period = 200 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // wireSize measures a partial state by its columnar encoding, the bytes
@@ -75,7 +54,6 @@ func wireSize(st aggregate.State) int {
 // cluster and reports per-epoch wire messages, delivery lag, and the
 // final sample's error against the live-population oracle.
 func RunSketches(opt SketchesOptions) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Approximate aggregates: bounded sketch state vs exact enum",
 		Note: fmt.Sprintf("state bytes are partial states in their columnar wire encoding; standing run at N=%d (Emulab model), epoch=%v, %d warm epochs",

@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestSketchesShape asserts the bounded-state headline at a scaled-down
@@ -15,7 +16,8 @@ func TestSketchesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep")
 	}
-	tab := RunSketches(SketchesOptions{N: 300, Cardinalities: []int{100, 1000, 10000}, Epochs: 6, Seed: 1})
+	tab := RunSketches(SketchesOptions{N: 300, Cardinalities: []int{100, 1000, 10000}, Epochs: 6,
+		Period: 200 * time.Millisecond, Seed: 1})
 	type cell struct{ bytes, err float64 }
 	bySeries := map[string]map[string]cell{} // series -> distinct_or_n -> cell
 	for _, row := range tab.Rows {

@@ -19,31 +19,11 @@ import (
 // it evaluates the standing-query extension against the repeated
 // one-shot model the paper's §1 monitoring pattern implies.
 type StandingOptions struct {
-	N      int           // nodes (default 1000)
-	Slices int           // distinct group-by keys (default 32)
-	Epochs int           // measured epochs per series (default 20)
-	Period time.Duration // epoch length (default 200ms)
+	N      int           // nodes (paper: 1000)
+	Slices int           // distinct group-by keys (paper: 32)
+	Epochs int           // measured epochs per series (paper: 20)
+	Period time.Duration // epoch length (paper: 200ms)
 	Seed   int64
-}
-
-// Defaults fills unset parameters.
-func (o StandingOptions) Defaults() StandingOptions {
-	if o.N == 0 {
-		o.N = 1000
-	}
-	if o.Slices == 0 {
-		o.Slices = 32
-	}
-	if o.Epochs == 0 {
-		o.Epochs = 20
-	}
-	if o.Period == 0 {
-		o.Period = 200 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // RunStanding measures a monitoring epoch of "avg(mem_util)" (scalar
@@ -54,7 +34,6 @@ func (o StandingOptions) Defaults() StandingOptions {
 // standing epochs cost no more than half a fresh dissemination, and a
 // grouped standing query's epochs cost the same as the scalar form's.
 func RunStanding(opt StandingOptions) *Table {
-	opt = opt.Defaults()
 	t := &Table{
 		Title: "Standing queries: installed epoch re-aggregation vs one-shot polling",
 		Note: fmt.Sprintf("N=%d (Emulab model), %d slices (Zipf), epoch=%v, %d warm epochs per series",

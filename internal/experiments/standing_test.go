@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestStandingShape asserts the standing-query headline at the issue's
@@ -14,7 +15,7 @@ func TestStandingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep")
 	}
-	tab := RunStanding(StandingOptions{N: 300, Slices: 16, Epochs: 20, Seed: 1})
+	tab := RunStanding(StandingOptions{N: 300, Slices: 16, Epochs: 20, Period: 200 * time.Millisecond, Seed: 1})
 	byLabel := map[string]float64{}
 	for _, row := range tab.Rows {
 		key := row[0]

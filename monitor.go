@@ -20,7 +20,6 @@ import (
 //     warm epochs only.
 //   - Contributors/Expected (and Completeness) report coverage under
 //     churn.
-//   - Err is non-nil when the round failed.
 type Sample = core.Sample
 
 // MonitorClient implements the paper's continuous-monitoring pattern
