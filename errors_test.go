@@ -87,7 +87,7 @@ func TestTypedSentinels(t *testing.T) {
 
 func TestErrOverloadFromService(t *testing.T) {
 	c := NewSimCluster(8, WithSeed(1))
-	svc := NewService(c.Client(0), ServiceOptions{Rate: 1, Burst: 1})
+	svc := NewService(c.Client(0), ServiceOptions{Rate: 1})
 	ctx := WithTenant(context.Background(), "bench")
 	if _, err := svc.Query(ctx, "count(*)"); err != nil {
 		t.Fatalf("first request shed: %v", err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/moara/moara/internal/aggregate"
-	"github.com/moara/moara/internal/core"
 )
 
 // seedSliceCluster populates a cluster with a PlanetLab-ish layout:
@@ -137,12 +136,13 @@ func TestGroupedQueryIsOneDissemination(t *testing.T) {
 }
 
 // TestGroupedQueryCapSpill drives the high-cardinality path end to end:
-// with more keys than MaxGroupKeys, results truncate into <other> while
-// the grand total stays exact.
+// with more keys than the 1,024-key cap, results truncate into <other>
+// while the grand total stays exact.
 func TestGroupedQueryCapSpill(t *testing.T) {
-	c := NewSimCluster(64, WithSeed(23), WithNodeConfig(core.Config{MaxGroupKeys: 4}))
+	const n, maxKeys = 1100, 1024
+	c := NewSimCluster(n, WithSeed(23))
 	for i := 0; i < c.Size(); i++ {
-		c.SetAttr(i, "host", Str(fmt.Sprintf("h%03d", i)))
+		c.SetAttr(i, "host", Str(fmt.Sprintf("h%04d", i)))
 		c.SetAttr(i, "v", Int(1))
 	}
 	res, err := c.Client(0).Query(context.Background(), "sum(v) group by host")
@@ -150,16 +150,16 @@ func TestGroupedQueryCapSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Truncated {
-		t.Fatal("64 keys with cap 4 must truncate")
+		t.Fatalf("%d keys with cap %d must truncate", n, maxKeys)
 	}
-	if res.Stats.GroupKeys > 4 {
-		t.Fatalf("held keys = %d, cap 4", res.Stats.GroupKeys)
+	if res.Stats.GroupKeys > maxKeys {
+		t.Fatalf("held keys = %d, cap %d", res.Stats.GroupKeys, maxKeys)
 	}
 	if _, ok := res.Groups["<other>"]; !ok {
-		t.Fatalf("expected <other> bucket in %v", res.Groups)
+		t.Fatalf("expected <other> bucket among %d groups", len(res.Groups))
 	}
-	if got, _ := res.Agg.Value.AsInt(); got != 64 {
-		t.Fatalf("grand total = %d, want 64 (spill must not lose mass)", got)
+	if got, _ := res.Agg.Value.AsInt(); got != n {
+		t.Fatalf("grand total = %d, want %d (spill must not lose mass)", got, n)
 	}
 }
 
@@ -198,26 +198,29 @@ func TestGroupedMonitorSeries(t *testing.T) {
 // TestFormatGroups checks the display helper's ordering and shape, and
 // that a result past the key cap ends with the truncation note.
 func TestFormatGroups(t *testing.T) {
-	format := func(maxKeys int) (Result, []string) {
-		c := NewSimCluster(16, WithSeed(31), WithNodeConfig(core.Config{MaxGroupKeys: maxKeys}))
-		for i := 0; i < c.Size(); i++ {
-			c.SetAttr(i, "dc", Str([]string{"east", "west", "north"}[i%3]))
-			c.SetAttr(i, "v", Int(1))
-		}
-		res, err := c.Client(0).Query(context.Background(), "count(*) group by dc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, FormatGroups(res)
+	c := NewSimCluster(16, WithSeed(31))
+	for i := 0; i < c.Size(); i++ {
+		c.SetAttr(i, "dc", Str([]string{"east", "west", "north"}[i%3]))
+		c.SetAttr(i, "v", Int(1))
 	}
-	if _, lines := format(0); len(lines) != 3 || !strings.HasPrefix(lines[0], "east=") ||
+	res, err := c.Client(0).Query(context.Background(), "count(*) group by dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := FormatGroups(res); len(lines) != 3 || !strings.HasPrefix(lines[0], "east=") ||
 		!strings.HasPrefix(lines[1], "north=") || !strings.HasPrefix(lines[2], "west=") {
 		t.Fatalf("lines = %v", lines)
 	}
-	res, lines := format(2)
-	if !res.Truncated || len(lines) != len(res.Groups)+1 ||
-		lines[len(lines)-1] != "(truncated: key cap exceeded, remainder under <other>)" {
-		t.Fatalf("truncated=%v lines = %v", res.Truncated, lines)
+	truncated := Result{
+		Groups: map[string]aggregate.Result{
+			"east":             {Value: Int(5)},
+			aggregate.OtherKey: {Value: Int(11)},
+		},
+		Truncated: true,
+	}
+	if lines := FormatGroups(truncated); strings.Join(lines, "\n") !=
+		"<other>=11\neast=5\n(truncated: key cap exceeded, remainder under <other>)" {
+		t.Fatalf("lines = %q", lines)
 	}
 }
 

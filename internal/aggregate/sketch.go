@@ -24,9 +24,9 @@ import (
 )
 
 const (
-	// SetCap bounds UNION and COLLECT entry lists, like MaxGroupKeys
-	// bounds group maps: the Cap smallest survive deterministically and
-	// the rest spill, so every merge order keeps the same survivors.
+	// SetCap bounds UNION and COLLECT entry lists, like the grouped-key
+	// cap bounds group maps: the Cap smallest survive deterministically
+	// and the rest spill, so every merge order keeps the same survivors.
 	SetCap = 64
 	// DefaultTopKeys is the TOPKEYS counter capacity when the query
 	// doesn't give one (`topkeys(attr)`).
@@ -514,9 +514,9 @@ func (s *TopKeysState) reset(spec Spec) {
 
 // UnionState collects the set of distinct attribute values (distinct by
 // group key, so Int(1) and Str("1") unify), bounded by Cap with the
-// deterministic spill policy of MaxGroupKeys: the Cap smallest keys are
-// kept exact. Because "smallest Cap keys" is a property of the global
-// key set, any merge tree keeps identical survivors, each annotated
+// deterministic spill policy of the grouped-key cap: the Cap smallest
+// keys are kept exact. Because "smallest Cap keys" is a property of the
+// global key set, any merge tree keeps identical survivors, each annotated
 // with its smallest contributing node — the merge is exact, not
 // approximate, about everything it reports; Dropped says whether
 // anything spilled.

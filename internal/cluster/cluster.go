@@ -66,7 +66,7 @@ func (o Options) Emulab() Options {
 // latencies drawn from o.Seed with intermittently slow stragglers, and
 // 500±500 µs of processing per message, queued per node.
 func (o Options) PlanetLab() Options {
-	o.Latency = simnet.WAN(simnet.WANConfig{Seed: o.Seed})
+	o.Latency = simnet.WAN(o.Seed)
 	o.ProcDelay = 500 * time.Microsecond
 	o.ProcJitter = 500 * time.Microsecond
 	o.SerializeProc = true

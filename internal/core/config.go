@@ -75,15 +75,6 @@ type Config struct {
 	// ChildTimeout bounds how long a node waits for a child's query
 	// response before aggregating without it (§7).
 	ChildTimeout time.Duration
-	// SeenTTL is how long query IDs are remembered for duplicate
-	// elimination and answer-once accounting (§6.2; paper: 5 minutes).
-	// The memory expires by generation, swapped by the GC timer, so an
-	// ID is kept at least SeenTTL and at most 2·SeenTTL plus one GC
-	// period (SeenTTL/2, or StateTTL/2 when smaller; two periods when
-	// that does not divide SeenTTL). There is no separate knob for the
-	// upper bound: it follows from the lower one and the GC period,
-	// and only the lower bound is a correctness promise.
-	SeenTTL time.Duration
 	// StateTTL garbage-collects a group that has idled this long in
 	// NO-UPDATE (0 disables GC). The drop removes the group's whole
 	// record — tree state, ledger id, parsed evals and attribute-index
@@ -92,11 +83,6 @@ type Config struct {
 	StateTTL time.Duration
 	// QueryTimeout bounds a front-end query end to end.
 	QueryTimeout time.Duration
-	// MaxGroupKeys caps the distinct keys a grouped query's keyed
-	// accumulator holds at any node; past it, contributions spill into
-	// the aggregate.OtherKey bucket (memory protection against
-	// high-cardinality group-by attributes). Negative disables the cap.
-	MaxGroupKeys int
 	// SubTTL is the standing-query idle timeout: a node drops a
 	// subscription that has not been renewed (by its parent's install
 	// refresh, or — at the root — by the subscribing front-end) for
@@ -124,6 +110,26 @@ type Config struct {
 	CoalesceWindow time.Duration
 }
 
+// Fixed parameters of every node.
+const (
+	// seenTTL is how long query IDs are remembered for duplicate
+	// elimination and answer-once accounting (§6.2: 5 minutes). The
+	// memory expires by generation, swapped by the GC timer, so an ID is
+	// kept at least seenTTL and at most 2·seenTTL plus one GC period
+	// (seenTTL/2, or StateTTL/2 when smaller; two periods when that does
+	// not divide seenTTL). Only the lower bound is a correctness promise.
+	seenTTL = 5 * time.Minute
+	// maxGroupKeys caps the distinct keys a grouped query's keyed
+	// accumulator holds at any node; past it, contributions spill into
+	// the aggregate.OtherKey bucket (memory protection against
+	// high-cardinality group-by attributes).
+	maxGroupKeys = 1024
+	// minPeriod is the shortest standing-query period. Every tree node
+	// runs a timer at the period, so a microsecond stream floods the
+	// network with epoch reports; monitoring runs at second scale.
+	minPeriod = time.Millisecond
+)
+
 // CoalesceOff disables the per-destination outbox: every message is
 // sent individually, one wire message per logical message.
 const CoalesceOff time.Duration = -1
@@ -142,17 +148,8 @@ func (c Config) Defaults() Config {
 	if c.ChildTimeout == 0 {
 		c.ChildTimeout = 2 * time.Second
 	}
-	if c.SeenTTL == 0 {
-		c.SeenTTL = 5 * time.Minute
-	}
 	if c.QueryTimeout == 0 {
 		c.QueryTimeout = 15 * time.Second
-	}
-	switch {
-	case c.MaxGroupKeys == 0:
-		c.MaxGroupKeys = 1024
-	case c.MaxGroupKeys < 0:
-		c.MaxGroupKeys = 0
 	}
 	if c.SubTTL == 0 {
 		c.SubTTL = 45 * time.Second

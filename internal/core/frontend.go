@@ -246,6 +246,8 @@ func (fe *frontend) planRequest(req Request, standing bool) (queryPlan, error) {
 		return queryPlan{}, fmt.Errorf("core: empty query attribute")
 	case standing && req.Period <= 0:
 		return queryPlan{}, fmt.Errorf("%w: standing query needs a period (every clause)", ErrNotStanding)
+	case standing && req.Period < minPeriod:
+		return queryPlan{}, fmt.Errorf("core: every %v is below the %v floor", req.Period, minPeriod)
 	case !standing && req.Period > 0:
 		return queryPlan{}, fmt.Errorf("%w (every %v)", ErrStandingOnly, req.Period)
 	}
@@ -461,7 +463,7 @@ func (fq *feQuery) finish(n *Node, err error) {
 	if fq.answers != nil {
 		fq.stats.QueryTime = now - fq.queryStartAt
 	}
-	agg := aggregate.NewGrouped(fq.req.Spec, n.cfg.MaxGroupKeys)
+	agg := aggregate.NewGrouped(fq.req.Spec, maxGroupKeys)
 	res := Result{Stats: fq.stats}
 	for _, a := range fq.answers {
 		if a.Dup {
@@ -773,7 +775,7 @@ func (fe *frontend) handleSample(from ids.ID, sm SampleMsg) {
 	clear(fs.fresh)
 	fs.epoch++
 	now := n.env.Now()
-	agg := aggregate.NewGrouped(fs.req.Spec, n.cfg.MaxGroupKeys)
+	agg := aggregate.NewGrouped(fs.req.Spec, maxGroupKeys)
 	var lag time.Duration
 	var rootEpoch uint64
 	var contrib int64

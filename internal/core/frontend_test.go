@@ -185,10 +185,7 @@ func collectIDs(nodes []*Node) []ids.ID {
 // TestStateGC: idle NO-UPDATE predicate state is collected after
 // StateTTL (§4 "State Maintenance").
 func TestStateGC(t *testing.T) {
-	net, nodes := miniCluster(t, 16, Config{
-		StateTTL: 2 * time.Second,
-		SeenTTL:  2 * time.Second,
-	})
+	net, nodes := miniCluster(t, 16, Config{StateTTL: seenTTL})
 	for i, n := range nodes {
 		n.Store().SetBool("g", i < 4)
 	}
@@ -213,7 +210,7 @@ func TestStateGC(t *testing.T) {
 	// Long quiet period: state must be garbage collected. (Nodes in
 	// UPDATE keep state; after churnless queries most nodes settle to
 	// either PRUNE/UPDATE or NO-UPDATE. NO-UPDATE state must go.)
-	net.RunFor(time.Minute)
+	net.RunFor(30 * seenTTL)
 	for _, n := range nodes {
 		for canon, ps := range n.groups {
 			if !ps.update {
@@ -229,10 +226,27 @@ func TestStateGC(t *testing.T) {
 	}
 }
 
-// TestSeenCacheExpiry: answered query IDs are dropped after SeenTTL so
+// TestTinyStateTTLAdvances: a StateTTL too small to halve still arms a
+// GC period that lets virtual time move.
+func TestTinyStateTTLAdvances(t *testing.T) {
+	net, nodes := miniCluster(t, 4, Config{StateTTL: 1})
+	for _, n := range nodes {
+		n.Store().SetInt("a", 1)
+	}
+	if _, err := runQuery(t, net, nodes[0], Request{Attr: "a", Spec: aggregate.Spec{Kind: aggregate.KindSum}}); err != nil {
+		t.Fatal(err)
+	}
+	before := net.Now()
+	net.RunFor(time.Second)
+	if net.Now()-before != time.Second {
+		t.Fatalf("virtual time moved %v, want 1s", net.Now()-before)
+	}
+}
+
+// TestSeenCacheExpiry: answered query IDs are dropped after seenTTL so
 // memory does not grow without bound.
 func TestSeenCacheExpiry(t *testing.T) {
-	net, nodes := miniCluster(t, 8, Config{SeenTTL: time.Second})
+	net, nodes := miniCluster(t, 8, Config{})
 	for _, n := range nodes {
 		n.Store().SetInt("a", 1)
 	}
@@ -242,7 +256,7 @@ func TestSeenCacheExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net.RunFor(30 * time.Second)
+	net.RunFor(30 * seenTTL)
 	for i, n := range nodes {
 		if r := n.Remembered(); r != 0 {
 			t.Fatalf("node %d: %d query IDs remembered after TTL", i, r)

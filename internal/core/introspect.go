@@ -57,8 +57,8 @@ func (n *Node) Trees() []TreeInfo {
 }
 
 // Remembered reports how many query IDs the node's answer-once memory
-// (§6.2) holds: the seen-window size. An ID is kept at least SeenTTL
-// and at most about twice that (see Config.SeenTTL).
+// (§6.2) holds: the seen-window size. An ID is kept at least seenTTL
+// and at most about twice that.
 func (n *Node) Remembered() int { return n.ledger.size() }
 
 // SubInfo is a read-only snapshot of one standing-query subscription

@@ -13,8 +13,8 @@ import (
 //
 // Expiry is by generation, not by timestamp: records go to cur, and
 // rotate (driven by the GC timer) clears old and swaps the two once
-// SeenTTL has passed since the previous rotation. A record therefore
-// lives at least SeenTTL and at most two rotation intervals. Clearing a
+// seenTTL has passed since the previous rotation. A record therefore
+// lives at least seenTTL and at most two rotation intervals. Clearing a
 // map wholesale, unlike deleting expired entries one at a time, leaves
 // no tombstones for the table to carry and keeps its storage for the
 // next generation, so steady state allocates nothing.

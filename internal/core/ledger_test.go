@@ -241,12 +241,12 @@ func TestLedgerSpill(t *testing.T) {
 }
 
 // TestLedgerWindowBounds: whatever the phase of the GC timer, a replay
-// SeenTTL−ε after the first arrival is answered Dup (§6.2's promise),
-// and one after 2·SeenTTL plus a GC period is answered afresh.
+// seenTTL−ε after the first arrival is answered Dup (§6.2's promise),
+// and one after 2·seenTTL plus a GC period is answered afresh.
 func TestLedgerWindowBounds(t *testing.T) {
-	const ttl = 4 * time.Second
+	const ttl = seenTTL
 	period := ttl / 2
-	net, nodes := miniCluster(t, 1, Config{SeenTTL: ttl})
+	net, nodes := miniCluster(t, 1, Config{})
 	n := nodes[0]
 	n.Store().SetInt("a", 1)
 	parent, rec := attachRecorder(net)
@@ -272,13 +272,13 @@ func TestLedgerWindowBounds(t *testing.T) {
 	}
 }
 
-// TestLedgerSoakBounded: under a stream of one-shots for 6·SeenTTL no
-// node remembers more queries than were issued in the last 2·SeenTTL
-// plus one GC period, and after 3·SeenTTL of quiet it remembers none.
+// TestLedgerSoakBounded: under a stream of one-shots for 6·seenTTL no
+// node remembers more queries than were issued in the last 2·seenTTL
+// plus one GC period, and after 3·seenTTL of quiet it remembers none.
 func TestLedgerSoakBounded(t *testing.T) {
-	const ttl = 2 * time.Second
+	const ttl = seenTTL
 	window := 2*ttl + ttl/2 + 100*time.Millisecond // + one query's flight
-	net, nodes := miniCluster(t, 8, Config{SeenTTL: ttl})
+	net, nodes := miniCluster(t, 8, Config{})
 	for _, n := range nodes {
 		n.Store().SetInt("a", 1)
 	}
@@ -290,7 +290,7 @@ func TestLedgerSoakBounded(t *testing.T) {
 		if _, err := runQuery(t, net, nodes[i%len(nodes)], req); err != nil {
 			t.Fatal(err)
 		}
-		net.RunFor(50 * time.Millisecond)
+		net.RunFor(ttl / 40)
 		recent := 0
 		for _, at := range issued {
 			if net.Now()-at <= window {
@@ -312,7 +312,7 @@ func TestLedgerSoakBounded(t *testing.T) {
 	net.RunFor(3 * ttl)
 	for j, n := range nodes {
 		if r := n.Remembered(); r != 0 {
-			t.Fatalf("node %d remembers %d queries after 3·SeenTTL of quiet", j, r)
+			t.Fatalf("node %d remembers %d queries after 3·seenTTL of quiet", j, r)
 		}
 	}
 }

@@ -683,7 +683,7 @@ func (n *Node) disseminate(ps *predState, qm *QueryMsg, replyTo ids.ID) {
 	ex.key = execKey{qm.QID, qm.Group}
 	ex.ps = ps
 	ex.replyTo = replyTo
-	ex.state = aggregate.NewGrouped(qm.Spec, n.cfg.MaxGroupKeys)
+	ex.state = aggregate.NewGrouped(qm.Spec, maxGroupKeys)
 	if n.evalLocal(ps, qm.Eval) && n.claimAnswer(qm.QID) {
 		ex.contrib++
 		ex.state.AddKeyed(n.self, n.groupKey(qm.GroupBy), n.localValue(qm.Attr))
@@ -879,11 +879,12 @@ func (n *Node) armGC() {
 	if n.gcArmed || n.closed {
 		return
 	}
-	period := n.cfg.SeenTTL / 2
+	period := seenTTL / 2
 	if n.cfg.StateTTL > 0 && n.cfg.StateTTL/2 < period {
 		period = n.cfg.StateTTL / 2
 	}
 	if period <= 0 {
+		// A StateTTL under 2ns halves to zero: the sweep would spin.
 		period = time.Minute
 	}
 	n.gcArmed = true
@@ -904,7 +905,7 @@ func (n *Node) gcFire() {
 
 func (n *Node) sweep() {
 	now := n.env.Now()
-	n.ledger.rotate(now, n.cfg.SeenTTL)
+	n.ledger.rotate(now, seenTTL)
 	if n.cfg.StateTTL <= 0 {
 		return
 	}

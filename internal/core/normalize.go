@@ -51,9 +51,7 @@ func FormatRequest(req Request) string {
 		fmt.Fprintf(&b, " where %s", req.Pred)
 	}
 	if req.Period > 0 {
-		// A sub-millisecond Duration prints "µs", which is not a word of
-		// the query language; "us" is the same unit to ParseDuration.
-		fmt.Fprintf(&b, " every %s", strings.Replace(req.Period.String(), "µ", "u", 1))
+		fmt.Fprintf(&b, " every %s", req.Period)
 	}
 	return b.String()
 }

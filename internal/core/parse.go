@@ -71,6 +71,9 @@ func parseRequestText(s string) (Request, error) {
 			if err != nil || d <= 0 {
 				return Request{}, fmt.Errorf("core: every needs a positive duration, got %q", w)
 			}
+			if d < minPeriod {
+				return Request{}, fmt.Errorf("core: every %s is below the %v floor", w, minPeriod)
+			}
 			req.Period = d
 		default:
 			if err := p.Done(); err != nil {

@@ -53,6 +53,9 @@ func FuzzParseRequestText(f *testing.F) {
 		"top999999999999999999999(x)",
 		"avg(mem_util) every -5s",
 		"avg(mem_util) every 5",
+		"count(*) every 1ns",
+		"count(*) every 999us",
+		"count(*) every 1ms",
 		"std(x) where ((a = 1) and (b = 2)) or not (c < 3)",
 		"count(*) where a = \xff\xfe",
 		"avg(x) group by é",
@@ -86,8 +89,8 @@ func FuzzParseRequestText(f *testing.F) {
 		if req.Spec.Kind == aggregate.KindInvalid {
 			t.Fatalf("accepted %q with invalid spec", s)
 		}
-		if req.Period < 0 {
-			t.Fatalf("accepted %q with negative period %v", s, req.Period)
+		if req.Period != 0 && req.Period < minPeriod {
+			t.Fatalf("accepted %q with period %v below the %v floor", s, req.Period, minPeriod)
 		}
 		if req.GroupBy != "" && !validGroupKey(req.GroupBy) {
 			t.Fatalf("accepted %q with bad group key %q", s, req.GroupBy)

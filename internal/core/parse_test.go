@@ -156,6 +156,9 @@ func TestParseRequestEveryErrors(t *testing.T) {
 		"avg(x) every 2",
 		"avg(x) every 0s",
 		"avg(x) every -5s",
+		"count(*) every 1ns",
+		"count(*) every 999us",
+		"avg(x) every 500us",
 		"avg(x) every 2s every 3s",
 		"avg(x) every 1s every 1s where a = true",
 		"avg(x) every 2s trailing garbage",

@@ -185,7 +185,7 @@ type subState struct {
 
 // handleSubscribe installs or renews a subscription at the tree root.
 func (n *Node) handleSubscribe(sm SubscribeMsg) {
-	if sm.Period <= 0 {
+	if sm.Period < minPeriod {
 		return
 	}
 	ps, err := n.groupOf(sm.Group)
@@ -233,7 +233,7 @@ func (n *Node) handleSubscribe(sm SubscribeMsg) {
 // tree parent, then continues the dissemination to this node's own
 // query targets.
 func (n *Node) handleInstall(from ids.ID, im InstallMsg) {
-	if im.Period <= 0 {
+	if im.Period < minPeriod {
 		return
 	}
 	ps, err := n.groupOf(im.Group)
@@ -644,7 +644,7 @@ func (n *Node) rebuild(sub *subState) {
 		hint = old.KeyCount()
 		aggregate.Recycle(old)
 	}
-	state := aggregate.NewGroupedSized(sub.spec, n.cfg.MaxGroupKeys, hint)
+	state := aggregate.NewGroupedSized(sub.spec, maxGroupKeys, hint)
 	state.Retain()
 	if sub.tableGen != n.tableGen {
 		sub.claim, sub.tableGen = n.claimStanding(sub), n.tableGen
@@ -677,7 +677,7 @@ func (n *Node) emptyReport(sub *subState) *EpochReportMsg {
 		SID:   sub.sid,
 		Group: sub.ps.group.canon,
 		Epoch: sub.epoch,
-		State: aggregate.NewGrouped(sub.spec, n.cfg.MaxGroupKeys),
+		State: aggregate.NewGrouped(sub.spec, maxGroupKeys),
 		Seq:   n.reportSeq,
 	})
 }

@@ -321,6 +321,10 @@ func TestSubscribeValidation(t *testing.T) {
 	if _, err := nodes[0].Subscribe(req, func(Sample) {}); err == nil {
 		t.Error("subscribe without a period should fail")
 	}
+	req.Period = minPeriod - 1
+	if _, err := nodes[0].Subscribe(req, func(Sample) {}); err == nil {
+		t.Errorf("subscribe every %v should fail: the floor is %v", req.Period, minPeriod)
+	}
 	req.Period = time.Second
 	done := false
 	nodes[0].Execute(req, func(_ Result, err error) {
@@ -331,6 +335,32 @@ func TestSubscribeValidation(t *testing.T) {
 	})
 	if !done {
 		t.Fatal("execute callback not invoked")
+	}
+}
+
+// TestPeerPeriodFloor: a subscribe or install from a peer whose period
+// is below the floor installs no entry and arms no timer.
+func TestPeerPeriodFloor(t *testing.T) {
+	count := aggregate.Spec{Kind: aggregate.KindCount}
+	for _, kind := range []string{"subscribe", "install"} {
+		net, nodes := miniCluster(t, 1, Config{})
+		n := nodes[0]
+		parent, _ := attachRecorder(net)
+		sid := QueryID{Origin: parent, Num: 1}
+		before := net.PendingEvents()
+		if kind == "subscribe" {
+			n.handleSubscribe(SubscribeMsg{SID: sid, Group: globalGroup("*").canon, Attr: "*", Spec: count,
+				Period: time.Microsecond, Gen: 1, ReplyTo: parent})
+		} else {
+			n.Handle(parent, InstallMsg{SID: sid, Group: globalGroup("*").canon, Attr: "*", Spec: count,
+				Period: time.Microsecond, Gen: 1, ReplyTo: parent})
+		}
+		if s := n.Subs(); len(s) != 0 {
+			t.Errorf("%s every 1µs: entries %+v, want none", kind, s)
+		}
+		if got := net.PendingEvents(); got != before {
+			t.Errorf("%s every 1µs: %d pending events, want %d", kind, got, before)
+		}
 	}
 }
 

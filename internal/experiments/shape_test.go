@@ -115,6 +115,34 @@ func TestFig13bShape(t *testing.T) {
 	}
 }
 
+// TestFig14Shape asserts Fig. 14's shape on the wide-area model: each
+// group's latency CDF is non-decreasing, and a query over every node
+// pays for more stragglers than one over a quarter of them, at the
+// median and at the 90th percentile.
+func TestFig14Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster sweep")
+	}
+	tab := RunFig14(Fig14Options{N: 100, GroupSizes: []int{25, 100}, Queries: 40, Seed: 1})
+	rows := map[string][]float64{}
+	prev := []float64{0, 0}
+	for _, row := range tab.Rows {
+		t.Log(row)
+		cur := []float64{parseF(t, row[1]), parseF(t, row[2])}
+		for i := range cur {
+			if cur[i] < prev[i] {
+				t.Errorf("%s column falls from %v to %v at %s", tab.Columns[i+1], prev[i], cur[i], row[0])
+			}
+		}
+		rows[row[0]], prev = cur, cur
+	}
+	for _, p := range []string{"50%", "90%"} {
+		if small, all := rows[p][0], rows[p][1]; all <= small {
+			t.Errorf("%s latency: all nodes %v ms, want above the 25-node group's %v ms", p, all, small)
+		}
+	}
+}
+
 // TestFig15Crossover asserts the tortoise-and-hare shape: the central
 // aggregator's early replies beat Moara, but its tail (waiting for
 // straggler nodes) is far worse than Moara's bounded completion.

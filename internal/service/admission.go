@@ -43,15 +43,13 @@ func (s *Service) admit(ctx context.Context) error {
 	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	burst := max(s.opts.Rate, 1)
 	b, ok := s.tenants[tenant]
 	if !ok {
-		b = &bucket{tokens: s.opts.Burst, last: now}
+		b = &bucket{tokens: burst, last: now}
 		s.tenants[tenant] = b
 	} else {
-		b.tokens += s.opts.Rate * (now - b.last).Seconds()
-		if b.tokens > s.opts.Burst {
-			b.tokens = s.opts.Burst
-		}
+		b.tokens = min(b.tokens+s.opts.Rate*(now-b.last).Seconds(), burst)
 		b.last = now
 	}
 	if b.tokens < 1 {

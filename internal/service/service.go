@@ -58,21 +58,21 @@ type clocked interface {
 	Now() time.Duration
 }
 
+// cacheSize caps the result cache's entry count.
+const cacheSize = 1024
+
 // Options configure a Service. The zero value is a pass-through with
 // subsumption sharing only: no caching, no admission, synchronous
 // fan-out.
 type Options struct {
 	// CacheTTL bounds the staleness of served one-shot answers; 0
-	// disables the result cache entirely.
+	// disables the result cache entirely. The cache holds cacheSize
+	// entries, evicting the least recently used.
 	CacheTTL time.Duration
-	// CacheSize caps the cache entry count (LRU eviction; default 1024
-	// when caching is enabled).
-	CacheSize int
 	// Rate is the per-tenant admission rate in requests/second; 0
-	// disables the token bucket.
+	// disables the token bucket. A bucket holds one second of Rate, and
+	// at least one token.
 	Rate float64
-	// Burst is the token bucket capacity (default max(Rate, 1)).
-	Burst float64
 	// MaxInflight caps concurrently executing (non-cached) one-shots;
 	// excess requests are shed with ErrOverload. 0 means unlimited.
 	MaxInflight int
@@ -131,15 +131,6 @@ type Stats struct {
 
 // New builds a service front-end over inner.
 func New(inner Backend, opts Options) *Service {
-	if opts.CacheTTL > 0 && opts.CacheSize <= 0 {
-		opts.CacheSize = 1024
-	}
-	if opts.Rate > 0 && opts.Burst <= 0 {
-		opts.Burst = opts.Rate
-		if opts.Burst < 1 {
-			opts.Burst = 1
-		}
-	}
 	s := &Service{
 		inner:   inner,
 		opts:    opts,
@@ -148,7 +139,7 @@ func New(inner Backend, opts Options) *Service {
 		tenants: make(map[string]*bucket),
 	}
 	if opts.CacheTTL > 0 {
-		s.cache = newResultCache(opts.CacheSize)
+		s.cache = newResultCache(cacheSize)
 	}
 	if c, ok := inner.(clocked); ok {
 		s.now = c.Now

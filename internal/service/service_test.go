@@ -194,7 +194,8 @@ func TestCacheHitWithinTTL(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	fb := newFakeBackend()
-	s := New(fb, Options{CacheTTL: time.Hour, CacheSize: 2})
+	s := New(fb, Options{CacheTTL: time.Hour})
+	s.cache = newResultCache(2) // small enough for three queries to evict
 	ctx := context.Background()
 
 	for _, q := range []string{"avg(a)", "avg(b)", "avg(c)"} { // a evicted
@@ -439,12 +440,12 @@ func TestExecuteRejectsStanding(t *testing.T) {
 }
 
 // TestAdmissionDeterministic drives the token bucket on the fake's
-// manual clock: with Rate=2/s and Burst=2, a fixed request schedule
+// manual clock: with Rate=2/s (a bucket of 2), a fixed request schedule
 // produces exactly the same admit/shed pattern every run.
 func TestAdmissionDeterministic(t *testing.T) {
 	run := func() []bool {
 		fb := newFakeBackend()
-		s := New(fb, Options{Rate: 2, Burst: 2})
+		s := New(fb, Options{Rate: 2})
 		ctx := WithTenant(context.Background(), "t1")
 		var admitted []bool
 		// Schedule: 4 requests at t=0, then one each 250ms.
@@ -460,7 +461,7 @@ func TestAdmissionDeterministic(t *testing.T) {
 		return admitted
 	}
 	first := run()
-	// Burst of 2 admits the first two, sheds the next two; at 2/s one
+	// A bucket of 2 admits the first two, sheds the next two; at 2/s one
 	// token accrues per 500ms, so every other 250ms probe is admitted.
 	want := []bool{true, true, false, false, false, true, false, true}
 	if len(first) != len(want) {
@@ -480,7 +481,7 @@ func TestAdmissionDeterministic(t *testing.T) {
 
 func TestAdmissionPerTenant(t *testing.T) {
 	fb := newFakeBackend()
-	s := New(fb, Options{Rate: 1, Burst: 1})
+	s := New(fb, Options{Rate: 1})
 	a := WithTenant(context.Background(), "a")
 	b := WithTenant(context.Background(), "b")
 	if _, err := s.Query(a, "avg(cpu)"); err != nil {

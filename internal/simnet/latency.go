@@ -40,110 +40,67 @@ func (m *uniformModel) Latency(_, _ ids.ID, _ time.Duration, rng *rand.Rand) tim
 // MinLatency reports the lower edge of the draw interval.
 func (m *uniformModel) MinLatency() time.Duration { return m.min }
 
-// LANConfig parameterizes the Emulab-style local-network model: a
-// switched 100 Mbps LAN where wire latency is small and roughly uniform.
-type LANConfig struct {
-	// Base is the minimum one-way wire delay (default 100µs).
-	Base time.Duration
-	// Jitter is the uniform extra delay bound (default 400µs).
-	Jitter time.Duration
-}
+// LANConfig is the empty argument of LAN: the local-network model has
+// no settings.
+type LANConfig struct{}
+
+// The Emulab-style local-network model: a switched 100 Mbps LAN where
+// the one-way wire delay is lanBase plus a uniform draw below lanJitter.
+const (
+	lanBase   = 100 * time.Microsecond
+	lanJitter = 400 * time.Microsecond
+)
 
 // LAN builds the local-network latency model used for the Emulab
 // experiments (Figs. 12–13).
-func LAN(cfg LANConfig) LatencyModel {
-	if cfg.Base == 0 {
-		cfg.Base = 100 * time.Microsecond
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = 400 * time.Microsecond
-	}
-	return &lanModel{cfg: cfg}
-}
+func LAN(LANConfig) LatencyModel { return lanModel{} }
 
-type lanModel struct {
-	cfg LANConfig
-}
+type lanModel struct{}
 
-func (m *lanModel) Latency(_, _ ids.ID, _ time.Duration, rng *rand.Rand) time.Duration {
-	return m.cfg.Base + time.Duration(rng.Int63n(int64(m.cfg.Jitter)))
+func (lanModel) Latency(_, _ ids.ID, _ time.Duration, rng *rand.Rand) time.Duration {
+	return lanBase + time.Duration(rng.Int63n(int64(lanJitter)))
 }
 
 // MinLatency reports the base wire delay (jitter only adds).
-func (m *lanModel) MinLatency() time.Duration { return m.cfg.Base }
+func (lanModel) MinLatency() time.Duration { return lanBase }
 
-// WANConfig parameterizes the PlanetLab-style wide-area model. Each
-// unordered node pair gets a stable base RTT drawn from a lognormal
-// body; additionally a configurable fraction of NODES are stragglers
-// (overloaded or badly connected hosts) that add a heavy-tailed delay
-// to every path touching them. Slow nodes — rather than slow pairs —
-// are what make group-scoped querying beat centralized aggregation in
-// the paper's Figs. 14-16: a group query only pays for stragglers in
-// (or near) the group.
-type WANConfig struct {
-	// MedianRTT is the median pairwise round-trip time (default 120ms).
-	MedianRTT time.Duration
-	// Sigma is the lognormal shape parameter (default 0.6).
-	Sigma float64
-	// StragglerFrac is the fraction of straggler nodes (default 0.04).
-	StragglerFrac float64
-	// StragglerScale is the minimum extra RTT a straggler adds
-	// (default 800ms).
-	StragglerScale time.Duration
-	// StragglerAlpha is the Pareto tail index of straggler delays
-	// (default 1.1; smaller means heavier tail).
-	StragglerAlpha float64
-	// StragglerCap bounds a straggler's extra RTT (default 30s).
-	StragglerCap time.Duration
-	// StragglerDuty is the fraction of time a straggler is actually
-	// slow (default 0.3): PlanetLab stragglers are intermittently
-	// overloaded, not constantly. Set to 1 for always-slow nodes.
-	StragglerDuty float64
-	// StragglerWindow is the duty-cycle granularity (default 30s).
-	StragglerWindow time.Duration
-	// JitterFrac adds per-message uniform jitter of ±JitterFrac of the
-	// base one-way latency (default 0.1).
-	JitterFrac float64
-	// Seed makes the pairwise bases reproducible.
-	Seed int64
-}
+// The PlanetLab-style wide-area model. Each unordered node pair gets a
+// stable base RTT drawn from a lognormal body; additionally a fraction
+// of NODES are stragglers (overloaded or badly connected hosts) that add
+// a heavy-tailed delay to every path touching them. Slow nodes — rather
+// than slow pairs — are what make group-scoped querying beat centralized
+// aggregation in the paper's Figs. 14-16: a group query only pays for
+// stragglers in (or near) the group.
+const (
+	// wanMedianRTT is the median pairwise round-trip time, and wanSigma
+	// the lognormal shape parameter.
+	wanMedianRTT = 120 * time.Millisecond
+	wanSigma     = 0.6
+	// stragglerFrac is the fraction of straggler nodes.
+	stragglerFrac = 0.04
+	// A straggler's extra RTT is Pareto: at least stragglerScale, tail
+	// index stragglerAlpha (smaller means heavier), at most stragglerCap.
+	stragglerScale = 800 * time.Millisecond
+	stragglerAlpha = 1.1
+	stragglerCap   = 30 * time.Second
+	// stragglerDuty is the fraction of stragglerWindow-sized time slots
+	// in which a straggler is actually slow: PlanetLab stragglers are
+	// intermittently overloaded, not constantly.
+	stragglerDuty   = 0.3
+	stragglerWindow = 30 * time.Second
+	// wanJitterFrac adds per-message uniform jitter of ±wanJitterFrac
+	// of the base one-way latency.
+	wanJitterFrac = 0.1
+)
 
-// WAN builds the wide-area latency model.
-func WAN(cfg WANConfig) *WANModel {
-	if cfg.MedianRTT == 0 {
-		cfg.MedianRTT = 120 * time.Millisecond
-	}
-	if cfg.Sigma == 0 {
-		cfg.Sigma = 0.6
-	}
-	if cfg.StragglerFrac == 0 {
-		cfg.StragglerFrac = 0.04
-	}
-	if cfg.StragglerScale == 0 {
-		cfg.StragglerScale = 800 * time.Millisecond
-	}
-	if cfg.StragglerAlpha == 0 {
-		cfg.StragglerAlpha = 1.1
-	}
-	if cfg.StragglerCap == 0 {
-		cfg.StragglerCap = 30 * time.Second
-	}
-	if cfg.StragglerDuty == 0 {
-		cfg.StragglerDuty = 0.3
-	}
-	if cfg.StragglerWindow == 0 {
-		cfg.StragglerWindow = 30 * time.Second
-	}
-	if cfg.JitterFrac == 0 {
-		cfg.JitterFrac = 0.1
-	}
-	return &WANModel{cfg: cfg}
-}
+// WAN builds the wide-area latency model; seed makes the pairwise bases
+// and the stragglers reproducible.
+func WAN(seed int64) *WANModel { return &WANModel{seed: uint64(seed)} }
 
 // WANModel implements LatencyModel with stable per-pair RTTs, so offline
 // analyses (Fig. 16's bottleneck-link study) can interrogate BaseRTT.
 type WANModel struct {
-	cfg WANConfig
+	seed uint64
 }
 
 var _ LatencyModel = (*WANModel)(nil)
@@ -161,30 +118,30 @@ func pairKey(a, b ids.ID) uint64 {
 // through it during a slow window (zero for healthy nodes; the peak
 // value regardless of when).
 func (m *WANModel) StragglerDelay(a ids.ID) time.Duration {
-	rng := splitmix{key: a.Seed() ^ 0x5bf03635 ^ uint64(m.cfg.Seed)}
-	if rng.float() >= m.cfg.StragglerFrac {
+	rng := splitmix{key: a.Seed() ^ 0x5bf03635 ^ m.seed}
+	if rng.float() >= stragglerFrac {
 		return 0
 	}
 	u := max(rng.float(), 1e-6)
-	mult := math.Pow(u, -1.0/m.cfg.StragglerAlpha)
-	d := time.Duration(float64(m.cfg.StragglerScale) * mult)
-	if d > m.cfg.StragglerCap {
-		d = m.cfg.StragglerCap
+	mult := math.Pow(u, -1.0/stragglerAlpha)
+	d := time.Duration(float64(stragglerScale) * mult)
+	if d > stragglerCap {
+		d = stragglerCap
 	}
 	return d
 }
 
 // stragglerAt returns the node's extra RTT at time now, applying the
 // duty cycle: a straggler is slow only during a deterministic fraction
-// of its StragglerWindow-sized time slots.
+// of its stragglerWindow-sized time slots.
 func (m *WANModel) stragglerAt(a ids.ID, now time.Duration) time.Duration {
 	d := m.StragglerDelay(a)
-	if d == 0 || m.cfg.StragglerDuty >= 1 {
-		return d
+	if d == 0 {
+		return 0
 	}
-	window := uint64(now / m.cfg.StragglerWindow)
-	h := mix(a.Seed()^uint64(m.cfg.Seed), window)
-	if float64(h%1000)/1000 < m.cfg.StragglerDuty {
+	window := uint64(now / stragglerWindow)
+	h := mix(a.Seed()^m.seed, window)
+	if float64(h%1000)/1000 < stragglerDuty {
 		return d
 	}
 	return 0
@@ -196,8 +153,8 @@ func (m *WANModel) BaseRTT(a, b ids.ID) time.Duration {
 	if a == b {
 		return 0
 	}
-	rng := splitmix{key: pairKey(a, b) ^ uint64(m.cfg.Seed)}
-	rtt := float64(m.cfg.MedianRTT) * math.Exp(m.cfg.Sigma*rng.norm())
+	rng := splitmix{key: pairKey(a, b) ^ m.seed}
+	rtt := float64(wanMedianRTT) * math.Exp(wanSigma*rng.norm())
 	if rtt < float64(2*time.Millisecond) {
 		rtt = float64(2 * time.Millisecond)
 	}
@@ -220,7 +177,7 @@ func (m *WANModel) Latency(from, to ids.ID, now time.Duration, rng *rand.Rand) t
 	if oneWay <= 0 {
 		return 0
 	}
-	jit := int64(float64(oneWay) * m.cfg.JitterFrac)
+	jit := int64(float64(oneWay) * wanJitterFrac)
 	if jit <= 0 {
 		return oneWay
 	}
@@ -231,7 +188,7 @@ func (m *WANModel) Latency(from, to ids.ID, now time.Duration, rng *rand.Rand) t
 // clamp, less the largest possible downward jitter excursion.
 func (m *WANModel) MinLatency() time.Duration {
 	floor := float64(time.Millisecond)
-	return time.Duration(floor * (1 - m.cfg.JitterFrac/2))
+	return time.Duration(floor * (1 - wanJitterFrac/2))
 }
 
 // mix is the splitmix64 finalizer over a ^ b·φ, the package's one hash:

@@ -326,7 +326,7 @@ func TestMinLatencyBounds(t *testing.T) {
 		{"fixed", Fixed(3 * time.Millisecond)},
 		{"uniform", Uniform(2*time.Millisecond, 9*time.Millisecond)},
 		{"lan", LAN(LANConfig{})},
-		{"wan", WAN(WANConfig{Seed: 5})},
+		{"wan", WAN(5)},
 	}
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range models {

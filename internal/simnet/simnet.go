@@ -65,7 +65,7 @@ type Env interface {
 	Rand() *rand.Rand
 	// Incarnation is where the node starts numbering its queries. A node
 	// restarted under its old ID must not reuse the query numbers of its
-	// previous life: peers still remember those for SeenTTL and would
+	// previous life: peers still remember those for the answer-once window and would
 	// answer them as replays.
 	Incarnation() uint64
 }

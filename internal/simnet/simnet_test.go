@@ -270,7 +270,7 @@ func TestRunWhileStopsEarly(t *testing.T) {
 }
 
 func TestWANModelStability(t *testing.T) {
-	m := WAN(WANConfig{Seed: 7})
+	m := WAN(7)
 	a, b := ids.FromUint64(1), ids.FromUint64(2)
 	if m.BaseRTT(a, b) != m.BaseRTT(b, a) {
 		t.Fatal("BaseRTT not symmetric")
@@ -288,7 +288,7 @@ func TestWANModelStability(t *testing.T) {
 }
 
 func TestWANStragglerStatistics(t *testing.T) {
-	m := WAN(WANConfig{Seed: 3})
+	m := WAN(3)
 	stragglers := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -303,7 +303,7 @@ func TestWANStragglerStatistics(t *testing.T) {
 }
 
 func TestWANStragglerDutyCycle(t *testing.T) {
-	m := WAN(WANConfig{Seed: 3})
+	m := WAN(3)
 	// Find a straggler (the zero ID can be one).
 	var s ids.ID
 	found := false
@@ -316,7 +316,7 @@ func TestWANStragglerDutyCycle(t *testing.T) {
 	}
 	slow, total := 0, 200
 	for w := 0; w < total; w++ {
-		if m.stragglerAt(s, time.Duration(w)*m.cfg.StragglerWindow) > 0 {
+		if m.stragglerAt(s, time.Duration(w)*stragglerWindow) > 0 {
 			slow++
 		}
 	}

@@ -41,17 +41,18 @@ func IDOf(addr string) ids.ID { return ids.FromKey(addr) }
 type Options struct {
 	// Node configures the Moara core.
 	Node core.Config
-	// Overlay configures the Pastry layer.
-	Overlay pastry.Config
-	// DialTimeout bounds outgoing connection attempts (default 5s).
-	DialTimeout time.Duration
-	// RedialBackoff is how long a peer that failed to dial stays
-	// negative-cached before another dial is attempted (default 1s).
-	// Without it, every message to a dead neighbor re-dialed
-	// synchronously under DialTimeout — an epoch burst toward a dead
-	// peer stacked up dial attempts instead of failing fast.
-	RedialBackoff time.Duration
 }
+
+const (
+	// dialTimeout bounds outgoing connection attempts.
+	dialTimeout = 5 * time.Second
+	// redialBackoff is how long a peer that failed to dial stays
+	// negative-cached before another dial is attempted. Without it,
+	// every message to a dead neighbor re-dialed synchronously under
+	// dialTimeout — an epoch burst toward a dead peer stacked up dial
+	// attempts instead of failing fast.
+	redialBackoff = time.Second
+)
 
 // Node is one Moara agent listening on a TCP address.
 type Node struct {
@@ -65,7 +66,6 @@ type Node struct {
 	rng   *rand.Rand
 
 	ln       net.Listener
-	opts     Options
 	connMu   sync.Mutex
 	conns    map[string]*outConn
 	accepted map[net.Conn]bool
@@ -96,14 +96,9 @@ type outConn struct {
 
 // Listen starts an agent on addr with the given peer roster (all
 // cluster addresses, including addr itself). The overlay is
-// bootstrapped from the roster.
+// bootstrapped from the roster and sends no heartbeats, so a crashed
+// peer is never declared dead.
 func Listen(addr string, roster []string, opts Options) (*Node, error) {
-	if opts.DialTimeout == 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.RedialBackoff == 0 {
-		opts.RedialBackoff = time.Second
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -117,14 +112,13 @@ func Listen(addr string, roster []string, opts Options) (*Node, error) {
 		start:    time.Now(),
 		rng:      rand.New(rand.NewSource(int64(time.Now().UnixNano()))),
 		ln:       ln,
-		opts:     opts,
 		conns:    make(map[string]*outConn),
 		accepted: make(map[net.Conn]bool),
 		dialFail: make(map[string]time.Time),
 		closed:   make(chan struct{}),
 	}
 	n.roster[n.id] = resolved
-	n.core = core.NewNode(nodeEnv{n}, opts.Node, opts.Overlay)
+	n.core = core.NewNode(nodeEnv{n}, opts.Node, pastry.Config{})
 	n.ApplyRoster(roster)
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -464,7 +458,7 @@ func (n *Node) conn(addr string) (*outConn, error) {
 	// until its backoff expires, so a dead neighbor costs one timed-out
 	// dial per backoff window instead of one per message.
 	if until, ok := n.dialFail[addr]; ok {
-		if time.Since(until) < n.opts.RedialBackoff {
+		if time.Since(until) < redialBackoff {
 			n.connMu.Unlock()
 			n.dialsSuppressed.Add(1)
 			return nil, errors.New("transport: peer in dial backoff")
@@ -481,7 +475,7 @@ func (n *Node) conn(addr string) (*outConn, error) {
 	default:
 	}
 	n.dials.Add(1)
-	c, err := net.DialTimeout("tcp", addr, n.opts.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		n.dialErrs.Add(1)
 		n.connMu.Lock()

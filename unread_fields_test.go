@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -296,6 +297,154 @@ func TestNoUncalledFuncs(t *testing.T) {
 	}
 	for name := range gone {
 		t.Errorf("testOnlyFuncs lists %s, which is gone or no longer checked", name)
+	}
+}
+
+// unsetSettings are settings that no non-test code sets and that stay
+// settings, each with its reason. An entry that gains a setter, or
+// disappears, fails TestNoUnsetSettings.
+var unsetSettings = map[string]string{
+	"core.Config.StateTTL":        "tests turn on idle-state expiry; it stays a setting until expiry gets a default",
+	"service.Options.Rate":        "switches on per-tenant admission control, a documented behaviour tests exercise",
+	"service.Options.MaxInflight": "switches on the in-flight cap, a documented behaviour tests exercise",
+	"service.Options.Buffer":      "switches on asynchronous fan-out, a documented behaviour tests exercise",
+	"simnet.Options.Drop":         "the loss-injection seam that core and simnet tests use",
+}
+
+// TestNoUnsetSettings fails on any exported field of an exported struct
+// type named …Options or …Config in this module that non-test code of
+// the module or of bench/ never sets, other than the unsetSettings: a
+// setting that nothing sets is a constant that costs a default fill, a
+// doc line and a configuration nobody runs. A composite-literal key is a
+// set, and so is the left side of an assignment or an address taken,
+// for every field along the chain (o.Node.X sets Node and X). A set
+// inside an if or case whose condition reads the same field is a
+// default fill and does not count.
+func TestNoUnsetSettings(t *testing.T) {
+	code := checked(t)
+	settings := map[*types.Var]string{}
+	for _, p := range code.pkgs {
+		if p.bench {
+			continue
+		}
+		for _, name := range p.pkg.Scope().Names() {
+			tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() ||
+				!strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						settings[f] = p.pkg.Name() + "." + name + "." + f.Name()
+					}
+				}
+			}
+		}
+	}
+
+	set := map[*types.Var]bool{}
+	for _, p := range code.pkgs {
+		// reads reports whether cond selects field f.
+		reads := func(cond ast.Node, f *types.Var) bool {
+			found := false
+			ast.Inspect(cond, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if v, ok := p.info.Uses[sel.Sel].(*types.Var); ok && v.Origin() == f {
+						found = true
+					}
+				}
+				return !found
+			})
+			return found
+		}
+		var stack []ast.Node
+		write := func(f *types.Var) {
+			f = f.Origin()
+			for i := len(stack) - 1; i >= 0; i-- {
+				switch s := stack[i].(type) {
+				case *ast.IfStmt:
+					if reads(s.Cond, f) {
+						return
+					}
+				case *ast.CaseClause:
+					for _, e := range s.List {
+						if reads(e, f) {
+							return
+						}
+					}
+				case *ast.SwitchStmt:
+					if s.Tag != nil && reads(s.Tag, f) {
+						return
+					}
+				}
+			}
+			set[f] = true
+		}
+		// chain writes every field selected along lhs.
+		chain := func(lhs ast.Expr) {
+			for {
+				switch e := ast.Unparen(lhs).(type) {
+				case *ast.StarExpr:
+					lhs = e.X
+				case *ast.SelectorExpr:
+					sel := p.info.Selections[e]
+					if sel == nil || sel.Kind() != types.FieldVal {
+						return
+					}
+					write(sel.Obj().(*types.Var))
+					lhs = e.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				switch s := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range s.Lhs {
+						chain(lhs)
+					}
+				case *ast.UnaryExpr:
+					if s.Op == token.AND {
+						chain(s.X)
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := s.Key.(*ast.Ident); ok {
+						if f, ok := p.info.Uses[id].(*types.Var); ok && f.IsField() {
+							write(f)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	gone := maps.Clone(unsetSettings)
+	var unset []string
+	for f, name := range settings {
+		_, listed := unsetSettings[name]
+		switch {
+		case set[f] && listed:
+			t.Errorf("%s has a setter outside tests now; take it off unsetSettings", name)
+		case !set[f] && !listed:
+			unset = append(unset, code.fset.Position(f.Pos()).String()+": "+name)
+		}
+		delete(gone, name)
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("setting never set outside tests: %s", u)
+	}
+	for name := range gone {
+		t.Errorf("unsetSettings lists %s, which is gone or no longer checked", name)
 	}
 }
 
